@@ -9,13 +9,7 @@ never larger than the best single heuristic.
 from fractions import Fraction
 
 from anonset import build_index, combine, generate_trace
-from anonset.heuristics import (
-    h1_reuse,
-    h2_improper_sender,
-    h3_related_pair,
-    h4_intermediary,
-    h5_cross_pool,
-)
+from anonset.heuristics import HEURISTIC_TAGS, pool_view, run_heuristics
 from anonset.metrics import (
     advantage_increase_from_reduction,
     build_anonymity_report,
@@ -39,20 +33,17 @@ print(f"trace: {len(trace.events)} pool events, {len(trace.transfers)} transfers
 print(f"{'pool':<6} {'observed':>8} {'h1':>6} {'h2':>6} {'h3':>6} {'h4':>6} "
       f"{'h5':>6} {'combined':>9} {'adv gain':>9}")
 
-h5_results = h5_cross_pool(trace.pools, trace.events, t)
+# one view per pool: its events, state and actor sets at the cut, shared
+# by every heuristic
+views = [pool_view(index, pool, t) for pool in trace.pools]
+by_pool_tag = run_heuristics(HEURISTIC_TAGS, views)
 combined_reductions = []
-for pool in trace.pools:
-    results = [
-        h1_reuse(pool, trace.events, t),
-        h2_improper_sender(pool, trace.events, index.labels, t),
-        h3_related_pair(pool, index, t),
-        h4_intermediary(pool, index, index.labels, t),
-        h5_results[pool.pool_id],
-    ]
-    merged = combine(pool, results, trace.events, t)
-    report = build_anonymity_report(pool, trace.events, t, results, merged)
+for view in views:
+    results = [by_pool_tag[(view.pool.pool_id, tag)] for tag in HEURISTIC_TAGS]
+    merged = combine(view, results)
+    report = build_anonymity_report(view, results, merged)
     sizes = " ".join(f"{s.size:>6}" for s in report.per_heuristic)
-    print(f"{pool.pool_id:<6} {report.oas_size:>8} {sizes} "
+    print(f"{report.pool_id:<6} {report.oas_size:>8} {sizes} "
           f"{report.combined.size:>9} {render_percent(report.r_adv):>9}")
     combined_reductions.append(report.combined.reduction)
 
@@ -62,10 +53,6 @@ print(f"implied linkability gain: "
       f"{render_percent(advantage_increase_from_reduction(mean))}")
 
 planted = trace.ground_truth.links
-found = frozenset().union(*(r.link_pairs for r in h5_results.values()))
-for pool in trace.pools:
-    found |= h2_improper_sender(pool, trace.events, index.labels, t).link_pairs
-    found |= h3_related_pair(pool, index, t).link_pairs
-    found |= h4_intermediary(pool, index, index.labels, t).link_pairs
+found = frozenset().union(*(r.link_pairs for r in by_pool_tag.values()))
 print(f"\nplanted links recovered: {len(found & planted)}/{len(planted)}, "
       f"spurious: {len(found - planted)}")

@@ -13,7 +13,6 @@ from anonset import (
     PoolConfig,
     PoolEvent,
     adversary_advantage,
-    compute_balance,
     pool_state,
     simplify_state,
 )
@@ -37,7 +36,7 @@ for address, balance in sorted(state.entries.items()):
     print(f"  balance {address[:10]}…  {balance:+d}")
 print(f"  total {state.total():+d}  (3 deposits - 1 withdrawal = +200)")
 
-print(f"\nd2 alone: {compute_balance(D2, pool, events, t=100):+d}")
+print(f"\nd2 alone: {state.entries.get(D2, 0):+d}")
 
 print("\nthe observed anonymity set is {d1, d2}: two candidate depositors")
 print(f"adversary advantage: {adversary_advantage(2)} per withdrawal\n")

@@ -21,22 +21,23 @@ from .ledger import (
     Address,
     Amount,
     BlockPosition,
-    Flow,
     LinkPair,
     PoolConfig,
     PoolEvent,
     PoolState,
     Transfer,
-    compute_balance,
-    merge_pair,
+    cluster_balances,
     normalize_address,
     pool_state,
+    reduced_set,
     simplify_state,
 )
 from .indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from .heuristics import (
+    HEURISTICS,
     Cluster,
     HeuristicResult,
+    PoolView,
     clusters_from_links,
     combine,
     h1_reuse,
@@ -44,6 +45,8 @@ from .heuristics import (
     h3_related_pair,
     h4_intermediary,
     h5_cross_pool,
+    pool_view,
+    run_heuristics,
 )
 from .metrics import (
     AnonymityReport,

@@ -36,7 +36,6 @@ from .errors import (
 from .ledger import DEPOSIT, WITHDRAWAL, LinkPair, deposit_actors, withdrawal_actors
 from .metrics import render_percent, render_ratio
 
-HEURISTIC_TAGS = ("h1", "h2", "h3", "h4", "h5")
 DEFAULT_AIRDROP_WINDOW = 50_000
 
 
@@ -145,41 +144,29 @@ def _selected_pools(args, dataset: Dataset):
     return (dataset.pool(wanted),)
 
 
-def _parse_heuristics(args, dataset: Dataset, default: Sequence[str]) -> tuple[str, ...]:
+def _parse_heuristics(args, dataset: Dataset, linking_only: bool = False) -> tuple[str, ...]:
     raw = getattr(args, "heuristics", None)
     if not raw:
-        tags = tuple(default)
-    else:
-        tags = tuple(dict.fromkeys(tag.strip() for tag in raw.split(",") if tag.strip()))
-    unknown = set(tags) - set(HEURISTIC_TAGS)
+        return heuristics.default_tags(len(dataset.pools), linking_only)
+    tags = tuple(dict.fromkeys(tag.strip() for tag in raw.split(",") if tag.strip()))
+    unknown = set(tags) - set(heuristics.HEURISTICS)
     if unknown:
         raise InputError(f"unknown heuristics: {sorted(unknown)}")
-    if "h5" in tags and len(dataset.pools) < 2:
-        raise InputError("h5 needs at least two pools in the dataset")
+    for tag in tags:
+        if heuristics.HEURISTICS[tag].cross_pool and len(dataset.pools) < 2:
+            raise InputError(f"{tag} needs at least two pools in the dataset")
     return tags
 
 
 def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
-    """Per-pool heuristic results keyed (pool_id, tag)."""
+    """Build the index and one view per pool, then run ``tags`` on them.
+
+    Returns the index, the views keyed by pool id, and the results keyed
+    ``(pool_id, tag)``.
+    """
     index = dataset.build_index()
-    results: dict[tuple[str, str], heuristics.HeuristicResult] = {}
-    if "h5" in tags:
-        for pool_id, result in heuristics.h5_cross_pool(dataset.pools,
-                                                        dataset.events, t).items():
-            results[(pool_id, "h5")] = result
-    for pool in dataset.pools:
-        for tag in tags:
-            if tag == "h1":
-                results[(pool.pool_id, tag)] = heuristics.h1_reuse(pool, dataset.events, t)
-            elif tag == "h2":
-                results[(pool.pool_id, tag)] = heuristics.h2_improper_sender(
-                    pool, dataset.events, dataset.labels, t)
-            elif tag == "h3":
-                results[(pool.pool_id, tag)] = heuristics.h3_related_pair(pool, index, t)
-            elif tag == "h4":
-                results[(pool.pool_id, tag)] = heuristics.h4_intermediary(
-                    pool, index, dataset.labels, t)
-    return results
+    views = {p.pool_id: heuristics.pool_view(index, p, t) for p in dataset.pools}
+    return index, views, heuristics.run_heuristics(tags, list(views.values()))
 
 
 def _write_report(args, name: str, payload: dict, table: str) -> None:
@@ -210,41 +197,47 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    default = HEURISTIC_TAGS if len(dataset.pools) > 1 else ("h1", "h2", "h3", "h4")
-    tags = _parse_heuristics(args, dataset, default)
+    tags = _parse_heuristics(args, dataset)
     if args.tas and not dataset.has_ground_truth:
         raise ModeError("--tas needs a synthetic dataset with ground truth")
-    results = _run_heuristics(dataset, tags, t)
+    _, views, results = _run_heuristics(dataset, tags, t)
 
     pools_payload = []
     rows = []
     reductions: dict[str, list[Fraction]] = {tag: [] for tag in tags}
     combined_reductions: list[Fraction] = []
     for pool in _selected_pools(args, dataset):
+        view = views[pool.pool_id]
         per = [results[(pool.pool_id, tag)] for tag in tags]
-        combined = heuristics.combine(pool, per, dataset.events, t) if args.combine else None
-        report = metrics.build_anonymity_report(pool, dataset.events, t, per, combined)
-        for stat in report.per_heuristic:
-            reductions[stat.heuristic].append(stat.reduction)
-        if report.combined is not None:
-            combined_reductions.append(report.combined.reduction)
-        entry = {
-            "pool_id": report.pool_id,
-            "at": report.as_of,
-            "observed": report.oas_size,
-            "heuristics": {
+        combined = heuristics.combine(view, per) if args.combine else None
+        entry = {"pool_id": pool.pool_id, "at": t, "observed": len(view.depositors)}
+        row = [pool.pool_id, str(len(view.depositors))]
+        if not view.depositors:
+            # an idle pool has no set to reduce: sizes only, no reduction or advantage
+            entry["heuristics"] = {r.heuristic: {"size": r.size, "reduction": None}
+                                   for r in per}
+            entry["adv_observed"] = None
+            row += [f"{r.size} (-)" for r in per]
+            if combined is not None:
+                entry["combined"] = {"size": combined.size, "reduction": None}
+                entry["adv_reduced"] = entry["r_adv"] = None
+                row.append(f"{combined.size} (-)")
+        else:
+            report = metrics.build_anonymity_report(view, per, combined)
+            for stat in report.per_heuristic:
+                reductions[stat.heuristic].append(stat.reduction)
+            entry["heuristics"] = {
                 s.heuristic: {"size": s.size, "reduction": render_percent(s.reduction)}
-                for s in report.per_heuristic},
-            "adv_observed": str(report.adv_observed),
-        }
-        row = [pool.pool_id, str(report.oas_size)]
-        row += [f"{s.size} (-{render_percent(s.reduction)})" for s in report.per_heuristic]
-        if report.combined is not None:
-            entry["combined"] = {"size": report.combined.size,
-                                 "reduction": render_percent(report.combined.reduction)}
-            entry["adv_reduced"] = str(report.adv_reduced)
-            entry["r_adv"] = render_percent(report.r_adv)
-            row.append(f"{report.combined.size} (+{render_percent(report.r_adv)} adv)")
+                for s in report.per_heuristic}
+            entry["adv_observed"] = str(report.adv_observed)
+            row += [f"{s.size} (-{render_percent(s.reduction)})" for s in report.per_heuristic]
+            if report.combined is not None:
+                combined_reductions.append(report.combined.reduction)
+                entry["combined"] = {"size": report.combined.size,
+                                     "reduction": render_percent(report.combined.reduction)}
+                entry["adv_reduced"] = str(report.adv_reduced)
+                entry["r_adv"] = render_percent(report.r_adv)
+                row.append(f"{report.combined.size} (+{render_percent(report.r_adv)} adv)")
         if args.tas:
             active = dataset.ground_truth.active_depositors.get(pool.pool_id, frozenset())
             entry["true_set"] = len(active)
@@ -279,9 +272,8 @@ def _cmd_anonymity(args) -> int:
 def _cmd_clusters(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    tags = _parse_heuristics(args, dataset, [t for t in ("h2", "h3", "h4", "h5")
-                                             if t != "h5" or len(dataset.pools) > 1])
-    results = _run_heuristics(dataset, tags, t)
+    tags = _parse_heuristics(args, dataset, linking_only=True)
+    _, _, results = _run_heuristics(dataset, tags, t)
     links: frozenset[LinkPair] = frozenset()
     for result in results.values():
         links |= result.link_pairs
@@ -467,17 +459,13 @@ def _gt_positive_pairs(dataset: Dataset, source: str) -> frozenset[LinkPair]:
 def _cmd_validate(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    default = [tag for tag in ("h2", "h3", "h4", "h5")
-               if tag != "h5" or len(dataset.pools) > 1]
-    tags = _parse_heuristics(args, dataset, default)
-    if "h1" in tags:
-        raise InputError("h1 links no address pairs and cannot be validated")
-    results = _run_heuristics(dataset, tags, t)
-    index = dataset.build_index()
-    depositors = frozenset().union(
-        *(deposit_actors(index.events_for(p.pool_id), t) for p in dataset.pools))
-    withdrawers = frozenset().union(
-        *(withdrawal_actors(index.events_for(p.pool_id), t) for p in dataset.pools))
+    tags = _parse_heuristics(args, dataset, linking_only=True)
+    for tag in tags:
+        if heuristics.HEURISTICS[tag].joins is None:
+            raise InputError(f"{tag} links no address pairs and cannot be validated")
+    index, views, results = _run_heuristics(dataset, tags, t)
+    depositors = frozenset().union(*(v.depositors for v in views.values()))
+    withdrawers = frozenset().union(*(v.withdrawers for v in views.values()))
     negatives = gt_mod.debank_negative_pairs(dataset.follow_edges, depositors,
                                              withdrawers)
 
@@ -508,8 +496,8 @@ def _cmd_validate(args) -> int:
     positives = _gt_positive_pairs(dataset, args.gt)
     gt_addresses = frozenset(a for p in positives for a in p.addresses)
     for tag in tags:
-        if tag == "h4":
-            # intermediary links join distance-2 funders to distance-1 depositors
+        if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
+            # funder links join distance-2 funders to distance-1 depositors
             side_a = frozenset().union(
                 *(index.depositors_at_distance(p, 2, t) for p in dataset.pools))
             side_b = depositors

@@ -81,9 +81,6 @@ class Dataset:
         return build_index(self.transfers, self.token_transfers,
                            self.events, self.labels)
 
-    def summary(self) -> dict[str, int]:
-        return dict(self.counts)
-
 
 # ---------------------------------------------------------------------------
 # field validation helpers

@@ -4,25 +4,28 @@ Each heuristic inspects on-chain behavior, asserts same-owner address
 pairs, and reports the pool's *simplified anonymity set*: the depositors
 that still plausibly hold a balance once linked addresses are merged.
 
-Every heuristic is a pure function over immutable inputs; per-pool
-evaluations can run concurrently.
+Every heuristic is a pure function of a :class:`PoolView`, the pool's
+events, state and actor sets at one cut, built once and shared (h5 takes
+the views of all pools); per-pool evaluations can run concurrently.
+:data:`HEURISTICS` maps each tag to its heuristic.
 
-The simplified set is computed uniformly: merge balances along the link
-pairs, keep the clusters whose merged balance is positive, and report
-each such cluster once, by its lexicographically smallest *depositor*
-member (a positive cluster always contains one, since a positive balance
-requires more deposits than withdrawals somewhere in the cluster).  The
-reduced set is therefore always a subset of the observed deposit-address
-set, and merging more links can only shrink it.
+The simplified set is computed uniformly by :func:`ledger.reduced_set`:
+merge balances along the link pairs, keep the clusters whose merged
+balance is positive, and report each such cluster once, by its
+lexicographically smallest *depositor* member (a positive cluster always
+contains one, since a positive balance requires more deposits than
+withdrawals somewhere in the cluster).  The reduced set is therefore
+always a subset of the observed deposit-address set, and merging more
+links can only shrink it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
-from .indexing import LabelBook, LedgerIndex
+from .indexing import LedgerIndex
 from .ledger import (
     DEPOSIT,
     WITHDRAWAL,
@@ -30,10 +33,11 @@ from .ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
+    PoolState,
     connected_components,
     deposit_actors,
-    events_for_pool,
     pool_state,
+    reduced_set,
     withdrawal_actors,
 )
 
@@ -42,6 +46,39 @@ H2 = "h2"
 H3 = "h3"
 H4 = "h4"
 H5 = "h5"
+
+# what a heuristic's link pairs join a depositor to
+WITHDRAWER = "withdrawer"
+FUNDER = "funder"  # an address one native-coin hop upstream
+
+
+@dataclass(frozen=True)
+class PoolView:
+    """One pool at one cut, computed once and shared by every heuristic,
+    by :func:`combine` and by the report.
+
+    ``events`` are the pool's events up to the cut, in index order;
+    ``state``, ``depositors`` and ``withdrawers`` are derived from them.
+    ``index`` answers the transfer and label queries of h2-h4.
+    """
+
+    pool: PoolConfig
+    t: int
+    events: tuple[PoolEvent, ...]
+    state: PoolState
+    depositors: frozenset[Address]
+    withdrawers: frozenset[Address]
+    index: LedgerIndex
+
+
+def pool_view(index: LedgerIndex, pool: PoolConfig, t: int) -> PoolView:
+    """Replay ``pool``'s indexed history up to the cut ``t`` once."""
+    events = tuple(e for e in index.events_for(pool.pool_id) if e.block.height <= t)
+    return PoolView(pool=pool, t=t, events=events,
+                    state=pool_state(pool, events, t),
+                    depositors=deposit_actors(events, t),
+                    withdrawers=withdrawal_actors(events, t),
+                    index=index)
 
 
 @dataclass(frozen=True)
@@ -70,25 +107,14 @@ class Cluster:
         return len(self.members)
 
 
-def _reduced_set(pool: PoolConfig, events: Sequence[PoolEvent], t: int,
-                 links: Iterable[LinkPair]) -> frozenset[Address]:
-    """One representative depositor per positive-balance link cluster."""
-    state = pool_state(pool, events, t)
-    depositors = deposit_actors(events, t)
-    members_linked: set[Address] = set()
-    reduced: set[Address] = set()
-    for component in connected_components(links):
-        members_linked.update(component)
-        balance = sum(state.entries.get(a, 0) for a in component)
-        if balance > 0:
-            reduced.add(min(component & depositors))
-    for addr in depositors - members_linked:
-        if state.entries.get(addr, 0) > 0:
-            reduced.add(addr)
-    return frozenset(reduced)
+def _result(tag: str, view: PoolView, links: Iterable[LinkPair]) -> HeuristicResult:
+    links = frozenset(links)
+    return HeuristicResult(heuristic=tag, pool_id=view.pool.pool_id, as_of=view.t,
+                           link_pairs=links,
+                           anonymity_set=reduced_set(view.state, links, view.depositors))
 
 
-def h1_reuse(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> HeuristicResult:
+def h1_reuse(view: PoolView) -> HeuristicResult:
     """Deposit-address reuse.
 
     An address appearing on both sides of a pool spends its own notes, so
@@ -96,15 +122,10 @@ def h1_reuse(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> Heuristic
     address pairs are linked; the reduction comes from the balance rule
     alone.
     """
-    pool_events = events_for_pool(events, pool.pool_id)
-    return HeuristicResult(
-        heuristic=H1, pool_id=pool.pool_id, as_of=t,
-        link_pairs=frozenset(),
-        anonymity_set=_reduced_set(pool, pool_events, t, ()))
+    return _result(H1, view, ())
 
 
-def h2_improper_sender(pool: PoolConfig, events: Sequence[PoolEvent],
-                       labels: LabelBook, t: int) -> HeuristicResult:
+def h2_improper_sender(view: PoolView) -> HeuristicResult:
     """Improper withdrawal sender.
 
     A withdrawal signed by one of the pool's own depositors, naming a
@@ -112,24 +133,16 @@ def h2_improper_sender(pool: PoolConfig, events: Sequence[PoolEvent],
     Registered relayers are exempt: signing withdrawals for strangers is
     their whole job.
     """
-    pool_events = events_for_pool(events, pool.pool_id)
-    depositors = deposit_actors(pool_events, t)
-    pairs = set()
-    for e in pool_events:
-        if e.kind != WITHDRAWAL or e.block.height > t:
-            continue
-        if e.tx_sender == e.actor or e.tx_sender not in depositors:
-            continue
-        if labels.is_relayer(e.tx_sender) or e.relayer is not None:
-            continue
-        pairs.add(LinkPair(e.tx_sender, e.actor, source=H2))
-    return HeuristicResult(
-        heuristic=H2, pool_id=pool.pool_id, as_of=t,
-        link_pairs=frozenset(pairs),
-        anonymity_set=_reduced_set(pool, pool_events, t, pairs))
+    labels = view.index.labels
+    pairs = {LinkPair(e.tx_sender, e.actor, source=H2)
+             for e in view.events
+             if e.kind == WITHDRAWAL and e.tx_sender != e.actor
+             and e.tx_sender in view.depositors
+             and e.relayer is None and not labels.is_relayer(e.tx_sender)}
+    return _result(H2, view, pairs)
 
 
-def h3_related_pair(pool: PoolConfig, index: LedgerIndex, t: int) -> HeuristicResult:
+def h3_related_pair(view: PoolView) -> HeuristicResult:
     """Related deposit-withdrawal address pair.
 
     A depositor and a withdrawer directly connected by any native or token
@@ -137,26 +150,20 @@ def h3_related_pair(pool: PoolConfig, index: LedgerIndex, t: int) -> HeuristicRe
     Deposits and withdrawals themselves are not transfer evidence; only
     the plain transfer record counts.
     """
-    pool_events = index.events_for(pool.pool_id)
-    depositors = deposit_actors(pool_events, t)
-    withdrawers = withdrawal_actors(pool_events, t)
+    depositors, withdrawers = view.depositors, view.withdrawers
     pairs = set()
-    for tr in list(index.native_transfers) + list(index.token_transfers):
-        if tr.block.height > t or tr.sender == tr.recipient:
+    for tr in view.index.native_transfers + view.index.token_transfers:
+        if tr.block.height > view.t or tr.sender == tr.recipient:
             continue
         a, b = tr.sender, tr.recipient
-        if a in depositors and b in withdrawers and a != b:
+        if a in depositors and b in withdrawers:
             pairs.add(LinkPair(a, b, source=H3))
-        if b in depositors and a in withdrawers and a != b:
+        if b in depositors and a in withdrawers:
             pairs.add(LinkPair(b, a, source=H3))
-    return HeuristicResult(
-        heuristic=H3, pool_id=pool.pool_id, as_of=t,
-        link_pairs=frozenset(pairs),
-        anonymity_set=_reduced_set(pool, pool_events, t, pairs))
+    return _result(H3, view, pairs)
 
 
-def h4_intermediary(pool: PoolConfig, index: LedgerIndex,
-                    labels: LabelBook, t: int) -> HeuristicResult:
+def h4_intermediary(view: PoolView) -> HeuristicResult:
     """Intermediary deposit address.
 
     A depositor whose entire incoming native-coin value (up to the cut)
@@ -165,27 +172,21 @@ def h4_intermediary(pool: PoolConfig, index: LedgerIndex,
     receiving from an exchange says nothing about ownership.  Self
     transfers are ignored on both sides of the rule.
     """
-    pool_events = index.events_for(pool.pool_id)
-    depositors = deposit_actors(pool_events, t)
+    index = view.index
     pairs = set()
-    for d1 in depositors:
+    for d1 in view.depositors:
         funders = {tr.sender
                    for tr in index.incoming_native(d1)
-                   if tr.block.height <= t and tr.amount > 0 and tr.sender != d1}
+                   if tr.block.height <= view.t and tr.amount > 0 and tr.sender != d1}
         if len(funders) != 1:
             continue
         (d2,) = funders
-        if not labels.is_user_account(d2):
-            continue
-        pairs.add(LinkPair(d1, d2, source=H4))
-    return HeuristicResult(
-        heuristic=H4, pool_id=pool.pool_id, as_of=t,
-        link_pairs=frozenset(pairs),
-        anonymity_set=_reduced_set(pool, pool_events, t, pairs))
+        if index.labels.is_user_account(d2):
+            pairs.add(LinkPair(d1, d2, source=H4))
+    return _result(H4, view, pairs)
 
 
-def h5_cross_pool(pools: Iterable[PoolConfig], events: Sequence[PoolEvent],
-                  t: int) -> dict[str, HeuristicResult]:
+def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     """Cross-pool deposit pattern, evaluated jointly across pools.
 
     A depositor and a withdrawer are linked when they used exactly the
@@ -195,21 +196,20 @@ def h5_cross_pool(pools: Iterable[PoolConfig], events: Sequence[PoolEvent],
     precedes its same-rank withdrawal).  Each pool's anonymity set is then
     simplified with the pairs that involve it.
     """
-    pool_list = sorted(pools, key=lambda p: p.pool_id)
-    coins = {p.coin for p in pool_list}
-    if len(pool_list) < 2:
+    view_list = sorted(views, key=lambda v: v.pool.pool_id)
+    if len(view_list) < 2:
         raise InputError("cross-pool matching needs at least two pools")
-    if len(coins) != 1:
+    if len({v.pool.coin for v in view_list}) != 1:
         raise InputError("cross-pool matching expects pools of one coin")
-    known = {p.pool_id for p in pool_list}
+    if len({v.t for v in view_list}) != 1:
+        raise InputError("cross-pool matching needs every pool at one cut")
 
     dep_blocks: dict[Address, dict[str, list]] = {}
     wd_blocks: dict[Address, dict[str, list]] = {}
-    for e in events:
-        if e.pool_id not in known or e.block.height > t:
-            continue
-        table = dep_blocks if e.kind == DEPOSIT else wd_blocks
-        table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e.block)
+    for view in view_list:
+        for e in view.events:
+            table = dep_blocks if e.kind == DEPOSIT else wd_blocks
+            table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e.block)
 
     def signature(per_pool: dict[str, list]) -> tuple:
         return tuple(sorted((pid, len(blocks)) for pid, blocks in per_pool.items()))
@@ -223,7 +223,7 @@ def h5_cross_pool(pools: Iterable[PoolConfig], events: Sequence[PoolEvent],
         if len(per_pool) > 1:
             by_sig_w.setdefault(signature(per_pool), []).append(w)
 
-    pairs_by_pool: dict[str, set[LinkPair]] = {p.pool_id: set() for p in pool_list}
+    pairs_by_pool: dict[str, set[LinkPair]] = {v.pool.pool_id: set() for v in view_list}
     for sig, ds in by_sig_d.items():
         for w in by_sig_w.get(sig, []):
             for d in ds:
@@ -238,19 +238,11 @@ def h5_cross_pool(pools: Iterable[PoolConfig], events: Sequence[PoolEvent],
                     for pid, _count in sig:
                         pairs_by_pool[pid].add(pair)
 
-    results = {}
-    for pool in pool_list:
-        pool_events = events_for_pool(events, pool.pool_id)
-        involved = frozenset(pairs_by_pool[pool.pool_id])
-        results[pool.pool_id] = HeuristicResult(
-            heuristic=H5, pool_id=pool.pool_id, as_of=t,
-            link_pairs=involved,
-            anonymity_set=_reduced_set(pool, pool_events, t, involved))
-    return results
+    return {v.pool.pool_id: _result(H5, v, pairs_by_pool[v.pool.pool_id])
+            for v in view_list}
 
 
-def combine(pool: PoolConfig, results: Sequence[HeuristicResult],
-            events: Sequence[PoolEvent], t: int) -> HeuristicResult:
+def combine(view: PoolView, results: Sequence[HeuristicResult]) -> HeuristicResult:
     """Union the link pairs of several heuristic results on one pool.
 
     The combined anonymity set is never larger than the smallest input
@@ -258,17 +250,59 @@ def combine(pool: PoolConfig, results: Sequence[HeuristicResult],
     cluster is positive only if one of its parts was.
     """
     for r in results:
-        if r.pool_id != pool.pool_id:
-            raise InputError(f"result for pool {r.pool_id} combined into {pool.pool_id}")
-        if r.as_of != t:
+        if r.pool_id != view.pool.pool_id:
+            raise InputError(f"result for pool {r.pool_id} combined into {view.pool.pool_id}")
+        if r.as_of != view.t:
             raise InputError("cannot combine results taken at different cuts")
-    links = frozenset().union(*(r.link_pairs for r in results)) if results else frozenset()
-    pool_events = events_for_pool(events, pool.pool_id)
     tag = "+".join(r.heuristic for r in results) if results else "combined"
-    return HeuristicResult(
-        heuristic=tag, pool_id=pool.pool_id, as_of=t,
-        link_pairs=links,
-        anonymity_set=_reduced_set(pool, pool_events, t, links))
+    return _result(tag, view, frozenset().union(*(r.link_pairs for r in results)))
+
+
+@dataclass(frozen=True)
+class Heuristic:
+    """One row of :data:`HEURISTICS`.
+
+    ``run`` maps a view to its result or, for a ``cross_pool`` heuristic
+    (which needs at least two pools), every pool's view to results keyed
+    by pool id.  ``joins`` is :data:`WITHDRAWER` or :data:`FUNDER`, or
+    None for a heuristic that links no pairs.
+    """
+
+    run: Callable
+    cross_pool: bool = False
+    joins: str | None = WITHDRAWER
+
+
+# Each entry calls its heuristic through this module's globals instead of
+# holding the function, so a wrapper installed on the module attribute
+# (as perfbench/tracing.py does) sees every call.
+HEURISTICS: dict[str, Heuristic] = {
+    H1: Heuristic(lambda view: h1_reuse(view), joins=None),
+    H2: Heuristic(lambda view: h2_improper_sender(view)),
+    H3: Heuristic(lambda view: h3_related_pair(view)),
+    H4: Heuristic(lambda view: h4_intermediary(view), joins=FUNDER),
+    H5: Heuristic(lambda views: h5_cross_pool(views), cross_pool=True),
+}
+HEURISTIC_TAGS = tuple(HEURISTICS)
+
+
+def default_tags(pool_count: int, linking_only: bool = False) -> tuple[str, ...]:
+    """Every heuristic that can run on ``pool_count`` pools; with
+    ``linking_only``, only those that link address pairs."""
+    return tuple(tag for tag, h in HEURISTICS.items()
+                 if (pool_count > 1 or not h.cross_pool)
+                 and not (linking_only and h.joins is None))
+
+
+def run_heuristics(tags: Iterable[str], views: Sequence[PoolView],
+                   ) -> dict[tuple[str, str], HeuristicResult]:
+    """Every tagged heuristic on every view, keyed ``(pool_id, tag)``."""
+    results = {}
+    for tag in tags:
+        h = HEURISTICS[tag]
+        per_pool = h.run(views) if h.cross_pool else {v.pool.pool_id: h.run(v) for v in views}
+        results.update(((pool_id, tag), r) for pool_id, r in per_pool.items())
+    return results
 
 
 def clusters_from_links(pairs: Iterable[LinkPair]) -> tuple[Cluster, ...]:

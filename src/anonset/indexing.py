@@ -14,6 +14,7 @@ Two families of queries live here:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -57,9 +58,6 @@ class LabelBook:
     def is_user_account(self, address: Address) -> bool:
         """An externally owned account that is not a labeled exchange."""
         return not ({"contract", "exchange"} & self._labels.get(address, frozenset()))
-
-    def addresses_with(self, label: str) -> frozenset[Address]:
-        return frozenset(a for a, tags in self._labels.items() if label in tags)
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,6 @@ class LedgerIndex:
             self._incoming.setdefault(t.recipient, []).append(t)
             self._outgoing.setdefault(t.sender, []).append(t)
 
-        self._incoming_tok: dict[Address, list[Transfer]] = {}
-        self._outgoing_tok: dict[Address, list[Transfer]] = {}
-        for t in self.token_transfers:
-            self._incoming_tok.setdefault(t.recipient, []).append(t)
-            self._outgoing_tok.setdefault(t.sender, []).append(t)
-
         self._by_pool: dict[str, list[PoolEvent]] = {}
         for e in self.pool_events:
             self._by_pool.setdefault(e.pool_id, []).append(e)
@@ -145,12 +137,6 @@ class LedgerIndex:
     def outgoing_native(self, address: Address) -> Sequence[Transfer]:
         return self._outgoing.get(address, [])
 
-    def incoming_tokens(self, address: Address) -> Sequence[Transfer]:
-        return self._incoming_tok.get(address, [])
-
-    def outgoing_tokens(self, address: Address) -> Sequence[Transfer]:
-        return self._outgoing_tok.get(address, [])
-
     def events_for(self, pool_id: str) -> Sequence[PoolEvent]:
         return self._by_pool.get(pool_id, [])
 
@@ -166,27 +152,25 @@ class LedgerIndex:
         up the senders of native transfers (up to the cut) into the
         previous frontier.
         """
-        if n < 1:
-            raise InputError("distance must be at least 1")
-        frontier = deposit_actors(self.events_for(pool.pool_id), t)
-        for _ in range(n - 1):
-            frontier = frozenset(
-                tr.sender
-                for member in frontier
-                for tr in self._incoming.get(member, [])
-                if tr.block.height <= t)
-        return frontier
+        return self._at_distance(DEPOSIT, pool, n, t)
 
     def withdrawers_at_distance(self, pool: PoolConfig, n: int, t: int) -> frozenset[Address]:
         """Mirror of :meth:`depositors_at_distance` downstream of withdrawals."""
+        return self._at_distance(WITHDRAWAL, pool, n, t)
+
+    def _at_distance(self, kind: str, pool: PoolConfig, n: int, t: int) -> frozenset[Address]:
         if n < 1:
             raise InputError("distance must be at least 1")
-        frontier = withdrawal_actors(self.events_for(pool.pool_id), t)
+        upstream = kind == DEPOSIT
+        actors = deposit_actors if upstream else withdrawal_actors
+        hops = self._incoming if upstream else self._outgoing
+        far_end = operator.attrgetter("sender" if upstream else "recipient")
+        frontier = actors(self.events_for(pool.pool_id), t)
         for _ in range(n - 1):
             frontier = frozenset(
-                tr.recipient
+                far_end(tr)
                 for member in frontier
-                for tr in self._outgoing.get(member, [])
+                for tr in hops.get(member, ())
                 if tr.block.height <= t)
         return frontier
 
@@ -205,53 +189,36 @@ class LedgerIndex:
         Insufficient incoming value is reported as a shortfall, not an
         error.
         """
-        deposits = [e for e in self.events_for(pool.pool_id)
-                    if e.kind == DEPOSIT and e.actor == depositor
-                    and e.block.height <= t]
-        if not deposits:
-            raise InputError(
-                f"{depositor} has no deposit in pool {pool.pool_id} before the cut")
-        incoming = [tr for tr in self._incoming.get(depositor, []) if tr.amount > 0]
-        claimed: set[int] = set()
-        covers = []
-        for dep in deposits:
-            chosen: list[int] = []
-            acc = 0
-            for i in range(len(incoming) - 1, -1, -1):
-                if i in claimed or incoming[i].block >= dep.block:
-                    continue
-                chosen.append(i)
-                acc += incoming[i].amount
-                if acc >= pool.denomination:
-                    break
-            claimed.update(chosen)
-            claims = _attribute(
-                sorted((incoming[i] for i in chosen), key=_transfer_key),
-                pool.denomination)
-            covers.append(TransferCover(
-                anchor=dep, claims=claims,
-                shortfall=max(pool.denomination - acc, 0)))
-        return tuple(covers)
+        return self._covers(DEPOSIT, depositor, pool, t)
 
     def sink_transfers(self, withdrawer: Address, pool: PoolConfig,
                        t: int) -> tuple[TransferCover, ...]:
         """Forward-scan mirror of :meth:`source_transfers`: each withdrawal
         claims the earliest unclaimed outgoing value after it."""
-        withdrawals = [e for e in self.events_for(pool.pool_id)
-                       if e.kind == WITHDRAWAL and e.actor == withdrawer
-                       and e.block.height <= t]
-        if not withdrawals:
-            raise InputError(
-                f"{withdrawer} has no withdrawal in pool {pool.pool_id} before the cut")
-        outgoing = [tr for tr in self._outgoing.get(withdrawer, [])
-                    if tr.amount > 0 and tr.block.height <= t]
+        return self._covers(WITHDRAWAL, withdrawer, pool, t)
+
+    def _covers(self, kind: str, actor: Address, pool: PoolConfig,
+                t: int) -> tuple[TransferCover, ...]:
+        anchors = [e for e in self.events_for(pool.pool_id)
+                   if e.kind == kind and e.actor == actor and e.block.height <= t]
+        if not anchors:
+            raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
+        # a deposit looks back through incoming value, nearest first; a
+        # withdrawal looks forward through outgoing value
+        backward = kind == DEPOSIT
+        side = self._incoming if backward else self._outgoing
+        candidates = [tr for tr in side.get(actor, ())
+                      if tr.amount > 0 and tr.block.height <= t]
+        if backward:
+            candidates.reverse()
+        usable = operator.lt if backward else operator.gt
         claimed: set[int] = set()
         covers = []
-        for wd in withdrawals:
+        for anchor in anchors:
             chosen: list[int] = []
             acc = 0
-            for i, tr in enumerate(outgoing):
-                if i in claimed or tr.block <= wd.block:
+            for i, tr in enumerate(candidates):
+                if i in claimed or not usable(tr.block, anchor.block):
                     continue
                 chosen.append(i)
                 acc += tr.amount
@@ -259,10 +226,10 @@ class LedgerIndex:
                     break
             claimed.update(chosen)
             claims = _attribute(
-                sorted((outgoing[i] for i in chosen), key=_transfer_key),
+                sorted((candidates[i] for i in chosen), key=_transfer_key),
                 pool.denomination)
             covers.append(TransferCover(
-                anchor=wd, claims=claims,
+                anchor=anchor, claims=claims,
                 shortfall=max(pool.denomination - acc, 0)))
         return tuple(covers)
 

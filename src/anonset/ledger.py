@@ -85,22 +85,6 @@ class Transfer:
 
 
 @dataclass(frozen=True)
-class Flow:
-    """A chain of transfers: each hop starts where the previous one ended
-    and happens no earlier (by block height)."""
-
-    transfers: tuple[Transfer, ...]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.transfers, self.transfers[1:]):
-            if prev.recipient != cur.sender:
-                raise InputError(
-                    f"broken flow: {prev.recipient} does not hand off to {cur.sender}")
-            if prev.block.height > cur.block.height:
-                raise InputError("flow transfers must not move backwards in time")
-
-
-@dataclass(frozen=True)
 class PoolConfig:
     """A fixed-denomination pool: every deposit and withdrawal moves
     exactly ``denomination`` base units of ``coin``."""
@@ -217,26 +201,6 @@ def _check_pool(events: Iterable[PoolEvent], pool: PoolConfig) -> None:
                 f"event for pool {e.pool_id!r} passed to pool {pool.pool_id!r}")
 
 
-def compute_balance(address: Address, pool: PoolConfig,
-                    events: Sequence[PoolEvent], t: int) -> int:
-    """Signed pool balance of one address at the cut ``t``.
-
-    Counts the address's deposits and withdrawals up to and including
-    height ``t`` (the cut is inclusive; an event in block ``t`` counts)
-    and returns ``deposits * p - withdrawals * p``.
-    """
-    _check_pool(events, pool)
-    deposits = withdrawals = 0
-    for e in events:
-        if e.actor != address or e.block.height > t:
-            continue
-        if e.kind == DEPOSIT:
-            deposits += 1
-        else:
-            withdrawals += 1
-    return (deposits - withdrawals) * pool.denomination
-
-
 def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> PoolState:
     """Balances of every address with at least one event up to ``t``.
 
@@ -252,23 +216,6 @@ def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> PoolSta
         net[e.actor] = net.get(e.actor, 0) + delta
     entries = {a: n * pool.denomination for a, n in net.items()}
     return PoolState(entries=entries, as_of=t)
-
-
-def merge_pair(state: PoolState, pair: LinkPair) -> PoolState:
-    """Merge the balances of two linked addresses into one entry.
-
-    The representative is the lexicographically smaller address (a fold of
-    merges therefore lands every cluster on its least member, regardless
-    of merge order).  An address absent from the state contributes zero.
-    The merged entry is kept even when its balance is zero, so that the
-    total balance is conserved and checkable.
-    """
-    if pair.a1 == pair.a2:
-        raise InputError("cannot merge an address with itself")
-    entries = dict(state.entries)
-    combined = entries.pop(pair.a1, 0) + entries.pop(pair.a2, 0)
-    entries[min(pair.a1, pair.a2)] = combined
-    return PoolState(entries=entries, as_of=state.as_of)
 
 
 def connected_components(pairs: Iterable[LinkPair]) -> tuple[frozenset[Address], ...]:
@@ -299,20 +246,52 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[frozenset[Address],
     return tuple(frozenset(groups[root]) for root in sorted(groups))
 
 
-def simplify_state(state: PoolState, links: Iterable[LinkPair]) -> PoolState:
-    """Fold :func:`merge_pair` over a set of positive link pairs.
+def cluster_balances(state: PoolState, links: Iterable[LinkPair],
+                     ) -> list[tuple[tuple[Address, ...], int]]:
+    """The cluster reduction: group the state's addresses along positive
+    link pairs and sum each group's balance.
 
-    The cluster partition and per-cluster balances are independent of the
-    order the pairs are supplied in; each cluster ends up keyed by its
-    lexicographically smallest member.  Negative-polarity pairs are
-    rejected: distinct-owner evidence never merges balances.
+    Returns ``(members, balance)`` per cluster with members sorted.  An
+    address in no pair is a cluster of its own; a linked address absent
+    from the state contributes zero.  The partition and the balances are
+    independent of the order the pairs are supplied in.  Negative-polarity
+    pairs are rejected: distinct-owner evidence never merges balances.
     """
     links = list(links)
     for p in links:
         if p.polarity != POSITIVE:
-            raise InputError("simplify_state accepts positive link pairs only")
-    entries = dict(state.entries)
+            raise InputError("cluster reduction accepts positive link pairs only")
+    entries = state.entries
+    linked: set[Address] = set()
+    clusters = []
     for component in connected_components(links):
-        total = sum(entries.pop(a, 0) for a in component)
-        entries[min(component)] = total
-    return PoolState(entries=entries, as_of=state.as_of)
+        linked |= component
+        clusters.append((tuple(sorted(component)),
+                         sum(entries.get(a, 0) for a in component)))
+    clusters.extend(((a,), b) for a, b in entries.items() if a not in linked)
+    return clusters
+
+
+def simplify_state(state: PoolState, links: Iterable[LinkPair]) -> PoolState:
+    """Merge the balances of linked addresses: one entry per cluster, keyed
+    by its lexicographically smallest member.
+
+    Merged entries are kept even when their balance is zero, so the total
+    balance is conserved and checkable.
+    """
+    return PoolState(entries={members[0]: balance
+                              for members, balance in cluster_balances(state, links)},
+                     as_of=state.as_of)
+
+
+def reduced_set(state: PoolState, links: Iterable[LinkPair],
+                depositors: frozenset[Address]) -> frozenset[Address]:
+    """One address per positive-balance cluster: its smallest depositor.
+
+    A positive cluster always contains a depositor of the state's history,
+    since a positive balance needs more deposits than withdrawals
+    somewhere in it, so the set stays inside the observed deposit-address
+    set.  Merging more links can only shrink it.
+    """
+    return frozenset(next(a for a in members if a in depositors)
+                     for members, balance in cluster_balances(state, links) if balance > 0)

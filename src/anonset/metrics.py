@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InputError
-from .heuristics import Cluster, HeuristicResult
+from .heuristics import Cluster, HeuristicResult, PoolView
 from .indexing import LabelBook
 from .ledger import (
     WITHDRAWAL,
@@ -206,10 +206,9 @@ class AnonymityReport:
     r_adv: Fraction | None
 
 
-def build_anonymity_report(pool: PoolConfig, events: Sequence[PoolEvent], t: int,
-                           results: Sequence[HeuristicResult],
+def build_anonymity_report(view: PoolView, results: Sequence[HeuristicResult],
                            combined: HeuristicResult | None = None) -> AnonymityReport:
-    oas = observed_anonymity_set(pool, events, t)
+    pool, t, oas = view.pool, view.t, view.depositors
     if not oas:
         raise DomainError(f"pool {pool.pool_id} has no depositors at {t}")
 

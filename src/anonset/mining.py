@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 from . import heuristics
 from .errors import DomainError, InputError
-from .ledger import DEPOSIT, Address, PoolConfig, PoolEvent
+from .indexing import build_index
+from .ledger import DEPOSIT, Address, PoolEvent
 from .metrics import relative_advantage_increase
 
 # Per-pool point weights of the canonical four-pool deployment, keyed by
@@ -168,7 +169,6 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     events = sorted(b for b in withdrawal_blocks if b < claim.block)
     n = len(events)
 
-    # suffix_max[i][k]: largest sum of k blocks out of events[i:]
     explored = 0
     capped = False
     found: list[tuple[int, ...]] = []
@@ -230,29 +230,26 @@ class LaunchImpact:
     post: ReuseWindow
 
 
-def am_effect_on_h1(pool: PoolConfig, events: Sequence[PoolEvent],
-                    am_launch: int) -> LaunchImpact:
-    """Evaluate the reuse heuristic separately on the history before the
-    launch block and the history from it onward.
+def am_effect_on_h1(view: heuristics.PoolView, am_launch: int) -> LaunchImpact:
+    """Evaluate the reuse heuristic separately on the pool's history (up
+    to the view's cut) before the launch block and from it onward.
 
     Each window is treated as a pool history of its own; the comparison
     shows whether mining rewards pulled in more address-reusing users.
     """
-    heights = [e.block.height for e in events if e.pool_id == pool.pool_id]
+    heights = [e.block.height for e in view.events]
     if not heights or not min(heights) < am_launch <= max(heights):
         raise InputError("launch block must split the pool's event range")
-    pre_events = [e for e in events if e.block.height < am_launch]
-    post_events = [e for e in events if e.block.height >= am_launch]
 
-    def window(evts: Sequence[PoolEvent], t: int) -> ReuseWindow:
-        result = heuristics.h1_reuse(pool, evts, t)
-        oas = len({e.actor for e in evts
-                   if e.pool_id == pool.pool_id and e.kind == DEPOSIT})
+    def window(events: Sequence[PoolEvent], t: int) -> ReuseWindow:
+        sub = heuristics.pool_view(build_index((), (), events, view.index.labels),
+                                   view.pool, t)
+        result = heuristics.h1_reuse(sub)
         return ReuseWindow(
-            oas_size=oas, reduced_size=result.size,
-            r_adv=relative_advantage_increase(oas, result.size))
+            oas_size=len(sub.depositors), reduced_size=result.size,
+            r_adv=relative_advantage_increase(len(sub.depositors), result.size))
 
     return LaunchImpact(
         launch=am_launch,
-        pre=window(pre_events, am_launch - 1),
-        post=window(post_events, max(heights)))
+        pre=window([e for e in view.events if e.block.height < am_launch], am_launch - 1),
+        post=window([e for e in view.events if e.block.height >= am_launch], max(heights)))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from anonset.heuristics import PoolView, pool_view
+from anonset.indexing import build_index
 from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
@@ -37,6 +39,12 @@ def transfer(sender: str, recipient: str, amount: int, height: int,
              tx: int = 0, coin: str = "ETH") -> Transfer:
     return Transfer(block=BlockPosition(height, tx), sender=sender,
                     recipient=recipient, amount=amount, coin=coin)
+
+
+def view(pool: PoolConfig, events, t: int, transfers=(), tokens=(),
+         labels=None) -> PoolView:
+    """``pool`` at the cut ``t``, over an index of just the given records."""
+    return pool_view(build_index(transfers, tokens, events, labels), pool, t)
 
 
 D1, D2, W1 = addr("d1"), addr("d2"), addr("w1")

@@ -106,10 +106,8 @@ def test_criterion_4_pool_state_oracle():
                 expected[e.actor] = expected.get(e.actor, 0) + \
                     (17 if e.kind == DEPOSIT else -17)
         assert state.entries == expected
-        from anonset.ledger import compute_balance
-
         for a in actors[:3]:
-            assert compute_balance(a, pool, events, t) == expected.get(a, 0)
+            assert pool_state(pool, events, t).entries.get(a, 0) == expected.get(a, 0)
 
     for _ in range(1_000):
         entries = {a: rng.randrange(-4, 5) * 17 for a in rng.sample(actors, 6)}
@@ -125,24 +123,15 @@ def test_criterion_4_pool_state_oracle():
            "1,000 link sets conserve totals order-independently")
 
 
-def _run_tagged(tag, trace, t):
+def _views(trace, t):
     index = build_index(trace.transfers, trace.token_transfers, trace.events,
                         dict(trace.labels))
-    per_pool = {}
-    for pool in trace.pools:
-        if tag == "h1":
-            per_pool[pool.pool_id] = heuristics.h1_reuse(pool, trace.events, t)
-        elif tag == "h2":
-            per_pool[pool.pool_id] = heuristics.h2_improper_sender(
-                pool, trace.events, index.labels, t)
-        elif tag == "h3":
-            per_pool[pool.pool_id] = heuristics.h3_related_pair(pool, index, t)
-        elif tag == "h4":
-            per_pool[pool.pool_id] = heuristics.h4_intermediary(
-                pool, index, index.labels, t)
-    if tag == "h5":
-        per_pool = heuristics.h5_cross_pool(trace.pools, trace.events, t)
-    return per_pool
+    return {pool.pool_id: heuristics.pool_view(index, pool, t) for pool in trace.pools}
+
+
+def _run_tagged(tag, views):
+    results = heuristics.run_heuristics([tag], list(views.values()))
+    return {pool_id: result for (pool_id, _), result in results.items()}
 
 
 def _isolated_trace(behavior: str, seed: int, users: int = 210):
@@ -162,7 +151,7 @@ def test_criterion_5_planted_recovery():
             planted = trace.ground_truth.links_by_heuristic[tag]
             assert len(planted) >= 200
             found = frozenset()
-            for result in _run_tagged(tag, trace, trace.last_block).values():
+            for result in _run_tagged(tag, _views(trace, trace.last_block)).values():
                 found |= result.link_pairs
             tp = len(found & planted)
             assert tp == len(found) == len(planted), \
@@ -170,7 +159,7 @@ def test_criterion_5_planted_recovery():
     for seed in seeds:
         trace = _isolated_trace("h1-reuser", seed)
         gt = trace.ground_truth
-        for pool_id, result in _run_tagged("h1", trace, trace.last_block).items():
+        for pool_id, result in _run_tagged("h1", _views(trace, trace.last_block)).items():
             depositors = {e.actor for e in trace.events
                           if e.pool_id == pool_id and e.kind == DEPOSIT}
             assert result.link_pairs == frozenset()
@@ -178,7 +167,7 @@ def test_criterion_5_planted_recovery():
     for seed in seeds:
         trace = _isolated_trace(DISCIPLINED, seed)
         for tag in ("h1", "h2", "h3", "h4", "h5"):
-            for result in _run_tagged(tag, trace, trace.last_block).values():
+            for result in _run_tagged(tag, _views(trace, trace.last_block)).values():
                 assert result.link_pairs == frozenset()
     _ok(5, "h2-h5 recover planted links at precision 1.0 / recall 1.0 over 3 seeds; "
            "reuse filtering and the disciplined negative control hold")
@@ -192,7 +181,8 @@ def test_criterion_6_reduced_set_containment():
                               user_count=80, block_span=20_000)
         trace = generate_trace(cfg, 100 + i)
         t = trace.last_block
-        results_by_tag = {tag: _run_tagged(tag, trace, t)
+        views = _views(trace, t)
+        results_by_tag = {tag: _run_tagged(tag, views)
                           for tag in ("h1", "h2", "h3", "h4", "h5")}
         for pool in trace.pools:
             observed = {e.actor for e in trace.events
@@ -205,7 +195,7 @@ def test_criterion_6_reduced_set_containment():
             for result in per:
                 assert result.anonymity_set <= observed, \
                     f"{result.heuristic} leaks outside the observed set"
-            combined = heuristics.combine(pool, per, trace.events, t)
+            combined = heuristics.combine(views[pool.pool_id], per)
             assert combined.anonymity_set <= observed
             assert combined.size <= min(r.size for r in per)
     _ok(6, "reduced sets stay inside the observed set and combining never grows them")
@@ -299,11 +289,13 @@ def test_criterion_8_launch_impact_split():
         return generate_trace(cfg, seed)
 
     trace = stepped("0.10", "0.25")
-    impact = mining.am_effect_on_h1(trace.pools[0], trace.events, trace.am_launch)
+    impact = mining.am_effect_on_h1(_views(trace, trace.last_block)[trace.pools[0].pool_id],
+                                    trace.am_launch)
     assert impact.post.r_adv > impact.pre.r_adv
 
     trace = stepped("0.20", "0.20")
-    impact = mining.am_effect_on_h1(trace.pools[0], trace.events, trace.am_launch)
+    impact = mining.am_effect_on_h1(_views(trace, trace.last_block)[trace.pools[0].pool_id],
+                                    trace.am_launch)
     assert impact.pre.r_adv == impact.post.r_adv
     _ok(8, "reuse stepping 10%->25% strictly raises the post-launch gain; "
            "identical fractions agree exactly")

@@ -8,7 +8,7 @@ import pytest
 from anonset.cli import main
 from anonset.dataset import ingest, write_dataset
 from anonset.errors import IngestError
-from anonset.heuristics import h2_improper_sender, h3_related_pair
+from anonset.heuristics import h2_improper_sender, h3_related_pair, pool_view
 from anonset.synth import (
     BEHAVIORS,
     BehaviorProfile,
@@ -57,12 +57,14 @@ class TestRoundTrip:
                                 trace.events, dict(trace.labels))
         disk_index = dataset.build_index()
         for pool in trace.pools:
-            mem = h3_related_pair(pool, mem_index, t)
-            disk = h3_related_pair(pool, disk_index, t)
+            mem_view = pool_view(mem_index, pool, t)
+            disk_view = pool_view(disk_index, pool, t)
+            mem = h3_related_pair(mem_view)
+            disk = h3_related_pair(disk_view)
             assert mem.link_pairs == disk.link_pairs
             assert mem.anonymity_set == disk.anonymity_set
-            mem2 = h2_improper_sender(pool, trace.events, mem_index.labels, t)
-            disk2 = h2_improper_sender(pool, dataset.events, dataset.labels, t)
+            mem2 = h2_improper_sender(mem_view)
+            disk2 = h2_improper_sender(disk_view)
             assert mem2.anonymity_set == disk2.anonymity_set
 
     def test_emission_is_byte_deterministic(self, tmp_path):
@@ -309,13 +311,16 @@ class TestValidateCommand:
         assert h3_row["tp"] + h3_row["tn"] + h3_row["fp"] + h3_row["fn"] == \
             h3_row["universe"]
 
-    def test_validate_ens_source(self, tmp_path):
+    @staticmethod
+    def _ens_row(tmp_path, behavior: str, tag: str):
+        """Validate ``tag`` against name-service handovers planted on
+        exactly the pairs ``behavior`` links."""
         data = tmp_path / "data"
         out = tmp_path / "out"
-        main(["synth", "--profile", "h3-related-transfer", "--seed", "11",
+        main(["synth", "--profile", behavior, "--seed", "11",
               "--users", "8", "--out", str(data)])
         dataset = ingest(data)
-        pairs = sorted(dataset.ground_truth.links_by_heuristic["h3"],
+        pairs = sorted(dataset.ground_truth.links_by_heuristic[tag],
                        key=lambda p: p.addresses)
         rows = [json.dumps({"name": f"user{i}.eth", "sender": p.a1,
                             "recipient": p.a2, "block": 10, "expiry": 10**9},
@@ -323,12 +328,23 @@ class TestValidateCommand:
                 for i, p in enumerate(pairs)]
         (data / "ens_transfers.jsonl").write_text("\n".join(rows) + "\n")
         assert main(["validate", "--data", str(data), "--out", str(out),
-                     "--gt", "ens", "--heuristics", "h3"]) == 0
-        payload = json.loads((out / "validate.json").read_text())
-        (h3_row,) = payload["heuristics"]
+                     "--gt", "ens", "--heuristics", tag]) == 0
+        (row,) = json.loads((out / "validate.json").read_text())["heuristics"]
+        return row, len(pairs)
+
+    def test_validate_ens_source(self, tmp_path):
+        h3_row, _ = self._ens_row(tmp_path, "h3-related-transfer", "h3")
         # every ground-truth pair is a planted h3 pair: perfect recall
         assert h3_row["fn"] == 0
         assert h3_row["recall"] == "1.00"
+
+    def test_validate_funder_links_score_against_funders(self, tmp_path):
+        # h4 pairs join a depositor to its funder, who neither deposits nor
+        # withdraws: the universe must pair funders with depositors
+        h4_row, planted = self._ens_row(tmp_path, "h4-intermediary", "h4")
+        assert planted and h4_row["tp"] == planted
+        assert h4_row["fn"] == 0 and h4_row["fp"] == 0
+        assert h4_row["recall"] == "1.00"
 
     def test_validate_rejects_h1(self, tmp_path):
         data = tmp_path / "data"
@@ -352,3 +368,50 @@ class TestValidateCommand:
         payload = json.loads((out / "validate.json").read_text())
         (h2_row,) = payload["heuristics"]
         assert h2_row["contradicted"] == 1
+
+
+class TestIdlePools:
+    """A pool with no depositor at the cut is reported as idle; the run
+    goes on and every other pool reads as it would without it."""
+
+    @staticmethod
+    def _anonymity(data, out, *extra):
+        assert main(["anonymity", "--data", str(data), "--out", str(out),
+                     "--combine", *extra]) == 0
+        return json.loads((out / "anonymity.json").read_text())
+
+    @staticmethod
+    def _assert_idle(entry):
+        assert entry["observed"] == 0
+        assert entry["adv_observed"] is None
+        assert entry["adv_reduced"] is None and entry["r_adv"] is None
+        assert entry["combined"] == {"size": 0, "reduction": None}
+        assert entry["heuristics"]
+        assert all(h == {"size": 0, "reduction": None} for h in entry["heuristics"].values())
+
+    def test_cut_before_a_pools_first_deposit(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--profile", "mixed", "--seed", "7",
+                     "--users", "96", "--out", str(data)]) == 0
+        report = self._anonymity(data, tmp_path / "all", "--at", "1001")
+        by_pool = {e["pool_id"]: e for e in report["pools"]}
+        self._assert_idle(by_pool["P0.1"])
+        assert "P0.1  0         0 (-)" in (tmp_path / "all" / "anonymity.txt").read_text()
+        active = [e for e in report["pools"] if e["observed"]]
+        assert len(active) == 1
+        (alone,) = self._anonymity(data, tmp_path / "alone", "--at", "1001",
+                                   "--pool", active[0]["pool_id"])["pools"]
+        assert alone == active[0]
+        # idle pools are left out of the averages
+        assert report["average_reduction"]["combined"] == alone["combined"]["reduction"]
+
+    def test_pool_without_events(self, tmp_path, dataset_dir):
+        before = self._anonymity(dataset_dir, tmp_path / "before")
+        with (dataset_dir / "pools.jsonl").open("a") as handle:
+            handle.write(json.dumps({"am_weight": 1, "coin": "ETH",
+                                     "denomination": "7", "pool_id": "PX"}) + "\n")
+        after = self._anonymity(dataset_dir, tmp_path / "after")
+        (idle,) = [e for e in after["pools"] if e["pool_id"] == "PX"]
+        self._assert_idle(idle)
+        assert [e for e in after["pools"] if e["pool_id"] != "PX"] == before["pools"]
+        assert after["average_reduction"] == before["average_reduction"]

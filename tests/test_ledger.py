@@ -10,16 +10,15 @@ from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
     BlockPosition,
-    Flow,
     LinkPair,
     PoolConfig,
     PoolEvent,
     PoolState,
-    compute_balance,
     connected_components,
-    merge_pair,
     normalize_address,
+    deposit_actors,
     pool_state,
+    reduced_set,
     simplify_state,
 )
 
@@ -63,17 +62,6 @@ class TestDomainRecords:
     def test_self_transfer_is_legal(self):
         transfer(D1, D1, 5, 1)
 
-    def test_flow_requires_chaining(self):
-        ok = Flow(transfers=(transfer(D1, D2, 5, 1), transfer(D2, W1, 5, 2)))
-        assert len(ok.transfers) == 2
-        with pytest.raises(InputError):
-            Flow(transfers=(transfer(D1, D2, 5, 1), transfer(D1, W1, 5, 2)))
-        with pytest.raises(InputError):
-            Flow(transfers=(transfer(D1, D2, 5, 3), transfer(D2, W1, 5, 2)))
-
-    def test_flow_allows_same_height(self):
-        Flow(transfers=(transfer(D1, D2, 5, 7), transfer(D2, W1, 5, 7)))
-
     def test_link_pair_canonicalizes(self):
         a, b = sorted([D1, W1])
         assert LinkPair(W1, D1).addresses == (a, b)
@@ -87,10 +75,10 @@ class TestDomainRecords:
 
 class TestComputeBalance:
     def test_two_deposits_no_withdrawals(self, p100, p100_events):
-        assert compute_balance(D2, p100, p100_events, t=100) == 200
+        assert pool_state(p100, p100_events, t=100).entries.get(D2, 0) == 200
 
     def test_no_events_is_zero(self, p100):
-        assert compute_balance(D1, p100, [], t=100) == 0
+        assert pool_state(p100, [], t=100).entries.get(D1, 0) == 0
 
     def test_three_deposits_three_withdrawals_cancel(self):
         # direct enumeration: 3*1 - 3*1 = 0
@@ -98,16 +86,16 @@ class TestComputeBalance:
         a = addr("aa")
         events = [deposit("P1", a, h) for h in (1, 2, 3)]
         events += [withdrawal("P1", a, h) for h in (4, 5, 6)]
-        assert compute_balance(a, pool, events, t=10) == 0
+        assert pool_state(pool, events, t=10).entries.get(a, 0) == 0
 
     def test_cut_is_inclusive_at_t(self, p100):
         events = [deposit("P100", D1, 7)]
-        assert compute_balance(D1, p100, events, t=7) == 100
-        assert compute_balance(D1, p100, events, t=6) == 0
+        assert pool_state(p100, events, t=7).entries.get(D1, 0) == 100
+        assert pool_state(p100, events, t=6).entries.get(D1, 0) == 0
 
     def test_foreign_pool_event_rejected(self, p100):
         with pytest.raises(InputError):
-            compute_balance(D1, p100, [deposit("OTHER", D1, 1)], t=5)
+            pool_state(p100, [deposit("OTHER", D1, 1)], t=5).entries.get(D1, 0)
 
 
 class TestPoolState:
@@ -150,7 +138,7 @@ class TestPoolState:
 class TestMergeAndSimplify:
     def test_worked_example_merge(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
-        merged = merge_pair(state, LinkPair(D1, W1))
+        merged = simplify_state(state, [LinkPair(D1, W1)])
         assert merged.entries[min(D1, W1)] == 0
         assert merged.entries[D2] == 200
         assert merged.nonzero() == {D2: 200}
@@ -158,14 +146,14 @@ class TestMergeAndSimplify:
     def test_merge_with_absent_address_adds_zero(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
         ghost = addr("zz")
-        merged = merge_pair(state, LinkPair(D2, ghost))
+        merged = simplify_state(state, [LinkPair(D2, ghost)])
         assert merged.entries[min(D2, ghost)] == 200
         assert merged.total() == state.total()
 
     def test_chained_merges_conserve_total(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
-        s1 = merge_pair(state, LinkPair(D1, D2))
-        s2 = merge_pair(s1, LinkPair(min(D1, D2), W1))
+        s1 = simplify_state(state, [LinkPair(D1, D2)])
+        s2 = simplify_state(s1, [LinkPair(min(D1, D2), W1)])
         assert s2.total() == state.total() == 200
 
     def test_simplify_empty_links_is_identity(self, p100, p100_events):
@@ -202,6 +190,55 @@ class TestMergeAndSimplify:
             again = simplify_state(baseline, pairs)
             assert again.entries == baseline.entries
             assert baseline.total() == state.total()
+
+
+class TestReducedSet:
+    def test_matches_naive_oracle_on_random_histories(self):
+        rng = random.Random(4242)
+        pool = PoolConfig(pool_id="P", coin="C", denomination=10)
+        actors = [addr(f"r{i}") for i in range(12)]
+        ghosts = [addr(f"x{i}") for i in range(3)]  # linked, never in the pool
+        checked_links = 0
+        for _ in range(300):
+            events = []
+            for h in range(rng.randrange(0, 40)):
+                a = rng.choice(actors)
+                events.append(deposit("P", a, h) if rng.random() < 0.55
+                              else withdrawal("P", a, h))
+            t = rng.randrange(0, 45)
+            state = pool_state(pool, events, t)
+            depositors = deposit_actors(events, t)
+            links = [LinkPair(*rng.sample(actors + ghosts, 2))
+                     for _ in range(rng.randrange(0, 8))]
+            checked_links += len(links)
+
+            # naive oracle: BFS components over every address, summed
+            # balances, positive clusters, smallest depositor member
+            adjacency = {a: set() for a in set(state.entries) | {x for p in links
+                                                                  for x in p.addresses}}
+            for p in links:
+                adjacency[p.a1].add(p.a2)
+                adjacency[p.a2].add(p.a1)
+            expected, seen = set(), set()
+            for start in sorted(adjacency):
+                if start in seen:
+                    continue
+                component, queue = set(), [start]
+                while queue:
+                    node = queue.pop()
+                    if node not in component:
+                        component.add(node)
+                        queue.extend(adjacency[node])
+                seen |= component
+                if sum(state.entries.get(a, 0) for a in component) > 0:
+                    expected.add(min(component & depositors))
+
+            got = reduced_set(state, links, depositors)
+            assert got == expected
+            assert got <= depositors
+            assert len(got) == sum(1 for b in simplify_state(state, links).entries.values()
+                                   if b > 0)
+        assert checked_links > 500
 
 
 class TestConnectedComponents:

@@ -22,7 +22,7 @@ from anonset.metrics import (
     true_anonymity_set,
 )
 
-from .conftest import D1, D2, W1, addr, deposit, withdrawal
+from .conftest import D1, D2, W1, addr, deposit, view, withdrawal
 
 NO_LABELS = LabelBook({})
 
@@ -146,17 +146,19 @@ class TestFundThenDeposit:
 
 class TestReport:
     def test_report_fields_are_exact(self, p100, p100_events):
-        r1 = h1_reuse(p100, p100_events, t=100)
-        report = build_anonymity_report(p100, p100_events, 100, [r1], combined=r1)
+        v = view(p100, p100_events, 100)
+        r1 = h1_reuse(v)
+        report = build_anonymity_report(v, [r1], combined=r1)
         assert report.oas_size == 2
         assert report.adv_observed == Fraction(1, 2)
         assert report.r_adv == Fraction(report.oas_size, report.combined.size) - 1
 
     def test_drained_pool_raises(self, p100):
         events = [deposit("P100", D1, 1), withdrawal("P100", D1, 2)]
-        r1 = h1_reuse(p100, events, t=10)
+        v = view(p100, events, 10)
+        r1 = h1_reuse(v)
         with pytest.raises(DomainError):
-            build_anonymity_report(p100, events, 10, [r1], combined=r1)
+            build_anonymity_report(v, [r1], combined=r1)
 
 
 class TestRendering:

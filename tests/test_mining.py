@@ -24,7 +24,7 @@ from anonset.mining import (
     solve_single_claim,
 )
 
-from .conftest import addr, deposit, withdrawal
+from .conftest import addr, deposit, view, withdrawal
 
 
 def oracle_multi(deposit_blocks, claim, weight, withdrawal_blocks):
@@ -215,7 +215,7 @@ class TestLaunchImpact:
             events.append(deposit("P100", addr(f"post{i}"), 110 + i))
         events.append(withdrawal("P100", addr("post0"), 120))
         events.append(withdrawal("P100", addr("post1"), 121))
-        impact = am_effect_on_h1(p100, events, am_launch=100)
+        impact = am_effect_on_h1(view(p100, events, 200), am_launch=100)
         assert impact.pre.r_adv == Fraction(4, 3) - 1
         assert impact.post.r_adv == Fraction(4, 2) - 1
         assert impact.post.r_adv > impact.pre.r_adv
@@ -226,9 +226,9 @@ class TestLaunchImpact:
             for i in range(5):
                 events.append(deposit("P100", addr(f"w{base}{i}"), base + i))
             events.append(withdrawal("P100", addr(f"w{base}0"), base + 9))
-        impact = am_effect_on_h1(p100, events, am_launch=100)
+        impact = am_effect_on_h1(view(p100, events, 200), am_launch=100)
         assert impact.pre.r_adv == impact.post.r_adv
 
     def test_launch_outside_range_rejected(self, p100, p100_events):
         with pytest.raises(InputError):
-            am_effect_on_h1(p100, p100_events, am_launch=500)
+            am_effect_on_h1(view(p100, p100_events, 100), am_launch=500)

@@ -35,24 +35,17 @@ def config_for(behavior: str, users: int = 40, span: int = 4000,
         user_count=users, block_span=span, **kwargs)
 
 
-def run_heuristic(tag: str, trace):
+def views_of(trace) -> dict:
     index = build_index(trace.transfers, trace.token_transfers, trace.events,
                         dict(trace.labels))
-    t = trace.last_block
+    return {pool.pool_id: heuristics.pool_view(index, pool, trace.last_block)
+            for pool in trace.pools}
+
+
+def run_heuristic(tag: str, trace):
     found = set()
-    for pool in trace.pools:
-        if tag == "h1":
-            result = heuristics.h1_reuse(pool, trace.events, t)
-        elif tag == "h2":
-            result = heuristics.h2_improper_sender(pool, trace.events, index.labels, t)
-        elif tag == "h3":
-            result = heuristics.h3_related_pair(pool, index, t)
-        elif tag == "h4":
-            result = heuristics.h4_intermediary(pool, index, index.labels, t)
-        found |= result.link_pairs if tag != "h5" else set()
-    if tag == "h5":
-        for result in heuristics.h5_cross_pool(trace.pools, trace.events, t).values():
-            found |= result.link_pairs
+    for result in heuristics.run_heuristics([tag], list(views_of(trace).values())).values():
+        found |= result.link_pairs
     return found
 
 
@@ -131,11 +124,9 @@ class TestNegativeControl:
 
     def test_disciplined_sets_equal_positive_balance_depositors(self):
         trace = generate_trace(config_for(DISCIPLINED, users=60), seed=5)
-        index = build_index(trace.transfers, trace.token_transfers,
-                            trace.events, dict(trace.labels))
-        for pool in trace.pools:
-            result = heuristics.h1_reuse(pool, trace.events, trace.last_block)
-            assert result.anonymity_set == trace.ground_truth.active_depositors[pool.pool_id]
+        for pool_id, view in views_of(trace).items():
+            result = heuristics.h1_reuse(view)
+            assert result.anonymity_set == trace.ground_truth.active_depositors[pool_id]
 
 
 class TestPlantedRecovery:
@@ -153,10 +144,10 @@ class TestPlantedRecovery:
         trace = generate_trace(config_for(H1_REUSER, users=50), seed=11)
         gt = trace.ground_truth
         assert gt.fully_withdrawn_reusers
-        for pool in trace.pools:
-            result = heuristics.h1_reuse(pool, trace.events, trace.last_block)
+        for pool_id, view in views_of(trace).items():
+            result = heuristics.h1_reuse(view)
             pool_depositors = {e.actor for e in trace.events
-                               if e.pool_id == pool.pool_id and e.kind == "deposit"}
+                               if e.pool_id == pool_id and e.kind == "deposit"}
             assert result.anonymity_set == pool_depositors - gt.fully_withdrawn_reusers
 
 
@@ -207,16 +198,14 @@ class TestReuseStep:
         from anonset.mining import am_effect_on_h1
 
         trace = self._trace("0.10", "0.25")
-        pool = trace.pools[0]
-        impact = am_effect_on_h1(pool, trace.events, trace.am_launch)
+        impact = am_effect_on_h1(views_of(trace)[trace.pools[0].pool_id], trace.am_launch)
         assert impact.post.r_adv > impact.pre.r_adv
 
     def test_identical_fractions_agree_exactly(self):
         from anonset.mining import am_effect_on_h1
 
         trace = self._trace("0.20", "0.20")
-        pool = trace.pools[0]
-        impact = am_effect_on_h1(pool, trace.events, trace.am_launch)
+        impact = am_effect_on_h1(views_of(trace)[trace.pools[0].pool_id], trace.am_launch)
         assert impact.pre.r_adv == impact.post.r_adv
 
     def test_needs_launch_block(self):
