@@ -393,7 +393,10 @@ def _cmd_flags(args) -> int:
 
 def _cmd_am_link(args) -> int:
     dataset = _load(args)
-    deposits = [e for e in dataset.events if e.kind == DEPOSIT]
+    deposits_by_actor: dict[str, list] = {}
+    for e in dataset.events:
+        if e.kind == DEPOSIT:
+            deposits_by_actor.setdefault(e.actor, []).append(e)
     withdrawal_blocks = {
         p.pool_id: sorted(e.block.height for e in dataset.events
                           if e.pool_id == p.pool_id and e.kind == WITHDRAWAL)
@@ -406,11 +409,11 @@ def _cmd_am_link(args) -> int:
     statuses = []
     for address in sorted(claimants):
         claims = sorted(claimants[address], key=lambda c: (c.block, c.ap))
-        category = mining.classify_claimant(address, deposits, claims)
+        own = deposits_by_actor.get(address, [])
+        category = mining.classify_claimant(address, own, claims)
         entry = {"address": address, "category": category, "claims": len(claims)}
         if category in (mining.ONE_ONE_ONE, mining.N_ONE_ONE):
-            own = sorted((e for e in deposits if e.actor == address),
-                         key=lambda e: e.block)
+            own = sorted(own, key=lambda e: e.block)
             pool = dataset.pool(own[0].pool_id)
             claim = claims[0]
             if category == mining.ONE_ONE_ONE:

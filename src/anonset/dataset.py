@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import IngestError
+from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
 from .groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from .ledger import (
@@ -149,22 +150,50 @@ class _Row:
                              self.uint("log_index", 0))
 
 
+def _utf8_error(file: Path, name: str) -> IngestError:
+    """Name the first line of ``file`` that is not valid UTF-8.
+
+    Text-mode reads decode whole chunks, so the error they raise does not
+    say which line the bad byte is on; this rereads the bytes line by line.
+    A newline byte never occurs inside a UTF-8 sequence, so decoding each
+    line on its own finds the same fault.
+    """
+    with file.open("rb") as handle:
+        for i, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestError(f"invalid UTF-8 byte at column {exc.start + 1}",
+                                   file=name, line=i)
+    return IngestError("invalid UTF-8", file=name)
+
+
+def _read_text(file: Path, name: str) -> str:
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _utf8_error(file, name) from None
+
+
 def _read_lines(path: Path, name: str):
     file = path / f"{name}.jsonl"
     if not file.exists():
         raise IngestError("required file is missing", file=f"{name}.jsonl")
     rows = []
-    with file.open() as handle:
-        for i, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"invalid JSON: {exc.msg}",
-                                  file=f"{name}.jsonl", line=i)
-            rows.append(_Row(f"{name}.jsonl", i, record))
+    try:
+        with file.open(encoding="utf-8") as handle:
+            for i, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise IngestError(f"invalid JSON: {exc.msg}",
+                                      file=f"{name}.jsonl", line=i)
+                rows.append(_Row(f"{name}.jsonl", i, record))
+    except UnicodeDecodeError:
+        raise _utf8_error(file, f"{name}.jsonl") from None
     return rows
 
 
@@ -191,7 +220,7 @@ def ingest(path: str | Path) -> Dataset:
     if not manifest_path.exists():
         raise IngestError("manifest is missing", file=MANIFEST_FILE)
     try:
-        raw = json.loads(manifest_path.read_text())
+        raw = json.loads(_read_text(manifest_path, MANIFEST_FILE))
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc.msg}", file=MANIFEST_FILE)
     row = _Row(MANIFEST_FILE, 1, raw)
@@ -332,7 +361,8 @@ def ingest(path: str | Path) -> Dataset:
     gt_path = path / GROUND_TRUTH_FILE
     if gt_path.exists():
         try:
-            ground_truth = _parse_ground_truth(json.loads(gt_path.read_text()))
+            ground_truth = _parse_ground_truth(
+                json.loads(_read_text(gt_path, GROUND_TRUTH_FILE)))
         except json.JSONDecodeError as exc:
             raise IngestError(f"invalid JSON: {exc.msg}", file=GROUND_TRUTH_FILE)
 
@@ -430,23 +460,85 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
     return path
 
 
-def _parse_ground_truth(raw: dict) -> GroundTruth:
-    return GroundTruth(
-        links_by_heuristic={
-            h: frozenset(LinkPair(a1, a2, source=h) for a1, a2 in pairs)
-            for h, pairs in raw["links_by_heuristic"].items()},
-        user_links=frozenset(LinkPair(a1, a2, source=source)
-                             for a1, a2, source in raw["user_links"]),
-        reusers=frozenset(raw["reusers"]),
-        fully_withdrawn_reusers=frozenset(raw["fully_withdrawn_reusers"]),
-        attackers=frozenset(raw["attackers"]),
-        am_truth=tuple(AmRecord(recipient=r["recipient"], pool_id=r["pool_id"],
-                                deposit_blocks=tuple(r["deposit_blocks"]),
-                                withdrawal_blocks=tuple(r["withdrawal_blocks"]),
-                                ap=r["ap"], claim_block=r["claim_block"])
-                       for r in raw["am_truth"]),
-        true_balances={pool: dict(balances)
-                       for pool, balances in raw["true_balances"].items()},
-        active_depositors={pool: frozenset(addrs)
-                           for pool, addrs in raw["active_depositors"].items()},
-        behaviors=dict(raw["behaviors"]))
+def _all_of(values, kind: type) -> bool:
+    """Every value is exactly a ``kind`` (JSON never yields subclasses, and
+    a ``bool`` does not pass as an ``int``)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and _all_of(value, kind)
+
+
+def _map_of(value, kind: type) -> bool:
+    return isinstance(value, dict) and _all_of(value.values(), kind)
+
+
+def _tuples(n: int):
+    """Check for a list of lists of exactly ``n`` strings."""
+    return lambda value: (_list_of(value, list) and set(map(len, value)) <= {n}
+                          and _all_of(chain.from_iterable(value), str))
+
+
+_AM_RECORD_TYPES = {"recipient": str, "pool_id": str, "deposit_blocks": list,
+                    "withdrawal_blocks": list, "ap": int, "claim_block": int}
+
+
+def _am_records(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(r, dict)
+        and all(type(r.get(key)) is kind for key, kind in _AM_RECORD_TYPES.items())
+        and _all_of(r["deposit_blocks"], int) and _all_of(r["withdrawal_blocks"], int)
+        for r in value)
+
+
+_ADDRESS_SET = ("a list of strings", lambda v: _list_of(v, str), frozenset)
+
+# sidecar key -> (expected shape, check, conversion to the GroundTruth field)
+_GROUND_TRUTH_FIELDS = {
+    "links_by_heuristic": (
+        "an object of [address, address] lists",
+        lambda v: isinstance(v, dict) and all(map(_tuples(2), v.values())),
+        lambda v: {h: frozenset(LinkPair(a1, a2, source=h) for a1, a2 in pairs)
+                   for h, pairs in v.items()}),
+    "user_links": (
+        "a list of [address, address, source] lists",
+        _tuples(3),
+        lambda v: frozenset(LinkPair(a1, a2, source=source) for a1, a2, source in v)),
+    "reusers": _ADDRESS_SET,
+    "fully_withdrawn_reusers": _ADDRESS_SET,
+    "attackers": _ADDRESS_SET,
+    "am_truth": (
+        "a list of objects with " + ", ".join(_AM_RECORD_TYPES),
+        _am_records,
+        lambda v: tuple(AmRecord(recipient=r["recipient"], pool_id=r["pool_id"],
+                                 deposit_blocks=tuple(r["deposit_blocks"]),
+                                 withdrawal_blocks=tuple(r["withdrawal_blocks"]),
+                                 ap=r["ap"], claim_block=r["claim_block"])
+                        for r in v)),
+    "true_balances": (
+        "an object of address -> integer objects",
+        lambda v: isinstance(v, dict) and all(_map_of(b, int) for b in v.values()),
+        lambda v: {pool: dict(balances) for pool, balances in v.items()}),
+    "active_depositors": (
+        "an object of address lists",
+        lambda v: isinstance(v, dict) and all(_list_of(a, str) for a in v.values()),
+        lambda v: {pool: frozenset(addrs) for pool, addrs in v.items()}),
+    "behaviors": ("an object of strings", lambda v: _map_of(v, str), dict),
+}
+
+
+def _parse_ground_truth(raw) -> GroundTruth:
+    if not isinstance(raw, dict):
+        raise IngestError("ground truth is not an object", file=GROUND_TRUTH_FILE)
+    fields = {}
+    for key, (shape, valid, convert) in _GROUND_TRUTH_FIELDS.items():
+        if key not in raw:
+            raise IngestError("missing field", file=GROUND_TRUTH_FILE, field=key)
+        if not valid(raw[key]):
+            raise IngestError(f"expected {shape}", file=GROUND_TRUTH_FILE, field=key)
+        try:
+            fields[key] = convert(raw[key])
+        except InputError as exc:
+            raise IngestError(str(exc), file=GROUND_TRUTH_FILE, field=key) from None
+    return GroundTruth(**fields)

@@ -78,12 +78,20 @@ class TransferCover:
         return sum(t.amount for t in self.claims)
 
 
+# Record sort keys.  The block position is spelled out as its three
+# fields: the order and equality are those of ``BlockPosition``, but plain
+# tuples compare and hash without a Python-level ``__lt__``/``__hash__``.
+
 def _transfer_key(t: Transfer):
-    return (t.block, t.sender, t.recipient, t.amount, t.coin, t.internal)
+    b = t.block
+    return (b.height, b.tx_index, b.log_index,
+            t.sender, t.recipient, t.amount, t.coin, t.internal)
 
 
 def _event_key(e: PoolEvent):
-    return (e.block, e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
+    b = e.block
+    return (b.height, b.tx_index, b.log_index,
+            e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
 
 
 class LedgerIndex:
@@ -94,9 +102,9 @@ class LedgerIndex:
                  events: Sequence[PoolEvent],
                  labels: LabelBook):
         self.labels = labels
-        self.native_transfers = self._dedup_sort(transfers, "transfers")
-        self.token_transfers = self._dedup_sort(token_transfers, "token_transfers")
-        self.pool_events = self._dedup_sort_events(events)
+        self.native_transfers = _dedup_sort(transfers, _transfer_key, "transfers")
+        self.token_transfers = _dedup_sort(token_transfers, _transfer_key, "token_transfers")
+        self.pool_events = _dedup_sort(events, _event_key, "pool_events")
 
         self._incoming: dict[Address, list[Transfer]] = {}
         self._outgoing: dict[Address, list[Transfer]] = {}
@@ -104,30 +112,13 @@ class LedgerIndex:
             self._incoming.setdefault(t.recipient, []).append(t)
             self._outgoing.setdefault(t.sender, []).append(t)
 
+        # each pool's events, and each actor's own events of one kind in
+        # one pool, both in chronological order
         self._by_pool: dict[str, list[PoolEvent]] = {}
+        self._by_actor: dict[tuple[str, str, Address], list[PoolEvent]] = {}
         for e in self.pool_events:
             self._by_pool.setdefault(e.pool_id, []).append(e)
-
-    @staticmethod
-    def _dedup_sort(records: Sequence[Transfer], kind: str) -> tuple[Transfer, ...]:
-        seen: set = set()
-        for pos, r in enumerate(records):
-            key = _transfer_key(r)
-            if key in seen:
-                raise IngestError(f"duplicate record at position {pos}: {r}", file=kind)
-            seen.add(key)
-        return tuple(sorted(records, key=_transfer_key))
-
-    @staticmethod
-    def _dedup_sort_events(records: Sequence[PoolEvent]) -> tuple[PoolEvent, ...]:
-        seen: set = set()
-        for pos, r in enumerate(records):
-            key = _event_key(r)
-            if key in seen:
-                raise IngestError(f"duplicate record at position {pos}: {r}",
-                                  file="pool_events")
-            seen.add(key)
-        return tuple(sorted(records, key=_event_key))
+            self._by_actor.setdefault((e.pool_id, e.kind, e.actor), []).append(e)
 
     # -- plain accessors ----------------------------------------------------
 
@@ -199,8 +190,8 @@ class LedgerIndex:
 
     def _covers(self, kind: str, actor: Address, pool: PoolConfig,
                 t: int) -> tuple[TransferCover, ...]:
-        anchors = [e for e in self.events_for(pool.pool_id)
-                   if e.kind == kind and e.actor == actor and e.block.height <= t]
+        anchors = [e for e in self._by_actor.get((pool.pool_id, kind, actor), ())
+                   if e.block.height <= t]
         if not anchors:
             raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
         # a deposit looks back through incoming value, nearest first; a
@@ -232,6 +223,17 @@ class LedgerIndex:
                 anchor=anchor, claims=claims,
                 shortfall=max(pool.denomination - acc, 0)))
         return tuple(covers)
+
+
+def _dedup_sort(records: Sequence, key, file: str) -> tuple:
+    """The records sorted by ``key``; a repeated key is a duplicate record."""
+    by_key: dict = {}
+    for pos, r in enumerate(records):
+        k = key(r)
+        if k in by_key:
+            raise IngestError(f"duplicate record at position {pos}: {r}", file=file)
+        by_key[k] = r
+    return tuple(by_key[k] for k in sorted(by_key))
 
 
 def _attribute(claims: Sequence[Transfer], need: Amount) -> tuple[Transfer, ...]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -131,6 +132,125 @@ class TestIngestValidation:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestError, match="decimal strings"):
             ingest(dataset_dir)
+
+
+GROUND_TRUTH_KEYS = ("links_by_heuristic", "user_links", "reusers",
+                     "fully_withdrawn_reusers", "attackers", "am_truth",
+                     "true_balances", "active_depositors", "behaviors")
+
+A1, A2 = "0x" + "a" * 40, "0x" + "b" * 40
+AM_RECORD = {"recipient": A1, "pool_id": "P1", "deposit_blocks": [1],
+             "withdrawal_blocks": [2], "ap": 4, "claim_block": 3}
+
+
+class TestGroundTruthSidecar:
+    def edit(self, data: Path, change) -> None:
+        path = data / "ground_truth.json"
+        raw = json.loads(path.read_text())
+        change(raw)
+        path.write_text(json.dumps(raw))
+
+    def test_generated_sidecar_has_every_key(self, dataset_dir):
+        raw = json.loads((dataset_dir / "ground_truth.json").read_text())
+        assert sorted(raw) == sorted(GROUND_TRUTH_KEYS)
+
+    @pytest.mark.parametrize("key", GROUND_TRUTH_KEYS)
+    def test_missing_key_names_the_field(self, dataset_dir, key):
+        self.edit(dataset_dir, lambda raw: raw.pop(key))
+        with pytest.raises(IngestError, match=rf"missing field \[file=ground_truth.json, field={key}\]"):
+            ingest(dataset_dir)
+
+    @pytest.mark.parametrize("key, value", [
+        ("links_by_heuristic", [[A1, A2]]),
+        ("links_by_heuristic", {"h2": [[A1]]}),
+        ("user_links", {"h2": [A1, A2, "h2"]}),
+        ("user_links", [[A1, A2]]),
+        ("user_links", [[A1, A2, 3]]),
+        ("reusers", A1),
+        ("fully_withdrawn_reusers", [1]),
+        ("attackers", None),
+        ("am_truth", {}),
+        ("am_truth", [{k: v for k, v in AM_RECORD.items() if k != "ap"}]),
+        ("am_truth", [{**AM_RECORD, "ap": "4"}]),
+        ("am_truth", [{**AM_RECORD, "deposit_blocks": [True]}]),
+        ("true_balances", {"P1": {A1: "100"}}),
+        ("true_balances", {"P1": [A1]}),
+        ("active_depositors", {"P1": A1}),
+        ("behaviors", {A1: 1}),
+    ])
+    def test_wrong_type_names_the_field(self, dataset_dir, key, value):
+        self.edit(dataset_dir, lambda raw: raw.__setitem__(key, value))
+        with pytest.raises(IngestError, match=rf"expected .*\[file=ground_truth.json, field={key}\]"):
+            ingest(dataset_dir)
+
+    def test_degenerate_link_names_the_field(self, dataset_dir):
+        self.edit(dataset_dir, lambda raw: raw.__setitem__("user_links", [[A1, A1, "h2"]]))
+        with pytest.raises(IngestError, match=r"degenerate.*field=user_links"):
+            ingest(dataset_dir)
+
+    def test_sidecar_not_an_object(self, dataset_dir):
+        (dataset_dir / "ground_truth.json").write_text("[]")
+        with pytest.raises(IngestError, match="file=ground_truth.json"):
+            ingest(dataset_dir)
+
+    def test_cli_exits_2_without_traceback(self, dataset_dir, tmp_path, capsys):
+        self.edit(dataset_dir, lambda raw: raw.pop("user_links"))
+        code = main(["anonymity", "--tas", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "field=user_links" in err and "Traceback" not in err
+
+
+class TestEncoding:
+    def corrupt(self, path: Path, line: int, column: int = 3) -> None:
+        """Put a 0xff byte into ``line`` (1-based) at ``column`` (1-based)."""
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:column - 1] + b"\xff" + lines[line - 1][column - 1:]
+        path.write_bytes(b"\n".join(lines))
+
+    def test_bad_byte_in_records_names_file_and_line(self, dataset_dir):
+        self.corrupt(dataset_dir / "transfers.jsonl", 2)
+        with pytest.raises(IngestError,
+                           match=r"invalid UTF-8 byte at column 3 \[file=transfers.jsonl, line=2\]"):
+            ingest(dataset_dir)
+
+    def test_bad_byte_far_into_a_file_names_its_line(self, dataset_dir):
+        # past the first read chunk, so the decode error is raised while
+        # earlier lines are still being read
+        path = dataset_dir / "transfers.jsonl"
+        last = len(path.read_bytes().splitlines())
+        assert path.stat().st_size > io.DEFAULT_BUFFER_SIZE
+        self.corrupt(path, last, column=1)
+        with pytest.raises(IngestError,
+                           match=rf"column 1 \[file=transfers.jsonl, line={last}\]"):
+            ingest(dataset_dir)
+
+    def test_bad_byte_in_manifest(self, dataset_dir):
+        self.corrupt(dataset_dir / "manifest.json", 2)
+        with pytest.raises(IngestError, match=r"\[file=manifest.json, line=2\]"):
+            ingest(dataset_dir)
+
+    def test_bad_byte_in_sidecar(self, dataset_dir):
+        self.corrupt(dataset_dir / "ground_truth.json", 3)
+        with pytest.raises(IngestError, match=r"\[file=ground_truth.json, line=3\]"):
+            ingest(dataset_dir)
+
+    def test_utf8_text_is_read_as_utf8(self, dataset_dir):
+        # a non-ASCII coin name round-trips whatever the locale's encoding
+        path = dataset_dir / "manifest.json"
+        raw = json.loads(path.read_text())
+        raw["coin"] = "\u00e9ther"
+        path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+        assert ingest(dataset_dir).manifest.coin == "\u00e9ther"
+
+    def test_cli_exits_2_without_traceback(self, dataset_dir, tmp_path, capsys):
+        self.corrupt(dataset_dir / "pool_events.jsonl", 1)
+        code = main(["relayers", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "file=pool_events.jsonl, line=1" in err and "Traceback" not in err
 
 
 class TestCliCommands:

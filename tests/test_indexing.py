@@ -1,12 +1,22 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from anonset.cli import main
 from anonset.errors import IngestError, InputError
-from anonset.indexing import LabelBook, build_index
-from anonset.ledger import deposit_actors
+from anonset.indexing import LabelBook, LedgerIndex, TransferCover, build_index
+from anonset.ledger import (
+    DEPOSIT,
+    WITHDRAWAL,
+    BlockPosition,
+    PoolEvent,
+    Transfer,
+    deposit_actors,
+)
+from anonset.synth import BEHAVIORS, BehaviorProfile, GeneratorConfig, generate_trace, standard_pools
 
 from .conftest import D1, D2, W1, addr, deposit, transfer, withdrawal
 
@@ -83,6 +93,59 @@ class TestBuildIndex:
             other = build_index(shuffled_t, [], shuffled_e, None)
             assert other.native_transfers == base.native_transfers
             assert list(other.events_for("P")) == list(base.events_for("P"))
+
+
+class TestFlatSortKeys:
+    """Records order by (height, tx_index, log_index) before any other
+    field, exactly as ``BlockPosition`` orders."""
+
+    # later positions get alphabetically earlier senders and actors, so an
+    # order that skipped a position field would come out different
+    POSITIONS = [BlockPosition(5, 1, 0), BlockPosition(5, 0, 2),
+                 BlockPosition(5, 0, 1), BlockPosition(4, 9, 9)]
+    NAMES = [addr("a1"), addr("b1"), addr("c1"), addr("d1")]
+
+    def test_transfers(self):
+        records = [Transfer(block=pos, sender=name, recipient=D1, amount=1, coin="ETH")
+                   for pos, name in zip(self.POSITIONS, self.NAMES)]
+        index = build_index(records, records, [], None)
+        expected = tuple(sorted(records, key=lambda tr: tr.block))
+        assert [tr.block for tr in expected] == sorted(self.POSITIONS)
+        assert index.native_transfers == expected
+        assert index.token_transfers == expected
+        assert tuple(index.incoming_native(D1)) == expected
+
+    def test_events(self):
+        records = [PoolEvent(pool_id="P", kind=DEPOSIT, block=pos, actor=name,
+                             tx_sender=name)
+                   for pos, name in zip(self.POSITIONS, self.NAMES)]
+        index = build_index([], [], records, None)
+        expected = tuple(sorted(records, key=lambda e: e.block))
+        assert index.pool_events == expected
+        assert tuple(index.events_for("P")) == expected
+
+    def test_position_fields_distinguish_records(self):
+        base = transfer(D1, D2, 5, 3)
+        other_log = replace(base, block=BlockPosition(3, 0, 1))
+        other_tx = replace(base, block=BlockPosition(3, 1, 0))
+        index = build_index([other_tx, other_log, base], [], [], None)
+        assert index.native_transfers == (base, other_log, other_tx)
+        event = deposit("P", D1, 3)
+        later = replace(event, block=BlockPosition(3, 0, 1))
+        assert build_index([], [], [later, event], None).pool_events == (event, later)
+
+    def test_duplicate_error_text_and_position(self):
+        first = transfer(D1, D2, 5, 3)
+        same = replace(first, block=BlockPosition(3, 0, 0))
+        with pytest.raises(IngestError) as caught:
+            build_index([first, transfer(D2, D1, 5, 3), same], [], [], None)
+        assert str(caught.value) == \
+            f"duplicate record at position 2: {same} [file=transfers]"
+        event = deposit("P", D1, 3)
+        with pytest.raises(IngestError) as caught:
+            build_index([], [], [event, event], None)
+        assert str(caught.value) == \
+            f"duplicate record at position 1: {event} [file=pool_events]"
 
 
 class TestDistanceExtensions:
@@ -206,3 +269,104 @@ class TestSinkTransfers:
         index = build_index([transfer(W1, Y, 100, 60)], [], events, None)
         (cover,) = index.sink_transfers(W1, p100, t=50)
         assert cover.shortfall == 100
+
+
+def oracle_covers(index, kind, actor, pool, t):
+    """The cover scan written over full-pool and full-ledger filters, or
+    ``None`` when ``actor`` has no ``kind`` event in the pool by ``t``."""
+    anchors = [e for e in index.events_for(pool.pool_id)
+               if e.kind == kind and e.actor == actor and e.block.height <= t]
+    if not anchors:
+        return None
+    backward = kind == DEPOSIT
+    unclaimed = [tr for tr in index.native_transfers
+                 if (tr.recipient if backward else tr.sender) == actor
+                 and tr.amount > 0 and tr.block.height <= t]
+    if backward:
+        unclaimed.reverse()
+    covers = []
+    for anchor in anchors:
+        chosen, acc = [], 0
+        for tr in unclaimed:
+            if (tr.block < anchor.block) if backward else (tr.block > anchor.block):
+                chosen.append(tr)
+                acc += tr.amount
+                if acc >= pool.denomination:
+                    break
+        unclaimed = [tr for tr in unclaimed if tr not in chosen]
+        claims, remaining = [], pool.denomination
+        for tr in sorted(chosen, key=lambda tr: (tr.block, tr.sender, tr.recipient,
+                                                 tr.amount, tr.coin, tr.internal)):
+            take = min(tr.amount, remaining)
+            claims.append(replace(tr, amount=take))
+            remaining -= take
+        covers.append(TransferCover(anchor=anchor, claims=tuple(claims),
+                                    shortfall=max(pool.denomination - acc, 0)))
+    return tuple(covers)
+
+
+def mixed_index(seed: int, users: int = 150):
+    cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
+                          pools=standard_pools(), user_count=users, block_span=3000)
+    trace = generate_trace(cfg, seed)
+    index = build_index(trace.transfers, trace.token_transfers, trace.events,
+                        dict(trace.labels))
+    return trace, index
+
+
+class TestCoversMatchTheFullScanOracle:
+    @pytest.mark.parametrize("seed", [2, 9, 14])
+    def test_every_actor_of_every_pool_at_several_cuts(self, seed):
+        trace, index = mixed_index(seed)
+        # cuts inside the pools' busy span, where some actors are yet to come
+        heights = sorted(e.block.height for e in trace.events)
+        cuts = [heights[len(heights) * q // 4] for q in (1, 2, 3)] + [trace.last_block]
+        claimed = shortfall = refused = 0
+        for t in cuts:
+            for pool in trace.pools:
+                actors = {e.actor for e in index.events_for(pool.pool_id)}
+                for actor in sorted(actors):
+                    for kind, scan in ((DEPOSIT, index.source_transfers),
+                                       (WITHDRAWAL, index.sink_transfers)):
+                        expected = oracle_covers(index, kind, actor, pool, t)
+                        if expected is None:
+                            with pytest.raises(InputError):
+                                scan(actor, pool, t)
+                            refused += 1
+                            continue
+                        got = scan(actor, pool, t)
+                        assert got == expected, (seed, t, pool.pool_id, actor, kind)
+                        claimed += sum(len(c.claims) for c in got)
+                        shortfall += sum(c.shortfall for c in got)
+        # the traces exercise claims, shortfalls and refusals alike
+        assert claimed and shortfall and refused
+
+
+class TestCoverLookupCost:
+    """A complexity guard that needs no clock: ``flows`` reads each pool's
+    full event list a number of times set by the pools and the distance,
+    not by how many addresses use the pools."""
+
+    def events_for_calls(self, tmp_path, monkeypatch, users: int) -> int:
+        data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
+        assert main(["synth", "--profile", "mixed", "--seed", "5",
+                     "--users", str(users), "--blocks", str(12 * users),
+                     "--out", str(data)]) == 0
+        calls = []
+        original = LedgerIndex.events_for
+
+        def counted(self, pool_id):
+            calls.append(pool_id)
+            return original(self, pool_id)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LedgerIndex, "events_for", counted)
+            assert main(["flows", "--distance", "2", "--data", str(data),
+                         "--out", str(out)]) == 0
+        return len(calls)
+
+    def test_calls_do_not_grow_with_actors(self, tmp_path, monkeypatch):
+        small = self.events_for_calls(tmp_path, monkeypatch, users=40)
+        large = self.events_for_calls(tmp_path, monkeypatch, users=120)
+        assert small > 0
+        assert large == small

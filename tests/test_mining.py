@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from anonset.errors import DomainError, InputError
+from anonset.ledger import DEPOSIT
 from anonset.mining import (
     DEFAULT_AM_WEIGHTS,
     EXACT,
@@ -23,6 +24,7 @@ from anonset.mining import (
     solve_multi_claim,
     solve_single_claim,
 )
+from anonset.synth import BEHAVIORS, BehaviorProfile, GeneratorConfig, generate_trace, standard_pools
 
 from .conftest import addr, deposit, view, withdrawal
 
@@ -109,6 +111,30 @@ class TestClassifyClaimant:
     def test_requires_a_claim(self):
         with pytest.raises(InputError):
             classify_claimant(addr("cl"), [], [])
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_own_deposits_classify_like_all_deposits(self, seed):
+        """The CLI passes each claimant only its own deposits."""
+        profile = BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS})
+        trace = generate_trace(GeneratorConfig(profile=profile, pools=standard_pools(),
+                                               user_count=120, block_span=3000), seed)
+        own: dict[str, list] = {}
+        for e in trace.events:
+            if e.kind == DEPOSIT:
+                own.setdefault(e.actor, []).append(e)
+        cross_pool = min(a for a, deps in own.items()
+                         if len({e.pool_id for e in deps}) > 1)
+        first = trace.ap_claims[0]
+        claims = list(trace.ap_claims) + [
+            APClaim(recipient=addr("stranger"), block=first.block, ap=40),
+            APClaim(recipient=first.recipient, block=first.block + 1, ap=40),
+            APClaim(recipient=cross_pool, block=first.block, ap=40)]
+        categories = set()
+        for address in sorted({c.recipient for c in claims}):
+            category = classify_claimant(address, trace.events, claims)
+            assert classify_claimant(address, own.get(address, []), claims) == category
+            categories.add(category)
+        assert categories == {ONE_ONE_ONE, N_ONE_ONE, N_N_N, NON_DEPOSITOR}
 
 
 class TestSolveSingleClaim:
