@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
@@ -109,7 +109,7 @@ class _Row:
             raise self.fail(field, "address must be a string")
         try:
             return normalize_address(value)
-        except Exception:
+        except InputError:
             raise self.fail(field, f"malformed address: {value!r}")
 
     def optional_address(self, field: str) -> Address | None:
@@ -127,9 +127,12 @@ class _Row:
 
     def amount(self, field: str) -> int:
         value = self._get(field)
-        if not isinstance(value, str) or not value.isdigit():
+        if not isinstance(value, str) or not (value.isascii() and value.isdigit()):
             raise self.fail(field, "amounts are decimal strings of base units")
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # longer than int()'s digit limit
+            raise self.fail(field, "amount has too many digits") from None
 
     def text(self, field: str) -> str:
         value = self._get(field)
@@ -176,10 +179,11 @@ def _read_text(file: Path, name: str) -> str:
 
 
 def _read_lines(path: Path, name: str):
+    """Yield a ``_Row`` for each non-blank line of ``<name>.jsonl``, reading
+    one line at a time."""
     file = path / f"{name}.jsonl"
     if not file.exists():
         raise IngestError("required file is missing", file=f"{name}.jsonl")
-    rows = []
     try:
         with file.open(encoding="utf-8") as handle:
             for i, line in enumerate(handle, start=1):
@@ -191,20 +195,32 @@ def _read_lines(path: Path, name: str):
                 except json.JSONDecodeError as exc:
                     raise IngestError(f"invalid JSON: {exc.msg}",
                                       file=f"{name}.jsonl", line=i)
-                rows.append(_Row(f"{name}.jsonl", i, record))
+                yield _Row(f"{name}.jsonl", i, record)
     except UnicodeDecodeError:
         raise _utf8_error(file, f"{name}.jsonl") from None
-    return rows
 
 
-def _reject_duplicates(name: str, rows, parsed) -> None:
-    seen: dict[Any, int] = {}
-    for row, obj in zip(rows, parsed):
-        if obj in seen:
+def _records(path: Path, name: str, parse: Callable[[_Row], Any],
+             counts: dict[str, int]) -> tuple:
+    """Build one record per row of ``<name>.jsonl`` with ``parse``.
+
+    A record constructor's ``InputError`` is reported with the file and
+    line, and so is a record equal to an earlier one.  Sets
+    ``counts[name]`` and returns the records in file order.
+    """
+    first_seen: dict[Any, int] = {}
+    for row in _read_lines(path, name):
+        try:
+            record = parse(row)
+        except InputError as exc:
+            raise IngestError(str(exc), file=row.file, line=row.line) from None
+        if record in first_seen:
             raise IngestError(
-                f"duplicate record (first seen on line {seen[obj]})",
-                file=f"{name}.jsonl", line=row.line)
-        seen[obj] = row.line
+                f"duplicate record (first seen on line {first_seen[record]})",
+                file=row.file, line=row.line)
+        first_seen[record] = row.line
+    counts[name] = len(first_seen)
+    return tuple(first_seen)
 
 
 def ingest(path: str | Path) -> Dataset:
@@ -240,122 +256,65 @@ def ingest(path: str | Path) -> Dataset:
 
     counts: dict[str, int] = {}
 
-    rows = _read_lines(path, "pools")
-    pools = []
-    for r in rows:
-        try:
-            pools.append(PoolConfig(pool_id=r.text("pool_id"), coin=r.text("coin"),
-                                    denomination=r.amount("denomination"),
-                                    am_weight=r.uint("am_weight", 1)))
-        except IngestError:
-            raise
-        except Exception as exc:
-            raise IngestError(str(exc), file="pools.jsonl", line=r.line)
-    _reject_duplicates("pools", rows, pools)
-    if len({p.pool_id for p in pools}) != len(pools):
-        raise IngestError("pool ids must be unique", file="pools.jsonl")
-    counts["pools"] = len(pools)
+    pools = _records(path, "pools", lambda r: PoolConfig(
+        pool_id=r.text("pool_id"), coin=r.text("coin"),
+        denomination=r.amount("denomination"), am_weight=r.uint("am_weight", 1)),
+        counts)
     known_pools = {p.pool_id for p in pools}
+    if len(known_pools) != len(pools):
+        raise IngestError("pool ids must be unique", file="pools.jsonl")
 
-    rows = _read_lines(path, "pool_events")
-    events = []
-    for r in rows:
+    def pool_event(r: _Row) -> PoolEvent:
         pool_id = r.text("pool_id")
         if pool_id not in known_pools:
             raise r.fail("pool_id", f"unknown pool {pool_id!r}")
-        try:
-            events.append(PoolEvent(
-                pool_id=pool_id, kind=r.text("kind"),
-                block=in_range(r, r.position()),
-                actor=r.address("actor"), tx_sender=r.address("tx_sender"),
-                relayer=r.optional_address("relayer")))
-        except IngestError:
-            raise
-        except Exception as exc:
-            raise IngestError(str(exc), file="pool_events.jsonl", line=r.line)
-    _reject_duplicates("pool_events", rows, events)
-    counts["pool_events"] = len(events)
+        return PoolEvent(pool_id=pool_id, kind=r.text("kind"),
+                         block=in_range(r, r.position()),
+                         actor=r.address("actor"), tx_sender=r.address("tx_sender"),
+                         relayer=r.optional_address("relayer"))
 
-    def read_transfers(name: str, range_checked: bool) -> tuple[Transfer, ...]:
-        rows = _read_lines(path, name)
-        out = []
-        for r in rows:
-            pos = r.position()
-            if range_checked:
-                in_range(r, pos)
-            out.append(Transfer(block=pos, sender=r.address("sender"),
-                                recipient=r.address("recipient"),
-                                amount=r.amount("amount"), coin=r.text("coin"),
-                                internal=r.flag("internal")))
-        _reject_duplicates(name, rows, out)
-        counts[name] = len(out)
-        return tuple(out)
+    def transfer(r: _Row) -> Transfer:
+        return Transfer(block=in_range(r, r.position()), sender=r.address("sender"),
+                        recipient=r.address("recipient"), amount=r.amount("amount"),
+                        coin=r.text("coin"), internal=r.flag("internal"))
 
-    transfers = read_transfers("transfers", range_checked=True)
-    token_transfers = read_transfers("token_transfers", range_checked=True)
+    def ap_claim(r: _Row) -> APClaim:
+        height = r.uint("block")
+        in_range(r, BlockPosition(height))
+        return APClaim(recipient=r.address("recipient"), block=height, ap=r.uint("ap"))
 
-    rows = _read_lines(path, "labels")
+    events = _records(path, "pool_events", pool_event, counts)
+    transfers = _records(path, "transfers", transfer, counts)
+    token_transfers = _records(path, "token_transfers", transfer, counts)
+
+    # a repeated label row only repeats a tag, so it is not rejected
     label_map: dict[Address, set[str]] = {}
-    for r in rows:
+    counts["labels"] = 0
+    for r in _read_lines(path, "labels"):
         label = r.text("label")
         if label not in KNOWN_LABELS:
             raise r.fail("label", f"unknown label {label!r}")
         label_map.setdefault(r.address("address"), set()).add(label)
-    counts["labels"] = len(rows)
+        counts["labels"] += 1
 
-    rows = _read_lines(path, "relayers")
-    relayers = tuple(r.address("address") for r in rows)
-    _reject_duplicates("relayers", rows, relayers)
+    relayers = _records(path, "relayers", lambda r: r.address("address"), counts)
     for addr in relayers:
         label_map.setdefault(addr, set()).add("relayer")
-    counts["relayers"] = len(relayers)
 
-    rows = _read_lines(path, "ap_claims")
-    claims = []
-    for r in rows:
-        height = r.uint("block")
-        if not manifest.first_block <= height <= manifest.last_block:
-            raise r.fail("block", "height outside the manifest block range")
-        claims.append(APClaim(recipient=r.address("recipient"), block=height,
-                              ap=r.uint("ap")))
-    _reject_duplicates("ap_claims", rows, claims)
-    counts["ap_claims"] = len(claims)
-
-    rows = _read_lines(path, "ens_transfers")
-    ens_transfers = []
-    for r in rows:
-        ens_transfers.append(NameTransfer(
-            name=r.text("name"), sender=r.address("sender"),
-            recipient=r.address("recipient"), block=r.uint("block"),
-            expiry=r.uint("expiry")))
-    _reject_duplicates("ens_transfers", rows, ens_transfers)
-    counts["ens_transfers"] = len(ens_transfers)
-
-    rows = _read_lines(path, "ens_subdomains")
-    subdomains = []
-    for r in rows:
-        subdomains.append(SubdomainGrant(owner=r.address("owner"),
-                                         assignee=r.address("assignee"),
-                                         subdomain=r.text("subdomain")))
-    _reject_duplicates("ens_subdomains", rows, subdomains)
-    counts["ens_subdomains"] = len(subdomains)
-
-    airdrops = []
-    rows = _read_lines(path, "airdrop_claims")
-    for r in rows:
-        airdrops.append(Transfer(block=r.position(), sender=r.address("sender"),
-                                 recipient=r.address("recipient"),
-                                 amount=r.amount("amount"), coin=r.text("coin")))
-    _reject_duplicates("airdrop_claims", rows, airdrops)
-    counts["airdrop_claims"] = len(airdrops)
-
-    rows = _read_lines(path, "follow_edges")
-    edges = []
-    for r in rows:
-        edges.append(FollowEdge(follower=r.address("follower"),
-                                followed=r.address("followed")))
-    _reject_duplicates("follow_edges", rows, edges)
-    counts["follow_edges"] = len(edges)
+    claims = _records(path, "ap_claims", ap_claim, counts)
+    ens_transfers = _records(path, "ens_transfers", lambda r: NameTransfer(
+        name=r.text("name"), sender=r.address("sender"),
+        recipient=r.address("recipient"), block=r.uint("block"),
+        expiry=r.uint("expiry")), counts)
+    subdomains = _records(path, "ens_subdomains", lambda r: SubdomainGrant(
+        owner=r.address("owner"), assignee=r.address("assignee"),
+        subdomain=r.text("subdomain")), counts)
+    airdrops = _records(path, "airdrop_claims", lambda r: Transfer(
+        block=r.position(), sender=r.address("sender"),
+        recipient=r.address("recipient"), amount=r.amount("amount"),
+        coin=r.text("coin")), counts)
+    edges = _records(path, "follow_edges", lambda r: FollowEdge(
+        follower=r.address("follower"), followed=r.address("followed")), counts)
 
     ground_truth = None
     gt_path = path / GROUND_TRUTH_FILE
@@ -368,12 +327,10 @@ def ingest(path: str | Path) -> Dataset:
 
     return Dataset(
         path=path, manifest=manifest, pools=tuple(sorted(pools, key=lambda p: p.pool_id)),
-        events=tuple(events), transfers=transfers,
-        token_transfers=token_transfers,
+        events=events, transfers=transfers, token_transfers=token_transfers,
         labels=LabelBook({a: frozenset(tags) for a, tags in label_map.items()}),
-        relayers=relayers, ap_claims=tuple(claims),
-        ens_transfers=tuple(ens_transfers), ens_subdomains=tuple(subdomains),
-        airdrop_claims=tuple(airdrops), follow_edges=tuple(edges),
+        relayers=relayers, ap_claims=claims, ens_transfers=ens_transfers,
+        ens_subdomains=subdomains, airdrop_claims=airdrops, follow_edges=edges,
         ground_truth=ground_truth, counts=counts)
 
 

@@ -2,21 +2,41 @@ from __future__ import annotations
 
 import io
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from anonset.cli import main
-from anonset.dataset import ingest, write_dataset
+from anonset.dataset import RECORD_FILES, ingest, write_dataset
 from anonset.errors import IngestError
 from anonset.heuristics import h2_improper_sender, h3_related_pair, pool_view
 from anonset.synth import (
     BEHAVIORS,
     BehaviorProfile,
     GeneratorConfig,
+    Prng,
     generate_trace,
     standard_pools,
 )
+
+A1, A2 = "0x" + "a" * 40, "0x" + "b" * 40
+
+# one valid row for each record file that ``write_dataset`` leaves empty
+SIDE_CHANNEL_ROWS = {
+    "ens_transfers": {"name": "a.eth", "sender": A1, "recipient": A2,
+                      "block": 10, "expiry": 10 ** 9},
+    "ens_subdomains": {"owner": A1, "assignee": A2, "subdomain": "pay.a.eth"},
+    "airdrop_claims": {"block": 10, "sender": A1, "recipient": A2,
+                       "amount": "5", "coin": "DROP"},
+    "follow_edges": {"follower": A1, "followed": A2},
+}
+
+
+def write_side_channels(data: Path) -> None:
+    for name, row in SIDE_CHANNEL_ROWS.items():
+        (data / f"{name}.jsonl").write_text(json.dumps(row) + "\n")
 
 
 def mixed_trace(seed: int = 3, users: int = 64):
@@ -96,12 +116,26 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match=r"line=1.*field=actor"):
             ingest(dataset_dir)
 
-    def test_duplicate_record_rejected(self, dataset_dir):
-        path = dataset_dir / "transfers.jsonl"
+    @pytest.mark.parametrize("name", [n for n in RECORD_FILES if n != "labels"])
+    def test_duplicate_record_rejected(self, dataset_dir, name):
+        write_side_channels(dataset_dir)
+        path = dataset_dir / f"{name}.jsonl"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[0]]) + "\n")
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(IngestError, match=re.escape(
+                f"duplicate record (first seen on line 1) "
+                f"[file={name}.jsonl, line={len(lines) + 1}]")):
             ingest(dataset_dir)
+
+    def test_repeated_label_row_is_accepted(self, dataset_dir):
+        path = dataset_dir / "labels.jsonl"
+        lines = path.read_text().splitlines()
+        before = ingest(dataset_dir).labels
+        path.write_text("\n".join(lines + [lines[0]]) + "\n")
+        after = ingest(dataset_dir)
+        assert after.counts["labels"] == len(lines) + 1
+        address = json.loads(lines[0])["address"]
+        assert after.labels.labels_for(address) == before.labels_for(address)
 
     def test_block_outside_range_rejected(self, dataset_dir):
         path = dataset_dir / "transfers.jsonl"
@@ -123,22 +157,135 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match="unknown pool"):
             ingest(dataset_dir)
 
-    def test_amounts_must_be_decimal_strings(self, dataset_dir):
-        path = dataset_dir / "transfers.jsonl"
+    @pytest.mark.parametrize("name, field", [("transfers", "amount"),
+                                             ("pools", "denomination")],
+                             ids=["transfers", "pools"])
+    @pytest.mark.parametrize("value, message", [
+        (125, "decimal strings"),
+        ("\u00b2", "decimal strings"),
+        ("\u0661\u0662\u0663", "decimal strings"),  # Arabic-Indic 123
+        ("9" * 4301, "too many digits"),
+    ], ids=["int", "super", "arabic", "long"])
+    def test_amounts_must_be_decimal_strings(self, dataset_dir, name, field,
+                                             value, message):
+        path = dataset_dir / f"{name}.jsonl"
         lines = path.read_text().splitlines()
         record = json.loads(lines[0])
-        record["amount"] = 125
+        record[field] = value
         lines[0] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IngestError, match="decimal strings"):
+        with pytest.raises(IngestError, match=rf"{message} .*file={name}.jsonl, "
+                                              rf"line=1, field={field}\]"):
             ingest(dataset_dir)
+
+    @pytest.mark.parametrize("users", [64, 300])
+    def test_ingest_peak_memory_is_near_what_it_keeps(self, tmp_path, users):
+        # records are built one line at a time, so ingest never holds the
+        # raw rows of a whole file beside the records made from them
+        data = tmp_path / "data"
+        write_dataset(mixed_trace(users=users), data)
+        tracemalloc.start()
+        try:
+            dataset = ingest(data)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.counts["pool_events"] > 0
+        assert peak / held < 1.5
+
+
+_ADDRESS = re.compile(r"(0x)?[0-9a-f]{40}\Z", re.IGNORECASE)
+
+
+def _edit(kind: str, line: str, prng: Prng, last_block: int) -> bytes | None:
+    """The bytes of ``line`` after one edit of ``kind``, or None when the
+    record has no field that ``kind`` edits."""
+    record = json.loads(line)
+    fields = sorted(record)
+    field = None
+    if kind == "dropped field":
+        field = prng.choice(fields)
+        return json.dumps({k: v for k, v in record.items() if k != field}).encode()
+    if kind == "wrong type":
+        field = prng.choice(fields)
+        value = 12 if isinstance(record[field], str) else "12"
+    elif kind == "bad hex address":
+        addresses = [f for f in fields
+                     if isinstance(record[f], str) and _ADDRESS.match(record[f])]
+        field = prng.choice(addresses) if addresses else None
+        value = "0x" + "g" * 40
+    elif kind == "truncated JSON":
+        return line[:prng.randint(1, len(line) - 1)].encode()
+    elif kind == "0xff byte":
+        raw = line.encode()
+        cut = prng.randint(0, len(raw))
+        return raw[:cut] + b"\xff" + raw[cut:]
+    elif kind == "out-of-range block":
+        field, value = "block", last_block + 1
+    elif kind == "duplicated line":
+        return f"{line}\n{line}".encode()
+    elif kind == "superscript amount":
+        field = next((f for f in ("amount", "denomination") if f in record), None)
+        value = "\u00b2"
+    elif kind == "constructor violation":
+        if "denomination" in record:
+            field, value = "denomination", "0"
+        elif record.get("kind") == "deposit":  # deposits carry no relayer
+            field, value = "relayer", record["tx_sender"]
+    if field not in record:
+        return None
+    return json.dumps({**record, field: value}).encode()
+
+
+EDITS = ("dropped field", "wrong type", "bad hex address", "truncated JSON",
+         "0xff byte", "out-of-range block", "duplicated line",
+         "superscript amount", "constructor violation")
+
+
+class TestSeededEdits:
+    """One-line edits to each record file never crash a command: it exits 0,
+    or 2 naming the edited file."""
+
+    @pytest.mark.parametrize("name", RECORD_FILES)
+    def test_edit_exits_0_or_2_naming_the_file(self, dataset_dir, tmp_path,
+                                               capsys, name):
+        write_side_channels(dataset_dir)
+        last_block = json.loads((dataset_dir / "manifest.json").read_text())["last_block"]
+        path = dataset_dir / f"{name}.jsonl"
+        original = path.read_bytes()
+        lines = original.decode().splitlines()
+        prng = Prng(RECORD_FILES.index(name))
+        edited = 0
+        for kind in EDITS:
+            candidates = range(len(lines))
+            if kind == "constructor violation" and name == "pool_events":
+                candidates = [i for i in candidates if '"deposit"' in lines[i]]
+            i = prng.choice(candidates)
+            new = _edit(kind, lines[i], prng, last_block)
+            if new is None:
+                continue
+            edited += 1
+            encoded = [line.encode() for line in lines]
+            encoded[i] = new
+            path.write_bytes(b"\n".join(encoded) + b"\n")
+            try:
+                code = main(["relayers", "--data", str(dataset_dir),
+                             "--out", str(tmp_path / "out")])
+            except Exception as exc:
+                pytest.fail(f"{kind} on line {i + 1} raised {exc!r}")
+            finally:
+                path.write_bytes(original)
+            err = capsys.readouterr().err
+            assert code in (0, 2), f"{kind} on line {i + 1}: exit {code}"
+            if code == 2:
+                assert f"file={name}.jsonl" in err, f"{kind} on line {i + 1}: {err}"
+        assert edited >= 5
 
 
 GROUND_TRUTH_KEYS = ("links_by_heuristic", "user_links", "reusers",
                      "fully_withdrawn_reusers", "attackers", "am_truth",
                      "true_balances", "active_depositors", "behaviors")
 
-A1, A2 = "0x" + "a" * 40, "0x" + "b" * 40
 AM_RECORD = {"recipient": A1, "pool_id": "P1", "deposit_blocks": [1],
              "withdrawal_blocks": [2], "ap": 4, "claim_block": 3}
 
