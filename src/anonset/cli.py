@@ -212,32 +212,38 @@ def _cmd_anonymity(args) -> int:
         combined = heuristics.combine(view, per) if args.combine else None
         entry = {"pool_id": pool.pool_id, "at": t, "observed": len(view.depositors)}
         row = [pool.pool_id, str(len(view.depositors))]
-        if not view.depositors:
-            # an idle pool has no set to reduce: sizes only, no reduction or advantage
-            entry["heuristics"] = {r.heuristic: {"size": r.size, "reduction": None}
-                                   for r in per}
-            entry["adv_observed"] = None
-            row += [f"{r.size} (-)" for r in per]
-            if combined is not None:
-                entry["combined"] = {"size": combined.size, "reduction": None}
-                entry["adv_reduced"] = entry["r_adv"] = None
-                row.append(f"{combined.size} (-)")
-        else:
-            report = metrics.build_anonymity_report(view, per, combined)
-            for stat in report.per_heuristic:
-                reductions[stat.heuristic].append(stat.reduction)
-            entry["heuristics"] = {
-                s.heuristic: {"size": s.size, "reduction": render_percent(s.reduction)}
-                for s in report.per_heuristic}
-            entry["adv_observed"] = str(report.adv_observed)
-            row += [f"{s.size} (-{render_percent(s.reduction)})" for s in report.per_heuristic]
-            if report.combined is not None:
-                combined_reductions.append(report.combined.reduction)
-                entry["combined"] = {"size": report.combined.size,
-                                     "reduction": render_percent(report.combined.reduction)}
-                entry["adv_reduced"] = str(report.adv_reduced)
-                entry["r_adv"] = render_percent(report.r_adv)
-                row.append(f"{report.combined.size} (+{render_percent(report.r_adv)} adv)")
+        # an idle pool, or a set a heuristic empties, has nothing to reduce:
+        # its size is reported with no reduction or advantage and it is left
+        # out of the averages
+        report = None
+        if view.depositors:
+            report = metrics.build_anonymity_report(
+                view, [r for r in per if r.anonymity_set],
+                combined if combined is not None and combined.anonymity_set else None)
+        stats = {s.heuristic: s for s in report.per_heuristic} if report else {}
+        entry["adv_observed"] = str(report.adv_observed) if report else None
+        entry["heuristics"] = {}
+        for r in per:
+            stat = stats.get(r.heuristic)
+            if stat is None:
+                entry["heuristics"][r.heuristic] = {"size": r.size, "reduction": None}
+                row.append(f"{r.size} (-)")
+            else:
+                reductions[r.heuristic].append(stat.reduction)
+                entry["heuristics"][r.heuristic] = {
+                    "size": stat.size, "reduction": render_percent(stat.reduction)}
+                row.append(f"{stat.size} (-{render_percent(stat.reduction)})")
+        if report and report.combined:
+            combined_reductions.append(report.combined.reduction)
+            entry["combined"] = {"size": report.combined.size,
+                                 "reduction": render_percent(report.combined.reduction)}
+            entry["adv_reduced"] = str(report.adv_reduced)
+            entry["r_adv"] = render_percent(report.r_adv)
+            row.append(f"{report.combined.size} (+{render_percent(report.r_adv)} adv)")
+        elif combined is not None:
+            entry["combined"] = {"size": combined.size, "reduction": None}
+            entry["adv_reduced"] = entry["r_adv"] = None
+            row.append(f"{combined.size} (-)")
         if args.tas:
             active = dataset.ground_truth.active_depositors.get(pool.pool_id, frozenset())
             entry["true_set"] = len(active)

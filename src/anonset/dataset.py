@@ -88,12 +88,26 @@ class Dataset:
 
 
 class _Row:
-    def __init__(self, file: str, line: int, record: Any):
+    """One record of a dataset file, with checked field accessors.
+
+    ``uint``, ``text`` and ``address`` first take a value of the exact type
+    JSON gives a valid one and return it at once; any other value falls
+    through to the full checks, which name the file, line and field.
+    ``canon`` interns addresses for one ``ingest`` call: it maps each
+    canonical address to one shared string, so an address already spelled
+    canonically skips the regex and every occurrence of an address is the
+    same object.
+    """
+
+    __slots__ = ("file", "line", "record", "canon")
+
+    def __init__(self, file: str, line: int, record: Any, canon: dict[str, Address]):
         self.file = file
         self.line = line
         if not isinstance(record, dict):
             raise IngestError("record is not an object", file=file, line=line)
         self.record = record
+        self.canon = canon
 
     def fail(self, field: str, message: str) -> IngestError:
         return IngestError(message, file=self.file, line=self.line, field=field)
@@ -104,22 +118,29 @@ class _Row:
         return self.record[field]
 
     def address(self, field: str) -> Address:
+        value = self.record.get(field)
+        if type(value) is str:
+            known = self.canon.get(value)
+            if known is not None:
+                return known
         value = self._get(field)
         if not isinstance(value, str):
             raise self.fail(field, "address must be a string")
         try:
-            return normalize_address(value)
+            address = normalize_address(value)
         except InputError:
             raise self.fail(field, f"malformed address: {value!r}")
+        return self.canon.setdefault(address, address)
 
     def optional_address(self, field: str) -> Address | None:
-        if field not in self.record or self.record[field] is None:
+        if self.record.get(field) is None:
             return None
         return self.address(field)
 
     def uint(self, field: str, default: int | None = None) -> int:
-        if field not in self.record and default is not None:
-            return default
+        value = self.record.get(field, default)
+        if type(value) is int and value >= 0:
+            return value
         value = self._get(field)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise self.fail(field, "expected a non-negative integer")
@@ -135,6 +156,9 @@ class _Row:
             raise self.fail(field, "amount has too many digits") from None
 
     def text(self, field: str) -> str:
+        value = self.record.get(field)
+        if type(value) is str and value:
+            return value
         value = self._get(field)
         if not isinstance(value, str) or not value:
             raise self.fail(field, "expected a non-empty string")
@@ -178,12 +202,15 @@ def _read_text(file: Path, name: str) -> str:
         raise _utf8_error(file, name) from None
 
 
-def _read_lines(path: Path, name: str):
+def _read_lines(path: Path, name: str, canon: dict[str, Address]):
     """Yield a ``_Row`` for each non-blank line of ``<name>.jsonl``, reading
-    one line at a time."""
-    file = path / f"{name}.jsonl"
+    one line at a time; the rows intern addresses in ``canon``."""
+    name = f"{name}.jsonl"
+    file = path / name
     if not file.exists():
-        raise IngestError("required file is missing", file=f"{name}.jsonl")
+        raise IngestError("required file is missing", file=name)
+    # what json.loads does, less its whitespace scans: a stripped line has none
+    decode = json.JSONDecoder().raw_decode
     try:
         with file.open(encoding="utf-8") as handle:
             for i, line in enumerate(handle, start=1):
@@ -191,17 +218,18 @@ def _read_lines(path: Path, name: str):
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record, end = decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
-                    raise IngestError(f"invalid JSON: {exc.msg}",
-                                      file=f"{name}.jsonl", line=i)
-                yield _Row(f"{name}.jsonl", i, record)
+                    raise IngestError(f"invalid JSON: {exc.msg}", file=name, line=i)
+                yield _Row(name, i, record, canon)
     except UnicodeDecodeError:
-        raise _utf8_error(file, f"{name}.jsonl") from None
+        raise _utf8_error(file, name) from None
 
 
 def _records(path: Path, name: str, parse: Callable[[_Row], Any],
-             counts: dict[str, int]) -> tuple:
+             counts: dict[str, int], canon: dict[str, Address]) -> tuple:
     """Build one record per row of ``<name>.jsonl`` with ``parse``.
 
     A record constructor's ``InputError`` is reported with the file and
@@ -209,16 +237,16 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
     ``counts[name]`` and returns the records in file order.
     """
     first_seen: dict[Any, int] = {}
-    for row in _read_lines(path, name):
+    for row in _read_lines(path, name, canon):
         try:
             record = parse(row)
         except InputError as exc:
             raise IngestError(str(exc), file=row.file, line=row.line) from None
-        if record in first_seen:
-            raise IngestError(
-                f"duplicate record (first seen on line {first_seen[record]})",
-                file=row.file, line=row.line)
-        first_seen[record] = row.line
+        # lines are unique, so another line number means an equal record
+        first = first_seen.setdefault(record, row.line)
+        if first != row.line:
+            raise IngestError(f"duplicate record (first seen on line {first})",
+                              file=row.file, line=row.line)
     counts[name] = len(first_seen)
     return tuple(first_seen)
 
@@ -239,7 +267,7 @@ def ingest(path: str | Path) -> Dataset:
         raw = json.loads(_read_text(manifest_path, MANIFEST_FILE))
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc.msg}", file=MANIFEST_FILE)
-    row = _Row(MANIFEST_FILE, 1, raw)
+    row = _Row(MANIFEST_FILE, 1, raw, {})
     manifest = Manifest(
         coin=row.text("coin"),
         first_block=row.uint("first_block"),
@@ -255,11 +283,14 @@ def ingest(path: str | Path) -> Dataset:
         return pos
 
     counts: dict[str, int] = {}
+    canon: dict[str, Address] = {}  # this call's interned addresses
 
-    pools = _records(path, "pools", lambda r: PoolConfig(
+    def read(name: str, parse: Callable[[_Row], Any]) -> tuple:
+        return _records(path, name, parse, counts, canon)
+
+    pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
-        denomination=r.amount("denomination"), am_weight=r.uint("am_weight", 1)),
-        counts)
+        denomination=r.amount("denomination"), am_weight=r.uint("am_weight", 1)))
     known_pools = {p.pool_id for p in pools}
     if len(known_pools) != len(pools):
         raise IngestError("pool ids must be unique", file="pools.jsonl")
@@ -283,38 +314,38 @@ def ingest(path: str | Path) -> Dataset:
         in_range(r, BlockPosition(height))
         return APClaim(recipient=r.address("recipient"), block=height, ap=r.uint("ap"))
 
-    events = _records(path, "pool_events", pool_event, counts)
-    transfers = _records(path, "transfers", transfer, counts)
-    token_transfers = _records(path, "token_transfers", transfer, counts)
+    events = read("pool_events", pool_event)
+    transfers = read("transfers", transfer)
+    token_transfers = read("token_transfers", transfer)
 
     # a repeated label row only repeats a tag, so it is not rejected
     label_map: dict[Address, set[str]] = {}
     counts["labels"] = 0
-    for r in _read_lines(path, "labels"):
+    for r in _read_lines(path, "labels", canon):
         label = r.text("label")
         if label not in KNOWN_LABELS:
             raise r.fail("label", f"unknown label {label!r}")
         label_map.setdefault(r.address("address"), set()).add(label)
         counts["labels"] += 1
 
-    relayers = _records(path, "relayers", lambda r: r.address("address"), counts)
+    relayers = read("relayers", lambda r: r.address("address"))
     for addr in relayers:
         label_map.setdefault(addr, set()).add("relayer")
 
-    claims = _records(path, "ap_claims", ap_claim, counts)
-    ens_transfers = _records(path, "ens_transfers", lambda r: NameTransfer(
+    claims = read("ap_claims", ap_claim)
+    ens_transfers = read("ens_transfers", lambda r: NameTransfer(
         name=r.text("name"), sender=r.address("sender"),
         recipient=r.address("recipient"), block=r.uint("block"),
-        expiry=r.uint("expiry")), counts)
-    subdomains = _records(path, "ens_subdomains", lambda r: SubdomainGrant(
+        expiry=r.uint("expiry")))
+    subdomains = read("ens_subdomains", lambda r: SubdomainGrant(
         owner=r.address("owner"), assignee=r.address("assignee"),
-        subdomain=r.text("subdomain")), counts)
-    airdrops = _records(path, "airdrop_claims", lambda r: Transfer(
+        subdomain=r.text("subdomain")))
+    airdrops = read("airdrop_claims", lambda r: Transfer(
         block=r.position(), sender=r.address("sender"),
         recipient=r.address("recipient"), amount=r.amount("amount"),
-        coin=r.text("coin")), counts)
-    edges = _records(path, "follow_edges", lambda r: FollowEdge(
-        follower=r.address("follower"), followed=r.address("followed")), counts)
+        coin=r.text("coin")))
+    edges = read("follow_edges", lambda r: FollowEdge(
+        follower=r.address("follower"), followed=r.address("followed")))
 
     ground_truth = None
     gt_path = path / GROUND_TRUTH_FILE

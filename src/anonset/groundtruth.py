@@ -23,7 +23,7 @@ ENS_SUBDOMAIN = "ens-subdomain"
 DEBANK = "debank"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameTransfer:
     """Ownership of a registered name moving from one address to another."""
 
@@ -34,7 +34,7 @@ class NameTransfer:
     expiry: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubdomainGrant:
     """A name owner assigning one of its subdomains to an address."""
 
@@ -43,7 +43,7 @@ class SubdomainGrant:
     subdomain: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowEdge:
     follower: Address
     followed: Address

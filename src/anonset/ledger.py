@@ -50,7 +50,7 @@ def normalize_address(value: str) -> Address:
     return "0x" + text.lower()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BlockPosition:
     """Logical timestamp: block height, ordered within a block by
     transaction index and then log index."""
@@ -64,7 +64,7 @@ class BlockPosition:
             raise InputError(f"negative block position component: {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfer:
     """One value movement between two addresses.
 
@@ -84,7 +84,7 @@ class Transfer:
             raise InputError(f"negative transfer amount: {self.amount}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolConfig:
     """A fixed-denomination pool: every deposit and withdrawal moves
     exactly ``denomination`` base units of ``coin``."""
@@ -101,7 +101,7 @@ class PoolConfig:
             raise InputError(f"pool {self.pool_id}: mining weight must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolEvent:
     """A deposit or withdrawal against a pool.
 
@@ -146,7 +146,7 @@ class PoolState:
         return sum(self.entries.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkPair:
     """An asserted same-owner (or, with negative polarity, distinct-owner)
     address pair.

@@ -12,6 +12,7 @@ pure and independent per claim, so claims can be processed concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -38,7 +39,7 @@ NONE = "none"
 DEFAULT_SEARCH_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class APClaim:
     """A point-to-reward conversion: who received it, when, how many
     points were converted."""
@@ -121,10 +122,11 @@ def solve_single_claim(deposit_block: int, claim: APClaim, weight: int,
     """Recover the withdrawal block of a single-deposit claimant.
 
     The points equation collapses to ``ap = weight * (t_w - t_d)``, so the
-    candidate block is computed directly and checked against the pool's
-    withdrawal history.  Several withdrawals in that block are all
-    reported via ``multiplicity``; the claim's own block is a strict upper
-    bound on the withdrawal time.
+    candidate block is computed directly and looked up in the pool's
+    withdrawal heights, ``withdrawal_blocks``, which must be sorted
+    ascending.  Several withdrawals in that block are all reported via
+    ``multiplicity``; the claim's own block is a strict upper bound on the
+    withdrawal time.
     """
     if weight <= 0:
         raise InputError("weight must be positive")
@@ -134,7 +136,8 @@ def solve_single_claim(deposit_block: int, claim: APClaim, weight: int,
     candidate = deposit_block + gap
     if gap <= 0 or candidate >= claim.block:
         return LinkSolution(status=NONE)
-    hits = sum(1 for b in withdrawal_blocks if b == candidate)
+    hits = (bisect_right(withdrawal_blocks, candidate)
+            - bisect_left(withdrawal_blocks, candidate))
     if not hits:
         return LinkSolution(status=NONE)
     return LinkSolution(status=EXACT, solutions=((candidate,),), multiplicity=hits)
@@ -145,9 +148,10 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
                       search_cap: int = DEFAULT_SEARCH_CAP) -> LinkSolution:
     """Recover withdrawal blocks for an n-deposit, one-claim address.
 
-    Chooses distinct withdrawal events (repeated block values allowed when
-    events share a block) whose gaps against the sorted deposits sum to
-    ``ap / weight``.  Because the gap sum only depends on the chosen
+    Chooses distinct withdrawal events from ``withdrawal_blocks``, the
+    pool's withdrawal heights sorted ascending (repeated block values
+    allowed when events share a block), whose gaps against the sorted
+    deposits sum to ``ap / weight``.  Because the gap sum only depends on the chosen
     blocks' sum, the search is a depth-first subset-sum over the sorted
     withdrawal events with prefix bounds for pruning; each chosen block
     must fall strictly between its paired deposit and the claim.  Hitting
@@ -166,7 +170,7 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     deps = sorted(deposit_blocks)
     u = len(deps)
     target = claim.ap // weight + sum(deps)
-    events = sorted(b for b in withdrawal_blocks if b < claim.block)
+    events = withdrawal_blocks[:bisect_left(withdrawal_blocks, claim.block)]
     n = len(events)
 
     explored = 0

@@ -682,3 +682,79 @@ class TestIdlePools:
         self._assert_idle(idle)
         assert [e for e in after["pools"] if e["pool_id"] != "PX"] == before["pools"]
         assert after["average_reduction"] == before["average_reduction"]
+
+
+def _write_pools_dataset(data: Path, pools, events) -> None:
+    """A dataset of just ``pools`` and ``events`` (block range 1-20)."""
+    data.mkdir()
+    (data / "manifest.json").write_text(
+        json.dumps({"coin": "ETH", "first_block": 1, "last_block": 20}))
+    for name in RECORD_FILES:
+        (data / f"{name}.jsonl").write_text("")
+    (data / "pools.jsonl").write_text("".join(
+        json.dumps({"pool_id": p, "coin": "ETH", "denomination": "100",
+                    "am_weight": 1}) + "\n" for p in pools))
+    (data / "pool_events.jsonl").write_text("".join(
+        json.dumps({"pool_id": pool, "kind": kind, "block": block,
+                    "actor": actor, "tx_sender": sender}) + "\n"
+        for pool, kind, block, actor, sender in events))
+
+
+class TestEmptiedPools:
+    """A heuristic that leaves a pool no positive balance is reported for
+    that pool alone; the run goes on and the pool's other heuristics keep
+    their numbers."""
+
+    def test_own_note_withdrawn(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        _write_pools_dataset(data, ["P1"], [("P1", "deposit", 5, A1, A1),
+                                            ("P1", "withdrawal", 9, A1, A1)])
+        assert main(["anonymity", "--data", str(data), "--out", str(out),
+                     "--combine"]) == 0
+        assert "error" not in capsys.readouterr().err
+        report = json.loads((out / "anonymity.json").read_text())
+        (entry,) = report["pools"]
+        assert entry["observed"] == 1 and entry["adv_observed"] == "1"
+        assert entry["heuristics"] == {
+            tag: {"size": 0, "reduction": None} for tag in report["heuristics"]}
+        assert entry["combined"] == {"size": 0, "reduction": None}
+        assert entry["adv_reduced"] is None and entry["r_adv"] is None
+        assert report["average_reduction"] == {}
+        assert "P1    1         0 (-)  0 (-)  0 (-)  0 (-)  0 (-)" in \
+            (out / "anonymity.txt").read_text()
+
+    def test_one_heuristic_empties(self, tmp_path):
+        # in P1 a withdrawal signed by the only depositor pays another
+        # address, so h2 joins the two and empties the pool; h1, h3 and h4
+        # leave the depositor.  In P2, A2 withdraws its own note.
+        a3 = "0x" + "c" * 40
+        data = tmp_path / "data"
+        _write_pools_dataset(data, ["P1", "P2"], [
+            ("P1", "deposit", 5, A1, A1), ("P1", "withdrawal", 9, A2, A1),
+            ("P2", "deposit", 5, A2, A2), ("P2", "deposit", 6, a3, a3),
+            ("P2", "withdrawal", 9, A2, A2)])
+        reports = {}
+        for pools in ([], ["--pool", "P1"], ["--pool", "P2"]):
+            out = tmp_path / ("out" + "".join(pools))
+            assert main(["anonymity", "--data", str(data), "--out", str(out),
+                         "--combine", "--heuristics", "h1,h2,h3,h4", *pools]) == 0
+            reports[tuple(pools)] = json.loads((out / "anonymity.json").read_text())
+        p1, p2 = reports[()]["pools"]
+        assert p1["heuristics"] == {
+            "h1": {"size": 1, "reduction": "0.00%"},
+            "h2": {"size": 0, "reduction": None},
+            "h3": {"size": 1, "reduction": "0.00%"},
+            "h4": {"size": 1, "reduction": "0.00%"}}
+        assert p1["combined"] == {"size": 0, "reduction": None}
+        assert p1["adv_observed"] == "1"
+        assert p1["adv_reduced"] is None and p1["r_adv"] is None
+        assert p2["combined"] == {"size": 1, "reduction": "50.00%"}
+        assert [p1] == reports[("--pool", "P1")]["pools"]
+        assert [p2] == reports[("--pool", "P2")]["pools"]
+        # h2 and the combined set average over P2 alone
+        assert reports[()]["average_reduction"] == {
+            "h1": "25.00%", "h2": "50.00%", "h3": "25.00%", "h4": "25.00%",
+            "combined": "50.00%", "implied_advantage_gain": "100.00%"}
+        row = (tmp_path / "out" / "anonymity.txt").read_text().splitlines()[2]
+        assert re.split(r"\s{2,}", row) == [
+            "P1", "1", "1 (-0.00%)", "0 (-)", "1 (-0.00%)", "1 (-0.00%)", "0 (-)"]
