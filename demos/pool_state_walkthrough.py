@@ -45,6 +45,6 @@ print("now assert that d1 and w1 are the same owner (link evidence):")
 linked = simplify_state(state, [LinkPair(D1, W1)])
 for address, balance in sorted(linked.entries.items()):
     print(f"  merged {address[:10]}…  {balance:+d}")
-print("\nnon-zero view:", {a[:10] + "…": b for a, b in linked.nonzero().items()})
+print("\nnon-zero view:", {a[:10] + "…": b for a, b in linked.entries.items() if b})
 print("only d2 still plausibly holds a note; the withdrawal hides behind one")
 print(f"address, and the adversary advantage is now {adversary_advantage(1)}")

@@ -55,10 +55,8 @@ from .metrics import (
     build_anonymity_report,
     cluster_size_histogram,
     fund_then_deposit_flags,
-    observed_anonymity_set,
     relative_advantage_increase,
     relayer_usage,
-    true_anonymity_set,
 )
 from .mining import (
     DEFAULT_AM_WEIGHTS,

@@ -10,6 +10,12 @@ The synthetic generator emits exactly this layout (plus an optional
 ``ground_truth.json`` sidecar), so generated traces round-trip through
 ingestion losslessly.  The sidecar's presence is what marks a dataset as
 synthetic: analyses that need true balances refuse to run without it.
+
+Emission streams each record file line by line in a fixed record order,
+with no whole file held in memory.  Pool events and transfers, nearly
+every line, go through hand-written encoders that yield exactly what
+``json.dumps`` with sorted keys gives; the small files, the manifest and
+the sidecar go through ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
@@ -96,18 +103,23 @@ class _Row:
     ``canon`` interns addresses for one ``ingest`` call: it maps each
     canonical address to one shared string, so an address already spelled
     canonically skips the regex and every occurrence of an address is the
-    same object.
+    same object.  ``words`` does the same for ``text`` values, a few of
+    which (pool ids, event kinds, coins) recur on nearly every row.  It is
+    a dict of its own, because a text value found among the addresses
+    would pass ``address`` unchecked.
     """
 
-    __slots__ = ("file", "line", "record", "canon")
+    __slots__ = ("file", "line", "record", "canon", "words")
 
-    def __init__(self, file: str, line: int, record: Any, canon: dict[str, Address]):
+    def __init__(self, file: str, line: int, record: Any, canon: dict[str, Address],
+                 words: dict[str, str]):
         self.file = file
         self.line = line
         if not isinstance(record, dict):
             raise IngestError("record is not an object", file=file, line=line)
         self.record = record
         self.canon = canon
+        self.words = words
 
     def fail(self, field: str, message: str) -> IngestError:
         return IngestError(message, file=self.file, line=self.line, field=field)
@@ -158,11 +170,11 @@ class _Row:
     def text(self, field: str) -> str:
         value = self.record.get(field)
         if type(value) is str and value:
-            return value
+            return self.words.setdefault(value, value)
         value = self._get(field)
         if not isinstance(value, str) or not value:
             raise self.fail(field, "expected a non-empty string")
-        return value
+        return self.words.setdefault(value, value)
 
     def flag(self, field: str, default: bool = False) -> bool:
         if field not in self.record:
@@ -202,9 +214,11 @@ def _read_text(file: Path, name: str) -> str:
         raise _utf8_error(file, name) from None
 
 
-def _read_lines(path: Path, name: str, canon: dict[str, Address]):
+def _read_lines(path: Path, name: str, canon: dict[str, Address],
+                words: dict[str, str]):
     """Yield a ``_Row`` for each non-blank line of ``<name>.jsonl``, reading
-    one line at a time; the rows intern addresses in ``canon``."""
+    one line at a time; the rows intern addresses in ``canon`` and text
+    values in ``words``."""
     name = f"{name}.jsonl"
     file = path / name
     if not file.exists():
@@ -223,13 +237,14 @@ def _read_lines(path: Path, name: str, canon: dict[str, Address]):
                         raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
                     raise IngestError(f"invalid JSON: {exc.msg}", file=name, line=i)
-                yield _Row(name, i, record, canon)
+                yield _Row(name, i, record, canon, words)
     except UnicodeDecodeError:
         raise _utf8_error(file, name) from None
 
 
 def _records(path: Path, name: str, parse: Callable[[_Row], Any],
-             counts: dict[str, int], canon: dict[str, Address]) -> tuple:
+             counts: dict[str, int], canon: dict[str, Address],
+             words: dict[str, str]) -> tuple:
     """Build one record per row of ``<name>.jsonl`` with ``parse``.
 
     A record constructor's ``InputError`` is reported with the file and
@@ -237,7 +252,7 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
     ``counts[name]`` and returns the records in file order.
     """
     first_seen: dict[Any, int] = {}
-    for row in _read_lines(path, name, canon):
+    for row in _read_lines(path, name, canon, words):
         try:
             record = parse(row)
         except InputError as exc:
@@ -267,7 +282,7 @@ def ingest(path: str | Path) -> Dataset:
         raw = json.loads(_read_text(manifest_path, MANIFEST_FILE))
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc.msg}", file=MANIFEST_FILE)
-    row = _Row(MANIFEST_FILE, 1, raw, {})
+    row = _Row(MANIFEST_FILE, 1, raw, {}, {})
     manifest = Manifest(
         coin=row.text("coin"),
         first_block=row.uint("first_block"),
@@ -284,9 +299,10 @@ def ingest(path: str | Path) -> Dataset:
 
     counts: dict[str, int] = {}
     canon: dict[str, Address] = {}  # this call's interned addresses
+    words: dict[str, str] = {}  # and its interned text values
 
     def read(name: str, parse: Callable[[_Row], Any]) -> tuple:
-        return _records(path, name, parse, counts, canon)
+        return _records(path, name, parse, counts, canon, words)
 
     pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
@@ -321,7 +337,7 @@ def ingest(path: str | Path) -> Dataset:
     # a repeated label row only repeats a tag, so it is not rejected
     label_map: dict[Address, set[str]] = {}
     counts["labels"] = 0
-    for r in _read_lines(path, "labels", canon):
+    for r in _read_lines(path, "labels", canon, words):
         label = r.text("label")
         if label not in KNOWN_LABELS:
             raise r.fail("label", f"unknown label {label!r}")
@@ -373,17 +389,35 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _transfer_record(t: Transfer) -> dict:
-    return {"block": t.block.height, "tx_index": t.block.tx_index,
-            "log_index": t.block.log_index, "sender": t.sender,
-            "recipient": t.recipient, "amount": str(t.amount),
-            "coin": t.coin, "internal": t.internal}
+# json.dumps's own string escaper (``ensure_ascii`` is its default)
+_quote = json.encoder.encode_basestring_ascii
 
 
-def _event_record(e: PoolEvent) -> dict:
-    return {"pool_id": e.pool_id, "kind": e.kind, "block": e.block.height,
-            "tx_index": e.block.tx_index, "log_index": e.block.log_index,
-            "actor": e.actor, "tx_sender": e.tx_sender, "relayer": e.relayer}
+def _event_line(e: PoolEvent) -> str:
+    """``_dump_line`` of a pool event's record, keys in sorted order."""
+    b = e.block
+    relayer = "null" if e.relayer is None else _quote(e.relayer)
+    return (f'{{"actor":{_quote(e.actor)},"block":{b.height},"kind":{_quote(e.kind)},'
+            f'"log_index":{b.log_index},"pool_id":{_quote(e.pool_id)},'
+            f'"relayer":{relayer},"tx_index":{b.tx_index},'
+            f'"tx_sender":{_quote(e.tx_sender)}}}\n')
+
+
+def _transfer_line(t: Transfer) -> str:
+    """``_dump_line`` of a native or token transfer's record, keys in
+    sorted order; the amount is a quoted decimal."""
+    b = t.block
+    return (f'{{"amount":"{t.amount}","block":{b.height},"coin":{_quote(t.coin)},'
+            f'"internal":{"true" if t.internal else "false"},'
+            f'"log_index":{b.log_index},"recipient":{_quote(t.recipient)},'
+            f'"sender":{_quote(t.sender)},"tx_index":{b.tx_index}}}\n')
+
+
+# (e.block, …) spelled out, so sorting compares plain tuples in C
+_EVENT_ORDER = attrgetter("block.height", "block.tx_index", "block.log_index",
+                          "pool_id", "actor")
+_TRANSFER_ORDER = attrgetter("block.height", "block.tx_index", "block.log_index",
+                             "sender", "recipient")
 
 
 def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
@@ -397,32 +431,28 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
         manifest["am_launch"] = trace.am_launch
     (path / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
-    def write(name: str, lines: list[str]) -> None:
-        (path / f"{name}.jsonl").write_text("".join(lines))
+    def write(name: str, lines: Iterable[str]) -> None:
+        with (path / f"{name}.jsonl").open("w", encoding="utf-8") as handle:
+            handle.writelines(lines)
 
-    write("pools", [_dump_line({"pool_id": p.pool_id, "coin": p.coin,
+    write("pools", (_dump_line({"pool_id": p.pool_id, "coin": p.coin,
                                 "denomination": str(p.denomination),
                                 "am_weight": p.am_weight})
-                    for p in sorted(trace.pools, key=lambda p: p.pool_id)])
-    write("pool_events", [_dump_line(_event_record(e))
-                          for e in sorted(trace.events,
-                                          key=lambda e: (e.block, e.pool_id, e.actor))])
-    write("transfers", [_dump_line(_transfer_record(t))
-                        for t in sorted(trace.transfers,
-                                        key=lambda t: (t.block, t.sender, t.recipient))])
-    write("token_transfers", [_dump_line(_transfer_record(t))
-                              for t in sorted(trace.token_transfers,
-                                              key=lambda t: (t.block, t.sender, t.recipient))])
-    write("labels", [_dump_line({"address": a, "label": label})
+                    for p in sorted(trace.pools, key=lambda p: p.pool_id)))
+    write("pool_events", map(_event_line, sorted(trace.events, key=_EVENT_ORDER)))
+    write("transfers", map(_transfer_line, sorted(trace.transfers, key=_TRANSFER_ORDER)))
+    write("token_transfers",
+          map(_transfer_line, sorted(trace.token_transfers, key=_TRANSFER_ORDER)))
+    write("labels", (_dump_line({"address": a, "label": label})
                      for a in sorted(trace.labels)
-                     for label in sorted(trace.labels[a])])
-    write("relayers", [_dump_line({"address": a}) for a in sorted(trace.relayers)])
-    write("ap_claims", [_dump_line({"recipient": c.recipient, "block": c.block,
+                     for label in sorted(trace.labels[a])))
+    write("relayers", (_dump_line({"address": a}) for a in sorted(trace.relayers)))
+    write("ap_claims", (_dump_line({"recipient": c.recipient, "block": c.block,
                                     "ap": c.ap})
                         for c in sorted(trace.ap_claims,
-                                        key=lambda c: (c.block, c.recipient))])
+                                        key=lambda c: (c.block, c.recipient))))
     for name in ("ens_transfers", "ens_subdomains", "airdrop_claims", "follow_edges"):
-        write(name, [])
+        write(name, ())
 
     gt = trace.ground_truth
     payload = {

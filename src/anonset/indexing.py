@@ -125,14 +125,8 @@ class LedgerIndex:
     def incoming_native(self, address: Address) -> Sequence[Transfer]:
         return self._incoming.get(address, [])
 
-    def outgoing_native(self, address: Address) -> Sequence[Transfer]:
-        return self._outgoing.get(address, [])
-
     def events_for(self, pool_id: str) -> Sequence[PoolEvent]:
         return self._by_pool.get(pool_id, [])
-
-    def pool_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._by_pool))
 
     # -- distance extensions --------------------------------------------------
 

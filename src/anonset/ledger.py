@@ -136,9 +136,6 @@ class PoolState:
     entries: Mapping[Address, int]
     as_of: int
 
-    def nonzero(self) -> dict[Address, int]:
-        return {a: b for a, b in self.entries.items() if b != 0}
-
     def positive_addresses(self) -> frozenset[Address]:
         return frozenset(a for a, b in self.entries.items() if b > 0)
 

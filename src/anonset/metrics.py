@@ -20,31 +20,12 @@ from .ledger import (
     Amount,
     PoolConfig,
     PoolEvent,
-    PoolState,
-    deposit_actors,
     events_for_pool,
 )
 
 # Average deposit volume of the labeled attacker addresses; kept
 # configurable because its scale depends on the dataset's base unit.
 DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD = 1881
-
-
-def observed_anonymity_set(pool: PoolConfig, events: Sequence[PoolEvent],
-                           t: int) -> frozenset[Address]:
-    """The unique deposit addresses of the pool: its advertised anonymity."""
-    return deposit_actors(events_for_pool(events, pool.pool_id), t)
-
-
-def true_anonymity_set(state: PoolState) -> frozenset[Address]:
-    """Depositors that still hold a positive balance.
-
-    Only meaningful when the state's balances are trusted ground truth
-    (synthetic traces); on real chains the remaining depositors are
-    exactly what the pool hides.  The command-line layer enforces that
-    mode; this function is pure set algebra.
-    """
-    return state.positive_addresses()
 
 
 def adversary_advantage(set_size: int) -> Fraction:

@@ -53,14 +53,15 @@ class TestBuildIndex:
     def test_empty_inputs(self):
         index = build_index([], [], [], None)
         assert index.native_transfers == ()
-        assert index.pool_ids() == ()
+        assert index.pool_events == ()
+        assert index.events_for("P") == []
 
     def test_multiset_round_trip(self):
         a, b = addr("ra"), addr("rb")
         records = [transfer(a, b, 1, 3), transfer(b, a, 2, 1), transfer(a, b, 3, 2)]
         index = build_index(records, [], [], None)
         flattened = sorted(
-            (t for addr_ in (a, b) for t in index.outgoing_native(addr_)),
+            (t for addr_ in (a, b) for t in index.incoming_native(addr_)),
             key=lambda t: t.block)
         assert flattened == sorted(records, key=lambda t: t.block)
 

@@ -107,6 +107,28 @@ class TestInterning:
         assert not {id(a) for a in address_occurrences(first)} & \
             {id(a) for a in address_occurrences(second)}
 
+    def test_each_text_value_is_one_object(self, synth_dir):
+        dataset = ingest(synth_dir)
+        texts = [v for p in dataset.pools for v in (p.pool_id, p.coin)]
+        texts += [v for e in dataset.events for v in (e.pool_id, e.kind)]
+        texts += [t.coin for t in dataset.transfers + dataset.token_transfers]
+        first: dict[str, str] = {}
+        for text in texts:
+            assert text is first.setdefault(text, text)
+        assert len(first) < 10 < len(texts)
+
+    def test_actor_spelled_like_a_pool_id_is_rejected(self, synth_dir, tmp_path, capsys):
+        # the pool ids are interned before any event is read; they must
+        # not pass as addresses
+        pool_id = json.loads((synth_dir / "pool_events.jsonl").read_text()
+                             .splitlines()[0])["pool_id"]
+        _edit_first_line(synth_dir, "pool_events", "actor", pool_id)
+        assert main(["relayers", "--data", str(synth_dir),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: malformed address: '{pool_id}' "
+            f"[file=pool_events.jsonl, line=1, field=actor]")
+
 
 def _edit_first_line(data: Path, name: str, field: str, value) -> None:
     """Set ``field`` of line 1 of ``<name>.jsonl``; ``...`` drops it."""

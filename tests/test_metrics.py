@@ -14,12 +14,10 @@ from anonset.metrics import (
     build_anonymity_report,
     cluster_size_histogram,
     fund_then_deposit_flags,
-    observed_anonymity_set,
     relative_advantage_increase,
     relayer_usage,
     render_percent,
     render_ratio,
-    true_anonymity_set,
 )
 
 from .conftest import D1, D2, W1, addr, deposit, view, withdrawal
@@ -29,19 +27,19 @@ NO_LABELS = LabelBook({})
 
 class TestAnonymitySets:
     def test_observed_is_unique_deposit_addresses(self, p100, p100_events):
-        assert observed_anonymity_set(p100, p100_events, t=100) == {D1, D2}
+        assert view(p100, p100_events, t=100).depositors == {D1, D2}
 
     def test_duplicate_depositor_counted_once(self, p100):
         events = [deposit("P100", D1, 1), deposit("P100", D1, 2)]
-        assert observed_anonymity_set(p100, events, t=10) == {D1}
+        assert view(p100, events, t=10).depositors == {D1}
 
     def test_true_set_is_positive_balances(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
-        assert true_anonymity_set(state) == {D1, D2}
+        assert state.positive_addresses() == {D1, D2}
 
     def test_true_set_of_drained_pool_is_empty(self):
         state = PoolState(entries={D1: 0, W1: -100}, as_of=5)
-        assert true_anonymity_set(state) == frozenset()
+        assert state.positive_addresses() == frozenset()
 
 
 class TestAdvantage:
