@@ -62,7 +62,6 @@ from .mining import (
     DEFAULT_AM_WEIGHTS,
     APClaim,
     LinkSolution,
-    am_effect_on_h1,
     anonymity_points,
     classify_claimant,
     solve_multi_claim,
@@ -71,7 +70,6 @@ from .mining import (
 from .groundtruth import (
     FollowEdge,
     NameTransfer,
-    SideChannelSet,
     SubdomainGrant,
     ValidationReport,
     airdrop_links,

@@ -7,9 +7,10 @@ timestamps and all orderings are fixed (pools by id, addresses
 lexicographically), so a command rerun on the same inputs produces
 byte-identical output.
 
-Exit codes: 0 success; 2 input or schema error; 3 mode error (an analysis
-that needs ground truth ran against a dataset without it); 4 when
-``--strict`` is set and every solver run came back inconclusive.
+Exit codes: 0 success; 2 input or schema error, or a file that cannot be
+read or written; 3 mode error (an analysis that needs ground truth ran
+against a dataset without it); 4 when ``--strict`` is set and every
+solver run came back inconclusive.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     InputError,
     ModeError,
 )
-from .ledger import DEPOSIT, WITHDRAWAL, LinkPair, deposit_actors, withdrawal_actors
+from .ledger import DEPOSIT, WITHDRAWAL, LinkPair
 from .metrics import render_percent, render_ratio
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -47,7 +48,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ModeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODE
-    except AnalysisError as exc:
+    except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -329,23 +330,25 @@ def _cmd_flows(args) -> int:
     if args.distance < 1:
         raise InputError("distance must be at least 1")
     index = dataset.build_index()
+    distances = range(1, args.distance + 1)
     pools_payload, rows = [], []
     for pool in dataset.pools:
-        entry = {"pool_id": pool.pool_id, "depositors": {}, "withdrawers": {}}
-        for n in range(1, args.distance + 1):
-            entry["depositors"][str(n)] = len(index.depositors_at_distance(pool, n, t))
-            entry["withdrawers"][str(n)] = len(index.withdrawers_at_distance(pool, n, t))
+        depositors = [index.depositors_at_distance(pool, n, t) for n in distances]
+        withdrawers = [index.withdrawers_at_distance(pool, n, t) for n in distances]
+        entry = {"pool_id": pool.pool_id,
+                 "depositors": {str(n): len(s) for n, s in zip(distances, depositors)},
+                 "withdrawers": {str(n): len(s) for n, s in zip(distances, withdrawers)}}
 
         sources: dict[str, int] = {}
         uncovered_in = 0
-        for depositor in sorted(deposit_actors(index.events_for(pool.pool_id), t)):
+        for depositor in sorted(depositors[0]):
             for cover in index.source_transfers(depositor, pool, t):
                 uncovered_in += cover.shortfall
                 for claim in cover.claims:
                     sources[claim.sender] = sources.get(claim.sender, 0) + claim.amount
         sinks: dict[str, int] = {}
         uncovered_out = 0
-        for withdrawer in sorted(withdrawal_actors(index.events_for(pool.pool_id), t)):
+        for withdrawer in sorted(withdrawers[0]):
             for cover in index.sink_transfers(withdrawer, pool, t):
                 uncovered_out += cover.shortfall
                 for claim in cover.claims:
@@ -364,10 +367,8 @@ def _cmd_flows(args) -> int:
         top_in = ranked(sources)[0] if sources else ("-", 0)
         top_out = ranked(sinks)[0] if sinks else ("-", 0)
         rows.append([pool.pool_id,
-                     " ".join(str(entry["depositors"][str(n)])
-                              for n in range(1, args.distance + 1)),
-                     " ".join(str(entry["withdrawers"][str(n)])
-                              for n in range(1, args.distance + 1)),
+                     " ".join(str(len(s)) for s in depositors),
+                     " ".join(str(len(s)) for s in withdrawers),
                      f"{top_in[0]}:{top_in[1]}", f"{top_out[0]}:{top_out[1]}"])
     payload = {"command": "flows", "at": t, "distance": args.distance,
                "pools": pools_payload}

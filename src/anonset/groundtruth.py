@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .ledger import NEGATIVE, POSITIVE, Address, LinkPair, Transfer
+from .ledger import NEGATIVE, Address, LinkPair, Transfer
 
 AIRDROP = "airdrop"
 ENS_TRANSFER = "ens-transfer"
@@ -47,32 +47,6 @@ class SubdomainGrant:
 class FollowEdge:
     follower: Address
     followed: Address
-
-
-@dataclass(frozen=True)
-class SideChannelSet:
-    """Combined evidence; positive and negative pairs never overlap within
-    a single source."""
-
-    positives: frozenset[LinkPair]
-    negatives: frozenset[LinkPair]
-
-    def __post_init__(self):
-        by_source: dict[str, set[tuple[str, tuple]]] = {}
-        for pair in list(self.positives) + list(self.negatives):
-            by_source.setdefault(pair.source, set())
-        for pair in self.positives:
-            by_source[pair.source].add((POSITIVE, pair.addresses))
-        for pair in self.negatives:
-            by_source[pair.source].add((NEGATIVE, pair.addresses))
-        for source, tagged in by_source.items():
-            pos = {a for sign, a in tagged if sign == POSITIVE}
-            neg = {a for sign, a in tagged if sign == NEGATIVE}
-            clash = pos & neg
-            if clash:
-                raise InputError(
-                    f"source {source!r} asserts pairs as both same- and "
-                    f"distinct-owner: {sorted(clash)}")
 
 
 def airdrop_links(airdrop_transfers: Sequence[Transfer],

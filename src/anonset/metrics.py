@@ -64,10 +64,6 @@ class ClusterHistogram:
         total = sum(self.counts.values())
         return {size: Fraction(n, total) for size, n in self.counts.items()}
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def cluster_size_histogram(clusters: Iterable[Cluster]) -> ClusterHistogram:
     counts: dict[int, int] = {}

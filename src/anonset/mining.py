@@ -8,20 +8,21 @@ outright.
 
 Points are exact integers in block-weight units throughout.  Solvers are
 pure and independent per claim, so claims can be processed concurrently.
+The multi-deposit search keeps its own stack, so its depth is bounded by
+memory, not by the interpreter's recursion limit.
+
+Whether the mining launch drew in address reusers is not modelled here:
+answering it needs on-chain history from before and after a launch.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import heuristics
 from .errors import DomainError, InputError
-from .indexing import build_index
 from .ledger import DEPOSIT, Address, PoolEvent
-from .metrics import relative_advantage_increase
 
 # Per-pool point weights of the canonical four-pool deployment, keyed by
 # the pool's denomination expressed in coins.
@@ -153,7 +154,7 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     allowed when events share a block), whose gaps against the sorted
     deposits sum to ``ap / weight``.  Because the gap sum only depends on the chosen
     blocks' sum, the search is a depth-first subset-sum over the sorted
-    withdrawal events with prefix bounds for pruning; each chosen block
+    withdrawal events with precomputed bounds for pruning; each chosen block
     must fall strictly between its paired deposit and the claim.  Hitting
     ``search_cap`` explored nodes stops the search and marks the result
     inconclusive (solutions found so far are still returned).
@@ -173,87 +174,56 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     events = withdrawal_blocks[:bisect_left(withdrawal_blocks, claim.block)]
     n = len(events)
 
-    explored = 0
+    # per depth k: the least the later picks add (each above its own
+    # deposit); per count r: the most r later picks add (the r largest)
+    min_rest = [0] * u
+    for k in range(u - 2, -1, -1):
+        min_rest[k] = min_rest[k + 1] + deps[k + 1] + 1
+    top = [0]
+    for r in range(1, min(u, n + 1)):
+        top.append(top[-1] + events[n - r])
+
+    def picks(i: int, k: int, acc: int):
+        """Candidates for the k-th pick, from event i on, in search order."""
+        r = u - k - 1
+        for j in range(i, n):
+            b = events[j]
+            # identical blocks at the same depth explore identical subtrees
+            if j > i and b == events[j - 1] or b <= deps[k]:
+                continue
+            new_acc = acc + b
+            if new_acc + min_rest[k] > target:
+                return  # events sorted ascending: larger picks only overshoot
+            if n - j - 1 < r:
+                return  # too few events left for the later picks
+            if new_acc + top[r] < target:
+                continue
+            yield j + 1, b, new_acc
+
+    # depth-first on an explicit stack, one pick generator per open node
+    explored = 1
     capped = False
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
-
-    def remaining_max(i: int, k: int) -> int:
-        return sum(events[n - k:]) if n - i >= k else -1
-
-    def dfs(i: int, k: int, acc: int) -> None:
-        nonlocal explored, capped
-        if capped:
-            return
-        explored += 1
-        if explored > search_cap:
-            capped = True
-            return
-        if k == u:
+    stack = [picks(0, 0, 0)]
+    while stack and not capped:
+        for i, b, acc in stack[-1]:
+            explored += 1
+            if explored > search_cap:
+                capped = True
+                break
+            chosen.append(b)
+            if len(chosen) < u:
+                stack.append(picks(i, len(chosen), acc))
+                break
             if acc == target:
                 found.append(tuple(chosen))
-            return
-        for j in range(i, n):
-            # identical blocks at the same depth explore identical subtrees
-            if j > i and events[j] == events[j - 1]:
-                continue
-            b = events[j]
-            if b <= deps[k]:
-                continue
-            new_acc = acc + b
-            min_rest = sum(deps[k + 1:]) + (u - k - 1)  # each later pick > its deposit
-            if new_acc + min_rest > target:
-                break  # events sorted ascending: larger picks only overshoot
-            rest_max = remaining_max(j + 1, u - k - 1)
-            if rest_max < 0 or new_acc + rest_max < target:
-                continue
-            chosen.append(b)
-            dfs(j + 1, k + 1, new_acc)
             chosen.pop()
-            if capped:
-                return
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
-    dfs(0, 0, 0)
     status = INCONCLUSIVE if capped else (EXACT if found else NONE)
     return LinkSolution(status=status, solutions=tuple(found), explored=explored)
 
-
-@dataclass(frozen=True)
-class ReuseWindow:
-    oas_size: int
-    reduced_size: int
-    r_adv: Fraction
-
-
-@dataclass(frozen=True)
-class LaunchImpact:
-    """Address-reuse linkability before and after the mining launch."""
-
-    launch: int
-    pre: ReuseWindow
-    post: ReuseWindow
-
-
-def am_effect_on_h1(view: heuristics.PoolView, am_launch: int) -> LaunchImpact:
-    """Evaluate the reuse heuristic separately on the pool's history (up
-    to the view's cut) before the launch block and from it onward.
-
-    Each window is treated as a pool history of its own; the comparison
-    shows whether mining rewards pulled in more address-reusing users.
-    """
-    heights = [e.block.height for e in view.events]
-    if not heights or not min(heights) < am_launch <= max(heights):
-        raise InputError("launch block must split the pool's event range")
-
-    def window(events: Sequence[PoolEvent], t: int) -> ReuseWindow:
-        sub = heuristics.pool_view(build_index((), (), events, view.index.labels),
-                                   view.pool, t)
-        result = heuristics.h1_reuse(sub)
-        return ReuseWindow(
-            oas_size=len(sub.depositors), reduced_size=result.size,
-            r_adv=relative_advantage_increase(len(sub.depositors), result.size))
-
-    return LaunchImpact(
-        launch=am_launch,
-        pre=window([e for e in view.events if e.block.height < am_launch], am_launch - 1),
-        post=window([e for e in view.events if e.block.height >= am_launch], max(heights)))

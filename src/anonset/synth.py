@@ -154,9 +154,6 @@ class GeneratorConfig:
     block_span: int
     first_block: int = 1_000
     am_launch: int | None = None
-    # (pre-launch, post-launch) reuser fractions; enables the two-epoch
-    # trace used to study the mining launch
-    reuse_step: tuple[Fraction, Fraction] | None = None
     speculator_max_deposits: int = 3
     attacker_min_volume: int = 2_000
     relayer_count: int = 3
@@ -278,8 +275,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         raise ConfigError("need at least one user")
     if config.block_span < 10:
         raise ConfigError("block span must be at least 10")
-    if config.reuse_step is not None:
-        return _generate_reuse_step(config, seed)
 
     counts = config.profile.apportion(config.user_count)
     if counts.get(H5_CROSS) and len(config.pools) < 2:
@@ -461,84 +456,3 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
             active_depositors=active,
             behaviors=behaviors))
 
-
-def _generate_reuse_step(config: GeneratorConfig, seed: int) -> SynthTrace:
-    """Two-epoch trace whose reuser share steps at the mining launch.
-
-    Users split into equal-as-possible cohorts; the pre cohort acts
-    strictly before the launch block, the post cohort from it onward.
-    Within a cohort, the configured fraction of users deposits and fully
-    withdraws with one address; the rest deposit and stay.  Counts are
-    exact, so equal fractions give bitwise-equal window statistics.
-    """
-    if config.am_launch is None:
-        raise ConfigError("reuse stepping needs a launch block")
-    pre_frac, post_frac = (Fraction(f) for f in config.reuse_step)
-    if not (0 <= pre_frac <= 1 and 0 <= post_frac <= 1):
-        raise ConfigError("reuse fractions must lie in [0, 1]")
-    coins = {p.coin for p in config.pools}
-    if len(coins) != 1:
-        raise ConfigError("pools must share one coin")
-    (coin,) = coins
-    last_block = config.first_block + config.block_span
-    if not config.first_block < config.am_launch < last_block:
-        raise ConfigError("launch block must fall strictly inside the span")
-
-    prng = Prng(seed)
-    pool = config.pools[0]
-    pre_users = config.user_count // 2
-    post_users = config.user_count - pre_users
-
-    def reuser_count(frac: Fraction, cohort: int) -> int:
-        return int(frac * cohort + Fraction(1, 2))
-
-    build = _Builder(config.first_block)
-    reusers: set[Address] = set()
-    fully_withdrawn: set[Address] = set()
-    behaviors: dict[Address, str] = {}
-
-    def emit_cohort(size: int, n_reusers: int, tag: int) -> None:
-        for u in range(size):
-            d = _addr(H1_REUSER if u < n_reusers else DISCIPLINED, u, tag)
-            build.fund(FAUCET, d, pool.denomination, coin)
-            build.deposit(pool, d)
-            if u < n_reusers:
-                build.withdraw(pool, d)
-                reusers.add(d)
-                fully_withdrawn.add(d)
-                behaviors[d] = H1_REUSER
-            else:
-                behaviors[d] = DISCIPLINED
-
-    emit_cohort(pre_users, reuser_count(pre_frac, pre_users), 0x01)
-    if build.cursor >= config.am_launch:
-        raise ConfigError("pre-launch cohort does not fit before the launch block")
-    build.cursor = config.am_launch - 1
-    emit_cohort(post_users, reuser_count(post_frac, post_users), 0x02)
-    if build.cursor > last_block:
-        raise ConfigError("block span too small for the post-launch cohort")
-
-    labels: dict[Address, tuple[str, ...]] = {FAUCET: ("exchange",)}
-    relayers = tuple(_relayer_addr(i) for i in range(config.relayer_count))
-    for r in relayers:
-        labels[r] = ("relayer",)
-
-    state = pool_state(pool, build.events, last_block)
-    return SynthTrace(
-        coin=coin, pools=tuple(config.pools),
-        events=tuple(build.events),
-        transfers=tuple(build.transfers),
-        token_transfers=(),
-        labels=labels, relayers=relayers, ap_claims=(),
-        am_launch=config.am_launch,
-        first_block=config.first_block, last_block=last_block,
-        ground_truth=GroundTruth(
-            links_by_heuristic={h: frozenset() for h in ("h1", "h2", "h3", "h4", "h5")},
-            user_links=frozenset(),
-            reusers=frozenset(reusers),
-            fully_withdrawn_reusers=frozenset(fully_withdrawn),
-            attackers=frozenset(),
-            am_truth=(),
-            true_balances={pool.pool_id: dict(state.entries)},
-            active_depositors={pool.pool_id: state.positive_addresses()},
-            behaviors=behaviors))

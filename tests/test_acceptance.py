@@ -4,6 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Expected values come from three places only: closed-form arithmetic
 checked by hand, independent brute-force oracles computed inside the
 test, and planted ground truth embedded by the synthetic generator.
+
+Criterion 8 (the mining launch drawing in address reusers) has no test:
+no command reports it, and its only inputs were a generator path and an
+analysis kept for that test alone.  Criteria 9 and 10 keep their numbers.
 """
 
 from __future__ import annotations
@@ -278,27 +282,6 @@ def test_criterion_7_solver_against_exhaustive_oracle():
     assert checked_exact >= 100
     _ok(7, f"500 random instances match the exhaustive oracle "
            f"({checked_exact} exact solutions re-derive their claims bit-exactly)")
-
-
-def test_criterion_8_launch_impact_split():
-    def stepped(pre, post, seed=41):
-        cfg = GeneratorConfig(
-            profile=BehaviorProfile.pure(DISCIPLINED),
-            pools=standard_pools()[:1], user_count=160, block_span=2_000,
-            am_launch=1_900, reuse_step=(Fraction(pre), Fraction(post)))
-        return generate_trace(cfg, seed)
-
-    trace = stepped("0.10", "0.25")
-    impact = mining.am_effect_on_h1(_views(trace, trace.last_block)[trace.pools[0].pool_id],
-                                    trace.am_launch)
-    assert impact.post.r_adv > impact.pre.r_adv
-
-    trace = stepped("0.20", "0.20")
-    impact = mining.am_effect_on_h1(_views(trace, trace.last_block)[trace.pools[0].pool_id],
-                                    trace.am_launch)
-    assert impact.pre.r_adv == impact.post.r_adv
-    _ok(8, "reuse stepping 10%->25% strictly raises the post-launch gain; "
-           "identical fractions agree exactly")
 
 
 def test_criterion_9_cluster_oracle():

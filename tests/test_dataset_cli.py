@@ -524,6 +524,52 @@ class TestCliCommands:
                         "--search-cap", "1", "--strict")
         assert code == 4
 
+    def test_am_link_solves_a_deep_claimant(self, tmp_path):
+        # one claimant with more deposits than the interpreter's default
+        # recursion limit, each withdrawn 1500 blocks later by another address
+        u = 1500
+        data, out = tmp_path / "data", tmp_path / "out"
+        _write_pools_dataset(data, ["P1"], [
+            *(("P1", "deposit", b, A1, A1) for b in range(1, u + 1)),
+            *(("P1", "withdrawal", b, A2, A2) for b in range(u + 1, 2 * u + 1))])
+        (data / "manifest.json").write_text(
+            json.dumps({"coin": "ETH", "first_block": 1, "last_block": 2 * u + 1}))
+        (data / "ap_claims.jsonl").write_text(
+            json.dumps({"recipient": A1, "block": 2 * u + 1, "ap": u * u}) + "\n")
+        assert self.run("am-link", "--data", str(data), "--out", str(out)) == 0
+        (entry,) = json.loads((out / "am-link.json").read_text())["claimants"]
+        assert entry["category"] == "n-one-one"
+        assert entry["status"] == "exact"
+        assert entry["solutions"] == [list(range(u + 1, 2 * u + 1))]
+
+    @staticmethod
+    def _out_is_a_file(data: Path, tmp: Path):
+        target = tmp / "taken"
+        target.write_text("")
+        return ["relayers", "--data", str(data), "--out", str(target)], target
+
+    @staticmethod
+    def _synth_out_under_a_file(data: Path, tmp: Path):
+        (tmp / "taken").write_text("")
+        target = tmp / "taken" / "x"
+        return ["synth", "--users", "4", "--out", str(target)], target
+
+    @staticmethod
+    def _record_file_is_a_directory(data: Path, tmp: Path):
+        target = data / "labels.jsonl"
+        target.unlink()
+        target.mkdir()
+        return ["relayers", "--data", str(data), "--out", str(tmp / "out")], target
+
+    @pytest.mark.parametrize("case", ["_out_is_a_file", "_synth_out_under_a_file",
+                                      "_record_file_is_a_directory"])
+    def test_file_system_error_exits_2(self, dataset_dir, tmp_path, capsys, case):
+        argv, path = getattr(self, case)(dataset_dir, tmp_path)
+        code = self.run(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err and "Traceback" not in err
+
     def test_unknown_heuristic_is_input_error(self, tmp_path):
         data = tmp_path / "data"
         self.run("synth", "--profile", "disciplined", "--seed", "1",

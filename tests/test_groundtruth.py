@@ -6,7 +6,6 @@ from anonset.errors import InputError
 from anonset.groundtruth import (
     FollowEdge,
     NameTransfer,
-    SideChannelSet,
     SubdomainGrant,
     airdrop_links,
     debank_negative_pairs,
@@ -86,19 +85,6 @@ class TestDebank:
     def test_unrelated_accounts_ignored(self):
         edges = [FollowEdge(follower=B, followed=C)]
         assert debank_negative_pairs(edges, [A], [B]) == frozenset()
-
-
-class TestSideChannelSet:
-    def test_conflicting_polarity_within_source_rejected(self):
-        pos = LinkPair(A, B, source="s")
-        neg = LinkPair(A, B, source="s", polarity=NEGATIVE)
-        with pytest.raises(InputError):
-            SideChannelSet(positives=frozenset({pos}), negatives=frozenset({neg}))
-
-    def test_cross_source_disagreement_allowed(self):
-        pos = LinkPair(A, B, source="airdrop")
-        neg = LinkPair(A, B, source="debank", polarity=NEGATIVE)
-        SideChannelSet(positives=frozenset({pos}), negatives=frozenset({neg}))
 
 
 HUB = "0x" + "f" * 40

@@ -1,0 +1,50 @@
+"""Import guards: the runtime is pure standard library, and the mining
+model stays free of the heuristic, index and metrics layers."""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import anonset
+
+PACKAGE = Path(anonset.__path__[0])
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level names of every absolute import in ``source``."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_module_imports_only_stdlib_or_relative(module):
+    foreign = imported_roots(module.read_text()) - sys.stdlib_module_names
+    assert not foreign, f"{module.name} imports {sorted(foreign)}"
+
+
+def test_mining_loads_no_analysis_layer():
+    # a bare package object stands in for anonset/__init__.py, which
+    # imports every module; what is left loaded is mining's own closure
+    code = (
+        "import importlib, sys, types\n"
+        "pkg = types.ModuleType('anonset')\n"
+        f"pkg.__path__ = [{str(PACKAGE)!r}]\n"
+        "sys.modules['anonset'] = pkg\n"
+        "importlib.import_module('anonset.mining')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('anonset.'))))\n")
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "anonset.mining" in loaded
+    for layer in ("anonset.heuristics", "anonset.indexing", "anonset.metrics"):
+        assert layer not in loaded

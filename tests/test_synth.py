@@ -184,34 +184,3 @@ class TestAttackers:
                 next(p.denomination for p in trace.pools if p.pool_id == e.pool_id)
                 for e in own if e.kind == "deposit")
             assert deposited >= 2_000
-
-
-class TestReuseStep:
-    def _trace(self, pre, post, seed=1):
-        cfg = GeneratorConfig(
-            profile=BehaviorProfile.pure(DISCIPLINED),
-            pools=standard_pools()[:1], user_count=120, block_span=2000,
-            am_launch=1_900, reuse_step=(Fraction(pre), Fraction(post)))
-        return generate_trace(cfg, seed)
-
-    def test_stepped_reuse_raises_post_window_linkability(self):
-        from anonset.mining import am_effect_on_h1
-
-        trace = self._trace("0.10", "0.25")
-        impact = am_effect_on_h1(views_of(trace)[trace.pools[0].pool_id], trace.am_launch)
-        assert impact.post.r_adv > impact.pre.r_adv
-
-    def test_identical_fractions_agree_exactly(self):
-        from anonset.mining import am_effect_on_h1
-
-        trace = self._trace("0.20", "0.20")
-        impact = am_effect_on_h1(views_of(trace)[trace.pools[0].pool_id], trace.am_launch)
-        assert impact.pre.r_adv == impact.post.r_adv
-
-    def test_needs_launch_block(self):
-        cfg = GeneratorConfig(
-            profile=BehaviorProfile.pure(DISCIPLINED),
-            pools=standard_pools()[:1], user_count=10, block_span=2000,
-            reuse_step=(Fraction(1, 10), Fraction(1, 4)))
-        with pytest.raises(ConfigError):
-            generate_trace(cfg, 1)

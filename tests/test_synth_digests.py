@@ -3,25 +3,15 @@
 The analysis reports are pinned in ``test_report_digests.py``; this pins
 the dataset they are computed from.  The mixed profile includes
 speculators, so it covers ``am_launch`` in the manifest, reward claims,
-token transfers and withdrawals without a relayer; the reuse-step trace
-is the generator's other path and is written in-process.  A change to
-how a dataset is emitted must leave every digest alone.
+token transfers and withdrawals without a relayer.  A change to how a
+dataset is emitted must leave every digest alone.
 """
 
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 from anonset.cli import main
-from anonset.dataset import write_dataset
-from anonset.synth import (
-    DISCIPLINED,
-    BehaviorProfile,
-    GeneratorConfig,
-    generate_trace,
-    standard_pools,
-)
 
 # sha256 of no bytes: the side-channel files synth leaves empty
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -51,29 +41,6 @@ MIXED_DIGESTS = {
         "f2977cdd1c14918676b22d51981555aa00d9ea05598abd8351705f2da70b82b1",
 }
 
-REUSE_STEP_DIGESTS = {
-    "airdrop_claims.jsonl": EMPTY,
-    "ap_claims.jsonl": EMPTY,
-    "ens_subdomains.jsonl": EMPTY,
-    "ens_transfers.jsonl": EMPTY,
-    "follow_edges.jsonl": EMPTY,
-    "ground_truth.json":
-        "47ff076998b46bf4b3282dba85bb9b2e5fbc0629629d04390494975270df6609",
-    "labels.jsonl":
-        "dec951e7b6e5db119f24ff3a5e41a4aea3629a3cf81aac14724a4e365b328026",
-    "manifest.json":
-        "03d421ded8217d44930af161d80e8f711d1064c8cb279f559b1d3c8c619fce21",
-    "pool_events.jsonl":
-        "4d54bc01743f33a1dca8102d8ff3ddaaf72f003099396e2e13a43b63c9bd7f10",
-    "pools.jsonl":
-        "5542495216c58797dc56f26b65059f8feeebd0a2851d7b471779ea7e0a440141",
-    "relayers.jsonl":
-        "e95cb24b7af8304682b99ae7f3ed932fbe2040798aef7cf8cb0a286e5ac6d253",
-    "token_transfers.jsonl": EMPTY,
-    "transfers.jsonl":
-        "6962a138a226ae00fa1f98e16cb50b1994b563fbd651ef9e30b9e99be3827e8e",
-}
-
 
 def digests(path) -> dict[str, str]:
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
@@ -86,11 +53,3 @@ def test_synth_mixed_files(tmp_path):
                  "--blocks", "3600", "--out", str(out)]) == 0
     assert digests(out) == MIXED_DIGESTS
 
-
-def test_write_dataset_reuse_step_files(tmp_path):
-    config = GeneratorConfig(
-        profile=BehaviorProfile.pure(DISCIPLINED), pools=standard_pools()[:1],
-        user_count=120, block_span=2000, am_launch=1_900,
-        reuse_step=(Fraction(1, 10), Fraction(1, 4)))
-    out = write_dataset(generate_trace(config, 3), tmp_path / "data")
-    assert digests(out) == REUSE_STEP_DIGESTS
