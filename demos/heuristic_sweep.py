@@ -12,7 +12,7 @@ from anonset import build_index, combine, generate_trace
 from anonset.heuristics import HEURISTIC_TAGS, pool_view, run_heuristics
 from anonset.metrics import (
     advantage_increase_from_reduction,
-    build_anonymity_report,
+    relative_advantage_increase,
     render_percent,
 )
 from anonset.synth import BEHAVIORS, BehaviorProfile, GeneratorConfig, standard_pools
@@ -41,11 +41,12 @@ combined_reductions = []
 for view in views:
     results = [by_pool_tag[(view.pool.pool_id, tag)] for tag in HEURISTIC_TAGS]
     merged = combine(view, results)
-    report = build_anonymity_report(view, results, merged)
-    sizes = " ".join(f"{s.size:>6}" for s in report.per_heuristic)
-    print(f"{report.pool_id:<6} {report.oas_size:>8} {sizes} "
-          f"{report.combined.size:>9} {render_percent(report.r_adv):>9}")
-    combined_reductions.append(report.combined.reduction)
+    observed = len(view.depositors)
+    sizes = " ".join(f"{r.size:>6}" for r in results)
+    gain = relative_advantage_increase(observed, merged.size)
+    print(f"{view.pool.pool_id:<6} {observed:>8} {sizes} "
+          f"{merged.size:>9} {render_percent(gain):>9}")
+    combined_reductions.append(Fraction(observed - merged.size, observed))
 
 mean = sum(combined_reductions, Fraction(0)) / len(combined_reductions)
 print(f"\nmean combined reduction: {render_percent(mean)}")

@@ -35,10 +35,8 @@ from .ledger import (
 from .indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from .heuristics import (
     HEURISTICS,
-    Cluster,
     HeuristicResult,
     PoolView,
-    clusters_from_links,
     combine,
     h1_reuse,
     h2_improper_sender,
@@ -49,10 +47,8 @@ from .heuristics import (
     run_heuristics,
 )
 from .metrics import (
-    AnonymityReport,
     adversary_advantage,
     advantage_increase_from_reduction,
-    build_anonymity_report,
     cluster_size_histogram,
     fund_then_deposit_flags,
     relative_advantage_increase,

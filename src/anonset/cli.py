@@ -34,7 +34,7 @@ from .errors import (
     InputError,
     ModeError,
 )
-from .ledger import DEPOSIT, WITHDRAWAL, LinkPair
+from .ledger import DEPOSIT, WITHDRAWAL, LinkPair, connected_components
 from .metrics import render_percent, render_ratio
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -195,6 +195,15 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # commands
 
 
+def _reduced_set_entry(observed: int, size: int) -> tuple[dict, Fraction | None]:
+    """A reduced set's report entry and reduction.  An idle pool, or a set a
+    heuristic empties, has none, and is left out of the averages."""
+    if not size:
+        return {"size": size, "reduction": None}, None
+    reduction = Fraction(observed - size, observed)
+    return {"size": size, "reduction": render_percent(reduction)}, reduction
+
+
 def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
@@ -209,42 +218,30 @@ def _cmd_anonymity(args) -> int:
     combined_reductions: list[Fraction] = []
     for pool in _selected_pools(args, dataset):
         view = views[pool.pool_id]
+        observed = len(view.depositors)
         per = [results[(pool.pool_id, tag)] for tag in tags]
-        combined = heuristics.combine(view, per) if args.combine else None
-        entry = {"pool_id": pool.pool_id, "at": t, "observed": len(view.depositors)}
-        row = [pool.pool_id, str(len(view.depositors))]
-        # an idle pool, or a set a heuristic empties, has nothing to reduce:
-        # its size is reported with no reduction or advantage and it is left
-        # out of the averages
-        report = None
-        if view.depositors:
-            report = metrics.build_anonymity_report(
-                view, [r for r in per if r.anonymity_set],
-                combined if combined is not None and combined.anonymity_set else None)
-        stats = {s.heuristic: s for s in report.per_heuristic} if report else {}
-        entry["adv_observed"] = str(report.adv_observed) if report else None
-        entry["heuristics"] = {}
+        entry = {"pool_id": pool.pool_id, "at": t, "observed": observed, "heuristics": {},
+                 "adv_observed": str(metrics.adversary_advantage(observed)) if observed else None}
+        row = [pool.pool_id, str(observed)]
         for r in per:
-            stat = stats.get(r.heuristic)
-            if stat is None:
-                entry["heuristics"][r.heuristic] = {"size": r.size, "reduction": None}
+            entry["heuristics"][r.heuristic], reduction = _reduced_set_entry(observed, r.size)
+            if reduction is None:
                 row.append(f"{r.size} (-)")
             else:
-                reductions[r.heuristic].append(stat.reduction)
-                entry["heuristics"][r.heuristic] = {
-                    "size": stat.size, "reduction": render_percent(stat.reduction)}
-                row.append(f"{stat.size} (-{render_percent(stat.reduction)})")
-        if report and report.combined:
-            combined_reductions.append(report.combined.reduction)
-            entry["combined"] = {"size": report.combined.size,
-                                 "reduction": render_percent(report.combined.reduction)}
-            entry["adv_reduced"] = str(report.adv_reduced)
-            entry["r_adv"] = render_percent(report.r_adv)
-            row.append(f"{report.combined.size} (+{render_percent(report.r_adv)} adv)")
-        elif combined is not None:
-            entry["combined"] = {"size": combined.size, "reduction": None}
-            entry["adv_reduced"] = entry["r_adv"] = None
-            row.append(f"{combined.size} (-)")
+                reductions[r.heuristic].append(reduction)
+                row.append(f"{r.size} (-{render_percent(reduction)})")
+        if args.combine:
+            size = heuristics.combine(view, per).size
+            entry["combined"], reduction = _reduced_set_entry(observed, size)
+            if reduction is None:
+                entry["adv_reduced"] = entry["r_adv"] = None
+                row.append(f"{size} (-)")
+            else:
+                combined_reductions.append(reduction)
+                r_adv = render_percent(metrics.relative_advantage_increase(observed, size))
+                entry["adv_reduced"] = str(metrics.adversary_advantage(size))
+                entry["r_adv"] = r_adv
+                row.append(f"{size} (+{r_adv} adv)")
         if args.tas:
             active = dataset.ground_truth.active_depositors.get(pool.pool_id, frozenset())
             entry["true_set"] = len(active)
@@ -281,21 +278,19 @@ def _cmd_clusters(args) -> int:
     t = _cut(args, dataset)
     tags = _parse_heuristics(args, dataset, linking_only=True)
     _, _, results = _run_heuristics(dataset, tags, t)
-    links: frozenset[LinkPair] = frozenset()
-    for result in results.values():
-        links |= result.link_pairs
-    clusters = heuristics.clusters_from_links(links)
+    links = frozenset().union(*(r.link_pairs for r in results.values()))
+    clusters = connected_components(links)
     histogram = metrics.cluster_size_histogram(clusters)
+    shares = {size: render_percent(Fraction(count, len(clusters)))
+              for size, count in histogram.items()}
     payload = {
         "command": "clusters", "at": t, "heuristics": list(tags),
         "linked_pairs": len(links), "clusters": len(clusters),
-        "histogram": {str(size): {"count": count,
-                                  "fraction": render_percent(histogram.fractions[size])}
-                      for size, count in histogram.counts.items()},
-        "members": [list(c.members) for c in clusters],
+        "histogram": {str(size): {"count": count, "fraction": shares[size]}
+                      for size, count in histogram.items()},
+        "members": [list(members) for members in clusters],
     }
-    rows = [[str(size), str(count), render_percent(histogram.fractions[size])]
-            for size, count in histogram.counts.items()]
+    rows = [[str(size), str(count), shares[size]] for size, count in histogram.items()]
     _write_report(args, "clusters", payload,
                   _table(["cluster size", "count", "share"], rows))
     return EXIT_OK

@@ -247,8 +247,8 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
              words: dict[str, str]) -> tuple:
     """Build one record per row of ``<name>.jsonl`` with ``parse``.
 
-    A record constructor's ``InputError`` is reported with the file and
-    line, and so is a record equal to an earlier one.  Sets
+    A record constructor's ``InputError`` is reported with the file, line
+    and the field it names, and a record equal to an earlier one too.  Sets
     ``counts[name]`` and returns the records in file order.
     """
     first_seen: dict[Any, int] = {}
@@ -256,7 +256,7 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
         try:
             record = parse(row)
         except InputError as exc:
-            raise IngestError(str(exc), file=row.file, line=row.line) from None
+            raise IngestError(str(exc), file=row.file, line=row.line, field=exc.field) from None
         # lines are unique, so another line number means an equal record
         first = first_seen.setdefault(record, row.line)
         if first != row.line:

@@ -13,7 +13,12 @@ class AnalysisError(Exception):
 
 class InputError(AnalysisError):
     """A caller violated an operation's precondition (bad argument,
-    mismatched pool, malformed address, ...)."""
+    mismatched pool, malformed address, ...).  A record constructor names
+    the ``field`` at fault, so ingestion can report it."""
+
+    def __init__(self, message: str, *, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(AnalysisError):

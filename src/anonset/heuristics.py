@@ -16,7 +16,8 @@ lexicographically smallest *depositor* member (a positive cluster always
 contains one, since a positive balance requires more deposits than
 withdrawals somewhere in the cluster).  The reduced set is therefore
 always a subset of the observed deposit-address set, and merging more
-links can only shrink it.
+links can only shrink it.  The clusters themselves come from
+:func:`ledger.connected_components`; this module holds none.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .ledger import (
     PoolConfig,
     PoolEvent,
     PoolState,
-    connected_components,
     deposit_actors,
     pool_state,
     reduced_set,
@@ -94,17 +94,6 @@ class HeuristicResult:
     @property
     def size(self) -> int:
         return len(self.anonymity_set)
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A maximal set of mutually linked addresses."""
-
-    members: tuple[Address, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def _result(tag: str, view: PoolView, links: Iterable[LinkPair]) -> HeuristicResult:
@@ -193,50 +182,53 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     same set of more than one pool, moved identical per-pool totals, and
     every withdrawal can be matched to an earlier deposit in its pool
     (equivalently, after sorting both sides per pool, each deposit
-    precedes its same-rank withdrawal).  Each pool's anonymity set is then
-    simplified with the pairs that involve it.
+    precedes its same-rank withdrawal).  Pools are matched within each
+    coin, so a pool that is the only one of its coin gets no links.  Each
+    pool's anonymity set is then simplified with the pairs that involve it.
     """
     view_list = sorted(views, key=lambda v: v.pool.pool_id)
     if len(view_list) < 2:
         raise InputError("cross-pool matching needs at least two pools")
-    if len({v.pool.coin for v in view_list}) != 1:
-        raise InputError("cross-pool matching expects pools of one coin")
     if len({v.t for v in view_list}) != 1:
         raise InputError("cross-pool matching needs every pool at one cut")
-
-    dep_blocks: dict[Address, dict[str, list]] = {}
-    wd_blocks: dict[Address, dict[str, list]] = {}
-    for view in view_list:
-        for e in view.events:
-            table = dep_blocks if e.kind == DEPOSIT else wd_blocks
-            table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e.block)
 
     def signature(per_pool: dict[str, list]) -> tuple:
         return tuple(sorted((pid, len(blocks)) for pid, blocks in per_pool.items()))
 
-    by_sig_d: dict[tuple, list[Address]] = {}
-    for d, per_pool in dep_blocks.items():
-        if len(per_pool) > 1:
-            by_sig_d.setdefault(signature(per_pool), []).append(d)
-    by_sig_w: dict[tuple, list[Address]] = {}
-    for w, per_pool in wd_blocks.items():
-        if len(per_pool) > 1:
-            by_sig_w.setdefault(signature(per_pool), []).append(w)
-
+    by_coin: dict[str, list[PoolView]] = {}
+    for view in view_list:
+        by_coin.setdefault(view.pool.coin, []).append(view)
     pairs_by_pool: dict[str, set[LinkPair]] = {v.pool.pool_id: set() for v in view_list}
-    for sig, ds in by_sig_d.items():
-        for w in by_sig_w.get(sig, []):
-            for d in ds:
-                if d == w:
-                    continue
-                if all(
-                    all(td < tw for td, tw in zip(sorted(dep_blocks[d][pid]),
-                                                  sorted(wd_blocks[w][pid])))
-                    for pid, _count in sig
-                ):
-                    pair = LinkPair(d, w, source=H5)
-                    for pid, _count in sig:
-                        pairs_by_pool[pid].add(pair)
+    for coin_views in by_coin.values():
+        dep_blocks: dict[Address, dict[str, list]] = {}
+        wd_blocks: dict[Address, dict[str, list]] = {}
+        for view in coin_views:
+            for e in view.events:
+                table = dep_blocks if e.kind == DEPOSIT else wd_blocks
+                table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e.block)
+
+        by_sig_d: dict[tuple, list[Address]] = {}
+        for d, per_pool in dep_blocks.items():
+            if len(per_pool) > 1:
+                by_sig_d.setdefault(signature(per_pool), []).append(d)
+        by_sig_w: dict[tuple, list[Address]] = {}
+        for w, per_pool in wd_blocks.items():
+            if len(per_pool) > 1:
+                by_sig_w.setdefault(signature(per_pool), []).append(w)
+
+        for sig, ds in by_sig_d.items():
+            for w in by_sig_w.get(sig, []):
+                for d in ds:
+                    if d == w:
+                        continue
+                    if all(
+                        all(td < tw for td, tw in zip(sorted(dep_blocks[d][pid]),
+                                                      sorted(wd_blocks[w][pid])))
+                        for pid, _count in sig
+                    ):
+                        pair = LinkPair(d, w, source=H5)
+                        for pid, _count in sig:
+                            pairs_by_pool[pid].add(pair)
 
     return {v.pool.pool_id: _result(H5, v, pairs_by_pool[v.pool.pool_id])
             for v in view_list}
@@ -304,9 +296,3 @@ def run_heuristics(tags: Iterable[str], views: Sequence[PoolView],
         results.update(((pool_id, tag), r) for pool_id, r in per_pool.items())
     return results
 
-
-def clusters_from_links(pairs: Iterable[LinkPair]) -> tuple[Cluster, ...]:
-    """Connected components of the link graph, members sorted, clusters
-    ordered by their first member."""
-    return tuple(Cluster(members=tuple(sorted(component)))
-                 for component in connected_components(pairs))

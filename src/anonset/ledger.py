@@ -81,7 +81,7 @@ class Transfer:
 
     def __post_init__(self):
         if self.amount < 0:
-            raise InputError(f"negative transfer amount: {self.amount}")
+            raise InputError(f"negative transfer amount: {self.amount}", field="amount")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,9 +96,11 @@ class PoolConfig:
 
     def __post_init__(self):
         if self.denomination <= 0:
-            raise InputError(f"pool {self.pool_id}: denomination must be positive")
+            raise InputError(f"pool {self.pool_id}: denomination must be positive",
+                             field="denomination")
         if self.am_weight <= 0:
-            raise InputError(f"pool {self.pool_id}: mining weight must be positive")
+            raise InputError(f"pool {self.pool_id}: mining weight must be positive",
+                             field="am_weight")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,11 +121,11 @@ class PoolEvent:
 
     def __post_init__(self):
         if self.kind not in (DEPOSIT, WITHDRAWAL):
-            raise InputError(f"unknown pool event kind: {self.kind!r}")
+            raise InputError(f"unknown pool event kind: {self.kind!r}", field="kind")
         if self.kind == DEPOSIT and self.relayer is not None:
-            raise InputError("deposits cannot carry a relayer")
+            raise InputError("deposits cannot carry a relayer", field="relayer")
         if self.relayer is not None and self.tx_sender != self.relayer:
-            raise InputError("relayed withdrawal must be signed by its relayer")
+            raise InputError("relayed withdrawal must be signed by its relayer", field="tx_sender")
 
 
 @dataclass(frozen=True)
@@ -215,9 +217,9 @@ def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> PoolSta
     return PoolState(entries=entries, as_of=t)
 
 
-def connected_components(pairs: Iterable[LinkPair]) -> tuple[frozenset[Address], ...]:
-    """Connected components of the undirected link graph, as address sets
-    sorted by their smallest member."""
+def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...], ...]:
+    """Connected components of the undirected link graph, each a sorted
+    member tuple, ordered by their smallest member."""
     parent: dict[Address, Address] = {}
 
     def find(a: Address) -> Address:
@@ -237,10 +239,11 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[frozenset[Address],
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             parent[hi] = lo
 
-    groups: dict[Address, set[Address]] = {}
+    groups: dict[Address, list[Address]] = {}
     for a in parent:
-        groups.setdefault(find(a), set()).add(a)
-    return tuple(frozenset(groups[root]) for root in sorted(groups))
+        groups.setdefault(find(a), []).append(a)
+    # a root is its component's smallest member
+    return tuple(tuple(sorted(groups[root])) for root in sorted(groups))
 
 
 def cluster_balances(state: PoolState, links: Iterable[LinkPair],
@@ -261,10 +264,9 @@ def cluster_balances(state: PoolState, links: Iterable[LinkPair],
     entries = state.entries
     linked: set[Address] = set()
     clusters = []
-    for component in connected_components(links):
-        linked |= component
-        clusters.append((tuple(sorted(component)),
-                         sum(entries.get(a, 0) for a in component)))
+    for members in connected_components(links):
+        linked.update(members)
+        clusters.append((members, sum(entries.get(a, 0) for a in members)))
     clusters.extend(((a,), b) for a, b in entries.items() if a not in linked)
     return clusters
 

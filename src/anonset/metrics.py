@@ -1,18 +1,18 @@
-"""Anonymity-set sizes, adversary metrics, and usage statistics.
+"""Adversary odds over set sizes, cluster-size counts, usage statistics.
 
 Every ratio here is an exact :class:`fractions.Fraction`; rounding happens
 only when a report is rendered, so repeated computation and comparison of
-metrics never drifts.
+metrics never drifts.  Nothing here reads a heuristic result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
-from .heuristics import Cluster, HeuristicResult, PoolView
 from .indexing import LabelBook
 from .ledger import (
     WITHDRAWAL,
@@ -55,21 +55,9 @@ def advantage_increase_from_reduction(reduction: Fraction) -> Fraction:
     return 1 / (1 - Fraction(reduction)) - 1
 
 
-@dataclass(frozen=True)
-class ClusterHistogram:
-    counts: Mapping[int, int]
-
-    @property
-    def fractions(self) -> dict[int, Fraction]:
-        total = sum(self.counts.values())
-        return {size: Fraction(n, total) for size, n in self.counts.items()}
-
-
-def cluster_size_histogram(clusters: Iterable[Cluster]) -> ClusterHistogram:
-    counts: dict[int, int] = {}
-    for c in clusters:
-        counts[c.size] = counts.get(c.size, 0) + 1
-    return ClusterHistogram(counts=dict(sorted(counts.items())))
+def cluster_size_histogram(clusters: Iterable[Sequence[Address]]) -> dict[int, int]:
+    """``{size: count}`` over member tuples, in ascending size order."""
+    return dict(sorted(Counter(map(len, clusters)).items()))
 
 
 @dataclass(frozen=True)
@@ -159,52 +147,6 @@ def fund_then_deposit_flags(pools: Iterable[PoolConfig],
             address=addr, first_withdrawal=wd, first_deposit=dep,
             total_deposited=volume[addr], labels=labels.labels_for(addr)))
     return tuple(sorted(flags, key=lambda f: f.address))
-
-
-@dataclass(frozen=True)
-class HeuristicStat:
-    heuristic: str
-    size: int
-    reduction: Fraction
-
-
-@dataclass(frozen=True)
-class AnonymityReport:
-    """Per-pool summary: observed set, per-heuristic reduced sets, and the
-    adversary's exact odds before and after reduction."""
-
-    pool_id: str
-    as_of: int
-    oas_size: int
-    per_heuristic: tuple[HeuristicStat, ...]
-    combined: HeuristicStat | None
-    adv_observed: Fraction
-    adv_reduced: Fraction | None
-    r_adv: Fraction | None
-
-
-def build_anonymity_report(view: PoolView, results: Sequence[HeuristicResult],
-                           combined: HeuristicResult | None = None) -> AnonymityReport:
-    pool, t, oas = view.pool, view.t, view.depositors
-    if not oas:
-        raise DomainError(f"pool {pool.pool_id} has no depositors at {t}")
-
-    def stat(r: HeuristicResult) -> HeuristicStat:
-        if not r.anonymity_set:
-            raise DomainError(
-                f"{r.heuristic} empties pool {pool.pool_id}: no positive balance left")
-        return HeuristicStat(
-            heuristic=r.heuristic, size=r.size,
-            reduction=Fraction(len(oas) - r.size, len(oas)))
-
-    per = tuple(stat(r) for r in results)
-    comb = stat(combined) if combined is not None else None
-    return AnonymityReport(
-        pool_id=pool.pool_id, as_of=t, oas_size=len(oas),
-        per_heuristic=per, combined=comb,
-        adv_observed=adversary_advantage(len(oas)),
-        adv_reduced=adversary_advantage(comb.size) if comb else None,
-        r_adv=relative_advantage_increase(len(oas), comb.size) if comb else None)
 
 
 def render_ratio(value: Fraction, places: int = 2) -> str:

@@ -51,9 +51,9 @@ class APClaim:
 
     def __post_init__(self):
         if self.ap < 0:
-            raise InputError("converted points cannot be negative")
+            raise InputError("converted points cannot be negative", field="ap")
         if self.block < 0:
-            raise InputError("claim block cannot be negative")
+            raise InputError("claim block cannot be negative", field="block")
 
 
 @dataclass(frozen=True)

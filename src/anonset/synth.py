@@ -40,7 +40,7 @@ from .ledger import (
     Transfer,
     pool_state,
 )
-from .mining import APClaim
+from .mining import DEFAULT_AM_WEIGHTS, APClaim
 
 DISCIPLINED = "disciplined"
 H1_REUSER = "h1-reuser"
@@ -96,6 +96,12 @@ def _relayer_addr(i: int) -> Address:
     return f"0x{'e' * 30}{i:08x}02"
 
 
+FIRST_BLOCK = 1_000  # every trace starts here
+RELAYER_COUNT = 3
+SPECULATOR_MAX_DEPOSITS = 3  # a speculator makes 1 to this many deposits
+ATTACKER_MIN_VOLUME = 2_000  # base units each attacker deposits at least
+
+
 @dataclass(frozen=True)
 class BehaviorProfile:
     """Exact user-mix fractions per behavior; they must sum to one."""
@@ -136,14 +142,13 @@ class BehaviorProfile:
         return {b: n for b, n in out.items() if n}
 
 
-def standard_pools(coin: str = "ETH", scale: int = 1000) -> tuple[PoolConfig, ...]:
-    """The canonical four denominations with their mining weights, in base
-    units of ``scale`` per coin."""
-    table = (("0.1", scale // 10, 10), ("1", scale, 20),
-             ("10", scale * 10, 50), ("100", scale * 100, 400))
-    return tuple(PoolConfig(pool_id=f"P{label}", coin=coin,
-                            denomination=denom, am_weight=weight)
-                 for label, denom, weight in table)
+def standard_pools() -> tuple[PoolConfig, ...]:
+    """The canonical four ETH pools, one per denomination of
+    :data:`mining.DEFAULT_AM_WEIGHTS` and with its mining weight, at 1000
+    base units per ETH."""
+    return tuple(PoolConfig(pool_id=f"P{label}", coin="ETH",
+                            denomination=int(Fraction(label) * 1000), am_weight=weight)
+                 for label, weight in DEFAULT_AM_WEIGHTS.items())
 
 
 @dataclass(frozen=True)
@@ -152,11 +157,7 @@ class GeneratorConfig:
     pools: tuple[PoolConfig, ...]
     user_count: int
     block_span: int
-    first_block: int = 1_000
     am_launch: int | None = None
-    speculator_max_deposits: int = 3
-    attacker_min_volume: int = 2_000
-    relayer_count: int = 3
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ class SynthTrace:
 
 
 class _Builder:
-    def __init__(self, first_block: int):
-        self.cursor = first_block - 1
+    def __init__(self):
+        self.cursor = FIRST_BLOCK - 1
         self.events: list[PoolEvent] = []
         self.transfers: list[Transfer] = []
         self.token_transfers: list[Transfer] = []
@@ -285,8 +286,8 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     (coin,) = coins
 
     prng = Prng(seed)
-    build = _Builder(config.first_block)
-    relayers = tuple(_relayer_addr(i) for i in range(config.relayer_count))
+    build = _Builder()
+    relayers = tuple(_relayer_addr(i) for i in range(RELAYER_COUNT))
     planted: dict[str, set[LinkPair]] = {h: set() for h in ("h1", "h2", "h3", "h4", "h5")}
     user_links: set[LinkPair] = set()
     reusers: set[Address] = set()
@@ -387,7 +388,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
 
             elif behavior == AM_SPECULATOR:
                 pool = one_pool()
-                n = prng.randint(1, max(1, config.speculator_max_deposits))
+                n = prng.randint(1, SPECULATOR_MAX_DEPOSITS)
                 build.fund(FAUCET, d, n * pool.denomination, coin)
                 dep_blocks = [build.deposit(pool, d).block.height for _ in range(n)]
                 wd_blocks = [build.withdraw(pool, w, relayer=rel()).block.height
@@ -404,19 +405,19 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
             elif behavior == ATTACKER:
                 pool = one_pool()
                 build.withdraw(pool, d, relayer=rel())
-                n = max(1, -(-config.attacker_min_volume // pool.denomination))
+                n = -(-ATTACKER_MIN_VOLUME // pool.denomination)
                 build.fund(FAUCET, d, n * pool.denomination, coin)
                 for _ in range(n):
                     build.deposit(pool, d)
                 attackers.add(d)
 
-    last_block = config.first_block + config.block_span
+    last_block = FIRST_BLOCK + config.block_span
     if build.cursor > last_block:
         raise ConfigError(
             f"block span {config.block_span} too small: trace needs "
-            f"{build.cursor - config.first_block + 1} blocks")
+            f"{build.cursor - FIRST_BLOCK + 1} blocks")
     if config.am_launch is not None and not (
-            config.first_block < config.am_launch <= last_block):
+            FIRST_BLOCK < config.am_launch <= last_block):
         raise ConfigError("mining launch must fall inside the block span")
 
     labels: dict[Address, tuple[str, ...]] = {FAUCET: ("exchange",)}
@@ -443,7 +444,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         relayers=relayers,
         ap_claims=tuple(build.claims),
         am_launch=config.am_launch,
-        first_block=config.first_block,
+        first_block=FIRST_BLOCK,
         last_block=last_block,
         ground_truth=GroundTruth(
             links_by_heuristic={h: frozenset(v) for h, v in planted.items()},

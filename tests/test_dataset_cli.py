@@ -11,7 +11,13 @@ import pytest
 from anonset.cli import main
 from anonset.dataset import RECORD_FILES, ingest, write_dataset
 from anonset.errors import IngestError
-from anonset.heuristics import h2_improper_sender, h3_related_pair, pool_view
+from anonset.heuristics import (
+    h1_reuse,
+    h2_improper_sender,
+    h3_related_pair,
+    h5_cross_pool,
+    pool_view,
+)
 from anonset.synth import (
     BEHAVIORS,
     BehaviorProfile,
@@ -115,6 +121,24 @@ class TestIngestValidation:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestError, match=r"line=1.*field=actor"):
             ingest(dataset_dir)
+
+    @pytest.mark.parametrize("name, row, field, value", [
+        ("pool_events", lambda r: True, "kind", "depozit"),
+        ("pools", lambda r: True, "am_weight", 0),
+        ("pools", lambda r: True, "denomination", "0"),
+        ("pool_events", lambda r: r["kind"] == "deposit", "relayer", A1),
+        ("pool_events", lambda r: r["relayer"] is not None, "tx_sender", A1),
+    ], ids=["kind", "am_weight", "denomination", "deposit-relayer", "unsigned-relayed"])
+    def test_record_check_names_the_field(self, dataset_dir, name, row, field, value):
+        # the first row ``row`` accepts moves to line 1 and gets the edit
+        path = dataset_dir / f"{name}.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        record = records.pop(next(i for i, r in enumerate(records) if row(r)))
+        record[field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in [record] + records))
+        with pytest.raises(IngestError) as info:
+            ingest(dataset_dir)
+        assert str(info.value).endswith(f" [file={name}.jsonl, line=1, field={field}]")
 
     @pytest.mark.parametrize("name", [n for n in RECORD_FILES if n != "labels"])
     def test_duplicate_record_rejected(self, dataset_dir, name):
@@ -728,6 +752,40 @@ class TestIdlePools:
         self._assert_idle(idle)
         assert [e for e in after["pools"] if e["pool_id"] != "PX"] == before["pools"]
         assert after["average_reduction"] == before["average_reduction"]
+
+
+class TestTwoCoins:
+    def test_pool_alone_in_its_coin_gets_no_h5_links(self, dataset_dir, tmp_path):
+        def views():
+            dataset = ingest(dataset_dir)
+            index = dataset.build_index()
+            return {p.pool_id: pool_view(index, p, dataset.manifest.last_block)
+                    for p in dataset.pools}
+
+        assert h5_cross_pool(views().values())["P100"].link_pairs  # before the edit
+        path = dataset_dir / "pools.jsonl"
+        pools = [json.loads(line) for line in path.read_text().splitlines()]
+        for pool in pools:
+            if pool["pool_id"] == "P100":
+                pool["coin"] = "BNB"
+        path.write_text("".join(json.dumps(pool) + "\n" for pool in pools))
+        for command in (["anonymity", "--combine"], ["clusters"],
+                        ["validate", "--gt", "debank"]):
+            assert main([*command, "--data", str(dataset_dir),
+                         "--out", str(tmp_path / "out")]) == 0
+
+        after = views()
+        results = h5_cross_pool(after.values())
+        eth = h5_cross_pool(v for v in after.values() if v.pool.coin == "ETH")
+        assert set(eth) == {"P0.1", "P1", "P10"}
+        assert any(r.link_pairs for r in eth.values())
+        for pool_id, alone in eth.items():
+            assert results[pool_id].anonymity_set == alone.anonymity_set
+        assert results["P100"].link_pairs == frozenset()
+        assert results["P100"].anonymity_set == h1_reuse(after["P100"]).anonymity_set
+        report = json.loads((tmp_path / "out" / "anonymity.json").read_text())
+        assert {e["pool_id"]: e["heuristics"]["h5"]["size"] for e in report["pools"]} == \
+            {pool_id: r.size for pool_id, r in results.items()}
 
 
 def _write_pools_dataset(data: Path, pools, events) -> None:

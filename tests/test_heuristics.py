@@ -6,7 +6,6 @@ import pytest
 
 from anonset.errors import InputError
 from anonset.heuristics import (
-    clusters_from_links,
     combine,
     h1_reuse,
     h2_improper_sender,
@@ -241,50 +240,6 @@ class TestCombine:
         r3 = h3_related_pair(v)
         combined = combine(v, [r2, r3])
         assert combined.size <= min(r2.size, r3.size)
-
-
-class TestClusters:
-    def test_transitive_cluster(self):
-        a, b, c = (addr(f"t{i}") for i in range(3))
-        (cluster,) = clusters_from_links([LinkPair(a, b), LinkPair(b, c)])
-        assert cluster.members == tuple(sorted((a, b, c)))
-        assert cluster.size == 3
-
-    def test_empty(self):
-        assert clusters_from_links([]) == ()
-
-    def test_random_graph_matches_bfs_oracle(self):
-        rng = random.Random(17)
-        nodes = [addr(f"g{i}") for i in range(40)]
-        pairs = []
-        seen = set()
-        while len(pairs) < 200:
-            a, b = rng.sample(nodes, 2)
-            if (min(a, b), max(a, b)) in seen:
-                continue
-            seen.add((min(a, b), max(a, b)))
-            pairs.append(LinkPair(a, b))
-        got = {c.members for c in clusters_from_links(pairs)}
-
-        adjacency: dict[str, set[str]] = {}
-        for p in pairs:
-            adjacency.setdefault(p.a1, set()).add(p.a2)
-            adjacency.setdefault(p.a2, set()).add(p.a1)
-        expected = set()
-        visited: set[str] = set()
-        for start in adjacency:
-            if start in visited:
-                continue
-            queue, component = [start], set()
-            while queue:
-                node = queue.pop()
-                if node in component:
-                    continue
-                component.add(node)
-                queue.extend(adjacency[node] - component)
-            visited |= component
-            expected.add(tuple(sorted(component)))
-        assert got == expected
 
 
 class TestContainmentInvariants:

@@ -1,5 +1,6 @@
-"""Import guards: the runtime is pure standard library, and the mining
-model stays free of the heuristic, index and metrics layers."""
+"""Import guards: the runtime is pure standard library, the mining model
+stays free of the heuristic, index and metrics layers, and the metrics
+stay free of the heuristics."""
 
 from __future__ import annotations
 
@@ -33,18 +34,22 @@ def test_module_imports_only_stdlib_or_relative(module):
     assert not foreign, f"{module.name} imports {sorted(foreign)}"
 
 
-def test_mining_loads_no_analysis_layer():
+@pytest.mark.parametrize("module,layers", [
+    ("anonset.mining", ("anonset.heuristics", "anonset.indexing", "anonset.metrics")),
+    ("anonset.metrics", ("anonset.heuristics",)),
+], ids=["mining", "metrics"])
+def test_module_loads_no_analysis_layer(module, layers):
     # a bare package object stands in for anonset/__init__.py, which
-    # imports every module; what is left loaded is mining's own closure
+    # imports every module; what is left loaded is the module's own closure
     code = (
         "import importlib, sys, types\n"
         "pkg = types.ModuleType('anonset')\n"
         f"pkg.__path__ = [{str(PACKAGE)!r}]\n"
         "sys.modules['anonset'] = pkg\n"
-        "importlib.import_module('anonset.mining')\n"
+        f"importlib.import_module({module!r})\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('anonset.'))))\n")
     loaded = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True).stdout.split()
-    assert "anonset.mining" in loaded
-    for layer in ("anonset.heuristics", "anonset.indexing", "anonset.metrics"):
+    assert module in loaded
+    for layer in layers:
         assert layer not in loaded

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from anonset.errors import DomainError, InputError
-from anonset.heuristics import Cluster, h1_reuse
+from anonset.heuristics import h1_reuse
 from anonset.indexing import LabelBook
 from anonset.ledger import PoolConfig, PoolState, pool_state
 from anonset.metrics import (
     adversary_advantage,
     advantage_increase_from_reduction,
-    build_anonymity_report,
     cluster_size_histogram,
     fund_then_deposit_flags,
     relative_advantage_increase,
@@ -76,16 +75,15 @@ class TestAdvantage:
 
 class TestHistogram:
     def test_single_pair_cluster(self):
-        histogram = cluster_size_histogram([Cluster(members=(D1, W1))])
-        assert histogram.counts == {2: 1}
-        assert histogram.fractions == {2: Fraction(1)}
+        assert cluster_size_histogram([(D1, W1)]) == {2: 1}
 
     def test_counting(self):
-        clusters = [Cluster(members=tuple(addr(f"x{i}{j}") for j in range(size)))
-                    for i, size in enumerate((2, 2, 5))]
+        clusters = [tuple(addr(f"x{i}{j}") for j in range(size))
+                    for i, size in enumerate((5, 2, 2))]
         histogram = cluster_size_histogram(clusters)
-        assert histogram.counts == {2: 2, 5: 1}
-        assert sum(histogram.fractions.values()) == 1
+        assert histogram == {2: 2, 5: 1}
+        assert list(histogram) == [2, 5]  # ascending size
+        assert sum(Fraction(n, len(clusters)) for n in histogram.values()) == 1
 
 
 class TestRelayerUsage:
@@ -145,18 +143,16 @@ class TestFundThenDeposit:
 class TestReport:
     def test_report_fields_are_exact(self, p100, p100_events):
         v = view(p100, p100_events, 100)
-        r1 = h1_reuse(v)
-        report = build_anonymity_report(v, [r1], combined=r1)
-        assert report.oas_size == 2
-        assert report.adv_observed == Fraction(1, 2)
-        assert report.r_adv == Fraction(report.oas_size, report.combined.size) - 1
+        observed, reduced = len(v.depositors), h1_reuse(v).size
+        assert observed == 2
+        assert adversary_advantage(observed) == Fraction(1, 2)
+        assert relative_advantage_increase(observed, reduced) == Fraction(observed, reduced) - 1
 
     def test_drained_pool_raises(self, p100):
         events = [deposit("P100", D1, 1), withdrawal("P100", D1, 2)]
         v = view(p100, events, 10)
-        r1 = h1_reuse(v)
         with pytest.raises(DomainError):
-            build_anonymity_report(v, [r1], combined=r1)
+            adversary_advantage(h1_reuse(v).size)
 
 
 class TestRendering:

@@ -163,11 +163,13 @@ class TestSpeculators:
             assert recomputed == record.ap
 
     def test_single_deposit_mode_classifies_one_one_one(self):
-        trace = generate_trace(config_for(AM_SPECULATOR, users=10,
-                                          speculator_max_deposits=1), seed=13)
+        trace = generate_trace(config_for(AM_SPECULATOR, users=10), seed=13)
         deposits = [e for e in trace.events if e.kind == "deposit"]
-        for claim in trace.ap_claims:
-            assert classify_claimant(claim.recipient, deposits,
+        singles = [r.recipient for r in trace.ground_truth.am_truth
+                   if len(r.deposit_blocks) == 1]
+        assert singles
+        for recipient in singles:
+            assert classify_claimant(recipient, deposits,
                                      trace.ap_claims) == "one-one-one"
 
 
