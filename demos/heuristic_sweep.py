@@ -27,9 +27,10 @@ trace = generate_trace(config, seed=2718)
 t = trace.last_block
 index = build_index(trace.transfers, trace.token_transfers, trace.events,
                     dict(trace.labels))
+planted = frozenset().union(*trace.ground_truth.links_by_heuristic.values())
 
 print(f"trace: {len(trace.events)} pool events, {len(trace.transfers)} transfers, "
-      f"{len(trace.ground_truth.links)} planted links\n")
+      f"{len(planted)} planted links\n")
 print(f"{'pool':<6} {'observed':>8} {'h1':>6} {'h2':>6} {'h3':>6} {'h4':>6} "
       f"{'h5':>6} {'combined':>9} {'adv gain':>9}")
 
@@ -53,7 +54,6 @@ print(f"\nmean combined reduction: {render_percent(mean)}")
 print(f"implied linkability gain: "
       f"{render_percent(advantage_increase_from_reduction(mean))}")
 
-planted = trace.ground_truth.links
 found = frozenset().union(*(r.link_pairs for r in by_pool_tag.values()))
 print(f"\nplanted links recovered: {len(found & planted)}/{len(planted)}, "
       f"spurious: {len(found - planted)}")

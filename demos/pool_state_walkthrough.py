@@ -32,19 +32,19 @@ events = [
 print("history: d1 deposits once, d2 twice, w1 withdraws once (p = 100)\n")
 
 state = pool_state(pool, events, t=100)
-for address, balance in sorted(state.entries.items()):
+for address, balance in sorted(state.items()):
     print(f"  balance {address[:10]}…  {balance:+d}")
-print(f"  total {state.total():+d}  (3 deposits - 1 withdrawal = +200)")
+print(f"  total {sum(state.values()):+d}  (3 deposits - 1 withdrawal = +200)")
 
-print(f"\nd2 alone: {state.entries.get(D2, 0):+d}")
+print(f"\nd2 alone: {state.get(D2, 0):+d}")
 
 print("\nthe observed anonymity set is {d1, d2}: two candidate depositors")
 print(f"adversary advantage: {adversary_advantage(2)} per withdrawal\n")
 
 print("now assert that d1 and w1 are the same owner (link evidence):")
 linked = simplify_state(state, [LinkPair(D1, W1)])
-for address, balance in sorted(linked.entries.items()):
+for address, balance in sorted(linked.items()):
     print(f"  merged {address[:10]}…  {balance:+d}")
-print("\nnon-zero view:", {a[:10] + "…": b for a, b in linked.entries.items() if b})
+print("\nnon-zero view:", {a[:10] + "…": b for a, b in linked.items() if b})
 print("only d2 still plausibly holds a note; the withdrawal hides behind one")
 print(f"address, and the adversary advantage is now {adversary_advantage(1)}")

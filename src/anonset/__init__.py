@@ -24,7 +24,6 @@ from .ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
-    PoolState,
     Transfer,
     cluster_balances,
     normalize_address,
@@ -81,6 +80,6 @@ from .synth import (
     generate_trace,
     standard_pools,
 )
-from .dataset import Dataset, ingest, write_dataset
+from .dataset import Dataset, ingest, read_ground_truth, write_dataset
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import groundtruth as gt_mod
 from . import heuristics, metrics, mining, synth
-from .dataset import Dataset, ingest, write_dataset
+from .dataset import Dataset, ingest, read_ground_truth, write_dataset
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -51,6 +51,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def _at_least(low: int):
+    """An ``int`` argument type that refuses values below ``low``, so a bad
+    value fails at parse time, before any dataset is read."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,17 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = data_command("flows", "distance-n extensions and coin-flow aggregation")
     p.add_argument("--at", type=int)
-    p.add_argument("--distance", type=int, default=2)
+    p.add_argument("--distance", type=_at_least(1), default=2)
     p.set_defaults(handler=_cmd_flows)
 
     p = data_command("flags", "withdraw-first addresses re-depositing large volume")
-    p.add_argument("--threshold", type=int,
+    p.add_argument("--threshold", type=_at_least(0),
                    default=metrics.DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD,
                    help="minimum deposited volume in base units")
     p.set_defaults(handler=_cmd_flags)
 
     p = data_command("am-link", "classify reward claimants and solve their timing")
-    p.add_argument("--search-cap", type=int, default=mining.DEFAULT_SEARCH_CAP)
+    p.add_argument("--search-cap", type=_at_least(1), default=mining.DEFAULT_SEARCH_CAP)
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when every solver run is inconclusive")
     p.set_defaults(handler=_cmd_am_link)
@@ -208,7 +220,8 @@ def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
     tags = _parse_heuristics(args, dataset)
-    if args.tas and not dataset.has_ground_truth:
+    truth = read_ground_truth(args.data) if args.tas else None
+    if args.tas and truth is None:
         raise ModeError("--tas needs a synthetic dataset with ground truth")
     _, views, results = _run_heuristics(dataset, tags, t)
 
@@ -243,7 +256,7 @@ def _cmd_anonymity(args) -> int:
                 entry["r_adv"] = r_adv
                 row.append(f"{size} (+{r_adv} adv)")
         if args.tas:
-            active = dataset.ground_truth.active_depositors.get(pool.pool_id, frozenset())
+            active = truth.active_depositors.get(pool.pool_id, frozenset())
             entry["true_set"] = len(active)
             row.append(str(len(active)))
         pools_payload.append(entry)
@@ -322,8 +335,6 @@ def _cmd_relayers(args) -> int:
 def _cmd_flows(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    if args.distance < 1:
-        raise InputError("distance must be at least 1")
     index = dataset.build_index()
     distances = range(1, args.distance + 1)
     pools_payload, rows = [], []

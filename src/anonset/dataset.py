@@ -6,10 +6,10 @@ name the file, line, and field.  Amounts travel as decimal strings in
 base units so no reader ever needs floating point; block numbers are
 plain unsigned integers.
 
-The synthetic generator emits exactly this layout (plus an optional
+The synthetic generator emits exactly this layout (plus a
 ``ground_truth.json`` sidecar), so generated traces round-trip through
-ingestion losslessly.  The sidecar's presence is what marks a dataset as
-synthetic: analyses that need true balances refuse to run without it.
+ingestion losslessly.  ``ingest`` never opens the sidecar; only
+:func:`read_ground_truth` reads and validates it, for ``anonymity --tas``.
 
 Emission streams each record file line by line in a fixed record order,
 with no whole file held in memory.  Pool events and transfers, nearly
@@ -59,25 +59,18 @@ class Manifest:
 
 @dataclass(frozen=True)
 class Dataset:
-    path: Path
     manifest: Manifest
     pools: tuple[PoolConfig, ...]
     events: tuple[PoolEvent, ...]
     transfers: tuple[Transfer, ...]
     token_transfers: tuple[Transfer, ...]
     labels: LabelBook
-    relayers: tuple[Address, ...]
     ap_claims: tuple[APClaim, ...]
     ens_transfers: tuple[NameTransfer, ...]
     ens_subdomains: tuple[SubdomainGrant, ...]
     airdrop_claims: tuple[Transfer, ...]
     follow_edges: tuple[FollowEdge, ...]
-    ground_truth: GroundTruth | None
     counts: Mapping[str, int]
-
-    @property
-    def has_ground_truth(self) -> bool:
-        return self.ground_truth is not None
 
     def pool(self, pool_id: str) -> PoolConfig:
         for p in self.pools:
@@ -344,8 +337,7 @@ def ingest(path: str | Path) -> Dataset:
         label_map.setdefault(r.address("address"), set()).add(label)
         counts["labels"] += 1
 
-    relayers = read("relayers", lambda r: r.address("address"))
-    for addr in relayers:
+    for addr in read("relayers", lambda r: r.address("address")):
         label_map.setdefault(addr, set()).add("relayer")
 
     claims = read("ap_claims", ap_claim)
@@ -363,22 +355,24 @@ def ingest(path: str | Path) -> Dataset:
     edges = read("follow_edges", lambda r: FollowEdge(
         follower=r.address("follower"), followed=r.address("followed")))
 
-    ground_truth = None
-    gt_path = path / GROUND_TRUTH_FILE
-    if gt_path.exists():
-        try:
-            ground_truth = _parse_ground_truth(
-                json.loads(_read_text(gt_path, GROUND_TRUTH_FILE)))
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"invalid JSON: {exc.msg}", file=GROUND_TRUTH_FILE)
-
     return Dataset(
-        path=path, manifest=manifest, pools=tuple(sorted(pools, key=lambda p: p.pool_id)),
+        manifest=manifest, pools=tuple(sorted(pools, key=lambda p: p.pool_id)),
         events=events, transfers=transfers, token_transfers=token_transfers,
         labels=LabelBook({a: frozenset(tags) for a, tags in label_map.items()}),
-        relayers=relayers, ap_claims=claims, ens_transfers=ens_transfers,
-        ens_subdomains=subdomains, airdrop_claims=airdrops, follow_edges=edges,
-        ground_truth=ground_truth, counts=counts)
+        ap_claims=claims, ens_transfers=ens_transfers, ens_subdomains=subdomains,
+        airdrop_claims=airdrops, follow_edges=edges, counts=counts)
+
+
+def read_ground_truth(path: str | Path) -> GroundTruth | None:
+    """Validate and load a dataset's ``ground_truth.json`` sidecar, or
+    return None when the dataset has none."""
+    gt_path = Path(path) / GROUND_TRUTH_FILE
+    if not gt_path.exists():
+        return None
+    try:
+        return _parse_ground_truth(json.loads(_read_text(gt_path, GROUND_TRUTH_FILE)))
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"invalid JSON: {exc.msg}", file=GROUND_TRUTH_FILE)
 
 
 # ---------------------------------------------------------------------------

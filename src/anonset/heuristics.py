@@ -34,7 +34,6 @@ from .ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
-    PoolState,
     deposit_actors,
     pool_state,
     reduced_set,
@@ -65,7 +64,7 @@ class PoolView:
     pool: PoolConfig
     t: int
     events: tuple[PoolEvent, ...]
-    state: PoolState
+    state: dict[Address, int]
     depositors: frozenset[Address]
     withdrawers: frozenset[Address]
     index: LedgerIndex

@@ -64,18 +64,15 @@ class LabelBook:
 class TransferCover:
     """The most-recent-transfer cover of one deposit or withdrawal.
 
-    ``claims`` lists the covering transfers in chronological order with
-    values clipped so that claimed value plus ``shortfall`` equals the
-    pool denomination exactly.
+    An actor's covers come in the order of its events of that kind in the
+    pool up to the cut, so a cover's position is its anchor event's
+    position among them.  ``claims`` lists the covering transfers in
+    chronological order with values clipped so that their amounts plus
+    ``shortfall`` equal the pool denomination exactly.
     """
 
-    anchor: PoolEvent
     claims: tuple[Transfer, ...]
     shortfall: Amount
-
-    @property
-    def claimed_value(self) -> Amount:
-        return sum(t.amount for t in self.claims)
 
 
 # Record sort keys.  The block position is spelled out as its three
@@ -213,9 +210,8 @@ class LedgerIndex:
             claims = _attribute(
                 sorted((candidates[i] for i in chosen), key=_transfer_key),
                 pool.denomination)
-            covers.append(TransferCover(
-                anchor=anchor, claims=claims,
-                shortfall=max(pool.denomination - acc, 0)))
+            covers.append(TransferCover(claims=claims,
+                                        shortfall=max(pool.denomination - acc, 0)))
         return tuple(covers)
 
 

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 * Logical time is a block height with a (transaction index, log index)
   tie-break.  Time-cut arguments (``t``) are plain heights and are
   inclusive: an event in block ``t`` belongs to the history at ``t``.
+* A pool state is a plain ``dict`` of signed balances by address.  The
+  algebra never mutates a state it is given; it returns a fresh one.
 """
 
 from __future__ import annotations
@@ -128,23 +130,6 @@ class PoolEvent:
             raise InputError("relayed withdrawal must be signed by its relayer", field="tx_sender")
 
 
-@dataclass(frozen=True)
-class PoolState:
-    """Signed balances of every address that touched a pool up to a cut.
-
-    Treat ``entries`` as read-only; operations always return fresh states.
-    """
-
-    entries: Mapping[Address, int]
-    as_of: int
-
-    def positive_addresses(self) -> frozenset[Address]:
-        return frozenset(a for a, b in self.entries.items() if b > 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-
 @dataclass(frozen=True, slots=True)
 class LinkPair:
     """An asserted same-owner (or, with negative polarity, distinct-owner)
@@ -200,10 +185,11 @@ def _check_pool(events: Iterable[PoolEvent], pool: PoolConfig) -> None:
                 f"event for pool {e.pool_id!r} passed to pool {pool.pool_id!r}")
 
 
-def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> PoolState:
-    """Balances of every address with at least one event up to ``t``.
+def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> dict[Address, int]:
+    """The pool state at ``t``: the signed balance of every address with
+    at least one event up to ``t``, in base units.
 
-    The sum of all entries always equals
+    The sum of all balances always equals
     ``(total deposits - total withdrawals) * denomination``.
     """
     _check_pool(events, pool)
@@ -213,8 +199,7 @@ def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> PoolSta
             continue
         delta = 1 if e.kind == DEPOSIT else -1
         net[e.actor] = net.get(e.actor, 0) + delta
-    entries = {a: n * pool.denomination for a, n in net.items()}
-    return PoolState(entries=entries, as_of=t)
+    return {a: n * pool.denomination for a, n in net.items()}
 
 
 def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...], ...]:
@@ -246,7 +231,7 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...]
     return tuple(tuple(sorted(groups[root])) for root in sorted(groups))
 
 
-def cluster_balances(state: PoolState, links: Iterable[LinkPair],
+def cluster_balances(state: Mapping[Address, int], links: Iterable[LinkPair],
                      ) -> list[tuple[tuple[Address, ...], int]]:
     """The cluster reduction: group the state's addresses along positive
     link pairs and sum each group's balance.
@@ -261,29 +246,27 @@ def cluster_balances(state: PoolState, links: Iterable[LinkPair],
     for p in links:
         if p.polarity != POSITIVE:
             raise InputError("cluster reduction accepts positive link pairs only")
-    entries = state.entries
     linked: set[Address] = set()
     clusters = []
     for members in connected_components(links):
         linked.update(members)
-        clusters.append((members, sum(entries.get(a, 0) for a in members)))
-    clusters.extend(((a,), b) for a, b in entries.items() if a not in linked)
+        clusters.append((members, sum(state.get(a, 0) for a in members)))
+    clusters.extend(((a,), b) for a, b in state.items() if a not in linked)
     return clusters
 
 
-def simplify_state(state: PoolState, links: Iterable[LinkPair]) -> PoolState:
+def simplify_state(state: Mapping[Address, int],
+                   links: Iterable[LinkPair]) -> dict[Address, int]:
     """Merge the balances of linked addresses: one entry per cluster, keyed
     by its lexicographically smallest member.
 
     Merged entries are kept even when their balance is zero, so the total
     balance is conserved and checkable.
     """
-    return PoolState(entries={members[0]: balance
-                              for members, balance in cluster_balances(state, links)},
-                     as_of=state.as_of)
+    return {members[0]: balance for members, balance in cluster_balances(state, links)}
 
 
-def reduced_set(state: PoolState, links: Iterable[LinkPair],
+def reduced_set(state: Mapping[Address, int], links: Iterable[LinkPair],
                 depositors: frozenset[Address]) -> frozenset[Address]:
     """One address per positive-balance cluster: its smallest depositor.
 

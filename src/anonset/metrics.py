@@ -105,7 +105,7 @@ def relayer_usage(pool: PoolConfig, events: Sequence[PoolEvent]) -> RelayerUsage
 @dataclass(frozen=True)
 class FundThenDepositFlag:
     """An address that withdrew before it ever deposited, then paid in a
-    volume above the configured threshold."""
+    volume above the configured threshold in one coin, ``total_deposited``."""
 
     address: Address
     first_withdrawal: PoolEvent
@@ -119,33 +119,36 @@ def fund_then_deposit_flags(pools: Iterable[PoolConfig],
                             labels: LabelBook,
                             min_deposit: Amount = DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD,
                             ) -> tuple[FundThenDepositFlag, ...]:
-    """Withdraw-first addresses whose later deposits reach ``min_deposit``.
+    """Withdraw-first addresses whose later deposits in one coin reach
+    ``min_deposit`` (base units of two coins do not add up).
 
     The pattern matches actors who used the pools as a source of clean
     starting funds and came back to bury a much larger profit.
     """
-    denominations = {p.pool_id: p.denomination for p in pools}
+    pool_by_id = {p.pool_id: p for p in pools}
     first_wd: dict[Address, PoolEvent] = {}
     first_dep: dict[Address, PoolEvent] = {}
-    volume: dict[Address, int] = {}
+    volume: dict[Address, Counter] = {}  # per address, per coin
     for e in sorted(events, key=lambda e: e.block):
-        if e.pool_id not in denominations:
+        pool = pool_by_id.get(e.pool_id)
+        if pool is None:
             raise InputError(f"event for unknown pool {e.pool_id!r}")
         if e.kind == WITHDRAWAL:
             first_wd.setdefault(e.actor, e)
         else:
             first_dep.setdefault(e.actor, e)
-            volume[e.actor] = volume.get(e.actor, 0) + denominations[e.pool_id]
+            volume.setdefault(e.actor, Counter())[pool.coin] += pool.denomination
     flags = []
     for addr, wd in first_wd.items():
         dep = first_dep.get(addr)
         if dep is None or wd.block >= dep.block:
             continue
-        if volume[addr] < min_deposit:
+        total = max(volume[addr].values())
+        if total < min_deposit:
             continue
         flags.append(FundThenDepositFlag(
             address=addr, first_withdrawal=wd, first_deposit=dep,
-            total_deposited=volume[addr], labels=labels.labels_for(addr)))
+            total_deposited=total, labels=labels.labels_for(addr)))
     return tuple(sorted(flags, key=lambda f: f.address))
 
 

@@ -62,13 +62,13 @@ class LinkSolution:
 
     ``solutions`` holds, per solution, the withdrawal blocks paired with
     the (sorted) deposit blocks.  ``multiplicity`` counts withdrawal
-    events sharing a single-pair solution block.  ``exact`` solutions have
-    residual 0 and reproduce the claimed points bit for bit.
+    events sharing a single-pair solution block.  Every solution of an
+    ``exact`` result reproduces the claimed points bit for bit; ``none``
+    means no choice of withdrawals does.
     """
 
     status: str
     solutions: tuple[tuple[int, ...], ...] = ()
-    residual: int = 0
     multiplicity: int = 0
     explored: int = 0
 
@@ -132,7 +132,7 @@ def solve_single_claim(deposit_block: int, claim: APClaim, weight: int,
     if weight <= 0:
         raise InputError("weight must be positive")
     if claim.ap % weight != 0:
-        return LinkSolution(status=NONE, residual=claim.ap % weight)
+        return LinkSolution(status=NONE)
     gap = claim.ap // weight
     candidate = deposit_block + gap
     if gap <= 0 or candidate >= claim.block:
@@ -166,7 +166,7 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     if weight <= 0:
         raise InputError("weight must be positive")
     if claim.ap % weight != 0:
-        return LinkSolution(status=NONE, residual=claim.ap % weight)
+        return LinkSolution(status=NONE)
 
     deps = sorted(deposit_blocks)
     u = len(deps)

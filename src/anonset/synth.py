@@ -184,13 +184,6 @@ class GroundTruth:
     active_depositors: Mapping[str, frozenset[Address]]
     behaviors: Mapping[Address, str]
 
-    @property
-    def links(self) -> frozenset[LinkPair]:
-        out: frozenset[LinkPair] = frozenset()
-        for pairs in self.links_by_heuristic.values():
-            out |= pairs
-        return out
-
 
 @dataclass(frozen=True)
 class SynthTrace:
@@ -431,8 +424,8 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     for pool in config.pools:
         state = pool_state(pool, [e for e in build.events if e.pool_id == pool.pool_id],
                            last_block)
-        true_balances[pool.pool_id] = dict(state.entries)
-        active[pool.pool_id] = state.positive_addresses()
+        true_balances[pool.pool_id] = state
+        active[pool.pool_id] = frozenset(a for a, b in state.items() if b > 0)
 
     return SynthTrace(
         coin=coin,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from anonset.cli import main
-from anonset.dataset import RECORD_FILES, ingest, write_dataset
+from anonset.dataset import RECORD_FILES, Dataset, ingest, read_ground_truth, write_dataset
 from anonset.errors import IngestError
 from anonset.heuristics import (
     h1_reuse,
@@ -68,7 +69,7 @@ class TestRoundTrip:
         assert set(dataset.transfers) == set(trace.transfers)
         assert set(dataset.token_transfers) == set(trace.token_transfers)
         assert {c for c in dataset.ap_claims} == set(trace.ap_claims)
-        assert dataset.ground_truth == trace.ground_truth
+        assert read_ground_truth(dataset_dir) == trace.ground_truth
         assert dataset.manifest.am_launch == trace.am_launch
         assert dataset.counts["pool_events"] == len(trace.events)
         assert dataset.counts["transfers"] == len(trace.transfers)
@@ -329,7 +330,7 @@ class TestGroundTruthSidecar:
     def test_missing_key_names_the_field(self, dataset_dir, key):
         self.edit(dataset_dir, lambda raw: raw.pop(key))
         with pytest.raises(IngestError, match=rf"missing field \[file=ground_truth.json, field={key}\]"):
-            ingest(dataset_dir)
+            read_ground_truth(dataset_dir)
 
     @pytest.mark.parametrize("key, value", [
         ("links_by_heuristic", [[A1, A2]]),
@@ -352,17 +353,17 @@ class TestGroundTruthSidecar:
     def test_wrong_type_names_the_field(self, dataset_dir, key, value):
         self.edit(dataset_dir, lambda raw: raw.__setitem__(key, value))
         with pytest.raises(IngestError, match=rf"expected .*\[file=ground_truth.json, field={key}\]"):
-            ingest(dataset_dir)
+            read_ground_truth(dataset_dir)
 
     def test_degenerate_link_names_the_field(self, dataset_dir):
         self.edit(dataset_dir, lambda raw: raw.__setitem__("user_links", [[A1, A1, "h2"]]))
         with pytest.raises(IngestError, match=r"degenerate.*field=user_links"):
-            ingest(dataset_dir)
+            read_ground_truth(dataset_dir)
 
     def test_sidecar_not_an_object(self, dataset_dir):
         (dataset_dir / "ground_truth.json").write_text("[]")
         with pytest.raises(IngestError, match="file=ground_truth.json"):
-            ingest(dataset_dir)
+            read_ground_truth(dataset_dir)
 
     def test_cli_exits_2_without_traceback(self, dataset_dir, tmp_path, capsys):
         self.edit(dataset_dir, lambda raw: raw.pop("user_links"))
@@ -371,6 +372,48 @@ class TestGroundTruthSidecar:
         err = capsys.readouterr().err
         assert code == 2
         assert "field=user_links" in err and "Traceback" not in err
+
+
+class TestSidecarContract:
+    """Only ``anonymity --tas`` reads ``ground_truth.json``; every other
+    command ignores it, valid or not."""
+
+    COMMANDS = [["relayers"], ["flows"], ["flags"], ["am-link"], ["clusters"],
+                ["validate", "--gt", "debank"], ["anonymity", "--combine"]]
+
+    @staticmethod
+    def reports(data: Path, out: Path, command) -> dict[str, bytes]:
+        assert main([command[0], "--data", str(data), "--out", str(out), *command[1:]]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    @staticmethod
+    def replace_sidecar(data: Path, sidecar: str) -> None:
+        path = data / "ground_truth.json"
+        if sidecar == "deleted":
+            path.unlink()
+        else:
+            path.write_text(sidecar)
+
+    def test_dataset_holds_no_sidecar(self):
+        names = {f.name for f in dataclasses.fields(Dataset)}
+        assert not names & {"path", "relayers", "ground_truth"}
+
+    @pytest.mark.parametrize("sidecar", ["deleted", "[]"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_other_commands_ignore_the_sidecar(self, dataset_dir, tmp_path, command, sidecar):
+        before = self.reports(dataset_dir, tmp_path / "before", command)
+        self.replace_sidecar(dataset_dir, sidecar)
+        assert self.reports(dataset_dir, tmp_path / "after", command) == before
+
+    @pytest.mark.parametrize("sidecar, code", [("deleted", 3), ("[]", 2), ("{", 2)])
+    def test_tas_reads_the_sidecar(self, dataset_dir, tmp_path, capsys, sidecar, code):
+        self.replace_sidecar(dataset_dir, sidecar)
+        assert main(["anonymity", "--tas", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("file=ground_truth.json" in err) == (code == 2)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEncoding:
@@ -405,7 +448,7 @@ class TestEncoding:
     def test_bad_byte_in_sidecar(self, dataset_dir):
         self.corrupt(dataset_dir / "ground_truth.json", 3)
         with pytest.raises(IngestError, match=r"\[file=ground_truth.json, line=3\]"):
-            ingest(dataset_dir)
+            read_ground_truth(dataset_dir)
 
     def test_utf8_text_is_read_as_utf8(self, dataset_dir):
         # a non-ASCII coin name round-trips whatever the locale's encoding
@@ -485,9 +528,8 @@ class TestCliCommands:
         assert self.run("flags", "--data", str(data), "--out", str(out),
                         "--threshold", "2000") == 0
         payload = json.loads((out / "flags.json").read_text())
-        dataset = ingest(data)
         assert {f["address"] for f in payload["flagged"]} == \
-            dataset.ground_truth.attackers
+            read_ground_truth(data).attackers
 
     def test_am_link_recovers_speculators(self, tmp_path):
         data = tmp_path / "data"
@@ -496,8 +538,7 @@ class TestCliCommands:
                  "--users", "12", "--out", str(data))
         assert self.run("am-link", "--data", str(data), "--out", str(out)) == 0
         payload = json.loads((out / "am-link.json").read_text())
-        dataset = ingest(data)
-        truth = {r.recipient: r for r in dataset.ground_truth.am_truth}
+        truth = {r.recipient: r for r in read_ground_truth(data).am_truth}
         assert payload["claimants"]
         for entry in payload["claimants"]:
             record = truth[entry["address"]]
@@ -535,8 +576,7 @@ class TestCliCommands:
         self.run("synth", "--profile", "am-speculator", "--seed", "8",
                  "--users", "10", "--out", str(data))
         # keep only multi-deposit claimants so the solver actually searches
-        dataset = ingest(data)
-        multi = {r.recipient for r in dataset.ground_truth.am_truth
+        multi = {r.recipient for r in read_ground_truth(data).am_truth
                  if len(r.deposit_blocks) > 1}
         if not multi:
             pytest.skip("seed produced no multi-deposit speculators")
@@ -602,6 +642,17 @@ class TestCliCommands:
                         "--out", str(tmp_path / "out"),
                         "--heuristics", "h9") == 2
 
+    @pytest.mark.parametrize("argv", [["am-link", "--search-cap", "0"],
+                                      ["flows", "--distance", "0"],
+                                      ["flags", "--threshold", "-5"]],
+                             ids=lambda argv: argv[1])
+    def test_bad_numeric_argument_exits_2_at_parse_time(self, tmp_path, capsys, argv):
+        # --data does not exist, so only the parser can name the argument
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
+
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert self.run("anonymity", "--data", str(tmp_path / "nope"),
                         "--out", str(tmp_path / "out")) == 2
@@ -656,8 +707,7 @@ class TestValidateCommand:
         out = tmp_path / "out"
         main(["synth", "--profile", behavior, "--seed", "11",
               "--users", "8", "--out", str(data)])
-        dataset = ingest(data)
-        pairs = sorted(dataset.ground_truth.links_by_heuristic[tag],
+        pairs = sorted(read_ground_truth(data).links_by_heuristic[tag],
                        key=lambda p: p.addresses)
         rows = [json.dumps({"name": f"user{i}.eth", "sender": p.a1,
                             "recipient": p.a2, "block": 10, "expiry": 10**9},
@@ -695,8 +745,7 @@ class TestValidateCommand:
         out = tmp_path / "out"
         main(["synth", "--profile", "h2-improper-sender",
               "--seed", "10", "--users", "10", "--out", str(data)])
-        dataset = ingest(data)
-        pair = sorted(dataset.ground_truth.links_by_heuristic["h2"],
+        pair = sorted(read_ground_truth(data).links_by_heuristic["h2"],
                       key=lambda p: p.addresses)[0]
         (data / "follow_edges.jsonl").write_text(
             json.dumps({"follower": pair.a1, "followed": pair.a2}) + "\n")

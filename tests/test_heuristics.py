@@ -45,7 +45,7 @@ class TestH1Reuse:
     def test_set_is_positive_balance_depositors(self, p100, p100_events):
         result = h1_reuse(view(p100, p100_events, 100))
         state = pool_state(p100, p100_events, t=100)
-        assert result.anonymity_set == state.positive_addresses()
+        assert result.anonymity_set == {a for a, b in state.items() if b > 0}
 
 
 class TestH2ImproperSender:
@@ -223,7 +223,7 @@ class TestCombine:
         r1 = dataclasses.replace(h1_reuse(v), heuristic="x", link_pairs=frozenset({pair_ab}))
         r2 = dataclasses.replace(h1_reuse(v), heuristic="y", link_pairs=frozenset({pair_cd}))
         combined = combine(v, [r1, r2])
-        positive = sequential.positive_addresses()
+        positive = {a for a, b in sequential.items() if b > 0}
         assert len(combined.anonymity_set) == len(positive)
 
     def test_mixed_cuts_rejected(self, p100, p100_events):

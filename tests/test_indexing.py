@@ -204,7 +204,7 @@ class TestSourceTransfers:
         (cover,) = index.source_transfers(D1, p100, t=50)
         assert [c.amount for c in cover.claims] == [60, 40]
         assert [c.sender for c in cover.claims] == [X, Y]
-        assert cover.claimed_value == 100
+        assert sum(c.amount for c in cover.claims) == 100
 
     def test_transfer_claimable_once_across_deposits(self, p100):
         events = [deposit("P100", D1, 10), deposit("P100", D1, 20)]
@@ -228,7 +228,7 @@ class TestSourceTransfers:
         index = build_index([big, small], [], events, None)
         (cover,) = index.source_transfers(D1, p100, t=50)
         assert [(c.sender, c.amount) for c in cover.claims] == [(X, 100), (Y, 0)]
-        assert cover.claimed_value == 100
+        assert sum(c.amount for c in cover.claims) == 100
 
     def test_claims_sum_to_denomination_or_shortfall(self, p100):
         rng = random.Random(11)
@@ -239,7 +239,7 @@ class TestSourceTransfers:
             deposits = [deposit("P100", D1, h) for h in sorted(rng.sample(range(2, 45), 2))]
             index = build_index(incoming, [], deposits, None)
             for cover in index.source_transfers(D1, p100, t=60):
-                assert cover.claimed_value + cover.shortfall == 100
+                assert sum(c.amount for c in cover.claims) + cover.shortfall == 100
 
 
 class TestSinkTransfers:
@@ -301,7 +301,7 @@ def oracle_covers(index, kind, actor, pool, t):
             take = min(tr.amount, remaining)
             claims.append(replace(tr, amount=take))
             remaining -= take
-        covers.append(TransferCover(anchor=anchor, claims=tuple(claims),
+        covers.append(TransferCover(claims=tuple(claims),
                                     shortfall=max(pool.denomination - acc, 0)))
     return tuple(covers)
 

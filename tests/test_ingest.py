@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from anonset.cli import main
-from anonset.dataset import Dataset, _Row, ingest, write_dataset
+from anonset.dataset import Dataset, _Row, ingest, read_ground_truth, write_dataset
 from anonset.errors import IngestError
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from anonset.ledger import (
@@ -82,7 +82,7 @@ class TestInterning:
         # the copy really is spelled anew
         assert all(s in raw for s in ('"0X', '"0x', ':"\\t', ':" ', ' ",'))
         for field in dataclasses.fields(Dataset):
-            if field.name in ("path", "labels"):
+            if field.name == "labels":
                 continue
             assert getattr(respelled, field.name) == getattr(original, field.name), \
                 field.name
@@ -247,10 +247,9 @@ class TestSlottedRecords:
         dataset = ingest(synth_dir)
         records = [record for field in dataclasses.fields(Dataset)
                    if isinstance(getattr(dataset, field.name), tuple)
-                   for record in getattr(dataset, field.name)
-                   if not isinstance(record, str)]  # relayers are bare addresses
+                   for record in getattr(dataset, field.name)]
         records += [e.block for e in dataset.events]
-        records += dataset.ground_truth.user_links
+        records += read_ground_truth(synth_dir).user_links
         assert {type(r) for r in records} == set(RECORD_CLASSES)
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__

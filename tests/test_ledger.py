@@ -13,7 +13,6 @@ from anonset.ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
-    PoolState,
     connected_components,
     normalize_address,
     deposit_actors,
@@ -75,10 +74,10 @@ class TestDomainRecords:
 
 class TestComputeBalance:
     def test_two_deposits_no_withdrawals(self, p100, p100_events):
-        assert pool_state(p100, p100_events, t=100).entries.get(D2, 0) == 200
+        assert pool_state(p100, p100_events, t=100).get(D2, 0) == 200
 
     def test_no_events_is_zero(self, p100):
-        assert pool_state(p100, [], t=100).entries.get(D1, 0) == 0
+        assert pool_state(p100, [], t=100).get(D1, 0) == 0
 
     def test_three_deposits_three_withdrawals_cancel(self):
         # direct enumeration: 3*1 - 3*1 = 0
@@ -86,30 +85,30 @@ class TestComputeBalance:
         a = addr("aa")
         events = [deposit("P1", a, h) for h in (1, 2, 3)]
         events += [withdrawal("P1", a, h) for h in (4, 5, 6)]
-        assert pool_state(pool, events, t=10).entries.get(a, 0) == 0
+        assert pool_state(pool, events, t=10).get(a, 0) == 0
 
     def test_cut_is_inclusive_at_t(self, p100):
         events = [deposit("P100", D1, 7)]
-        assert pool_state(p100, events, t=7).entries.get(D1, 0) == 100
-        assert pool_state(p100, events, t=6).entries.get(D1, 0) == 0
+        assert pool_state(p100, events, t=7).get(D1, 0) == 100
+        assert pool_state(p100, events, t=6).get(D1, 0) == 0
 
     def test_foreign_pool_event_rejected(self, p100):
         with pytest.raises(InputError):
-            pool_state(p100, [deposit("OTHER", D1, 1)], t=5).entries.get(D1, 0)
+            pool_state(p100, [deposit("OTHER", D1, 1)], t=5).get(D1, 0)
 
 
 class TestPoolState:
     def test_worked_example(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
-        assert state.entries == {D1: 100, D2: 200, W1: -100}
+        assert state == {D1: 100, D2: 200, W1: -100}
 
     def test_empty_history(self, p100):
-        assert pool_state(p100, [], t=5).entries == {}
+        assert pool_state(p100, [], t=5) == {}
 
     def test_deposit_and_withdraw_same_address(self, p100):
         a = addr("ab")
         state = pool_state(p100, [deposit("P100", a, 1), withdrawal("P100", a, 2)], t=5)
-        assert state.entries == {a: 0}
+        assert state == {a: 0}
 
     def test_matches_bruteforce_counter_on_random_pools(self):
         rng = random.Random(7)
@@ -131,45 +130,45 @@ class TestPoolState:
                     continue
                 expect.setdefault(e.actor, 0)
                 expect[e.actor] += 13 if e.kind == DEPOSIT else -13
-            assert state.entries == expect
-            assert all(b % 13 == 0 for b in state.entries.values())
+            assert state == expect
+            assert all(b % 13 == 0 for b in state.values())
 
 
 class TestMergeAndSimplify:
     def test_worked_example_merge(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
         merged = simplify_state(state, [LinkPair(D1, W1)])
-        assert merged.entries[min(D1, W1)] == 0
-        assert merged.entries[D2] == 200
-        assert {a: b for a, b in merged.entries.items() if b} == {D2: 200}
+        assert merged[min(D1, W1)] == 0
+        assert merged[D2] == 200
+        assert {a: b for a, b in merged.items() if b} == {D2: 200}
 
     def test_merge_with_absent_address_adds_zero(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
         ghost = addr("zz")
         merged = simplify_state(state, [LinkPair(D2, ghost)])
-        assert merged.entries[min(D2, ghost)] == 200
-        assert merged.total() == state.total()
+        assert merged[min(D2, ghost)] == 200
+        assert sum(merged.values()) == sum(state.values())
 
     def test_chained_merges_conserve_total(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
         s1 = simplify_state(state, [LinkPair(D1, D2)])
         s2 = simplify_state(s1, [LinkPair(min(D1, D2), W1)])
-        assert s2.total() == state.total() == 200
+        assert sum(s2.values()) == sum(state.values()) == 200
 
     def test_simplify_empty_links_is_identity(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
-        assert simplify_state(state, []).entries == state.entries
+        assert simplify_state(state, []) == state
 
     def test_simplify_worked_example(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
         simplified = simplify_state(state, [LinkPair(D1, W1)])
-        assert {a: b for a, b in simplified.entries.items() if b} == {D2: 200}
+        assert {a: b for a, b in simplified.items() if b} == {D2: 200}
 
     def test_simplify_transitive_chain(self):
         a, b, c = sorted(addr(x) for x in ("ka", "kb", "kc"))
-        state = PoolState(entries={a: 1, b: 1, c: -2}, as_of=9)
+        state = {a: 1, b: 1, c: -2}
         out = simplify_state(state, [LinkPair(a, b), LinkPair(b, c)])
-        assert out.entries == {a: 0}
+        assert out == {a: 0}
 
     def test_simplify_rejects_negative_polarity(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
@@ -181,15 +180,14 @@ class TestMergeAndSimplify:
         rng = random.Random(21)
         actors = [addr(f"q{i}") for i in range(8)]
         for trial in range(30):
-            entries = {a: rng.randrange(-3, 4) * 10 for a in actors}
-            state = PoolState(entries=entries, as_of=1)
+            state = {a: rng.randrange(-3, 4) * 10 for a in actors}
             pairs = [LinkPair(*rng.sample(actors, 2)) for _ in range(rng.randrange(1, 6))]
             baseline = simplify_state(state, pairs)
             for perm in itertools.islice(itertools.permutations(pairs), 6):
-                assert simplify_state(state, list(perm)).entries == baseline.entries
+                assert simplify_state(state, list(perm)) == baseline
             again = simplify_state(baseline, pairs)
-            assert again.entries == baseline.entries
-            assert baseline.total() == state.total()
+            assert again == baseline
+            assert sum(baseline.values()) == sum(state.values())
 
 
 class TestReducedSet:
@@ -214,8 +212,8 @@ class TestReducedSet:
 
             # naive oracle: BFS components over every address, summed
             # balances, positive clusters, smallest depositor member
-            adjacency = {a: set() for a in set(state.entries) | {x for p in links
-                                                                  for x in p.addresses}}
+            adjacency = {a: set() for a in set(state) | {x for p in links
+                                                         for x in p.addresses}}
             for p in links:
                 adjacency[p.a1].add(p.a2)
                 adjacency[p.a2].add(p.a1)
@@ -230,13 +228,13 @@ class TestReducedSet:
                         component.add(node)
                         queue.extend(adjacency[node])
                 seen |= component
-                if sum(state.entries.get(a, 0) for a in component) > 0:
+                if sum(state.get(a, 0) for a in component) > 0:
                     expected.add(min(component & depositors))
 
             got = reduced_set(state, links, depositors)
             assert got == expected
             assert got <= depositors
-            assert len(got) == sum(1 for b in simplify_state(state, links).entries.values()
+            assert len(got) == sum(1 for b in simplify_state(state, links).values()
                                    if b > 0)
         assert checked_links > 500
 

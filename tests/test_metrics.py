@@ -7,7 +7,7 @@ import pytest
 from anonset.errors import DomainError, InputError
 from anonset.heuristics import h1_reuse
 from anonset.indexing import LabelBook
-from anonset.ledger import PoolConfig, PoolState, pool_state
+from anonset.ledger import PoolConfig, pool_state
 from anonset.metrics import (
     adversary_advantage,
     advantage_increase_from_reduction,
@@ -34,11 +34,11 @@ class TestAnonymitySets:
 
     def test_true_set_is_positive_balances(self, p100, p100_events):
         state = pool_state(p100, p100_events, t=100)
-        assert state.positive_addresses() == {D1, D2}
+        assert {a for a, b in state.items() if b > 0} == {D1, D2}
 
     def test_true_set_of_drained_pool_is_empty(self):
-        state = PoolState(entries={D1: 0, W1: -100}, as_of=5)
-        assert state.positive_addresses() == frozenset()
+        state = {D1: 0, W1: -100}
+        assert {a for a, b in state.items() if b > 0} == set()
 
 
 class TestAdvantage:
@@ -138,6 +138,16 @@ class TestFundThenDeposit:
             flags = fund_then_deposit_flags(self._pools(), events, NO_LABELS,
                                             min_deposit=threshold)
             assert len(flags) == expect
+
+    def test_volume_is_counted_per_coin(self):
+        # 1500 ETH units and 1000 BNB units are not 2500 of anything
+        pools = [PoolConfig(pool_id="PA", coin="ETH", denomination=1500),
+                 PoolConfig(pool_id="PB", coin="BNB", denomination=1000)]
+        a = addr("atk")
+        events = [withdrawal("PA", a, 100), deposit("PA", a, 200), deposit("PB", a, 300)]
+        assert fund_then_deposit_flags(pools, events, NO_LABELS) == ()
+        (flag,) = fund_then_deposit_flags(pools, events + [deposit("PA", a, 400)], NO_LABELS)
+        assert flag.total_deposited == 3000
 
 
 class TestReport:

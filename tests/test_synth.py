@@ -103,8 +103,8 @@ class TestGeneratorBasics:
         for pool in trace.pools:
             state = pool_state(pool, [e for e in trace.events if e.pool_id == pool.pool_id],
                                trace.last_block)
-            assert state.entries == trace.ground_truth.true_balances[pool.pool_id]
-            assert state.positive_addresses() == \
+            assert state == trace.ground_truth.true_balances[pool.pool_id]
+            assert {a for a, b in state.items() if b > 0} == \
                 trace.ground_truth.active_depositors[pool.pool_id]
 
     def test_h5_requires_two_pools(self):
