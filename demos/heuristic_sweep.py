@@ -9,7 +9,7 @@ never larger than the best single heuristic.
 from fractions import Fraction
 
 from anonset import build_index, combine, generate_trace
-from anonset.heuristics import HEURISTIC_TAGS, pool_view, run_heuristics
+from anonset.heuristics import HEURISTICS, pool_view, run_heuristics
 from anonset.metrics import (
     advantage_increase_from_reduction,
     relative_advantage_increase,
@@ -24,7 +24,6 @@ config = GeneratorConfig(
     block_span=20_000,
 )
 trace = generate_trace(config, seed=2718)
-t = trace.last_block
 index = build_index(trace.transfers, trace.token_transfers, trace.events,
                     dict(trace.labels))
 planted = frozenset().union(*trace.ground_truth.links_by_heuristic.values())
@@ -34,13 +33,14 @@ print(f"trace: {len(trace.events)} pool events, {len(trace.transfers)} transfers
 print(f"{'pool':<6} {'observed':>8} {'h1':>6} {'h2':>6} {'h3':>6} {'h4':>6} "
       f"{'h5':>6} {'combined':>9} {'adv gain':>9}")
 
-# one view per pool: its events, state and actor sets at the cut, shared
-# by every heuristic
-views = [pool_view(index, pool, t) for pool in trace.pools]
-by_pool_tag = run_heuristics(HEURISTIC_TAGS, views)
+# one view per pool: its events, state and actor sets over the whole
+# trace, shared by every heuristic
+tags = tuple(HEURISTICS)
+views = [pool_view(index, pool) for pool in trace.pools]
+by_pool_tag = run_heuristics(tags, views)
 combined_reductions = []
 for view in views:
-    results = [by_pool_tag[(view.pool.pool_id, tag)] for tag in HEURISTIC_TAGS]
+    results = [by_pool_tag[(view.pool.pool_id, tag)] for tag in tags]
     merged = combine(view, results)
     observed = len(view.depositors)
     sizes = " ".join(f"{r.size:>6}" for r in results)

@@ -31,7 +31,7 @@ events = [
 
 print("history: d1 deposits once, d2 twice, w1 withdraws once (p = 100)\n")
 
-state = pool_state(pool, events, t=100)
+state = pool_state(pool, events)
 for address, balance in sorted(state.items()):
     print(f"  balance {address[:10]}…  {balance:+d}")
 print(f"  total {sum(state.values()):+d}  (3 deposits - 1 withdrawal = +200)")

@@ -65,6 +65,17 @@ def _at_least(low: int):
     return parse
 
 
+def _heuristic_list(text: str) -> tuple[str, ...]:
+    """The ``--heuristics`` type: a comma list naming at least one known tag."""
+    tags = tuple(dict.fromkeys(tag.strip() for tag in text.split(",") if tag.strip()))
+    unknown = set(tags) - set(heuristics.HEURISTICS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown heuristics: {sorted(unknown)}")
+    if not tags:
+        raise argparse.ArgumentTypeError("names no heuristic")
+    return tags
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anonset",
@@ -80,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = data_command("anonymity", "observed and reduced anonymity sets per pool")
     p.add_argument("--pool", help="restrict to one pool id")
     p.add_argument("--at", type=int, help="block-height cut (default: last block)")
-    p.add_argument("--heuristics", help="comma list, e.g. h1,h2,h3,h4,h5")
+    p.add_argument("--heuristics", type=_heuristic_list,
+                   help="comma list, e.g. h1,h2,h3,h4,h5")
     p.add_argument("--combine", action="store_true", help="also combine the heuristics")
     p.add_argument("--tas", action="store_true",
                    help="include the true anonymity set (needs ground truth)")
@@ -88,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = data_command("clusters", "linked-address clusters and their size histogram")
     p.add_argument("--at", type=int)
-    p.add_argument("--heuristics", help="default: h2,h3,h4,h5")
+    p.add_argument("--heuristics", type=_heuristic_list, help="default: h2,h3,h4,h5")
     p.set_defaults(handler=_cmd_clusters)
 
     p = data_command("relayers", "relayer usage per pool")
@@ -114,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = data_command("validate", "score heuristic links against side-channel truth")
     p.add_argument("--gt", required=True,
                    choices=("airdrop", "ens", "intersection", "debank"))
-    p.add_argument("--heuristics", help="default: h2,h3,h4,h5")
+    p.add_argument("--heuristics", type=_heuristic_list, help="default: h2,h3,h4,h5")
     p.add_argument("--at", type=int)
     p.set_defaults(handler=_cmd_validate)
 
@@ -157,14 +169,10 @@ def _selected_pools(args, dataset: Dataset):
     return (dataset.pool(wanted),)
 
 
-def _parse_heuristics(args, dataset: Dataset, linking_only: bool = False) -> tuple[str, ...]:
-    raw = getattr(args, "heuristics", None)
-    if not raw:
+def _heuristic_tags(args, dataset: Dataset, linking_only: bool = False) -> tuple[str, ...]:
+    tags = args.heuristics
+    if tags is None:
         return heuristics.default_tags(len(dataset.pools), linking_only)
-    tags = tuple(dict.fromkeys(tag.strip() for tag in raw.split(",") if tag.strip()))
-    unknown = set(tags) - set(heuristics.HEURISTICS)
-    if unknown:
-        raise InputError(f"unknown heuristics: {sorted(unknown)}")
     for tag in tags:
         if heuristics.HEURISTICS[tag].cross_pool and len(dataset.pools) < 2:
             raise InputError(f"{tag} needs at least two pools in the dataset")
@@ -172,13 +180,13 @@ def _parse_heuristics(args, dataset: Dataset, linking_only: bool = False) -> tup
 
 
 def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
-    """Build the index and one view per pool, then run ``tags`` on them.
+    """Build the index at ``t`` and one view per pool, then run ``tags`` on them.
 
     Returns the index, the views keyed by pool id, and the results keyed
     ``(pool_id, tag)``.
     """
-    index = dataset.build_index()
-    views = {p.pool_id: heuristics.pool_view(index, p, t) for p in dataset.pools}
+    index = dataset.build_index(t)
+    views = {p.pool_id: heuristics.pool_view(index, p) for p in dataset.pools}
     return index, views, heuristics.run_heuristics(tags, list(views.values()))
 
 
@@ -219,7 +227,7 @@ def _reduced_set_entry(observed: int, size: int) -> tuple[dict, Fraction | None]
 def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    tags = _parse_heuristics(args, dataset)
+    tags = _heuristic_tags(args, dataset)
     truth = read_ground_truth(args.data) if args.tas else None
     if args.tas and truth is None:
         raise ModeError("--tas needs a synthetic dataset with ground truth")
@@ -289,7 +297,7 @@ def _cmd_anonymity(args) -> int:
 def _cmd_clusters(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    tags = _parse_heuristics(args, dataset, linking_only=True)
+    tags = _heuristic_tags(args, dataset, linking_only=True)
     _, _, results = _run_heuristics(dataset, tags, t)
     links = frozenset().union(*(r.link_pairs for r in results.values()))
     clusters = connected_components(links)
@@ -335,12 +343,12 @@ def _cmd_relayers(args) -> int:
 def _cmd_flows(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    index = dataset.build_index()
+    index = dataset.build_index(t)
     distances = range(1, args.distance + 1)
     pools_payload, rows = [], []
     for pool in dataset.pools:
-        depositors = [index.depositors_at_distance(pool, n, t) for n in distances]
-        withdrawers = [index.withdrawers_at_distance(pool, n, t) for n in distances]
+        depositors = [index.depositors_at_distance(pool, n) for n in distances]
+        withdrawers = [index.withdrawers_at_distance(pool, n) for n in distances]
         entry = {"pool_id": pool.pool_id,
                  "depositors": {str(n): len(s) for n, s in zip(distances, depositors)},
                  "withdrawers": {str(n): len(s) for n, s in zip(distances, withdrawers)}}
@@ -348,14 +356,14 @@ def _cmd_flows(args) -> int:
         sources: dict[str, int] = {}
         uncovered_in = 0
         for depositor in sorted(depositors[0]):
-            for cover in index.source_transfers(depositor, pool, t):
+            for cover in index.source_transfers(depositor, pool):
                 uncovered_in += cover.shortfall
                 for claim in cover.claims:
                     sources[claim.sender] = sources.get(claim.sender, 0) + claim.amount
         sinks: dict[str, int] = {}
         uncovered_out = 0
         for withdrawer in sorted(withdrawers[0]):
-            for cover in index.sink_transfers(withdrawer, pool, t):
+            for cover in index.sink_transfers(withdrawer, pool):
                 uncovered_out += cover.shortfall
                 for claim in cover.claims:
                     sinks[claim.recipient] = sinks.get(claim.recipient, 0) + claim.amount
@@ -475,7 +483,7 @@ def _gt_positive_pairs(dataset: Dataset, source: str) -> frozenset[LinkPair]:
 def _cmd_validate(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
-    tags = _parse_heuristics(args, dataset, linking_only=True)
+    tags = _heuristic_tags(args, dataset, linking_only=True)
     for tag in tags:
         if heuristics.HEURISTICS[tag].joins is None:
             raise InputError(f"{tag} links no address pairs and cannot be validated")
@@ -515,7 +523,7 @@ def _cmd_validate(args) -> int:
         if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
             # funder links join distance-2 funders to distance-1 depositors
             side_a = frozenset().union(
-                *(index.depositors_at_distance(p, 2, t) for p in dataset.pools))
+                *(index.depositors_at_distance(p, 2) for p in dataset.pools))
             side_b = depositors
         else:
             side_a, side_b = depositors, withdrawers

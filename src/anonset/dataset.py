@@ -38,6 +38,7 @@ from .ledger import (
     PoolEvent,
     Transfer,
     normalize_address,
+    up_to,
 )
 from .mining import APClaim
 from .synth import AmRecord, GroundTruth, SynthTrace
@@ -78,9 +79,10 @@ class Dataset:
                 return p
         raise IngestError(f"unknown pool: {pool_id}")
 
-    def build_index(self) -> LedgerIndex:
-        return build_index(self.transfers, self.token_transfers,
-                           self.events, self.labels)
+    def build_index(self, t: int) -> LedgerIndex:
+        """The index of the core records up to ``t``; side-channel files are not cut."""
+        return build_index(up_to(self.transfers, t), up_to(self.token_transfers, t),
+                           up_to(self.events, t), self.labels)
 
 
 # ---------------------------------------------------------------------------

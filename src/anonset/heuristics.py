@@ -5,8 +5,9 @@ pairs, and reports the pool's *simplified anonymity set*: the depositors
 that still plausibly hold a balance once linked addresses are merged.
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
-events, state and actor sets at one cut, built once and shared (h5 takes
-the views of all pools); per-pool evaluations can run concurrently.
+events, state and actor sets in one index of the history at a cut, built
+once and shared (h5 takes the views of all pools); per-pool evaluations
+can run concurrently.
 :data:`HEURISTICS` maps each tag to its heuristic.
 
 The simplified set is computed uniformly by :func:`ledger.reduced_set`:
@@ -53,40 +54,38 @@ FUNDER = "funder"  # an address one native-coin hop upstream
 
 @dataclass(frozen=True)
 class PoolView:
-    """One pool at one cut, computed once and shared by every heuristic,
+    """One pool of an index, computed once and shared by every heuristic,
     by :func:`combine` and by the report.
 
-    ``events`` are the pool's events up to the cut, in index order;
-    ``state``, ``depositors`` and ``withdrawers`` are derived from them.
-    ``index`` answers the transfer and label queries of h2-h4.
+    ``events`` are the pool's indexed events, in index order; ``state``,
+    ``depositors`` and ``withdrawers`` are derived from them.  ``index``
+    answers the transfer and label queries of h2-h4.
     """
 
     pool: PoolConfig
-    t: int
-    events: tuple[PoolEvent, ...]
+    events: Sequence[PoolEvent]
     state: dict[Address, int]
     depositors: frozenset[Address]
     withdrawers: frozenset[Address]
     index: LedgerIndex
 
 
-def pool_view(index: LedgerIndex, pool: PoolConfig, t: int) -> PoolView:
-    """Replay ``pool``'s indexed history up to the cut ``t`` once."""
-    events = tuple(e for e in index.events_for(pool.pool_id) if e.block.height <= t)
-    return PoolView(pool=pool, t=t, events=events,
-                    state=pool_state(pool, events, t),
-                    depositors=deposit_actors(events, t),
-                    withdrawers=withdrawal_actors(events, t),
+def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
+    """Replay ``pool``'s indexed history once."""
+    events = index.events_for(pool.pool_id)
+    return PoolView(pool=pool, events=events,
+                    state=pool_state(pool, events),
+                    depositors=deposit_actors(events),
+                    withdrawers=withdrawal_actors(events),
                     index=index)
 
 
 @dataclass(frozen=True)
 class HeuristicResult:
-    """Outcome of one heuristic on one pool at one cut."""
+    """Outcome of one heuristic on one pool."""
 
     heuristic: str
     pool_id: str
-    as_of: int
     link_pairs: frozenset[LinkPair]
     anonymity_set: frozenset[Address]
 
@@ -97,8 +96,7 @@ class HeuristicResult:
 
 def _result(tag: str, view: PoolView, links: Iterable[LinkPair]) -> HeuristicResult:
     links = frozenset(links)
-    return HeuristicResult(heuristic=tag, pool_id=view.pool.pool_id, as_of=view.t,
-                           link_pairs=links,
+    return HeuristicResult(heuristic=tag, pool_id=view.pool.pool_id, link_pairs=links,
                            anonymity_set=reduced_set(view.state, links, view.depositors))
 
 
@@ -134,14 +132,14 @@ def h3_related_pair(view: PoolView) -> HeuristicResult:
     """Related deposit-withdrawal address pair.
 
     A depositor and a withdrawer directly connected by any native or token
-    transfer (either direction, up to the cut) are treated as one owner.
-    Deposits and withdrawals themselves are not transfer evidence; only
-    the plain transfer record counts.
+    transfer (either direction) are treated as one owner.  Deposits and
+    withdrawals themselves are not transfer evidence; only the plain
+    transfer record counts.
     """
     depositors, withdrawers = view.depositors, view.withdrawers
     pairs = set()
     for tr in view.index.native_transfers + view.index.token_transfers:
-        if tr.block.height > view.t or tr.sender == tr.recipient:
+        if tr.sender == tr.recipient:
             continue
         a, b = tr.sender, tr.recipient
         if a in depositors and b in withdrawers:
@@ -154,18 +152,17 @@ def h3_related_pair(view: PoolView) -> HeuristicResult:
 def h4_intermediary(view: PoolView) -> HeuristicResult:
     """Intermediary deposit address.
 
-    A depositor whose entire incoming native-coin value (up to the cut)
-    arrives from a single user account one hop out is treated as a
-    throwaway of that funder.  Contract and exchange funders are excluded;
-    receiving from an exchange says nothing about ownership.  Self
-    transfers are ignored on both sides of the rule.
+    A depositor whose entire incoming native-coin value arrives from a
+    single user account one hop out is treated as a throwaway of that
+    funder.  Contract and exchange funders are excluded; receiving from an
+    exchange says nothing about ownership.  Self transfers are ignored on
+    both sides of the rule.
     """
     index = view.index
     pairs = set()
     for d1 in view.depositors:
-        funders = {tr.sender
-                   for tr in index.incoming_native(d1)
-                   if tr.block.height <= view.t and tr.amount > 0 and tr.sender != d1}
+        funders = {tr.sender for tr in index.incoming_native(d1)
+                   if tr.amount > 0 and tr.sender != d1}
         if len(funders) != 1:
             continue
         (d2,) = funders
@@ -188,8 +185,8 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     view_list = sorted(views, key=lambda v: v.pool.pool_id)
     if len(view_list) < 2:
         raise InputError("cross-pool matching needs at least two pools")
-    if len({v.t for v in view_list}) != 1:
-        raise InputError("cross-pool matching needs every pool at one cut")
+    if any(v.index is not view_list[0].index for v in view_list):
+        raise InputError("cross-pool matching needs every view from one index")
 
     def signature(per_pool: dict[str, list]) -> tuple:
         return tuple(sorted((pid, len(blocks)) for pid, blocks in per_pool.items()))
@@ -243,8 +240,6 @@ def combine(view: PoolView, results: Sequence[HeuristicResult]) -> HeuristicResu
     for r in results:
         if r.pool_id != view.pool.pool_id:
             raise InputError(f"result for pool {r.pool_id} combined into {view.pool.pool_id}")
-        if r.as_of != view.t:
-            raise InputError("cannot combine results taken at different cuts")
     tag = "+".join(r.heuristic for r in results) if results else "combined"
     return _result(tag, view, frozenset().union(*(r.link_pairs for r in results)))
 
@@ -274,7 +269,6 @@ HEURISTICS: dict[str, Heuristic] = {
     H4: Heuristic(lambda view: h4_intermediary(view), joins=FUNDER),
     H5: Heuristic(lambda views: h5_cross_pool(views), cross_pool=True),
 }
-HEURISTIC_TAGS = tuple(HEURISTICS)
 
 
 def default_tags(pool_count: int, linking_only: bool = False) -> tuple[str, ...]:

@@ -1,7 +1,8 @@
 """Queryable indexes over transfers and pool events.
 
 The index is built once (single writer) and then only read, so a built
-:class:`LedgerIndex` is safe to share between concurrent analyses.
+:class:`LedgerIndex` is safe to share between concurrent analyses.  It
+holds the history at one cut (:func:`ledger.up_to`); no query takes one.
 
 Two families of queries live here:
 
@@ -65,10 +66,10 @@ class TransferCover:
     """The most-recent-transfer cover of one deposit or withdrawal.
 
     An actor's covers come in the order of its events of that kind in the
-    pool up to the cut, so a cover's position is its anchor event's
-    position among them.  ``claims`` lists the covering transfers in
-    chronological order with values clipped so that their amounts plus
-    ``shortfall`` equal the pool denomination exactly.
+    pool, so a cover's position is its anchor event's position among them.
+    ``claims`` lists the covering transfers in chronological order with
+    values clipped so that their amounts plus ``shortfall`` equal the pool
+    denomination exactly.
     """
 
     claims: tuple[Transfer, ...]
@@ -127,39 +128,34 @@ class LedgerIndex:
 
     # -- distance extensions --------------------------------------------------
 
-    def depositors_at_distance(self, pool: PoolConfig, n: int, t: int) -> frozenset[Address]:
+    def depositors_at_distance(self, pool: PoolConfig, n: int) -> frozenset[Address]:
         """Addresses ``n`` native-coin hops upstream of the pool's deposits.
 
         Distance 1 is the deposit-actor set itself; each further hop picks
-        up the senders of native transfers (up to the cut) into the
-        previous frontier.
+        up the senders of native transfers into the previous frontier.
         """
-        return self._at_distance(DEPOSIT, pool, n, t)
+        return self._at_distance(DEPOSIT, pool, n)
 
-    def withdrawers_at_distance(self, pool: PoolConfig, n: int, t: int) -> frozenset[Address]:
+    def withdrawers_at_distance(self, pool: PoolConfig, n: int) -> frozenset[Address]:
         """Mirror of :meth:`depositors_at_distance` downstream of withdrawals."""
-        return self._at_distance(WITHDRAWAL, pool, n, t)
+        return self._at_distance(WITHDRAWAL, pool, n)
 
-    def _at_distance(self, kind: str, pool: PoolConfig, n: int, t: int) -> frozenset[Address]:
+    def _at_distance(self, kind: str, pool: PoolConfig, n: int) -> frozenset[Address]:
         if n < 1:
             raise InputError("distance must be at least 1")
         upstream = kind == DEPOSIT
         actors = deposit_actors if upstream else withdrawal_actors
         hops = self._incoming if upstream else self._outgoing
         far_end = operator.attrgetter("sender" if upstream else "recipient")
-        frontier = actors(self.events_for(pool.pool_id), t)
+        frontier = actors(self.events_for(pool.pool_id))
         for _ in range(n - 1):
-            frontier = frozenset(
-                far_end(tr)
-                for member in frontier
-                for tr in hops.get(member, ())
-                if tr.block.height <= t)
+            frontier = frozenset(far_end(tr) for a in frontier for tr in hops.get(a, ()))
         return frontier
 
     # -- most-recent-transfer covers ------------------------------------------
 
-    def source_transfers(self, depositor: Address, pool: PoolConfig,
-                         t: int) -> tuple[TransferCover, ...]:
+    def source_transfers(self, depositor: Address,
+                         pool: PoolConfig) -> tuple[TransferCover, ...]:
         """Attribute each deposit to the depositor's latest incoming value.
 
         For every deposit (oldest first) the scan walks the unclaimed
@@ -171,26 +167,24 @@ class LedgerIndex:
         Insufficient incoming value is reported as a shortfall, not an
         error.
         """
-        return self._covers(DEPOSIT, depositor, pool, t)
+        return self._covers(DEPOSIT, depositor, pool)
 
-    def sink_transfers(self, withdrawer: Address, pool: PoolConfig,
-                       t: int) -> tuple[TransferCover, ...]:
+    def sink_transfers(self, withdrawer: Address,
+                       pool: PoolConfig) -> tuple[TransferCover, ...]:
         """Forward-scan mirror of :meth:`source_transfers`: each withdrawal
         claims the earliest unclaimed outgoing value after it."""
-        return self._covers(WITHDRAWAL, withdrawer, pool, t)
+        return self._covers(WITHDRAWAL, withdrawer, pool)
 
-    def _covers(self, kind: str, actor: Address, pool: PoolConfig,
-                t: int) -> tuple[TransferCover, ...]:
-        anchors = [e for e in self._by_actor.get((pool.pool_id, kind, actor), ())
-                   if e.block.height <= t]
+    def _covers(self, kind: str, actor: Address,
+                pool: PoolConfig) -> tuple[TransferCover, ...]:
+        anchors = self._by_actor.get((pool.pool_id, kind, actor))
         if not anchors:
             raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
         # a deposit looks back through incoming value, nearest first; a
         # withdrawal looks forward through outgoing value
         backward = kind == DEPOSIT
         side = self._incoming if backward else self._outgoing
-        candidates = [tr for tr in side.get(actor, ())
-                      if tr.amount > 0 and tr.block.height <= t]
+        candidates = [tr for tr in side.get(actor, ()) if tr.amount > 0]
         if backward:
             candidates.reverse()
         usable = operator.lt if backward else operator.gt

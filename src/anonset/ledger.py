@@ -11,8 +11,8 @@ Conventions used throughout the package:
 * Amounts and balances are exact integers in base units.  No floats ever
   touch a balance.
 * Logical time is a block height with a (transaction index, log index)
-  tie-break.  Time-cut arguments (``t``) are plain heights and are
-  inclusive: an event in block ``t`` belongs to the history at ``t``.
+  tie-break.  The time cut is applied once, by :func:`up_to` through
+  ``Dataset.build_index``; no query below it takes a height.
 * A pool state is a plain ``dict`` of signed balances by address.  The
   algebra never mutates a state it is given; it returns a fresh one.
 """
@@ -164,18 +164,22 @@ class LinkPair:
 # Event algebra
 
 
+def up_to(records: Iterable, t: int) -> tuple:
+    """The pool events or transfers in the history at the cut ``t``, in order.
+    The cut is inclusive: a record in block ``t`` belongs to it."""
+    return tuple(r for r in records if r.block.height <= t)
+
+
 def events_for_pool(events: Iterable[PoolEvent], pool_id: str) -> list[PoolEvent]:
     return [e for e in events if e.pool_id == pool_id]
 
 
-def deposit_actors(events: Iterable[PoolEvent], t: int) -> frozenset[Address]:
-    return frozenset(e.actor for e in events
-                     if e.kind == DEPOSIT and e.block.height <= t)
+def deposit_actors(events: Iterable[PoolEvent]) -> frozenset[Address]:
+    return frozenset(e.actor for e in events if e.kind == DEPOSIT)
 
 
-def withdrawal_actors(events: Iterable[PoolEvent], t: int) -> frozenset[Address]:
-    return frozenset(e.actor for e in events
-                     if e.kind == WITHDRAWAL and e.block.height <= t)
+def withdrawal_actors(events: Iterable[PoolEvent]) -> frozenset[Address]:
+    return frozenset(e.actor for e in events if e.kind == WITHDRAWAL)
 
 
 def _check_pool(events: Iterable[PoolEvent], pool: PoolConfig) -> None:
@@ -185,9 +189,9 @@ def _check_pool(events: Iterable[PoolEvent], pool: PoolConfig) -> None:
                 f"event for pool {e.pool_id!r} passed to pool {pool.pool_id!r}")
 
 
-def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> dict[Address, int]:
-    """The pool state at ``t``: the signed balance of every address with
-    at least one event up to ``t``, in base units.
+def pool_state(pool: PoolConfig, events: Sequence[PoolEvent]) -> dict[Address, int]:
+    """The pool state after ``events``: the signed balance of every address
+    with at least one of them, in base units.
 
     The sum of all balances always equals
     ``(total deposits - total withdrawals) * denomination``.
@@ -195,8 +199,6 @@ def pool_state(pool: PoolConfig, events: Sequence[PoolEvent], t: int) -> dict[Ad
     _check_pool(events, pool)
     net: dict[Address, int] = {}
     for e in events:
-        if e.block.height > t:
-            continue
         delta = 1 if e.kind == DEPOSIT else -1
         net[e.actor] = net.get(e.actor, 0) + delta
     return {a: n * pool.denomination for a, n in net.items()}

@@ -422,8 +422,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     true_balances = {}
     active = {}
     for pool in config.pools:
-        state = pool_state(pool, [e for e in build.events if e.pool_id == pool.pool_id],
-                           last_block)
+        state = pool_state(pool, [e for e in build.events if e.pool_id == pool.pool_id])
         true_balances[pool.pool_id] = state
         active[pool.pool_id] = frozenset(a for a, b in state.items() if b > 0)
 

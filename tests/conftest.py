@@ -11,6 +11,7 @@ from anonset.ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
+    up_to,
 )
 
 
@@ -43,8 +44,10 @@ def transfer(sender: str, recipient: str, amount: int, height: int,
 
 def view(pool: PoolConfig, events, t: int, transfers=(), tokens=(),
          labels=None) -> PoolView:
-    """``pool`` at the cut ``t``, over an index of just the given records."""
-    return pool_view(build_index(transfers, tokens, events, labels), pool, t)
+    """``pool`` at the cut ``t``, over an index of just the given records
+    up to the cut."""
+    index = build_index(up_to(transfers, t), up_to(tokens, t), up_to(events, t), labels)
+    return pool_view(index, pool)
 
 
 D1, D2, W1 = addr("d1"), addr("d2"), addr("w1")

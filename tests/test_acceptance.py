@@ -30,6 +30,7 @@ from anonset.ledger import (
     connected_components,
     pool_state,
     simplify_state,
+    up_to,
 )
 from anonset.metrics import render_ratio
 from anonset.mining import APClaim, anonymity_points, solve_multi_claim, solve_single_claim
@@ -104,7 +105,7 @@ def test_criterion_4_pool_state_oracle():
                                     block=BlockPosition(h, rng.randrange(3)),
                                     actor=a, tx_sender=a))
         t = rng.randrange(0, 55)
-        state = pool_state(pool, events, t)
+        state = pool_state(pool, up_to(events, t))
         expected: dict[str, int] = {}
         for e in events:
             if e.block.height <= t:
@@ -112,7 +113,7 @@ def test_criterion_4_pool_state_oracle():
                     (17 if e.kind == DEPOSIT else -17)
         assert state == expected
         for a in actors[:3]:
-            assert pool_state(pool, events, t).get(a, 0) == expected.get(a, 0)
+            assert pool_state(pool, up_to(events, t)).get(a, 0) == expected.get(a, 0)
 
     for _ in range(1_000):
         state = {a: rng.randrange(-4, 5) * 17 for a in rng.sample(actors, 6)}
@@ -126,10 +127,10 @@ def test_criterion_4_pool_state_oracle():
            "1,000 link sets conserve totals order-independently")
 
 
-def _views(trace, t):
+def _views(trace):
     index = build_index(trace.transfers, trace.token_transfers, trace.events,
                         dict(trace.labels))
-    return {pool.pool_id: heuristics.pool_view(index, pool, t) for pool in trace.pools}
+    return {pool.pool_id: heuristics.pool_view(index, pool) for pool in trace.pools}
 
 
 def _run_tagged(tag, views):
@@ -154,7 +155,7 @@ def test_criterion_5_planted_recovery():
             planted = trace.ground_truth.links_by_heuristic[tag]
             assert len(planted) >= 200
             found = frozenset()
-            for result in _run_tagged(tag, _views(trace, trace.last_block)).values():
+            for result in _run_tagged(tag, _views(trace)).values():
                 found |= result.link_pairs
             tp = len(found & planted)
             assert tp == len(found) == len(planted), \
@@ -162,7 +163,7 @@ def test_criterion_5_planted_recovery():
     for seed in seeds:
         trace = _isolated_trace("h1-reuser", seed)
         gt = trace.ground_truth
-        for pool_id, result in _run_tagged("h1", _views(trace, trace.last_block)).items():
+        for pool_id, result in _run_tagged("h1", _views(trace)).items():
             depositors = {e.actor for e in trace.events
                           if e.pool_id == pool_id and e.kind == DEPOSIT}
             assert result.link_pairs == frozenset()
@@ -170,7 +171,7 @@ def test_criterion_5_planted_recovery():
     for seed in seeds:
         trace = _isolated_trace(DISCIPLINED, seed)
         for tag in ("h1", "h2", "h3", "h4", "h5"):
-            for result in _run_tagged(tag, _views(trace, trace.last_block)).values():
+            for result in _run_tagged(tag, _views(trace)).values():
                 assert result.link_pairs == frozenset()
     _ok(5, "h2-h5 recover planted links at precision 1.0 / recall 1.0 over 3 seeds; "
            "reuse filtering and the disciplined negative control hold")
@@ -184,7 +185,7 @@ def test_criterion_6_reduced_set_containment():
                               user_count=80, block_span=20_000)
         trace = generate_trace(cfg, 100 + i)
         t = trace.last_block
-        views = _views(trace, t)
+        views = _views(trace)
         results_by_tag = {tag: _run_tagged(tag, views)
                           for tag in ("h1", "h2", "h3", "h4", "h5")}
         for pool in trace.pools:

@@ -83,10 +83,10 @@ class TestRoundTrip:
 
         mem_index = build_index(trace.transfers, trace.token_transfers,
                                 trace.events, dict(trace.labels))
-        disk_index = dataset.build_index()
+        disk_index = dataset.build_index(t)
         for pool in trace.pools:
-            mem_view = pool_view(mem_index, pool, t)
-            disk_view = pool_view(disk_index, pool, t)
+            mem_view = pool_view(mem_index, pool)
+            disk_view = pool_view(disk_index, pool)
             mem = h3_related_pair(mem_view)
             disk = h3_related_pair(disk_view)
             assert mem.link_pairs == disk.link_pairs
@@ -638,9 +638,22 @@ class TestCliCommands:
         data = tmp_path / "data"
         self.run("synth", "--profile", "disciplined", "--seed", "1",
                  "--users", "10", "--out", str(data))
-        assert self.run("anonymity", "--data", str(data),
-                        "--out", str(tmp_path / "out"),
-                        "--heuristics", "h9") == 2
+        with pytest.raises(SystemExit) as exc:
+            self.run("anonymity", "--data", str(data),
+                     "--out", str(tmp_path / "out"),
+                     "--heuristics", "h9")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["anonymity", "clusters", "validate"])
+    @pytest.mark.parametrize("value", [",", "", "h9"])
+    def test_bad_heuristics_exit_2_at_parse_time(self, tmp_path, capsys, command, value):
+        # --data does not exist, so only the parser can name the argument
+        extra = ["--gt", "debank"] if command == "validate" else []
+        with pytest.raises(SystemExit) as exc:
+            self.run(command, *extra, "--heuristics", value,
+                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "argument --heuristics:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["am-link", "--search-cap", "0"],
                                       ["flows", "--distance", "0"],
@@ -662,11 +675,10 @@ class TestValidateCommand:
     def _write_side_channels(self, data: Path):
         """Craft side-channel files over known depositor/withdrawer addresses."""
         dataset = ingest(data)
-        t = dataset.manifest.last_block
         from anonset.ledger import deposit_actors, withdrawal_actors
 
-        deps = sorted(deposit_actors(dataset.events, t))
-        wds = sorted(withdrawal_actors(dataset.events, t))
+        deps = sorted(deposit_actors(dataset.events))
+        wds = sorted(withdrawal_actors(dataset.events))
         gt_d, gt_w = deps[:3], wds[:3]
         first = dataset.manifest.first_block
         receipts = [{"block": first, "tx_index": 0, "log_index": i,
@@ -807,9 +819,8 @@ class TestTwoCoins:
     def test_pool_alone_in_its_coin_gets_no_h5_links(self, dataset_dir, tmp_path):
         def views():
             dataset = ingest(dataset_dir)
-            index = dataset.build_index()
-            return {p.pool_id: pool_view(index, p, dataset.manifest.last_block)
-                    for p in dataset.pools}
+            index = dataset.build_index(dataset.manifest.last_block)
+            return {p.pool_id: pool_view(index, p) for p in dataset.pools}
 
         assert h5_cross_pool(views().values())["P100"].link_pairs  # before the edit
         path = dataset_dir / "pools.jsonl"

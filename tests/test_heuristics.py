@@ -21,6 +21,7 @@ from anonset.ledger import (
     deposit_actors,
     pool_state,
     simplify_state,
+    up_to,
     withdrawal_actors,
 )
 
@@ -44,7 +45,7 @@ class TestH1Reuse:
 
     def test_set_is_positive_balance_depositors(self, p100, p100_events):
         result = h1_reuse(view(p100, p100_events, 100))
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         assert result.anonymity_set == {a for a, b in state.items() if b > 0}
 
 
@@ -79,18 +80,18 @@ class TestH3RelatedPair:
     def test_token_transfer_links(self, p100):
         events = [deposit("P100", D, 1), withdrawal("P100", W, 5)]
         index = build_index([], [transfer(D, W, 7, 8, coin="UNI")], events, None)
-        result = h3_related_pair(pool_view(index, p100, 10))
+        result = h3_related_pair(pool_view(index, p100))
         assert result.link_pairs == {LinkPair(D, W)}
 
     def test_transfer_after_cut_ignored(self, p100):
         events = [deposit("P100", D, 1), withdrawal("P100", W, 5)]
-        index = build_index([], [transfer(D, W, 7, 30, coin="UNI")], events, None)
-        assert h3_related_pair(pool_view(index, p100, 10)).link_pairs == frozenset()
+        v = view(p100, events, 10, tokens=[transfer(D, W, 7, 30, coin="UNI")])
+        assert h3_related_pair(v).link_pairs == frozenset()
 
     def test_reverse_direction_native_links(self, p100):
         events = [deposit("P100", D, 1), withdrawal("P100", W, 5)]
         index = build_index([transfer(W, D, 7, 8)], [], events, None)
-        assert h3_related_pair(pool_view(index, p100, 10)).link_pairs == {LinkPair(D, W)}
+        assert h3_related_pair(pool_view(index, p100)).link_pairs == {LinkPair(D, W)}
 
     def test_matches_pairwise_scan_oracle(self, p100):
         rng = random.Random(5)
@@ -107,10 +108,9 @@ class TestH3RelatedPair:
             rec = transfer(a, b, rng.randrange(1, 9), h, coin=rng.choice(["ETH", "UNI"]))
             (transfers if rec.coin == "ETH" else tokens).append(rec)
         t = 22
-        index = build_index(transfers, tokens, events, None)
-        got = h3_related_pair(pool_view(index, p100, t)).link_pairs
-        deps = deposit_actors(events, t)
-        wds = withdrawal_actors(events, t)
+        got = h3_related_pair(view(p100, events, t, transfers, tokens)).link_pairs
+        deps = deposit_actors(up_to(events, t))
+        wds = withdrawal_actors(up_to(events, t))
         expected = set()
         for d in deps:
             for w in wds:
@@ -126,7 +126,7 @@ class TestH4Intermediary:
     def test_single_eoa_funder_links_and_cluster_counts_once(self, p100):
         events = [deposit("P100", D, 5)]
         index = build_index([transfer(F, D, 100, 2)], [], events, None)
-        result = h4_intermediary(pool_view(index, p100, 10))
+        result = h4_intermediary(pool_view(index, p100))
         assert result.link_pairs == {LinkPair(D, F)}
         # the funder cluster appears once, represented inside the depositor set
         assert result.anonymity_set == {D}
@@ -135,25 +135,25 @@ class TestH4Intermediary:
         events = [deposit("P100", D, 5)]
         index = build_index([transfer(F, D, 60, 2), transfer(W, D, 40, 3)],
                             [], events, None)
-        assert h4_intermediary(pool_view(index, p100, 10)).link_pairs == frozenset()
+        assert h4_intermediary(pool_view(index, p100)).link_pairs == frozenset()
 
     def test_exchange_funder_excluded(self, p100):
         events = [deposit("P100", D, 5)]
         labels = LabelBook({F: ["exchange"]})
         index = build_index([transfer(F, D, 100, 2)], [], events, labels)
-        assert h4_intermediary(pool_view(index, p100, 10)).link_pairs == frozenset()
+        assert h4_intermediary(pool_view(index, p100)).link_pairs == frozenset()
 
     def test_self_transfers_ignored(self, p100):
         events = [deposit("P100", D, 5)]
         index = build_index([transfer(D, D, 40, 1), transfer(F, D, 100, 2)],
                             [], events, None)
-        result = h4_intermediary(pool_view(index, p100, 10))
+        result = h4_intermediary(pool_view(index, p100))
         assert result.link_pairs == {LinkPair(D, F)}
 
     def test_funding_after_cut_not_counted(self, p100):
         events = [deposit("P100", D, 5)]
-        index = build_index([transfer(F, D, 100, 50)], [], events, None)
-        assert h4_intermediary(pool_view(index, p100, 10)).link_pairs == frozenset()
+        v = view(p100, events, 10, transfers=[transfer(F, D, 100, 50)])
+        assert h4_intermediary(v).link_pairs == frozenset()
 
 
 def _two_pools():
@@ -161,9 +161,9 @@ def _two_pools():
             PoolConfig(pool_id="PB", coin="ETH", denomination=7))
 
 
-def _views(pools, events, t):
+def _views(pools, events):
     index = build_index([], [], events)
-    return [pool_view(index, p, t) for p in pools]
+    return [pool_view(index, p) for p in pools]
 
 
 class TestH5CrossPool:
@@ -171,7 +171,7 @@ class TestH5CrossPool:
         pa, pb = _two_pools()
         events = [deposit("PA", D, 1), deposit("PB", D, 2),
                   withdrawal("PA", W, 5), withdrawal("PB", W, 6)]
-        results = h5_cross_pool(_views([pa, pb], events, 10))
+        results = h5_cross_pool(_views([pa, pb], events))
         assert results["PA"].link_pairs == {LinkPair(D, W)}
         assert results["PB"].link_pairs == {LinkPair(D, W)}
 
@@ -179,26 +179,33 @@ class TestH5CrossPool:
         pa, pb = _two_pools()
         events = [deposit("PA", D, 1), deposit("PB", D, 7),
                   withdrawal("PA", W, 5), withdrawal("PB", W, 6)]
-        results = h5_cross_pool(_views([pa, pb], events, 10))
+        results = h5_cross_pool(_views([pa, pb], events))
         assert results["PA"].link_pairs == frozenset()
 
     def test_single_shared_pool_is_not_enough(self):
         pa, pb = _two_pools()
         events = [deposit("PA", D, 1), withdrawal("PA", W, 5)]
-        results = h5_cross_pool(_views([pa, pb], events, 10))
+        results = h5_cross_pool(_views([pa, pb], events))
         assert results["PA"].link_pairs == frozenset()
 
     def test_per_pool_counts_must_match(self):
         pa, pb = _two_pools()
         events = [deposit("PA", D, 1), deposit("PA", D, 2), deposit("PB", D, 3),
                   withdrawal("PA", W, 5), withdrawal("PB", W, 6)]
-        results = h5_cross_pool(_views([pa, pb], events, 10))
+        results = h5_cross_pool(_views([pa, pb], events))
         assert results["PA"].link_pairs == frozenset()
 
     def test_needs_two_pools(self):
         pa, _ = _two_pools()
         with pytest.raises(InputError):
-            h5_cross_pool(_views([pa], [], 10))
+            h5_cross_pool(_views([pa], []))
+
+    def test_views_from_two_indexes_rejected(self):
+        pa, pb = _two_pools()
+        events = [deposit("PA", D, 1), deposit("PB", D, 2),
+                  withdrawal("PA", W, 5), withdrawal("PB", W, 6)]
+        with pytest.raises(InputError, match="one index"):
+            h5_cross_pool([view(pa, events, 5), view(pb, events, 10)])
 
 
 class TestCombine:
@@ -215,7 +222,7 @@ class TestCombine:
         events = [deposit("P100", a, 1), deposit("P100", c, 2),
                   withdrawal("P100", b, 5), withdrawal("P100", d, 6)]
         pair_ab, pair_cd = LinkPair(a, b), LinkPair(c, d)
-        state = pool_state(p100, events, t=10)
+        state = pool_state(p100, events)
         sequential = simplify_state(simplify_state(state, [pair_ab]), [pair_cd])
         import dataclasses
 
@@ -226,9 +233,10 @@ class TestCombine:
         positive = {a for a, b in sequential.items() if b > 0}
         assert len(combined.anonymity_set) == len(positive)
 
-    def test_mixed_cuts_rejected(self, p100, p100_events):
+    def test_foreign_pool_result_rejected(self, p100, p100_events):
+        other = PoolConfig(pool_id="P7", coin="ETH", denomination=7)
         r1 = h1_reuse(view(p100, p100_events, 10))
-        r2 = h1_reuse(view(p100, p100_events, 20))
+        r2 = h1_reuse(view(other, [], 20))
         with pytest.raises(InputError):
             combine(view(p100, p100_events, 10), [r1, r2])
 
@@ -248,7 +256,7 @@ class TestContainmentInvariants:
                   withdrawal("P100", W, 5, sender=D),
                   withdrawal("P100", D, 6)]
         v = view(p100, events, 10, transfers=[transfer(F, W, 3, 7)])
-        observed = deposit_actors(events, 10)
+        observed = deposit_actors(events)
         results = [h1_reuse(v), h2_improper_sender(v), h3_related_pair(v), h4_intermediary(v)]
         for r in results:
             assert r.anonymity_set <= observed

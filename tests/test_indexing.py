@@ -15,6 +15,7 @@ from anonset.ledger import (
     PoolEvent,
     Transfer,
     deposit_actors,
+    up_to,
 )
 from anonset.synth import BEHAVIORS, BehaviorProfile, GeneratorConfig, generate_trace, standard_pools
 
@@ -30,6 +31,11 @@ def fixture_index(p100_events):
         transfer(W1, Y, 100, 25),    # w1 moves out after withdrawing at 20
     ]
     return build_index(transfers, [], p100_events, None)
+
+
+def index_at(t, transfers, events):
+    """The index of the native transfers and pool events up to the cut ``t``."""
+    return build_index(up_to(transfers, t), [], up_to(events, t), None)
 
 
 class TestLabelBook:
@@ -151,38 +157,37 @@ class TestFlatSortKeys:
 
 class TestDistanceExtensions:
     def test_distance_one_is_deposit_actor_set(self, fixture_index, p100, p100_events):
-        got = fixture_index.depositors_at_distance(p100, 1, t=100)
+        got = fixture_index.depositors_at_distance(p100, 1)
         assert got == {D1, D2}
-        assert got == deposit_actors(p100_events, 100)
+        assert got == deposit_actors(p100_events)
 
     def test_distance_two_includes_funder(self, fixture_index, p100):
-        assert X in fixture_index.depositors_at_distance(p100, 2, t=100)
+        assert X in fixture_index.depositors_at_distance(p100, 2)
 
     def test_transfer_after_cut_excluded(self, p100, p100_events):
-        index = build_index([transfer(X, D1, 100, 50)], [], p100_events, None)
-        assert X not in index.depositors_at_distance(p100, 2, t=40)
+        index = index_at(40, [transfer(X, D1, 100, 50)], p100_events)
+        assert X not in index.depositors_at_distance(p100, 2)
 
     def test_distance_zero_rejected(self, fixture_index, p100):
         with pytest.raises(InputError):
-            fixture_index.depositors_at_distance(p100, 0, t=100)
+            fixture_index.depositors_at_distance(p100, 0)
         with pytest.raises(InputError):
-            fixture_index.withdrawers_at_distance(p100, 0, t=100)
+            fixture_index.withdrawers_at_distance(p100, 0)
 
     def test_withdrawers_distance_one_and_two(self, fixture_index, p100):
-        assert fixture_index.withdrawers_at_distance(p100, 1, t=100) == {W1}
-        assert Y in fixture_index.withdrawers_at_distance(p100, 2, t=100)
+        assert fixture_index.withdrawers_at_distance(p100, 1) == {W1}
+        assert Y in fixture_index.withdrawers_at_distance(p100, 2)
 
     def test_no_outgoing_means_empty_distance_two(self, p100, p100_events):
         index = build_index([], [], p100_events, None)
-        assert index.withdrawers_at_distance(p100, 2, t=100) == frozenset()
+        assert index.withdrawers_at_distance(p100, 2) == frozenset()
 
     def test_monotone_in_cut(self, p100, p100_events):
         transfers = [transfer(addr(f"f{i}"), D1, 10, h) for i, h in enumerate((2, 4, 6, 8))]
-        index = build_index(transfers, [], p100_events, None)
         for n in (1, 2):
             previous: frozenset = frozenset()
             for t in range(0, 120, 10):
-                current = index.depositors_at_distance(p100, n, t)
+                current = index_at(t, transfers, p100_events).depositors_at_distance(p100, n)
                 assert previous <= current
                 previous = current
 
@@ -192,7 +197,7 @@ class TestSourceTransfers:
         events = [deposit("P100", D1, 10)]
         incoming = transfer(X, D1, 100, 5)
         index = build_index([incoming], [], events, None)
-        (cover,) = index.source_transfers(D1, p100, t=50)
+        (cover,) = index.source_transfers(D1, p100)
         assert cover.claims == (incoming,)
         assert cover.shortfall == 0
 
@@ -201,7 +206,7 @@ class TestSourceTransfers:
         t60 = transfer(X, D1, 60, 4)
         t70 = transfer(Y, D1, 70, 6)
         index = build_index([t60, t70], [], events, None)
-        (cover,) = index.source_transfers(D1, p100, t=50)
+        (cover,) = index.source_transfers(D1, p100)
         assert [c.amount for c in cover.claims] == [60, 40]
         assert [c.sender for c in cover.claims] == [X, Y]
         assert sum(c.amount for c in cover.claims) == 100
@@ -209,7 +214,7 @@ class TestSourceTransfers:
     def test_transfer_claimable_once_across_deposits(self, p100):
         events = [deposit("P100", D1, 10), deposit("P100", D1, 20)]
         index = build_index([transfer(X, D1, 100, 5)], [], events, None)
-        first, second = index.source_transfers(D1, p100, t=50)
+        first, second = index.source_transfers(D1, p100)
         assert first.shortfall == 0
         assert second.claims == ()
         assert second.shortfall == 100
@@ -217,7 +222,7 @@ class TestSourceTransfers:
     def test_requires_a_deposit(self, p100):
         index = build_index([], [], [deposit("P100", D1, 10)], None)
         with pytest.raises(InputError):
-            index.source_transfers(D2, p100, t=50)
+            index.source_transfers(D2, p100)
 
     def test_oversized_older_transfer_absorbs_the_cover(self, p100):
         # backward scan claims the recent 10 first, then the 200; the
@@ -226,7 +231,7 @@ class TestSourceTransfers:
         big = transfer(X, D1, 200, 4)
         small = transfer(Y, D1, 10, 8)
         index = build_index([big, small], [], events, None)
-        (cover,) = index.source_transfers(D1, p100, t=50)
+        (cover,) = index.source_transfers(D1, p100)
         assert [(c.sender, c.amount) for c in cover.claims] == [(X, 100), (Y, 0)]
         assert sum(c.amount for c in cover.claims) == 100
 
@@ -238,7 +243,7 @@ class TestSourceTransfers:
                         for i, h in enumerate(heights)]
             deposits = [deposit("P100", D1, h) for h in sorted(rng.sample(range(2, 45), 2))]
             index = build_index(incoming, [], deposits, None)
-            for cover in index.source_transfers(D1, p100, t=60):
+            for cover in index.source_transfers(D1, p100):
                 assert sum(c.amount for c in cover.claims) + cover.shortfall == 100
 
 
@@ -247,7 +252,7 @@ class TestSinkTransfers:
         events = [withdrawal("P100", W1, 20)]
         out = transfer(W1, Y, 100, 30)
         index = build_index([out], [], events, None)
-        (cover,) = index.sink_transfers(W1, p100, t=50)
+        (cover,) = index.sink_transfers(W1, p100)
         assert cover.claims == (out,)
         assert cover.shortfall == 0
 
@@ -256,19 +261,19 @@ class TestSinkTransfers:
         t30 = transfer(W1, X, 30, 25)
         t80 = transfer(W1, Y, 80, 28)
         index = build_index([t30, t80], [], events, None)
-        (cover,) = index.sink_transfers(W1, p100, t=50)
+        (cover,) = index.sink_transfers(W1, p100)
         assert [c.amount for c in cover.claims] == [30, 70]
 
     def test_no_outgoing_is_full_shortfall(self, p100):
         index = build_index([], [], [withdrawal("P100", W1, 20)], None)
-        (cover,) = index.sink_transfers(W1, p100, t=50)
+        (cover,) = index.sink_transfers(W1, p100)
         assert cover.claims == ()
         assert cover.shortfall == 100
 
     def test_outgoing_after_cut_not_claimed(self, p100):
         events = [withdrawal("P100", W1, 20)]
-        index = build_index([transfer(W1, Y, 100, 60)], [], events, None)
-        (cover,) = index.sink_transfers(W1, p100, t=50)
+        index = index_at(50, [transfer(W1, Y, 100, 60)], events)
+        (cover,) = index.sink_transfers(W1, p100)
         assert cover.shortfall == 100
 
 
@@ -324,18 +329,20 @@ class TestCoversMatchTheFullScanOracle:
         cuts = [heights[len(heights) * q // 4] for q in (1, 2, 3)] + [trace.last_block]
         claimed = shortfall = refused = 0
         for t in cuts:
+            cut_index = build_index(up_to(trace.transfers, t), up_to(trace.token_transfers, t),
+                                    up_to(trace.events, t), dict(trace.labels))
             for pool in trace.pools:
                 actors = {e.actor for e in index.events_for(pool.pool_id)}
                 for actor in sorted(actors):
-                    for kind, scan in ((DEPOSIT, index.source_transfers),
-                                       (WITHDRAWAL, index.sink_transfers)):
+                    for kind, scan in ((DEPOSIT, cut_index.source_transfers),
+                                       (WITHDRAWAL, cut_index.sink_transfers)):
                         expected = oracle_covers(index, kind, actor, pool, t)
                         if expected is None:
                             with pytest.raises(InputError):
-                                scan(actor, pool, t)
+                                scan(actor, pool)
                             refused += 1
                             continue
-                        got = scan(actor, pool, t)
+                        got = scan(actor, pool)
                         assert got == expected, (seed, t, pool.pool_id, actor, kind)
                         claimed += sum(len(c.claims) for c in got)
                         shortfall += sum(c.shortfall for c in got)

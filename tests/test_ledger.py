@@ -19,6 +19,7 @@ from anonset.ledger import (
     pool_state,
     reduced_set,
     simplify_state,
+    up_to,
 )
 
 from .conftest import D1, D2, W1, addr, deposit, transfer, withdrawal
@@ -74,10 +75,10 @@ class TestDomainRecords:
 
 class TestComputeBalance:
     def test_two_deposits_no_withdrawals(self, p100, p100_events):
-        assert pool_state(p100, p100_events, t=100).get(D2, 0) == 200
+        assert pool_state(p100, p100_events).get(D2, 0) == 200
 
     def test_no_events_is_zero(self, p100):
-        assert pool_state(p100, [], t=100).get(D1, 0) == 0
+        assert pool_state(p100, []).get(D1, 0) == 0
 
     def test_three_deposits_three_withdrawals_cancel(self):
         # direct enumeration: 3*1 - 3*1 = 0
@@ -85,29 +86,34 @@ class TestComputeBalance:
         a = addr("aa")
         events = [deposit("P1", a, h) for h in (1, 2, 3)]
         events += [withdrawal("P1", a, h) for h in (4, 5, 6)]
-        assert pool_state(pool, events, t=10).get(a, 0) == 0
+        assert pool_state(pool, events).get(a, 0) == 0
 
     def test_cut_is_inclusive_at_t(self, p100):
         events = [deposit("P100", D1, 7)]
-        assert pool_state(p100, events, t=7).get(D1, 0) == 100
-        assert pool_state(p100, events, t=6).get(D1, 0) == 0
+        assert pool_state(p100, up_to(events, 7)).get(D1, 0) == 100
+        assert pool_state(p100, up_to(events, 6)).get(D1, 0) == 0
+
+    def test_up_to_keeps_the_cut_block_in_order(self):
+        later, at_cut, early = transfer(D1, D2, 5, 9), transfer(D2, W1, 5, 8), transfer(W1, D1, 5, 3)
+        assert up_to([later, at_cut, early], 8) == (at_cut, early)
+        assert up_to([later, at_cut, early], 2) == ()
 
     def test_foreign_pool_event_rejected(self, p100):
         with pytest.raises(InputError):
-            pool_state(p100, [deposit("OTHER", D1, 1)], t=5).get(D1, 0)
+            pool_state(p100, [deposit("OTHER", D1, 1)]).get(D1, 0)
 
 
 class TestPoolState:
     def test_worked_example(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         assert state == {D1: 100, D2: 200, W1: -100}
 
     def test_empty_history(self, p100):
-        assert pool_state(p100, [], t=5) == {}
+        assert pool_state(p100, []) == {}
 
     def test_deposit_and_withdraw_same_address(self, p100):
         a = addr("ab")
-        state = pool_state(p100, [deposit("P100", a, 1), withdrawal("P100", a, 2)], t=5)
+        state = pool_state(p100, [deposit("P100", a, 1), withdrawal("P100", a, 2)])
         assert state == {a: 0}
 
     def test_matches_bruteforce_counter_on_random_pools(self):
@@ -122,7 +128,7 @@ class TestPoolState:
                 events.append(deposit("P", a, h) if kind == DEPOSIT
                               else withdrawal("P", a, h))
             t = rng.randrange(0, 60)
-            state = pool_state(pool, events, t)
+            state = pool_state(pool, up_to(events, t))
             # oracle: per-address counting
             expect = {}
             for e in events:
@@ -136,31 +142,31 @@ class TestPoolState:
 
 class TestMergeAndSimplify:
     def test_worked_example_merge(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         merged = simplify_state(state, [LinkPair(D1, W1)])
         assert merged[min(D1, W1)] == 0
         assert merged[D2] == 200
         assert {a: b for a, b in merged.items() if b} == {D2: 200}
 
     def test_merge_with_absent_address_adds_zero(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         ghost = addr("zz")
         merged = simplify_state(state, [LinkPair(D2, ghost)])
         assert merged[min(D2, ghost)] == 200
         assert sum(merged.values()) == sum(state.values())
 
     def test_chained_merges_conserve_total(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         s1 = simplify_state(state, [LinkPair(D1, D2)])
         s2 = simplify_state(s1, [LinkPair(min(D1, D2), W1)])
         assert sum(s2.values()) == sum(state.values()) == 200
 
     def test_simplify_empty_links_is_identity(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         assert simplify_state(state, []) == state
 
     def test_simplify_worked_example(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         simplified = simplify_state(state, [LinkPair(D1, W1)])
         assert {a: b for a, b in simplified.items() if b} == {D2: 200}
 
@@ -171,7 +177,7 @@ class TestMergeAndSimplify:
         assert out == {a: 0}
 
     def test_simplify_rejects_negative_polarity(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         bad = LinkPair(D1, W1, polarity="negative")
         with pytest.raises(InputError):
             simplify_state(state, [bad])
@@ -204,8 +210,9 @@ class TestReducedSet:
                 events.append(deposit("P", a, h) if rng.random() < 0.55
                               else withdrawal("P", a, h))
             t = rng.randrange(0, 45)
-            state = pool_state(pool, events, t)
-            depositors = deposit_actors(events, t)
+            history = up_to(events, t)
+            state = pool_state(pool, history)
+            depositors = deposit_actors(history)
             links = [LinkPair(*rng.sample(actors + ghosts, 2))
                      for _ in range(rng.randrange(0, 8))]
             checked_links += len(links)

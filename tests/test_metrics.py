@@ -33,7 +33,7 @@ class TestAnonymitySets:
         assert view(p100, events, t=10).depositors == {D1}
 
     def test_true_set_is_positive_balances(self, p100, p100_events):
-        state = pool_state(p100, p100_events, t=100)
+        state = pool_state(p100, p100_events)
         assert {a for a, b in state.items() if b > 0} == {D1, D2}
 
     def test_true_set_of_drained_pool_is_empty(self):

@@ -14,6 +14,7 @@ import pytest
 
 from anonset.heuristics import combine, default_tags, pool_view, run_heuristics
 from anonset.indexing import build_index
+from anonset.ledger import up_to
 from anonset.synth import (
     BEHAVIORS,
     BehaviorProfile,
@@ -50,8 +51,9 @@ def cuts(trace, prng: Prng) -> list[int]:
 
 
 def all_results(trace, t: int, transfers, tokens, events):
-    index = build_index(transfers, tokens, events, dict(trace.labels))
-    views = [pool_view(index, pool, t) for pool in trace.pools]
+    index = build_index(up_to(transfers, t), up_to(tokens, t), up_to(events, t),
+                        dict(trace.labels))
+    views = [pool_view(index, pool) for pool in trace.pools]
     results = run_heuristics(default_tags(len(views)), views)
     return views, results
 

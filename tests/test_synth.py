@@ -38,8 +38,7 @@ def config_for(behavior: str, users: int = 40, span: int = 4000,
 def views_of(trace) -> dict:
     index = build_index(trace.transfers, trace.token_transfers, trace.events,
                         dict(trace.labels))
-    return {pool.pool_id: heuristics.pool_view(index, pool, trace.last_block)
-            for pool in trace.pools}
+    return {pool.pool_id: heuristics.pool_view(index, pool) for pool in trace.pools}
 
 
 def run_heuristic(tag: str, trace):
@@ -101,8 +100,7 @@ class TestGeneratorBasics:
                               user_count=64, block_span=6000)
         trace = generate_trace(cfg, 3)
         for pool in trace.pools:
-            state = pool_state(pool, [e for e in trace.events if e.pool_id == pool.pool_id],
-                               trace.last_block)
+            state = pool_state(pool, [e for e in trace.events if e.pool_id == pool.pool_id])
             assert state == trace.ground_truth.true_balances[pool.pool_id]
             assert {a for a, b in state.items() if b > 0} == \
                 trace.ground_truth.active_depositors[pool.pool_id]
