@@ -8,13 +8,12 @@ state and shrinks the set of people a withdrawal could belong to.
 """
 
 from anonset import (
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
     adversary_advantage,
+    cluster_balances,
     pool_state,
-    simplify_state,
 )
 
 D1 = "0x" + "11" * 20
@@ -23,10 +22,10 @@ W1 = "0x" + "33" * 20
 
 pool = PoolConfig(pool_id="P100", coin="ETH", denomination=100)
 events = [
-    PoolEvent("P100", "deposit", BlockPosition(10), actor=D1, tx_sender=D1),
-    PoolEvent("P100", "deposit", BlockPosition(11), actor=D2, tx_sender=D2),
-    PoolEvent("P100", "deposit", BlockPosition(12), actor=D2, tx_sender=D2),
-    PoolEvent("P100", "withdrawal", BlockPosition(20), actor=W1, tx_sender=W1),
+    PoolEvent("P100", "deposit", 10, actor=D1, tx_sender=D1),
+    PoolEvent("P100", "deposit", 11, actor=D2, tx_sender=D2),
+    PoolEvent("P100", "deposit", 12, actor=D2, tx_sender=D2),
+    PoolEvent("P100", "withdrawal", 20, actor=W1, tx_sender=W1),
 ]
 
 print("history: d1 deposits once, d2 twice, w1 withdraws once (p = 100)\n")
@@ -42,9 +41,10 @@ print("\nthe observed anonymity set is {d1, d2}: two candidate depositors")
 print(f"adversary advantage: {adversary_advantage(2)} per withdrawal\n")
 
 print("now assert that d1 and w1 are the same owner (link evidence):")
-linked = simplify_state(state, [LinkPair(D1, W1)])
-for address, balance in sorted(linked.items()):
-    print(f"  merged {address[:10]}…  {balance:+d}")
-print("\nnon-zero view:", {a[:10] + "…": b for a, b in linked.items() if b})
+clusters = cluster_balances(state, [LinkPair(D1, W1)])
+for members, balance in clusters:
+    names = " + ".join(a[:10] + "…" for a in members)
+    print(f"  cluster {names}  {balance:+d}")
+print("\nnon-zero view:", {members[0][:10] + "…": b for members, b in clusters if b})
 print("only d2 still plausibly holds a note; the withdrawal hides behind one")
 print(f"address, and the adversary advantage is now {adversary_advantage(1)}")

@@ -25,7 +25,7 @@ trace = generate_trace(config, seed=99)
 
 deposits = [e for e in trace.events if e.kind == "deposit"]
 withdrawals_by_pool = {
-    p.pool_id: sorted(e.block.height for e in trace.events
+    p.pool_id: sorted(e.height for e in trace.events
                       if e.pool_id == p.pool_id and e.kind == "withdrawal")
     for p in trace.pools}
 weights = {p.pool_id: p.am_weight for p in trace.pools}
@@ -38,7 +38,7 @@ recovered = 0
 for claim in sorted(trace.ap_claims, key=lambda c: c.block):
     category = classify_claimant(claim.recipient, deposits, trace.ap_claims)
     record = truth[claim.recipient]
-    own = sorted(e.block.height for e in deposits if e.actor == claim.recipient)
+    own = sorted(e.height for e in deposits if e.actor == claim.recipient)
     pool_withdrawals = withdrawals_by_pool[record.pool_id]
     if category == "one-one-one":
         solution = solve_single_claim(own[0], claim, weights[record.pool_id],

@@ -17,7 +17,7 @@ from anonset.groundtruth import (
     ens_transfer_links,
     score_links,
 )
-from anonset.ledger import BlockPosition, LinkPair, Transfer
+from anonset.ledger import LinkPair, Transfer
 from anonset.metrics import render_ratio
 
 
@@ -29,15 +29,15 @@ DISTRIBUTOR, HUB = a("drop"), a("hub")
 ALICE_1, ALICE_2, BOB, CAROL = a("al1"), a("al2"), a("bob"), a("carol")
 
 airdrops = [
-    Transfer(BlockPosition(100), DISTRIBUTOR, ALICE_1, 500, "UNI"),
-    Transfer(BlockPosition(100), DISTRIBUTOR, ALICE_2, 500, "UNI"),
-    Transfer(BlockPosition(100), DISTRIBUTOR, BOB, 500, "UNI"),
+    Transfer(100, DISTRIBUTOR, ALICE_1, 500, "UNI"),
+    Transfer(100, DISTRIBUTOR, ALICE_2, 500, "UNI"),
+    Transfer(100, DISTRIBUTOR, BOB, 500, "UNI"),
 ]
 consolidations = [
-    Transfer(BlockPosition(105), ALICE_1, HUB, 500, "UNI"),
-    Transfer(BlockPosition(106), ALICE_2, HUB, 500, "UNI"),
+    Transfer(105, ALICE_1, HUB, 500, "UNI"),
+    Transfer(106, ALICE_2, HUB, 500, "UNI"),
     # bob forwards months later: outside the window, no signal
-    Transfer(BlockPosition(90_000), BOB, HUB, 500, "UNI"),
+    Transfer(90_000, BOB, HUB, 500, "UNI"),
 ]
 airdrop_pairs = airdrop_links(airdrops, consolidations, window_blocks=1_000)
 print("airdrop consolidation links:")

@@ -20,7 +20,6 @@ from .errors import (
 from .ledger import (
     Address,
     Amount,
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
@@ -29,7 +28,6 @@ from .ledger import (
     normalize_address,
     pool_state,
     reduced_set,
-    simplify_state,
 )
 from .indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from .heuristics import (

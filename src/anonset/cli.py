@@ -34,7 +34,7 @@ from .errors import (
     InputError,
     ModeError,
 )
-from .ledger import DEPOSIT, WITHDRAWAL, LinkPair, connected_components
+from .ledger import DEPOSIT, WITHDRAWAL, LinkPair, connected_components, position
 from .metrics import render_percent, render_ratio
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -399,12 +399,12 @@ def _cmd_flags(args) -> int:
     payload = {"command": "flags", "threshold": str(args.threshold),
                "flagged": [{
                    "address": f.address,
-                   "first_withdrawal_block": f.first_withdrawal.block.height,
-                   "first_deposit_block": f.first_deposit.block.height,
+                   "first_withdrawal_block": f.first_withdrawal.height,
+                   "first_deposit_block": f.first_deposit.height,
                    "total_deposited": str(f.total_deposited),
                    "labels": sorted(f.labels)} for f in flags]}
-    rows = [[f.address, str(f.first_withdrawal.block.height),
-             str(f.first_deposit.block.height), str(f.total_deposited),
+    rows = [[f.address, str(f.first_withdrawal.height),
+             str(f.first_deposit.height), str(f.total_deposited),
              ",".join(sorted(f.labels))] for f in flags]
     _write_report(args, "flags", payload,
                   _table(["address", "first withdrawal", "first deposit",
@@ -419,7 +419,7 @@ def _cmd_am_link(args) -> int:
         if e.kind == DEPOSIT:
             deposits_by_actor.setdefault(e.actor, []).append(e)
     withdrawal_blocks = {
-        p.pool_id: sorted(e.block.height for e in dataset.events
+        p.pool_id: sorted(e.height for e in dataset.events
                           if e.pool_id == p.pool_id and e.kind == WITHDRAWAL)
         for p in dataset.pools}
     claimants: dict[str, list] = {}
@@ -434,16 +434,16 @@ def _cmd_am_link(args) -> int:
         category = mining.classify_claimant(address, own, claims)
         entry = {"address": address, "category": category, "claims": len(claims)}
         if category in (mining.ONE_ONE_ONE, mining.N_ONE_ONE):
-            own = sorted(own, key=lambda e: e.block)
+            own = sorted(own, key=position)
             pool = dataset.pool(own[0].pool_id)
             claim = claims[0]
             if category == mining.ONE_ONE_ONE:
                 solution = mining.solve_single_claim(
-                    own[0].block.height, claim, pool.am_weight,
+                    own[0].height, claim, pool.am_weight,
                     withdrawal_blocks[pool.pool_id])
             else:
                 solution = mining.solve_multi_claim(
-                    [e.block.height for e in own], claim, pool.am_weight,
+                    [e.height for e in own], claim, pool.am_weight,
                     withdrawal_blocks[pool.pool_id], search_cap=args.search_cap)
             statuses.append(solution.status)
             entry.update({
@@ -481,12 +481,12 @@ def _gt_positive_pairs(dataset: Dataset, source: str) -> frozenset[LinkPair]:
 
 
 def _cmd_validate(args) -> int:
+    for tag in args.heuristics or ():
+        if heuristics.HEURISTICS[tag].joins is None:
+            raise InputError(f"{tag} links no address pairs and cannot be validated")
     dataset = _load(args)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
-    for tag in tags:
-        if heuristics.HEURISTICS[tag].joins is None:
-            raise InputError(f"{tag} links no address pairs and cannot be validated")
     index, views, results = _run_heuristics(dataset, tags, t)
     depositors = frozenset().union(*(v.depositors for v in views.values()))
     withdrawers = frozenset().union(*(v.withdrawers for v in views.values()))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -32,12 +31,12 @@ from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
 from .groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from .ledger import (
     Address,
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
     Transfer,
     normalize_address,
+    position,
     up_to,
 )
 from .mining import APClaim
@@ -179,10 +178,6 @@ class _Row:
             raise self.fail(field, "expected a boolean")
         return value
 
-    def position(self) -> BlockPosition:
-        return BlockPosition(self.uint("block"), self.uint("tx_index", 0),
-                             self.uint("log_index", 0))
-
 
 def _utf8_error(file: Path, name: str) -> IngestError:
     """Name the first line of ``file`` that is not valid UTF-8.
@@ -287,10 +282,11 @@ def ingest(path: str | Path) -> Dataset:
         raise IngestError("block range is inverted", file=MANIFEST_FILE,
                           field="last_block")
 
-    def in_range(row: _Row, pos: BlockPosition) -> BlockPosition:
-        if not manifest.first_block <= pos.height <= manifest.last_block:
+    def height(row: _Row) -> int:
+        value = row.uint("block")
+        if not manifest.first_block <= value <= manifest.last_block:
             raise row.fail("block", "height outside the manifest block range")
-        return pos
+        return value
 
     counts: dict[str, int] = {}
     canon: dict[str, Address] = {}  # this call's interned addresses
@@ -310,20 +306,19 @@ def ingest(path: str | Path) -> Dataset:
         pool_id = r.text("pool_id")
         if pool_id not in known_pools:
             raise r.fail("pool_id", f"unknown pool {pool_id!r}")
-        return PoolEvent(pool_id=pool_id, kind=r.text("kind"),
-                         block=in_range(r, r.position()),
+        return PoolEvent(pool_id=pool_id, kind=r.text("kind"), height=height(r),
+                         tx_index=r.uint("tx_index", 0), log_index=r.uint("log_index", 0),
                          actor=r.address("actor"), tx_sender=r.address("tx_sender"),
                          relayer=r.optional_address("relayer"))
 
     def transfer(r: _Row) -> Transfer:
-        return Transfer(block=in_range(r, r.position()), sender=r.address("sender"),
+        return Transfer(height=height(r), tx_index=r.uint("tx_index", 0),
+                        log_index=r.uint("log_index", 0), sender=r.address("sender"),
                         recipient=r.address("recipient"), amount=r.amount("amount"),
                         coin=r.text("coin"), internal=r.flag("internal"))
 
     def ap_claim(r: _Row) -> APClaim:
-        height = r.uint("block")
-        in_range(r, BlockPosition(height))
-        return APClaim(recipient=r.address("recipient"), block=height, ap=r.uint("ap"))
+        return APClaim(recipient=r.address("recipient"), block=height(r), ap=r.uint("ap"))
 
     events = read("pool_events", pool_event)
     transfers = read("transfers", transfer)
@@ -351,7 +346,8 @@ def ingest(path: str | Path) -> Dataset:
         owner=r.address("owner"), assignee=r.address("assignee"),
         subdomain=r.text("subdomain")))
     airdrops = read("airdrop_claims", lambda r: Transfer(
-        block=r.position(), sender=r.address("sender"),
+        height=r.uint("block"), tx_index=r.uint("tx_index", 0),
+        log_index=r.uint("log_index", 0), sender=r.address("sender"),
         recipient=r.address("recipient"), amount=r.amount("amount"),
         coin=r.text("coin")))
     edges = read("follow_edges", lambda r: FollowEdge(
@@ -391,29 +387,28 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _event_line(e: PoolEvent) -> str:
     """``_dump_line`` of a pool event's record, keys in sorted order."""
-    b = e.block
     relayer = "null" if e.relayer is None else _quote(e.relayer)
-    return (f'{{"actor":{_quote(e.actor)},"block":{b.height},"kind":{_quote(e.kind)},'
-            f'"log_index":{b.log_index},"pool_id":{_quote(e.pool_id)},'
-            f'"relayer":{relayer},"tx_index":{b.tx_index},'
+    return (f'{{"actor":{_quote(e.actor)},"block":{e.height},"kind":{_quote(e.kind)},'
+            f'"log_index":{e.log_index},"pool_id":{_quote(e.pool_id)},'
+            f'"relayer":{relayer},"tx_index":{e.tx_index},'
             f'"tx_sender":{_quote(e.tx_sender)}}}\n')
 
 
 def _transfer_line(t: Transfer) -> str:
     """``_dump_line`` of a native or token transfer's record, keys in
     sorted order; the amount is a quoted decimal."""
-    b = t.block
-    return (f'{{"amount":"{t.amount}","block":{b.height},"coin":{_quote(t.coin)},'
+    return (f'{{"amount":"{t.amount}","block":{t.height},"coin":{_quote(t.coin)},'
             f'"internal":{"true" if t.internal else "false"},'
-            f'"log_index":{b.log_index},"recipient":{_quote(t.recipient)},'
-            f'"sender":{_quote(t.sender)},"tx_index":{b.tx_index}}}\n')
+            f'"log_index":{t.log_index},"recipient":{_quote(t.recipient)},'
+            f'"sender":{_quote(t.sender)},"tx_index":{t.tx_index}}}\n')
 
 
-# (e.block, …) spelled out, so sorting compares plain tuples in C
-_EVENT_ORDER = attrgetter("block.height", "block.tx_index", "block.log_index",
-                          "pool_id", "actor")
-_TRANSFER_ORDER = attrgetter("block.height", "block.tx_index", "block.log_index",
-                             "sender", "recipient")
+def _event_order(e: PoolEvent):
+    return (*position(e), e.pool_id, e.actor)
+
+
+def _transfer_order(t: Transfer):
+    return (*position(t), t.sender, t.recipient)
 
 
 def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
@@ -435,10 +430,10 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
                                 "denomination": str(p.denomination),
                                 "am_weight": p.am_weight})
                     for p in sorted(trace.pools, key=lambda p: p.pool_id)))
-    write("pool_events", map(_event_line, sorted(trace.events, key=_EVENT_ORDER)))
-    write("transfers", map(_transfer_line, sorted(trace.transfers, key=_TRANSFER_ORDER)))
+    write("pool_events", map(_event_line, sorted(trace.events, key=_event_order)))
+    write("transfers", map(_transfer_line, sorted(trace.transfers, key=_transfer_order)))
     write("token_transfers",
-          map(_transfer_line, sorted(trace.token_transfers, key=_TRANSFER_ORDER)))
+          map(_transfer_line, sorted(trace.token_transfers, key=_transfer_order)))
     write("labels", (_dump_line({"address": a, "label": label})
                      for a in sorted(trace.labels)
                      for label in sorted(trace.labels[a])))

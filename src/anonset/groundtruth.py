@@ -64,15 +64,15 @@ def airdrop_links(airdrop_transfers: Sequence[Transfer],
     received: dict[tuple[Address, str], int] = {}
     for tr in airdrop_transfers:
         key = (tr.recipient, tr.coin)
-        if key not in received or tr.block.height < received[key]:
-            received[key] = tr.block.height
+        if key not in received or tr.height < received[key]:
+            received[key] = tr.height
     funnels: dict[tuple[Address, str], set[Address]] = {}
     for tr in consolidation_transfers:
         key = (tr.sender, tr.coin)
         if key not in received or tr.sender == tr.recipient:
             continue
         got = received[key]
-        if got < tr.block.height <= got + window_blocks:
+        if got < tr.height <= got + window_blocks:
             funnels.setdefault((tr.recipient, tr.coin), set()).add(tr.sender)
     pairs: set[LinkPair] = set()
     for (central, _coin), senders in funnels.items():

@@ -37,6 +37,7 @@ from .ledger import (
     PoolEvent,
     deposit_actors,
     pool_state,
+    position,
     reduced_set,
     withdrawal_actors,
 )
@@ -189,26 +190,28 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
         raise InputError("cross-pool matching needs every view from one index")
 
     def signature(per_pool: dict[str, list]) -> tuple:
-        return tuple(sorted((pid, len(blocks)) for pid, blocks in per_pool.items()))
+        return tuple(sorted((pid, len(events)) for pid, events in per_pool.items()))
 
     by_coin: dict[str, list[PoolView]] = {}
     for view in view_list:
         by_coin.setdefault(view.pool.coin, []).append(view)
     pairs_by_pool: dict[str, set[LinkPair]] = {v.pool.pool_id: set() for v in view_list}
     for coin_views in by_coin.values():
-        dep_blocks: dict[Address, dict[str, list]] = {}
-        wd_blocks: dict[Address, dict[str, list]] = {}
+        # each address's events per pool; a view's events come in index
+        # order, so every list is already in position order
+        dep_events: dict[Address, dict[str, list]] = {}
+        wd_events: dict[Address, dict[str, list]] = {}
         for view in coin_views:
             for e in view.events:
-                table = dep_blocks if e.kind == DEPOSIT else wd_blocks
-                table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e.block)
+                table = dep_events if e.kind == DEPOSIT else wd_events
+                table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e)
 
         by_sig_d: dict[tuple, list[Address]] = {}
-        for d, per_pool in dep_blocks.items():
+        for d, per_pool in dep_events.items():
             if len(per_pool) > 1:
                 by_sig_d.setdefault(signature(per_pool), []).append(d)
         by_sig_w: dict[tuple, list[Address]] = {}
-        for w, per_pool in wd_blocks.items():
+        for w, per_pool in wd_events.items():
             if len(per_pool) > 1:
                 by_sig_w.setdefault(signature(per_pool), []).append(w)
 
@@ -218,8 +221,8 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
                     if d == w:
                         continue
                     if all(
-                        all(td < tw for td, tw in zip(sorted(dep_blocks[d][pid]),
-                                                      sorted(wd_blocks[w][pid])))
+                        all(position(dep) < position(wd)
+                            for dep, wd in zip(dep_events[d][pid], wd_events[w][pid]))
                         for pid, _count in sig
                     ):
                         pair = LinkPair(d, w, source=H5)

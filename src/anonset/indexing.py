@@ -29,6 +29,7 @@ from .ledger import (
     PoolEvent,
     Transfer,
     deposit_actors,
+    position,
     withdrawal_actors,
 )
 
@@ -76,20 +77,15 @@ class TransferCover:
     shortfall: Amount
 
 
-# Record sort keys.  The block position is spelled out as its three
-# fields: the order and equality are those of ``BlockPosition``, but plain
-# tuples compare and hash without a Python-level ``__lt__``/``__hash__``.
+# Record sort keys: the position first, then every other field, so equal
+# keys mean equal records
 
 def _transfer_key(t: Transfer):
-    b = t.block
-    return (b.height, b.tx_index, b.log_index,
-            t.sender, t.recipient, t.amount, t.coin, t.internal)
+    return (*position(t), t.sender, t.recipient, t.amount, t.coin, t.internal)
 
 
 def _event_key(e: PoolEvent):
-    b = e.block
-    return (b.height, b.tx_index, b.log_index,
-            e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
+    return (*position(e), e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
 
 
 class LedgerIndex:
@@ -194,7 +190,7 @@ class LedgerIndex:
             chosen: list[int] = []
             acc = 0
             for i, tr in enumerate(candidates):
-                if i in claimed or not usable(tr.block, anchor.block):
+                if i in claimed or not usable(position(tr), position(anchor)):
                     continue
                 chosen.append(i)
                 acc += tr.amount

@@ -11,8 +11,10 @@ Conventions used throughout the package:
 * Amounts and balances are exact integers in base units.  No floats ever
   touch a balance.
 * Logical time is a block height with a (transaction index, log index)
-  tie-break.  The time cut is applied once, by :func:`up_to` through
-  ``Dataset.build_index``; no query below it takes a height.
+  tie-break: three plain ints on every transfer and pool event, ordered
+  by :data:`position` and nothing else.  The time cut is applied once, by
+  :func:`up_to` through ``Dataset.build_index``; no query below it takes
+  a height.
 * A pool state is a plain ``dict`` of signed balances by address.  The
   algebra never mutates a state it is given; it returns a fresh one.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -52,18 +55,13 @@ def normalize_address(value: str) -> Address:
     return "0x" + text.lower()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class BlockPosition:
-    """Logical timestamp: block height, ordered within a block by
-    transaction index and then log index."""
+# The one record order: block height, then transaction index, then log index.
+position = attrgetter("height", "tx_index", "log_index")
 
-    height: int
-    tx_index: int = 0
-    log_index: int = 0
 
-    def __post_init__(self):
-        if self.height < 0 or self.tx_index < 0 or self.log_index < 0:
-            raise InputError(f"negative block position component: {self}")
+def _check_position(record) -> None:
+    if record.height < 0 or record.tx_index < 0 or record.log_index < 0:
+        raise InputError(f"negative block position component: {position(record)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,14 +72,17 @@ class Transfer:
     analysis distinguishes them from direct transfers.
     """
 
-    block: BlockPosition
+    height: int
     sender: Address
     recipient: Address
     amount: Amount
     coin: str
     internal: bool = False
+    tx_index: int = 0
+    log_index: int = 0
 
     def __post_init__(self):
+        _check_position(self)
         if self.amount < 0:
             raise InputError(f"negative transfer amount: {self.amount}", field="amount")
 
@@ -116,12 +117,15 @@ class PoolEvent:
 
     pool_id: str
     kind: str
-    block: BlockPosition
+    height: int
     actor: Address
     tx_sender: Address
     relayer: Address | None = None
+    tx_index: int = 0
+    log_index: int = 0
 
     def __post_init__(self):
+        _check_position(self)
         if self.kind not in (DEPOSIT, WITHDRAWAL):
             raise InputError(f"unknown pool event kind: {self.kind!r}", field="kind")
         if self.kind == DEPOSIT and self.relayer is not None:
@@ -167,11 +171,7 @@ class LinkPair:
 def up_to(records: Iterable, t: int) -> tuple:
     """The pool events or transfers in the history at the cut ``t``, in order.
     The cut is inclusive: a record in block ``t`` belongs to it."""
-    return tuple(r for r in records if r.block.height <= t)
-
-
-def events_for_pool(events: Iterable[PoolEvent], pool_id: str) -> list[PoolEvent]:
-    return [e for e in events if e.pool_id == pool_id]
+    return tuple(r for r in records if r.height <= t)
 
 
 def deposit_actors(events: Iterable[PoolEvent]) -> frozenset[Address]:
@@ -255,17 +255,6 @@ def cluster_balances(state: Mapping[Address, int], links: Iterable[LinkPair],
         clusters.append((members, sum(state.get(a, 0) for a in members)))
     clusters.extend(((a,), b) for a, b in state.items() if a not in linked)
     return clusters
-
-
-def simplify_state(state: Mapping[Address, int],
-                   links: Iterable[LinkPair]) -> dict[Address, int]:
-    """Merge the balances of linked addresses: one entry per cluster, keyed
-    by its lexicographically smallest member.
-
-    Merged entries are kept even when their balance is zero, so the total
-    balance is conserved and checkable.
-    """
-    return {members[0]: balance for members, balance in cluster_balances(state, links)}
 
 
 def reduced_set(state: Mapping[Address, int], links: Iterable[LinkPair],

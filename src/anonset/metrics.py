@@ -20,7 +20,7 @@ from .ledger import (
     Amount,
     PoolConfig,
     PoolEvent,
-    events_for_pool,
+    position,
 )
 
 # Average deposit volume of the labeled attacker addresses; kept
@@ -84,8 +84,8 @@ def relayer_usage(pool: PoolConfig, events: Sequence[PoolEvent]) -> RelayerUsage
     withdrawers: set[Address] = set()
     relayed_by: set[Address] = set()
     withdrawals = relayed = 0
-    for e in events_for_pool(events, pool.pool_id):
-        if e.kind != WITHDRAWAL:
+    for e in events:
+        if e.pool_id != pool.pool_id or e.kind != WITHDRAWAL:
             continue
         withdrawals += 1
         withdrawers.add(e.actor)
@@ -129,7 +129,7 @@ def fund_then_deposit_flags(pools: Iterable[PoolConfig],
     first_wd: dict[Address, PoolEvent] = {}
     first_dep: dict[Address, PoolEvent] = {}
     volume: dict[Address, Counter] = {}  # per address, per coin
-    for e in sorted(events, key=lambda e: e.block):
+    for e in sorted(events, key=position):
         pool = pool_by_id.get(e.pool_id)
         if pool is None:
             raise InputError(f"event for unknown pool {e.pool_id!r}")
@@ -141,7 +141,7 @@ def fund_then_deposit_flags(pools: Iterable[PoolConfig],
     flags = []
     for addr, wd in first_wd.items():
         dep = first_dep.get(addr)
-        if dep is None or wd.block >= dep.block:
+        if dep is None or position(wd) >= position(dep):
             continue
         total = max(volume[addr].values())
         if total < min_deposit:

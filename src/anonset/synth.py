@@ -33,7 +33,6 @@ from .ledger import (
     DEPOSIT,
     WITHDRAWAL,
     Address,
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
@@ -215,21 +214,21 @@ class _Builder:
 
     def fund(self, sender: Address, recipient: Address, amount: int,
              coin: str) -> Transfer:
-        tr = Transfer(block=BlockPosition(self.tick()), sender=sender,
+        tr = Transfer(height=self.tick(), sender=sender,
                       recipient=recipient, amount=amount, coin=coin)
         self.transfers.append(tr)
         return tr
 
     def token(self, sender: Address, recipient: Address, amount: int,
               coin: str) -> Transfer:
-        tr = Transfer(block=BlockPosition(self.tick()), sender=sender,
+        tr = Transfer(height=self.tick(), sender=sender,
                       recipient=recipient, amount=amount, coin=coin)
         self.token_transfers.append(tr)
         return tr
 
     def deposit(self, pool: PoolConfig, actor: Address) -> PoolEvent:
         e = PoolEvent(pool_id=pool.pool_id, kind=DEPOSIT,
-                      block=BlockPosition(self.tick()),
+                      height=self.tick(),
                       actor=actor, tx_sender=actor)
         self.events.append(e)
         return e
@@ -238,7 +237,7 @@ class _Builder:
                  tx_sender: Address | None = None,
                  relayer: Address | None = None) -> PoolEvent:
         e = PoolEvent(pool_id=pool.pool_id, kind=WITHDRAWAL,
-                      block=BlockPosition(self.tick()),
+                      height=self.tick(),
                       actor=actor, tx_sender=relayer or tx_sender or actor,
                       relayer=relayer)
         self.events.append(e)
@@ -383,8 +382,8 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 pool = one_pool()
                 n = prng.randint(1, SPECULATOR_MAX_DEPOSITS)
                 build.fund(FAUCET, d, n * pool.denomination, coin)
-                dep_blocks = [build.deposit(pool, d).block.height for _ in range(n)]
-                wd_blocks = [build.withdraw(pool, w, relayer=rel()).block.height
+                dep_blocks = [build.deposit(pool, d).height for _ in range(n)]
+                wd_blocks = [build.withdraw(pool, w, relayer=rel()).height
                              for _ in range(n)]
                 ap = pool.am_weight * sum(tw - td for td, tw in zip(dep_blocks, wd_blocks))
                 claim = build.claim(d, ap)

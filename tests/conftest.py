@@ -7,7 +7,6 @@ from anonset.indexing import build_index
 from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
-    BlockPosition,
     PoolConfig,
     PoolEvent,
     Transfer,
@@ -23,22 +22,20 @@ def addr(tag: str) -> str:
 
 def deposit(pool_id: str, actor: str, height: int, tx: int = 0,
             sender: str | None = None) -> PoolEvent:
-    return PoolEvent(pool_id=pool_id, kind=DEPOSIT,
-                     block=BlockPosition(height, tx),
+    return PoolEvent(pool_id=pool_id, kind=DEPOSIT, height=height, tx_index=tx,
                      actor=actor, tx_sender=sender or actor)
 
 
 def withdrawal(pool_id: str, actor: str, height: int, tx: int = 0,
                sender: str | None = None, relayer: str | None = None) -> PoolEvent:
-    return PoolEvent(pool_id=pool_id, kind=WITHDRAWAL,
-                     block=BlockPosition(height, tx),
+    return PoolEvent(pool_id=pool_id, kind=WITHDRAWAL, height=height, tx_index=tx,
                      actor=actor, tx_sender=relayer or sender or actor,
                      relayer=relayer)
 
 
 def transfer(sender: str, recipient: str, amount: int, height: int,
              tx: int = 0, coin: str = "ETH") -> Transfer:
-    return Transfer(block=BlockPosition(height, tx), sender=sender,
+    return Transfer(height=height, tx_index=tx, sender=sender,
                     recipient=recipient, amount=amount, coin=coin)
 
 

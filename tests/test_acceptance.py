@@ -23,13 +23,12 @@ from anonset.indexing import build_index
 from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
+    cluster_balances,
     connected_components,
     pool_state,
-    simplify_state,
     up_to,
 )
 from anonset.metrics import render_ratio
@@ -102,13 +101,13 @@ def test_criterion_4_pool_state_oracle():
             kind = DEPOSIT if rng.random() < 0.6 else WITHDRAWAL
             a = rng.choice(actors)
             events.append(PoolEvent(pool_id="P", kind=kind,
-                                    block=BlockPosition(h, rng.randrange(3)),
+                                    height=h, tx_index=rng.randrange(3),
                                     actor=a, tx_sender=a))
         t = rng.randrange(0, 55)
         state = pool_state(pool, up_to(events, t))
         expected: dict[str, int] = {}
         for e in events:
-            if e.block.height <= t:
+            if e.height <= t:
                 expected[e.actor] = expected.get(e.actor, 0) + \
                     (17 if e.kind == DEPOSIT else -17)
         assert state == expected
@@ -118,10 +117,10 @@ def test_criterion_4_pool_state_oracle():
     for _ in range(1_000):
         state = {a: rng.randrange(-4, 5) * 17 for a in rng.sample(actors, 6)}
         pairs = [LinkPair(*rng.sample(actors, 2)) for _ in range(rng.randrange(1, 7))]
-        base = simplify_state(state, pairs)
-        assert sum(base.values()) == sum(state.values())
+        base = cluster_balances(state, pairs)
+        assert sum(b for _, b in base) == sum(state.values())
         for perm in list(permutations(pairs))[:4]:
-            other = simplify_state(state, list(perm))
+            other = cluster_balances(state, list(perm))
             assert other == base
     _ok(4, "1,000 random pools match the brute-force counter; "
            "1,000 link sets conserve totals order-independently")
@@ -191,7 +190,7 @@ def test_criterion_6_reduced_set_containment():
         for pool in trace.pools:
             observed = {e.actor for e in trace.events
                         if e.pool_id == pool.pool_id and e.kind == DEPOSIT
-                        and e.block.height <= t}
+                        and e.height <= t}
             if not observed:
                 continue
             per = [results_by_tag[tag][pool.pool_id]

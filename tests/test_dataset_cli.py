@@ -19,6 +19,7 @@ from anonset.heuristics import (
     h5_cross_pool,
     pool_view,
 )
+from anonset.ledger import position
 from anonset.synth import (
     BEHAVIORS,
     BehaviorProfile,
@@ -64,8 +65,8 @@ class TestRoundTrip:
     def test_ingest_matches_trace(self, dataset_dir):
         trace = mixed_trace()
         dataset = ingest(dataset_dir)
-        assert sorted(dataset.events, key=lambda e: (e.block, e.pool_id, e.actor)) == \
-            sorted(trace.events, key=lambda e: (e.block, e.pool_id, e.actor))
+        assert sorted(dataset.events, key=lambda e: (position(e), e.pool_id, e.actor)) == \
+            sorted(trace.events, key=lambda e: (position(e), e.pool_id, e.actor))
         assert set(dataset.transfers) == set(trace.transfers)
         assert set(dataset.token_transfers) == set(trace.token_transfers)
         assert {c for c in dataset.ap_claims} == set(trace.ap_claims)
@@ -751,6 +752,14 @@ class TestValidateCommand:
               "--users", "10", "--out", str(data)])
         assert main(["validate", "--data", str(data), "--out", str(tmp_path / "o"),
                      "--gt", "airdrop", "--heuristics", "h1,h2"]) == 2
+
+    def test_validate_rejects_h1_before_reading_the_dataset(self, tmp_path, capsys):
+        assert main(["validate", "--gt", "airdrop", "--heuristics", "h1",
+                     "--data", str(tmp_path / "missing"),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "h1" in err
+        assert "manifest is missing" not in err
 
     def test_validate_debank_contradictions(self, tmp_path):
         data = tmp_path / "data"

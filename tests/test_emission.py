@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from anonset.dataset import _event_line, _transfer_line
-from anonset.ledger import DEPOSIT, WITHDRAWAL, BlockPosition, PoolEvent, Transfer
+from anonset.ledger import DEPOSIT, WITHDRAWAL, PoolEvent, Transfer
 from anonset.synth import Prng
 
 from .conftest import addr
@@ -25,8 +25,9 @@ def oracle(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def position(prng: Prng) -> BlockPosition:
-    return BlockPosition(prng.randint(0, 2 ** 40), prng.randint(0, 3), prng.randint(0, 3))
+def position(prng: Prng) -> dict[str, int]:
+    return {"height": prng.randint(0, 2 ** 40), "tx_index": prng.randint(0, 3),
+            "log_index": prng.randint(0, 3)}
 
 
 def test_event_line_matches_json_dumps():
@@ -37,13 +38,13 @@ def test_event_line_matches_json_dumps():
         kind = prng.choice((DEPOSIT, WITHDRAWAL))
         actor, sender = prng.choice(addresses), prng.choice(addresses)
         relayer = sender if kind == WITHDRAWAL and prng.randint(0, 1) else None
-        e = PoolEvent(pool_id=prng.choice(AWKWARD), kind=kind, block=position(prng),
+        e = PoolEvent(pool_id=prng.choice(AWKWARD), kind=kind, **position(prng),
                       actor=actor, tx_sender=sender, relayer=relayer)
         seen_relayed += relayer is not None
         seen_null += relayer is None
         assert _event_line(e) == oracle({
-            "pool_id": e.pool_id, "kind": e.kind, "block": e.block.height,
-            "tx_index": e.block.tx_index, "log_index": e.block.log_index,
+            "pool_id": e.pool_id, "kind": e.kind, "block": e.height,
+            "tx_index": e.tx_index, "log_index": e.log_index,
             "actor": e.actor, "tx_sender": e.tx_sender, "relayer": e.relayer})
     assert seen_relayed and seen_null
 
@@ -54,14 +55,14 @@ def test_transfer_line_matches_json_dumps():
     amounts = (0, 1, 10 ** 30, 2 ** 64 + 1)
     seen_internal = 0
     for _ in range(400):
-        t = Transfer(block=position(prng), sender=prng.choice(addresses),
+        t = Transfer(**position(prng), sender=prng.choice(addresses),
                      recipient=prng.choice(addresses),
                      amount=prng.choice(amounts) + prng.randint(0, 999),
                      coin=prng.choice(AWKWARD), internal=bool(prng.randint(0, 1)))
         seen_internal += t.internal
         assert _transfer_line(t) == oracle({
-            "block": t.block.height, "tx_index": t.block.tx_index,
-            "log_index": t.block.log_index, "sender": t.sender,
+            "block": t.height, "tx_index": t.tx_index,
+            "log_index": t.log_index, "sender": t.sender,
             "recipient": t.recipient, "amount": str(t.amount),
             "coin": t.coin, "internal": t.internal})
     assert 0 < seen_internal < 400

@@ -18,9 +18,9 @@ from anonset.indexing import LabelBook, build_index
 from anonset.ledger import (
     LinkPair,
     PoolConfig,
+    cluster_balances,
     deposit_actors,
     pool_state,
-    simplify_state,
     up_to,
     withdrawal_actors,
 )
@@ -117,7 +117,7 @@ class TestH3RelatedPair:
                 if d == w:
                     continue
                 for tr in transfers + tokens:
-                    if tr.block.height <= t and {tr.sender, tr.recipient} == {d, w}:
+                    if tr.height <= t and {tr.sender, tr.recipient} == {d, w}:
                         expected.add(LinkPair(d, w))
         assert got == expected
 
@@ -182,6 +182,19 @@ class TestH5CrossPool:
         results = h5_cross_pool(_views([pa, pb], events))
         assert results["PA"].link_pairs == frozenset()
 
+    def test_same_block_order_is_the_transaction_order(self):
+        pa, pb = _two_pools()
+        # PA's deposit and withdrawal share block 10; only the transaction
+        # index says which came first
+        wd_first = [deposit("PA", D, 10, tx=1), deposit("PB", D, 2),
+                    withdrawal("PA", W, 10, tx=0), withdrawal("PB", W, 6)]
+        assert h5_cross_pool(_views([pa, pb], wd_first))["PA"].link_pairs == frozenset()
+        dep_first = [deposit("PA", D, 10, tx=0), deposit("PB", D, 2),
+                     withdrawal("PA", W, 10, tx=1), withdrawal("PB", W, 6)]
+        results = h5_cross_pool(_views([pa, pb], dep_first))
+        assert results["PA"].link_pairs == {LinkPair(D, W)}
+        assert results["PB"].link_pairs == {LinkPair(D, W)}
+
     def test_single_shared_pool_is_not_enough(self):
         pa, pb = _two_pools()
         events = [deposit("PA", D, 1), withdrawal("PA", W, 5)]
@@ -223,14 +236,15 @@ class TestCombine:
                   withdrawal("P100", b, 5), withdrawal("P100", d, 6)]
         pair_ab, pair_cd = LinkPair(a, b), LinkPair(c, d)
         state = pool_state(p100, events)
-        sequential = simplify_state(simplify_state(state, [pair_ab]), [pair_cd])
+        first = cluster_balances(state, [pair_ab])
+        sequential = cluster_balances({m[0]: b for m, b in first}, [pair_cd])
         import dataclasses
 
         v = view(p100, events, 10)
         r1 = dataclasses.replace(h1_reuse(v), heuristic="x", link_pairs=frozenset({pair_ab}))
         r2 = dataclasses.replace(h1_reuse(v), heuristic="y", link_pairs=frozenset({pair_cd}))
         combined = combine(v, [r1, r2])
-        positive = {a for a, b in sequential.items() if b > 0}
+        positive = {m for m, b in sequential if b > 0}
         assert len(combined.anonymity_set) == len(positive)
 
     def test_foreign_pool_result_rejected(self, p100, p100_events):

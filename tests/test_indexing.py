@@ -11,10 +11,10 @@ from anonset.indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
-    BlockPosition,
     PoolEvent,
     Transfer,
     deposit_actors,
+    position,
     up_to,
 )
 from anonset.synth import BEHAVIORS, BehaviorProfile, GeneratorConfig, generate_trace, standard_pools
@@ -68,8 +68,8 @@ class TestBuildIndex:
         index = build_index(records, [], [], None)
         flattened = sorted(
             (t for addr_ in (a, b) for t in index.incoming_native(addr_)),
-            key=lambda t: t.block)
-        assert flattened == sorted(records, key=lambda t: t.block)
+            key=position)
+        assert flattened == sorted(records, key=position)
 
     def test_same_block_events_ordered_by_tx_index(self):
         e1 = deposit("P", D1, 5, tx=2)
@@ -103,47 +103,47 @@ class TestBuildIndex:
 
 
 class TestFlatSortKeys:
-    """Records order by (height, tx_index, log_index) before any other
-    field, exactly as ``BlockPosition`` orders."""
+    """Records order by ``position``, (height, tx_index, log_index), before
+    any other field."""
 
     # later positions get alphabetically earlier senders and actors, so an
     # order that skipped a position field would come out different
-    POSITIONS = [BlockPosition(5, 1, 0), BlockPosition(5, 0, 2),
-                 BlockPosition(5, 0, 1), BlockPosition(4, 9, 9)]
+    POSITIONS = [(5, 1, 0), (5, 0, 2), (5, 0, 1), (4, 9, 9)]
     NAMES = [addr("a1"), addr("b1"), addr("c1"), addr("d1")]
 
     def test_transfers(self):
-        records = [Transfer(block=pos, sender=name, recipient=D1, amount=1, coin="ETH")
-                   for pos, name in zip(self.POSITIONS, self.NAMES)]
+        records = [Transfer(height=h, tx_index=tx, log_index=log, sender=name,
+                            recipient=D1, amount=1, coin="ETH")
+                   for (h, tx, log), name in zip(self.POSITIONS, self.NAMES)]
         index = build_index(records, records, [], None)
-        expected = tuple(sorted(records, key=lambda tr: tr.block))
-        assert [tr.block for tr in expected] == sorted(self.POSITIONS)
+        expected = tuple(sorted(records, key=position))
+        assert [position(tr) for tr in expected] == sorted(self.POSITIONS)
         assert index.native_transfers == expected
         assert index.token_transfers == expected
         assert tuple(index.incoming_native(D1)) == expected
 
     def test_events(self):
-        records = [PoolEvent(pool_id="P", kind=DEPOSIT, block=pos, actor=name,
-                             tx_sender=name)
-                   for pos, name in zip(self.POSITIONS, self.NAMES)]
+        records = [PoolEvent(pool_id="P", kind=DEPOSIT, height=h, tx_index=tx,
+                             log_index=log, actor=name, tx_sender=name)
+                   for (h, tx, log), name in zip(self.POSITIONS, self.NAMES)]
         index = build_index([], [], records, None)
-        expected = tuple(sorted(records, key=lambda e: e.block))
+        expected = tuple(sorted(records, key=position))
         assert index.pool_events == expected
         assert tuple(index.events_for("P")) == expected
 
     def test_position_fields_distinguish_records(self):
         base = transfer(D1, D2, 5, 3)
-        other_log = replace(base, block=BlockPosition(3, 0, 1))
-        other_tx = replace(base, block=BlockPosition(3, 1, 0))
+        other_log = replace(base, log_index=1)
+        other_tx = replace(base, tx_index=1)
         index = build_index([other_tx, other_log, base], [], [], None)
         assert index.native_transfers == (base, other_log, other_tx)
         event = deposit("P", D1, 3)
-        later = replace(event, block=BlockPosition(3, 0, 1))
+        later = replace(event, log_index=1)
         assert build_index([], [], [later, event], None).pool_events == (event, later)
 
     def test_duplicate_error_text_and_position(self):
         first = transfer(D1, D2, 5, 3)
-        same = replace(first, block=BlockPosition(3, 0, 0))
+        same = replace(first, height=3, tx_index=0, log_index=0)
         with pytest.raises(IngestError) as caught:
             build_index([first, transfer(D2, D1, 5, 3), same], [], [], None)
         assert str(caught.value) == \
@@ -219,6 +219,15 @@ class TestSourceTransfers:
         assert second.claims == ()
         assert second.shortfall == 100
 
+    def test_same_block_order_is_the_transaction_order(self, p100):
+        events = [deposit("P100", D1, 10, tx=1)]
+        before = transfer(X, D1, 100, 10, tx=0)
+        after = transfer(Y, D1, 100, 10, tx=2)
+        index = build_index([before, after], [], events, None)
+        (cover,) = index.source_transfers(D1, p100)
+        assert cover.claims == (before,)
+        assert cover.shortfall == 0
+
     def test_requires_a_deposit(self, p100):
         index = build_index([], [], [deposit("P100", D1, 10)], None)
         with pytest.raises(InputError):
@@ -264,6 +273,15 @@ class TestSinkTransfers:
         (cover,) = index.sink_transfers(W1, p100)
         assert [c.amount for c in cover.claims] == [30, 70]
 
+    def test_same_block_order_is_the_transaction_order(self, p100):
+        events = [withdrawal("P100", W1, 20, tx=1)]
+        before = transfer(W1, X, 100, 20, tx=0)
+        after = transfer(W1, Y, 100, 20, tx=2)
+        index = build_index([before, after], [], events, None)
+        (cover,) = index.sink_transfers(W1, p100)
+        assert cover.claims == (after,)
+        assert cover.shortfall == 0
+
     def test_no_outgoing_is_full_shortfall(self, p100):
         index = build_index([], [], [withdrawal("P100", W1, 20)], None)
         (cover,) = index.sink_transfers(W1, p100)
@@ -281,27 +299,28 @@ def oracle_covers(index, kind, actor, pool, t):
     """The cover scan written over full-pool and full-ledger filters, or
     ``None`` when ``actor`` has no ``kind`` event in the pool by ``t``."""
     anchors = [e for e in index.events_for(pool.pool_id)
-               if e.kind == kind and e.actor == actor and e.block.height <= t]
+               if e.kind == kind and e.actor == actor and e.height <= t]
     if not anchors:
         return None
     backward = kind == DEPOSIT
     unclaimed = [tr for tr in index.native_transfers
                  if (tr.recipient if backward else tr.sender) == actor
-                 and tr.amount > 0 and tr.block.height <= t]
+                 and tr.amount > 0 and tr.height <= t]
     if backward:
         unclaimed.reverse()
     covers = []
     for anchor in anchors:
         chosen, acc = [], 0
         for tr in unclaimed:
-            if (tr.block < anchor.block) if backward else (tr.block > anchor.block):
+            if ((position(tr) < position(anchor)) if backward
+                    else (position(tr) > position(anchor))):
                 chosen.append(tr)
                 acc += tr.amount
                 if acc >= pool.denomination:
                     break
         unclaimed = [tr for tr in unclaimed if tr not in chosen]
         claims, remaining = [], pool.denomination
-        for tr in sorted(chosen, key=lambda tr: (tr.block, tr.sender, tr.recipient,
+        for tr in sorted(chosen, key=lambda tr: (position(tr), tr.sender, tr.recipient,
                                                  tr.amount, tr.coin, tr.internal)):
             take = min(tr.amount, remaining)
             claims.append(replace(tr, amount=take))
@@ -325,7 +344,7 @@ class TestCoversMatchTheFullScanOracle:
     def test_every_actor_of_every_pool_at_several_cuts(self, seed):
         trace, index = mixed_index(seed)
         # cuts inside the pools' busy span, where some actors are yet to come
-        heights = sorted(e.block.height for e in trace.events)
+        heights = sorted(e.height for e in trace.events)
         cuts = [heights[len(heights) * q // 4] for q in (1, 2, 3)] + [trace.last_block]
         claimed = shortfall = refused = 0
         for t in cuts:

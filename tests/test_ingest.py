@@ -16,11 +16,11 @@ from anonset.dataset import Dataset, _Row, ingest, read_ground_truth, write_data
 from anonset.errors import IngestError
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from anonset.ledger import (
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
     Transfer,
+    position,
 )
 from anonset.mining import APClaim
 
@@ -170,8 +170,8 @@ class TestFastPathsKeepErrors:
     def test_uint_default_when_missing(self, synth_dir):
         before = ingest(synth_dir).events[0]
         _edit_first_line(synth_dir, "pool_events", "tx_index", ...)
-        assert ingest(synth_dir).events[0].block == BlockPosition(before.block.height, 0,
-                                                                  before.block.log_index)
+        after = ingest(synth_dir).events[0]
+        assert position(after) == (before.height, 0, before.log_index)
 
     @pytest.mark.parametrize("name, field", [("pool_events", "actor"),
                                              ("pool_events", "relayer"),
@@ -231,7 +231,7 @@ class TestFastPathsKeepErrors:
                                "[file=pool_events.jsonl, line=1, field=actor]")
 
 
-RECORD_CLASSES = (BlockPosition, Transfer, PoolConfig, PoolEvent, LinkPair,
+RECORD_CLASSES = (Transfer, PoolConfig, PoolEvent, LinkPair,
                   APClaim, NameTransfer, SubdomainGrant, FollowEdge)
 
 
@@ -248,22 +248,21 @@ class TestSlottedRecords:
         records = [record for field in dataclasses.fields(Dataset)
                    if isinstance(getattr(dataset, field.name), tuple)
                    for record in getattr(dataset, field.name)]
-        records += [e.block for e in dataset.events]
         records += read_ground_truth(synth_dir).user_links
         assert {type(r) for r in records} == set(RECORD_CLASSES)
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_replace_still_works(self):
-        transfer = Transfer(block=BlockPosition(3, 1), sender=A1, recipient=A2,
+        transfer = Transfer(height=3, tx_index=1, sender=A1, recipient=A2,
                             amount=10, coin="ETH")
         half = dataclasses.replace(transfer, amount=5)
-        assert half == Transfer(block=BlockPosition(3, 1), sender=A1, recipient=A2,
+        assert half == Transfer(height=3, tx_index=1, sender=A1, recipient=A2,
                                 amount=5, coin="ETH")
         assert transfer.amount == 10
-        event = PoolEvent(pool_id="P1", kind="withdrawal", block=BlockPosition(4),
+        event = PoolEvent(pool_id="P1", kind="withdrawal", height=4,
                           actor=A1, tx_sender=A2, relayer=A2)
-        moved = dataclasses.replace(event, block=BlockPosition(5))
-        assert moved.block == BlockPosition(5) and moved.relayer == A2
+        moved = dataclasses.replace(event, height=5)
+        assert position(moved) == (5, 0, 0) and moved.relayer == A2
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.actor = A2

@@ -9,16 +9,17 @@ from anonset.errors import InputError
 from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
-    BlockPosition,
     LinkPair,
     PoolConfig,
     PoolEvent,
+    Transfer,
+    cluster_balances,
     connected_components,
     normalize_address,
     deposit_actors,
     pool_state,
+    position,
     reduced_set,
-    simplify_state,
     up_to,
 )
 
@@ -37,26 +38,40 @@ class TestAddress:
             normalize_address(bad)
 
 
-class TestBlockPosition:
+class TestPosition:
+    @staticmethod
+    def at(height: int, tx: int = 0, log: int = 0) -> Transfer:
+        return Transfer(height, D1, D2, 1, "ETH", tx_index=tx, log_index=log)
+
     def test_total_order_uses_tx_then_log_index(self):
-        assert BlockPosition(5) < BlockPosition(6)
-        assert BlockPosition(5, 1) < BlockPosition(5, 2)
-        assert BlockPosition(5, 1, 0) < BlockPosition(5, 1, 3)
+        at = self.at
+        assert position(at(5)) < position(at(6))
+        assert position(at(5, 1)) < position(at(5, 2))
+        assert position(at(5, 1, 0)) < position(at(5, 1, 3))
+        assert position(at(5, 0, 9)) < position(at(5, 1, 0)) < position(at(6))
+        event = PoolEvent("P", DEPOSIT, 5, D1, D1, tx_index=1, log_index=3)
+        assert position(event) == position(at(5, 1, 3)) == (5, 1, 3)
 
     def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            BlockPosition(-1)
+        # each record rejects each negative component on its own
+        for height, tx, log in ((-1, 0, 0), (1, -1, 0), (1, 0, -1)):
+            with pytest.raises(InputError, match="negative block position component"):
+                PoolEvent(pool_id="P", kind=DEPOSIT, height=height, tx_index=tx,
+                          log_index=log, actor=D1, tx_sender=D1)
+            with pytest.raises(InputError, match="negative block position component"):
+                Transfer(height=height, tx_index=tx, log_index=log, sender=D1,
+                         recipient=D2, amount=1, coin="ETH")
 
 
 class TestDomainRecords:
     def test_deposit_with_relayer_rejected(self):
         with pytest.raises(InputError):
-            PoolEvent(pool_id="P", kind=DEPOSIT, block=BlockPosition(1),
+            PoolEvent(pool_id="P", kind=DEPOSIT, height=1,
                       actor=D1, tx_sender=D1, relayer=W1)
 
     def test_relayed_withdrawal_must_be_signed_by_relayer(self):
         with pytest.raises(InputError):
-            PoolEvent(pool_id="P", kind=WITHDRAWAL, block=BlockPosition(1),
+            PoolEvent(pool_id="P", kind=WITHDRAWAL, height=1,
                       actor=W1, tx_sender=D1, relayer=D2)
 
     def test_self_transfer_is_legal(self):
@@ -132,7 +147,7 @@ class TestPoolState:
             # oracle: per-address counting
             expect = {}
             for e in events:
-                if e.block.height > t:
+                if e.height > t:
                     continue
                 expect.setdefault(e.actor, 0)
                 expect[e.actor] += 13 if e.kind == DEPOSIT else -13
@@ -143,44 +158,44 @@ class TestPoolState:
 class TestMergeAndSimplify:
     def test_worked_example_merge(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        merged = simplify_state(state, [LinkPair(D1, W1)])
-        assert merged[min(D1, W1)] == 0
-        assert merged[D2] == 200
-        assert {a: b for a, b in merged.items() if b} == {D2: 200}
+        merged = dict(cluster_balances(state, [LinkPair(D1, W1)]))
+        assert merged[tuple(sorted((D1, W1)))] == 0
+        assert merged[(D2,)] == 200
+        assert {m: b for m, b in merged.items() if b} == {(D2,): 200}
 
     def test_merge_with_absent_address_adds_zero(self, p100, p100_events):
         state = pool_state(p100, p100_events)
         ghost = addr("zz")
-        merged = simplify_state(state, [LinkPair(D2, ghost)])
-        assert merged[min(D2, ghost)] == 200
+        merged = dict(cluster_balances(state, [LinkPair(D2, ghost)]))
+        assert merged[tuple(sorted((D2, ghost)))] == 200
         assert sum(merged.values()) == sum(state.values())
 
     def test_chained_merges_conserve_total(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        s1 = simplify_state(state, [LinkPair(D1, D2)])
-        s2 = simplify_state(s1, [LinkPair(min(D1, D2), W1)])
-        assert sum(s2.values()) == sum(state.values()) == 200
+        s1 = cluster_balances(state, [LinkPair(D1, D2)])
+        s2 = cluster_balances({m[0]: b for m, b in s1}, [LinkPair(min(D1, D2), W1)])
+        assert sum(b for _, b in s2) == sum(state.values()) == 200
 
     def test_simplify_empty_links_is_identity(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        assert simplify_state(state, []) == state
+        assert cluster_balances(state, []) == [((a,), b) for a, b in state.items()]
 
     def test_simplify_worked_example(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        simplified = simplify_state(state, [LinkPair(D1, W1)])
-        assert {a: b for a, b in simplified.items() if b} == {D2: 200}
+        clusters = cluster_balances(state, [LinkPair(D1, W1)])
+        assert {m: b for m, b in clusters if b} == {(D2,): 200}
 
     def test_simplify_transitive_chain(self):
         a, b, c = sorted(addr(x) for x in ("ka", "kb", "kc"))
         state = {a: 1, b: 1, c: -2}
-        out = simplify_state(state, [LinkPair(a, b), LinkPair(b, c)])
-        assert out == {a: 0}
+        out = cluster_balances(state, [LinkPair(a, b), LinkPair(b, c)])
+        assert out == [((a, b, c), 0)]
 
     def test_simplify_rejects_negative_polarity(self, p100, p100_events):
         state = pool_state(p100, p100_events)
         bad = LinkPair(D1, W1, polarity="negative")
         with pytest.raises(InputError):
-            simplify_state(state, [bad])
+            cluster_balances(state, [bad])
 
     def test_order_independence_and_idempotence(self):
         rng = random.Random(21)
@@ -188,12 +203,12 @@ class TestMergeAndSimplify:
         for trial in range(30):
             state = {a: rng.randrange(-3, 4) * 10 for a in actors}
             pairs = [LinkPair(*rng.sample(actors, 2)) for _ in range(rng.randrange(1, 6))]
-            baseline = simplify_state(state, pairs)
+            baseline = cluster_balances(state, pairs)
             for perm in itertools.islice(itertools.permutations(pairs), 6):
-                assert simplify_state(state, list(perm)) == baseline
-            again = simplify_state(baseline, pairs)
+                assert cluster_balances(state, list(perm)) == baseline
+            again = cluster_balances({m[0]: b for m, b in baseline}, pairs)
             assert again == baseline
-            assert sum(baseline.values()) == sum(state.values())
+            assert sum(b for _, b in baseline) == sum(state.values())
 
 
 class TestReducedSet:
@@ -241,8 +256,7 @@ class TestReducedSet:
             got = reduced_set(state, links, depositors)
             assert got == expected
             assert got <= depositors
-            assert len(got) == sum(1 for b in simplify_state(state, links).values()
-                                   if b > 0)
+            assert len(got) == sum(1 for _, b in cluster_balances(state, links) if b > 0)
         assert checked_links > 500
 
 

@@ -123,11 +123,23 @@ class TestFundThenDeposit:
                                           min_deposit=1000)
         assert flag.address == a
         assert flag.total_deposited == 5855
-        assert flag.first_withdrawal.block.height == 100
+        assert flag.first_withdrawal.height == 100
 
     def test_deposit_first_not_flagged(self):
         a = addr("atk")
         events = [deposit("P5855", a, 100), withdrawal("P10", a, 500)]
+        assert fund_then_deposit_flags(self._pools(), events, NO_LABELS,
+                                       min_deposit=1000) == ()
+
+    def test_same_block_order_is_the_transaction_order(self):
+        a = addr("atk")
+        deposit_later = deposit("P5855", a, 10, tx=1)
+        withdrawal_first = withdrawal("P10", a, 10, tx=0)
+        (flag,) = fund_then_deposit_flags(self._pools(), [deposit_later, withdrawal_first],
+                                          NO_LABELS, min_deposit=1000)
+        assert flag.first_withdrawal == withdrawal_first
+        assert flag.first_deposit == deposit_later
+        events = [withdrawal("P10", a, 10, tx=1), deposit("P5855", a, 10, tx=0)]
         assert fund_then_deposit_flags(self._pools(), events, NO_LABELS,
                                        min_deposit=1000) == ()
 

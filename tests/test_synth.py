@@ -7,7 +7,7 @@ import pytest
 from anonset import heuristics
 from anonset.errors import ConfigError
 from anonset.indexing import build_index
-from anonset.ledger import pool_state
+from anonset.ledger import pool_state, position
 from anonset.mining import anonymity_points, classify_claimant
 from anonset.synth import (
     ATTACKER,
@@ -178,7 +178,7 @@ class TestAttackers:
         assert len(gt.attackers) == 8
         for a in gt.attackers:
             own = sorted((e for e in trace.events if e.actor == a),
-                         key=lambda e: e.block)
+                         key=position)
             assert own[0].kind == "withdrawal"
             deposited = sum(
                 next(p.denomination for p in trace.pools if p.pool_id == e.pool_id)
