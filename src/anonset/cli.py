@@ -34,7 +34,7 @@ from .errors import (
     InputError,
     ModeError,
 )
-from .ledger import DEPOSIT, WITHDRAWAL, LinkPair, connected_components, position
+from .ledger import DEPOSIT, LinkPair, connected_components, position
 from .metrics import render_percent, render_ratio
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -319,9 +319,12 @@ def _cmd_clusters(args) -> int:
 
 def _cmd_relayers(args) -> int:
     dataset = _load(args)
+    events_by_pool: dict[str, list] = {}
+    for e in dataset.events:
+        events_by_pool.setdefault(e.pool_id, []).append(e)
     rows, payload_rows = [], []
     for pool in dataset.pools:
-        usage = metrics.relayer_usage(pool, dataset.events)
+        usage = metrics.relayer_usage(pool, events_by_pool.get(pool.pool_id, ()))
         payload_rows.append({
             "pool_id": usage.pool_id, "relayers": usage.relayers,
             "withdrawals": usage.withdrawals,
@@ -415,13 +418,14 @@ def _cmd_flags(args) -> int:
 def _cmd_am_link(args) -> int:
     dataset = _load(args)
     deposits_by_actor: dict[str, list] = {}
+    withdrawal_blocks: dict[str, list[int]] = {p.pool_id: [] for p in dataset.pools}
     for e in dataset.events:
         if e.kind == DEPOSIT:
             deposits_by_actor.setdefault(e.actor, []).append(e)
-    withdrawal_blocks = {
-        p.pool_id: sorted(e.height for e in dataset.events
-                          if e.pool_id == p.pool_id and e.kind == WITHDRAWAL)
-        for p in dataset.pools}
+        else:
+            withdrawal_blocks[e.pool_id].append(e.height)
+    for blocks in withdrawal_blocks.values():
+        blocks.sort()
     claimants: dict[str, list] = {}
     for claim in dataset.ap_claims:
         claimants.setdefault(claim.recipient, []).append(claim)

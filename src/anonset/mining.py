@@ -171,8 +171,8 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     deps = sorted(deposit_blocks)
     u = len(deps)
     target = claim.ap // weight + sum(deps)
-    events = withdrawal_blocks[:bisect_left(withdrawal_blocks, claim.block)]
-    n = len(events)
+    events = withdrawal_blocks
+    n = bisect_left(events, claim.block)  # events[:n] precede the claim
 
     # per depth k: the least the later picks add (each above its own
     # deposit); per count r: the most r later picks add (the r largest)
@@ -186,18 +186,21 @@ def solve_multi_claim(deposit_blocks: Sequence[int], claim: APClaim, weight: int
     def picks(i: int, k: int, acc: int):
         """Candidates for the k-th pick, from event i on, in search order."""
         r = u - k - 1
-        for j in range(i, n):
+        if n - i - 1 < r:
+            return  # too few events left for the later picks
+        # a pick must lie above its deposit and reach the target with the
+        # r largest later picks; events are sorted, so skip to the first
+        start = bisect_left(events, max(deps[k] + 1, target - acc - top[r]), i, n)
+        for j in range(start, n):
             b = events[j]
             # identical blocks at the same depth explore identical subtrees
-            if j > i and b == events[j - 1] or b <= deps[k]:
+            if j > start and b == events[j - 1]:
                 continue
             new_acc = acc + b
             if new_acc + min_rest[k] > target:
-                return  # events sorted ascending: larger picks only overshoot
+                return  # larger picks only overshoot
             if n - j - 1 < r:
                 return  # too few events left for the later picks
-            if new_acc + top[r] < target:
-                continue
             yield j + 1, b, new_acc
 
     # depth-first on an explicit stack, one pick generator per open node

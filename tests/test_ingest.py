@@ -1,5 +1,6 @@
-"""Ingest fast paths: interned addresses, type-exact row accessors and
-slotted records, each checked against the behaviour they must keep."""
+"""Ingest fast paths: interned addresses, the one address rule, the fused
+parsers of the hot files and slotted records, each checked against the
+behaviour they must keep."""
 
 from __future__ import annotations
 
@@ -7,19 +8,22 @@ import dataclasses
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import anonset.dataset as dataset_module
 from anonset.cli import main
 from anonset.dataset import Dataset, _Row, ingest, read_ground_truth, write_dataset
-from anonset.errors import IngestError
+from anonset.errors import IngestError, InputError
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from anonset.ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
     Transfer,
+    normalize_address,
     position,
 )
 from anonset.mining import APClaim
@@ -29,14 +33,17 @@ from .test_dataset_cli import A1, A2, mixed_trace, write_side_channels
 CANONICAL = re.compile(r"0x[0-9a-f]{40}\Z")
 
 
-def respell(src: Path, dst: Path, seed: int) -> None:
+def respell(src: Path, dst: Path, seed: int, pad: bool = True) -> None:
     """Copy a dataset, spelling every address occurrence anew: mixed case,
-    a ``0x``, ``0X`` or no prefix, and surrounding whitespace.  Seeded."""
+    a ``0x``, ``0X`` or no prefix, and, with ``pad``, surrounding
+    whitespace.  Seeded."""
     rng = random.Random(seed)
 
     def spell(address: str) -> str:
         body = "".join(c.upper() if rng.random() < 0.5 else c for c in address[2:])
         prefix = rng.choice(["0x", "0X", ""])
+        if not pad:
+            return prefix + body
         return rng.choice(["", " ", "\t"]) + prefix + body + rng.choice(["", " ", "  "])
 
     dst.mkdir()
@@ -229,6 +236,316 @@ class TestFastPathsKeepErrors:
         assert "Traceback" not in err
         assert err.strip() == ("error: address must be a string "
                                "[file=pool_events.jsonl, line=1, field=actor]")
+
+
+def _fullwidth(text: str) -> str:
+    """The same hex digits in their fullwidth forms (U+FF10..)."""
+    return "".join(chr(ord(c) + 0xFEE0) for c in text)
+
+
+def spellings(address: str, rng: random.Random) -> dict[str, str]:
+    """Spellings of one canonical address, valid and not, for the address
+    rule: each must come out as ``normalize_address`` says."""
+    body = address[2:]
+    mixed = "".join(c.upper() if rng.random() < 0.5 else c for c in body)
+    return {
+        "canonical": address,
+        "upper": "0x" + body.upper(),
+        "mixed": "0x" + mixed,
+        "no-prefix": mixed,
+        "0X": "0X" + mixed,
+        "0X-lower": "0X" + body,
+        "padded": " " + "0x" + mixed + "\t",
+        "padded-no-prefix": mixed + " ",
+        "space-after-prefix": "0x " + body,
+        "fullwidth-digits": "0x" + _fullwidth(body),
+        "fullwidth-prefix": "０ｘ" + body,
+        "kelvin-sign": "0x" + body[:-1] + "K",
+        "arabic-indic-digit": "0x" + body[:-1] + "٣",
+        "39-digits": "0x" + body[:39],
+        "41-digits": "0x" + body + "a",
+        "0x0x": "0x0x" + body,
+        "0x0x-42-chars": "0x0x" + body[2:],
+        "prefix-only": "0x",
+        "empty": "",
+        "non-hex": "0x" + "g" + body[1:],
+    }
+
+
+def _random_address(rng: random.Random) -> str:
+    return "0x" + "".join(rng.choice("0123456789abcdef") for _ in range(40))
+
+
+class TestAddressRule:
+    """``_Row.address`` and the fused parsers share one address rule; it
+    returns what ``normalize_address`` returns, or fails where it fails,
+    whether or not the canonical form was seen first."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seen", [False, True], ids=["unseen", "seen"])
+    def test_row_address_matches_normalize_address(self, seed, seen):
+        rng = random.Random(seed)
+        address = _random_address(rng)
+        for name, value in spellings(address, rng).items():
+            canon: dict[str, str] = {}
+            if seen:
+                assert _Row("f.jsonl", 1, {"a": address}, canon, {}).address("a") == address
+            row = _Row("f.jsonl", 2, {"a": value}, canon, {})
+            try:
+                expected = normalize_address(value)
+            except InputError:
+                with pytest.raises(IngestError) as info:
+                    row.address("a")
+                assert str(info.value) == (f"malformed address: {value!r} "
+                                           f"[file=f.jsonl, line=2, field=a]"), name
+                continue
+            got = row.address("a")
+            assert got == expected, name
+            assert got is canon[expected], name
+
+    @pytest.mark.parametrize("name, first, second", [
+        ("pool_events", "actor", "tx_sender"), ("transfers", "sender", "recipient")])
+    @pytest.mark.parametrize("seen", [False, True], ids=["unseen", "seen"])
+    def test_ingest_matches_normalize_address(self, synth_dir, name, first, second, seen):
+        # line 1 of a deposit or transfer; a fresh address goes in ``first``
+        # spelled anew, or canonically with ``second`` spelled anew
+        path = synth_dir / f"{name}.jsonl"
+        lines = path.read_text().splitlines()
+        deposit = next(i for i, line in enumerate(lines)
+                       if json.loads(line).get("kind", "deposit") == "deposit")
+        lines.insert(0, lines.pop(deposit))
+        rng = random.Random(41)
+        address = _random_address(rng)
+        for label, value in spellings(address, rng).items():
+            field = second if seen else first
+            record = json.loads(lines[0])
+            record[first] = address if seen else value
+            record[field] = value
+            path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+            try:
+                expected = normalize_address(value)
+            except InputError:
+                with pytest.raises(IngestError) as info:
+                    ingest(synth_dir)
+                assert str(info.value) == (f"malformed address: {value!r} "
+                                           f"[file={name}.jsonl, line=1, field={field}]"), label
+                continue
+            dataset = ingest(synth_dir)
+            row = (dataset.events if name == "pool_events" else dataset.transfers)[0]
+            assert getattr(row, field) == expected == address, label
+
+
+def _edited(data: Path, name: str, line: int, record) -> None:
+    path = data / f"{name}.jsonl"
+    lines = path.read_text().splitlines()
+    lines[line - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _first_row(data: Path, name: str, **match) -> tuple[int, dict]:
+    """The line number and record of the first row of ``<name>.jsonl``
+    whose fields equal ``match``."""
+    for i, line in enumerate((data / f"{name}.jsonl").read_text().splitlines(), start=1):
+        record = json.loads(line)
+        if all(record.get(k) == v for k, v in match.items()):
+            return i, record
+    raise AssertionError(f"no {name} row with {match}")
+
+
+OUT_OF_RANGE = 10 ** 9
+
+# (file, row to edit, edits, field named, message): rows with more than one
+# fault name the field the checked parser reads first
+MULTI_FAULT_ROWS = [
+    ("pool_events", {"kind": "deposit"}, {"kind": "depozit", "actor": 5},
+     "actor", ADDRESS),
+    ("pool_events", {"kind": "deposit"}, {"relayer": "@sender", "tx_index": -1},
+     "tx_index", UINT),
+    ("pool_events", {"kind": "deposit"}, {"kind": "depozit"},
+     "kind", "unknown pool event kind: 'depozit'"),
+    ("pool_events", {"kind": "deposit"}, {"relayer": "@sender"},
+     "relayer", "deposits cannot carry a relayer"),
+    ("pool_events", {"kind": "withdrawal"}, {"relayer": A1, "tx_sender": A2},
+     "tx_sender", "relayed withdrawal must be signed by its relayer"),
+    ("pool_events", {"kind": "withdrawal"}, {"relayer": "0x12", "tx_sender": 7},
+     "tx_sender", ADDRESS),
+    ("pool_events", {"kind": "deposit"}, {"pool_id": "P7", "block": -1},
+     "pool_id", "unknown pool 'P7'"),
+    ("pool_events", {"kind": "deposit"}, {"pool_id": ["P1"], "kind": 3},
+     "pool_id", TEXT),
+    ("pool_events", {"kind": "deposit"}, {"block": OUT_OF_RANGE, "tx_index": "1"},
+     "block", "height outside the manifest block range"),
+    ("pool_events", {"kind": "deposit"}, {"log_index": True, "actor": "0x1"},
+     "log_index", UINT),
+    ("pool_events", {"kind": "deposit"}, {"actor": "0x1", "tx_sender": None},
+     "actor", "malformed address: '0x1'"),
+    ("transfers", {}, {"amount": "1.5", "coin": ""},
+     "amount", "amounts are decimal strings of base units"),
+    ("transfers", {}, {"amount": "9" * 5000, "internal": "no"},
+     "amount", "amount has too many digits"),
+    ("transfers", {}, {"internal": "yes", "sender": None},
+     "sender", ADDRESS),
+    ("transfers", {}, {"coin": 5, "internal": 1},
+     "coin", TEXT),
+    ("transfers", {}, {"internal": None},
+     "internal", "expected a boolean"),
+    ("token_transfers", {}, {"log_index": -1, "block": "5"},
+     "block", UINT),
+    ("token_transfers", {}, {"amount": "\\u0663", "recipient": "0X" + "A" * 40},
+     "amount", "amounts are decimal strings of base units"),
+]
+
+
+class TestMultiFaultRows:
+    @pytest.mark.parametrize("name, match, edits, field, message", MULTI_FAULT_ROWS,
+                             ids=[f"{r[0]}-{'-'.join(r[2])}" for r in MULTI_FAULT_ROWS])
+    def test_first_field_is_named(self, synth_dir, name, match, edits, field, message):
+        line, record = _first_row(synth_dir, name, **match)
+        for key, value in edits.items():
+            record[key] = record["tx_sender"] if value == "@sender" else value
+        _edited(synth_dir, name, line, record)
+        with pytest.raises(IngestError) as info:
+            ingest(synth_dir)
+        assert str(info.value) == f"{message} [file={name}.jsonl, line={line}, field={field}]"
+
+    @pytest.mark.parametrize("name", ["pool_events", "transfers", "token_transfers"])
+    @pytest.mark.parametrize("value", [[1, 2], "row", 5, None], ids=["list", "str", "int", "null"])
+    def test_record_not_an_object(self, synth_dir, name, value):
+        _edited(synth_dir, name, 2, value)
+        with pytest.raises(IngestError) as info:
+            ingest(synth_dir)
+        assert str(info.value) == f"record is not an object [file={name}.jsonl, line=2]"
+
+    @pytest.mark.parametrize("text", ['{"a":', '{"a":1}x', '{"a":1} {}', "nul", '{"a" 1}',
+                                      "[1,]", '{1:2}', '"abc', '{"a":"\\x01"}', "-", "{}}"])
+    def test_invalid_json_texts(self, synth_dir, text):
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(text)
+        path = synth_dir / "pool_events.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], text] + lines[1:]) + "\n")
+        with pytest.raises(IngestError) as info:
+            ingest(synth_dir)
+        assert str(info.value) == (f"invalid JSON: {decoded.value.msg} "
+                                   f"[file=pool_events.jsonl, line=2]")
+
+
+class _Record(dict):
+    """A decoded row that the fused parsers pass on: they take exact dicts
+    only, so each such row is read by the checked parser."""
+
+    __slots__ = ()
+
+
+def _checked_only(patch) -> None:
+    read = dataset_module._read_lines
+
+    def rows(path, name):
+        for line, value in read(path, name):
+            yield line, _Record(value) if type(value) is dict else value
+
+    patch.setattr(dataset_module, "_read_lines", rows)
+
+
+def _outcome(data: Path):
+    """What ingest makes of ``data``: its hot records, or its error."""
+    try:
+        dataset = ingest(data)
+    except IngestError as exc:
+        return str(exc)
+    return dataset.events, dataset.transfers, dataset.token_transfers, dataset.counts
+
+
+# values a seeded edit may put in a field; ``...`` drops the field
+EDIT_VALUES = (..., None, True, False, -1, 0, 1.5, "5", "", "x", "deposit", "withdrawal",
+               "depozit", "P100", "P7", OUT_OF_RANGE, 2 ** 70, "12", "1.5", "\\u0663",
+               "9" * 5000, [A1], {}, A1, A2, "0X" + "AB" * 20, "ab" * 20, " " + A1,
+               "0x" + "g" * 40, "0x" + "a" * 39)
+
+
+class TestFusedParsersMatchCheckedParser:
+    """The fused parsers against the checked parser as oracle: on seeded
+    edits of one to three fields, ingest gives the same records or the
+    same error with both."""
+
+    def test_valid_dataset(self, synth_dir, tmp_path, monkeypatch):
+        respell(synth_dir, tmp_path / "respelled", seed=31)
+        for data in (synth_dir, tmp_path / "respelled"):
+            fused = ingest(data)
+            with monkeypatch.context() as patch:
+                _checked_only(patch)
+                checked = ingest(data)
+            assert fused.events == checked.events and fused.counts == checked.counts
+            assert fused.transfers == checked.transfers
+            assert fused.token_transfers == checked.token_transfers
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_edits(self, synth_dir, monkeypatch, seed):
+        rng = random.Random(seed)
+        outcomes = Counter()
+        for _ in range(12):
+            name = rng.choice(["pool_events", "transfers", "token_transfers"])
+            path = synth_dir / f"{name}.jsonl"
+            original = path.read_text()
+            lines = original.splitlines()
+            line = rng.randrange(len(lines)) + 1
+            record = json.loads(lines[line - 1])
+            for field in rng.sample(sorted(record), rng.randint(1, 3)):
+                value = rng.choice(EDIT_VALUES)
+                if value is ...:
+                    del record[field]
+                else:
+                    record[field] = value
+            _edited(synth_dir, name, line, record)
+            fused = _outcome(synth_dir)
+            with monkeypatch.context() as patch:
+                _checked_only(patch)
+                checked = _outcome(synth_dir)
+            path.write_text(original)
+            assert fused == checked, (name, line, record)
+            outcomes[isinstance(fused, str)] += 1
+        assert outcomes[True] > 0
+
+
+class TestFastPathCounts:
+    """Guards that need no clock: the cost of ingesting valid rows, counted."""
+
+    CHECKED_FILES = ("pools", "labels", "relayers", "ap_claims", "ens_transfers",
+                     "ens_subdomains", "airdrop_claims", "follow_edges")
+
+    def test_valid_hot_rows_build_no_row_object(self, synth_dir, monkeypatch):
+        built = []
+
+        class Counted(_Row):
+            __slots__ = ()
+
+            def __init__(self, file, *args):
+                built.append(file)
+                super().__init__(file, *args)
+
+        monkeypatch.setattr(dataset_module, "_Row", Counted)
+        dataset = ingest(synth_dir)
+        rows = sum(len((synth_dir / f"{name}.jsonl").read_text().splitlines())
+                   for name in self.CHECKED_FILES)
+        assert dataset.counts["pool_events"] > 0 and dataset.counts["transfers"] > 0
+        # one for the manifest, at most one for each row of the small files
+        assert len(built) <= 1 + rows
+        assert set(built) <= {f"{name}.jsonl" for name in self.CHECKED_FILES} | {"manifest.json"}
+
+    def test_normalize_address_runs_once_per_address(self, synth_dir, tmp_path, monkeypatch):
+        # a copy re-spelled only by case and prefix, as chain exports spell it
+        respell(synth_dir, tmp_path / "respelled", seed=29, pad=False)
+        calls = []
+
+        def counted(value: str) -> str:
+            calls.append(value)
+            return normalize_address(value)
+
+        monkeypatch.setattr(dataset_module, "normalize_address", counted)
+        dataset = ingest(tmp_path / "respelled")
+        per_address = Counter(map(normalize_address, calls))
+        assert len(set(address_occurrences(dataset))) <= len(per_address)
+        assert max(per_address.values()) == 1
 
 
 RECORD_CLASSES = (Transfer, PoolConfig, PoolEvent, LinkPair,

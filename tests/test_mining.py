@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from itertools import combinations
 
 import pytest
@@ -176,7 +177,47 @@ class TestSolveSingleClaim:
             assert anonymity_points({"p": [t_d]}, {"p": [tw]}, {"p": weight}) == claim.ap
 
 
+class CountedHeights(Sequence):
+    """Sorted withdrawal heights that count every element read into
+    ``reads``; a slice reads through to the same count."""
+
+    def __init__(self, heights: list[int], reads: list[int]):
+        self.heights = heights
+        self.reads = reads
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CountedHeights(self.heights[index], self.reads)
+        self.reads[0] += 1
+        return self.heights[index]
+
+
+def heights_read(claims: int) -> int:
+    """Heights the solver reads for ``claims`` two-deposit claims against
+    ``10 * claims`` withdrawals, each claim solved by the last two."""
+    w = 10 * claims
+    reads = [0]
+    heights = CountedHeights(list(range(1, w + 1)), reads)
+    for c in range(claims):
+        # gaps (w - 1) - (w - 4) and w - (w - 3): 6 points, one solution
+        claim = APClaim(recipient=addr(f"c{c}"), block=w + 1, ap=6)
+        sol = solve_multi_claim([w - 4, w - 3], claim, 1, heights)
+        assert sol.solutions == ((w - 1, w),)
+    return reads[0]
+
+
 class TestSolveMultiClaim:
+    def test_heights_read_grow_with_claims_not_claims_times_withdrawals(self):
+        # a guard that needs no clock: each claim's candidates sit at the
+        # end of the pool, so a scan from the start reads every height for
+        # every claim, 16x the reads for 4x the claims and withdrawals;
+        # bisection reads about log(withdrawals) per search node
+        small, large = heights_read(20), heights_read(80)
+        assert 0 < small < large < 8 * small
+
     def test_worked_pair(self):
         claim = APClaim(recipient=addr("m1"), block=300, ap=110)
         sol = solve_multi_claim([100, 200], claim, 1, [150, 260])
