@@ -234,12 +234,13 @@ def _read_lines(path: Path, name: str):
     if not file.exists():
         raise IngestError("required file is missing", file=name)
     # what json.loads does, less its whitespace scans (a stripped line has
-    # none) and raw_decode's wrapper, whose one error text is kept here
+    # none) and raw_decode's wrapper, whose one error text is kept here;
+    # only JSON's own four whitespace characters are stripped
     scan = json.JSONDecoder().scan_once
     try:
         with file.open(encoding="utf-8") as handle:
             for i, line in enumerate(handle, start=1):
-                line = line.strip()
+                line = line.strip(" \t\r\n")
                 if not line:
                     continue
                 try:

@@ -6,8 +6,9 @@ that still plausibly hold a balance once linked addresses are merged.
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
 events, state and actor sets in one index of the history at a cut, built
-once and shared (h5 takes the views of all pools); per-pool evaluations
-can run concurrently.
+once and shared (h5 takes the views of all pools, and reads each
+address's per-pool events from their index); per-pool evaluations can
+run concurrently.
 :data:`HEURISTICS` maps each tag to its heuristic.
 
 The simplified set is computed uniformly by :func:`ledger.reduced_set`:
@@ -182,6 +183,8 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     precedes its same-rank withdrawal).  Pools are matched within each
     coin, so a pool that is the only one of its coin gets no links.  Each
     pool's anonymity set is then simplified with the pairs that involve it.
+    The per-address event lists come from the index
+    (:meth:`LedgerIndex.actor_events`); no pool's event list is walked.
     """
     view_list = sorted(views, key=lambda v: v.pool.pool_id)
     if len(view_list) < 2:
@@ -189,45 +192,45 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     if any(v.index is not view_list[0].index for v in view_list):
         raise InputError("cross-pool matching needs every view from one index")
 
-    def signature(per_pool: dict[str, list]) -> tuple:
+    def signature(per_pool: dict[str, Sequence[PoolEvent]]) -> tuple:
         return tuple(sorted((pid, len(events)) for pid, events in per_pool.items()))
 
-    by_coin: dict[str, list[PoolView]] = {}
-    for view in view_list:
-        by_coin.setdefault(view.pool.coin, []).append(view)
-    pairs_by_pool: dict[str, set[LinkPair]] = {v.pool.pool_id: set() for v in view_list}
-    for coin_views in by_coin.values():
-        # each address's events per pool; a view's events come in index
-        # order, so every list is already in position order
-        dep_events: dict[Address, dict[str, list]] = {}
-        wd_events: dict[Address, dict[str, list]] = {}
-        for view in coin_views:
-            for e in view.events:
-                table = dep_events if e.kind == DEPOSIT else wd_events
-                table.setdefault(e.actor, {}).setdefault(e.pool_id, []).append(e)
+    coin_of = {v.pool.pool_id: v.pool.coin for v in view_list}
+    pairs_by_pool: dict[str, set[LinkPair]] = {pid: set() for pid in coin_of}
+    # each address's events per pool of one coin: the index's own
+    # per-actor lists, which come in index order, so each is already in
+    # position order
+    dep_events: dict[tuple[str, Address], dict[str, Sequence[PoolEvent]]] = {}
+    wd_events: dict[tuple[str, Address], dict[str, Sequence[PoolEvent]]] = {}
+    for (pid, kind, actor), events in view_list[0].index.actor_events().items():
+        coin = coin_of.get(pid)
+        if coin is not None:
+            table = dep_events if kind == DEPOSIT else wd_events
+            table.setdefault((coin, actor), {})[pid] = events
 
-        by_sig_d: dict[tuple, list[Address]] = {}
-        for d, per_pool in dep_events.items():
-            if len(per_pool) > 1:
-                by_sig_d.setdefault(signature(per_pool), []).append(d)
-        by_sig_w: dict[tuple, list[Address]] = {}
-        for w, per_pool in wd_events.items():
-            if len(per_pool) > 1:
-                by_sig_w.setdefault(signature(per_pool), []).append(w)
+    # a signature names its pools, so equal signatures share one coin
+    by_sig_d: dict[tuple, list[tuple[str, Address]]] = {}
+    for d, per_pool in dep_events.items():
+        if len(per_pool) > 1:
+            by_sig_d.setdefault(signature(per_pool), []).append(d)
+    by_sig_w: dict[tuple, list[tuple[str, Address]]] = {}
+    for w, per_pool in wd_events.items():
+        if len(per_pool) > 1:
+            by_sig_w.setdefault(signature(per_pool), []).append(w)
 
-        for sig, ds in by_sig_d.items():
-            for w in by_sig_w.get(sig, []):
-                for d in ds:
-                    if d == w:
-                        continue
-                    if all(
-                        all(position(dep) < position(wd)
-                            for dep, wd in zip(dep_events[d][pid], wd_events[w][pid]))
-                        for pid, _count in sig
-                    ):
-                        pair = LinkPair(d, w, source=H5)
-                        for pid, _count in sig:
-                            pairs_by_pool[pid].add(pair)
+    for sig, ds in by_sig_d.items():
+        for w in by_sig_w.get(sig, []):
+            for d in ds:
+                if d == w:
+                    continue
+                if all(
+                    all(position(dep) < position(wd)
+                        for dep, wd in zip(dep_events[d][pid], wd_events[w][pid]))
+                    for pid, _count in sig
+                ):
+                    pair = LinkPair(d[1], w[1], source=H5)
+                    for pid, _count in sig:
+                        pairs_by_pool[pid].add(pair)
 
     return {v.pool.pool_id: _result(H5, v, pairs_by_pool[v.pool.pool_id])
             for v in view_list}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, IngestError
@@ -122,6 +123,11 @@ class LedgerIndex:
     def events_for(self, pool_id: str) -> Sequence[PoolEvent]:
         return self._by_pool.get(pool_id, [])
 
+    def actor_events(self) -> Mapping[tuple[str, str, Address], Sequence[PoolEvent]]:
+        """Each actor's own events of one kind in one pool, keyed
+        ``(pool_id, kind, actor)``, in index order; a read-only view."""
+        return MappingProxyType(self._by_actor)
+
     # -- distance extensions --------------------------------------------------
 
     def depositors_at_distance(self, pool: PoolConfig, n: int) -> frozenset[Address]:
@@ -206,14 +212,16 @@ class LedgerIndex:
 
 
 def _dedup_sort(records: Sequence, key, file: str) -> tuple:
-    """The records sorted by ``key``; a repeated key is a duplicate record."""
-    by_key: dict = {}
-    for pos, r in enumerate(records):
-        k = key(r)
-        if k in by_key:
-            raise IngestError(f"duplicate record at position {pos}: {r}", file=file)
-        by_key[k] = r
-    return tuple(by_key[k] for k in sorted(by_key))
+    """The records sorted by ``key``; a repeated key is a duplicate record,
+    reported at the smallest input position that repeats an earlier one."""
+    keys = list(map(key, records))
+    # a stable sort: equal keys stay in input order, side by side
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = [keys[i] for i in order]
+    if any(map(operator.eq, ordered, ordered[1:])):
+        pos = min(j for i, j in zip(order, order[1:]) if keys[i] == keys[j])
+        raise IngestError(f"duplicate record at position {pos}: {records[pos]}", file=file)
+    return tuple(records[i] for i in order)
 
 
 def _attribute(claims: Sequence[Transfer], need: Amount) -> tuple[Transfer, ...]:

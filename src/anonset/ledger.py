@@ -210,7 +210,10 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...]
     parent: dict[Address, Address] = {}
 
     def find(a: Address) -> Address:
-        root = a
+        # a new address joins as its own root
+        root = parent.setdefault(a, a)
+        if root == a:
+            return a
         while parent[root] != root:
             root = parent[root]
         while parent[a] != root:
@@ -218,8 +221,6 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...]
         return root
 
     for p in pairs:
-        for a in p.addresses:
-            parent.setdefault(a, a)
         ra, rb = find(p.a1), find(p.a2)
         if ra != rb:
             # anchor on the smaller root so representatives are canonical
@@ -233,6 +234,24 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...]
     return tuple(tuple(sorted(groups[root])) for root in sorted(groups))
 
 
+def _linked_clusters(state: Mapping[Address, int], links: Iterable[LinkPair],
+                     ) -> tuple[list[tuple[tuple[Address, ...], int]], set[Address]]:
+    """The clusters of the linked addresses alone, each ``(members,
+    balance)`` with members sorted, and the set of linked addresses.  The
+    one cluster reduction: :func:`cluster_balances` and
+    :func:`reduced_set` are both built on it."""
+    links = list(links)
+    for p in links:
+        if p.polarity != POSITIVE:
+            raise InputError("cluster reduction accepts positive link pairs only")
+    linked: set[Address] = set()
+    clusters = []
+    for members in connected_components(links):
+        linked.update(members)
+        clusters.append((members, sum(state.get(a, 0) for a in members)))
+    return clusters, linked
+
+
 def cluster_balances(state: Mapping[Address, int], links: Iterable[LinkPair],
                      ) -> list[tuple[tuple[Address, ...], int]]:
     """The cluster reduction: group the state's addresses along positive
@@ -244,15 +263,7 @@ def cluster_balances(state: Mapping[Address, int], links: Iterable[LinkPair],
     independent of the order the pairs are supplied in.  Negative-polarity
     pairs are rejected: distinct-owner evidence never merges balances.
     """
-    links = list(links)
-    for p in links:
-        if p.polarity != POSITIVE:
-            raise InputError("cluster reduction accepts positive link pairs only")
-    linked: set[Address] = set()
-    clusters = []
-    for members in connected_components(links):
-        linked.update(members)
-        clusters.append((members, sum(state.get(a, 0) for a in members)))
+    clusters, linked = _linked_clusters(state, links)
     clusters.extend(((a,), b) for a, b in state.items() if a not in linked)
     return clusters
 
@@ -264,7 +275,18 @@ def reduced_set(state: Mapping[Address, int], links: Iterable[LinkPair],
     A positive cluster always contains a depositor of the state's history,
     since a positive balance needs more deposits than withdrawals
     somewhere in it, so the set stays inside the observed deposit-address
-    set.  Merging more links can only shrink it.
+    set.  Merging more links can only shrink it.  A ``depositors`` set
+    that misses a positive cluster raises :class:`InputError`.
+
+    Cost: O(linked addresses) plus one pass over the state; an unlinked
+    address costs no cluster tuple and no depositor lookup of its own.
     """
-    return frozenset(next(a for a in members if a in depositors)
-                     for members, balance in cluster_balances(state, links) if balance > 0)
+    clusters, linked = _linked_clusters(state, links)
+    kept = {a for a, b in state.items() if b > 0} - linked
+    # a linked cluster without a depositor adds a non-depositor, which the
+    # check below rejects
+    kept.update(next((a for a in members if a in depositors), members[0])
+                for members, balance in clusters if balance > 0)
+    if not kept <= depositors:
+        raise InputError(f"positive cluster without a depositor: {min(kept - depositors)}")
+    return frozenset(kept)

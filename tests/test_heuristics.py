@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +25,14 @@ from anonset.ledger import (
     pool_state,
     up_to,
     withdrawal_actors,
+)
+
+from anonset.synth import (
+    BEHAVIORS,
+    BehaviorProfile,
+    GeneratorConfig,
+    generate_trace,
+    standard_pools,
 )
 
 from .conftest import addr, deposit, transfer, view, withdrawal
@@ -219,6 +229,43 @@ class TestH5CrossPool:
                   withdrawal("PA", W, 5), withdrawal("PB", W, 6)]
         with pytest.raises(InputError, match="one index"):
             h5_cross_pool([view(pa, events, 5), view(pb, events, 10)])
+
+
+class _CountedEvents(Sequence):
+    """A view's event list that counts every read of it."""
+
+    def __init__(self, events):
+        self.events, self.reads = events, 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.events[i]
+
+    def __len__(self):
+        self.reads += 1
+        return len(self.events)
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.events)
+
+
+class TestH5ReadsTheIndex:
+    """A guard that needs no clock: h5 takes each address's per-pool events
+    from the index, and never walks a pool's event list again."""
+
+    def test_views_events_are_never_read(self):
+        cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
+                              pools=standard_pools(), user_count=150, block_span=3000)
+        trace = generate_trace(cfg, 11)
+        index = build_index(trace.transfers, trace.token_transfers, trace.events,
+                            dict(trace.labels))
+        views = [pool_view(index, p) for p in trace.pools]
+        counted = [replace(v, events=_CountedEvents(v.events)) for v in views]
+        got = h5_cross_pool(counted)
+        assert [c.events.reads for c in counted] == [0] * len(counted)
+        assert got == h5_cross_pool(views)
+        assert any(r.link_pairs for r in got.values())
 
 
 class TestCombine:

@@ -155,6 +155,64 @@ class TestFlatSortKeys:
             f"duplicate record at position 1: {event} [file=pool_events]"
 
 
+
+def reference_dedup_sort(records, key, file: str) -> tuple:
+    """The index's first sort, one dict of keys: the oracle for its output
+    order and for the position and text of its duplicate error."""
+    by_key: dict = {}
+    for pos, r in enumerate(records):
+        k = key(r)
+        if k in by_key:
+            raise IngestError(f"duplicate record at position {pos}: {r}", file=file)
+        by_key[k] = r
+    return tuple(by_key[k] for k in sorted(by_key))
+
+
+def reference_index(transfers, tokens, events):
+    """What ``build_index`` keeps of each file, or its error text."""
+
+    def transfer_key(t):
+        return (*position(t), t.sender, t.recipient, t.amount, t.coin, t.internal)
+
+    def event_key(e):
+        return (*position(e), e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
+
+    try:
+        return (reference_dedup_sort(transfers, transfer_key, "transfers"),
+                reference_dedup_sort(tokens, transfer_key, "token_transfers"),
+                reference_dedup_sort(events, event_key, "pool_events"))
+    except IngestError as exc:
+        return str(exc)
+
+
+class TestSortMatchesTheDictOracle:
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_shuffles_with_and_without_planted_duplicates(self, seed):
+        trace, _ = mixed_index(seed, users=80)
+        rng = random.Random(seed)
+        outcomes = {"clean": 0, "duplicate": 0}
+        for trial in range(24):
+            files = [list(trace.transfers), list(trace.token_transfers), list(trace.events)]
+            for records in files:
+                rng.shuffle(records)
+            # plant copies (equal records, some a distinct object) in some files
+            for _ in range(trial % 4):
+                records = rng.choice(files)
+                if records:
+                    copy = rng.choice(records)
+                    copy = replace(copy) if rng.random() < 0.5 else copy
+                    records.insert(rng.randrange(len(records) + 1), copy)
+            expected = reference_index(*files)
+            try:
+                index = build_index(*files, dict(trace.labels))
+                got = (index.native_transfers, index.token_transfers, index.pool_events)
+            except IngestError as exc:
+                got = str(exc)
+            assert got == expected, (seed, trial)
+            outcomes["duplicate" if isinstance(expected, str) else "clean"] += 1
+        assert outcomes["clean"] and outcomes["duplicate"]
+
+
 class TestDistanceExtensions:
     def test_distance_one_is_deposit_actor_set(self, fixture_index, p100, p100_events):
         got = fixture_index.depositors_at_distance(p100, 1)

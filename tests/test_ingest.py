@@ -430,6 +430,46 @@ class TestMultiFaultRows:
                                    f"[file=pool_events.jsonl, line=2]")
 
 
+
+class TestLineWhitespace:
+    """Only JSON's whitespace (space, tab, CR, LF) around a line is
+    stripped; any other character there is part of the line, as it is to
+    ``json.loads``."""
+
+    def run_relayers(self, data: Path, tmp_path: Path, capsys) -> tuple[int, str]:
+        code = main(["relayers", "--data", str(data), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def edit_line(self, data: Path, line: int, edit) -> None:
+        path = data / "pool_events.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: "\u00a0" + line, "Expecting value"),
+        (lambda line: line + "\u001c", "Extra data"),
+        (lambda line: "\u2028", "Expecting value"),
+    ], ids=["nbsp-prefix", "u001c-suffix", "u2028-only"])
+    def test_other_whitespace_is_invalid_json(self, synth_dir, tmp_path, capsys,
+                                              edit, message):
+        self.edit_line(synth_dir, 2, edit)
+        with pytest.raises(json.JSONDecodeError, match=message):
+            json.loads((synth_dir / "pool_events.jsonl").read_text(
+                encoding="utf-8").split("\n")[1])
+        code, err = self.run_relayers(synth_dir, tmp_path, capsys)
+        assert code == 2
+        assert f"invalid JSON: {message} [file=pool_events.jsonl, line=2]" in err
+        assert "Traceback" not in err
+
+    def test_json_whitespace_is_stripped(self, synth_dir, tmp_path, capsys):
+        before = _outcome(synth_dir)
+        self.edit_line(synth_dir, 2, lambda line: " \t" + line + "\t \r")
+        self.edit_line(synth_dir, 3, lambda line: line + "\n \t\r")
+        assert _outcome(synth_dir) == before
+        assert self.run_relayers(synth_dir, tmp_path, capsys)[0] == 0
+
+
 class _Record(dict):
     """A decoded row that the fused parsers pass on: they take exact dicts
     only, so each such row is read by the checked parser."""

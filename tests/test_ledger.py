@@ -259,6 +259,35 @@ class TestReducedSet:
             assert len(got) == sum(1 for _, b in cluster_balances(state, links) if b > 0)
         assert checked_links > 500
 
+    def test_positive_cluster_without_depositor_is_input_error(self):
+        a, b = sorted((addr("na"), addr("nb")))
+        # an unlinked address, and a linked one whose partner holds nothing
+        for state, links in (({a: 10}, []), ({a: 10, b: 0}, [LinkPair(a, b)])):
+            with pytest.raises(InputError, match="positive cluster without a depositor"):
+                reduced_set(state, links, frozenset())
+            assert reduced_set(state, links, frozenset({a})) == {a}
+
+    def test_depositor_lookups_grow_with_linked_members_only(self):
+        """A guard that needs no clock: an unlinked address costs no
+        membership test of its own."""
+
+        class Counted(frozenset):
+            calls = 0
+
+            def __contains__(self, item):
+                Counted.calls += 1
+                return super().__contains__(item)
+
+        actors = [f"0x{i:040x}" for i in range(10_000)]
+        state = {a: 10 * (1 - i % 3) for i, a in enumerate(actors)}
+        links = [LinkPair(actors[i], actors[i + 5_000]) for i in (0, 1, 2)]
+        depositors = Counted(a for a, b in state.items() if b >= 0)
+        got = reduced_set(state, links, depositors)
+        linked_members = {x for p in links for x in p.addresses}
+        assert 0 < Counted.calls <= len(linked_members)
+        assert got == reduced_set(state, links, frozenset(depositors))
+        assert len(got) == sum(1 for _, b in cluster_balances(state, links) if b > 0)
+
 
 class TestConnectedComponents:
     def test_transitive_closure(self):
