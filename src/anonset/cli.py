@@ -228,9 +228,14 @@ def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset)
-    truth = read_ground_truth(args.data) if args.tas else None
-    if args.tas and truth is None:
-        raise ModeError("--tas needs a synthetic dataset with ground truth")
+    active_depositors = None
+    if args.tas:
+        truth = read_ground_truth(args.data)
+        if truth is None:
+            raise ModeError("--tas needs a synthetic dataset with ground truth")
+        # the rest of the sidecar is let go before the heuristics run
+        active_depositors = truth.active_depositors
+        del truth
     _, views, results = _run_heuristics(dataset, tags, t)
 
     pools_payload = []
@@ -264,7 +269,7 @@ def _cmd_anonymity(args) -> int:
                 entry["r_adv"] = r_adv
                 row.append(f"{size} (+{r_adv} adv)")
         if args.tas:
-            active = truth.active_depositors.get(pool.pool_id, frozenset())
+            active = active_depositors.get(pool.pool_id, frozenset())
             entry["true_set"] = len(active)
             row.append(str(len(active)))
         pools_payload.append(entry)

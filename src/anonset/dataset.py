@@ -269,21 +269,29 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
     ``counts[name]`` and returns the records in file order.
     """
     file = f"{name}.jsonl"
-    first_seen: dict[Any, int] = {}
-    for line, value in _read_lines(path, name):
-        try:
-            record = None if fast is None else fast(value)
-            if record is None:
-                record = parse(_Row(file, line, value, canon, words))
-        except InputError as exc:
-            raise IngestError(str(exc), file=file, line=line, field=exc.field) from None
-        # lines are unique, so another line number means an equal record
-        first = first_seen.setdefault(record, line)
-        if first != line:
+
+    def rows():
+        for line, value in _read_lines(path, name):
+            try:
+                record = None if fast is None else fast(value)
+                if record is None:
+                    record = parse(_Row(file, line, value, canon, words))
+            except InputError as exc:
+                raise IngestError(str(exc), file=file, line=line, field=exc.field) from None
+            yield line, record
+
+    seen: dict[Any, None] = {}
+    for line, record in rows():
+        size = len(seen)
+        seen[record] = None
+        if len(seen) == size:
+            # no line number is kept per record: the file is read again, as
+            # far as the first equal record, which every earlier row built
+            first = next(i for i, earlier in rows() if earlier == record)
             raise IngestError(f"duplicate record (first seen on line {first})",
                               file=file, line=line)
-    counts[name] = len(first_seen)
-    return tuple(first_seen)
+    counts[name] = len(seen)
+    return tuple(seen)
 
 
 def ingest(path: str | Path) -> Dataset:
@@ -354,7 +362,8 @@ def ingest(path: str | Path) -> Dataset:
     # only where the checked accessor above would return that same value,
     # and None for any other row, which ``pool_event`` or ``transfer`` then
     # reads again and reports.  They pass the fields in their declared
-    # order, which saves about 1 us a record over keywords.
+    # order: a record costs about 1 us built that way and 0.8 us more
+    # over keywords.
 
     def fast_pool_event(v) -> PoolEvent | None:
         if type(v) is not dict:

@@ -16,7 +16,7 @@ Two families of queries live here:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -230,7 +230,7 @@ def _attribute(claims: Sequence[Transfer], need: Amount) -> tuple[Transfer, ...]
     remaining = need
     for tr in claims:
         take = min(tr.amount, remaining)
-        out.append(tr if take == tr.amount else replace(tr, amount=take))
+        out.append(tr if take == tr.amount else tr._replace(amount=take))
         remaining -= take
     return tuple(out)
 

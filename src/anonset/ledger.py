@@ -4,6 +4,15 @@ Everything in this module is a plain immutable value.  Analyses never
 mutate a record, so all of these objects can be shared freely between
 threads.
 
+The two per-row records, :class:`Transfer` and :class:`PoolEvent`, are
+validated named tuples: nearly every row of a dataset is one of them, and
+a tuple is built and hashed in C, where a frozen dataclass sets each field
+through ``object.__setattr__`` and hashes its fields in Python.  Their
+``__new__`` runs every check, and ``_make``, and so ``_replace``, go
+through it.  Records of which a dataset holds a few thousand at most
+(:class:`PoolConfig`, :class:`LinkPair`, the side-channel records) stay
+frozen dataclasses; :class:`LinkPair` needs fields left out of equality.
+
 Conventions used throughout the package:
 
 * Addresses are canonical lowercase ``0x``-prefixed hex strings; run
@@ -24,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 
@@ -59,19 +68,13 @@ def normalize_address(value: str) -> Address:
 position = attrgetter("height", "tx_index", "log_index")
 
 
-def _check_position(record) -> None:
-    if record.height < 0 or record.tx_index < 0 or record.log_index < 0:
-        raise InputError(f"negative block position component: {position(record)}")
+def _check_position(height: int, tx_index: int, log_index: int) -> None:
+    if height < 0 or tx_index < 0 or log_index < 0:
+        raise InputError(
+            f"negative block position component: {(height, tx_index, log_index)}")
 
 
-@dataclass(frozen=True, slots=True)
-class Transfer:
-    """One value movement between two addresses.
-
-    ``internal`` marks contract-triggered movements at ingestion time; no
-    analysis distinguishes them from direct transfers.
-    """
-
+class _TransferFields(NamedTuple):
     height: int
     sender: Address
     recipient: Address
@@ -81,10 +84,29 @@ class Transfer:
     tx_index: int = 0
     log_index: int = 0
 
-    def __post_init__(self):
-        _check_position(self)
-        if self.amount < 0:
-            raise InputError(f"negative transfer amount: {self.amount}", field="amount")
+
+class Transfer(_TransferFields):
+    """One value movement between two addresses.
+
+    ``internal`` marks contract-triggered movements at ingestion time; no
+    analysis distinguishes them from direct transfers.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, height: int, sender: Address, recipient: Address, amount: Amount,
+                coin: str, internal: bool = False, tx_index: int = 0, log_index: int = 0):
+        _check_position(height, tx_index, log_index)
+        if amount < 0:
+            raise InputError(f"negative transfer amount: {amount}", field="amount")
+        return tuple.__new__(cls, (height, sender, recipient, amount, coin, internal,
+                                   tx_index, log_index))
+
+    @classmethod
+    def _make(cls, iterable) -> Transfer:
+        # through the checks; the namedtuple's own _make, which _replace
+        # calls, builds the tuple without them
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,15 +128,7 @@ class PoolConfig:
                              field="am_weight")
 
 
-@dataclass(frozen=True, slots=True)
-class PoolEvent:
-    """A deposit or withdrawal against a pool.
-
-    ``actor`` is the depositor for deposits and the funds recipient for
-    withdrawals. ``tx_sender`` is the account that signed the transaction;
-    for a relayed withdrawal it equals the relayer.
-    """
-
+class _PoolEventFields(NamedTuple):
     pool_id: str
     kind: str
     height: int
@@ -124,14 +138,35 @@ class PoolEvent:
     tx_index: int = 0
     log_index: int = 0
 
-    def __post_init__(self):
-        _check_position(self)
-        if self.kind not in (DEPOSIT, WITHDRAWAL):
-            raise InputError(f"unknown pool event kind: {self.kind!r}", field="kind")
-        if self.kind == DEPOSIT and self.relayer is not None:
-            raise InputError("deposits cannot carry a relayer", field="relayer")
-        if self.relayer is not None and self.tx_sender != self.relayer:
-            raise InputError("relayed withdrawal must be signed by its relayer", field="tx_sender")
+
+class PoolEvent(_PoolEventFields):
+    """A deposit or withdrawal against a pool.
+
+    ``actor`` is the depositor for deposits and the funds recipient for
+    withdrawals. ``tx_sender`` is the account that signed the transaction;
+    for a relayed withdrawal it equals the relayer.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pool_id: str, kind: str, height: int, actor: Address,
+                tx_sender: Address, relayer: Address | None = None, tx_index: int = 0,
+                log_index: int = 0):
+        _check_position(height, tx_index, log_index)
+        if kind not in (DEPOSIT, WITHDRAWAL):
+            raise InputError(f"unknown pool event kind: {kind!r}", field="kind")
+        if relayer is not None:
+            if kind == DEPOSIT:
+                raise InputError("deposits cannot carry a relayer", field="relayer")
+            if tx_sender != relayer:
+                raise InputError("relayed withdrawal must be signed by its relayer",
+                                 field="tx_sender")
+        return tuple.__new__(cls, (pool_id, kind, height, actor, tx_sender, relayer,
+                                   tx_index, log_index))
+
+    @classmethod
+    def _make(cls, iterable) -> PoolEvent:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,10 +5,12 @@ import io
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
+import anonset.cli as cli_module
 from anonset.cli import main
 from anonset.dataset import RECORD_FILES, Dataset, ingest, read_ground_truth, write_dataset
 from anonset.errors import IngestError
@@ -151,6 +153,19 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match=re.escape(
                 f"duplicate record (first seen on line 1) "
                 f"[file={name}.jsonl, line={len(lines) + 1}]")):
+            ingest(dataset_dir)
+
+    @pytest.mark.parametrize("name, field", [("pool_events", "actor"), ("transfers", "sender")])
+    def test_duplicate_names_the_first_equal_line(self, dataset_dir, name, field):
+        # the copy is spelled otherwise, and blank lines are counted
+        path = dataset_dir / f"{name}.jsonl"
+        lines = path.read_text().splitlines()
+        copy = json.loads(lines[2])
+        copy[field] = copy[field][2:].upper()
+        path.write_text("\n".join(["", *lines[:2], "", *lines[2:], json.dumps(copy)]) + "\n")
+        with pytest.raises(IngestError, match=re.escape(
+                f"duplicate record (first seen on line 5) "
+                f"[file={name}.jsonl, line={len(lines) + 3}]")):
             ingest(dataset_dir)
 
     def test_repeated_label_row_is_accepted(self, dataset_dir):
@@ -415,6 +430,28 @@ class TestSidecarContract:
         assert "Traceback" not in err
         assert ("file=ground_truth.json" in err) == (code == 2)
         assert not (tmp_path / "out").exists()
+
+    def test_tas_lets_the_sidecar_go_before_the_heuristics(self, dataset_dir, tmp_path,
+                                                           monkeypatch):
+        # only its active depositors are kept; the rest is freed before
+        # the heuristics allocate theirs
+        refs, alive = [], []
+
+        def reading(path):
+            truth = read_ground_truth(path)
+            refs.append(weakref.ref(truth))
+            return truth
+
+        def running(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return run_heuristics(*args)
+
+        run_heuristics = cli_module._run_heuristics
+        monkeypatch.setattr(cli_module, "read_ground_truth", reading)
+        monkeypatch.setattr(cli_module, "_run_heuristics", running)
+        assert main(["anonymity", "--tas", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert alive == [False]
 
 
 class TestEncoding:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -133,17 +132,17 @@ class TestFlatSortKeys:
 
     def test_position_fields_distinguish_records(self):
         base = transfer(D1, D2, 5, 3)
-        other_log = replace(base, log_index=1)
-        other_tx = replace(base, tx_index=1)
+        other_log = base._replace(log_index=1)
+        other_tx = base._replace(tx_index=1)
         index = build_index([other_tx, other_log, base], [], [], None)
         assert index.native_transfers == (base, other_log, other_tx)
         event = deposit("P", D1, 3)
-        later = replace(event, log_index=1)
+        later = event._replace(log_index=1)
         assert build_index([], [], [later, event], None).pool_events == (event, later)
 
     def test_duplicate_error_text_and_position(self):
         first = transfer(D1, D2, 5, 3)
-        same = replace(first, height=3, tx_index=0, log_index=0)
+        same = first._replace(height=3, tx_index=0, log_index=0)
         with pytest.raises(IngestError) as caught:
             build_index([first, transfer(D2, D1, 5, 3), same], [], [], None)
         assert str(caught.value) == \
@@ -200,7 +199,7 @@ class TestSortMatchesTheDictOracle:
                 records = rng.choice(files)
                 if records:
                     copy = rng.choice(records)
-                    copy = replace(copy) if rng.random() < 0.5 else copy
+                    copy = copy._replace() if rng.random() < 0.5 else copy
                     records.insert(rng.randrange(len(records) + 1), copy)
             expected = reference_index(*files)
             try:
@@ -381,7 +380,7 @@ def oracle_covers(index, kind, actor, pool, t):
         for tr in sorted(chosen, key=lambda tr: (position(tr), tr.sender, tr.recipient,
                                                  tr.amount, tr.coin, tr.internal)):
             take = min(tr.amount, remaining)
-            claims.append(replace(tr, amount=take))
+            claims.append(tr._replace(amount=take))
             remaining -= take
         covers.append(TransferCover(claims=tuple(claims),
                                     shortfall=max(pool.denomination - acc, 0)))

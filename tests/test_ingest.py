@@ -613,13 +613,13 @@ class TestSlottedRecords:
     def test_replace_still_works(self):
         transfer = Transfer(height=3, tx_index=1, sender=A1, recipient=A2,
                             amount=10, coin="ETH")
-        half = dataclasses.replace(transfer, amount=5)
+        half = transfer._replace(amount=5)
         assert half == Transfer(height=3, tx_index=1, sender=A1, recipient=A2,
                                 amount=5, coin="ETH")
         assert transfer.amount == 10
         event = PoolEvent(pool_id="P1", kind="withdrawal", height=4,
                           actor=A1, tx_sender=A2, relayer=A2)
-        moved = dataclasses.replace(event, height=5)
+        moved = event._replace(height=5)
         assert position(moved) == (5, 0, 0) and moved.relayer == A2
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             event.actor = A2

@@ -88,6 +88,66 @@ class TestDomainRecords:
             LinkPair(D1, D1)
 
 
+_VALID_TRANSFER = dict(height=5, sender=D1, recipient=D2, amount=10, coin="ETH",
+                       internal=False, tx_index=1, log_index=2)
+_VALID_WITHDRAWAL = dict(pool_id="P", kind=WITHDRAWAL, height=5, actor=W1, tx_sender=D2,
+                         relayer=D2, tx_index=1, log_index=2)
+
+# (record class, valid fields, the fields changed, message, field named)
+_RECORD_FAULTS = [
+    (Transfer, _VALID_TRANSFER, {"height": -1},
+     "negative block position component: (-1, 1, 2)", None),
+    (Transfer, _VALID_TRANSFER, {"tx_index": -1},
+     "negative block position component: (5, -1, 2)", None),
+    (Transfer, _VALID_TRANSFER, {"log_index": -1},
+     "negative block position component: (5, 1, -1)", None),
+    (Transfer, _VALID_TRANSFER, {"amount": -1}, "negative transfer amount: -1", "amount"),
+    (PoolEvent, _VALID_WITHDRAWAL, {"height": -1},
+     "negative block position component: (-1, 1, 2)", None),
+    (PoolEvent, _VALID_WITHDRAWAL, {"tx_index": -1},
+     "negative block position component: (5, -1, 2)", None),
+    (PoolEvent, _VALID_WITHDRAWAL, {"log_index": -1},
+     "negative block position component: (5, 1, -1)", None),
+    (PoolEvent, _VALID_WITHDRAWAL, {"kind": "mint"}, "unknown pool event kind: 'mint'", "kind"),
+    (PoolEvent, _VALID_WITHDRAWAL, {"kind": DEPOSIT}, "deposits cannot carry a relayer",
+     "relayer"),
+    (PoolEvent, _VALID_WITHDRAWAL, {"tx_sender": W1},
+     "relayed withdrawal must be signed by its relayer", "tx_sender"),
+]
+
+# every way to build a record: positional, keywords, _replace and _make
+_BUILDS = {
+    "positional": lambda cls, valid, fields: cls(*fields.values()),
+    "keywords": lambda cls, valid, fields: cls(**fields),
+    "_replace": lambda cls, valid, fields: cls(**valid)._replace(**fields),
+    "_make": lambda cls, valid, fields: cls._make(fields.values()),
+}
+
+
+class TestRecordChecks:
+    """Every check of a per-row record fires, with the same text and
+    field, however the record is built."""
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
+    @pytest.mark.parametrize("cls, valid, change, message, field", _RECORD_FAULTS,
+                             ids=[f"{cls.__name__}-{key}={value!r}"
+                                  for cls, _, change, *_ in _RECORD_FAULTS
+                                  for key, value in change.items()])
+    def test_each_check_fires_on_every_path(self, build, cls, valid, change, message, field):
+        with pytest.raises(InputError) as caught:
+            build(cls, valid, {**valid, **change})
+        assert str(caught.value) == message
+        assert caught.value.field == field
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
+    @pytest.mark.parametrize("cls, valid", [(Transfer, _VALID_TRANSFER),
+                                            (PoolEvent, _VALID_WITHDRAWAL)],
+                             ids=["Transfer", "PoolEvent"])
+    def test_valid_fields_build_the_same_record(self, build, cls, valid):
+        record = build(cls, valid, valid)
+        assert type(record) is cls and record._asdict() == valid
+
+
 class TestComputeBalance:
     def test_two_deposits_no_withdrawals(self, p100, p100_events):
         assert pool_state(p100, p100_events).get(D2, 0) == 200
