@@ -8,14 +8,20 @@ never larger than the best single heuristic.
 
 from fractions import Fraction
 
-from anonset import build_index, combine, generate_trace
-from anonset.heuristics import HEURISTICS, pool_view, run_heuristics
+from anonset.heuristics import HEURISTICS, combine, pool_view, run_heuristics
+from anonset.indexing import build_index
 from anonset.metrics import (
     advantage_increase_from_reduction,
     relative_advantage_increase,
     render_percent,
 )
-from anonset.synth import BEHAVIORS, BehaviorProfile, GeneratorConfig, standard_pools
+from anonset.synth import (
+    BEHAVIORS,
+    BehaviorProfile,
+    GeneratorConfig,
+    generate_trace,
+    standard_pools,
+)
 
 config = GeneratorConfig(
     profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),

@@ -7,14 +7,8 @@ interesting history, then shows how one same-owner link collapses the
 state and shrinks the set of people a withdrawal could belong to.
 """
 
-from anonset import (
-    LinkPair,
-    PoolConfig,
-    PoolEvent,
-    adversary_advantage,
-    cluster_balances,
-    pool_state,
-)
+from anonset.ledger import LinkPair, PoolConfig, PoolEvent, cluster_balances, pool_state
+from anonset.metrics import adversary_advantage
 
 D1 = "0x" + "11" * 20
 D2 = "0x" + "22" * 20

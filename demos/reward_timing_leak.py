@@ -7,13 +7,18 @@ arithmetic; a multi-deposit claimant needs a bounded subset-sum search
 over the pool's withdrawal history.
 """
 
-from anonset import generate_trace
 from anonset.mining import (
     classify_claimant,
     solve_multi_claim,
     solve_single_claim,
 )
-from anonset.synth import AM_SPECULATOR, BehaviorProfile, GeneratorConfig, standard_pools
+from anonset.synth import (
+    AM_SPECULATOR,
+    BehaviorProfile,
+    GeneratorConfig,
+    generate_trace,
+    standard_pools,
+)
 
 config = GeneratorConfig(
     profile=BehaviorProfile.pure(AM_SPECULATOR),

@@ -19,11 +19,11 @@ same whichever path met it.  Every address field follows one rule,
 :func:`_address`, which reaches the regular expression of
 :func:`~anonset.ledger.normalize_address` once per distinct address.
 
-Emission streams each record file line by line in a fixed record order,
-with no whole file held in memory.  Pool events and transfers, nearly
-every line, go through hand-written encoders that yield exactly what
-``json.dumps`` with sorted keys gives; the small files, the manifest and
-the sidecar go through ``json.dumps`` itself.
+Emission streams each record file line by line, with no whole file held
+in memory; pool events and transfers go in ``ledger``'s record order, the
+index's.  They are nearly every line, and go through hand-written encoders
+that yield exactly what ``json.dumps`` with sorted keys gives; the small
+files, the manifest and the sidecar go through ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from .ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
+    event_order,
     normalize_address,
-    position,
+    transfer_order,
     up_to,
 )
 from .mining import APClaim
@@ -265,8 +266,8 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
     checks and returns None for any other row; ``parse`` builds it through
     a checked ``_Row``, and so reports the row's first fault.  A record
     constructor's ``InputError`` is reported with the file, line and the
-    field it names, and a record equal to an earlier one too.  Sets
-    ``counts[name]`` and returns the records in file order.
+    field it names, and a repeated record (the one duplicate rule) too.
+    Sets ``counts[name]`` and returns the records in file order.
     """
     file = f"{name}.jsonl"
 
@@ -498,14 +499,6 @@ def _transfer_line(t: Transfer) -> str:
             f'"sender":{_quote(t.sender)},"tx_index":{t.tx_index}}}\n')
 
 
-def _event_order(e: PoolEvent):
-    return (*position(e), e.pool_id, e.actor)
-
-
-def _transfer_order(t: Transfer):
-    return (*position(t), t.sender, t.recipient)
-
-
 def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
     """Emit a synthetic trace in the ingestion layout (plus ground truth)."""
     path = Path(path)
@@ -525,10 +518,9 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
                                 "denomination": str(p.denomination),
                                 "am_weight": p.am_weight})
                     for p in sorted(trace.pools, key=lambda p: p.pool_id)))
-    write("pool_events", map(_event_line, sorted(trace.events, key=_event_order)))
-    write("transfers", map(_transfer_line, sorted(trace.transfers, key=_transfer_order)))
-    write("token_transfers",
-          map(_transfer_line, sorted(trace.token_transfers, key=_transfer_order)))
+    write("pool_events", map(_event_line, sorted(trace.events, key=event_order)))
+    for name in ("transfers", "token_transfers"):
+        write(name, map(_transfer_line, sorted(getattr(trace, name), key=transfer_order)))
     write("labels", (_dump_line({"address": a, "label": label})
                      for a in sorted(trace.labels)
                      for label in sorted(trace.labels[a])))

@@ -3,6 +3,8 @@
 The index is built once (single writer) and then only read, so a built
 :class:`LedgerIndex` is safe to share between concurrent analyses.  It
 holds the history at one cut (:func:`ledger.up_to`); no query takes one.
+Records are kept in ``ledger``'s record order and taken as given: a
+repeat is rejected by ``dataset.ingest``, not here.
 
 Two families of queries live here:
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, IngestError
+from .errors import InputError
 from .ledger import (
     DEPOSIT,
     WITHDRAWAL,
@@ -30,7 +32,9 @@ from .ledger import (
     PoolEvent,
     Transfer,
     deposit_actors,
+    event_order,
     position,
+    transfer_order,
     withdrawal_actors,
 )
 
@@ -78,17 +82,6 @@ class TransferCover:
     shortfall: Amount
 
 
-# Record sort keys: the position first, then every other field, so equal
-# keys mean equal records
-
-def _transfer_key(t: Transfer):
-    return (*position(t), t.sender, t.recipient, t.amount, t.coin, t.internal)
-
-
-def _event_key(e: PoolEvent):
-    return (*position(e), e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
-
-
 class LedgerIndex:
     """Immutable per-address / per-pool views over a transfer universe."""
 
@@ -97,9 +90,9 @@ class LedgerIndex:
                  events: Sequence[PoolEvent],
                  labels: LabelBook):
         self.labels = labels
-        self.native_transfers = _dedup_sort(transfers, _transfer_key, "transfers")
-        self.token_transfers = _dedup_sort(token_transfers, _transfer_key, "token_transfers")
-        self.pool_events = _dedup_sort(events, _event_key, "pool_events")
+        self.native_transfers = tuple(sorted(transfers, key=transfer_order))
+        self.token_transfers = tuple(sorted(token_transfers, key=transfer_order))
+        self.pool_events = tuple(sorted(events, key=event_order))
 
         self._incoming: dict[Address, list[Transfer]] = {}
         self._outgoing: dict[Address, list[Transfer]] = {}
@@ -203,25 +196,12 @@ class LedgerIndex:
                 if acc >= pool.denomination:
                     break
             claimed.update(chosen)
-            claims = _attribute(
-                sorted((candidates[i] for i in chosen), key=_transfer_key),
-                pool.denomination)
+            if backward:  # the claims in index order
+                chosen.reverse()
+            claims = _attribute([candidates[i] for i in chosen], pool.denomination)
             covers.append(TransferCover(claims=claims,
                                         shortfall=max(pool.denomination - acc, 0)))
         return tuple(covers)
-
-
-def _dedup_sort(records: Sequence, key, file: str) -> tuple:
-    """The records sorted by ``key``; a repeated key is a duplicate record,
-    reported at the smallest input position that repeats an earlier one."""
-    keys = list(map(key, records))
-    # a stable sort: equal keys stay in input order, side by side
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ordered = [keys[i] for i in order]
-    if any(map(operator.eq, ordered, ordered[1:])):
-        pos = min(j for i, j in zip(order, order[1:]) if keys[i] == keys[j])
-        raise IngestError(f"duplicate record at position {pos}: {records[pos]}", file=file)
-    return tuple(records[i] for i in order)
 
 
 def _attribute(claims: Sequence[Transfer], need: Amount) -> tuple[Transfer, ...]:
@@ -239,7 +219,7 @@ def build_index(transfers: Sequence[Transfer],
                 token_transfers: Sequence[Transfer],
                 events: Sequence[PoolEvent],
                 labels: LabelBook | Mapping[Address, Iterable[str]] | None = None) -> LedgerIndex:
-    """Build the immutable index; duplicate records are rejected.
+    """Build the immutable index over records that hold no repeat.
 
     Input order is irrelevant: any permutation of the same records yields
     an index answering every query identically.

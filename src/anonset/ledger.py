@@ -24,6 +24,10 @@ Conventions used throughout the package:
   by :data:`position` and nothing else.  The time cut is applied once, by
   :func:`up_to` through ``Dataset.build_index``; no query below it takes
   a height.
+* Each record type has one total order, :func:`transfer_order` or
+  :func:`event_order`: its position, then every other field.  The index
+  and the emitted record files sort by it.  A repeated record is rejected
+  once, by ``dataset.ingest``; nothing below it checks again.
 * A pool state is a plain ``dict`` of signed balances by address.  The
   algebra never mutates a state it is given; it returns a fresh one.
 """
@@ -66,6 +70,14 @@ def normalize_address(value: str) -> Address:
 
 # The one record order: block height, then transaction index, then log index.
 position = attrgetter("height", "tx_index", "log_index")
+
+
+def transfer_order(t: Transfer):
+    return (*position(t), t.sender, t.recipient, t.amount, t.coin, t.internal)
+
+
+def event_order(e: PoolEvent):
+    return (*position(e), e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
 
 
 def _check_position(height: int, tx_index: int, log_index: int) -> None:

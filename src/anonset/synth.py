@@ -39,7 +39,7 @@ from .ledger import (
     Transfer,
     pool_state,
 )
-from .mining import DEFAULT_AM_WEIGHTS, APClaim
+from .mining import DEFAULT_AM_WEIGHTS, APClaim, anonymity_points
 
 DISCIPLINED = "disciplined"
 H1_REUSER = "h1-reuser"
@@ -385,7 +385,8 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 dep_blocks = [build.deposit(pool, d).height for _ in range(n)]
                 wd_blocks = [build.withdraw(pool, w, relayer=rel()).height
                              for _ in range(n)]
-                ap = pool.am_weight * sum(tw - td for td, tw in zip(dep_blocks, wd_blocks))
+                ap = anonymity_points({pool.pool_id: dep_blocks}, {pool.pool_id: wd_blocks},
+                                      {pool.pool_id: pool.am_weight})
                 claim = build.claim(d, ap)
                 am_truth.append(AmRecord(
                     recipient=d, pool_id=pool.pool_id,

@@ -1,21 +1,29 @@
-"""The dataset line encoders against ``json.dumps``.
+"""The dataset line encoders against ``json.dumps``, and the emitted
+record order against the index's.
 
 ``write_dataset`` spells each pool event and transfer line out by hand;
 the oracle is the record as a dict through ``json.dumps`` with sorted
 keys, which is what every line was before.  The records are seeded and
 carry strings that need escaping: quotes, backslashes, control
 characters, non-ASCII text and a lone surrogate.
+
+Each hot file is written in ``ledger``'s one record order, so ``ingest``
+reads it back in exactly the order the index keeps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
-from anonset.dataset import _event_line, _transfer_line
-from anonset.ledger import DEPOSIT, WITHDRAWAL, PoolEvent, Transfer
+import pytest
+
+from anonset.dataset import _event_line, _transfer_line, ingest, write_dataset
+from anonset.ledger import DEPOSIT, WITHDRAWAL, PoolEvent, Transfer, event_order, transfer_order
 from anonset.synth import Prng
 
-from .conftest import addr
+from .conftest import addr, deposit, transfer, withdrawal
+from .test_properties import seeded_trace
 
 AWKWARD = ("P1", 'P"1', "P\\1", "tab\there", "nl\n", "\x00\x1f\x7f", "é", "日本",
            " ", "\ud800", "🙂", " ", "ETH")
@@ -66,3 +74,38 @@ def test_transfer_line_matches_json_dumps():
             "recipient": t.recipient, "amount": str(t.amount),
             "coin": t.coin, "internal": t.internal})
     assert 0 < seen_internal < 400
+
+
+def assert_read_back_in_index_order(trace, path):
+    dataset = ingest(write_dataset(trace, path))
+    index = dataset.build_index(dataset.manifest.last_block)
+    assert dataset.events == index.pool_events
+    assert dataset.transfers == index.native_transfers
+    assert dataset.token_transfers == index.token_transfers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_traces_read_back_in_index_order(tmp_path, seed):
+    assert_read_back_in_index_order(seeded_trace(Prng(seed)), tmp_path)
+
+
+def test_shared_positions_read_back_in_index_order(tmp_path):
+    # records that share a position and differ in a field after it: a
+    # deposit and a withdrawal of one actor, two signers of one actor's
+    # deposits, two amounts of one sender and recipient; each group is
+    # handed over in reverse of the index order
+    base = seeded_trace(Prng(0))
+    pool = base.pools[0].pool_id
+    a, b, c = addr("sa"), addr("sb"), addr("sc")
+    height = base.first_block + 1
+    events = [deposit(pool, a, height), withdrawal(pool, a, height),
+              deposit(pool, b, height, sender=a), deposit(pool, b, height, sender=c),
+              withdrawal(pool, c, height + 1, tx=2)]
+    transfers = [transfer(a, b, amount, height) for amount in (3, 5, 8)] \
+        + [transfer(b, a, 1, height + 1, tx=1), transfer(c, a, 2, height)]
+    tokens = [transfer(a, b, amount, height, coin="TOK") for amount in (7, 9)]
+    trace = dataclasses.replace(
+        base, events=tuple(sorted(events, key=event_order, reverse=True)),
+        transfers=tuple(sorted(transfers, key=transfer_order, reverse=True)),
+        token_transfers=tuple(sorted(tokens, key=transfer_order, reverse=True)))
+    assert_read_back_in_index_order(trace, tmp_path)

@@ -28,6 +28,14 @@ def imported_roots(source: str) -> set[str]:
     return roots
 
 
+def loaded_after(statement: str) -> list[str]:
+    """The ``anonset.*`` modules a fresh interpreter holds after ``statement``."""
+    code = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{statement}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('anonset.'))))\n")
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_module_imports_only_stdlib_or_relative(module):
     foreign = imported_roots(module.read_text()) - sys.stdlib_module_names
@@ -39,17 +47,11 @@ def test_module_imports_only_stdlib_or_relative(module):
     ("anonset.metrics", ("anonset.heuristics",)),
 ], ids=["mining", "metrics"])
 def test_module_loads_no_analysis_layer(module, layers):
-    # a bare package object stands in for anonset/__init__.py, which
-    # imports every module; what is left loaded is the module's own closure
-    code = (
-        "import importlib, sys, types\n"
-        "pkg = types.ModuleType('anonset')\n"
-        f"pkg.__path__ = [{str(PACKAGE)!r}]\n"
-        "sys.modules['anonset'] = pkg\n"
-        f"importlib.import_module({module!r})\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('anonset.'))))\n")
-    loaded = subprocess.run([sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True).stdout.split()
+    loaded = loaded_after(f"import {module}")
     assert module in loaded
     for layer in layers:
         assert layer not in loaded
+
+
+def test_package_loads_no_module():
+    assert loaded_after("import anonset") == []

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from anonset.cli import main
-from anonset.errors import IngestError, InputError
+from anonset.errors import InputError
 from anonset.indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from anonset.ledger import (
     DEPOSIT,
@@ -76,16 +76,6 @@ class TestBuildIndex:
         index = build_index([], [], [e1, e2], None)
         assert list(index.events_for("P")) == [e2, e1]
 
-    def test_duplicate_transfer_rejected_with_position(self):
-        dup = transfer(D1, D2, 5, 1)
-        with pytest.raises(IngestError, match="position 1"):
-            build_index([dup, dup], [], [], None)
-
-    def test_duplicate_event_rejected(self):
-        e = deposit("P", D1, 5)
-        with pytest.raises(IngestError):
-            build_index([], [], [e, e], None)
-
     def test_determinism_under_permutation(self):
         rng = random.Random(3)
         transfers = [transfer(addr(f"s{i%4}"), addr(f"r{i%3}"), i + 1, i) for i in range(12)]
@@ -139,77 +129,6 @@ class TestFlatSortKeys:
         event = deposit("P", D1, 3)
         later = event._replace(log_index=1)
         assert build_index([], [], [later, event], None).pool_events == (event, later)
-
-    def test_duplicate_error_text_and_position(self):
-        first = transfer(D1, D2, 5, 3)
-        same = first._replace(height=3, tx_index=0, log_index=0)
-        with pytest.raises(IngestError) as caught:
-            build_index([first, transfer(D2, D1, 5, 3), same], [], [], None)
-        assert str(caught.value) == \
-            f"duplicate record at position 2: {same} [file=transfers]"
-        event = deposit("P", D1, 3)
-        with pytest.raises(IngestError) as caught:
-            build_index([], [], [event, event], None)
-        assert str(caught.value) == \
-            f"duplicate record at position 1: {event} [file=pool_events]"
-
-
-
-def reference_dedup_sort(records, key, file: str) -> tuple:
-    """The index's first sort, one dict of keys: the oracle for its output
-    order and for the position and text of its duplicate error."""
-    by_key: dict = {}
-    for pos, r in enumerate(records):
-        k = key(r)
-        if k in by_key:
-            raise IngestError(f"duplicate record at position {pos}: {r}", file=file)
-        by_key[k] = r
-    return tuple(by_key[k] for k in sorted(by_key))
-
-
-def reference_index(transfers, tokens, events):
-    """What ``build_index`` keeps of each file, or its error text."""
-
-    def transfer_key(t):
-        return (*position(t), t.sender, t.recipient, t.amount, t.coin, t.internal)
-
-    def event_key(e):
-        return (*position(e), e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
-
-    try:
-        return (reference_dedup_sort(transfers, transfer_key, "transfers"),
-                reference_dedup_sort(tokens, transfer_key, "token_transfers"),
-                reference_dedup_sort(events, event_key, "pool_events"))
-    except IngestError as exc:
-        return str(exc)
-
-
-class TestSortMatchesTheDictOracle:
-    @pytest.mark.parametrize("seed", [3, 8])
-    def test_shuffles_with_and_without_planted_duplicates(self, seed):
-        trace, _ = mixed_index(seed, users=80)
-        rng = random.Random(seed)
-        outcomes = {"clean": 0, "duplicate": 0}
-        for trial in range(24):
-            files = [list(trace.transfers), list(trace.token_transfers), list(trace.events)]
-            for records in files:
-                rng.shuffle(records)
-            # plant copies (equal records, some a distinct object) in some files
-            for _ in range(trial % 4):
-                records = rng.choice(files)
-                if records:
-                    copy = rng.choice(records)
-                    copy = copy._replace() if rng.random() < 0.5 else copy
-                    records.insert(rng.randrange(len(records) + 1), copy)
-            expected = reference_index(*files)
-            try:
-                index = build_index(*files, dict(trace.labels))
-                got = (index.native_transfers, index.token_transfers, index.pool_events)
-            except IngestError as exc:
-                got = str(exc)
-            assert got == expected, (seed, trial)
-            outcomes["duplicate" if isinstance(expected, str) else "clean"] += 1
-        assert outcomes["clean"] and outcomes["duplicate"]
 
 
 class TestDistanceExtensions:
