@@ -11,13 +11,14 @@ The synthetic generator emits exactly this layout (plus a
 ingestion losslessly.  ``ingest`` never opens the sidecar; only
 :func:`read_ground_truth` reads and validates it, for ``anonymity --tas``.
 
-Ingestion mirrors emission: a valid pool event or transfer, nearly every
-line, is checked and built in one pass over its fields by a fused parser.
-Every other row, and every row of the small files, goes through ``_Row``'s
-checked accessors, which report the first fault, so a row's error is the
-same whichever path met it.  Every address field follows one rule,
-:func:`_address`, which reaches the regular expression of
-:func:`~anonset.ledger.normalize_address` once per distinct address.
+Ingestion mirrors emission: a pool event or transfer line in exactly the
+emitted layout, nearly every line, is matched by one anchored pattern per
+hot file and built from its groups, undecoded.  Every other line is
+decoded and read by ``_Row``'s checked accessors, which report the first
+fault, so a row's error is the same whichever path met it.  Every address
+field follows one rule, :func:`_address`, which reaches the regular
+expression of :func:`~anonset.ledger.normalize_address` once per distinct
+address.
 
 Emission streams each record file line by line, with no whole file held
 in memory; pool events and transfers go in ``ledger``'s record order, the
@@ -29,6 +30,7 @@ files, the manifest and the sidecar go through ``json.dumps`` itself.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -38,14 +40,13 @@ from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
 from .groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from .ledger import (
-    DEPOSIT,
-    WITHDRAWAL,
     Address,
     LinkPair,
     PoolConfig,
     PoolEvent,
     Transfer,
     event_order,
+    in_position_order,
     normalize_address,
     transfer_order,
     up_to,
@@ -127,9 +128,10 @@ class _Row:
 
     This is the reference parser and the only error reporter: each accessor
     checks one field and raises an error that names the file, line and
-    field.  The hot files (pool events and transfers) are read by fused
-    parsers in ``ingest`` that take only values these accessors would
-    return unchanged, and hand any other row to them.  ``canon`` interns
+    field.  Lines of the hot files (pool events and transfers) in the
+    emitted layout are read by :data:`_LINE_PATTERNS` in ``ingest``, which
+    take only values these accessors would return unchanged; every other
+    line is decoded and read here.  ``canon`` interns
     addresses for one ``ingest`` call, through :func:`_address`, so every
     occurrence of an address is the same object.  ``words`` does the same
     for ``text`` values, a few of which (pool ids, event kinds, coins)
@@ -228,58 +230,103 @@ def _read_text(file: Path, name: str) -> str:
 
 
 def _read_lines(path: Path, name: str):
-    """Yield ``(line number, decoded value)`` for each non-blank line of
-    ``<name>.jsonl``, reading one line at a time."""
+    """Yield ``(line number, text)`` for each non-blank line of
+    ``<name>.jsonl``, reading one line at a time.  Only JSON's own four
+    whitespace characters are stripped from the text."""
     name = f"{name}.jsonl"
     file = path / name
     if not file.exists():
         raise IngestError("required file is missing", file=name)
-    # what json.loads does, less its whitespace scans (a stripped line has
-    # none) and raw_decode's wrapper, whose one error text is kept here;
-    # only JSON's own four whitespace characters are stripped
-    scan = json.JSONDecoder().scan_once
     try:
         with file.open(encoding="utf-8") as handle:
             for i, line in enumerate(handle, start=1):
                 line = line.strip(" \t\r\n")
-                if not line:
-                    continue
-                try:
-                    value, end = scan(line, 0)
-                except StopIteration:
-                    raise IngestError("invalid JSON: Expecting value", file=name, line=i) from None
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"invalid JSON: {exc.msg}", file=name, line=i) from None
-                if end != len(line):
-                    raise IngestError("invalid JSON: Extra data", file=name, line=i)
-                yield i, value
+                if line:
+                    yield i, line
     except UnicodeDecodeError:
         raise _utf8_error(file, name) from None
 
 
+_scan_once = json.JSONDecoder().scan_once  # shared, as json.loads shares its own
+
+
+def _decode(text: str, file: str, line: int) -> Any:
+    """What ``json.loads`` does to a stripped line, less its whitespace
+    scans and raw_decode's wrapper, whose one error text is kept here."""
+    try:
+        value, end = _scan_once(text, 0)
+    except StopIteration:
+        raise IngestError("invalid JSON: Expecting value", file=file, line=line) from None
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"invalid JSON: {exc.msg}", file=file, line=line) from None
+    if end != len(text):
+        raise IngestError("invalid JSON: Extra data", file=file, line=line)
+    return value
+
+
+# Pieces of the hot lines' patterns, each matching only text that json.loads
+# decodes to its group and ``_Row`` reads unchanged: an int below 10**18 with
+# no sign, leading zero, fraction or exponent; printable ASCII with no quote
+# or backslash (so no escape); an address in any case, with or without a
+# prefix, for ``_address``; an amount well inside int()'s digit limit.
+_INT = "(0|[1-9][0-9]{0,17})"
+_TEXT = r'"([ !#-\[\]-~]+)"'
+_ADDRESS = '"((?:0[xX])?[0-9a-fA-F]{40})"'
+_AMOUNT = '"([0-9]{1,78})"'
+
+
+def _line_pattern(**fields: str) -> re.Pattern:
+    """A ``_dump_line`` line of exactly these fields; groups in key order."""
+    body = ",".join(f'"{key}":{fields[key]}' for key in sorted(fields))
+    return re.compile(rf"\{{{body}\}}\Z")
+
+
+_LINE_PATTERNS = {  # the emitted layout of each hot file
+    "pool_events": _line_pattern(
+        actor=_ADDRESS, block=_INT, kind=_TEXT, log_index=_INT, pool_id=_TEXT,
+        relayer=f"(?:null|{_ADDRESS})", tx_index=_INT, tx_sender=_ADDRESS),
+    "transfers": _line_pattern(
+        amount=_AMOUNT, block=_INT, coin=_TEXT, internal="(true|false)", log_index=_INT,
+        recipient=_ADDRESS, sender=_ADDRESS, tx_index=_INT)}
+_LINE_PATTERNS["token_transfers"] = _LINE_PATTERNS["transfers"]
+
+
 def _records(path: Path, name: str, parse: Callable[[_Row], Any],
              counts: dict[str, int], canon: dict[str, Address], words: dict[str, str],
-             fast: Callable[[Any], Any] | None = None) -> tuple:
+             build: Callable[..., Any] | None = None) -> tuple:
     """Build one record per row of ``<name>.jsonl``.
 
-    ``fast``, when given, builds the record of a row that passes all its
-    checks and returns None for any other row; ``parse`` builds it through
-    a checked ``_Row``, and so reports the row's first fault.  A record
+    ``build``, given for a hot file, builds the record of a line from the
+    groups of its :data:`_LINE_PATTERNS` match, or returns None for a value
+    that fails a check; ``parse`` builds any other line's record through a
+    checked ``_Row``, and so reports its first fault.  A record
     constructor's ``InputError`` is reported with the file, line and the
     field it names, and a repeated record (the one duplicate rule) too.
+    A hot file in strictly increasing position holds no repeat, which
+    would share its twin's position; any other file is read (again) into
+    a record -> None dict, once the records of a first read are let go.
     Sets ``counts[name]`` and returns the records in file order.
     """
     file = f"{name}.jsonl"
+    match = _LINE_PATTERNS[name].match if build is not None else None
 
     def rows():
-        for line, value in _read_lines(path, name):
+        for line, text in _read_lines(path, name):
             try:
-                record = None if fast is None else fast(value)
+                found = match(text) if match is not None else None
+                record = build(*found.groups()) if found is not None else None
                 if record is None:
-                    record = parse(_Row(file, line, value, canon, words))
+                    record = parse(_Row(file, line, _decode(text, file, line), canon, words))
             except InputError as exc:
                 raise IngestError(str(exc), file=file, line=line, field=exc.field) from None
             yield line, record
+
+    if build is not None:
+        records = tuple(record for _line, record in rows())
+        if in_position_order(records):
+            counts[name] = len(records)
+            return records
+        del records
 
     seen: dict[Any, None] = {}
     for line, record in rows():
@@ -333,8 +380,8 @@ def ingest(path: str | Path) -> Dataset:
     canon: dict[str, Address] = {}  # this call's interned addresses
     words: dict[str, str] = {}  # and its interned text values
 
-    def read(name: str, parse: Callable[[_Row], Any], fast=None) -> tuple:
-        return _records(path, name, parse, counts, canon, words, fast)
+    def read(name: str, parse: Callable[[_Row], Any], build=None) -> tuple:
+        return _records(path, name, parse, counts, canon, words, build)
 
     pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
@@ -359,71 +406,42 @@ def ingest(path: str | Path) -> Dataset:
                         recipient=r.address("recipient"), amount=r.amount("amount"),
                         coin=r.text("coin"), internal=r.flag("internal"))
 
-    # The fused parsers: one pass over a row's fields, taking each value
-    # only where the checked accessor above would return that same value,
-    # and None for any other row, which ``pool_event`` or ``transfer`` then
-    # reads again and reports.  They pass the fields in their declared
-    # order: a record costs about 1 us built that way and 0.8 us more
-    # over keywords.
+    # The line builders check what their pattern leaves open and return
+    # None where ``pool_event`` or ``transfer`` would fail, which then read
+    # the line again and report it.  A record built from positional fields
+    # costs about 1 us, and 0.8 us more over keywords.
 
-    def fast_pool_event(v) -> PoolEvent | None:
-        if type(v) is not dict:
-            return None
-        get = v.get
-        pool_id, kind, block = get("pool_id"), get("kind"), get("block")
-        tx_index, log_index = get("tx_index", 0), get("log_index", 0)
-        actor, tx_sender, relayer = get("actor"), get("tx_sender"), get("relayer")
-        if not (type(pool_id) is str and pool_id in known_pools
-                and (kind == DEPOSIT or kind == WITHDRAWAL)
-                and type(block) is int and first_block <= block <= last_block
-                and type(tx_index) is int and tx_index >= 0
-                and type(log_index) is int and log_index >= 0
-                and type(actor) is str and type(tx_sender) is str
-                and (relayer is None or type(relayer) is str)):
-            return None
-        try:
-            actor, tx_sender = _address(actor, canon), _address(tx_sender, canon)
-            if relayer is not None:
-                relayer = _address(relayer, canon)
-        except InputError:
+    def event_line(actor, block, kind, log_index, pool_id, relayer, tx_index,
+                   tx_sender) -> PoolEvent | None:
+        block = int(block)
+        if pool_id not in known_pools or not first_block <= block <= last_block:
             return None
         return PoolEvent(known_pools[pool_id], words.setdefault(kind, kind), block,
-                         actor, tx_sender, relayer, tx_index, log_index)
+                         _address(actor, canon), _address(tx_sender, canon),
+                         None if relayer is None else _address(relayer, canon),
+                         int(tx_index), int(log_index))
 
-    def fast_transfer(v) -> Transfer | None:
-        if type(v) is not dict:
+    def transfer_line(amount, block, coin, internal, log_index, recipient, sender,
+                      tx_index) -> Transfer | None:
+        block = int(block)
+        if not first_block <= block <= last_block:
             return None
-        get = v.get
-        block, tx_index, log_index = get("block"), get("tx_index", 0), get("log_index", 0)
-        sender, recipient, amount = get("sender"), get("recipient"), get("amount")
-        coin, internal = get("coin"), get("internal", False)
-        if not (type(block) is int and first_block <= block <= last_block
-                and type(tx_index) is int and tx_index >= 0
-                and type(log_index) is int and log_index >= 0
-                and type(sender) is str and type(recipient) is str
-                and type(amount) is str and amount.isascii() and amount.isdigit()
-                and type(coin) is str and coin and type(internal) is bool):
-            return None
-        try:
-            sender, recipient = _address(sender, canon), _address(recipient, canon)
-            amount = int(amount)
-        except (InputError, ValueError):  # a malformed address, too many digits
-            return None
-        return Transfer(block, sender, recipient, amount, words.setdefault(coin, coin),
-                        internal, tx_index, log_index)
+        return Transfer(block, _address(sender, canon), _address(recipient, canon),
+                        int(amount), words.setdefault(coin, coin), internal == "true",
+                        int(tx_index), int(log_index))
 
     def ap_claim(r: _Row) -> APClaim:
         return APClaim(recipient=r.address("recipient"), block=height(r), ap=r.uint("ap"))
 
-    events = read("pool_events", pool_event, fast_pool_event)
-    transfers = read("transfers", transfer, fast_transfer)
-    token_transfers = read("token_transfers", transfer, fast_transfer)
+    events = read("pool_events", pool_event, event_line)
+    transfers = read("transfers", transfer, transfer_line)
+    token_transfers = read("token_transfers", transfer, transfer_line)
 
     # a repeated label row only repeats a tag, so it is not rejected
     label_map: dict[Address, set[str]] = {}
     counts["labels"] = 0
-    for line, value in _read_lines(path, "labels"):
-        r = _Row("labels.jsonl", line, value, canon, words)
+    for line, text in _read_lines(path, "labels"):
+        r = _Row("labels.jsonl", line, _decode(text, "labels.jsonl", line), canon, words)
         label = r.text("label")
         if label not in KNOWN_LABELS:
             raise r.fail("label", f"unknown label {label!r}")

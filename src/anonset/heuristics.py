@@ -136,14 +136,12 @@ def h3_related_pair(view: PoolView) -> HeuristicResult:
     A depositor and a withdrawer directly connected by any native or token
     transfer (either direction) are treated as one owner.  Deposits and
     withdrawals themselves are not transfer evidence; only the plain
-    transfer record counts.
+    transfer record counts.  The transfers are scanned once per index
+    (:attr:`LedgerIndex.actor_transfer_pairs`), not once per pool.
     """
     depositors, withdrawers = view.depositors, view.withdrawers
     pairs = set()
-    for tr in view.index.native_transfers + view.index.token_transfers:
-        if tr.sender == tr.recipient:
-            continue
-        a, b = tr.sender, tr.recipient
+    for a, b in view.index.actor_transfer_pairs:
         if a in depositors and b in withdrawers:
             pairs.add(LinkPair(a, b, source=H3))
         if b in depositors and a in withdrawers:

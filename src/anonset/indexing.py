@@ -3,8 +3,10 @@
 The index is built once (single writer) and then only read, so a built
 :class:`LedgerIndex` is safe to share between concurrent analyses.  It
 holds the history at one cut (:func:`ledger.up_to`); no query takes one.
-Records are kept in ``ledger``'s record order and taken as given: a
-repeat is rejected by ``dataset.ingest``, not here.
+Records are kept in ``ledger``'s record order: input in strictly
+increasing position (:func:`ledger.in_position_order`), as every emitted
+file is, is kept as it comes, and other input is sorted.  A repeat is
+rejected by ``dataset.ingest``, not here.
 
 Two families of queries live here:
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -33,6 +36,7 @@ from .ledger import (
     Transfer,
     deposit_actors,
     event_order,
+    in_position_order,
     position,
     transfer_order,
     withdrawal_actors,
@@ -90,9 +94,9 @@ class LedgerIndex:
                  events: Sequence[PoolEvent],
                  labels: LabelBook):
         self.labels = labels
-        self.native_transfers = tuple(sorted(transfers, key=transfer_order))
-        self.token_transfers = tuple(sorted(token_transfers, key=transfer_order))
-        self.pool_events = tuple(sorted(events, key=event_order))
+        self.native_transfers = _in_record_order(transfers, transfer_order)
+        self.token_transfers = _in_record_order(token_transfers, transfer_order)
+        self.pool_events = _in_record_order(events, event_order)
 
         self._incoming: dict[Address, list[Transfer]] = {}
         self._outgoing: dict[Address, list[Transfer]] = {}
@@ -120,6 +124,16 @@ class LedgerIndex:
         """Each actor's own events of one kind in one pool, keyed
         ``(pool_id, kind, actor)``, in index order; a read-only view."""
         return MappingProxyType(self._by_actor)
+
+    @cached_property
+    def actor_transfer_pairs(self) -> frozenset[tuple[Address, Address]]:
+        """The distinct ``(sender, recipient)`` pairs of native and token
+        transfers between two pool actors; built once, on first use."""
+        actors = {actor for _pool, _kind, actor in self._by_actor}
+        return frozenset((t.sender, t.recipient)
+                         for t in self.native_transfers + self.token_transfers
+                         if t.sender != t.recipient
+                         and t.sender in actors and t.recipient in actors)
 
     # -- distance extensions --------------------------------------------------
 
@@ -202,6 +216,10 @@ class LedgerIndex:
             covers.append(TransferCover(claims=claims,
                                         shortfall=max(pool.denomination - acc, 0)))
         return tuple(covers)
+
+
+def _in_record_order(records: Sequence, order) -> tuple:
+    return tuple(records if in_position_order(records) else sorted(records, key=order))
 
 
 def _attribute(claims: Sequence[Transfer], need: Amount) -> tuple[Transfer, ...]:

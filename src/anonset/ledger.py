@@ -25,8 +25,10 @@ Conventions used throughout the package:
   :func:`up_to` through ``Dataset.build_index``; no query below it takes
   a height.
 * Each record type has one total order, :func:`transfer_order` or
-  :func:`event_order`: its position, then every other field.  The index
-  and the emitted record files sort by it.  A repeated record is rejected
+  :func:`event_order`: its position, then every other field.  The emitted
+  record files are sorted by it, and so is the index, unless
+  :func:`in_position_order` finds its input in strictly increasing
+  position, which is that order already.  A repeated record is rejected
   once, by ``dataset.ingest``; nothing below it checks again.
 * A pool state is a plain ``dict`` of signed balances by address.  The
   algebra never mutates a state it is given; it returns a fresh one.
@@ -36,7 +38,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
@@ -78,6 +81,12 @@ def transfer_order(t: Transfer):
 
 def event_order(e: PoolEvent):
     return (*position(e), e.pool_id, e.kind, e.actor, e.tx_sender, e.relayer or "")
+
+
+def in_position_order(records: Sequence) -> bool:
+    """Whether each record's position is strictly after the one before it:
+    then they hold no tie and no repeat, and are in their record order."""
+    return all(map(lt, map(position, records), map(position, islice(records, 1, None))))
 
 
 def _check_position(height: int, tx_index: int, log_index: int) -> None:

@@ -20,6 +20,7 @@ from .ledger import (
     Amount,
     PoolConfig,
     PoolEvent,
+    _check_pool,
     position,
 )
 
@@ -79,27 +80,16 @@ class RelayerUsage:
 
 
 def relayer_usage(pool: PoolConfig, events: Sequence[PoolEvent]) -> RelayerUsage:
-    """Counts of relayed withdrawals and of withdrawers ever using one."""
-    relayers: set[Address] = set()
-    withdrawers: set[Address] = set()
-    relayed_by: set[Address] = set()
-    withdrawals = relayed = 0
-    for e in events:
-        if e.pool_id != pool.pool_id or e.kind != WITHDRAWAL:
-            continue
-        withdrawals += 1
-        withdrawers.add(e.actor)
-        if e.relayer is not None:
-            relayed += 1
-            relayers.add(e.relayer)
-            relayed_by.add(e.actor)
+    """Counts of relayed withdrawals and of withdrawers ever using one, over
+    ``events`` of ``pool`` alone (another pool's raises :class:`InputError`)."""
+    _check_pool(events, pool)
+    withdrawals = [e for e in events if e.kind == WITHDRAWAL]
+    relayed = [e for e in withdrawals if e.relayer is not None]
     return RelayerUsage(
-        pool_id=pool.pool_id,
-        relayers=len(relayers),
-        withdrawals=withdrawals,
-        relayed_withdrawals=relayed,
-        withdrawers=len(withdrawers),
-        relayed_withdrawers=len(relayed_by))
+        pool_id=pool.pool_id, relayers=len({e.relayer for e in relayed}),
+        withdrawals=len(withdrawals), relayed_withdrawals=len(relayed),
+        withdrawers=len({e.actor for e in withdrawals}),
+        relayed_withdrawers=len({e.actor for e in relayed}))
 
 
 @dataclass(frozen=True)

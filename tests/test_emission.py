@@ -8,22 +8,35 @@ carry strings that need escaping: quotes, backslashes, control
 characters, non-ASCII text and a lone surrogate.
 
 Each hot file is written in ``ledger``'s one record order, so ``ingest``
-reads it back in exactly the order the index keeps.
+reads it back in exactly the order the index keeps.  Whether records are
+in that order as they stand is decided by ``ledger.in_position_order``,
+checked here against sorting by position.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from anonset.dataset import _event_line, _transfer_line, ingest, write_dataset
-from anonset.ledger import DEPOSIT, WITHDRAWAL, PoolEvent, Transfer, event_order, transfer_order
+from anonset.errors import IngestError
+from anonset.ledger import (
+    DEPOSIT,
+    WITHDRAWAL,
+    PoolEvent,
+    Transfer,
+    event_order,
+    in_position_order,
+    transfer_order,
+)
+from anonset.ledger import position as record_position
 from anonset.synth import Prng
 
 from .conftest import addr, deposit, transfer, withdrawal
-from .test_properties import seeded_trace
+from .test_properties import seeded_trace, shuffled
 
 AWKWARD = ("P1", 'P"1', "P\\1", "tab\there", "nl\n", "\x00\x1f\x7f", "é", "日本",
            " ", "\ud800", "🙂", " ", "ETH")
@@ -89,11 +102,11 @@ def test_seeded_traces_read_back_in_index_order(tmp_path, seed):
     assert_read_back_in_index_order(seeded_trace(Prng(seed)), tmp_path)
 
 
-def test_shared_positions_read_back_in_index_order(tmp_path):
-    # records that share a position and differ in a field after it: a
-    # deposit and a withdrawal of one actor, two signers of one actor's
-    # deposits, two amounts of one sender and recipient; each group is
-    # handed over in reverse of the index order
+def shared_position_trace():
+    """Records that share a position and differ in a field after it: a
+    deposit and a withdrawal of one actor, two signers of one actor's
+    deposits, two amounts of one sender and recipient; each group is handed
+    over in reverse of the index order."""
     base = seeded_trace(Prng(0))
     pool = base.pools[0].pool_id
     a, b, c = addr("sa"), addr("sb"), addr("sc")
@@ -104,8 +117,51 @@ def test_shared_positions_read_back_in_index_order(tmp_path):
     transfers = [transfer(a, b, amount, height) for amount in (3, 5, 8)] \
         + [transfer(b, a, 1, height + 1, tx=1), transfer(c, a, 2, height)]
     tokens = [transfer(a, b, amount, height, coin="TOK") for amount in (7, 9)]
-    trace = dataclasses.replace(
+    return dataclasses.replace(
         base, events=tuple(sorted(events, key=event_order, reverse=True)),
         transfers=tuple(sorted(transfers, key=transfer_order, reverse=True)),
         token_transfers=tuple(sorted(tokens, key=transfer_order, reverse=True)))
-    assert_read_back_in_index_order(trace, tmp_path)
+
+
+def test_shared_positions_read_back_in_index_order(tmp_path):
+    assert_read_back_in_index_order(shared_position_trace(), tmp_path)
+
+
+def sorted_without_tie(records) -> bool:
+    """The oracle: the records equal their sort by position, and no two
+    share one."""
+    keys = [record_position(r) for r in records]
+    return keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_in_position_order_matches_the_sorting_oracle(seed):
+    prng = Prng(seed)
+    traces = (seeded_trace(prng), shared_position_trace())
+    seen = {True: 0, False: 0}
+    for trace in traces:
+        for records in (trace.events, trace.transfers, trace.token_transfers):
+            ordered = sorted(records, key=record_position)
+            cases = [records, ordered, shuffled(ordered, prng), ordered[:1], [],
+                     ordered[::-1]]
+            if ordered:
+                i = prng.randint(0, len(ordered) - 1)
+                cases.append(ordered[:i + 1] + ordered[i:])  # a repeat beside its twin
+            for case in cases:
+                assert in_position_order(case) == sorted_without_tie(case), case
+                assert in_position_order(tuple(case)) == in_position_order(case)
+                seen[in_position_order(case)] += 1
+    assert seen[True] and seen[False]
+
+
+def test_duplicate_in_an_out_of_order_file_names_its_first_line(tmp_path):
+    data = write_dataset(seeded_trace(Prng(5)), tmp_path / "data")
+    path = data / "pool_events.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) > 3
+    # the second line first, then the rest, then a copy of the third
+    path.write_text("\n".join([lines[1], lines[0], *lines[2:], lines[2]]) + "\n")
+    with pytest.raises(IngestError, match=re.escape(
+            f"duplicate record (first seen on line 3) "
+            f"[file=pool_events.jsonl, line={len(lines) + 1}]")):
+        ingest(data)

@@ -103,6 +103,19 @@ class TestH3RelatedPair:
         index = build_index([transfer(W, D, 7, 8)], [], events, None)
         assert h3_related_pair(pool_view(index, p100)).link_pairs == {LinkPair(D, W)}
 
+    def test_one_scan_serves_every_pool_of_an_index(self, p100):
+        p10 = PoolConfig(pool_id="P10", coin="ETH", denomination=10)
+        d, w, other, outsider = (addr(f"h3{tag}") for tag in ("d", "w", "o", "x"))
+        events = [deposit("P100", d, 1), withdrawal("P100", w, 2),
+                  deposit("P10", other, 3), withdrawal("P10", d, 4)]
+        transfers = [transfer(d, w, 5, 5), transfer(other, other, 5, 6),
+                     transfer(outsider, d, 5, 7), transfer(w, other, 5, 8)]
+        index = build_index(transfers, [transfer(other, d, 1, 9, coin="UNI")], events, None)
+        assert index.actor_transfer_pairs == {(d, w), (w, other), (other, d)}
+        assert index.actor_transfer_pairs is index.actor_transfer_pairs
+        assert h3_related_pair(pool_view(index, p100)).link_pairs == {LinkPair(d, w)}
+        assert h3_related_pair(pool_view(index, p10)).link_pairs == {LinkPair(other, d)}
+
     def test_matches_pairwise_scan_oracle(self, p100):
         rng = random.Random(5)
         actors = [addr(f"h3{i}") for i in range(10)]

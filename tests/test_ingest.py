@@ -1,6 +1,6 @@
-"""Ingest fast paths: interned addresses, the one address rule, the fused
-parsers of the hot files and slotted records, each checked against the
-behaviour they must keep."""
+"""Ingest fast paths: interned addresses, the one address rule, the line
+patterns of the hot files, the in-order read without a duplicate dict and
+slotted records, each checked against the behaviour they must keep."""
 
 from __future__ import annotations
 
@@ -14,17 +14,21 @@ from pathlib import Path
 import pytest
 
 import anonset.dataset as dataset_module
+import anonset.indexing as indexing_module
 from anonset.cli import main
 from anonset.dataset import Dataset, _Row, ingest, read_ground_truth, write_dataset
 from anonset.errors import IngestError, InputError
+from anonset.indexing import build_index
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from anonset.ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
     Transfer,
+    event_order,
     normalize_address,
     position,
+    transfer_order,
 )
 from anonset.mining import APClaim
 
@@ -277,7 +281,7 @@ def _random_address(rng: random.Random) -> str:
 
 
 class TestAddressRule:
-    """``_Row.address`` and the fused parsers share one address rule; it
+    """``_Row.address`` and the line builders share one address rule; it
     returns what ``normalize_address`` returns, or fails where it fails,
     whether or not the canonical form was seen first."""
 
@@ -470,21 +474,12 @@ class TestLineWhitespace:
         assert self.run_relayers(synth_dir, tmp_path, capsys)[0] == 0
 
 
-class _Record(dict):
-    """A decoded row that the fused parsers pass on: they take exact dicts
-    only, so each such row is read by the checked parser."""
-
-    __slots__ = ()
-
-
 def _checked_only(patch) -> None:
-    read = dataset_module._read_lines
-
-    def rows(path, name):
-        for line, value in read(path, name):
-            yield line, _Record(value) if type(value) is dict else value
-
-    patch.setattr(dataset_module, "_read_lines", rows)
+    """Switch the line patterns off, so that every line of the hot files is
+    decoded and read by the checked parser."""
+    never = re.compile("(?!)")
+    patch.setattr(dataset_module, "_LINE_PATTERNS",
+                  dict.fromkeys(dataset_module._LINE_PATTERNS, never))
 
 
 def _outcome(data: Path):
@@ -503,21 +498,110 @@ EDIT_VALUES = (..., None, True, False, -1, 0, 1.5, "5", "", "x", "deposit", "wit
                "0x" + "g" * 40, "0x" + "a" * 39)
 
 
+def _compact(record) -> str:
+    """A record in the layout ``write_dataset`` emits."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+DEPOSIT_LINE = _compact({
+    "actor": A1, "block": 1001, "kind": "deposit", "log_index": 0, "pool_id": "P100",
+    "relayer": None, "tx_index": 0, "tx_sender": A1})
+TRANSFER_LINE = _compact({
+    "amount": "100000", "block": 1001, "coin": "ETH", "internal": False, "log_index": 0,
+    "recipient": A2, "sender": A1, "tx_index": 0})
+
+# (name, file, line text in place of the file's first line, the error it
+# gives or None): one case per kind of line a pattern must decline, or
+# take only where the checked parser reads the same record
+DECLINE_CASES = [
+    ("leading-zero-int", "pool_events", DEPOSIT_LINE.replace(':1001,', ':01001,'),
+     "invalid JSON: Expecting ',' delimiter"),
+    ("leading-zero-index", "pool_events", DEPOSIT_LINE.replace('"tx_index":0', '"tx_index":00'),
+     "invalid JSON: Expecting ',' delimiter"),
+    ("leading-zero-amount", "transfers", TRANSFER_LINE.replace('"100000"', '"000100000"'), None),
+    ("minus-zero", "pool_events", DEPOSIT_LINE.replace('"log_index":0', '"log_index":-0'), None),
+    ("negative", "pool_events", DEPOSIT_LINE.replace(':1001,', ':-1001,'), UINT),
+    ("plus-sign", "pool_events", DEPOSIT_LINE.replace(':1001,', ':+1001,'),
+     "invalid JSON: Expecting value"),
+    ("fraction", "pool_events", DEPOSIT_LINE.replace('"tx_index":0', '"tx_index":0.0'), UINT),
+    ("exponent", "transfers", TRANSFER_LINE.replace(':1001,', ':1001e0,'), UINT),
+    ("int-too-long", "transfers",
+     TRANSFER_LINE.replace('"log_index":0', '"log_index":1' + "0" * 18), None),
+    ("escape-in-text", "pool_events", DEPOSIT_LINE.replace('"deposit"', '"dep\\u006fsit"'), None),
+    ("escape-in-address", "transfers",
+     TRANSFER_LINE.replace(f'"{A1}"', f'"\\u0030{A1[1:]}"'), None),
+    ("escaped-quote", "transfers", TRANSFER_LINE.replace('"ETH"', '"E\\"TH"'), None),
+    ("raw-control", "pool_events", DEPOSIT_LINE.replace('"P100"', '"P1\x0100"'),
+     "invalid JSON: Invalid control character at"),
+    ("raw-delete", "transfers", TRANSFER_LINE.replace('"ETH"', '"ETH\x7f"'), None),
+    ("non-ascii-text", "transfers", TRANSFER_LINE.replace('"ETH"', '"ÉTH"'), None),
+    ("non-ascii-kind", "pool_events", DEPOSIT_LINE.replace('"deposit"', '"dépôt"'),
+     "unknown pool event kind: 'dépôt'"),
+    ("fullwidth-digit", "transfers", TRANSFER_LINE.replace('"100000"', '"10000\uff10"'),
+     "amounts are decimal strings of base units"),
+    ("space-after-colon", "pool_events", DEPOSIT_LINE.replace('"kind":', '"kind": '), None),
+    ("space-after-comma", "transfers", TRANSFER_LINE.replace(',"coin"', ', "coin"'), None),
+    ("tab-inside-braces", "pool_events", DEPOSIT_LINE.replace('{', '{\t'), None),
+    ("keys-out-of-order", "transfers",
+     TRANSFER_LINE.replace('"amount":"100000",', '').replace('}', ',"amount":"100000"}'), None),
+    ("repeated-key", "pool_events",
+     DEPOSIT_LINE.replace('"kind":"deposit"', '"kind":"withdrawal","kind":"deposit"'), None),
+    ("repeated-key-last-wins", "transfers",
+     TRANSFER_LINE.replace('"amount":"100000"', '"amount":"100000","amount":"7"'), None),
+    ("amount-past-bound", "transfers", TRANSFER_LINE.replace('"100000"', '"' + "9" * 79 + '"'),
+     None),
+    ("amount-past-digit-limit", "transfers",
+     TRANSFER_LINE.replace('"100000"', '"' + "9" * 5000 + '"'), "amount has too many digits"),
+    ("empty-text", "transfers", TRANSFER_LINE.replace('"ETH"', '""'), TEXT),
+    ("0X-prefix", "pool_events", DEPOSIT_LINE.replace(f'"actor":"{A1}"',
+                                                      f'"actor":"0X{A1[2:].upper()}"'), None),
+    ("no-prefix", "transfers", TRANSFER_LINE.replace(f'"{A2}"', f'"{A2[2:].upper()}"'), None),
+    ("address-39-digits", "transfers", TRANSFER_LINE.replace(f'"{A2}"', f'"{A2[:-1]}"'),
+     f"malformed address: '{A2[:-1]}'"),
+    ("address-with-0x-and-40", "pool_events",
+     DEPOSIT_LINE.replace(f'"tx_sender":"{A1}"', '"tx_sender":"0x' + "0123456789" * 4 + '"'),
+     None),
+    ("unknown-pool", "pool_events", DEPOSIT_LINE.replace('"P100"', '"P7"'), "unknown pool 'P7'"),
+    ("block-out-of-range", "pool_events", DEPOSIT_LINE.replace(':1001,', f':{OUT_OF_RANGE},'),
+     "height outside the manifest block range"),
+    ("relayed-deposit", "pool_events", DEPOSIT_LINE.replace('null', f'"{A1}"'),
+     "deposits cannot carry a relayer"),
+]
+
+
 class TestFusedParsersMatchCheckedParser:
-    """The fused parsers against the checked parser as oracle: on seeded
-    edits of one to three fields, ingest gives the same records or the
-    same error with both."""
+    """The line patterns against the checked parser as oracle: on seeded
+    edits of one to three fields, and on one line of each kind a pattern
+    must decline, ingest gives the same records or the same error, file,
+    line and field with both."""
+
+    @pytest.mark.parametrize("name, text, error", [case[1:] for case in DECLINE_CASES],
+                             ids=[case[0] for case in DECLINE_CASES])
+    def test_decline_class(self, synth_dir, monkeypatch, name, text, error):
+        path = synth_dir / f"{name}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert text not in (DEPOSIT_LINE, TRANSFER_LINE)
+        path.write_text("\n".join([text] + lines[1:]) + "\n", encoding="utf-8")
+        outcome = _outcome(synth_dir)
+        with monkeypatch.context() as patch:
+            _checked_only(patch)
+            assert _outcome(synth_dir) == outcome
+        if error is None:
+            assert not isinstance(outcome, str), outcome
+        else:
+            assert isinstance(outcome, str) and outcome.startswith(error), outcome
+            assert f"[file={name}.jsonl, line=1" in outcome
 
     def test_valid_dataset(self, synth_dir, tmp_path, monkeypatch):
         respell(synth_dir, tmp_path / "respelled", seed=31)
         for data in (synth_dir, tmp_path / "respelled"):
-            fused = ingest(data)
+            fast = ingest(data)
             with monkeypatch.context() as patch:
                 _checked_only(patch)
                 checked = ingest(data)
-            assert fused.events == checked.events and fused.counts == checked.counts
-            assert fused.transfers == checked.transfers
-            assert fused.token_transfers == checked.token_transfers
+            assert fast.events == checked.events and fast.counts == checked.counts
+            assert fast.transfers == checked.transfers
+            assert fast.token_transfers == checked.token_transfers
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_edits(self, synth_dir, monkeypatch, seed):
@@ -536,14 +620,16 @@ class TestFusedParsersMatchCheckedParser:
                     del record[field]
                 else:
                     record[field] = value
-            _edited(synth_dir, name, line, record)
-            fused = _outcome(synth_dir)
+            # half the edits keep the emitted layout, so they meet the pattern
+            lines[line - 1] = _compact(record) if rng.random() < 0.5 else json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            fast = _outcome(synth_dir)
             with monkeypatch.context() as patch:
                 _checked_only(patch)
                 checked = _outcome(synth_dir)
             path.write_text(original)
-            assert fused == checked, (name, line, record)
-            outcomes[isinstance(fused, str)] += 1
+            assert fast == checked, (name, line, record)
+            outcomes[isinstance(fast, str)] += 1
         assert outcomes[True] > 0
 
 
@@ -553,8 +639,19 @@ class TestFastPathCounts:
     CHECKED_FILES = ("pools", "labels", "relayers", "ap_claims", "ens_transfers",
                      "ens_subdomains", "airdrop_claims", "follow_edges")
 
-    def test_valid_hot_rows_build_no_row_object(self, synth_dir, monkeypatch):
-        built = []
+    def test_valid_hot_rows_build_no_row_object(self, synth_dir, tmp_path, monkeypatch):
+        # nor decode a hot line: its pattern takes every emitted line, also
+        # in a copy re-spelled by case and prefix, as chain exports spell it
+        respelled = tmp_path / "respelled"
+        respell(synth_dir, respelled, seed=37, pad=False)
+        raw = (respelled / "pool_events.jsonl").read_text()
+        assert '"0X' in raw and '"0x' in raw and re.search(r':"[0-9a-fA-F]{40}"', raw)
+        decoded, built = [], []
+        scan = dataset_module._scan_once
+
+        def counted_scan(text, start):
+            decoded.append(text)
+            return scan(text, start)
 
         class Counted(_Row):
             __slots__ = ()
@@ -563,14 +660,46 @@ class TestFastPathCounts:
                 built.append(file)
                 super().__init__(file, *args)
 
+        monkeypatch.setattr(dataset_module, "_scan_once", counted_scan)
         monkeypatch.setattr(dataset_module, "_Row", Counted)
+        for data in (synth_dir, respelled):
+            decoded.clear()
+            built.clear()
+            dataset = ingest(data)
+            rows = sum(len((data / f"{name}.jsonl").read_text().splitlines())
+                       for name in self.CHECKED_FILES)
+            assert dataset.counts["pool_events"] > 0 and dataset.counts["transfers"] > 0
+            assert dataset.counts["token_transfers"] > 0
+            # one for the manifest, at most one for each row of the small files
+            assert len(built) <= 1 + rows and len(decoded) == rows
+            assert set(built) <= {f"{name}.jsonl" for name in self.CHECKED_FILES} | \
+                {"manifest.json"}
+
+    def test_index_sorts_only_out_of_order_input(self, synth_dir, monkeypatch):
         dataset = ingest(synth_dir)
-        rows = sum(len((synth_dir / f"{name}.jsonl").read_text().splitlines())
-                   for name in self.CHECKED_FILES)
-        assert dataset.counts["pool_events"] > 0 and dataset.counts["transfers"] > 0
-        # one for the manifest, at most one for each row of the small files
-        assert len(built) <= 1 + rows
-        assert set(built) <= {f"{name}.jsonl" for name in self.CHECKED_FILES} | {"manifest.json"}
+        calls = Counter()
+
+        def counted(order):
+            def key(record):
+                calls[order.__name__] += 1
+                return order(record)
+            return key
+
+        monkeypatch.setattr(indexing_module, "event_order", counted(event_order))
+        monkeypatch.setattr(indexing_module, "transfer_order", counted(transfer_order))
+        index = dataset.build_index(dataset.manifest.last_block)
+        assert not calls
+        assert index.pool_events == dataset.events and index.native_transfers == dataset.transfers
+
+        rng = random.Random(41)
+        events, transfers, tokens = (rng.sample(records, len(records)) for records in (
+            dataset.events, dataset.transfers, dataset.token_transfers))
+        shuffled = build_index(transfers, tokens, events, dataset.labels)
+        assert calls == {"event_order": len(events),
+                         "transfer_order": len(transfers) + len(tokens)}
+        assert shuffled.pool_events == index.pool_events
+        assert shuffled.native_transfers == index.native_transfers
+        assert shuffled.token_transfers == index.token_transfers
 
     def test_normalize_address_runs_once_per_address(self, synth_dir, tmp_path, monkeypatch):
         # a copy re-spelled only by case and prefix, as chain exports spell it

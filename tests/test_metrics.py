@@ -110,6 +110,11 @@ class TestRelayerUsage:
         assert usage.relayed_withdrawal_share == Fraction(2, 3)
         assert usage.relayed_withdrawer_share == Fraction(1, 2)
 
+    def test_event_of_another_pool_is_rejected(self, p100):
+        events = [withdrawal("P100", W1, 5), withdrawal("P10", D2, 6)]
+        with pytest.raises(InputError, match="event for pool 'P10' passed to pool 'P100'"):
+            relayer_usage(p100, events)
+
 
 class TestFundThenDeposit:
     def _pools(self):
