@@ -34,7 +34,7 @@ from .errors import (
     InputError,
     ModeError,
 )
-from .ledger import DEPOSIT, LinkPair, connected_components, position
+from .ledger import DEPOSIT, LinkPair, connected_components
 from .metrics import render_percent, render_ratio
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -438,12 +438,11 @@ def _cmd_am_link(args) -> int:
     outcomes = []
     statuses = []
     for address in sorted(claimants):
-        claims = sorted(claimants[address], key=lambda c: (c.block, c.ap))
+        claims = claimants[address]
         own = deposits_by_actor.get(address, [])
         category = mining.classify_claimant(address, own, claims)
         entry = {"address": address, "category": category, "claims": len(claims)}
         if category in (mining.ONE_ONE_ONE, mining.N_ONE_ONE):
-            own = sorted(own, key=position)
             pool = dataset.pool(own[0].pool_id)
             claim = claims[0]
             if category == mining.ONE_ONE_ONE:
@@ -578,12 +577,9 @@ def _parse_profile(text: str) -> synth.BehaviorProfile:
 
 
 def _cmd_synth(args) -> int:
-    profile = _parse_profile(args.profile)
     config = synth.GeneratorConfig(
-        profile=profile, pools=synth.standard_pools(),
-        user_count=args.users, block_span=args.blocks,
-        am_launch=(args.blocks // 2 + 1_000
-                   if profile.fractions.get(synth.AM_SPECULATOR) else None))
+        profile=_parse_profile(args.profile), pools=synth.standard_pools(),
+        user_count=args.users, block_span=args.blocks)
     trace = synth.generate_trace(config, args.seed)
     out = write_dataset(trace, args.out)
     print(f"wrote synthetic dataset to {out}: "

@@ -63,10 +63,8 @@ RECORD_FILES = ("pools", "pool_events", "transfers", "token_transfers",
 
 @dataclass(frozen=True)
 class Manifest:
-    coin: str
     first_block: int
     last_block: int
-    am_launch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -195,14 +193,6 @@ class _Row:
             raise self.fail(field, "expected a non-empty string")
         return self.words.setdefault(value, value)
 
-    def flag(self, field: str, default: bool = False) -> bool:
-        if field not in self.record:
-            return default
-        value = self.record[field]
-        if not isinstance(value, bool):
-            raise self.fail(field, "expected a boolean")
-        return value
-
 
 def _utf8_error(file: Path, name: str) -> IngestError:
     """Name the first line of ``file`` that is not valid UTF-8.
@@ -247,21 +237,12 @@ def _read_lines(path: Path, name: str):
         raise _utf8_error(file, name) from None
 
 
-_scan_once = json.JSONDecoder().scan_once  # shared, as json.loads shares its own
-
-
-def _decode(text: str, file: str, line: int) -> Any:
-    """What ``json.loads`` does to a stripped line, less its whitespace
-    scans and raw_decode's wrapper, whose one error text is kept here."""
+def _loads(text: str, file: str, line: int | None = None) -> Any:
+    """``json.loads``, with its error named by file and line."""
     try:
-        value, end = _scan_once(text, 0)
-    except StopIteration:
-        raise IngestError("invalid JSON: Expecting value", file=file, line=line) from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc.msg}", file=file, line=line) from None
-    if end != len(text):
-        raise IngestError("invalid JSON: Extra data", file=file, line=line)
-    return value
 
 
 # Pieces of the hot lines' patterns, each matching only text that json.loads
@@ -286,8 +267,8 @@ _LINE_PATTERNS = {  # the emitted layout of each hot file
         actor=_ADDRESS, block=_INT, kind=_TEXT, log_index=_INT, pool_id=_TEXT,
         relayer=f"(?:null|{_ADDRESS})", tx_index=_INT, tx_sender=_ADDRESS),
     "transfers": _line_pattern(
-        amount=_AMOUNT, block=_INT, coin=_TEXT, internal="(true|false)", log_index=_INT,
-        recipient=_ADDRESS, sender=_ADDRESS, tx_index=_INT)}
+        amount=_AMOUNT, block=_INT, coin=_TEXT, log_index=_INT, recipient=_ADDRESS,
+        sender=_ADDRESS, tx_index=_INT)}
 _LINE_PATTERNS["token_transfers"] = _LINE_PATTERNS["transfers"]
 
 
@@ -316,7 +297,7 @@ def _records(path: Path, name: str, parse: Callable[[_Row], Any],
                 found = match(text) if match is not None else None
                 record = build(*found.groups()) if found is not None else None
                 if record is None:
-                    record = parse(_Row(file, line, _decode(text, file, line), canon, words))
+                    record = parse(_Row(file, line, _loads(text, file, line), canon, words))
             except InputError as exc:
                 raise IngestError(str(exc), file=file, line=line, field=exc.field) from None
             yield line, record
@@ -354,16 +335,10 @@ def ingest(path: str | Path) -> Dataset:
     manifest_path = path / MANIFEST_FILE
     if not manifest_path.exists():
         raise IngestError("manifest is missing", file=MANIFEST_FILE)
-    try:
-        raw = json.loads(_read_text(manifest_path, MANIFEST_FILE))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON: {exc.msg}", file=MANIFEST_FILE)
-    row = _Row(MANIFEST_FILE, 1, raw, {}, {})
-    manifest = Manifest(
-        coin=row.text("coin"),
-        first_block=row.uint("first_block"),
-        last_block=row.uint("last_block"),
-        am_launch=row.uint("am_launch") if "am_launch" in raw else None)
+    row = _Row(MANIFEST_FILE, 1, _loads(_read_text(manifest_path, MANIFEST_FILE),
+                                        MANIFEST_FILE), {}, {})
+    manifest = Manifest(first_block=row.uint("first_block"),
+                        last_block=row.uint("last_block"))
     if manifest.last_block < manifest.first_block:
         raise IngestError("block range is inverted", file=MANIFEST_FILE,
                           field="last_block")
@@ -404,7 +379,7 @@ def ingest(path: str | Path) -> Dataset:
         return Transfer(height=height(r), tx_index=r.uint("tx_index", 0),
                         log_index=r.uint("log_index", 0), sender=r.address("sender"),
                         recipient=r.address("recipient"), amount=r.amount("amount"),
-                        coin=r.text("coin"), internal=r.flag("internal"))
+                        coin=r.text("coin"))
 
     # The line builders check what their pattern leaves open and return
     # None where ``pool_event`` or ``transfer`` would fail, which then read
@@ -421,14 +396,14 @@ def ingest(path: str | Path) -> Dataset:
                          None if relayer is None else _address(relayer, canon),
                          int(tx_index), int(log_index))
 
-    def transfer_line(amount, block, coin, internal, log_index, recipient, sender,
+    def transfer_line(amount, block, coin, log_index, recipient, sender,
                       tx_index) -> Transfer | None:
         block = int(block)
         if not first_block <= block <= last_block:
             return None
         return Transfer(block, _address(sender, canon), _address(recipient, canon),
-                        int(amount), words.setdefault(coin, coin), internal == "true",
-                        int(tx_index), int(log_index))
+                        int(amount), words.setdefault(coin, coin), int(tx_index),
+                        int(log_index))
 
     def ap_claim(r: _Row) -> APClaim:
         return APClaim(recipient=r.address("recipient"), block=height(r), ap=r.uint("ap"))
@@ -441,7 +416,7 @@ def ingest(path: str | Path) -> Dataset:
     label_map: dict[Address, set[str]] = {}
     counts["labels"] = 0
     for line, text in _read_lines(path, "labels"):
-        r = _Row("labels.jsonl", line, _decode(text, "labels.jsonl", line), canon, words)
+        r = _Row("labels.jsonl", line, _loads(text, "labels.jsonl", line), canon, words)
         label = r.text("label")
         if label not in KNOWN_LABELS:
             raise r.fail("label", f"unknown label {label!r}")
@@ -481,10 +456,8 @@ def read_ground_truth(path: str | Path) -> GroundTruth | None:
     gt_path = Path(path) / GROUND_TRUTH_FILE
     if not gt_path.exists():
         return None
-    try:
-        return _parse_ground_truth(json.loads(_read_text(gt_path, GROUND_TRUTH_FILE)))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON: {exc.msg}", file=GROUND_TRUTH_FILE)
+    return _parse_ground_truth(_loads(_read_text(gt_path, GROUND_TRUTH_FILE),
+                                      GROUND_TRUTH_FILE))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +485,6 @@ def _transfer_line(t: Transfer) -> str:
     """``_dump_line`` of a native or token transfer's record, keys in
     sorted order; the amount is a quoted decimal."""
     return (f'{{"amount":"{t.amount}","block":{t.height},"coin":{_quote(t.coin)},'
-            f'"internal":{"true" if t.internal else "false"},'
             f'"log_index":{t.log_index},"recipient":{_quote(t.recipient)},'
             f'"sender":{_quote(t.sender)},"tx_index":{t.tx_index}}}\n')
 
@@ -522,10 +494,7 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    manifest = {"coin": trace.coin, "first_block": trace.first_block,
-                "last_block": trace.last_block}
-    if trace.am_launch is not None:
-        manifest["am_launch"] = trace.am_launch
+    manifest = {"first_block": trace.first_block, "last_block": trace.last_block}
     (path / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     def write(name: str, lines: Iterable[str]) -> None:
@@ -569,8 +538,7 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
                               for pool, addrs in sorted(gt.active_depositors.items())},
         "behaviors": dict(sorted(gt.behaviors.items())),
     }
-    (path / GROUND_TRUTH_FILE).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    (path / GROUND_TRUTH_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
 

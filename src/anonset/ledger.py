@@ -76,7 +76,7 @@ position = attrgetter("height", "tx_index", "log_index")
 
 
 def transfer_order(t: Transfer):
-    return (*position(t), t.sender, t.recipient, t.amount, t.coin, t.internal)
+    return (*position(t), t.sender, t.recipient, t.amount, t.coin)
 
 
 def event_order(e: PoolEvent):
@@ -101,27 +101,23 @@ class _TransferFields(NamedTuple):
     recipient: Address
     amount: Amount
     coin: str
-    internal: bool = False
     tx_index: int = 0
     log_index: int = 0
 
 
 class Transfer(_TransferFields):
-    """One value movement between two addresses.
-
-    ``internal`` marks contract-triggered movements at ingestion time; no
-    analysis distinguishes them from direct transfers.
-    """
+    """One value movement between two addresses, direct or contract-
+    triggered alike: no analysis tells the two apart."""
 
     __slots__ = ()
 
     def __new__(cls, height: int, sender: Address, recipient: Address, amount: Amount,
-                coin: str, internal: bool = False, tx_index: int = 0, log_index: int = 0):
+                coin: str, tx_index: int = 0, log_index: int = 0):
         _check_position(height, tx_index, log_index)
         if amount < 0:
             raise InputError(f"negative transfer amount: {amount}", field="amount")
-        return tuple.__new__(cls, (height, sender, recipient, amount, coin, internal,
-                                   tx_index, log_index))
+        return tuple.__new__(cls, (height, sender, recipient, amount, coin, tx_index,
+                                   log_index))
 
     @classmethod
     def _make(cls, iterable) -> Transfer:

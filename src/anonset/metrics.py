@@ -142,16 +142,15 @@ def fund_then_deposit_flags(pools: Iterable[PoolConfig],
     return tuple(sorted(flags, key=lambda f: f.address))
 
 
-def render_ratio(value: Fraction, places: int = 2) -> str:
-    """Fixed-point decimal rendering with exact half-up rounding."""
+def render_ratio(value: Fraction) -> str:
+    """Two-place fixed-point decimal rendering with exact half-up rounding."""
     sign = "-" if value < 0 else ""
-    scaled = abs(Fraction(value)) * 10 ** places
-    units = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
+    scaled = abs(Fraction(value)) * 100
+    units, rest = divmod(scaled.numerator, scaled.denominator)
+    if 2 * rest >= scaled.denominator:
         units += 1
-    text = str(units).rjust(places + 1, "0")
-    return f"{sign}{text[:-places]}.{text[-places:]}"
+    return f"{sign}{units // 100}.{units % 100:02d}"
 
 
-def render_percent(value: Fraction, places: int = 2) -> str:
-    return render_ratio(Fraction(value) * 100, places) + "%"
+def render_percent(value: Fraction) -> str:
+    return render_ratio(Fraction(value) * 100) + "%"

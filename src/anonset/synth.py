@@ -156,7 +156,6 @@ class GeneratorConfig:
     pools: tuple[PoolConfig, ...]
     user_count: int
     block_span: int
-    am_launch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,6 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class SynthTrace:
-    coin: str
     pools: tuple[PoolConfig, ...]
     events: tuple[PoolEvent, ...]
     transfers: tuple[Transfer, ...]
@@ -194,7 +192,6 @@ class SynthTrace:
     labels: Mapping[Address, tuple[str, ...]]
     relayers: tuple[Address, ...]
     ap_claims: tuple[APClaim, ...]
-    am_launch: int | None
     first_block: int
     last_block: int
     ground_truth: GroundTruth
@@ -409,9 +406,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         raise ConfigError(
             f"block span {config.block_span} too small: trace needs "
             f"{build.cursor - FIRST_BLOCK + 1} blocks")
-    if config.am_launch is not None and not (
-            FIRST_BLOCK < config.am_launch <= last_block):
-        raise ConfigError("mining launch must fall inside the block span")
 
     labels: dict[Address, tuple[str, ...]] = {FAUCET: ("exchange",)}
     for r in relayers:
@@ -427,7 +421,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         active[pool.pool_id] = frozenset(a for a, b in state.items() if b > 0)
 
     return SynthTrace(
-        coin=coin,
         pools=tuple(config.pools),
         events=tuple(build.events),
         transfers=tuple(build.transfers),
@@ -435,7 +428,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         labels=labels,
         relayers=relayers,
         ap_claims=tuple(build.claims),
-        am_launch=config.am_launch,
         first_block=FIRST_BLOCK,
         last_block=last_block,
         ground_truth=GroundTruth(

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import re
+import shutil
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,7 +13,14 @@ import pytest
 
 import anonset.cli as cli_module
 from anonset.cli import main
-from anonset.dataset import RECORD_FILES, Dataset, ingest, read_ground_truth, write_dataset
+from anonset.dataset import (
+    RECORD_FILES,
+    Dataset,
+    Manifest,
+    ingest,
+    read_ground_truth,
+    write_dataset,
+)
 from anonset.errors import IngestError
 from anonset.heuristics import (
     h1_reuse,
@@ -52,7 +60,7 @@ def write_side_channels(data: Path) -> None:
 def mixed_trace(seed: int = 3, users: int = 64):
     profile = BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS})
     cfg = GeneratorConfig(profile=profile, pools=standard_pools(),
-                          user_count=users, block_span=6000, am_launch=4000)
+                          user_count=users, block_span=6000)
     return generate_trace(cfg, seed)
 
 
@@ -73,7 +81,7 @@ class TestRoundTrip:
         assert set(dataset.token_transfers) == set(trace.token_transfers)
         assert {c for c in dataset.ap_claims} == set(trace.ap_claims)
         assert read_ground_truth(dataset_dir) == trace.ground_truth
-        assert dataset.manifest.am_launch == trace.am_launch
+        assert dataset.manifest == Manifest(trace.first_block, trace.last_block)
         assert dataset.counts["pool_events"] == len(trace.events)
         assert dataset.counts["transfers"] == len(trace.transfers)
         assert dataset.counts["ap_claims"] == len(trace.ap_claims)
@@ -454,6 +462,58 @@ class TestSidecarContract:
         assert alive == [False]
 
 
+def older_layout(src: Path, dst: Path) -> None:
+    """Copy a dataset into the older layout: a manifest with ``coin`` and
+    ``am_launch``, and an ``internal`` flag on every transfer line."""
+    shutil.copytree(src, dst)
+    manifest = json.loads((src / "manifest.json").read_text())
+    manifest.update(coin="ETH", am_launch=manifest["last_block"])
+    (dst / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    for name in ("transfers", "token_transfers"):
+        records = [json.loads(line) for line in (src / f"{name}.jsonl").read_text().splitlines()]
+        (dst / f"{name}.jsonl").write_text("".join(
+            json.dumps({**r, "internal": False}, sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records))
+
+
+class TestOlderLayout:
+    """The manifest holds the block range alone and a transfer carries no
+    ``internal`` flag; a dataset that still has them reads the same."""
+
+    def test_manifest_of_the_block_range_alone(self, dataset_dir):
+        path = dataset_dir / "manifest.json"
+        assert json.loads(path.read_text()).keys() == {"first_block", "last_block"}
+        path.write_text('{"first_block":1000,"last_block":7000}')
+        assert ingest(dataset_dir).manifest == Manifest(first_block=1000, last_block=7000)
+
+    def test_older_layout_reads_the_same(self, dataset_dir, tmp_path):
+        older = tmp_path / "older"
+        older_layout(dataset_dir, older)
+        assert '"internal":false' in (older / "transfers.jsonl").read_text()
+        new, old = ingest(dataset_dir), ingest(older)
+        for field in dataclasses.fields(Dataset):
+            if field.name != "labels":
+                assert getattr(old, field.name) == getattr(new, field.name), field.name
+        assert old.labels._labels == new.labels._labels
+        for command in (["anonymity", "--combine", "--tas"], ["flows", "--distance", "2"],
+                        ["relayers"], ["am-link"]):
+            reports = [TestSidecarContract.reports(data, tmp_path / f"{data.name}-{command[0]}",
+                                                   command)
+                       for data in (dataset_dir, older)]
+            assert reports[0] == reports[1], command
+
+    def test_transfers_differing_only_in_internal_are_one_record(self, dataset_dir):
+        path = dataset_dir / "transfers.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        lines[0] = json.dumps({**record, "internal": False})
+        path.write_text("\n".join(lines + [json.dumps({**record, "internal": True})]) + "\n")
+        with pytest.raises(IngestError) as info:
+            ingest(dataset_dir)
+        assert str(info.value) == (f"duplicate record (first seen on line 1) "
+                                   f"[file=transfers.jsonl, line={len(lines) + 1}]")
+
+
 class TestEncoding:
     def corrupt(self, path: Path, line: int, column: int = 3) -> None:
         """Put a 0xff byte into ``line`` (1-based) at ``column`` (1-based)."""
@@ -484,17 +544,20 @@ class TestEncoding:
             ingest(dataset_dir)
 
     def test_bad_byte_in_sidecar(self, dataset_dir):
-        self.corrupt(dataset_dir / "ground_truth.json", 3)
-        with pytest.raises(IngestError, match=r"\[file=ground_truth.json, line=3\]"):
+        # the sidecar is one line
+        self.corrupt(dataset_dir / "ground_truth.json", 1)
+        with pytest.raises(IngestError, match=r"\[file=ground_truth.json, line=1\]"):
             read_ground_truth(dataset_dir)
 
     def test_utf8_text_is_read_as_utf8(self, dataset_dir):
         # a non-ASCII coin name round-trips whatever the locale's encoding
-        path = dataset_dir / "manifest.json"
-        raw = json.loads(path.read_text())
-        raw["coin"] = "\u00e9ther"
-        path.write_bytes(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
-        assert ingest(dataset_dir).manifest.coin == "\u00e9ther"
+        path = dataset_dir / "pools.jsonl"
+        pools = [json.loads(line) for line in path.read_text().splitlines()]
+        pools[0]["coin"] = "\u00e9ther"
+        path.write_bytes("".join(json.dumps(p, ensure_ascii=False) + "\n"
+                                 for p in pools).encode("utf-8"))
+        assert "\u00e9ther".encode("utf-8") in path.read_bytes()
+        assert ingest(dataset_dir).pool(pools[0]["pool_id"]).coin == "\u00e9ther"
 
     def test_cli_exits_2_without_traceback(self, dataset_dir, tmp_path, capsys):
         self.corrupt(dataset_dir / "pool_events.jsonl", 1)

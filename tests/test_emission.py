@@ -74,19 +74,16 @@ def test_transfer_line_matches_json_dumps():
     prng = Prng(37)
     addresses = [addr(f"t{i}") for i in range(4)] + list(AWKWARD)
     amounts = (0, 1, 10 ** 30, 2 ** 64 + 1)
-    seen_internal = 0
     for _ in range(400):
         t = Transfer(**position(prng), sender=prng.choice(addresses),
                      recipient=prng.choice(addresses),
                      amount=prng.choice(amounts) + prng.randint(0, 999),
-                     coin=prng.choice(AWKWARD), internal=bool(prng.randint(0, 1)))
-        seen_internal += t.internal
+                     coin=prng.choice(AWKWARD))
         assert _transfer_line(t) == oracle({
             "block": t.height, "tx_index": t.tx_index,
             "log_index": t.log_index, "sender": t.sender,
             "recipient": t.recipient, "amount": str(t.amount),
-            "coin": t.coin, "internal": t.internal})
-    assert 0 < seen_internal < 400
+            "coin": t.coin})
 
 
 def assert_read_back_in_index_order(trace, path):

@@ -297,7 +297,7 @@ def oracle_covers(index, kind, actor, pool, t):
         unclaimed = [tr for tr in unclaimed if tr not in chosen]
         claims, remaining = [], pool.denomination
         for tr in sorted(chosen, key=lambda tr: (position(tr), tr.sender, tr.recipient,
-                                                 tr.amount, tr.coin, tr.internal)):
+                                                 tr.amount, tr.coin)):
             take = min(tr.amount, remaining)
             claims.append(tr._replace(amount=take))
             remaining -= take

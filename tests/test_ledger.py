@@ -89,7 +89,7 @@ class TestDomainRecords:
 
 
 _VALID_TRANSFER = dict(height=5, sender=D1, recipient=D2, amount=10, coin="ETH",
-                       internal=False, tx_index=1, log_index=2)
+                       tx_index=1, log_index=2)
 _VALID_WITHDRAWAL = dict(pool_id="P", kind=WITHDRAWAL, height=5, actor=W1, tx_sender=D2,
                          relayer=D2, tx_index=1, log_index=2)
 

@@ -2,9 +2,9 @@
 
 The analysis reports are pinned in ``test_report_digests.py``; this pins
 the dataset they are computed from.  The mixed profile includes
-speculators, so it covers ``am_launch`` in the manifest, reward claims,
-token transfers and withdrawals without a relayer.  A change to how a
-dataset is emitted must leave every digest alone.
+speculators, so it covers reward claims, token transfers and withdrawals
+without a relayer.  A change to how a dataset is emitted must leave every
+digest alone.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ MIXED_DIGESTS = {
     "ens_transfers.jsonl": EMPTY,
     "follow_edges.jsonl": EMPTY,
     "ground_truth.json":
-        "d117a2b5d3792572a9e5a3ef65300084341e532a1ff41dab333b3861db8a20f3",
+        "ebf7954d503a0ca58be51c2db14aebfbd73e3189d4e431219d7094a2889b1f6b",
     "labels.jsonl":
         "0be7ff4d9c9b68f2478584e94beebb144a342d2de4144de9ed7defb1ec5dc80d",
     "manifest.json":
-        "ac8ac0e9fa4ceab75bca25c2b183b07167f8c8e37dc9befbf98e0de6cb07f2b0",
+        "f983f6649ae02e307d0df689ff60510af6af839b8905bb593d70f70cc869436e",
     "pool_events.jsonl":
         "aa2f73c2eb3a23f45ae63c99bc57b01c249fdeb7cd482d86f44eb241d0d358c5",
     "pools.jsonl":
@@ -36,9 +36,9 @@ MIXED_DIGESTS = {
     "relayers.jsonl":
         "e95cb24b7af8304682b99ae7f3ed932fbe2040798aef7cf8cb0a286e5ac6d253",
     "token_transfers.jsonl":
-        "9ee564179572923c7ade90a3bbfddb557af33165773c73cb009b9d6dd6f90193",
+        "eafb90a1876be14507ce6e736227b43b0117e105b1f424f3bf67dce7f08abc06",
     "transfers.jsonl":
-        "f2977cdd1c14918676b22d51981555aa00d9ea05598abd8351705f2da70b82b1",
+        "4ad37bdc14e78ab591931e6604149e40fe13324eec77ebbc1cfe795ee18e8996",
 }
 
 
