@@ -569,8 +569,11 @@ def _parse_profile(text: str) -> synth.BehaviorProfile:
     weights = {}
     for part in text.split(","):
         name, _, weight = part.partition(":")
+        name = name.strip()
+        if name in weights:
+            raise InputError(f"repeated profile behavior: {name!r}")
         try:
-            weights[name.strip()] = int(weight)
+            weights[name] = int(weight)
         except ValueError:
             raise InputError(f"bad profile component: {part!r}")
     return synth.BehaviorProfile.from_weights(weights)

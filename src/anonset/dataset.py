@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
@@ -61,14 +60,12 @@ RECORD_FILES = ("pools", "pool_events", "transfers", "token_transfers",
                 "ens_subdomains", "airdrop_claims", "follow_edges")
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     first_block: int
     last_block: int
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     manifest: Manifest
     pools: tuple[PoolConfig, ...]
     events: tuple[PoolEvent, ...]

@@ -9,13 +9,12 @@ confusion matrix over an explicit test-pair universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .ledger import NEGATIVE, Address, LinkPair, Transfer
+from .ledger import NEGATIVE, Address, LinkPair, Transfer, Validated
 
 AIRDROP = "airdrop"
 ENS_TRANSFER = "ens-transfer"
@@ -23,8 +22,7 @@ ENS_SUBDOMAIN = "ens-subdomain"
 DEBANK = "debank"
 
 
-@dataclass(frozen=True, slots=True)
-class NameTransfer:
+class NameTransfer(NamedTuple):
     """Ownership of a registered name moving from one address to another."""
 
     name: str
@@ -34,8 +32,7 @@ class NameTransfer:
     expiry: int
 
 
-@dataclass(frozen=True, slots=True)
-class SubdomainGrant:
+class SubdomainGrant(NamedTuple):
     """A name owner assigning one of its subdomains to an address."""
 
     owner: Address
@@ -43,8 +40,7 @@ class SubdomainGrant:
     subdomain: str
 
 
-@dataclass(frozen=True, slots=True)
-class FollowEdge:
+class FollowEdge(NamedTuple):
     follower: Address
     followed: Address
 
@@ -127,11 +123,7 @@ def debank_negative_pairs(edges: Sequence[FollowEdge],
     return frozenset(pairs)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Confusion counts of heuristic pairs against ground truth over an
-    explicit test-pair universe, plus the derived exact ratios."""
-
+class _ValidationReportFields(NamedTuple):
     universe_size: int
     tp: int
     tn: int
@@ -139,9 +131,18 @@ class ValidationReport:
     fn: int
     negative_signal_fps: frozenset[LinkPair]
 
-    def __post_init__(self):
-        if self.tp + self.tn + self.fp + self.fn != self.universe_size:
+
+class ValidationReport(Validated, _ValidationReportFields):
+    """Confusion counts of heuristic pairs against ground truth over an
+    explicit test-pair universe, plus the derived exact ratios."""
+
+    __slots__ = ()
+
+    def __new__(cls, universe_size: int, tp: int, tn: int, fp: int, fn: int,
+                negative_signal_fps: frozenset[LinkPair]):
+        if tp + tn + fp + fn != universe_size:
             raise InputError("confusion counts must partition the test universe")
+        return tuple.__new__(cls, (universe_size, tp, tn, fp, fn, negative_signal_fps))
 
     @property
     def precision(self) -> Fraction:

@@ -24,8 +24,7 @@ links can only shrink it.  The clusters themselves come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .indexing import LedgerIndex
@@ -54,14 +53,14 @@ WITHDRAWER = "withdrawer"
 FUNDER = "funder"  # an address one native-coin hop upstream
 
 
-@dataclass(frozen=True)
-class PoolView:
+class PoolView(NamedTuple):
     """One pool of an index, computed once and shared by every heuristic,
     by :func:`combine` and by the report.
 
     ``events`` are the pool's indexed events, in index order; ``state``,
     ``depositors`` and ``withdrawers`` are derived from them.  ``index``
-    answers the transfer and label queries of h2-h4.
+    answers the transfer and label queries of h2-h4; as a field it hides
+    ``tuple.index``, which no caller uses.
     """
 
     pool: PoolConfig
@@ -82,8 +81,7 @@ def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
                     index=index)
 
 
-@dataclass(frozen=True)
-class HeuristicResult:
+class HeuristicResult(NamedTuple):
     """Outcome of one heuristic on one pool."""
 
     heuristic: str
@@ -248,8 +246,7 @@ def combine(view: PoolView, results: Sequence[HeuristicResult]) -> HeuristicResu
     return _result(tag, view, frozenset().union(*(r.link_pairs for r in results)))
 
 
-@dataclass(frozen=True)
-class Heuristic:
+class Heuristic(NamedTuple):
     """One row of :data:`HEURISTICS`.
 
     ``run`` maps a view to its result or, for a ``cross_pool`` heuristic

@@ -20,10 +20,9 @@ Two families of queries live here:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
 from .ledger import (
@@ -71,8 +70,7 @@ class LabelBook:
         return not ({"contract", "exchange"} & self._labels.get(address, frozenset()))
 
 
-@dataclass(frozen=True)
-class TransferCover:
+class TransferCover(NamedTuple):
     """The most-recent-transfer cover of one deposit or withdrawal.
 
     An actor's covers come in the order of its events of that kind in the

@@ -4,14 +4,14 @@ Everything in this module is a plain immutable value.  Analyses never
 mutate a record, so all of these objects can be shared freely between
 threads.
 
-The two per-row records, :class:`Transfer` and :class:`PoolEvent`, are
-validated named tuples: nearly every row of a dataset is one of them, and
-a tuple is built and hashed in C, where a frozen dataclass sets each field
-through ``object.__setattr__`` and hashes its fields in Python.  Their
-``__new__`` runs every check, and ``_make``, and so ``_replace``, go
-through it.  Records of which a dataset holds a few thousand at most
-(:class:`PoolConfig`, :class:`LinkPair`, the side-channel records) stay
-frozen dataclasses; :class:`LinkPair` needs fields left out of equality.
+Every record of the package is a named tuple: a tuple is built and hashed
+in C, and its class is built without generating code at import.  A record
+with checks, such as :class:`Transfer`, :class:`PoolEvent`,
+:class:`PoolConfig` and :class:`LinkPair`, is a :class:`Validated`
+subclass of a named tuple of its fields: its ``__new__`` runs every
+check, and ``_make``, and so ``_replace``, go through it.
+:class:`LinkPair` defines its own equality and hash, which leave out
+``source`` and ``polarity``.
 
 Conventions used throughout the package:
 
@@ -37,7 +37,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -95,6 +94,18 @@ def _check_position(height: int, tx_index: int, log_index: int) -> None:
             f"negative block position component: {(height, tx_index, log_index)}")
 
 
+class Validated:
+    """Base of a validated named tuple, listed before its field tuple: the
+    namedtuple's own ``_make``, which ``_replace`` calls, builds the tuple
+    without the checks of the subclass's ``__new__``; this one runs them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _TransferFields(NamedTuple):
     height: int
     sender: Address
@@ -105,7 +116,7 @@ class _TransferFields(NamedTuple):
     log_index: int = 0
 
 
-class Transfer(_TransferFields):
+class Transfer(Validated, _TransferFields):
     """One value movement between two addresses, direct or contract-
     triggered alike: no analysis tells the two apart."""
 
@@ -119,30 +130,28 @@ class Transfer(_TransferFields):
         return tuple.__new__(cls, (height, sender, recipient, amount, coin, tx_index,
                                    log_index))
 
-    @classmethod
-    def _make(cls, iterable) -> Transfer:
-        # through the checks; the namedtuple's own _make, which _replace
-        # calls, builds the tuple without them
-        return cls(*iterable)
 
-
-@dataclass(frozen=True, slots=True)
-class PoolConfig:
-    """A fixed-denomination pool: every deposit and withdrawal moves
-    exactly ``denomination`` base units of ``coin``."""
-
+class _PoolConfigFields(NamedTuple):
     pool_id: str
     coin: str
     denomination: Amount
     am_weight: int = 1
 
-    def __post_init__(self):
-        if self.denomination <= 0:
-            raise InputError(f"pool {self.pool_id}: denomination must be positive",
+
+class PoolConfig(Validated, _PoolConfigFields):
+    """A fixed-denomination pool: every deposit and withdrawal moves
+    exactly ``denomination`` base units of ``coin``."""
+
+    __slots__ = ()
+
+    def __new__(cls, pool_id: str, coin: str, denomination: Amount, am_weight: int = 1):
+        if denomination <= 0:
+            raise InputError(f"pool {pool_id}: denomination must be positive",
                              field="denomination")
-        if self.am_weight <= 0:
-            raise InputError(f"pool {self.pool_id}: mining weight must be positive",
+        if am_weight <= 0:
+            raise InputError(f"pool {pool_id}: mining weight must be positive",
                              field="am_weight")
+        return tuple.__new__(cls, (pool_id, coin, denomination, am_weight))
 
 
 class _PoolEventFields(NamedTuple):
@@ -156,7 +165,7 @@ class _PoolEventFields(NamedTuple):
     log_index: int = 0
 
 
-class PoolEvent(_PoolEventFields):
+class PoolEvent(Validated, _PoolEventFields):
     """A deposit or withdrawal against a pool.
 
     ``actor`` is the depositor for deposits and the funds recipient for
@@ -181,35 +190,49 @@ class PoolEvent(_PoolEventFields):
         return tuple.__new__(cls, (pool_id, kind, height, actor, tx_sender, relayer,
                                    tx_index, log_index))
 
-    @classmethod
-    def _make(cls, iterable) -> PoolEvent:
-        return cls(*iterable)
+
+class _LinkPairFields(NamedTuple):
+    a1: Address
+    a2: Address
+    source: str = ""
+    polarity: str = POSITIVE
 
 
-@dataclass(frozen=True, slots=True)
-class LinkPair:
+class LinkPair(Validated, _LinkPairFields):
     """An asserted same-owner (or, with negative polarity, distinct-owner)
     address pair.
 
     Pairs are unordered: the constructor sorts the two addresses, and
     equality and hashing ignore ``source`` and ``polarity`` so that the
-    same pair found by two heuristics deduplicates in a set.
+    same pair found by two heuristics deduplicates in a set.  A pair
+    equals no other tuple, not even that of its own fields.
     """
 
-    a1: Address
-    a2: Address
-    source: str = field(default="", compare=False)
-    polarity: str = field(default=POSITIVE, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a1 == self.a2:
-            raise InputError(f"degenerate link pair: {self.a1}")
-        if self.polarity not in (POSITIVE, NEGATIVE):
-            raise InputError(f"unknown polarity: {self.polarity!r}")
-        if self.a2 < self.a1:
-            lo, hi = self.a2, self.a1
-            object.__setattr__(self, "a1", lo)
-            object.__setattr__(self, "a2", hi)
+    def __new__(cls, a1: Address, a2: Address, source: str = "",
+                polarity: str = POSITIVE):
+        if a1 == a2:
+            raise InputError(f"degenerate link pair: {a1}")
+        if polarity not in (POSITIVE, NEGATIVE):
+            raise InputError(f"unknown polarity: {polarity!r}")
+        if a2 < a1:
+            a1, a2 = a2, a1
+        return tuple.__new__(cls, (a1, a2, source, polarity))
+
+    def __eq__(self, other):
+        if isinstance(other, LinkPair):
+            return self.a1 == other.a1 and self.a2 == other.a2
+        # a plain tuple's own __eq__ would compare every field
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        # tuple's own __ne__ compares every field
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash((self.a1, self.a2))
 
     @property
     def addresses(self) -> tuple[Address, Address]:

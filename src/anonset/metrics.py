@@ -8,9 +8,8 @@ metrics never drifts.  Nothing here reads a heuristic result.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InputError
 from .indexing import LabelBook
@@ -61,8 +60,7 @@ def cluster_size_histogram(clusters: Iterable[Sequence[Address]]) -> dict[int, i
     return dict(sorted(Counter(map(len, clusters)).items()))
 
 
-@dataclass(frozen=True)
-class RelayerUsage:
+class RelayerUsage(NamedTuple):
     pool_id: str
     relayers: int
     withdrawals: int
@@ -92,8 +90,7 @@ def relayer_usage(pool: PoolConfig, events: Sequence[PoolEvent]) -> RelayerUsage
         relayed_withdrawers=len({e.actor for e in relayed}))
 
 
-@dataclass(frozen=True)
-class FundThenDepositFlag:
+class FundThenDepositFlag(NamedTuple):
     """An address that withdrew before it ever deposited, then paid in a
     volume above the configured threshold in one coin, ``total_deposited``."""
 

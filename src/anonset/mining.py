@@ -18,11 +18,10 @@ answering it needs on-chain history from before and after a launch.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InputError
-from .ledger import DEPOSIT, Address, PoolEvent
+from .ledger import DEPOSIT, Address, PoolEvent, Validated
 
 # Per-pool point weights of the canonical four-pool deployment, keyed by
 # the pool's denomination expressed in coins.
@@ -40,24 +39,27 @@ NONE = "none"
 DEFAULT_SEARCH_CAP = 10 ** 6
 
 
-@dataclass(frozen=True, slots=True)
-class APClaim:
-    """A point-to-reward conversion: who received it, when, how many
-    points were converted."""
-
+class _APClaimFields(NamedTuple):
     recipient: Address
     block: int
     ap: int
 
-    def __post_init__(self):
-        if self.ap < 0:
+
+class APClaim(Validated, _APClaimFields):
+    """A point-to-reward conversion: who received it, when, how many
+    points were converted."""
+
+    __slots__ = ()
+
+    def __new__(cls, recipient: Address, block: int, ap: int):
+        if ap < 0:
             raise InputError("converted points cannot be negative", field="ap")
-        if self.block < 0:
+        if block < 0:
             raise InputError("claim block cannot be negative", field="block")
+        return tuple.__new__(cls, (recipient, block, ap))
 
 
-@dataclass(frozen=True)
-class LinkSolution:
+class LinkSolution(NamedTuple):
     """Outcome of solving one claim's point equation.
 
     ``solutions`` holds, per solution, the withdrawal blocks paired with

@@ -24,9 +24,8 @@ Randomness comes from a splitmix64 stream seeded by the caller: identical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, InputError
 from .ledger import (
@@ -37,6 +36,7 @@ from .ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
+    Validated,
     pool_state,
 )
 from .mining import DEFAULT_AM_WEIGHTS, APClaim, anonymity_points
@@ -101,21 +101,25 @@ SPECULATOR_MAX_DEPOSITS = 3  # a speculator makes 1 to this many deposits
 ATTACKER_MIN_VOLUME = 2_000  # base units each attacker deposits at least
 
 
-@dataclass(frozen=True)
-class BehaviorProfile:
-    """Exact user-mix fractions per behavior; they must sum to one."""
-
+class _BehaviorProfileFields(NamedTuple):
     fractions: Mapping[str, Fraction]
 
-    def __post_init__(self):
-        unknown = set(self.fractions) - set(BEHAVIORS)
+
+class BehaviorProfile(Validated, _BehaviorProfileFields):
+    """Exact user-mix fractions per behavior; they must sum to one."""
+
+    __slots__ = ()
+
+    def __new__(cls, fractions: Mapping[str, Fraction]):
+        unknown = set(fractions) - set(BEHAVIORS)
         if unknown:
             raise ConfigError(f"unknown behaviors: {sorted(unknown)}")
-        total = sum(Fraction(f) for f in self.fractions.values())
-        if any(Fraction(f) < 0 for f in self.fractions.values()):
+        total = sum(Fraction(f) for f in fractions.values())
+        if any(Fraction(f) < 0 for f in fractions.values()):
             raise ConfigError("behavior fractions cannot be negative")
         if total != 1:
             raise ConfigError(f"behavior fractions must sum to 1, got {total}")
+        return tuple.__new__(cls, (fractions,))
 
     @classmethod
     def pure(cls, behavior: str) -> "BehaviorProfile":
@@ -150,16 +154,14 @@ def standard_pools() -> tuple[PoolConfig, ...]:
                  for label, weight in DEFAULT_AM_WEIGHTS.items())
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     profile: BehaviorProfile
     pools: tuple[PoolConfig, ...]
     user_count: int
     block_span: int
 
 
-@dataclass(frozen=True)
-class AmRecord:
+class AmRecord(NamedTuple):
     """Planted truth behind one reward claim."""
 
     recipient: Address
@@ -170,8 +172,7 @@ class AmRecord:
     claim_block: int
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     links_by_heuristic: Mapping[str, frozenset[LinkPair]]
     user_links: frozenset[LinkPair]
     reusers: frozenset[Address]
@@ -183,8 +184,7 @@ class GroundTruth:
     behaviors: Mapping[Address, str]
 
 
-@dataclass(frozen=True)
-class SynthTrace:
+class SynthTrace(NamedTuple):
     pools: tuple[PoolConfig, ...]
     events: tuple[PoolEvent, ...]
     transfers: tuple[Transfer, ...]

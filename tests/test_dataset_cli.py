@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import re
@@ -419,8 +418,7 @@ class TestSidecarContract:
             path.write_text(sidecar)
 
     def test_dataset_holds_no_sidecar(self):
-        names = {f.name for f in dataclasses.fields(Dataset)}
-        assert not names & {"path", "relayers", "ground_truth"}
+        assert not set(Dataset._fields) & {"path", "relayers", "ground_truth"}
 
     @pytest.mark.parametrize("sidecar", ["deleted", "[]"])
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
@@ -442,12 +440,14 @@ class TestSidecarContract:
     def test_tas_lets_the_sidecar_go_before_the_heuristics(self, dataset_dir, tmp_path,
                                                            monkeypatch):
         # only its active depositors are kept; the rest is freed before
-        # the heuristics allocate theirs
+        # the heuristics allocate theirs.  A named tuple takes no weak
+        # reference, so the reference goes to its biggest part, the user
+        # links, which live exactly as long as the sidecar does.
         refs, alive = [], []
 
         def reading(path):
             truth = read_ground_truth(path)
-            refs.append(weakref.ref(truth))
+            refs.append(weakref.ref(truth.user_links))
             return truth
 
         def running(*args):
@@ -491,9 +491,9 @@ class TestOlderLayout:
         older_layout(dataset_dir, older)
         assert '"internal":false' in (older / "transfers.jsonl").read_text()
         new, old = ingest(dataset_dir), ingest(older)
-        for field in dataclasses.fields(Dataset):
-            if field.name != "labels":
-                assert getattr(old, field.name) == getattr(new, field.name), field.name
+        for name in Dataset._fields:
+            if name != "labels":
+                assert getattr(old, name) == getattr(new, name), name
         assert old.labels._labels == new.labels._labels
         for command in (["anonymity", "--combine", "--tas"], ["flows", "--distance", "2"],
                         ["relayers"], ["am-link"]):
@@ -770,6 +770,17 @@ class TestCliCommands:
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert self.run("anonymity", "--data", str(tmp_path / "nope"),
                         "--out", str(tmp_path / "out")) == 2
+
+    @pytest.mark.parametrize("profile", ["disciplined:1,disciplined:2",
+                                         "h1-reuser:1,disciplined:1, disciplined:1"])
+    def test_repeated_profile_behavior_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                 profile):
+        data = tmp_path / "data"
+        assert self.run("synth", "--profile", profile, "--seed", "1",
+                        "--users", "10", "--out", str(data)) == 2
+        err = capsys.readouterr().err
+        assert "repeated profile behavior: 'disciplined'" in err and "Traceback" not in err
+        assert not data.exists()
 
 
 class TestValidateCommand:

@@ -15,7 +15,6 @@ checked here against sorting by position.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 
@@ -114,8 +113,8 @@ def shared_position_trace():
     transfers = [transfer(a, b, amount, height) for amount in (3, 5, 8)] \
         + [transfer(b, a, 1, height + 1, tx=1), transfer(c, a, 2, height)]
     tokens = [transfer(a, b, amount, height, coin="TOK") for amount in (7, 9)]
-    return dataclasses.replace(
-        base, events=tuple(sorted(events, key=event_order, reverse=True)),
+    return base._replace(
+        events=tuple(sorted(events, key=event_order, reverse=True)),
         transfers=tuple(sorted(transfers, key=transfer_order, reverse=True)),
         token_transfers=tuple(sorted(tokens, key=transfer_order, reverse=True)))
 

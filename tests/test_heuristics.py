@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import replace
 
 import pytest
 
@@ -274,7 +273,7 @@ class TestH5ReadsTheIndex:
         index = build_index(trace.transfers, trace.token_transfers, trace.events,
                             dict(trace.labels))
         views = [pool_view(index, p) for p in trace.pools]
-        counted = [replace(v, events=_CountedEvents(v.events)) for v in views]
+        counted = [v._replace(events=_CountedEvents(v.events)) for v in views]
         got = h5_cross_pool(counted)
         assert [c.events.reads for c in counted] == [0] * len(counted)
         assert got == h5_cross_pool(views)
@@ -298,11 +297,9 @@ class TestCombine:
         state = pool_state(p100, events)
         first = cluster_balances(state, [pair_ab])
         sequential = cluster_balances({m[0]: b for m, b in first}, [pair_cd])
-        import dataclasses
-
         v = view(p100, events, 10)
-        r1 = dataclasses.replace(h1_reuse(v), heuristic="x", link_pairs=frozenset({pair_ab}))
-        r2 = dataclasses.replace(h1_reuse(v), heuristic="y", link_pairs=frozenset({pair_cd}))
+        r1 = h1_reuse(v)._replace(heuristic="x", link_pairs=frozenset({pair_ab}))
+        r2 = h1_reuse(v)._replace(heuristic="y", link_pairs=frozenset({pair_cd}))
         combined = combine(v, [r1, r2])
         positive = {m for m, b in sequential if b > 0}
         assert len(combined.anonymity_set) == len(positive)

@@ -1,6 +1,7 @@
 """Import guards: the runtime is pure standard library, the mining model
-stays free of the heuristic, index and metrics layers, and the metrics
-stay free of the heuristics."""
+stays free of the heuristic, index and metrics layers, the metrics stay
+free of the heuristics, and the CLI starts without ``dataclasses`` or
+``inspect``."""
 
 from __future__ import annotations
 
@@ -55,3 +56,14 @@ def test_module_loads_no_analysis_layer(module, layers):
 
 def test_package_loads_no_module():
     assert loaded_after("import anonset") == []
+
+
+def test_cli_start_up_generates_no_code():
+    # a bare interpreter's own modules are left out, so a site hook that
+    # loads dataclasses or inspect itself cannot fail this test
+    code = (f"import sys\nbare = set(sys.modules)\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "import anonset.cli\nprint(' '.join(sorted(set(sys.modules) - bare)))\n")
+    added = subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "anonset.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)

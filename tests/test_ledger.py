@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from anonset.errors import InputError
+from anonset.errors import ConfigError, InputError
+from anonset.groundtruth import ValidationReport
 from anonset.ledger import (
     DEPOSIT,
+    NEGATIVE,
     WITHDRAWAL,
     LinkPair,
     PoolConfig,
@@ -22,6 +25,8 @@ from anonset.ledger import (
     reduced_set,
     up_to,
 )
+from anonset.mining import APClaim
+from anonset.synth import DISCIPLINED, H1_REUSER, BehaviorProfile
 
 from .conftest import D1, D2, W1, addr, deposit, transfer, withdrawal
 
@@ -88,10 +93,51 @@ class TestDomainRecords:
             LinkPair(D1, D1)
 
 
+class TestLinkPairEquality:
+    """A pair is its two sorted addresses (``test_link_pair_canonicalizes``
+    checks the sort): ``==``, ``!=`` and ``hash`` agree, ignore ``source``
+    and ``polarity``, and match no plain tuple."""
+
+    LO, MID, HI = sorted([D1, D2, W1])
+
+    def test_eq_ne_and_hash_ignore_source_and_polarity(self):
+        p = LinkPair(self.LO, self.HI, source="h2")
+        q = LinkPair(self.HI, self.LO, source="debank", polarity=NEGATIVE)
+        assert p == q and q == p
+        assert not p != q and not q != p
+        assert hash(p) == hash(q)
+        other = LinkPair(self.LO, self.MID, source="h2")
+        assert p != other and not p == other
+
+    def test_both_spellings_are_one_set_element(self):
+        assert len({LinkPair(self.LO, self.HI), LinkPair(self.HI, self.LO, source="x")}) == 1
+
+    def test_never_equals_a_plain_tuple(self):
+        p = LinkPair(self.LO, self.HI)
+        for plain in (tuple(p), (p.a1, p.a2)):
+            assert not p == plain and not plain == p
+            assert p != plain and plain != p
+        assert p != "pair" and not p == None  # noqa: E711
+
+    def test_replace_re_sorts_and_re_checks(self):
+        pair = LinkPair(self.LO, self.MID, source="h3")
+        moved = pair._replace(a1=self.HI)
+        assert type(moved) is LinkPair
+        assert (moved.a1, moved.a2, moved.source) == (self.MID, self.HI, "h3")
+        with pytest.raises(InputError, match="degenerate link pair"):
+            pair._replace(a1=self.MID)
+
+
 _VALID_TRANSFER = dict(height=5, sender=D1, recipient=D2, amount=10, coin="ETH",
                        tx_index=1, log_index=2)
 _VALID_WITHDRAWAL = dict(pool_id="P", kind=WITHDRAWAL, height=5, actor=W1, tx_sender=D2,
                          relayer=D2, tx_index=1, log_index=2)
+_VALID_POOL = dict(pool_id="P", coin="ETH", denomination=100, am_weight=2)
+_VALID_CLAIM = dict(recipient=D1, block=5, ap=7)
+_VALID_PAIR = dict(a1=min(D1, W1), a2=max(D1, W1), source="h2", polarity=NEGATIVE)
+_VALID_REPORT = dict(universe_size=4, tp=1, tn=1, fp=1, fn=1,
+                     negative_signal_fps=frozenset())
+_VALID_PROFILE = dict(fractions={DISCIPLINED: Fraction(1)})
 
 # (record class, valid fields, the fields changed, message, field named)
 _RECORD_FAULTS = [
@@ -113,6 +159,29 @@ _RECORD_FAULTS = [
      "relayer"),
     (PoolEvent, _VALID_WITHDRAWAL, {"tx_sender": W1},
      "relayed withdrawal must be signed by its relayer", "tx_sender"),
+    (PoolConfig, _VALID_POOL, {"denomination": 0}, "pool P: denomination must be positive",
+     "denomination"),
+    (PoolConfig, _VALID_POOL, {"am_weight": 0}, "pool P: mining weight must be positive",
+     "am_weight"),
+    (APClaim, _VALID_CLAIM, {"ap": -1}, "converted points cannot be negative", "ap"),
+    (APClaim, _VALID_CLAIM, {"block": -1}, "claim block cannot be negative", "block"),
+    (LinkPair, _VALID_PAIR, {"a2": _VALID_PAIR["a1"]},
+     f"degenerate link pair: {_VALID_PAIR['a1']}", None),
+    (LinkPair, _VALID_PAIR, {"polarity": "maybe"}, "unknown polarity: 'maybe'", None),
+    (ValidationReport, _VALID_REPORT, {"tp": 2},
+     "confusion counts must partition the test universe", None),
+]
+
+_VALID_RECORDS = [(Transfer, _VALID_TRANSFER), (PoolEvent, _VALID_WITHDRAWAL),
+                  (PoolConfig, _VALID_POOL), (APClaim, _VALID_CLAIM), (LinkPair, _VALID_PAIR),
+                  (ValidationReport, _VALID_REPORT), (BehaviorProfile, _VALID_PROFILE)]
+
+# (changed fractions, message) of a BehaviorProfile, which raises ConfigError
+_PROFILE_FAULTS = [
+    ({"nobody": Fraction(1)}, "unknown behaviors: ['nobody']"),
+    ({DISCIPLINED: Fraction(2), H1_REUSER: Fraction(-1)},
+     "behavior fractions cannot be negative"),
+    ({DISCIPLINED: Fraction(1, 2)}, "behavior fractions must sum to 1, got 1/2"),
 ]
 
 # every way to build a record: positional, keywords, _replace and _make
@@ -125,7 +194,7 @@ _BUILDS = {
 
 
 class TestRecordChecks:
-    """Every check of a per-row record fires, with the same text and
+    """Every check of a validated record fires, with the same text and
     field, however the record is built."""
 
     @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
@@ -140,9 +209,16 @@ class TestRecordChecks:
         assert caught.value.field == field
 
     @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
-    @pytest.mark.parametrize("cls, valid", [(Transfer, _VALID_TRANSFER),
-                                            (PoolEvent, _VALID_WITHDRAWAL)],
-                             ids=["Transfer", "PoolEvent"])
+    @pytest.mark.parametrize("fractions, message", _PROFILE_FAULTS,
+                             ids=["unknown", "negative", "sum"])
+    def test_each_profile_check_fires_on_every_path(self, build, fractions, message):
+        with pytest.raises(ConfigError) as caught:
+            build(BehaviorProfile, _VALID_PROFILE, {"fractions": fractions})
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
+    @pytest.mark.parametrize("cls, valid", _VALID_RECORDS,
+                             ids=[cls.__name__ for cls, _ in _VALID_RECORDS])
     def test_valid_fields_build_the_same_record(self, build, cls, valid):
         record = build(cls, valid, valid)
         assert type(record) is cls and record._asdict() == valid
