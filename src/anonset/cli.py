@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import groundtruth as gt_mod
 from . import heuristics, metrics, mining, synth
-from .dataset import Dataset, ingest, read_ground_truth, write_dataset
+from .dataset import Dataset, ingest, read_active_depositors, write_dataset
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -228,14 +228,9 @@ def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset)
-    active_depositors = None
-    if args.tas:
-        truth = read_ground_truth(args.data)
-        if truth is None:
-            raise ModeError("--tas needs a synthetic dataset with ground truth")
-        # the rest of the sidecar is let go before the heuristics run
-        active_depositors = truth.active_depositors
-        del truth
+    active_depositors = read_active_depositors(args.data) if args.tas else None
+    if args.tas and active_depositors is None:
+        raise ModeError("--tas needs a synthetic dataset with ground truth")
     _, views, results = _run_heuristics(dataset, tags, t)
 
     pools_payload = []

@@ -9,7 +9,8 @@ plain unsigned integers.
 The synthetic generator emits exactly this layout (plus a
 ``ground_truth.json`` sidecar), so generated traces round-trip through
 ingestion losslessly.  ``ingest`` never opens the sidecar; only
-:func:`read_ground_truth` reads and validates it, for ``anonymity --tas``.
+:func:`read_active_depositors` reads it, for ``anonymity --tas``, and it
+reads and validates one key, ``active_depositors``.
 
 Ingestion mirrors emission: a pool event or transfer line in exactly the
 emitted layout, nearly every line, is matched by one anchored pattern per
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -40,7 +40,6 @@ from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
 from .groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from .ledger import (
     Address,
-    LinkPair,
     PoolConfig,
     PoolEvent,
     Transfer,
@@ -51,7 +50,7 @@ from .ledger import (
     up_to,
 )
 from .mining import APClaim
-from .synth import AmRecord, GroundTruth, SynthTrace
+from .synth import SynthTrace
 
 MANIFEST_FILE = "manifest.json"
 GROUND_TRUTH_FILE = "ground_truth.json"
@@ -235,11 +234,17 @@ def _read_lines(path: Path, name: str):
 
 
 def _loads(text: str, file: str, line: int | None = None) -> Any:
-    """``json.loads``, with its error named by file and line."""
+    """``json.loads``, with its error named by file and line.  An integer past
+    int()'s digit limit, or nesting past the recursion limit, is invalid JSON."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON: {exc.msg}", file=file, line=line) from None
+        message = exc.msg
+    except ValueError:  # an integer past int()'s digit limit
+        message = "integer has too many digits"
+    except RecursionError:
+        message = "nested too deeply"
+    raise IngestError(f"invalid JSON: {message}", file=file, line=line)
 
 
 # Pieces of the hot lines' patterns, each matching only text that json.loads
@@ -447,14 +452,22 @@ def ingest(path: str | Path) -> Dataset:
         airdrop_claims=airdrops, follow_edges=edges, counts=counts)
 
 
-def read_ground_truth(path: str | Path) -> GroundTruth | None:
-    """Validate and load a dataset's ``ground_truth.json`` sidecar, or
-    return None when the dataset has none."""
-    gt_path = Path(path) / GROUND_TRUTH_FILE
-    if not gt_path.exists():
+def read_active_depositors(path: str | Path) -> dict[str, frozenset[Address]] | None:
+    """Pool id -> true active depositors, from a dataset's ``ground_truth.json``
+    sidecar, or None when it has none.  No other sidecar key is read."""
+    file = Path(path) / GROUND_TRUTH_FILE
+    if not file.exists():
         return None
-    return _parse_ground_truth(_loads(_read_text(gt_path, GROUND_TRUTH_FILE),
-                                      GROUND_TRUTH_FILE))
+    raw = _loads(_read_text(file, GROUND_TRUTH_FILE), GROUND_TRUTH_FILE)
+    if not isinstance(raw, dict):
+        raise IngestError("ground truth is not an object", file=GROUND_TRUTH_FILE)
+    key = "active_depositors"
+    if key not in raw:
+        raise IngestError("missing field", file=GROUND_TRUTH_FILE, field=key)
+    if not isinstance(raw[key], dict) or not all(
+            isinstance(a, list) and set(map(type, a)) <= {str} for a in raw[key].values()):
+        raise IngestError("expected an object of address lists", file=GROUND_TRUTH_FILE, field=key)
+    return {pool: frozenset(addrs) for pool, addrs in raw[key].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -538,86 +551,3 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
     (path / GROUND_TRUTH_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
-
-def _all_of(values, kind: type) -> bool:
-    """Every value is exactly a ``kind`` (JSON never yields subclasses, and
-    a ``bool`` does not pass as an ``int``)."""
-    return set(map(type, values)) <= {kind}
-
-
-def _list_of(value, kind: type) -> bool:
-    return isinstance(value, list) and _all_of(value, kind)
-
-
-def _map_of(value, kind: type) -> bool:
-    return isinstance(value, dict) and _all_of(value.values(), kind)
-
-
-def _tuples(n: int):
-    """Check for a list of lists of exactly ``n`` strings."""
-    return lambda value: (_list_of(value, list) and set(map(len, value)) <= {n}
-                          and _all_of(chain.from_iterable(value), str))
-
-
-_AM_RECORD_TYPES = {"recipient": str, "pool_id": str, "deposit_blocks": list,
-                    "withdrawal_blocks": list, "ap": int, "claim_block": int}
-
-
-def _am_records(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(r, dict)
-        and all(type(r.get(key)) is kind for key, kind in _AM_RECORD_TYPES.items())
-        and _all_of(r["deposit_blocks"], int) and _all_of(r["withdrawal_blocks"], int)
-        for r in value)
-
-
-_ADDRESS_SET = ("a list of strings", lambda v: _list_of(v, str), frozenset)
-
-# sidecar key -> (expected shape, check, conversion to the GroundTruth field)
-_GROUND_TRUTH_FIELDS = {
-    "links_by_heuristic": (
-        "an object of [address, address] lists",
-        lambda v: isinstance(v, dict) and all(map(_tuples(2), v.values())),
-        lambda v: {h: frozenset(LinkPair(a1, a2, source=h) for a1, a2 in pairs)
-                   for h, pairs in v.items()}),
-    "user_links": (
-        "a list of [address, address, source] lists",
-        _tuples(3),
-        lambda v: frozenset(LinkPair(a1, a2, source=source) for a1, a2, source in v)),
-    "reusers": _ADDRESS_SET,
-    "fully_withdrawn_reusers": _ADDRESS_SET,
-    "attackers": _ADDRESS_SET,
-    "am_truth": (
-        "a list of objects with " + ", ".join(_AM_RECORD_TYPES),
-        _am_records,
-        lambda v: tuple(AmRecord(recipient=r["recipient"], pool_id=r["pool_id"],
-                                 deposit_blocks=tuple(r["deposit_blocks"]),
-                                 withdrawal_blocks=tuple(r["withdrawal_blocks"]),
-                                 ap=r["ap"], claim_block=r["claim_block"])
-                        for r in v)),
-    "true_balances": (
-        "an object of address -> integer objects",
-        lambda v: isinstance(v, dict) and all(_map_of(b, int) for b in v.values()),
-        lambda v: {pool: dict(balances) for pool, balances in v.items()}),
-    "active_depositors": (
-        "an object of address lists",
-        lambda v: isinstance(v, dict) and all(_list_of(a, str) for a in v.values()),
-        lambda v: {pool: frozenset(addrs) for pool, addrs in v.items()}),
-    "behaviors": ("an object of strings", lambda v: _map_of(v, str), dict),
-}
-
-
-def _parse_ground_truth(raw) -> GroundTruth:
-    if not isinstance(raw, dict):
-        raise IngestError("ground truth is not an object", file=GROUND_TRUTH_FILE)
-    fields = {}
-    for key, (shape, valid, convert) in _GROUND_TRUTH_FIELDS.items():
-        if key not in raw:
-            raise IngestError("missing field", file=GROUND_TRUTH_FILE, field=key)
-        if not valid(raw[key]):
-            raise IngestError(f"expected {shape}", file=GROUND_TRUTH_FILE, field=key)
-        try:
-            fields[key] = convert(raw[key])
-        except InputError as exc:
-            raise IngestError(str(exc), file=GROUND_TRUTH_FILE, field=key) from None
-    return GroundTruth(**fields)

@@ -5,19 +5,17 @@ import json
 import re
 import shutil
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import pytest
 
-import anonset.cli as cli_module
 from anonset.cli import main
 from anonset.dataset import (
     RECORD_FILES,
     Dataset,
     Manifest,
     ingest,
-    read_ground_truth,
+    read_active_depositors,
     write_dataset,
 )
 from anonset.errors import IngestError
@@ -56,6 +54,11 @@ def write_side_channels(data: Path) -> None:
         (data / f"{name}.jsonl").write_text(json.dumps(row) + "\n")
 
 
+def read_sidecar(data: Path) -> dict:
+    """The decoded ``ground_truth.json`` of ``data``: the planted truth."""
+    return json.loads((data / "ground_truth.json").read_text())
+
+
 def mixed_trace(seed: int = 3, users: int = 64):
     profile = BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS})
     cfg = GeneratorConfig(profile=profile, pools=standard_pools(),
@@ -79,7 +82,7 @@ class TestRoundTrip:
         assert set(dataset.transfers) == set(trace.transfers)
         assert set(dataset.token_transfers) == set(trace.token_transfers)
         assert {c for c in dataset.ap_claims} == set(trace.ap_claims)
-        assert read_ground_truth(dataset_dir) == trace.ground_truth
+        assert read_active_depositors(dataset_dir) == trace.ground_truth.active_depositors
         assert dataset.manifest == Manifest(trace.first_block, trace.last_block)
         assert dataset.counts["pool_events"] == len(trace.events)
         assert dataset.counts["transfers"] == len(trace.transfers)
@@ -333,34 +336,55 @@ class TestSeededEdits:
 GROUND_TRUTH_KEYS = ("links_by_heuristic", "user_links", "reusers",
                      "fully_withdrawn_reusers", "attackers", "am_truth",
                      "true_balances", "active_depositors", "behaviors")
+UNREAD_KEYS = tuple(key for key in GROUND_TRUTH_KEYS if key != "active_depositors")
 
 AM_RECORD = {"recipient": A1, "pool_id": "P1", "deposit_blocks": [1],
              "withdrawal_blocks": [2], "ap": 4, "claim_block": 3}
 
 
 class TestGroundTruthSidecar:
+    """``read_active_depositors`` reads and checks ``active_depositors``
+    alone; the other keys are written but never read."""
+
     def edit(self, data: Path, change) -> None:
-        path = data / "ground_truth.json"
-        raw = json.loads(path.read_text())
+        raw = read_sidecar(data)
         change(raw)
-        path.write_text(json.dumps(raw))
+        (data / "ground_truth.json").write_text(json.dumps(raw))
 
     def test_generated_sidecar_has_every_key(self, dataset_dir):
-        raw = json.loads((dataset_dir / "ground_truth.json").read_text())
-        assert sorted(raw) == sorted(GROUND_TRUTH_KEYS)
+        assert sorted(read_sidecar(dataset_dir)) == sorted(GROUND_TRUTH_KEYS)
 
-    @pytest.mark.parametrize("key", GROUND_TRUTH_KEYS)
+    @pytest.mark.parametrize("key", ["active_depositors"])
     def test_missing_key_names_the_field(self, dataset_dir, key):
         self.edit(dataset_dir, lambda raw: raw.pop(key))
         with pytest.raises(IngestError, match=rf"missing field \[file=ground_truth.json, field={key}\]"):
-            read_ground_truth(dataset_dir)
+            read_active_depositors(dataset_dir)
 
+    @pytest.mark.parametrize("key, value", [
+        ("active_depositors", {"P1": A1}),
+        ("active_depositors", [[A1]]),
+        ("active_depositors", {"P1": [A1, 1]}),
+        ("active_depositors", None),
+    ])
+    def test_wrong_type_names_the_field(self, dataset_dir, key, value):
+        self.edit(dataset_dir, lambda raw: raw.__setitem__(key, value))
+        with pytest.raises(IngestError, match=rf"expected .*\[file=ground_truth.json, field={key}\]"):
+            read_active_depositors(dataset_dir)
+
+    @pytest.mark.parametrize("key", UNREAD_KEYS)
+    def test_missing_unread_key_is_ignored(self, dataset_dir, key):
+        expected = read_active_depositors(dataset_dir)
+        self.edit(dataset_dir, lambda raw: raw.pop(key))
+        assert read_active_depositors(dataset_dir) == expected
+
+    # malformed values of the keys no command reads
     @pytest.mark.parametrize("key, value", [
         ("links_by_heuristic", [[A1, A2]]),
         ("links_by_heuristic", {"h2": [[A1]]}),
         ("user_links", {"h2": [A1, A2, "h2"]}),
         ("user_links", [[A1, A2]]),
         ("user_links", [[A1, A2, 3]]),
+        ("user_links", [[A1, A1, "h2"]]),
         ("reusers", A1),
         ("fully_withdrawn_reusers", [1]),
         ("attackers", None),
@@ -370,31 +394,25 @@ class TestGroundTruthSidecar:
         ("am_truth", [{**AM_RECORD, "deposit_blocks": [True]}]),
         ("true_balances", {"P1": {A1: "100"}}),
         ("true_balances", {"P1": [A1]}),
-        ("active_depositors", {"P1": A1}),
         ("behaviors", {A1: 1}),
     ])
-    def test_wrong_type_names_the_field(self, dataset_dir, key, value):
+    def test_malformed_unread_key_is_ignored(self, dataset_dir, key, value):
+        expected = read_active_depositors(dataset_dir)
         self.edit(dataset_dir, lambda raw: raw.__setitem__(key, value))
-        with pytest.raises(IngestError, match=rf"expected .*\[file=ground_truth.json, field={key}\]"):
-            read_ground_truth(dataset_dir)
-
-    def test_degenerate_link_names_the_field(self, dataset_dir):
-        self.edit(dataset_dir, lambda raw: raw.__setitem__("user_links", [[A1, A1, "h2"]]))
-        with pytest.raises(IngestError, match=r"degenerate.*field=user_links"):
-            read_ground_truth(dataset_dir)
+        assert read_active_depositors(dataset_dir) == expected
 
     def test_sidecar_not_an_object(self, dataset_dir):
         (dataset_dir / "ground_truth.json").write_text("[]")
         with pytest.raises(IngestError, match="file=ground_truth.json"):
-            read_ground_truth(dataset_dir)
+            read_active_depositors(dataset_dir)
 
     def test_cli_exits_2_without_traceback(self, dataset_dir, tmp_path, capsys):
-        self.edit(dataset_dir, lambda raw: raw.pop("user_links"))
+        self.edit(dataset_dir, lambda raw: raw.pop("active_depositors"))
         code = main(["anonymity", "--tas", "--data", str(dataset_dir),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "field=user_links" in err and "Traceback" not in err
+        assert "field=active_depositors" in err and "Traceback" not in err
 
 
 class TestSidecarContract:
@@ -427,7 +445,11 @@ class TestSidecarContract:
         self.replace_sidecar(dataset_dir, sidecar)
         assert self.reports(dataset_dir, tmp_path / "after", command) == before
 
-    @pytest.mark.parametrize("sidecar, code", [("deleted", 3), ("[]", 2), ("{", 2)])
+    @pytest.mark.parametrize("sidecar, code", [
+        ("deleted", 3), ("[]", 2), ("{", 2),
+        pytest.param("[" * 200_000, 2, id="nested"),
+        pytest.param('{"active_depositors": {}, "reusers": ' + "1" * 5000 + "}", 2,
+                     id="long-int")])
     def test_tas_reads_the_sidecar(self, dataset_dir, tmp_path, capsys, sidecar, code):
         self.replace_sidecar(dataset_dir, sidecar)
         assert main(["anonymity", "--tas", "--data", str(dataset_dir),
@@ -437,29 +459,18 @@ class TestSidecarContract:
         assert ("file=ground_truth.json" in err) == (code == 2)
         assert not (tmp_path / "out").exists()
 
-    def test_tas_lets_the_sidecar_go_before_the_heuristics(self, dataset_dir, tmp_path,
-                                                           monkeypatch):
-        # only its active depositors are kept; the rest is freed before
-        # the heuristics allocate theirs.  A named tuple takes no weak
-        # reference, so the reference goes to its biggest part, the user
-        # links, which live exactly as long as the sidecar does.
-        refs, alive = [], []
-
-        def reading(path):
-            truth = read_ground_truth(path)
-            refs.append(weakref.ref(truth.user_links))
-            return truth
-
-        def running(*args):
-            alive.extend(ref() is not None for ref in refs)
-            return run_heuristics(*args)
-
-        run_heuristics = cli_module._run_heuristics
-        monkeypatch.setattr(cli_module, "read_ground_truth", reading)
-        monkeypatch.setattr(cli_module, "_run_heuristics", running)
-        assert main(["anonymity", "--tas", "--data", str(dataset_dir),
-                     "--out", str(tmp_path / "out")]) == 0
-        assert alive == [False]
+    @pytest.mark.parametrize("unread", ["deleted", "null"])
+    def test_tas_reads_only_active_depositors(self, dataset_dir, tmp_path, unread):
+        command = ["anonymity", "--combine", "--tas"]
+        before = self.reports(dataset_dir, tmp_path / "before", command)
+        raw = read_sidecar(dataset_dir)
+        for key in UNREAD_KEYS:
+            if unread == "deleted":
+                del raw[key]
+            else:
+                raw[key] = None
+        self.replace_sidecar(dataset_dir, json.dumps(raw))
+        assert self.reports(dataset_dir, tmp_path / "after", command) == before
 
 
 def older_layout(src: Path, dst: Path) -> None:
@@ -547,7 +558,7 @@ class TestEncoding:
         # the sidecar is one line
         self.corrupt(dataset_dir / "ground_truth.json", 1)
         with pytest.raises(IngestError, match=r"\[file=ground_truth.json, line=1\]"):
-            read_ground_truth(dataset_dir)
+            read_active_depositors(dataset_dir)
 
     def test_utf8_text_is_read_as_utf8(self, dataset_dir):
         # a non-ASCII coin name round-trips whatever the locale's encoding
@@ -629,8 +640,7 @@ class TestCliCommands:
         assert self.run("flags", "--data", str(data), "--out", str(out),
                         "--threshold", "2000") == 0
         payload = json.loads((out / "flags.json").read_text())
-        assert {f["address"] for f in payload["flagged"]} == \
-            read_ground_truth(data).attackers
+        assert {f["address"] for f in payload["flagged"]} == set(read_sidecar(data)["attackers"])
 
     def test_am_link_recovers_speculators(self, tmp_path):
         data = tmp_path / "data"
@@ -639,12 +649,12 @@ class TestCliCommands:
                  "--users", "12", "--out", str(data))
         assert self.run("am-link", "--data", str(data), "--out", str(out)) == 0
         payload = json.loads((out / "am-link.json").read_text())
-        truth = {r.recipient: r for r in read_ground_truth(data).am_truth}
+        truth = {r["recipient"]: r for r in read_sidecar(data)["am_truth"]}
         assert payload["claimants"]
         for entry in payload["claimants"]:
             record = truth[entry["address"]]
             assert entry["status"] == "exact"
-            assert sorted(record.withdrawal_blocks) in entry["solutions"]
+            assert sorted(record["withdrawal_blocks"]) in entry["solutions"]
 
     def test_am_link_reports_unsolvable_categories(self, tmp_path):
         data = tmp_path / "data"
@@ -677,8 +687,8 @@ class TestCliCommands:
         self.run("synth", "--profile", "am-speculator", "--seed", "8",
                  "--users", "10", "--out", str(data))
         # keep only multi-deposit claimants so the solver actually searches
-        multi = {r.recipient for r in read_ground_truth(data).am_truth
-                 if len(r.deposit_blocks) > 1}
+        multi = {r["recipient"] for r in read_sidecar(data)["am_truth"]
+                 if len(r["deposit_blocks"]) > 1}
         if not multi:
             pytest.skip("seed produced no multi-deposit speculators")
         path = data / "ap_claims.jsonl"
@@ -831,12 +841,12 @@ class TestValidateCommand:
         out = tmp_path / "out"
         main(["synth", "--profile", behavior, "--seed", "11",
               "--users", "8", "--out", str(data)])
-        pairs = sorted(read_ground_truth(data).links_by_heuristic[tag],
-                       key=lambda p: p.addresses)
-        rows = [json.dumps({"name": f"user{i}.eth", "sender": p.a1,
-                            "recipient": p.a2, "block": 10, "expiry": 10**9},
+        # the sidecar lists each pair as its two sorted addresses, in order
+        pairs = read_sidecar(data)["links_by_heuristic"][tag]
+        rows = [json.dumps({"name": f"user{i}.eth", "sender": a1,
+                            "recipient": a2, "block": 10, "expiry": 10**9},
                            sort_keys=True)
-                for i, p in enumerate(pairs)]
+                for i, (a1, a2) in enumerate(pairs)]
         (data / "ens_transfers.jsonl").write_text("\n".join(rows) + "\n")
         assert main(["validate", "--data", str(data), "--out", str(out),
                      "--gt", "ens", "--heuristics", tag]) == 0
@@ -877,10 +887,9 @@ class TestValidateCommand:
         out = tmp_path / "out"
         main(["synth", "--profile", "h2-improper-sender",
               "--seed", "10", "--users", "10", "--out", str(data)])
-        pair = sorted(read_ground_truth(data).links_by_heuristic["h2"],
-                      key=lambda p: p.addresses)[0]
+        a1, a2 = read_sidecar(data)["links_by_heuristic"]["h2"][0]
         (data / "follow_edges.jsonl").write_text(
-            json.dumps({"follower": pair.a1, "followed": pair.a2}) + "\n")
+            json.dumps({"follower": a1, "followed": a2}) + "\n")
         assert main(["validate", "--data", str(data), "--out", str(out),
                      "--gt", "debank", "--heuristics", "h2"]) == 0
         payload = json.loads((out / "validate.json").read_text())

@@ -1,7 +1,7 @@
-"""Import guards: the runtime is pure standard library, the mining model
-stays free of the heuristic, index and metrics layers, the metrics stay
-free of the heuristics, and the CLI starts without ``dataclasses`` or
-``inspect``."""
+"""Import guards: the runtime is pure standard library, no module imports a
+name it never uses, the mining model stays free of the heuristic, index
+and metrics layers, the metrics stay free of the heuristics, and the CLI
+starts without ``dataclasses`` or ``inspect``."""
 
 from __future__ import annotations
 
@@ -29,6 +29,18 @@ def imported_roots(source: str) -> set[str]:
     return roots
 
 
+def unused_imports(source: str) -> set[str]:
+    """Names bound by an import in ``source`` that no expression reads;
+    ``__future__`` features are not names."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def loaded_after(statement: str) -> list[str]:
     """The ``anonset.*`` modules a fresh interpreter holds after ``statement``."""
     code = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{statement}\n"
@@ -41,6 +53,17 @@ def loaded_after(statement: str) -> list[str]:
 def test_module_imports_only_stdlib_or_relative(module):
     foreign = imported_roots(module.read_text()) - sys.stdlib_module_names
     assert not foreign, f"{module.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_module_uses_every_import(module):
+    unused = unused_imports(module.read_text())
+    assert not unused, f"{module.name} never uses {sorted(unused)}"
+
+
+def test_unused_import_is_found():
+    source = "import json\nfrom typing import Any, Callable\nimport os.path\nx: Any = json\n"
+    assert unused_imports(source) == {"Callable", "os"}
 
 
 @pytest.mark.parametrize("module,layers", [

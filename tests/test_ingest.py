@@ -15,7 +15,7 @@ import pytest
 import anonset.dataset as dataset_module
 import anonset.indexing as indexing_module
 from anonset.cli import main
-from anonset.dataset import Dataset, _Row, ingest, read_ground_truth, write_dataset
+from anonset.dataset import Dataset, _Row, ingest, write_dataset
 from anonset.errors import IngestError, InputError
 from anonset.indexing import build_index
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
@@ -430,6 +430,30 @@ class TestMultiFaultRows:
         assert str(info.value) == (f"invalid JSON: {decoded.value.msg} "
                                    f"[file=pool_events.jsonl, line=2]")
 
+    # json.loads raises no JSONDecodeError for these, but a ValueError and a
+    # RecursionError; the line pattern declines both
+    @pytest.mark.parametrize("text, message", [
+        ('{"block":' + "1" * 5000 + "}", "integer has too many digits"),
+        ("[" * 200_000, "nested too deeply"),
+    ], ids=["long-int", "nested"])
+    @pytest.mark.parametrize("file, line", [
+        ("pools.jsonl", 2), ("pool_events.jsonl", 2), ("manifest.json", None)])
+    def test_undecodable_json_texts(self, synth_dir, tmp_path, capsys, file, line,
+                                    text, message):
+        path = synth_dir / file
+        if line is None:
+            path.write_text(text)
+        else:
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([lines[0], text] + lines[1:]) + "\n")
+        where = f"file={file}" if line is None else f"file={file}, line={line}"
+        with pytest.raises(IngestError) as info:
+            ingest(synth_dir)
+        assert str(info.value) == f"invalid JSON: {message} [{where}]"
+        assert main(["relayers", "--data", str(synth_dir), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid JSON: {message} [{where}]" in err and "Traceback" not in err
+
 
 
 class TestLineWhitespace:
@@ -752,7 +776,8 @@ class TestSlottedRecords:
         records = [record for name in Dataset._fields
                    if name != "manifest" and isinstance(getattr(dataset, name), tuple)
                    for record in getattr(dataset, name)]
-        records += read_ground_truth(synth_dir).user_links
+        # link pairs are not ingested: take the planted ones of the same trace
+        records += mixed_trace(seed=5, users=64).ground_truth.user_links
         assert {type(r) for r in records} == set(RECORD_CLASSES)
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
