@@ -8,9 +8,11 @@ plain unsigned integers.
 
 The synthetic generator emits exactly this layout (plus a
 ``ground_truth.json`` sidecar), so generated traces round-trip through
-ingestion losslessly.  ``ingest`` never opens the sidecar; only
+ingestion losslessly.  The sidecar holds two keys of planted truth:
+``active_depositors``, the true set per pool, and ``am_truth``, each
+speculator's blocks and claim.  ``ingest`` never opens it; only
 :func:`read_active_depositors` reads it, for ``anonymity --tas``, and it
-reads and validates one key, ``active_depositors``.
+reads and validates ``active_depositors`` alone.
 
 Ingestion mirrors emission: a pool event or transfer line in exactly the
 emitted layout, nearly every line, is matched by one anchored pattern per
@@ -500,7 +502,7 @@ def _transfer_line(t: Transfer) -> str:
 
 
 def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
-    """Emit a synthetic trace in the ingestion layout (plus ground truth)."""
+    """Emit a synthetic trace in the ingestion layout, plus its sidecar."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
@@ -531,22 +533,13 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
 
     gt = trace.ground_truth
     payload = {
-        "links_by_heuristic": {h: sorted(p.addresses for p in pairs)
-                               for h, pairs in gt.links_by_heuristic.items()},
-        "user_links": sorted([p.a1, p.a2, p.source] for p in gt.user_links),
-        "reusers": sorted(gt.reusers),
-        "fully_withdrawn_reusers": sorted(gt.fully_withdrawn_reusers),
-        "attackers": sorted(gt.attackers),
         "am_truth": [{"recipient": r.recipient, "pool_id": r.pool_id,
                       "deposit_blocks": list(r.deposit_blocks),
                       "withdrawal_blocks": list(r.withdrawal_blocks),
                       "ap": r.ap, "claim_block": r.claim_block}
                      for r in sorted(gt.am_truth, key=lambda r: (r.claim_block, r.recipient))],
-        "true_balances": {pool: dict(sorted(balances.items()))
-                          for pool, balances in sorted(gt.true_balances.items())},
         "active_depositors": {pool: sorted(addrs)
                               for pool, addrs in sorted(gt.active_depositors.items())},
-        "behaviors": dict(sorted(gt.behaviors.items())),
     }
     (path / GROUND_TRUTH_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path

@@ -173,15 +173,14 @@ class AmRecord(NamedTuple):
 
 
 class GroundTruth(NamedTuple):
-    links_by_heuristic: Mapping[str, frozenset[LinkPair]]
-    user_links: frozenset[LinkPair]
-    reusers: frozenset[Address]
-    fully_withdrawn_reusers: frozenset[Address]
-    attackers: frozenset[Address]
-    am_truth: tuple[AmRecord, ...]
-    true_balances: Mapping[str, Mapping[Address, int]]
-    active_depositors: Mapping[str, frozenset[Address]]
-    behaviors: Mapping[Address, str]
+    """What the generator planted.  ``write_dataset`` writes the last two
+    fields to the sidecar; the first three live only in process."""
+
+    links_by_heuristic: Mapping[str, frozenset[LinkPair]]  # the pairs h2-h5 must find
+    fully_withdrawn_reusers: frozenset[Address]  # h1 removes exactly these
+    attackers: frozenset[Address]  # `flags` must flag exactly these
+    am_truth: tuple[AmRecord, ...]  # each speculator's blocks and claim
+    active_depositors: Mapping[str, frozenset[Address]]  # pool id -> true set
 
 
 class SynthTrace(NamedTuple):
@@ -278,12 +277,9 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     build = _Builder()
     relayers = tuple(_relayer_addr(i) for i in range(RELAYER_COUNT))
     planted: dict[str, set[LinkPair]] = {h: set() for h in ("h1", "h2", "h3", "h4", "h5")}
-    user_links: set[LinkPair] = set()
-    reusers: set[Address] = set()
     fully_withdrawn: set[Address] = set()
     attackers: set[Address] = set()
     am_truth: list[AmRecord] = []
-    behaviors: dict[Address, str] = {}
 
     def rel() -> Address:
         return relayers[prng.randint(0, len(relayers) - 1)]
@@ -296,7 +292,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         for u in range(counts.get(behavior, 0)):
             d = _addr(behavior, u, 0xD1)
             w = _addr(behavior, u, 0xA2)
-            behaviors[d] = behavior
 
             if behavior == DISCIPLINED:
                 pool = one_pool()
@@ -307,8 +302,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     build.deposit(pool, d)
                 for _ in range(j):
                     build.withdraw(pool, w, relayer=rel())
-                if j:
-                    user_links.add(LinkPair(d, w, source=DISCIPLINED))
 
             elif behavior == H1_REUSER:
                 pool = one_pool()
@@ -319,7 +312,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     build.deposit(pool, d)
                 for _ in range(j):
                     build.withdraw(pool, d)
-                reusers.add(d)
                 if j == k:
                     fully_withdrawn.add(d)
 
@@ -331,7 +323,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     build.deposit(pool, d)
                 build.withdraw(pool, w, tx_sender=d)
                 planted["h2"].add(LinkPair(d, w, source="h2"))
-                user_links.add(LinkPair(d, w, source=H2_IMPROPER))
 
             elif behavior == H3_RELATED:
                 pool = one_pool()
@@ -349,7 +340,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 else:
                     build.token(w, d, amount, "TOK")
                 planted["h3"].add(LinkPair(d, w, source="h3"))
-                user_links.add(LinkPair(d, w, source=H3_RELATED))
 
             elif behavior == H4_INTERMEDIARY:
                 pool = one_pool()
@@ -359,7 +349,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 for _ in range(k):
                     build.deposit(pool, d)
                 planted["h4"].add(LinkPair(d, funder, source="h4"))
-                user_links.add(LinkPair(d, funder, source=H4_INTERMEDIARY))
 
             elif behavior == H5_CROSS:
                 vector = _count_vector(h5_index, counts[H5_CROSS], len(config.pools))
@@ -373,7 +362,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     for _ in range(count):
                         build.withdraw(pool, w, relayer=rel())
                 planted["h5"].add(LinkPair(d, w, source="h5"))
-                user_links.add(LinkPair(d, w, source=H5_CROSS))
 
             elif behavior == AM_SPECULATOR:
                 pool = one_pool()
@@ -390,7 +378,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     deposit_blocks=tuple(dep_blocks),
                     withdrawal_blocks=tuple(wd_blocks),
                     ap=ap, claim_block=claim.block))
-                user_links.add(LinkPair(d, w, source=AM_SPECULATOR))
 
             elif behavior == ATTACKER:
                 pool = one_pool()
@@ -413,11 +400,9 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     for a in sorted(attackers):
         labels[a] = ("malicious",)
 
-    true_balances = {}
     active = {}
     for pool in config.pools:
         state = pool_state(pool, [e for e in build.events if e.pool_id == pool.pool_id])
-        true_balances[pool.pool_id] = state
         active[pool.pool_id] = frozenset(a for a, b in state.items() if b > 0)
 
     return SynthTrace(
@@ -432,12 +417,8 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
         last_block=last_block,
         ground_truth=GroundTruth(
             links_by_heuristic={h: frozenset(v) for h, v in planted.items()},
-            user_links=frozenset(user_links),
-            reusers=frozenset(reusers),
             fully_withdrawn_reusers=frozenset(fully_withdrawn),
             attackers=frozenset(attackers),
             am_truth=tuple(am_truth),
-            true_balances=true_balances,
-            active_depositors=active,
-            behaviors=behaviors))
+            active_depositors=active))
 

@@ -28,7 +28,10 @@ from anonset.heuristics import (
 )
 from anonset.ledger import position
 from anonset.synth import (
+    ATTACKER,
     BEHAVIORS,
+    DISCIPLINED,
+    AmRecord,
     BehaviorProfile,
     GeneratorConfig,
     Prng,
@@ -64,6 +67,17 @@ def mixed_trace(seed: int = 3, users: int = 64):
     cfg = GeneratorConfig(profile=profile, pools=standard_pools(),
                           user_count=users, block_span=6000)
     return generate_trace(cfg, seed)
+
+
+def write_trace(data: Path, profile: BehaviorProfile, seed: int, users: int):
+    """Write the dataset ``synth`` writes for these options (its default
+    block span) to ``data`` and return the trace, whose planted truth is
+    more than the sidecar keeps."""
+    cfg = GeneratorConfig(profile=profile, pools=standard_pools(),
+                          user_count=users, block_span=8_000)
+    trace = generate_trace(cfg, seed)
+    write_dataset(trace, data)
+    return trace
 
 
 @pytest.fixture
@@ -333,10 +347,12 @@ class TestSeededEdits:
         assert edited >= 5
 
 
-GROUND_TRUTH_KEYS = ("links_by_heuristic", "user_links", "reusers",
-                     "fully_withdrawn_reusers", "attackers", "am_truth",
-                     "true_balances", "active_depositors", "behaviors")
-UNREAD_KEYS = tuple(key for key in GROUND_TRUTH_KEYS if key != "active_depositors")
+# the sidecar keys no command reads (the benchmark and the tests do)
+UNREAD_KEYS = ("am_truth",)
+# the keys older sidecars held besides those two; a dataset written then
+# must still read
+LEGACY_KEYS = ("links_by_heuristic", "user_links", "reusers",
+               "fully_withdrawn_reusers", "attackers", "true_balances", "behaviors")
 
 AM_RECORD = {"recipient": A1, "pool_id": "P1", "deposit_blocks": [1],
              "withdrawal_blocks": [2], "ap": 4, "claim_block": 3}
@@ -344,7 +360,8 @@ AM_RECORD = {"recipient": A1, "pool_id": "P1", "deposit_blocks": [1],
 
 class TestGroundTruthSidecar:
     """``read_active_depositors`` reads and checks ``active_depositors``
-    alone; the other keys are written but never read."""
+    alone; ``am_truth`` is written but never read, and any other key is
+    ignored."""
 
     def edit(self, data: Path, change) -> None:
         raw = read_sidecar(data)
@@ -352,7 +369,16 @@ class TestGroundTruthSidecar:
         (data / "ground_truth.json").write_text(json.dumps(raw))
 
     def test_generated_sidecar_has_every_key(self, dataset_dir):
-        assert sorted(read_sidecar(dataset_dir)) == sorted(GROUND_TRUTH_KEYS)
+        assert set(read_sidecar(dataset_dir)) == {"active_depositors", "am_truth"}
+
+    def test_sidecar_am_truth_matches_trace(self, dataset_dir):
+        # the benchmark's am-link check reads this key; nothing else pins it
+        records = [AmRecord(**{**r, "deposit_blocks": tuple(r["deposit_blocks"]),
+                               "withdrawal_blocks": tuple(r["withdrawal_blocks"])})
+                   for r in read_sidecar(dataset_dir)["am_truth"]]
+        planted = mixed_trace().ground_truth.am_truth
+        assert planted
+        assert records == sorted(planted, key=lambda r: (r.claim_block, r.recipient))
 
     @pytest.mark.parametrize("key", ["active_depositors"])
     def test_missing_key_names_the_field(self, dataset_dir, key):
@@ -371,13 +397,19 @@ class TestGroundTruthSidecar:
         with pytest.raises(IngestError, match=rf"expected .*\[file=ground_truth.json, field={key}\]"):
             read_active_depositors(dataset_dir)
 
-    @pytest.mark.parametrize("key", UNREAD_KEYS)
+    @pytest.mark.parametrize("key", UNREAD_KEYS + LEGACY_KEYS)
     def test_missing_unread_key_is_ignored(self, dataset_dir, key):
         expected = read_active_depositors(dataset_dir)
-        self.edit(dataset_dir, lambda raw: raw.pop(key))
+
+        def older_layout_without_key(raw):
+            raw.update(dict.fromkeys(LEGACY_KEYS, []))
+            del raw[key]
+
+        self.edit(dataset_dir, older_layout_without_key)
         assert read_active_depositors(dataset_dir) == expected
 
-    # malformed values of the keys no command reads
+    # malformed values of the key no command reads, and of the keys older
+    # sidecars held
     @pytest.mark.parametrize("key, value", [
         ("links_by_heuristic", [[A1, A2]]),
         ("links_by_heuristic", {"h2": [[A1]]}),
@@ -635,12 +667,12 @@ class TestCliCommands:
     def test_flags_command_finds_attackers(self, tmp_path):
         data = tmp_path / "data"
         out = tmp_path / "out"
-        self.run("synth", "--profile", "attacker-fund-then-deposit:1,disciplined:3",
-                 "--seed", "4", "--users", "24", "--out", str(data))
+        trace = write_trace(data, BehaviorProfile.from_weights({ATTACKER: 1, DISCIPLINED: 3}),
+                            seed=4, users=24)
         assert self.run("flags", "--data", str(data), "--out", str(out),
                         "--threshold", "2000") == 0
         payload = json.loads((out / "flags.json").read_text())
-        assert {f["address"] for f in payload["flagged"]} == set(read_sidecar(data)["attackers"])
+        assert {f["address"] for f in payload["flagged"]} == trace.ground_truth.attackers
 
     def test_am_link_recovers_speculators(self, tmp_path):
         data = tmp_path / "data"
@@ -839,10 +871,8 @@ class TestValidateCommand:
         exactly the pairs ``behavior`` links."""
         data = tmp_path / "data"
         out = tmp_path / "out"
-        main(["synth", "--profile", behavior, "--seed", "11",
-              "--users", "8", "--out", str(data)])
-        # the sidecar lists each pair as its two sorted addresses, in order
-        pairs = read_sidecar(data)["links_by_heuristic"][tag]
+        trace = write_trace(data, BehaviorProfile.pure(behavior), seed=11, users=8)
+        pairs = sorted(p.addresses for p in trace.ground_truth.links_by_heuristic[tag])
         rows = [json.dumps({"name": f"user{i}.eth", "sender": a1,
                             "recipient": a2, "block": 10, "expiry": 10**9},
                            sort_keys=True)
@@ -885,9 +915,8 @@ class TestValidateCommand:
     def test_validate_debank_contradictions(self, tmp_path):
         data = tmp_path / "data"
         out = tmp_path / "out"
-        main(["synth", "--profile", "h2-improper-sender",
-              "--seed", "10", "--users", "10", "--out", str(data)])
-        a1, a2 = read_sidecar(data)["links_by_heuristic"]["h2"][0]
+        trace = write_trace(data, BehaviorProfile.pure("h2-improper-sender"), seed=10, users=10)
+        a1, a2 = min(p.addresses for p in trace.ground_truth.links_by_heuristic["h2"])
         (data / "follow_edges.jsonl").write_text(
             json.dumps({"follower": a1, "followed": a2}) + "\n")
         assert main(["validate", "--data", str(data), "--out", str(out),

@@ -777,7 +777,9 @@ class TestSlottedRecords:
                    if name != "manifest" and isinstance(getattr(dataset, name), tuple)
                    for record in getattr(dataset, name)]
         # link pairs are not ingested: take the planted ones of the same trace
-        records += mixed_trace(seed=5, users=64).ground_truth.user_links
+        records += [pair for pairs in
+                    mixed_trace(seed=5, users=64).ground_truth.links_by_heuristic.values()
+                    for pair in pairs]
         assert {type(r) for r in records} == set(RECORD_CLASSES)
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
