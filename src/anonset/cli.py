@@ -16,6 +16,7 @@ solver run came back inconclusive.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -41,9 +42,11 @@ DEFAULT_AIRDROP_WINDOW = 50_000
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # records are acyclic, freed by reference counting; the collector only rescans them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except ModeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -51,6 +54,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _at_least(low: int):
@@ -227,6 +233,7 @@ def _reduced_set_entry(observed: int, size: int) -> tuple[dict, Fraction | None]
 def _cmd_anonymity(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
+    pools = _selected_pools(args, dataset)
     tags = _heuristic_tags(args, dataset)
     active_depositors = read_active_depositors(args.data) if args.tas else None
     if args.tas and active_depositors is None:
@@ -237,7 +244,7 @@ def _cmd_anonymity(args) -> int:
     rows = []
     reductions: dict[str, list[Fraction]] = {tag: [] for tag in tags}
     combined_reductions: list[Fraction] = []
-    for pool in _selected_pools(args, dataset):
+    for pool in pools:
         view = views[pool.pool_id]
         observed = len(view.depositors)
         per = [results[(pool.pool_id, tag)] for tag in tags]

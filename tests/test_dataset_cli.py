@@ -645,6 +645,18 @@ class TestCliCommands:
         for file in sorted(outs[0].iterdir()):
             assert file.read_bytes() == (outs[1] / file.name).read_bytes(), file.name
 
+    def test_unknown_pool_exits_2_before_any_analysis(self, dataset_dir, tmp_path,
+                                                      capsys, monkeypatch):
+        def build_index(self, t):
+            pytest.fail("the index was built for an unknown --pool")
+
+        monkeypatch.setattr(Dataset, "build_index", build_index)
+        out = tmp_path / "out"
+        assert self.run("anonymity", "--data", str(dataset_dir), "--out", str(out),
+                        "--pool", "nosuch", "--combine", "--tas") == 2
+        assert "error: unknown pool: nosuch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tas_needs_ground_truth(self, tmp_path):
         data = tmp_path / "data"
         self.run("synth", "--profile", "disciplined", "--seed", "1",
