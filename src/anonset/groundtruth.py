@@ -3,8 +3,10 @@
 Three public sources yield candidate same-owner evidence — airdrop
 consolidation, name-ownership transfers, and subdomain assignments — and
 one yields distinct-owner evidence (social follow edges: nobody follows
-their own wallet).  Heuristic link sets are scored against these as a
-confusion matrix over an explicit test-pair universe.
+their own wallet).  Both are plain :class:`LinkPair` sets: the
+``gt_negative`` argument of :func:`score_links` marks distinct-owner
+pairs.  Heuristic link sets are scored against these as a confusion
+matrix over an explicit test-pair universe.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .ledger import NEGATIVE, Address, LinkPair, Transfer, Validated
-
-AIRDROP = "airdrop"
-ENS_TRANSFER = "ens-transfer"
-ENS_SUBDOMAIN = "ens-subdomain"
-DEBANK = "debank"
+from .ledger import Address, LinkPair, Transfer, Validated
 
 
 class NameTransfer(NamedTuple):
@@ -75,7 +72,7 @@ def airdrop_links(airdrop_transfers: Sequence[Transfer],
         if len(senders) < 2:
             continue
         group = sorted(senders | {central})
-        pairs.update(LinkPair(a, b, source=AIRDROP) for a, b in combinations(group, 2))
+        pairs.update(LinkPair(a, b) for a, b in combinations(group, 2))
     return frozenset(pairs)
 
 
@@ -96,13 +93,13 @@ def ens_transfer_links(transfers: Sequence[NameTransfer]) -> frozenset[LinkPair]
         ev = events[0]
         if ev.sender == ev.recipient or ev.block >= ev.expiry:
             continue
-        pairs.add(LinkPair(ev.sender, ev.recipient, source=ENS_TRANSFER))
+        pairs.add(LinkPair(ev.sender, ev.recipient))
     return frozenset(pairs)
 
 
 def ens_subdomain_links(grants: Sequence[SubdomainGrant]) -> frozenset[LinkPair]:
     """Link a name owner to each address it granted a subdomain."""
-    return frozenset(LinkPair(g.owner, g.assignee, source=ENS_SUBDOMAIN)
+    return frozenset(LinkPair(g.owner, g.assignee)
                      for g in grants if g.owner != g.assignee)
 
 
@@ -110,7 +107,8 @@ def debank_negative_pairs(edges: Sequence[FollowEdge],
                           depositors: Iterable[Address],
                           withdrawers: Iterable[Address]) -> frozenset[LinkPair]:
     """Distinct-owner evidence: a depositor and withdrawer following each
-    other (either direction) are unlikely to be the same person."""
+    other (either direction) are unlikely to be the same person.  The
+    pairs are plain pairs; passing them as ``gt_negative`` marks them."""
     deps = frozenset(depositors)
     wds = frozenset(withdrawers)
     pairs = set()
@@ -119,7 +117,7 @@ def debank_negative_pairs(edges: Sequence[FollowEdge],
         if a == b:
             continue
         if (a in deps and b in wds) or (a in wds and b in deps):
-            pairs.add(LinkPair(a, b, source=DEBANK, polarity=NEGATIVE))
+            pairs.add(LinkPair(a, b))
     return frozenset(pairs)
 
 
@@ -167,8 +165,9 @@ def score_links(heuristic_pairs: Iterable[LinkPair],
     """Score heuristic links against ground truth over ``test_universe``.
 
     Pairs outside the universe are ignored on the heuristic side; the
-    ground-truth positives must all lie inside it.  Heuristic pairs that
-    collide with distinct-owner evidence are reported separately rather
+    ground-truth positives must all lie inside it.  ``gt_negative`` holds
+    the distinct-owner pairs: plain pairs, marked only by this argument.
+    Heuristic pairs that collide with them are reported separately rather
     than folded into the counts: the negative channel vetoes nothing, it
     only flags.
     """

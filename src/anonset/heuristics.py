@@ -120,7 +120,7 @@ def h2_improper_sender(view: PoolView) -> HeuristicResult:
     their whole job.
     """
     labels = view.index.labels
-    pairs = {LinkPair(e.tx_sender, e.actor, source=H2)
+    pairs = {LinkPair(e.tx_sender, e.actor)
              for e in view.events
              if e.kind == WITHDRAWAL and e.tx_sender != e.actor
              and e.tx_sender in view.depositors
@@ -138,12 +138,9 @@ def h3_related_pair(view: PoolView) -> HeuristicResult:
     (:attr:`LedgerIndex.actor_transfer_pairs`), not once per pool.
     """
     depositors, withdrawers = view.depositors, view.withdrawers
-    pairs = set()
-    for a, b in view.index.actor_transfer_pairs:
-        if a in depositors and b in withdrawers:
-            pairs.add(LinkPair(a, b, source=H3))
-        if b in depositors and a in withdrawers:
-            pairs.add(LinkPair(b, a, source=H3))
+    pairs = {LinkPair(a, b) for a, b in view.index.actor_transfer_pairs
+             if (a in depositors and b in withdrawers)
+             or (b in depositors and a in withdrawers)}
     return _result(H3, view, pairs)
 
 
@@ -165,7 +162,7 @@ def h4_intermediary(view: PoolView) -> HeuristicResult:
             continue
         (d2,) = funders
         if index.labels.is_user_account(d2):
-            pairs.add(LinkPair(d1, d2, source=H4))
+            pairs.add(LinkPair(d1, d2))
     return _result(H4, view, pairs)
 
 
@@ -224,7 +221,7 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
                         for dep, wd in zip(dep_events[d][pid], wd_events[w][pid]))
                     for pid, _count in sig
                 ):
-                    pair = LinkPair(d[1], w[1], source=H5)
+                    pair = LinkPair(d[1], w[1])
                     for pid, _count in sig:
                         pairs_by_pool[pid].add(pair)
 

@@ -10,8 +10,6 @@ with checks, such as :class:`Transfer`, :class:`PoolEvent`,
 :class:`PoolConfig` and :class:`LinkPair`, is a :class:`Validated`
 subclass of a named tuple of its fields: its ``__new__`` runs every
 check, and ``_make``, and so ``_replace``, go through it.
-:class:`LinkPair` defines its own equality and hash, which leave out
-``source`` and ``polarity``.
 
 Conventions used throughout the package:
 
@@ -48,9 +46,6 @@ Amount = int
 
 DEPOSIT = "deposit"
 WITHDRAWAL = "withdrawal"
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 _ADDRESS_RE = re.compile(r"(0x|0X)?[0-9a-fA-F]{40}\Z")
 
@@ -194,45 +189,21 @@ class PoolEvent(Validated, _PoolEventFields):
 class _LinkPairFields(NamedTuple):
     a1: Address
     a2: Address
-    source: str = ""
-    polarity: str = POSITIVE
 
 
 class LinkPair(Validated, _LinkPairFields):
-    """An asserted same-owner (or, with negative polarity, distinct-owner)
-    address pair.
-
-    Pairs are unordered: the constructor sorts the two addresses, and
-    equality and hashing ignore ``source`` and ``polarity`` so that the
-    same pair found by two heuristics deduplicates in a set.  A pair
-    equals no other tuple, not even that of its own fields.
-    """
+    """An asserted address pair, unordered: the tuple of its two sorted
+    addresses, so the same pair found by two heuristics deduplicates in a
+    set.  The set holding it says what it asserts."""
 
     __slots__ = ()
 
-    def __new__(cls, a1: Address, a2: Address, source: str = "",
-                polarity: str = POSITIVE):
+    def __new__(cls, a1: Address, a2: Address):
         if a1 == a2:
             raise InputError(f"degenerate link pair: {a1}")
-        if polarity not in (POSITIVE, NEGATIVE):
-            raise InputError(f"unknown polarity: {polarity!r}")
         if a2 < a1:
             a1, a2 = a2, a1
-        return tuple.__new__(cls, (a1, a2, source, polarity))
-
-    def __eq__(self, other):
-        if isinstance(other, LinkPair):
-            return self.a1 == other.a1 and self.a2 == other.a2
-        # a plain tuple's own __eq__ would compare every field
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        # tuple's own __ne__ compares every field
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash((self.a1, self.a2))
+        return tuple.__new__(cls, (a1, a2))
 
     @property
     def addresses(self) -> tuple[Address, Address]:
@@ -315,10 +286,6 @@ def _linked_clusters(state: Mapping[Address, int], links: Iterable[LinkPair],
     balance)`` with members sorted, and the set of linked addresses.  The
     one cluster reduction: :func:`cluster_balances` and
     :func:`reduced_set` are both built on it."""
-    links = list(links)
-    for p in links:
-        if p.polarity != POSITIVE:
-            raise InputError("cluster reduction accepts positive link pairs only")
     linked: set[Address] = set()
     clusters = []
     for members in connected_components(links):
@@ -329,14 +296,14 @@ def _linked_clusters(state: Mapping[Address, int], links: Iterable[LinkPair],
 
 def cluster_balances(state: Mapping[Address, int], links: Iterable[LinkPair],
                      ) -> list[tuple[tuple[Address, ...], int]]:
-    """The cluster reduction: group the state's addresses along positive
-    link pairs and sum each group's balance.
+    """The cluster reduction: group the state's addresses along the
+    same-owner link pairs and sum each group's balance.
 
     Returns ``(members, balance)`` per cluster with members sorted.  An
     address in no pair is a cluster of its own; a linked address absent
     from the state contributes zero.  The partition and the balances are
-    independent of the order the pairs are supplied in.  Negative-polarity
-    pairs are rejected: distinct-owner evidence never merges balances.
+    independent of the order the pairs are supplied in.  Every pair given
+    merges: distinct-owner evidence is never passed here.
     """
     clusters, linked = _linked_clusters(state, links)
     clusters.extend(((a,), b) for a, b in state.items() if a not in linked)

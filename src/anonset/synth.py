@@ -322,7 +322,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 for _ in range(k):
                     build.deposit(pool, d)
                 build.withdraw(pool, w, tx_sender=d)
-                planted["h2"].add(LinkPair(d, w, source="h2"))
+                planted["h2"].add(LinkPair(d, w))
 
             elif behavior == H3_RELATED:
                 pool = one_pool()
@@ -339,7 +339,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     build.token(d, w, amount, "TOK")
                 else:
                     build.token(w, d, amount, "TOK")
-                planted["h3"].add(LinkPair(d, w, source="h3"))
+                planted["h3"].add(LinkPair(d, w))
 
             elif behavior == H4_INTERMEDIARY:
                 pool = one_pool()
@@ -348,7 +348,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 build.fund(funder, d, k * pool.denomination, coin)
                 for _ in range(k):
                     build.deposit(pool, d)
-                planted["h4"].add(LinkPair(d, funder, source="h4"))
+                planted["h4"].add(LinkPair(d, funder))
 
             elif behavior == H5_CROSS:
                 vector = _count_vector(h5_index, counts[H5_CROSS], len(config.pools))
@@ -361,7 +361,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 for count, pool in zip(vector, config.pools):
                     for _ in range(count):
                         build.withdraw(pool, w, relayer=rel())
-                planted["h5"].add(LinkPair(d, w, source="h5"))
+                planted["h5"].add(LinkPair(d, w))
 
             elif behavior == AM_SPECULATOR:
                 pool = one_pool()

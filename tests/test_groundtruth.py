@@ -13,7 +13,7 @@ from anonset.groundtruth import (
     ens_transfer_links,
     score_links,
 )
-from anonset.ledger import NEGATIVE, LinkPair
+from anonset.ledger import LinkPair
 from anonset.metrics import render_ratio
 
 from .conftest import addr, transfer
@@ -80,7 +80,6 @@ class TestDebank:
                  FollowEdge(follower=C, followed=A)]
         got = debank_negative_pairs(edges, deps, wds)
         assert got == {LinkPair(A, B), LinkPair(A, C)}
-        assert all(p.polarity == NEGATIVE for p in got)
 
     def test_unrelated_accounts_ignored(self):
         edges = [FollowEdge(follower=B, followed=C)]
@@ -137,7 +136,7 @@ class TestScoreLinks:
 
     def test_negative_signal_reported_not_vetoed(self):
         found, positives, universe = synthetic_confusion(2, 2, 0, 4)
-        negatives = [LinkPair(found[-1].a1, found[-1].a2, polarity=NEGATIVE)]
+        negatives = [LinkPair(found[-1].a1, found[-1].a2)]
         report = score_links(found, positives, negatives, universe)
         assert report.negative_signal_fps == {found[-1]}
         assert report.fp == 2  # unchanged by the negative evidence

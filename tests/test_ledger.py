@@ -10,7 +10,6 @@ from anonset.errors import ConfigError, InputError
 from anonset.groundtruth import ValidationReport
 from anonset.ledger import (
     DEPOSIT,
-    NEGATIVE,
     WITHDRAWAL,
     LinkPair,
     PoolConfig,
@@ -86,7 +85,6 @@ class TestDomainRecords:
         a, b = sorted([D1, W1])
         assert LinkPair(W1, D1).addresses == (a, b)
         assert LinkPair(D1, W1) == LinkPair(W1, D1)
-        assert LinkPair(D1, W1, source="x") == LinkPair(D1, W1, source="y")
 
     def test_link_pair_rejects_self(self):
         with pytest.raises(InputError):
@@ -94,36 +92,34 @@ class TestDomainRecords:
 
 
 class TestLinkPairEquality:
-    """A pair is its two sorted addresses (``test_link_pair_canonicalizes``
-    checks the sort): ``==``, ``!=`` and ``hash`` agree, ignore ``source``
-    and ``polarity``, and match no plain tuple."""
+    """A pair is the tuple of its two sorted addresses
+    (``test_link_pair_canonicalizes`` checks the sort): ``==``, ``!=`` and
+    ``hash`` are the tuple's own."""
 
     LO, MID, HI = sorted([D1, D2, W1])
 
-    def test_eq_ne_and_hash_ignore_source_and_polarity(self):
-        p = LinkPair(self.LO, self.HI, source="h2")
-        q = LinkPair(self.HI, self.LO, source="debank", polarity=NEGATIVE)
+    def test_equality_and_hash_are_the_tuples_own(self):
+        assert LinkPair._fields == ("a1", "a2")
+        assert LinkPair.__hash__ is tuple.__hash__
+        assert LinkPair.__eq__ is tuple.__eq__
+
+    def test_eq_ne_and_hash_are_those_of_the_sorted_tuple(self):
+        p, q = LinkPair(self.LO, self.HI), LinkPair(self.HI, self.LO)
         assert p == q and q == p
         assert not p != q and not q != p
-        assert hash(p) == hash(q)
-        other = LinkPair(self.LO, self.MID, source="h2")
+        assert hash(p) == hash(q) == hash((self.LO, self.HI))
+        assert p == (self.LO, self.HI)
+        other = LinkPair(self.LO, self.MID)
         assert p != other and not p == other
 
     def test_both_spellings_are_one_set_element(self):
-        assert len({LinkPair(self.LO, self.HI), LinkPair(self.HI, self.LO, source="x")}) == 1
-
-    def test_never_equals_a_plain_tuple(self):
-        p = LinkPair(self.LO, self.HI)
-        for plain in (tuple(p), (p.a1, p.a2)):
-            assert not p == plain and not plain == p
-            assert p != plain and plain != p
-        assert p != "pair" and not p == None  # noqa: E711
+        assert len({LinkPair(self.LO, self.HI), LinkPair(self.HI, self.LO)}) == 1
 
     def test_replace_re_sorts_and_re_checks(self):
-        pair = LinkPair(self.LO, self.MID, source="h3")
+        pair = LinkPair(self.LO, self.MID)
         moved = pair._replace(a1=self.HI)
         assert type(moved) is LinkPair
-        assert (moved.a1, moved.a2, moved.source) == (self.MID, self.HI, "h3")
+        assert (moved.a1, moved.a2) == (self.MID, self.HI)
         with pytest.raises(InputError, match="degenerate link pair"):
             pair._replace(a1=self.MID)
 
@@ -134,7 +130,7 @@ _VALID_WITHDRAWAL = dict(pool_id="P", kind=WITHDRAWAL, height=5, actor=W1, tx_se
                          relayer=D2, tx_index=1, log_index=2)
 _VALID_POOL = dict(pool_id="P", coin="ETH", denomination=100, am_weight=2)
 _VALID_CLAIM = dict(recipient=D1, block=5, ap=7)
-_VALID_PAIR = dict(a1=min(D1, W1), a2=max(D1, W1), source="h2", polarity=NEGATIVE)
+_VALID_PAIR = dict(a1=min(D1, W1), a2=max(D1, W1))
 _VALID_REPORT = dict(universe_size=4, tp=1, tn=1, fp=1, fn=1,
                      negative_signal_fps=frozenset())
 _VALID_PROFILE = dict(fractions={DISCIPLINED: Fraction(1)})
@@ -167,7 +163,6 @@ _RECORD_FAULTS = [
     (APClaim, _VALID_CLAIM, {"block": -1}, "claim block cannot be negative", "block"),
     (LinkPair, _VALID_PAIR, {"a2": _VALID_PAIR["a1"]},
      f"degenerate link pair: {_VALID_PAIR['a1']}", None),
-    (LinkPair, _VALID_PAIR, {"polarity": "maybe"}, "unknown polarity: 'maybe'", None),
     (ValidationReport, _VALID_REPORT, {"tp": 2},
      "confusion counts must partition the test universe", None),
 ]
@@ -215,6 +210,18 @@ class TestRecordChecks:
         with pytest.raises(ConfigError) as caught:
             build(BehaviorProfile, _VALID_PROFILE, {"fractions": fractions})
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
+    def test_link_pair_sorts_on_every_path(self, build):
+        lo, hi = _VALID_PAIR["a1"], _VALID_PAIR["a2"]
+        pair = build(LinkPair, _VALID_PAIR, {"a1": hi, "a2": lo})
+        assert type(pair) is LinkPair and pair == (lo, hi)
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
+    def test_link_pair_takes_no_third_field(self, build):
+        # a pair is its two addresses alone: a stale source tag fails loudly
+        with pytest.raises((TypeError, ValueError)):
+            build(LinkPair, _VALID_PAIR, {**_VALID_PAIR, "source": "h2"})
 
     @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS)
     @pytest.mark.parametrize("cls, valid", _VALID_RECORDS,
@@ -327,11 +334,13 @@ class TestMergeAndSimplify:
         out = cluster_balances(state, [LinkPair(a, b), LinkPair(b, c)])
         assert out == [((a, b, c), 0)]
 
-    def test_simplify_rejects_negative_polarity(self, p100, p100_events):
+    def test_reduction_reads_a_one_shot_iterator(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        bad = LinkPair(D1, W1, polarity="negative")
-        with pytest.raises(InputError):
-            cluster_balances(state, [bad])
+        links = [LinkPair(D1, W1), LinkPair(W1, D2)]
+        depositors = frozenset({D1, D2})
+        assert cluster_balances(state, iter(links)) == cluster_balances(state, links)
+        assert (reduced_set(state, (p for p in links), depositors)
+                == reduced_set(state, links, depositors))
 
     def test_order_independence_and_idempotence(self):
         rng = random.Random(21)
