@@ -4,7 +4,8 @@ Public side channels leak same-owner evidence independently of the pools:
 airdrop recipients funneling tokens to one address, name ownership moving
 wallets, subdomains granted to secondary accounts.  Social follow edges
 leak the opposite signal.  This script fabricates a tiny ground-truth set
-and scores a deliberately imperfect heuristic output against it.
+and scores a deliberately imperfect heuristic output against it, over the
+pairs joining a depositor side to a withdrawer side.
 """
 
 from anonset.groundtruth import (
@@ -41,7 +42,7 @@ consolidations = [
 ]
 airdrop_pairs = airdrop_links(airdrops, consolidations, window_blocks=1_000)
 print("airdrop consolidation links:")
-for pair in sorted(airdrop_pairs, key=lambda p: p.addresses):
+for pair in sorted(airdrop_pairs):
     print(f"  {pair.a1[:10]}… <-> {pair.a2[:10]}…")
 
 name_pairs = ens_transfer_links([
@@ -53,17 +54,20 @@ sub_pairs = ens_subdomain_links([SubdomainGrant(ALICE_1, CAROL, "pay.alice.eth")
 print(f"\nname-transfer links: {len(name_pairs)} (serial transfers ignored)")
 print(f"subdomain links: {len(sub_pairs)}")
 
+# alice's second address both deposited and withdrew: it sits on both sides
+depositors = frozenset({ALICE_1, ALICE_2, BOB})
+withdrawers = frozenset({ALICE_2, HUB, CAROL})
 negatives = debank_negative_pairs([FollowEdge(follower=BOB, followed=CAROL)],
-                                  depositors=[BOB], withdrawers=[CAROL])
+                                  depositors, withdrawers)
 print(f"follow-edge negative pairs: {len(negatives)}")
 
 truth = airdrop_pairs | name_pairs | sub_pairs
-universe = truth | {LinkPair(BOB, CAROL), LinkPair(BOB, HUB), LinkPair(CAROL, HUB)}
-claimed = set(list(sorted(truth, key=lambda p: p.addresses))[:-1])  # one miss
-claimed.add(LinkPair(BOB, CAROL))                                   # one bad call
+claimed = set(sorted(truth)[:-1])      # one miss
+claimed.add(LinkPair(BOB, CAROL))      # one bad call
 
-report = score_links(claimed, truth, negatives, universe)
-print(f"\nscoring a heuristic that found {len(claimed)} pairs:")
+report = score_links(claimed, truth, negatives, depositors, withdrawers)
+print(f"\nscoring a heuristic that found {len(claimed)} pairs, over "
+      f"{report.universe_size} depositor-withdrawer pairs:")
 print(f"  tp={report.tp} fp={report.fp} fn={report.fn} tn={report.tn}")
 print(f"  precision {render_ratio(report.precision)}, "
       f"recall {render_ratio(report.recall)}, f1 {render_ratio(report.f1)}")

@@ -504,10 +504,8 @@ def _cmd_validate(args) -> int:
                                              withdrawers)
 
     def found_for(tag: str) -> frozenset[LinkPair]:
-        out: frozenset[LinkPair] = frozenset()
-        for pool in dataset.pools:
-            out |= results[(pool.pool_id, tag)].link_pairs
-        return out
+        return frozenset().union(
+            *(results[(pool.pool_id, tag)].link_pairs for pool in dataset.pools))
 
     rows, payload_rows = [], []
     if args.gt == "debank":
@@ -518,7 +516,7 @@ def _cmd_validate(args) -> int:
                                  "negative_pairs": len(negatives),
                                  "contradicted": len(hits),
                                  "contradicted_pairs": sorted(
-                                     [list(p.addresses) for p in hits])})
+                                     [list(p) for p in hits])})
             rows.append([tag, str(len(found)), str(len(negatives)), str(len(hits))])
         payload = {"command": "validate", "gt": "debank", "at": t,
                    "heuristics": payload_rows}
@@ -528,7 +526,7 @@ def _cmd_validate(args) -> int:
         return EXIT_OK
 
     positives = _gt_positive_pairs(dataset, args.gt)
-    gt_addresses = frozenset(a for p in positives for a in p.addresses)
+    gt_addresses = frozenset(a for p in positives for a in p)
     for tag in tags:
         if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
             # funder links join distance-2 funders to distance-1 depositors
@@ -537,11 +535,8 @@ def _cmd_validate(args) -> int:
             side_b = depositors
         else:
             side_a, side_b = depositors, withdrawers
-        universe = frozenset(
-            LinkPair(a, b) for a in side_a & gt_addresses
-            for b in side_b & gt_addresses if a != b)
-        gt_in_universe = positives & universe
-        report = gt_mod.score_links(found_for(tag), gt_in_universe, negatives, universe)
+        report = gt_mod.score_links(found_for(tag), positives, negatives,
+                                    side_a & gt_addresses, side_b & gt_addresses)
         payload_rows.append({
             "heuristic": tag, "universe": report.universe_size,
             "tp": report.tp, "tn": report.tn, "fp": report.fp, "fn": report.fn,

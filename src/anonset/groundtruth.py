@@ -4,9 +4,9 @@ Three public sources yield candidate same-owner evidence — airdrop
 consolidation, name-ownership transfers, and subdomain assignments — and
 one yields distinct-owner evidence (social follow edges: nobody follows
 their own wallet).  Both are plain :class:`LinkPair` sets: the
-``gt_negative`` argument of :func:`score_links` marks distinct-owner
+``negatives`` argument of :func:`score_links` marks distinct-owner
 pairs.  Heuristic link sets are scored against these as a confusion
-matrix over an explicit test-pair universe.
+matrix over the pairs joining two address sides, counted, not built.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .ledger import Address, LinkPair, Transfer, Validated
+from .ledger import Address, LinkPair, Transfer, Validated, crosses
 
 
 class NameTransfer(NamedTuple):
@@ -108,17 +108,10 @@ def debank_negative_pairs(edges: Sequence[FollowEdge],
                           withdrawers: Iterable[Address]) -> frozenset[LinkPair]:
     """Distinct-owner evidence: a depositor and withdrawer following each
     other (either direction) are unlikely to be the same person.  The
-    pairs are plain pairs; passing them as ``gt_negative`` marks them."""
-    deps = frozenset(depositors)
-    wds = frozenset(withdrawers)
-    pairs = set()
-    for edge in edges:
-        a, b = edge.follower, edge.followed
-        if a == b:
-            continue
-        if (a in deps and b in wds) or (a in wds and b in deps):
-            pairs.add(LinkPair(a, b))
-    return frozenset(pairs)
+    pairs are plain pairs; passing them as ``negatives`` marks them."""
+    deps, wds = frozenset(depositors), frozenset(withdrawers)
+    return frozenset(LinkPair(*edge) for edge in edges
+                     if edge.follower != edge.followed and crosses(*edge, deps, wds))
 
 
 class _ValidationReportFields(NamedTuple):
@@ -131,8 +124,8 @@ class _ValidationReportFields(NamedTuple):
 
 
 class ValidationReport(Validated, _ValidationReportFields):
-    """Confusion counts of heuristic pairs against ground truth over an
-    explicit test-pair universe, plus the derived exact ratios."""
+    """Confusion counts of heuristic pairs against ground truth over a
+    test-pair universe, plus the derived exact ratios."""
 
     __slots__ = ()
 
@@ -158,30 +151,29 @@ class ValidationReport(Validated, _ValidationReportFields):
         return 2 * p * r / (p + r)
 
 
-def score_links(heuristic_pairs: Iterable[LinkPair],
-                gt_positive: Iterable[LinkPair],
-                gt_negative: Iterable[LinkPair],
-                test_universe: Iterable[LinkPair]) -> ValidationReport:
-    """Score heuristic links against ground truth over ``test_universe``.
+def score_links(found: Iterable[LinkPair], positives: Iterable[LinkPair],
+                negatives: Iterable[LinkPair], side_a: frozenset[Address],
+                side_b: frozenset[Address]) -> ValidationReport:
+    """Score heuristic links against ground truth over the test universe:
+    every pair of one address of ``side_a`` and a different one of
+    ``side_b``.
 
-    Pairs outside the universe are ignored on the heuristic side; the
-    ground-truth positives must all lie inside it.  ``gt_negative`` holds
+    The universe is counted, never built: |A|*|B| ordered pairs, less
+    |I|*(|I| + 1)/2 for I = A & B, the |I| that join an address to itself
+    and the |I|*(|I| - 1)/2 pairs inside I that are met in both orders.
+    Found and positive pairs outside it are ignored.  ``negatives`` holds
     the distinct-owner pairs: plain pairs, marked only by this argument.
     Heuristic pairs that collide with them are reported separately rather
     than folded into the counts: the negative channel vetoes nothing, it
-    only flags.
+    only flags.  Cost: O(|found| + |positives| + |A| + |B|).
     """
-    universe = frozenset(test_universe)
-    positives = frozenset(gt_positive)
-    negatives = frozenset(gt_negative)
-    if not positives <= universe:
-        missing = sorted(p.addresses for p in positives - universe)[:3]
-        raise InputError(f"test universe does not cover ground truth, e.g. {missing}")
-    found = frozenset(heuristic_pairs) & universe
+    found = {p for p in found if crosses(*p, side_a, side_b)}
+    positives = {p for p in positives if crosses(*p, side_a, side_b)}
+    both = len(side_a & side_b)
+    universe_size = len(side_a) * len(side_b) - both * (both + 1) // 2
     tp = len(found & positives)
-    fp = len(found - positives)
-    fn = len(positives - found)
-    tn = len(universe) - tp - fp - fn
+    fp = len(found) - tp
+    fn = len(positives) - tp
     return ValidationReport(
-        universe_size=len(universe), tp=tp, tn=tn, fp=fp, fn=fn,
-        negative_signal_fps=frozenset(found & negatives))
+        universe_size=universe_size, tp=tp, tn=universe_size - tp - fp - fn,
+        fp=fp, fn=fn, negative_signal_fps=frozenset(found.intersection(negatives)))

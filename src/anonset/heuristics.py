@@ -35,6 +35,7 @@ from .ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
+    crosses,
     deposit_actors,
     pool_state,
     position,
@@ -139,8 +140,7 @@ def h3_related_pair(view: PoolView) -> HeuristicResult:
     """
     depositors, withdrawers = view.depositors, view.withdrawers
     pairs = {LinkPair(a, b) for a, b in view.index.actor_transfer_pairs
-             if (a in depositors and b in withdrawers)
-             or (b in depositors and a in withdrawers)}
+             if crosses(a, b, depositors, withdrawers)}
     return _result(H3, view, pairs)
 
 

@@ -205,9 +205,11 @@ class LinkPair(Validated, _LinkPairFields):
             a1, a2 = a2, a1
         return tuple.__new__(cls, (a1, a2))
 
-    @property
-    def addresses(self) -> tuple[Address, Address]:
-        return (self.a1, self.a2)
+
+def crosses(a: Address, b: Address, side_a: frozenset[Address],
+            side_b: frozenset[Address]) -> bool:
+    """Whether ``a`` and ``b`` join the two sides: one in each, either way."""
+    return (a in side_a and b in side_b) or (b in side_a and a in side_b)
 
 
 # ---------------------------------------------------------------------------

@@ -70,18 +70,19 @@ def test_criterion_3_validation_scoring():
     hub = "0x" + "f" * 40
 
     def fixture(tp, fp, fn, tn):
-        universe = [LinkPair(hub, f"0x{i:040x}") for i in range(tp + fp + fn + tn)]
-        positives = universe[:tp + fn]
-        found = universe[:tp] + universe[tp + fn:tp + fn + fp]
-        return found, positives, universe
+        numbered = [f"0x{i:040x}" for i in range(tp + fp + fn + tn)]
+        pairs = [LinkPair(hub, a) for a in numbered]
+        positives = pairs[:tp + fn]
+        found = pairs[:tp] + pairs[tp + fn:tp + fn + fp]
+        return found, positives, (frozenset({hub}), frozenset(numbered))
 
     cases = [
         ((229, 384, 0, 539_367), ("0.37", "1.00", "0.54")),
         ((50, 76, 3, 61_854), ("0.40", "0.94", "0.56")),
     ]
     for counts, expected in cases:
-        found, positives, universe = fixture(*counts)
-        report = score_links(found, positives, [], universe)
+        found, positives, sides = fixture(*counts)
+        report = score_links(found, positives, [], *sides)
         assert (report.tp, report.fp, report.fn, report.tn) == \
             (counts[0], counts[1], counts[2], counts[3])
         got = (render_ratio(report.precision), render_ratio(report.recall),

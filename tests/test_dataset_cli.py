@@ -884,7 +884,7 @@ class TestValidateCommand:
         data = tmp_path / "data"
         out = tmp_path / "out"
         trace = write_trace(data, BehaviorProfile.pure(behavior), seed=11, users=8)
-        pairs = sorted(p.addresses for p in trace.ground_truth.links_by_heuristic[tag])
+        pairs = sorted(trace.ground_truth.links_by_heuristic[tag])
         rows = [json.dumps({"name": f"user{i}.eth", "sender": a1,
                             "recipient": a2, "block": 10, "expiry": 10**9},
                            sort_keys=True)
@@ -928,7 +928,7 @@ class TestValidateCommand:
         data = tmp_path / "data"
         out = tmp_path / "out"
         trace = write_trace(data, BehaviorProfile.pure("h2-improper-sender"), seed=10, users=10)
-        a1, a2 = min(p.addresses for p in trace.ground_truth.links_by_heuristic["h2"])
+        a1, a2 = min(trace.ground_truth.links_by_heuristic["h2"])
         (data / "follow_edges.jsonl").write_text(
             json.dumps({"follower": a1, "followed": a2}) + "\n")
         assert main(["validate", "--data", str(data), "--out", str(out),

@@ -17,6 +17,7 @@ from anonset.ledger import (
     Transfer,
     cluster_balances,
     connected_components,
+    crosses,
     normalize_address,
     deposit_actors,
     pool_state,
@@ -83,8 +84,15 @@ class TestDomainRecords:
 
     def test_link_pair_canonicalizes(self):
         a, b = sorted([D1, W1])
-        assert LinkPair(W1, D1).addresses == (a, b)
+        assert tuple(LinkPair(W1, D1)) == (a, b)
         assert LinkPair(D1, W1) == LinkPair(W1, D1)
+
+    def test_crosses_needs_one_end_in_each_side(self):
+        side_a, side_b = frozenset({D1, D2}), frozenset({W1, D2})  # D2 on both
+        assert crosses(D1, W1, side_a, side_b) and crosses(W1, D1, side_a, side_b)
+        assert crosses(D1, D2, side_a, side_b) and crosses(D2, D2, side_a, side_b)
+        assert not crosses(W1, W1, side_a, side_b)
+        assert not crosses(D1, addr("elsewhere"), side_a, side_b)
 
     def test_link_pair_rejects_self(self):
         with pytest.raises(InputError):
@@ -380,7 +388,7 @@ class TestReducedSet:
             # naive oracle: BFS components over every address, summed
             # balances, positive clusters, smallest depositor member
             adjacency = {a: set() for a in set(state) | {x for p in links
-                                                         for x in p.addresses}}
+                                                         for x in p}}
             for p in links:
                 adjacency[p.a1].add(p.a2)
                 adjacency[p.a2].add(p.a1)
@@ -428,7 +436,7 @@ class TestReducedSet:
         links = [LinkPair(actors[i], actors[i + 5_000]) for i in (0, 1, 2)]
         depositors = Counted(a for a, b in state.items() if b >= 0)
         got = reduced_set(state, links, depositors)
-        linked_members = {x for p in links for x in p.addresses}
+        linked_members = {x for p in links for x in p}
         assert 0 < Counted.calls <= len(linked_members)
         assert got == reduced_set(state, links, frozenset(depositors))
         assert len(got) == sum(1 for _, b in cluster_balances(state, links) if b > 0)

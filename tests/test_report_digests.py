@@ -2,17 +2,22 @@
 
 One synthetic dataset is generated, every analysis command runs on it
 in-process, and the sha256 of each report file must match the value
-recorded here.  A refactor that changes no analysis leaves every digest
+recorded here.  ``validate --gt ens`` runs again on a copy of it that
+holds side-channel evidence, so its counts are nonzero.  A refactor that changes no analysis leaves every digest
 alone; a digest that moves means a report changed and needs a reason.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import shutil
 
 import pytest
 
+from anonset import heuristics
 from anonset.cli import main
+from anonset.dataset import ingest
 
 RUNS = {
     "anonymity-combine-tas": ["anonymity", "--combine", "--tas"],
@@ -25,6 +30,13 @@ RUNS = {
     "am-link": ["am-link"],
     "validate-airdrop": ["validate", "--gt", "airdrop"],
     "validate-debank": ["validate", "--gt", "debank"],
+}
+
+# run on a copy of the dataset with name-handover and follow evidence
+EVIDENCE_RUNS = {
+    "validate-ens": ["validate", "--gt", "ens"],
+    "validate-ens-h4-at": ["validate", "--gt", "ens", "--heuristics", "h4",
+                           "--at", "3000"],
 }
 
 DIGESTS = {
@@ -64,6 +76,14 @@ DIGESTS = {
         "ba83bcbec82d8f06f5e477adbe0f44025807c99437f037cad8adb50a006d2330",
     "validate-debank/validate.txt":
         "6ac94dada351323192b96123e09bd3c90b0f334b3d02d54c77e48ee37725621f",
+    "validate-ens/validate.json":
+        "182dffaf98dc24a982c402ad914f1beee32692a296edbf2434e6b0da72394af2",
+    "validate-ens/validate.txt":
+        "3b0d945bb10f46ae99f25eb37e523fb14d31cab4f3fede1369d0e2d5cf852534",
+    "validate-ens-h4-at/validate.json":
+        "b4c709ec84f31259e9c29efa3c4da31d44e4f4687deacf18c174a6ed9d4dbd60",
+    "validate-ens-h4-at/validate.txt":
+        "f88788988f8e4916104ca7ea36ce51446e2bb7131c6b75f49c51f68c8aabd779",
 }
 
 
@@ -75,10 +95,62 @@ def dataset(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_report_digests(run, dataset, tmp_path):
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+@pytest.fixture(scope="module")
+def evidence_dataset(dataset, tmp_path_factory):
+    """The digest dataset plus name handovers and follow edges drawn from it.
+
+    For each linking heuristic, its first three pairs are handed over
+    (true positives); its next two pairs ``(a, b)``, ``(c, d)`` are
+    handed over crossed, as ``(a, d)`` and ``(c, b)``, so ``(a, b)`` and
+    ``(c, d)`` are found between evidence addresses without being
+    evidence (false positives) and the crossed pairs are evidence no
+    heuristic found (false negatives); and the ends of ``(a, b)``
+    follow each other.  Addresses that both deposited and withdrew are
+    handed over among themselves, so they sit on both sides of the
+    test universe.
+    """
+    out = tmp_path_factory.mktemp("evidence") / "data"
+    shutil.copytree(dataset, out)
+    ds = ingest(out)
+    index = ds.build_index(ds.manifest.last_block)
+    views = [heuristics.pool_view(index, p) for p in ds.pools]
+    tags = heuristics.default_tags(len(ds.pools), linking_only=True)
+    results = heuristics.run_heuristics(tags, views)
+    handovers, follows = [], []
+    for tag in tags:
+        found = sorted(frozenset().union(
+            *(results[(p.pool_id, tag)].link_pairs for p in ds.pools)))
+        (a, b), (c, d) = found[3], found[4]
+        handovers += [*found[:3], (a, d), (c, b)]
+        follows.append((a, b))
+    both_sided = sorted(frozenset().union(*(v.depositors for v in views))
+                        & frozenset().union(*(v.withdrawers for v in views)))
+    handovers += zip(both_sided[:6:2], both_sided[1:6:2])
+    _write_jsonl(out / "ens_transfers.jsonl", [
+        {"name": f"n{i}.eth", "sender": s, "recipient": r, "block": 1000,
+         "expiry": 10_000} for i, (s, r) in enumerate(handovers)])
+    _write_jsonl(out / "follow_edges.jsonl", [
+        {"follower": a, "followed": b} for a, b in follows])
+    return out
+
+
+def _digests(run, argv, data, tmp_path):
     out = tmp_path / run
-    assert main(RUNS[run] + ["--data", str(dataset), "--out", str(out)]) == 0
+    assert main(argv + ["--data", str(data), "--out", str(out)]) == 0
     got = {f"{run}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
            for f in sorted(out.iterdir()) if f.suffix in (".json", ".txt")}
     assert got == {k: v for k, v in DIGESTS.items() if k.startswith(run + "/")}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_report_digests(run, dataset, tmp_path):
+    _digests(run, RUNS[run], dataset, tmp_path)
+
+
+@pytest.mark.parametrize("run", sorted(EVIDENCE_RUNS))
+def test_evidence_report_digests(run, evidence_dataset, tmp_path):
+    _digests(run, EVIDENCE_RUNS[run], evidence_dataset, tmp_path)
