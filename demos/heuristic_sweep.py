@@ -8,8 +8,9 @@ never larger than the best single heuristic.
 
 from fractions import Fraction
 
-from anonset.heuristics import HEURISTICS, combine, pool_view, run_heuristics
+from anonset.heuristics import HEURISTICS, pool_view, run_heuristics
 from anonset.indexing import build_index
+from anonset.ledger import reduced_set
 from anonset.metrics import (
     advantage_increase_from_reduction,
     relative_advantage_increase,
@@ -46,14 +47,16 @@ views = [pool_view(index, pool) for pool in trace.pools]
 by_pool_tag = run_heuristics(tags, views)
 combined_reductions = []
 for view in views:
-    results = [by_pool_tag[(view.pool.pool_id, tag)] for tag in tags]
-    merged = combine(view, results)
+    links = [by_pool_tag[(view.pool.pool_id, tag)].link_pairs for tag in tags]
+    # combining is reducing once under the union of every heuristic's links
+    merged = len(reduced_set(view.state, frozenset().union(*links), view.depositors))
     observed = len(view.depositors)
-    sizes = " ".join(f"{r.size:>6}" for r in results)
-    gain = relative_advantage_increase(observed, merged.size)
+    sizes = " ".join(f"{len(reduced_set(view.state, pairs, view.depositors)):>6}"
+                     for pairs in links)
+    gain = relative_advantage_increase(observed, merged)
     print(f"{view.pool.pool_id:<6} {observed:>8} {sizes} "
-          f"{merged.size:>9} {render_percent(gain):>9}")
-    combined_reductions.append(Fraction(observed - merged.size, observed))
+          f"{merged:>9} {render_percent(gain):>9}")
+    combined_reductions.append(Fraction(observed - merged, observed))
 
 mean = sum(combined_reductions, Fraction(0)) / len(combined_reductions)
 print(f"\nmean combined reduction: {render_percent(mean)}")

@@ -7,7 +7,15 @@ interesting history, then shows how one same-owner link collapses the
 state and shrinks the set of people a withdrawal could belong to.
 """
 
-from anonset.ledger import LinkPair, PoolConfig, PoolEvent, cluster_balances, pool_state
+from anonset.ledger import (
+    LinkPair,
+    PoolConfig,
+    PoolEvent,
+    connected_components,
+    deposit_actors,
+    pool_state,
+    reduced_set,
+)
 from anonset.metrics import adversary_advantage
 
 D1 = "0x" + "11" * 20
@@ -35,10 +43,11 @@ print("\nthe observed anonymity set is {d1, d2}: two candidate depositors")
 print(f"adversary advantage: {adversary_advantage(2)} per withdrawal\n")
 
 print("now assert that d1 and w1 are the same owner (link evidence):")
-clusters = cluster_balances(state, [LinkPair(D1, W1)])
-for members, balance in clusters:
+links = [LinkPair(D1, W1)]
+for members in connected_components(links):
     names = " + ".join(a[:10] + "…" for a in members)
-    print(f"  cluster {names}  {balance:+d}")
-print("\nnon-zero view:", {members[0][:10] + "…": b for members, b in clusters if b})
+    print(f"  cluster {names}  {sum(state.get(a, 0) for a in members):+d}")
+reduced = reduced_set(state, links, deposit_actors(events))
+print("\nreduced set:", sorted(a[:10] + "…" for a in reduced))
 print("only d2 still plausibly holds a note; the withdrawal hides behind one")
-print(f"address, and the adversary advantage is now {adversary_advantage(1)}")
+print(f"address, and the adversary advantage is now {adversary_advantage(len(reduced))}")

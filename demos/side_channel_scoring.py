@@ -57,8 +57,7 @@ print(f"subdomain links: {len(sub_pairs)}")
 # alice's second address both deposited and withdrew: it sits on both sides
 depositors = frozenset({ALICE_1, ALICE_2, BOB})
 withdrawers = frozenset({ALICE_2, HUB, CAROL})
-negatives = debank_negative_pairs([FollowEdge(follower=BOB, followed=CAROL)],
-                                  depositors, withdrawers)
+negatives = debank_negative_pairs([FollowEdge(follower=BOB, followed=CAROL)])
 print(f"follow-edge negative pairs: {len(negatives)}")
 
 truth = airdrop_pairs | name_pairs | sub_pairs

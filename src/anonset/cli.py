@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     ModeError,
 )
-from .ledger import DEPOSIT, LinkPair, connected_components
+from .ledger import DEPOSIT, LinkPair, connected_components, crosses, reduced_set
 from .metrics import render_percent, render_ratio
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -247,19 +247,20 @@ def _cmd_anonymity(args) -> int:
     for pool in pools:
         view = views[pool.pool_id]
         observed = len(view.depositors)
-        per = [results[(pool.pool_id, tag)] for tag in tags]
+        per = [results[(pool.pool_id, tag)].link_pairs for tag in tags]
         entry = {"pool_id": pool.pool_id, "at": t, "observed": observed, "heuristics": {},
                  "adv_observed": str(metrics.adversary_advantage(observed)) if observed else None}
         row = [pool.pool_id, str(observed)]
-        for r in per:
-            entry["heuristics"][r.heuristic], reduction = _reduced_set_entry(observed, r.size)
+        for tag, links in zip(tags, per):
+            size = len(reduced_set(view.state, links, view.depositors))
+            entry["heuristics"][tag], reduction = _reduced_set_entry(observed, size)
             if reduction is None:
-                row.append(f"{r.size} (-)")
+                row.append(f"{size} (-)")
             else:
-                reductions[r.heuristic].append(reduction)
-                row.append(f"{r.size} (-{render_percent(reduction)})")
+                reductions[tag].append(reduction)
+                row.append(f"{size} (-{render_percent(reduction)})")
         if args.combine:
-            size = heuristics.combine(view, per).size
+            size = len(reduced_set(view.state, frozenset().union(*per), view.depositors))
             entry["combined"], reduction = _reduced_set_entry(observed, size)
             if reduction is None:
                 entry["adv_reduced"] = entry["r_adv"] = None
@@ -500,24 +501,33 @@ def _cmd_validate(args) -> int:
     index, views, results = _run_heuristics(dataset, tags, t)
     depositors = frozenset().union(*(v.depositors for v in views.values()))
     withdrawers = frozenset().union(*(v.withdrawers for v in views.values()))
-    negatives = gt_mod.debank_negative_pairs(dataset.follow_edges, depositors,
-                                             withdrawers)
+    negatives = gt_mod.debank_negative_pairs(dataset.follow_edges)
 
     def found_for(tag: str) -> frozenset[LinkPair]:
         return frozenset().union(
             *(results[(pool.pool_id, tag)].link_pairs for pool in dataset.pools))
+
+    def sides_of(tag: str) -> tuple[frozenset, frozenset]:
+        """The two address sides ``tag``'s pairs join."""
+        if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
+            # funder links join distance-2 funders to distance-1 depositors
+            return frozenset().union(
+                *(index.depositors_at_distance(p, 2) for p in dataset.pools)), depositors
+        return depositors, withdrawers
 
     rows, payload_rows = [], []
     if args.gt == "debank":
         for tag in tags:
             found = found_for(tag)
             hits = found & negatives
+            side_a, side_b = sides_of(tag)
+            tested = sum(1 for p in negatives if crosses(*p, side_a, side_b))
             payload_rows.append({"heuristic": tag, "pairs": len(found),
-                                 "negative_pairs": len(negatives),
+                                 "negative_pairs": tested,
                                  "contradicted": len(hits),
                                  "contradicted_pairs": sorted(
                                      [list(p) for p in hits])})
-            rows.append([tag, str(len(found)), str(len(negatives)), str(len(hits))])
+            rows.append([tag, str(len(found)), str(tested), str(len(hits))])
         payload = {"command": "validate", "gt": "debank", "at": t,
                    "heuristics": payload_rows}
         _write_report(args, "validate", payload,
@@ -528,13 +538,7 @@ def _cmd_validate(args) -> int:
     positives = _gt_positive_pairs(dataset, args.gt)
     gt_addresses = frozenset(a for p in positives for a in p)
     for tag in tags:
-        if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
-            # funder links join distance-2 funders to distance-1 depositors
-            side_a = frozenset().union(
-                *(index.depositors_at_distance(p, 2) for p in dataset.pools))
-            side_b = depositors
-        else:
-            side_a, side_b = depositors, withdrawers
+        side_a, side_b = sides_of(tag)
         report = gt_mod.score_links(found_for(tag), positives, negatives,
                                     side_a & gt_addresses, side_b & gt_addresses)
         payload_rows.append({

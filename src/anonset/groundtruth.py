@@ -103,15 +103,12 @@ def ens_subdomain_links(grants: Sequence[SubdomainGrant]) -> frozenset[LinkPair]
                      for g in grants if g.owner != g.assignee)
 
 
-def debank_negative_pairs(edges: Sequence[FollowEdge],
-                          depositors: Iterable[Address],
-                          withdrawers: Iterable[Address]) -> frozenset[LinkPair]:
-    """Distinct-owner evidence: a depositor and withdrawer following each
-    other (either direction) are unlikely to be the same person.  The
-    pairs are plain pairs; passing them as ``negatives`` marks them."""
-    deps, wds = frozenset(depositors), frozenset(withdrawers)
-    return frozenset(LinkPair(*edge) for edge in edges
-                     if edge.follower != edge.followed and crosses(*edge, deps, wds))
+def debank_negative_pairs(edges: Sequence[FollowEdge]) -> frozenset[LinkPair]:
+    """Distinct-owner evidence: two accounts following each other (either
+    direction) are unlikely to be the same person.  The pairs are plain
+    pairs; passing them as ``negatives`` marks them, and the scorer keeps
+    those that join its two sides."""
+    return frozenset(LinkPair(*edge) for edge in edges if edge.follower != edge.followed)
 
 
 class _ValidationReportFields(NamedTuple):

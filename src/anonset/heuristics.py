@@ -1,8 +1,9 @@
-"""Linking heuristics and anonymity-set reduction.
+"""Linking heuristics.
 
-Each heuristic inspects on-chain behavior, asserts same-owner address
-pairs, and reports the pool's *simplified anonymity set*: the depositors
-that still plausibly hold a balance once linked addresses are merged.
+Each heuristic inspects on-chain behavior and asserts same-owner address
+pairs; it reports no anonymity set.  The one reduction of links to a
+pool's *simplified anonymity set* is :func:`ledger.reduced_set`, which
+the ``anonymity`` command runs once per set it reports.
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
 events, state and actor sets in one index of the history at a cut, built
@@ -10,16 +11,6 @@ once and shared (h5 takes the views of all pools, and reads each
 address's per-pool events from their index); per-pool evaluations can
 run concurrently.
 :data:`HEURISTICS` maps each tag to its heuristic.
-
-The simplified set is computed uniformly by :func:`ledger.reduced_set`:
-merge balances along the link pairs, keep the clusters whose merged
-balance is positive, and report each such cluster once, by its
-lexicographically smallest *depositor* member (a positive cluster always
-contains one, since a positive balance requires more deposits than
-withdrawals somewhere in the cluster).  The reduced set is therefore
-always a subset of the observed deposit-address set, and merging more
-links can only shrink it.  The clusters themselves come from
-:func:`ledger.connected_components`; this module holds none.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from .ledger import (
     deposit_actors,
     pool_state,
     position,
-    reduced_set,
     withdrawal_actors,
 )
 
@@ -55,8 +45,8 @@ FUNDER = "funder"  # an address one native-coin hop upstream
 
 
 class PoolView(NamedTuple):
-    """One pool of an index, computed once and shared by every heuristic,
-    by :func:`combine` and by the report.
+    """One pool of an index, computed once and shared by every heuristic
+    and by the report.
 
     ``events`` are the pool's indexed events, in index order; ``state``,
     ``depositors`` and ``withdrawers`` are derived from them.  ``index``
@@ -83,22 +73,13 @@ def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
 
 
 class HeuristicResult(NamedTuple):
-    """Outcome of one heuristic on one pool."""
+    """The link pairs one heuristic asserts on one pool.
 
-    heuristic: str
-    pool_id: str
+    A record rather than a bare frozenset for one reason: the h2-h5 hooks
+    of ``perfbench/tracing.py`` read ``.link_pairs``.
+    """
+
     link_pairs: frozenset[LinkPair]
-    anonymity_set: frozenset[Address]
-
-    @property
-    def size(self) -> int:
-        return len(self.anonymity_set)
-
-
-def _result(tag: str, view: PoolView, links: Iterable[LinkPair]) -> HeuristicResult:
-    links = frozenset(links)
-    return HeuristicResult(heuristic=tag, pool_id=view.pool.pool_id, link_pairs=links,
-                           anonymity_set=reduced_set(view.state, links, view.depositors))
 
 
 def h1_reuse(view: PoolView) -> HeuristicResult:
@@ -109,7 +90,7 @@ def h1_reuse(view: PoolView) -> HeuristicResult:
     address pairs are linked; the reduction comes from the balance rule
     alone.
     """
-    return _result(H1, view, ())
+    return HeuristicResult(frozenset())
 
 
 def h2_improper_sender(view: PoolView) -> HeuristicResult:
@@ -126,7 +107,7 @@ def h2_improper_sender(view: PoolView) -> HeuristicResult:
              if e.kind == WITHDRAWAL and e.tx_sender != e.actor
              and e.tx_sender in view.depositors
              and e.relayer is None and not labels.is_relayer(e.tx_sender)}
-    return _result(H2, view, pairs)
+    return HeuristicResult(frozenset(pairs))
 
 
 def h3_related_pair(view: PoolView) -> HeuristicResult:
@@ -141,7 +122,7 @@ def h3_related_pair(view: PoolView) -> HeuristicResult:
     depositors, withdrawers = view.depositors, view.withdrawers
     pairs = {LinkPair(a, b) for a, b in view.index.actor_transfer_pairs
              if crosses(a, b, depositors, withdrawers)}
-    return _result(H3, view, pairs)
+    return HeuristicResult(frozenset(pairs))
 
 
 def h4_intermediary(view: PoolView) -> HeuristicResult:
@@ -163,7 +144,7 @@ def h4_intermediary(view: PoolView) -> HeuristicResult:
         (d2,) = funders
         if index.labels.is_user_account(d2):
             pairs.add(LinkPair(d1, d2))
-    return _result(H4, view, pairs)
+    return HeuristicResult(frozenset(pairs))
 
 
 def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
@@ -175,7 +156,7 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     (equivalently, after sorting both sides per pool, each deposit
     precedes its same-rank withdrawal).  Pools are matched within each
     coin, so a pool that is the only one of its coin gets no links.  Each
-    pool's anonymity set is then simplified with the pairs that involve it.
+    pool gets the pairs that involve it.
     The per-address event lists come from the index
     (:meth:`LedgerIndex.actor_events`); no pool's event list is walked.
     """
@@ -225,22 +206,8 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
                     for pid, _count in sig:
                         pairs_by_pool[pid].add(pair)
 
-    return {v.pool.pool_id: _result(H5, v, pairs_by_pool[v.pool.pool_id])
+    return {v.pool.pool_id: HeuristicResult(frozenset(pairs_by_pool[v.pool.pool_id]))
             for v in view_list}
-
-
-def combine(view: PoolView, results: Sequence[HeuristicResult]) -> HeuristicResult:
-    """Union the link pairs of several heuristic results on one pool.
-
-    The combined anonymity set is never larger than the smallest input
-    set: more links only coarsen the cluster partition, and a merged
-    cluster is positive only if one of its parts was.
-    """
-    for r in results:
-        if r.pool_id != view.pool.pool_id:
-            raise InputError(f"result for pool {r.pool_id} combined into {view.pool.pool_id}")
-    tag = "+".join(r.heuristic for r in results) if results else "combined"
-    return _result(tag, view, frozenset().union(*(r.link_pairs for r in results)))
 
 
 class Heuristic(NamedTuple):

@@ -282,55 +282,31 @@ def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...]
     return tuple(tuple(sorted(groups[root])) for root in sorted(groups))
 
 
-def _linked_clusters(state: Mapping[Address, int], links: Iterable[LinkPair],
-                     ) -> tuple[list[tuple[tuple[Address, ...], int]], set[Address]]:
-    """The clusters of the linked addresses alone, each ``(members,
-    balance)`` with members sorted, and the set of linked addresses.  The
-    one cluster reduction: :func:`cluster_balances` and
-    :func:`reduced_set` are both built on it."""
-    linked: set[Address] = set()
-    clusters = []
-    for members in connected_components(links):
-        linked.update(members)
-        clusters.append((members, sum(state.get(a, 0) for a in members)))
-    return clusters, linked
-
-
-def cluster_balances(state: Mapping[Address, int], links: Iterable[LinkPair],
-                     ) -> list[tuple[tuple[Address, ...], int]]:
-    """The cluster reduction: group the state's addresses along the
-    same-owner link pairs and sum each group's balance.
-
-    Returns ``(members, balance)`` per cluster with members sorted.  An
-    address in no pair is a cluster of its own; a linked address absent
-    from the state contributes zero.  The partition and the balances are
-    independent of the order the pairs are supplied in.  Every pair given
-    merges: distinct-owner evidence is never passed here.
-    """
-    clusters, linked = _linked_clusters(state, links)
-    clusters.extend(((a,), b) for a, b in state.items() if a not in linked)
-    return clusters
-
-
 def reduced_set(state: Mapping[Address, int], links: Iterable[LinkPair],
                 depositors: frozenset[Address]) -> frozenset[Address]:
-    """One address per positive-balance cluster: its smallest depositor.
+    """The one cluster reduction: merge balances along the same-owner link
+    pairs and keep one address per positive-balance cluster, its smallest
+    depositor.
 
-    A positive cluster always contains a depositor of the state's history,
-    since a positive balance needs more deposits than withdrawals
-    somewhere in it, so the set stays inside the observed deposit-address
-    set.  Merging more links can only shrink it.  A ``depositors`` set
-    that misses a positive cluster raises :class:`InputError`.
+    A linked address absent from the state contributes zero, and the
+    result is independent of the order of the pairs.  Every pair given
+    merges: distinct-owner evidence is never passed here.  A positive
+    cluster always contains a depositor of the state's history, since a
+    positive balance needs more deposits than withdrawals somewhere in
+    it, so the set stays inside the observed deposit-address set.
+    Merging more links can only shrink it.  A ``depositors`` set that
+    misses a positive cluster raises :class:`InputError`.
 
     Cost: O(linked addresses) plus one pass over the state; an unlinked
     address costs no cluster tuple and no depositor lookup of its own.
     """
-    clusters, linked = _linked_clusters(state, links)
-    kept = {a for a, b in state.items() if b > 0} - linked
-    # a linked cluster without a depositor adds a non-depositor, which the
-    # check below rejects
-    kept.update(next((a for a in members if a in depositors), members[0])
-                for members, balance in clusters if balance > 0)
+    kept = {a for a, b in state.items() if b > 0}
+    for members in connected_components(links):
+        kept.difference_update(members)
+        if sum(state.get(a, 0) for a in members) > 0:
+            # a cluster without a depositor adds a non-depositor, which the
+            # check below rejects
+            kept.add(next((a for a in members if a in depositors), members[0]))
     if not kept <= depositors:
         raise InputError(f"positive cluster without a depositor: {min(kept - depositors)}")
     return frozenset(kept)

@@ -10,6 +10,7 @@ from anonset.ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
+    reduced_set,
     up_to,
 )
 
@@ -45,6 +46,11 @@ def view(pool: PoolConfig, events, t: int, transfers=(), tokens=(),
     up to the cut."""
     index = build_index(up_to(transfers, t), up_to(tokens, t), up_to(events, t), labels)
     return pool_view(index, pool)
+
+
+def reduced(v: PoolView, *link_sets) -> frozenset[str]:
+    """``v``'s reduced set under the union of ``link_sets``."""
+    return reduced_set(v.state, frozenset().union(*link_sets), v.depositors)
 
 
 D1, D2, W1 = addr("d1"), addr("d2"), addr("w1")

@@ -26,9 +26,9 @@ from anonset.ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
-    cluster_balances,
     connected_components,
     pool_state,
+    reduced_set,
     up_to,
 )
 from anonset.metrics import render_ratio
@@ -42,7 +42,7 @@ from anonset.synth import (
     standard_pools,
 )
 
-from .conftest import addr
+from .conftest import addr, reduced
 
 
 def _ok(criterion: int, message: str) -> None:
@@ -117,14 +117,14 @@ def test_criterion_4_pool_state_oracle():
 
     for _ in range(1_000):
         state = {a: rng.randrange(-4, 5) * 17 for a in rng.sample(actors, 6)}
+        depositors = frozenset(a for a, b in state.items() if b > 0)
         pairs = [LinkPair(*rng.sample(actors, 2)) for _ in range(rng.randrange(1, 7))]
-        base = cluster_balances(state, pairs)
-        assert sum(b for _, b in base) == sum(state.values())
+        base = reduced_set(state, pairs, depositors)
+        assert base <= depositors
         for perm in list(permutations(pairs))[:4]:
-            other = cluster_balances(state, list(perm))
-            assert other == base
+            assert reduced_set(state, list(perm), depositors) == base
     _ok(4, "1,000 random pools match the brute-force counter; "
-           "1,000 link sets conserve totals order-independently")
+           "1,000 link sets reduce order-independently")
 
 
 def _views(trace):
@@ -163,11 +163,13 @@ def test_criterion_5_planted_recovery():
     for seed in seeds:
         trace = _isolated_trace("h1-reuser", seed)
         gt = trace.ground_truth
-        for pool_id, result in _run_tagged("h1", _views(trace)).items():
+        views = _views(trace)
+        for pool_id, result in _run_tagged("h1", views).items():
             depositors = {e.actor for e in trace.events
                           if e.pool_id == pool_id and e.kind == DEPOSIT}
             assert result.link_pairs == frozenset()
-            assert result.anonymity_set == depositors - gt.fully_withdrawn_reusers
+            assert reduced(views[pool_id], result.link_pairs) == \
+                depositors - gt.fully_withdrawn_reusers
     for seed in seeds:
         trace = _isolated_trace(DISCIPLINED, seed)
         for tag in ("h1", "h2", "h3", "h4", "h5"):
@@ -194,14 +196,17 @@ def test_criterion_6_reduced_set_containment():
                         and e.height <= t}
             if not observed:
                 continue
-            per = [results_by_tag[tag][pool.pool_id]
-                   for tag in ("h1", "h2", "h3", "h4", "h5")]
-            for result in per:
-                assert result.anonymity_set <= observed, \
-                    f"{result.heuristic} leaks outside the observed set"
-            combined = heuristics.combine(views[pool.pool_id], per)
-            assert combined.anonymity_set <= observed
-            assert combined.size <= min(r.size for r in per)
+            view = views[pool.pool_id]
+            per = {tag: results[pool.pool_id].link_pairs
+                   for tag, results in results_by_tag.items()}
+            sizes = []
+            for tag, links in per.items():
+                own = reduced(view, links)
+                assert own <= observed, f"{tag} leaks outside the observed set"
+                sizes.append(len(own))
+            combined = reduced(view, *per.values())
+            assert combined <= observed
+            assert len(combined) <= min(sizes)
     _ok(6, "reduced sets stay inside the observed set and combining never grows them")
 
 

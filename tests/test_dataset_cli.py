@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from anonset import cli, heuristics, ledger
 from anonset.cli import main
 from anonset.dataset import (
     RECORD_FILES,
@@ -26,7 +27,7 @@ from anonset.heuristics import (
     h5_cross_pool,
     pool_view,
 )
-from anonset.ledger import position
+from anonset.ledger import position, reduced_set
 from anonset.synth import (
     ATTACKER,
     BEHAVIORS,
@@ -38,6 +39,8 @@ from anonset.synth import (
     generate_trace,
     standard_pools,
 )
+
+from .conftest import reduced
 
 A1, A2 = "0x" + "a" * 40, "0x" + "b" * 40
 
@@ -117,10 +120,10 @@ class TestRoundTrip:
             mem = h3_related_pair(mem_view)
             disk = h3_related_pair(disk_view)
             assert mem.link_pairs == disk.link_pairs
-            assert mem.anonymity_set == disk.anonymity_set
+            assert reduced(mem_view, mem.link_pairs) == reduced(disk_view, disk.link_pairs)
             mem2 = h2_improper_sender(mem_view)
             disk2 = h2_improper_sender(disk_view)
-            assert mem2.anonymity_set == disk2.anonymity_set
+            assert reduced(mem_view, mem2.link_pairs) == reduced(disk_view, disk2.link_pairs)
 
     def test_emission_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1010,12 +1013,11 @@ class TestTwoCoins:
         assert set(eth) == {"P0.1", "P1", "P10"}
         assert any(r.link_pairs for r in eth.values())
         for pool_id, alone in eth.items():
-            assert results[pool_id].anonymity_set == alone.anonymity_set
-        assert results["P100"].link_pairs == frozenset()
-        assert results["P100"].anonymity_set == h1_reuse(after["P100"]).anonymity_set
+            assert results[pool_id].link_pairs == alone.link_pairs
+        assert results["P100"].link_pairs == h1_reuse(after["P100"]).link_pairs == frozenset()
         report = json.loads((tmp_path / "out" / "anonymity.json").read_text())
         assert {e["pool_id"]: e["heuristics"]["h5"]["size"] for e in report["pools"]} == \
-            {pool_id: r.size for pool_id, r in results.items()}
+            {pool_id: len(reduced(after[pool_id], r.link_pairs)) for pool_id, r in results.items()}
 
 
 def _write_pools_dataset(data: Path, pools, events) -> None:
@@ -1092,3 +1094,31 @@ class TestEmptiedPools:
         row = (tmp_path / "out" / "anonymity.txt").read_text().splitlines()[2]
         assert re.split(r"\s{2,}", row) == [
             "P1", "1", "1 (-0.00%)", "0 (-)", "1 (-0.00%)", "1 (-0.00%)", "0 (-)"]
+
+
+class TestReductionCalls:
+    """The one reduction runs only where a set is reported: in
+    ``anonymity``, once per heuristic and once for ``combined``, per pool.
+    Finding links reduces nothing."""
+
+    def test_only_reported_sets_are_reduced(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        write_trace(data, BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
+                    seed=7, users=300)
+        calls = []
+
+        def counted(state, links, depositors):
+            calls.append(None)
+            return reduced_set(state, links, depositors)
+
+        # wherever a module binds the name, so no path around the counter
+        for module in (ledger, heuristics, cli):
+            monkeypatch.setattr(module, "reduced_set", counted, raising=False)
+        pools = len(ingest(data).pools)
+        tags = heuristics.default_tags(pools)
+        for argv, expected in ((["clusters"], 0),
+                               (["validate", "--gt", "debank"], 0),
+                               (["anonymity", "--combine"], pools * (len(tags) + 1))):
+            calls.clear()
+            assert main([*argv, "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+            assert (argv[0], len(calls)) == (argv[0], expected)

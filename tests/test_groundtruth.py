@@ -77,15 +77,21 @@ class TestEnsLinks:
 
 class TestDebank:
     def test_either_direction_yields_negative_pair(self):
-        deps, wds = [A], [B, C]
         edges = [FollowEdge(follower=A, followed=B),
-                 FollowEdge(follower=C, followed=A)]
-        got = debank_negative_pairs(edges, deps, wds)
+                 FollowEdge(follower=C, followed=A),
+                 FollowEdge(follower=B, followed=B)]
+        got = debank_negative_pairs(edges)
         assert got == {LinkPair(A, B), LinkPair(A, C)}
 
     def test_unrelated_accounts_ignored(self):
+        """A follow pair that does not join the scored sides flags nothing."""
         edges = [FollowEdge(follower=B, followed=C)]
-        assert debank_negative_pairs(edges, [A], [B]) == frozenset()
+        negatives = debank_negative_pairs(edges)
+        assert negatives == {LinkPair(B, C)}
+        found = {LinkPair(A, B), LinkPair(B, C)}
+        report = score_links(found, (), negatives, frozenset({A}), frozenset({B}))
+        assert report.negative_signal_fps == frozenset()
+        assert report.fp == 1
 
 
 HUB = "0x" + "f" * 40

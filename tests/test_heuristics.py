@@ -7,7 +7,6 @@ import pytest
 
 from anonset.errors import InputError
 from anonset.heuristics import (
-    combine,
     h1_reuse,
     h2_improper_sender,
     h3_related_pair,
@@ -19,9 +18,9 @@ from anonset.indexing import LabelBook, build_index
 from anonset.ledger import (
     LinkPair,
     PoolConfig,
-    cluster_balances,
     deposit_actors,
     pool_state,
+    reduced_set,
     up_to,
     withdrawal_actors,
 )
@@ -34,7 +33,7 @@ from anonset.synth import (
     standard_pools,
 )
 
-from .conftest import addr, deposit, transfer, view, withdrawal
+from .conftest import addr, deposit, reduced, transfer, view, withdrawal
 
 D, W, R, F = addr("hd"), addr("hw"), addr("hr"), addr("hf")
 
@@ -43,19 +42,20 @@ class TestH1Reuse:
     def test_partial_withdrawer_stays(self, p100):
         events = [deposit("P100", D, 1), deposit("P100", D, 2),
                   withdrawal("P100", D, 3)]
-        result = h1_reuse(view(p100, events, 10))
-        assert D in result.anonymity_set
+        v = view(p100, events, 10)
+        result = h1_reuse(v)
+        assert D in reduced(v, result.link_pairs)
         assert result.link_pairs == frozenset()
 
     def test_fully_withdrawn_reuser_drops_out(self, p100):
         events = [deposit("P100", D, 1), withdrawal("P100", D, 3)]
-        result = h1_reuse(view(p100, events, 10))
-        assert D not in result.anonymity_set
+        v = view(p100, events, 10)
+        assert D not in reduced(v, h1_reuse(v).link_pairs)
 
     def test_set_is_positive_balance_depositors(self, p100, p100_events):
-        result = h1_reuse(view(p100, p100_events, 100))
+        v = view(p100, p100_events, 100)
         state = pool_state(p100, p100_events)
-        assert result.anonymity_set == {a for a, b in state.items() if b > 0}
+        assert reduced(v, h1_reuse(v).link_pairs) == {a for a, b in state.items() if b > 0}
 
 
 class TestH2ImproperSender:
@@ -148,10 +148,11 @@ class TestH4Intermediary:
     def test_single_eoa_funder_links_and_cluster_counts_once(self, p100):
         events = [deposit("P100", D, 5)]
         index = build_index([transfer(F, D, 100, 2)], [], events, None)
-        result = h4_intermediary(pool_view(index, p100))
+        v = pool_view(index, p100)
+        result = h4_intermediary(v)
         assert result.link_pairs == {LinkPair(D, F)}
         # the funder cluster appears once, represented inside the depositor set
-        assert result.anonymity_set == {D}
+        assert reduced(v, result.link_pairs) == {D}
 
     def test_two_funders_no_link(self, p100):
         events = [deposit("P100", D, 5)]
@@ -284,41 +285,28 @@ class TestCombine:
     def test_self_combination_is_idempotent(self, p100):
         events = [deposit("P100", D, 1), withdrawal("P100", W, 5, sender=D)]
         v = view(p100, events, 10)
-        r = h2_improper_sender(v)
-        combined = combine(v, [r, r])
-        assert combined.link_pairs == r.link_pairs
-        assert combined.anonymity_set == r.anonymity_set
+        links = h2_improper_sender(v).link_pairs
+        assert reduced(v, links, links) == reduced(v, links)
 
     def test_disjoint_links_equal_sequential_simplification(self, p100):
         a, b, c, d = (addr(f"cm{i}") for i in range(4))
-        events = [deposit("P100", a, 1), deposit("P100", c, 2),
+        events = [deposit("P100", a, 1), deposit("P100", c, 2), deposit("P100", c, 3),
                   withdrawal("P100", b, 5), withdrawal("P100", d, 6)]
         pair_ab, pair_cd = LinkPair(a, b), LinkPair(c, d)
-        state = pool_state(p100, events)
-        first = cluster_balances(state, [pair_ab])
-        sequential = cluster_balances({m[0]: b for m, b in first}, [pair_cd])
         v = view(p100, events, 10)
-        r1 = h1_reuse(v)._replace(heuristic="x", link_pairs=frozenset({pair_ab}))
-        r2 = h1_reuse(v)._replace(heuristic="y", link_pairs=frozenset({pair_cd}))
-        combined = combine(v, [r1, r2])
-        positive = {m for m, b in sequential if b > 0}
-        assert len(combined.anonymity_set) == len(positive)
-
-    def test_foreign_pool_result_rejected(self, p100, p100_events):
-        other = PoolConfig(pool_id="P7", coin="ETH", denomination=7)
-        r1 = h1_reuse(view(p100, p100_events, 10))
-        r2 = h1_reuse(view(other, [], 20))
-        with pytest.raises(InputError):
-            combine(view(p100, p100_events, 10), [r1, r2])
+        # merge a with b first: the merged state holds the pair's sum at a
+        first = {x: n for x, n in v.state.items() if x not in pair_ab}
+        first[a] = v.state[a] + v.state[b]
+        sequential = reduced_set(first, [pair_cd], v.depositors)
+        assert reduced(v, {pair_ab}, {pair_cd}) == sequential == {c}
 
     def test_combined_never_larger_than_inputs(self, p100):
         events = [deposit("P100", D, 1), deposit("P100", F, 2),
                   withdrawal("P100", W, 5, sender=D)]
         v = view(p100, events, 10, transfers=[transfer(F, W, 3, 6)])
-        r2 = h2_improper_sender(v)
-        r3 = h3_related_pair(v)
-        combined = combine(v, [r2, r3])
-        assert combined.size <= min(r2.size, r3.size)
+        r2 = h2_improper_sender(v).link_pairs
+        r3 = h3_related_pair(v).link_pairs
+        assert len(reduced(v, r2, r3)) <= min(len(reduced(v, r2)), len(reduced(v, r3)))
 
 
 class TestContainmentInvariants:
@@ -330,4 +318,4 @@ class TestContainmentInvariants:
         observed = deposit_actors(events)
         results = [h1_reuse(v), h2_improper_sender(v), h3_related_pair(v), h4_intermediary(v)]
         for r in results:
-            assert r.anonymity_set <= observed
+            assert reduced(v, r.link_pairs) <= observed

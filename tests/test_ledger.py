@@ -15,7 +15,6 @@ from anonset.ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
-    cluster_balances,
     connected_components,
     crosses,
     normalize_address,
@@ -306,47 +305,59 @@ class TestPoolState:
             assert all(b % 13 == 0 for b in state.values())
 
 
+def _merged(state, links):
+    """``state`` with each linked cluster's balance summed onto its smallest
+    member: the state that merging ``links`` leaves."""
+    merged = dict(state)
+    for members in connected_components(links):
+        merged[members[0]] = sum(merged.pop(a, 0) for a in members)
+    return merged
+
+
 class TestMergeAndSimplify:
     def test_worked_example_merge(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        merged = dict(cluster_balances(state, [LinkPair(D1, W1)]))
-        assert merged[tuple(sorted((D1, W1)))] == 0
-        assert merged[(D2,)] == 200
-        assert {m: b for m, b in merged.items() if b} == {(D2,): 200}
+        # d1's note is spent by w1: the merged cluster holds nothing
+        assert reduced_set(state, [LinkPair(D1, W1)], frozenset({D1, D2})) == {D2}
 
     def test_merge_with_absent_address_adds_zero(self, p100, p100_events):
         state = pool_state(p100, p100_events)
         ghost = addr("zz")
-        merged = dict(cluster_balances(state, [LinkPair(D2, ghost)]))
-        assert merged[tuple(sorted((D2, ghost)))] == 200
-        assert sum(merged.values()) == sum(state.values())
+        depositors = frozenset({D1, D2})
+        for linked in (D1, D2, W1):
+            assert (reduced_set(state, [LinkPair(linked, ghost)], depositors)
+                    == reduced_set(state, [], depositors))
 
     def test_chained_merges_conserve_total(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        s1 = cluster_balances(state, [LinkPair(D1, D2)])
-        s2 = cluster_balances({m[0]: b for m, b in s1}, [LinkPair(min(D1, D2), W1)])
-        assert sum(b for _, b in s2) == sum(state.values()) == 200
+        depositors = frozenset({D1, D2})
+        s1 = _merged(state, [LinkPair(D1, D2)])
+        assert sum(s1.values()) == sum(state.values()) == 200
+        # merging in sequence reduces as merging in one batch
+        batch = reduced_set(state, [LinkPair(D1, D2), LinkPair(D1, W1)], depositors)
+        assert reduced_set(s1, [LinkPair(min(D1, D2), W1)], depositors) == batch
+        assert batch == {min(D1, D2)}
 
     def test_simplify_empty_links_is_identity(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        assert cluster_balances(state, []) == [((a,), b) for a, b in state.items()]
+        assert reduced_set(state, [], frozenset({D1, D2})) == {D1, D2}
 
     def test_simplify_worked_example(self, p100, p100_events):
         state = pool_state(p100, p100_events)
-        clusters = cluster_balances(state, [LinkPair(D1, W1)])
-        assert {m: b for m, b in clusters if b} == {(D2,): 200}
+        # d2's two notes outweigh w1's withdrawal, and d2 represents them
+        assert reduced_set(state, [LinkPair(D2, W1)], frozenset({D1, D2})) == {D1, D2}
 
     def test_simplify_transitive_chain(self):
         a, b, c = sorted(addr(x) for x in ("ka", "kb", "kc"))
         state = {a: 1, b: 1, c: -2}
-        out = cluster_balances(state, [LinkPair(a, b), LinkPair(b, c)])
-        assert out == [((a, b, c), 0)]
+        depositors = frozenset({a, b})
+        assert reduced_set(state, [LinkPair(a, b)], depositors) == {a}
+        assert reduced_set(state, [LinkPair(a, b), LinkPair(b, c)], depositors) == frozenset()
 
     def test_reduction_reads_a_one_shot_iterator(self, p100, p100_events):
         state = pool_state(p100, p100_events)
         links = [LinkPair(D1, W1), LinkPair(W1, D2)]
         depositors = frozenset({D1, D2})
-        assert cluster_balances(state, iter(links)) == cluster_balances(state, links)
         assert (reduced_set(state, (p for p in links), depositors)
                 == reduced_set(state, links, depositors))
 
@@ -355,13 +366,14 @@ class TestMergeAndSimplify:
         actors = [addr(f"q{i}") for i in range(8)]
         for trial in range(30):
             state = {a: rng.randrange(-3, 4) * 10 for a in actors}
+            depositors = frozenset(a for a, b in state.items() if b > 0)
             pairs = [LinkPair(*rng.sample(actors, 2)) for _ in range(rng.randrange(1, 6))]
-            baseline = cluster_balances(state, pairs)
+            baseline = reduced_set(state, pairs, depositors)
             for perm in itertools.islice(itertools.permutations(pairs), 6):
-                assert cluster_balances(state, list(perm)) == baseline
-            again = cluster_balances({m[0]: b for m, b in baseline}, pairs)
-            assert again == baseline
-            assert sum(b for _, b in baseline) == sum(state.values())
+                assert reduced_set(state, list(perm), depositors) == baseline
+            merged = _merged(state, pairs)
+            assert sum(merged.values()) == sum(state.values())
+            assert reduced_set(merged, pairs, depositors) == baseline
 
 
 class TestReducedSet:
@@ -409,7 +421,6 @@ class TestReducedSet:
             got = reduced_set(state, links, depositors)
             assert got == expected
             assert got <= depositors
-            assert len(got) == sum(1 for _, b in cluster_balances(state, links) if b > 0)
         assert checked_links > 500
 
     def test_positive_cluster_without_depositor_is_input_error(self):
@@ -439,7 +450,7 @@ class TestReducedSet:
         linked_members = {x for p in links for x in p}
         assert 0 < Counted.calls <= len(linked_members)
         assert got == reduced_set(state, links, frozenset(depositors))
-        assert len(got) == sum(1 for _, b in cluster_balances(state, links) if b > 0)
+        assert len(got) == sum(1 for b in _merged(state, links).values() if b > 0)
 
 
 class TestConnectedComponents:

@@ -19,7 +19,7 @@ from anonset.metrics import (
     render_ratio,
 )
 
-from .conftest import D1, D2, W1, addr, deposit, view, withdrawal
+from .conftest import D1, D2, W1, addr, deposit, reduced, view, withdrawal
 
 NO_LABELS = LabelBook({})
 
@@ -170,16 +170,16 @@ class TestFundThenDeposit:
 class TestReport:
     def test_report_fields_are_exact(self, p100, p100_events):
         v = view(p100, p100_events, 100)
-        observed, reduced = len(v.depositors), h1_reuse(v).size
+        observed, size = len(v.depositors), len(reduced(v, h1_reuse(v).link_pairs))
         assert observed == 2
         assert adversary_advantage(observed) == Fraction(1, 2)
-        assert relative_advantage_increase(observed, reduced) == Fraction(observed, reduced) - 1
+        assert relative_advantage_increase(observed, size) == Fraction(observed, size) - 1
 
     def test_drained_pool_raises(self, p100):
         events = [deposit("P100", D1, 1), withdrawal("P100", D1, 2)]
         v = view(p100, events, 10)
         with pytest.raises(DomainError):
-            adversary_advantage(h1_reuse(v).size)
+            adversary_advantage(len(reduced(v, h1_reuse(v).link_pairs)))
 
 
 class TestRendering:

@@ -4,7 +4,8 @@ Each loop draws a behaviour mix, a trace and cuts from ``synth.Prng``, so
 a failure names its seed and replays exactly.  The properties:
 
 * the order records are handed to the index changes no result;
-* a combined set is never larger than the smallest set combined;
+* a set reduced under several heuristics' links together is never
+  larger than the smallest set one of them reduces to;
 * every reduced set lies inside the pool's observed depositors.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from anonset.heuristics import combine, default_tags, pool_view, run_heuristics
+from anonset.heuristics import default_tags, pool_view, run_heuristics
 from anonset.indexing import build_index
 from anonset.ledger import up_to
 from anonset.synth import (
@@ -23,6 +24,8 @@ from anonset.synth import (
     generate_trace,
     standard_pools,
 )
+
+from .conftest import reduced
 
 SEEDS = range(8)
 
@@ -72,8 +75,9 @@ def test_index_order_changes_no_result(seed):
         for v, v2 in zip(views, views_2):
             assert (v2.events, v2.state, v2.depositors, v2.withdrawers) == \
                 (v.events, v.state, v.depositors, v.withdrawers)
-            mine = [r for (pool_id, _), r in results.items() if pool_id == v.pool.pool_id]
-            assert combine(v2, mine) == combine(v, mine)
+            mine = [r.link_pairs for (pool_id, _), r in results.items()
+                    if pool_id == v.pool.pool_id]
+            assert reduced(v2, *mine) == reduced(v, *mine)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -85,13 +89,14 @@ def test_combined_and_reduced_sets_are_bounded(seed):
         views, results = all_results(trace, t, trace.transfers,
                                      trace.token_transfers, trace.events)
         for v in views:
-            mine = [r for (pool_id, _), r in results.items() if pool_id == v.pool.pool_id]
-            assert all(r.anonymity_set <= v.depositors for r in mine)
-            # every non-empty subset of the pool's results, drawn at random
+            mine = [r.link_pairs for (pool_id, _), r in results.items()
+                    if pool_id == v.pool.pool_id]
+            assert all(reduced(v, links) <= v.depositors for links in mine)
+            # every non-empty subset of the pool's link sets, drawn at random
             for _ in range(4):
-                subset = [r for r in mine if prng.randint(0, 1)] or mine[:1]
-                merged = combine(v, subset)
-                assert merged.anonymity_set <= v.depositors
-                assert merged.size <= min(r.size for r in subset)
+                subset = [links for links in mine if prng.randint(0, 1)] or mine[:1]
+                merged = reduced(v, *subset)
+                assert merged <= v.depositors
+                assert len(merged) <= min(len(reduced(v, links)) for links in subset)
                 combined += 1
     assert combined == 3 * 4 * len(trace.pools)

@@ -2,9 +2,10 @@
 
 One synthetic dataset is generated, every analysis command runs on it
 in-process, and the sha256 of each report file must match the value
-recorded here.  ``validate --gt ens`` runs again on a copy of it that
-holds side-channel evidence, so its counts are nonzero.  A refactor that changes no analysis leaves every digest
-alone; a digest that moves means a report changed and needs a reason.
+recorded here.  ``validate --gt ens`` and ``--gt debank`` run again on a
+copy of it that holds side-channel evidence, so their counts are nonzero.
+A refactor that changes no analysis leaves every digest alone; a digest
+that moves means a report changed and needs a reason.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ RUNS = {
 
 # run on a copy of the dataset with name-handover and follow evidence
 EVIDENCE_RUNS = {
+    "validate-debank-follows": ["validate", "--gt", "debank"],
     "validate-ens": ["validate", "--gt", "ens"],
     "validate-ens-h4-at": ["validate", "--gt", "ens", "--heuristics", "h4",
                            "--at", "3000"],
@@ -76,12 +78,16 @@ DIGESTS = {
         "ba83bcbec82d8f06f5e477adbe0f44025807c99437f037cad8adb50a006d2330",
     "validate-debank/validate.txt":
         "6ac94dada351323192b96123e09bd3c90b0f334b3d02d54c77e48ee37725621f",
+    "validate-debank-follows/validate.json":
+        "7965550608a288dfc0479c9a8adb5dacbe8612db8f741a07c073754a046e7283",
+    "validate-debank-follows/validate.txt":
+        "cb14e245dd47b9160602f2fed701f42f63594a2161c46e44bb624f4cf54d8358",
     "validate-ens/validate.json":
-        "182dffaf98dc24a982c402ad914f1beee32692a296edbf2434e6b0da72394af2",
+        "ff28aa09ec478e2ba487e88d83fc2e1554f0c64fbb72991ce072ed70d70c4ea5",
     "validate-ens/validate.txt":
         "3b0d945bb10f46ae99f25eb37e523fb14d31cab4f3fede1369d0e2d5cf852534",
     "validate-ens-h4-at/validate.json":
-        "b4c709ec84f31259e9c29efa3c4da31d44e4f4687deacf18c174a6ed9d4dbd60",
+        "f1cb1cea7e9a1865d1eef1d8027113ed012f2808c8401813b0a07fe55db6621e",
     "validate-ens-h4-at/validate.txt":
         "f88788988f8e4916104ca7ea36ce51446e2bb7131c6b75f49c51f68c8aabd779",
 }
