@@ -11,6 +11,9 @@ Exit codes: 0 success; 2 input or schema error, or a file that cannot be
 read or written; 3 mode error (an analysis that needs ground truth ran
 against a dataset without it); 4 when ``--strict`` is set and every
 solver run came back inconclusive.
+
+A handler imports the analysis module it runs in its own body, so a
+command loads only the modules it uses.
 """
 
 from __future__ import annotations
@@ -19,12 +22,9 @@ import argparse
 import gc
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import groundtruth as gt_mod
-from . import heuristics, metrics, mining, synth
 from .dataset import Dataset, ingest, read_active_depositors, write_dataset
 from .errors import (
     EXIT_INCONCLUSIVE,
@@ -36,7 +36,11 @@ from .errors import (
     ModeError,
 )
 from .ledger import DEPOSIT, LinkPair, connected_components, crosses, reduced_set
-from .metrics import render_percent, render_ratio
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import synth
 
 DEFAULT_AIRDROP_WINDOW = 50_000
 
@@ -73,6 +77,7 @@ def _at_least(low: int):
 
 def _heuristic_list(text: str) -> tuple[str, ...]:
     """The ``--heuristics`` type: a comma list naming at least one known tag."""
+    from . import heuristics
     tags = tuple(dict.fromkeys(tag.strip() for tag in text.split(",") if tag.strip()))
     unknown = set(tags) - set(heuristics.HEURISTICS)
     if unknown:
@@ -119,12 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = data_command("flags", "withdraw-first addresses re-depositing large volume")
     p.add_argument("--threshold", type=_at_least(0),
-                   default=metrics.DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD,
                    help="minimum deposited volume in base units")
     p.set_defaults(handler=_cmd_flags)
 
     p = data_command("am-link", "classify reward claimants and solve their timing")
-    p.add_argument("--search-cap", type=_at_least(1), default=mining.DEFAULT_SEARCH_CAP)
+    p.add_argument("--search-cap", type=_at_least(1))
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when every solver run is inconclusive")
     p.set_defaults(handler=_cmd_am_link)
@@ -176,6 +180,7 @@ def _selected_pools(args, dataset: Dataset):
 
 
 def _heuristic_tags(args, dataset: Dataset, linking_only: bool = False) -> tuple[str, ...]:
+    from . import heuristics
     tags = args.heuristics
     if tags is None:
         return heuristics.default_tags(len(dataset.pools), linking_only)
@@ -191,6 +196,7 @@ def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
     Returns the index, the views keyed by pool id, and the results keyed
     ``(pool_id, tag)``.
     """
+    from . import heuristics
     index = dataset.build_index(t)
     views = {p.pool_id: heuristics.pool_view(index, p) for p in dataset.pools}
     return index, views, heuristics.run_heuristics(tags, list(views.values()))
@@ -224,6 +230,8 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 def _reduced_set_entry(observed: int, size: int) -> tuple[dict, Fraction | None]:
     """A reduced set's report entry and reduction.  An idle pool, or a set a
     heuristic empties, has none, and is left out of the averages."""
+    from fractions import Fraction
+    from .metrics import render_percent
     if not size:
         return {"size": size, "reduction": None}, None
     reduction = Fraction(observed - size, observed)
@@ -231,6 +239,8 @@ def _reduced_set_entry(observed: int, size: int) -> tuple[dict, Fraction | None]
 
 
 def _cmd_anonymity(args) -> int:
+    from . import metrics
+    from .metrics import render_percent
     dataset = _load(args)
     t = _cut(args, dataset)
     pools = _selected_pools(args, dataset)
@@ -303,13 +313,15 @@ def _cmd_anonymity(args) -> int:
 
 
 def _cmd_clusters(args) -> int:
+    from fractions import Fraction
+    from .metrics import cluster_size_histogram, render_percent
     dataset = _load(args)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
     _, _, results = _run_heuristics(dataset, tags, t)
     links = frozenset().union(*(r.link_pairs for r in results.values()))
     clusters = connected_components(links)
-    histogram = metrics.cluster_size_histogram(clusters)
+    histogram = cluster_size_histogram(clusters)
     shares = {size: render_percent(Fraction(count, len(clusters)))
               for size, count in histogram.items()}
     payload = {
@@ -326,13 +338,14 @@ def _cmd_clusters(args) -> int:
 
 
 def _cmd_relayers(args) -> int:
+    from .metrics import relayer_usage, render_percent
     dataset = _load(args)
     events_by_pool: dict[str, list] = {}
     for e in dataset.events:
         events_by_pool.setdefault(e.pool_id, []).append(e)
     rows, payload_rows = [], []
     for pool in dataset.pools:
-        usage = metrics.relayer_usage(pool, events_by_pool.get(pool.pool_id, ()))
+        usage = relayer_usage(pool, events_by_pool.get(pool.pool_id, ()))
         payload_rows.append({
             "pool_id": usage.pool_id, "relayers": usage.relayers,
             "withdrawals": usage.withdrawals,
@@ -404,6 +417,9 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_flags(args) -> int:
+    from . import metrics
+    if args.threshold is None:
+        args.threshold = metrics.DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD
     dataset = _load(args)
     flags = metrics.fund_then_deposit_flags(dataset.pools, dataset.events,
                                             dataset.labels, args.threshold)
@@ -424,6 +440,9 @@ def _cmd_flags(args) -> int:
 
 
 def _cmd_am_link(args) -> int:
+    from . import mining
+    if args.search_cap is None:
+        args.search_cap = mining.DEFAULT_SEARCH_CAP
     dataset = _load(args)
     deposits_by_actor: dict[str, list] = {}
     withdrawal_blocks: dict[str, list[int]] = {p.pool_id: [] for p in dataset.pools}
@@ -480,6 +499,7 @@ def _cmd_am_link(args) -> int:
 
 
 def _gt_positive_pairs(dataset: Dataset, source: str) -> frozenset[LinkPair]:
+    from . import groundtruth as gt_mod
     if source == "airdrop":
         return gt_mod.airdrop_links(dataset.airdrop_claims, dataset.token_transfers,
                                     DEFAULT_AIRDROP_WINDOW)
@@ -492,6 +512,9 @@ def _gt_positive_pairs(dataset: Dataset, source: str) -> frozenset[LinkPair]:
 
 
 def _cmd_validate(args) -> int:
+    from . import groundtruth as gt_mod
+    from . import heuristics
+    from .metrics import render_ratio
     for tag in args.heuristics or ():
         if heuristics.HEURISTICS[tag].joins is None:
             raise InputError(f"{tag} links no address pairs and cannot be validated")
@@ -563,6 +586,7 @@ def _cmd_validate(args) -> int:
 
 
 def _parse_profile(text: str) -> synth.BehaviorProfile:
+    from . import synth
     if ":" not in text:
         if text == "mixed":
             return synth.BehaviorProfile.from_weights({b: 1 for b in synth.BEHAVIORS})
@@ -581,6 +605,7 @@ def _parse_profile(text: str) -> synth.BehaviorProfile:
 
 
 def _cmd_synth(args) -> int:
+    from . import synth
     config = synth.GeneratorConfig(
         profile=_parse_profile(args.profile), pools=synth.standard_pools(),
         user_count=args.users, block_span=args.blocks)

@@ -4,7 +4,9 @@ A dataset is a directory of JSON-lines record files plus a manifest.
 Every file is validated line by line before any analysis runs; failures
 name the file, line, and field.  Amounts travel as decimal strings in
 base units so no reader ever needs floating point; block numbers are
-plain unsigned integers.
+plain unsigned integers.  Ingest needs only ``ledger``, which defines
+every record type a file decodes into, and ``indexing``; no analysis
+module is loaded to read a dataset.
 
 The synthetic generator emits exactly this layout (plus a
 ``ground_truth.json`` sidecar), so generated traces round-trip through
@@ -35,15 +37,18 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
-from .groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from .ledger import (
     Address,
+    APClaim,
+    FollowEdge,
+    NameTransfer,
     PoolConfig,
     PoolEvent,
+    SubdomainGrant,
     Transfer,
     event_order,
     in_position_order,
@@ -51,8 +56,9 @@ from .ledger import (
     transfer_order,
     up_to,
 )
-from .mining import APClaim
-from .synth import SynthTrace
+
+if TYPE_CHECKING:
+    from .synth import SynthTrace
 
 MANIFEST_FILE = "manifest.json"
 GROUND_TRUTH_FILE = "ground_truth.json"

@@ -16,30 +16,16 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .ledger import Address, LinkPair, Transfer, Validated, crosses
-
-
-class NameTransfer(NamedTuple):
-    """Ownership of a registered name moving from one address to another."""
-
-    name: str
-    sender: Address
-    recipient: Address
-    block: int
-    expiry: int
-
-
-class SubdomainGrant(NamedTuple):
-    """A name owner assigning one of its subdomains to an address."""
-
-    owner: Address
-    assignee: Address
-    subdomain: str
-
-
-class FollowEdge(NamedTuple):
-    follower: Address
-    followed: Address
+from .ledger import (
+    Address,
+    FollowEdge,
+    LinkPair,
+    NameTransfer,
+    SubdomainGrant,
+    Transfer,
+    Validated,
+    crosses,
+)
 
 
 def airdrop_links(airdrop_transfers: Sequence[Transfer],

@@ -1,15 +1,17 @@
 """Core domain records and the pool-state algebra.
 
-Everything in this module is a plain immutable value.  Analyses never
-mutate a record, so all of these objects can be shared freely between
-threads.
+This module holds every record type a dataset file decodes into, so
+ingestion loads no analysis module.  Everything in it is a plain
+immutable value.  Analyses never mutate a record, so all of these
+objects can be shared freely between threads.
 
 Every record of the package is a named tuple: a tuple is built and hashed
 in C, and its class is built without generating code at import.  A record
 with checks, such as :class:`Transfer`, :class:`PoolEvent`,
-:class:`PoolConfig` and :class:`LinkPair`, is a :class:`Validated`
-subclass of a named tuple of its fields: its ``__new__`` runs every
-check, and ``_make``, and so ``_replace``, go through it.
+:class:`PoolConfig`, :class:`LinkPair` and :class:`APClaim`, is a
+:class:`Validated` subclass of a named tuple of its fields: its
+``__new__`` runs every check, and ``_make``, and so ``_replace``, go
+through it.
 
 Conventions used throughout the package:
 
@@ -204,6 +206,49 @@ class LinkPair(Validated, _LinkPairFields):
         if a2 < a1:
             a1, a2 = a2, a1
         return tuple.__new__(cls, (a1, a2))
+
+
+class _APClaimFields(NamedTuple):
+    recipient: Address
+    block: int
+    ap: int
+
+
+class APClaim(Validated, _APClaimFields):
+    """A point-to-reward conversion: who received it, when, how many
+    points were converted."""
+
+    __slots__ = ()
+
+    def __new__(cls, recipient: Address, block: int, ap: int):
+        if ap < 0:
+            raise InputError("converted points cannot be negative", field="ap")
+        if block < 0:
+            raise InputError("claim block cannot be negative", field="block")
+        return tuple.__new__(cls, (recipient, block, ap))
+
+
+class NameTransfer(NamedTuple):
+    """Ownership of a registered name moving from one address to another."""
+
+    name: str
+    sender: Address
+    recipient: Address
+    block: int
+    expiry: int
+
+
+class SubdomainGrant(NamedTuple):
+    """A name owner assigning one of its subdomains to an address."""
+
+    owner: Address
+    assignee: Address
+    subdomain: str
+
+
+class FollowEdge(NamedTuple):
+    follower: Address
+    followed: Address
 
 
 def crosses(a: Address, b: Address, side_a: frozenset[Address],

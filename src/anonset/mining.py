@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InputError
-from .ledger import DEPOSIT, Address, PoolEvent, Validated
+from .ledger import DEPOSIT, Address, APClaim, PoolEvent
 
 # Per-pool point weights of the canonical four-pool deployment, keyed by
 # the pool's denomination expressed in coins.
@@ -37,26 +37,6 @@ INCONCLUSIVE = "inconclusive"
 NONE = "none"
 
 DEFAULT_SEARCH_CAP = 10 ** 6
-
-
-class _APClaimFields(NamedTuple):
-    recipient: Address
-    block: int
-    ap: int
-
-
-class APClaim(Validated, _APClaimFields):
-    """A point-to-reward conversion: who received it, when, how many
-    points were converted."""
-
-    __slots__ = ()
-
-    def __new__(cls, recipient: Address, block: int, ap: int):
-        if ap < 0:
-            raise InputError("converted points cannot be negative", field="ap")
-        if block < 0:
-            raise InputError("claim block cannot be negative", field="block")
-        return tuple.__new__(cls, (recipient, block, ap))
 
 
 class LinkSolution(NamedTuple):

@@ -32,6 +32,7 @@ from .ledger import (
     DEPOSIT,
     WITHDRAWAL,
     Address,
+    APClaim,
     LinkPair,
     PoolConfig,
     PoolEvent,
@@ -39,7 +40,7 @@ from .ledger import (
     Validated,
     pool_state,
 )
-from .mining import DEFAULT_AM_WEIGHTS, APClaim, anonymity_points
+from .mining import DEFAULT_AM_WEIGHTS, anonymity_points
 
 DISCIPLINED = "disciplined"
 H1_REUSER = "h1-reuser"

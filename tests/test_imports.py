@@ -1,7 +1,9 @@
 """Import guards: the runtime is pure standard library, no module imports a
 name it never uses, the mining model stays free of the heuristic, index
-and metrics layers, the metrics stay free of the heuristics, and the CLI
-starts without ``dataclasses`` or ``inspect``."""
+and metrics layers, the metrics stay free of the heuristics, ingest and
+the CLI's start-up load no analysis module, the CLI starts without
+``dataclasses``, ``inspect`` or ``fractions``, and each command loads
+only the modules it runs."""
 
 from __future__ import annotations
 
@@ -66,10 +68,18 @@ def test_unused_import_is_found():
     assert unused_imports(source) == {"Callable", "os"}
 
 
+ANALYSIS = ("anonset.heuristics", "anonset.metrics", "anonset.mining",
+            "anonset.groundtruth", "anonset.synth")
+CORE = ["anonset.cli", "anonset.dataset", "anonset.errors", "anonset.indexing",
+        "anonset.ledger"]
+
+
 @pytest.mark.parametrize("module,layers", [
     ("anonset.mining", ("anonset.heuristics", "anonset.indexing", "anonset.metrics")),
     ("anonset.metrics", ("anonset.heuristics",)),
-], ids=["mining", "metrics"])
+    ("anonset.dataset", ANALYSIS),
+    ("anonset.cli", ANALYSIS),
+], ids=["mining", "metrics", "dataset", "cli"])
 def test_module_loads_no_analysis_layer(module, layers):
     loaded = loaded_after(f"import {module}")
     assert module in loaded
@@ -89,4 +99,23 @@ def test_cli_start_up_generates_no_code():
     added = subprocess.run([sys.executable, "-c", code], check=True,
                            capture_output=True, text=True).stdout.split()
     assert "anonset.cli" in added
-    assert not {"dataclasses", "inspect"} & set(added)
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(added)
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+
+    def run(*argv: str) -> list[str]:
+        # the command's own printing is kept off the list; fractions and
+        # decimal join it when loaded
+        return loaded_after(
+            "import contextlib, io\nfrom anonset import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == 0\n"
+            "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
+
+    assert not {"anonset.heuristics", "anonset.metrics"} & set(
+        run("synth", "--out", data, "--profile", "mixed", "--users", "20",
+            "--blocks", "600"))
+    assert run("flows", "--data", data, "--out", out) == CORE
+    assert run("am-link", "--data", data, "--out", out) == sorted(CORE + ["anonset.mining"])
