@@ -16,14 +16,14 @@ speculator's blocks and claim.  ``ingest`` never opens it; only
 :func:`read_active_depositors` reads it, for ``anonymity --tas``, and it
 reads and validates ``active_depositors`` alone.
 
-Ingestion mirrors emission: a pool event or transfer line in exactly the
-emitted layout, nearly every line, is matched by one anchored pattern per
-hot file and built from its groups, undecoded.  Every other line is
-decoded and read by ``_Row``'s checked accessors, which report the first
-fault, so a row's error is the same whichever path met it.  Every address
-field follows one rule, :func:`_address`, which reaches the regular
-expression of :func:`~anonset.ledger.normalize_address` once per distinct
-address.
+Ingestion mirrors emission, reading small batches of whole lines.  In a
+batch of pool event or transfer lines all in exactly the emitted layout,
+nearly every batch, one pattern scan finds every line's fields, undecoded.
+Any other batch is decoded line by line and read by ``_Row``'s checked
+accessors, which report the first fault, so a row's error is the same
+whichever path met it.  Every address field follows one rule,
+:func:`_address`, which reaches the regular expression of
+:func:`~anonset.ledger.normalize_address` once per distinct address.
 
 Emission streams each record file line by line, with no whole file held
 in memory; pool events and transfers go in ``ledger``'s record order, the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -130,10 +131,10 @@ class _Row:
 
     This is the reference parser and the only error reporter: each accessor
     checks one field and raises an error that names the file, line and
-    field.  Lines of the hot files (pool events and transfers) in the
-    emitted layout are read by :data:`_LINE_PATTERNS` in ``ingest``, which
-    take only values these accessors would return unchanged; every other
-    line is decoded and read here.  ``canon`` interns
+    field.  A batch of hot-file lines (pool events and transfers) all in
+    the emitted layout is read by one scan of :data:`_LINE_PATTERNS` in
+    ``ingest``, which take only values these accessors would return
+    unchanged; every other line is decoded and read here.  ``canon`` interns
     addresses for one ``ingest`` call, through :func:`_address`, so every
     occurrence of an address is the same object.  ``words`` does the same
     for ``text`` values, a few of which (pool ids, event kinds, coins)
@@ -223,22 +224,23 @@ def _read_text(file: Path, name: str) -> str:
         raise _utf8_error(file, name) from None
 
 
-def _read_lines(path: Path, name: str):
-    """Yield ``(line number, text)`` for each non-blank line of
-    ``<name>.jsonl``, reading one line at a time.  Only JSON's own four
-    whitespace characters are stripped from the text."""
-    name = f"{name}.jsonl"
-    file = path / name
-    if not file.exists():
-        raise IngestError("required file is missing", file=name)
+_BATCH = 2048  # characters per batch: a few lines, and little held beside the records
+
+
+def _batches(path: Path, file: str):
+    """Yield ``(first line number, lines)`` for each batch of whole lines of
+    ``file``, line ends kept, reading one batch at a time."""
+    source = path / file
+    if not source.exists():
+        raise IngestError("required file is missing", file=file)
     try:
-        with file.open(encoding="utf-8") as handle:
-            for i, line in enumerate(handle, start=1):
-                line = line.strip(" \t\r\n")
-                if line:
-                    yield i, line
+        with source.open(encoding="utf-8") as handle:
+            first = 1
+            while lines := handle.readlines(_BATCH):
+                yield first, lines
+                first += len(lines)
     except UnicodeDecodeError:
-        raise _utf8_error(file, name) from None
+        raise _utf8_error(source, file) from None
 
 
 def _loads(text: str, file: str, line: int | None = None) -> Any:
@@ -259,7 +261,8 @@ def _loads(text: str, file: str, line: int | None = None) -> Any:
 # decodes to its group and ``_Row`` reads unchanged: an int below 10**18 with
 # no sign, leading zero, fraction or exponent; printable ASCII with no quote
 # or backslash (so no escape); an address in any case, with or without a
-# prefix, for ``_address``; an amount well inside int()'s digit limit.
+# prefix, for ``_address``; an amount well inside int()'s digit limit.  No
+# piece matches a line end.
 _INT = "(0|[1-9][0-9]{0,17})"
 _TEXT = r'"([ !#-\[\]-~]+)"'
 _ADDRESS = '"((?:0[xX])?[0-9a-fA-F]{40})"'
@@ -267,9 +270,9 @@ _AMOUNT = '"([0-9]{1,78})"'
 
 
 def _line_pattern(**fields: str) -> re.Pattern:
-    """A ``_dump_line`` line of exactly these fields; groups in key order."""
+    """A whole ``_dump_line`` line of exactly these fields; groups in key order."""
     body = ",".join(f'"{key}":{fields[key]}' for key in sorted(fields))
-    return re.compile(rf"\{{{body}\}}\Z")
+    return re.compile(rf"^\{{{body}\}}$", re.M)
 
 
 _LINE_PATTERNS = {  # the emitted layout of each hot file
@@ -280,57 +283,6 @@ _LINE_PATTERNS = {  # the emitted layout of each hot file
         amount=_AMOUNT, block=_INT, coin=_TEXT, log_index=_INT, recipient=_ADDRESS,
         sender=_ADDRESS, tx_index=_INT)}
 _LINE_PATTERNS["token_transfers"] = _LINE_PATTERNS["transfers"]
-
-
-def _records(path: Path, name: str, parse: Callable[[_Row], Any],
-             counts: dict[str, int], canon: dict[str, Address], words: dict[str, str],
-             build: Callable[..., Any] | None = None) -> tuple:
-    """Build one record per row of ``<name>.jsonl``.
-
-    ``build``, given for a hot file, builds the record of a line from the
-    groups of its :data:`_LINE_PATTERNS` match, or returns None for a value
-    that fails a check; ``parse`` builds any other line's record through a
-    checked ``_Row``, and so reports its first fault.  A record
-    constructor's ``InputError`` is reported with the file, line and the
-    field it names, and a repeated record (the one duplicate rule) too.
-    A hot file in strictly increasing position holds no repeat, which
-    would share its twin's position; any other file is read (again) into
-    a record -> None dict, once the records of a first read are let go.
-    Sets ``counts[name]`` and returns the records in file order.
-    """
-    file = f"{name}.jsonl"
-    match = _LINE_PATTERNS[name].match if build is not None else None
-
-    def rows():
-        for line, text in _read_lines(path, name):
-            try:
-                found = match(text) if match is not None else None
-                record = build(*found.groups()) if found is not None else None
-                if record is None:
-                    record = parse(_Row(file, line, _loads(text, file, line), canon, words))
-            except InputError as exc:
-                raise IngestError(str(exc), file=file, line=line, field=exc.field) from None
-            yield line, record
-
-    if build is not None:
-        records = tuple(record for _line, record in rows())
-        if in_position_order(records):
-            counts[name] = len(records)
-            return records
-        del records
-
-    seen: dict[Any, None] = {}
-    for line, record in rows():
-        size = len(seen)
-        seen[record] = None
-        if len(seen) == size:
-            # no line number is kept per record: the file is read again, as
-            # far as the first equal record, which every earlier row built
-            first = next(i for i, earlier in rows() if earlier == record)
-            raise IngestError(f"duplicate record (first seen on line {first})",
-                              file=file, line=line)
-    counts[name] = len(seen)
-    return tuple(seen)
 
 
 def ingest(path: str | Path) -> Dataset:
@@ -366,7 +318,54 @@ def ingest(path: str | Path) -> Dataset:
     words: dict[str, str] = {}  # and its interned text values
 
     def read(name: str, parse: Callable[[_Row], Any], build=None) -> tuple:
-        return _records(path, name, parse, counts, canon, words, build)
+        """The records of ``<name>.jsonl`` in file order, one per row, read a
+        batch of lines at a time; sets ``counts[name]``.
+
+        ``build``, given for a hot file, makes a line's record from the groups
+        of its :data:`_LINE_PATTERNS` match, or None for a value that fails a
+        check.  No match spans a line end and the anchors allow one per line,
+        so a batch with as many matches as lines is all in the emitted layout.
+        Any other batch, or one where ``build`` gives None or an
+        ``InputError``, is read line by line by ``_Row`` and ``parse``, which
+        report its first fault.  A hot file in strictly increasing position
+        holds no repeat, which would share its twin's position; any other is
+        checked by a set of its records for one (the one duplicate rule).
+        """
+        file = f"{name}.jsonl"
+
+        def checked(first: int, lines: list[str]):
+            # only JSON's own four whitespace characters are stripped
+            for line, text in enumerate(lines, start=first):
+                text = text.strip(" \t\r\n")
+                if text:
+                    try:
+                        record = parse(_Row(file, line, _loads(text, file, line), canon, words))
+                    except InputError as exc:
+                        raise IngestError(str(exc), file=file, line=line, field=exc.field) from None
+                    yield line, record
+
+        def batch(first: int, lines: list[str]) -> list:
+            found = _LINE_PATTERNS[name].findall("".join(lines)) if build else ()
+            if len(found) == len(lines):
+                try:
+                    records = [build(*groups) for groups in found]
+                    if None not in records:
+                        return records
+                except InputError:  # the checked parser reports it
+                    pass
+            return [record for _line, record in checked(first, lines)]
+
+        records = tuple(chain.from_iterable(starmap(batch, _batches(path, file))))
+        if not (build and in_position_order(records)) and len(set(records)) < len(records):
+            # a repeat: the file is read again to name the lines of the first
+            seen: dict[Any, int] = {}
+            for first, lines in _batches(path, file):
+                for line, record in checked(first, lines):
+                    if seen.setdefault(record, line) != line:
+                        raise IngestError(f"duplicate record (first seen on line {seen[record]})",
+                                          file=file, line=line)
+        counts[name] = len(records)
+        return records
 
     pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
@@ -393,8 +392,8 @@ def ingest(path: str | Path) -> Dataset:
 
     # The line builders check what their pattern leaves open and return
     # None where ``pool_event`` or ``transfer`` would fail, which then read
-    # the line again and report it.  A record built from positional fields
-    # costs about 1 us, and 0.8 us more over keywords.
+    # the batch again and report it.  A record built from positional fields
+    # costs about 1 us, 0.8 us less than over keywords.  A null relayer is ''.
 
     def event_line(actor, block, kind, log_index, pool_id, relayer, tx_index,
                    tx_sender) -> PoolEvent | None:
@@ -403,7 +402,7 @@ def ingest(path: str | Path) -> Dataset:
             return None
         return PoolEvent(known_pools[pool_id], words.setdefault(kind, kind), block,
                          _address(actor, canon), _address(tx_sender, canon),
-                         None if relayer is None else _address(relayer, canon),
+                         _address(relayer, canon) if relayer else None,
                          int(tx_index), int(log_index))
 
     def transfer_line(amount, block, coin, log_index, recipient, sender,
@@ -422,16 +421,17 @@ def ingest(path: str | Path) -> Dataset:
     transfers = read("transfers", transfer, transfer_line)
     token_transfers = read("token_transfers", transfer, transfer_line)
 
-    # a repeated label row only repeats a tag, so it is not rejected
+    def label(r: _Row) -> tuple[str, Address, int]:
+        tag = r.text("label")
+        if tag not in KNOWN_LABELS:
+            raise r.fail("label", f"unknown label {tag!r}")
+        # a repeated label row only repeats a tag, so it is not rejected:
+        # its line number keeps its record apart from the first
+        return tag, r.address("address"), r.line
+
     label_map: dict[Address, set[str]] = {}
-    counts["labels"] = 0
-    for line, text in _read_lines(path, "labels"):
-        r = _Row("labels.jsonl", line, _loads(text, "labels.jsonl", line), canon, words)
-        label = r.text("label")
-        if label not in KNOWN_LABELS:
-            raise r.fail("label", f"unknown label {label!r}")
-        label_map.setdefault(r.address("address"), set()).add(label)
-        counts["labels"] += 1
+    for tag, address, _line in read("labels", label):
+        label_map.setdefault(address, set()).add(tag)
 
     for addr in read("relayers", lambda r: r.address("address")):
         label_map.setdefault(addr, set()).add("relayer")

@@ -37,7 +37,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import pairwise, starmap
 from operator import attrgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -82,7 +82,7 @@ def event_order(e: PoolEvent):
 def in_position_order(records: Sequence) -> bool:
     """Whether each record's position is strictly after the one before it:
     then they hold no tie and no repeat, and are in their record order."""
-    return all(map(lt, map(position, records), map(position, islice(records, 1, None))))
+    return all(starmap(lt, pairwise(map(position, records))))
 
 
 def _check_position(height: int, tx_index: int, log_index: int) -> None:

@@ -248,8 +248,9 @@ class TestIngestValidation:
 
     @pytest.mark.parametrize("users", [64, 300])
     def test_ingest_peak_memory_is_near_what_it_keeps(self, tmp_path, users):
-        # records are built one line at a time, so ingest never holds the
-        # raw rows of a whole file beside the records made from them
+        # records are built one small batch of lines at a time, so ingest
+        # never holds the raw rows of a whole file beside the records made
+        # from them
         data = tmp_path / "data"
         write_dataset(mixed_trace(users=users), data)
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Ingest fast paths: interned addresses, the one address rule, the line
-patterns of the hot files, the in-order read without a duplicate dict and
-slotted records, each checked against the behaviour they must keep."""
+patterns of the hot files and the batches they scan, the in-order read
+without a duplicate set and slotted records, each checked against the
+behaviour they must keep."""
 
 from __future__ import annotations
 
@@ -674,6 +675,120 @@ class TestFusedParsersMatchCheckedParser:
         assert outcomes[True] > 0
 
 
+def _batch_spans(path: Path) -> list[tuple[int, int]]:
+    """The first and last line number of each batch of lines ingest reads
+    from ``path``."""
+    spans, first = [], 1
+    with path.open(encoding="utf-8") as handle:
+        while lines := handle.readlines(dataset_module._BATCH):
+            spans.append((first, first + len(lines) - 1))
+            first += len(lines)
+    return spans
+
+
+def _unknown_pool(record: dict) -> str:
+    return _compact({**record, "pool_id": "P7"})
+
+
+def _relayed_deposit(record: dict) -> str:
+    return _compact({**record, "kind": "deposit", "relayer": record["tx_sender"]})
+
+
+def _out_of_range(record: dict) -> str:
+    return _compact({**record, "block": OUT_OF_RANGE})
+
+
+def _spaced(record: dict) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+# (name, file, edit of a line's record into the line's new text, the error
+# it gives and its field, or None): a builder's None, a record
+# constructor's InputError, and a valid line outside the emitted layout
+EDGE_CASES = [
+    ("unknown-pool", "pool_events", _unknown_pool, "unknown pool 'P7'", "pool_id"),
+    ("relayed-deposit", "pool_events", _relayed_deposit, "deposits cannot carry a relayer",
+     "relayer"),
+    ("spaced-event", "pool_events", _spaced, None, None),
+    ("block-out-of-range", "transfers", _out_of_range,
+     "height outside the manifest block range", "block"),
+    ("spaced-transfer", "transfers", _spaced, None, None),
+]
+
+
+class TestBatchBoundaries:
+    """The batch reader against the checked parser as oracle: a line that
+    leaves the fast path, on either edge of a batch and in a later batch,
+    and the line layouts a batch must survive give the same records, or
+    the same error, file, line and field, both ways."""
+
+    @staticmethod
+    def both(data: Path, monkeypatch):
+        fast = _outcome(data)
+        with monkeypatch.context() as patch:
+            _checked_only(patch)
+            assert _outcome(data) == fast
+        return fast
+
+    @staticmethod
+    def edit(path: Path, line: int, edit) -> None:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = edit(json.loads(lines[line - 1]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("batch, edge", [(0, 0), (0, 1), (2, 0), (2, 1)],
+                             ids=["first-of-first", "last-of-first", "first-of-later",
+                                  "last-of-later"])
+    @pytest.mark.parametrize("name, edit, error, field", [case[1:] for case in EDGE_CASES],
+                             ids=[case[0] for case in EDGE_CASES])
+    def test_line_on_a_batch_edge(self, synth_dir, monkeypatch, name, edit, error, field,
+                                  batch, edge):
+        path = synth_dir / f"{name}.jsonl"
+        spans = _batch_spans(path)
+        assert len(spans) > 2 and spans[batch][0] < spans[batch][1]
+        line = spans[batch][edge]
+        before = _outcome(synth_dir)
+        self.edit(path, line, edit)
+        outcome = self.both(synth_dir, monkeypatch)
+        if error is None:
+            assert outcome == before
+        else:
+            assert outcome == f"{error} [file={name}.jsonl, line={line}, field={field}]"
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["valid", "fault-after"])
+    @pytest.mark.parametrize("layout", ["no-final-newline", "blank-and-padded", "crlf"])
+    def test_line_layouts(self, synth_dir, monkeypatch, layout, fault):
+        path = synth_dir / "pool_events.jsonl"
+        before = _outcome(synth_dir)
+        rows = path.read_text(encoding="utf-8").splitlines()
+        if layout == "blank-and-padded":
+            middle = _batch_spans(path)[1][0] + 2
+            rows[middle - 1] = " \t" + rows[middle - 1] + "\t "
+            rows.insert(middle, "")
+        line = len(rows) // 2  # a later batch, past the blank line
+        if fault:
+            rows[line - 1] = _unknown_pool(json.loads(rows[line - 1]))
+        end = "\r\n" if layout == "crlf" else "\n"
+        text = end.join(rows) + ("" if layout == "no-final-newline" else end)
+        path.write_bytes(text.encode("utf-8"))
+        outcome = self.both(synth_dir, monkeypatch)
+        if fault:
+            assert outcome == (f"unknown pool 'P7' [file=pool_events.jsonl, line={line}, "
+                               f"field=pool_id]")
+        else:
+            assert outcome == before
+
+    def test_invalid_utf8_in_a_later_batch(self, synth_dir, monkeypatch):
+        path = synth_dir / "pool_events.jsonl"
+        line = _batch_spans(path)[2][0] + 1
+        rows = path.read_bytes().split(b"\n")
+        column = rows[line - 1].index(b'"kind":"') + len(b'"kind":"') + 1
+        rows[line - 1] = rows[line - 1].replace(b'"kind":"', b'"kind":"\xff', 1)
+        path.write_bytes(b"\n".join(rows))
+        assert self.both(synth_dir, monkeypatch) == (
+            f"invalid UTF-8 byte at column {column} [file=pool_events.jsonl, line={line}]")
+
+
 class TestFastPathCounts:
     """Guards that need no clock: the cost of ingesting valid rows, counted."""
 
@@ -715,6 +830,24 @@ class TestFastPathCounts:
             checked = {f"{name}.jsonl" for name in self.CHECKED_FILES} | {"manifest.json"}
             assert len(built) <= 1 + rows and len(decoded) == 1 + rows
             assert set(built) <= checked and set(decoded) <= checked
+
+    def test_checked_only_reads_every_hot_line_by_row(self, synth_dir, monkeypatch):
+        # else the oracle tests above would compare the fast path with itself
+        built = Counter()
+
+        class Counted(_Row):
+            __slots__ = ()
+
+            def __init__(self, file, *args):
+                built[file] += 1
+                super().__init__(file, *args)
+
+        monkeypatch.setattr(dataset_module, "_Row", Counted)
+        _checked_only(monkeypatch)
+        dataset = ingest(synth_dir)
+        for name in ("pool_events", "transfers", "token_transfers"):
+            rows = len((synth_dir / f"{name}.jsonl").read_text().splitlines())
+            assert built[f"{name}.jsonl"] == rows == dataset.counts[name] > 0
 
     def test_index_sorts_only_out_of_order_input(self, synth_dir, monkeypatch):
         dataset = ingest(synth_dir)
