@@ -21,9 +21,11 @@ batch of pool event or transfer lines all in exactly the emitted layout,
 nearly every batch, one pattern scan finds every line's fields, undecoded.
 Any other batch is decoded line by line and read by ``_Row``'s checked
 accessors, which report the first fault, so a row's error is the same
-whichever path met it.  Every address field follows one rule,
-:func:`_address`, which reaches the regular expression of
-:func:`~anonset.ledger.normalize_address` once per distinct address.
+whichever path met it.  An address the line pattern has matched is
+canonical once lower-cased behind ``0x``, so it never meets the regular
+expression of :func:`~anonset.ledger.normalize_address`; every other
+address field follows :func:`_address`, which reaches it once per
+distinct address.
 
 Emission streams each record file line by line, with no whole file held
 in memory; pool events and transfers go in ``ledger``'s record order, the
@@ -106,13 +108,13 @@ class Dataset(NamedTuple):
 def _address(value: str, canon: dict[str, Address]) -> Address:
     """The canonical form of the address text ``value``, interned in ``canon``.
 
-    The one address rule of ``ingest``: an exact hit in ``canon``; else, for
-    ASCII text, its lower-case form (with ``0x`` put in front when absent)
-    in ``canon``; else :func:`normalize_address`, once, whose result is
-    interned.  The lookups only find what ``normalize_address`` would
-    return, since ``canon`` holds canonical addresses alone; padded text and
-    look-alike characters miss them and meet the regex.  Raises its
-    ``InputError`` for a malformed value.
+    The address rule of ``_Row``, for each address no line pattern has
+    checked: an exact hit in ``canon``; else, for ASCII text, its lower-case
+    form (with ``0x`` put in front when absent) in ``canon``; else
+    :func:`normalize_address`, once, whose result is interned.  The lookups
+    only find what ``normalize_address`` would return, since ``canon`` holds
+    canonical addresses alone; padded text and look-alike characters miss
+    them and meet the regex.  Raises its ``InputError`` for a malformed value.
     """
     known = canon.get(value)
     if known is not None:
@@ -261,8 +263,8 @@ def _loads(text: str, file: str, line: int | None = None) -> Any:
 # decodes to its group and ``_Row`` reads unchanged: an int below 10**18 with
 # no sign, leading zero, fraction or exponent; printable ASCII with no quote
 # or backslash (so no escape); an address in any case, with or without a
-# prefix, for ``_address``; an amount well inside int()'s digit limit.  No
-# piece matches a line end.
+# prefix, which ``ingest`` only slices; an amount well inside int()'s digit
+# limit.  No piece matches a line end.
 _INT = "(0|[1-9][0-9]{0,17})"
 _TEXT = r'"([ !#-\[\]-~]+)"'
 _ADDRESS = '"((?:0[xX])?[0-9a-fA-F]{40})"'
@@ -395,14 +397,21 @@ def ingest(path: str | Path) -> Dataset:
     # the batch again and report it.  A record built from positional fields
     # costs about 1 us, 0.8 us less than over keywords.  A null relayer is ''.
 
+    def matched(text: str) -> Address:  # 40 hex digits after an optional 0x/0X
+        known = canon.get(text)
+        if known is None:
+            known = "0x" + text[-40:].lower()
+            known = canon.setdefault(known, known)
+        return known
+
     def event_line(actor, block, kind, log_index, pool_id, relayer, tx_index,
                    tx_sender) -> PoolEvent | None:
         block = int(block)
         if pool_id not in known_pools or not first_block <= block <= last_block:
             return None
         return PoolEvent(known_pools[pool_id], words.setdefault(kind, kind), block,
-                         _address(actor, canon), _address(tx_sender, canon),
-                         _address(relayer, canon) if relayer else None,
+                         matched(actor), matched(tx_sender),
+                         matched(relayer) if relayer else None,
                          int(tx_index), int(log_index))
 
     def transfer_line(amount, block, coin, log_index, recipient, sender,
@@ -410,7 +419,7 @@ def ingest(path: str | Path) -> Dataset:
         block = int(block)
         if not first_block <= block <= last_block:
             return None
-        return Transfer(block, _address(sender, canon), _address(recipient, canon),
+        return Transfer(block, matched(sender), matched(recipient),
                         int(amount), words.setdefault(coin, coin), int(tx_index),
                         int(log_index))
 

@@ -14,7 +14,9 @@ Two families of queries live here:
   transfers one hop at a time away from the pool, and
 * most-recent-transfer covers, which attribute each deposit (withdrawal)
   to the latest incoming (earliest outgoing) transfers that add up to the
-  pool denomination.
+  pool denomination.  A deposit pops them off a stack of the unclaimed
+  value before it, a withdrawal takes them from one forward pointer, so an
+  address costs O(transfers + anchors), its transfers read once.
 """
 
 from __future__ import annotations
@@ -165,21 +167,22 @@ class LedgerIndex:
                          pool: PoolConfig) -> tuple[TransferCover, ...]:
         """Attribute each deposit to the depositor's latest incoming value.
 
-        For every deposit (oldest first) the scan walks the unclaimed
-        incoming native transfers backwards from the deposit and claims
-        the minimal most-recent set whose value reaches the denomination.
-        Claimed values are then attributed chronologically, clipping the
-        latest claims so each cover sums to exactly the denomination; a
-        transfer is claimable once across all of the address's deposits.
-        Insufficient incoming value is reported as a shortfall, not an
-        error.
+        For every deposit (oldest first) the incoming native transfers
+        before it are pushed onto a stack in index order, and it pops the
+        minimal most-recent unclaimed set whose value reaches the
+        denomination, so each transfer is claimed at most once, in
+        O(transfers + deposits).  Claimed values are then attributed
+        chronologically, clipping the latest claims so each cover sums to
+        exactly the denomination.  Insufficient incoming value is reported
+        as a shortfall, not an error.
         """
         return self._covers(DEPOSIT, depositor, pool)
 
     def sink_transfers(self, withdrawer: Address,
                        pool: PoolConfig) -> tuple[TransferCover, ...]:
-        """Forward-scan mirror of :meth:`source_transfers`: each withdrawal
-        claims the earliest unclaimed outgoing value after it."""
+        """Forward mirror of :meth:`source_transfers`: each withdrawal
+        claims the earliest unclaimed outgoing value after it, from one
+        pointer that only moves forward: O(transfers + withdrawals)."""
         return self._covers(WITHDRAWAL, withdrawer, pool)
 
     def _covers(self, kind: str, actor: Address,
@@ -191,44 +194,40 @@ class LedgerIndex:
         # withdrawal looks forward through outgoing value
         backward = kind == DEPOSIT
         side = self._incoming if backward else self._outgoing
-        candidates = [tr for tr in side.get(actor, ()) if tr.amount > 0]
-        if backward:
-            candidates.reverse()
-        usable = operator.lt if backward else operator.gt
-        claimed: set[int] = set()
+        need = pool.denomination
+        pending = [tr for tr in reversed(side.get(actor, ())) if tr.amount > 0]
+        if not pending:
+            return (TransferCover((), need),) * len(anchors)
+        # ``pending``: the transfers no anchor has passed yet, earliest on top.
+        # A deposit moves those it passes onto its stack of unclaimed value,
+        # latest on top; a withdrawal drops them, as no later one can use them
+        stack: list[Transfer] = []
+        passed = operator.lt if backward else operator.le
         covers = []
         for anchor in anchors:
-            chosen: list[int] = []
-            acc = 0
-            for i, tr in enumerate(candidates):
-                if i in claimed or not usable(position(tr), position(anchor)):
-                    continue
-                chosen.append(i)
-                acc += tr.amount
-                if acc >= pool.denomination:
-                    break
-            claimed.update(chosen)
+            at = position(anchor)
+            while pending and passed(position(pending[-1]), at):
+                tr = pending.pop()
+                if backward:
+                    stack.append(tr)
+            source = stack if backward else pending
+            claims, acc = [], 0
+            while source and acc < need:
+                claims.append(source.pop())
+                acc += claims[-1].amount
             if backward:  # the claims in index order
-                chosen.reverse()
-            claims = _attribute([candidates[i] for i in chosen], pool.denomination)
-            covers.append(TransferCover(claims=claims,
-                                        shortfall=max(pool.denomination - acc, 0)))
+                claims.reverse()
+            if acc > need:  # clipped in index order, so the latest give way
+                left = need
+                for i, tr in enumerate(claims):
+                    claims[i] = tr._replace(amount=min(tr.amount, left))
+                    left -= claims[i].amount
+            covers.append(TransferCover(tuple(claims), max(need - acc, 0)))
         return tuple(covers)
 
 
 def _in_record_order(records: Sequence, order) -> tuple:
     return tuple(records if in_position_order(records) else sorted(records, key=order))
-
-
-def _attribute(claims: Sequence[Transfer], need: Amount) -> tuple[Transfer, ...]:
-    """Clip claim values chronologically so they sum to min(need, total)."""
-    out = []
-    remaining = need
-    for tr in claims:
-        take = min(tr.amount, remaining)
-        out.append(tr if take == tr.amount else tr._replace(amount=take))
-        remaining -= take
-    return tuple(out)
 
 
 def build_index(transfers: Sequence[Transfer],

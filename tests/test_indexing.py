@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
 
+import anonset.indexing as indexing_module
 from anonset.cli import main
 from anonset.errors import InputError
 from anonset.indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from anonset.ledger import (
     DEPOSIT,
     WITHDRAWAL,
+    PoolConfig,
     PoolEvent,
     Transfer,
     deposit_actors,
@@ -373,3 +376,164 @@ class TestCoverLookupCost:
         large = self.events_for_calls(tmp_path, monkeypatch, users=120)
         assert small > 0
         assert large == small
+
+
+def rescan_covers(index, kind, actor, pool):
+    """The cover scan as it was before the stack and the pointer: every
+    anchor walks the address's whole transfer list again, skipping what an
+    earlier anchor claimed.  Quadratic per address, and plainly the rule."""
+    anchors = index.actor_events().get((pool.pool_id, kind, actor))
+    if not anchors:
+        raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
+    backward = kind == DEPOSIT
+    candidates = [tr for tr in index.native_transfers
+                  if (tr.recipient if backward else tr.sender) == actor and tr.amount > 0]
+    if backward:
+        candidates.reverse()
+    usable = operator.lt if backward else operator.gt
+    claimed: set[int] = set()
+    covers = []
+    for anchor in anchors:
+        chosen: list[int] = []
+        acc = 0
+        for i, tr in enumerate(candidates):
+            if i in claimed or not usable(position(tr), position(anchor)):
+                continue
+            chosen.append(i)
+            acc += tr.amount
+            if acc >= pool.denomination:
+                break
+        claimed.update(chosen)
+        if backward:  # the claims in index order
+            chosen.reverse()
+        claims, remaining = [], pool.denomination
+        for tr in (candidates[i] for i in chosen):
+            take = min(tr.amount, remaining)
+            claims.append(tr if take == tr.amount else tr._replace(amount=take))
+            remaining -= take
+        covers.append(TransferCover(claims=tuple(claims),
+                                    shortfall=max(pool.denomination - acc, 0)))
+    return tuple(covers)
+
+
+def outcome(scan, *args):
+    """What a cover query gives: its covers, or the refusal it raises."""
+    try:
+        return scan(*args)
+    except InputError as exc:
+        return "refused", str(exc)
+
+
+HOT, FAR, MID = addr("hot"), addr("far"), addr("mid")
+
+
+def random_address(rng: random.Random):
+    """One address's history over a few heights, so positions tie: 0-14
+    transfers, zero amounts and self-transfers among them, and 1-8 events
+    of either kind, most of them the address's own."""
+    pool = PoolConfig(pool_id="P", coin="ETH", denomination=rng.randint(1, 10))
+    parties = (HOT, HOT, FAR, MID)
+
+    def spot() -> dict:
+        return dict(height=rng.randint(1, 4), tx_index=rng.randint(0, 1),
+                    log_index=rng.randint(0, 1))
+
+    transfers = [Transfer(sender=rng.choice(parties), recipient=rng.choice(parties),
+                          amount=rng.randint(0, 6), coin="ETH", **spot())
+                 for _ in range(rng.randint(0, 14))]
+    events = []
+    for _ in range(rng.randint(1, 8)):
+        actor = rng.choice(parties)
+        events.append(PoolEvent(pool_id="P", kind=rng.choice((DEPOSIT, WITHDRAWAL)),
+                                actor=actor, tx_sender=actor, **spot()))
+    return pool, build_index(transfers, [], events, None)
+
+
+class TestCoversMatchTheRescan:
+    def test_seeded_random_addresses(self):
+        seen = {"claims": 0, "shortfall": 0, "refused": 0, "tie": 0, "zero": 0, "self": 0}
+        for seed in range(2500):
+            pool, index = random_address(random.Random(seed))
+            for kind, scan in ((DEPOSIT, index.source_transfers),
+                               (WITHDRAWAL, index.sink_transfers)):
+                got = outcome(scan, HOT, pool)
+                assert got == outcome(rescan_covers, index, kind, HOT, pool), (seed, kind)
+                if got[0] == "refused":
+                    seen["refused"] += 1
+                else:
+                    seen["claims"] += sum(len(c.claims) for c in got)
+                    seen["shortfall"] += sum(c.shortfall > 0 for c in got)
+            transfers = index.native_transfers
+            anchors = {position(e) for e in index.pool_events if e.actor == HOT}
+            seen["tie"] += any(position(tr) in anchors for tr in transfers)
+            seen["zero"] += any(tr.amount == 0 for tr in transfers)
+            seen["self"] += any(tr.sender == tr.recipient == HOT for tr in transfers)
+        # the cases reach every branch the rule has
+        assert min(seen.values()) > 100, seen
+
+
+def hot_address(k: int):
+    """One address with k deposits, each after 4 incoming transfers of a
+    quarter of the denomination, then k withdrawals, each followed by one
+    outgoing transfer of the denomination."""
+    pool = PoolConfig(pool_id="P100", coin="ETH", denomination=100)
+    transfers, events = [], []
+    for i in range(k):
+        transfers += [transfer(X, HOT, 25, 10 * i + 1, tx) for tx in range(4)]
+        events.append(deposit("P100", HOT, 10 * i + 2))
+    for i in range(k, 2 * k):
+        events.append(withdrawal("P100", HOT, 10 * i + 1))
+        transfers.append(transfer(HOT, Y, 100, 10 * i + 2))
+    return pool, build_index(transfers, [], events, None)
+
+
+class TestCoverCostIsLinear:
+    """Complexity guards that need no clock: the position reads of the
+    cover scan (``indexing.position`` serves nothing else) may grow by at
+    most 2.2 times when the input doubles."""
+
+    @staticmethod
+    def position_calls(monkeypatch, run) -> int:
+        calls = 0
+
+        def counted(record):
+            nonlocal calls
+            calls += 1
+            return position(record)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(indexing_module, "position", counted)
+            run()
+        return calls
+
+    def test_hot_address(self, monkeypatch):
+        def covers(k: int):
+            pool, index = hot_address(k)
+
+            def run():
+                sources = index.source_transfers(HOT, pool)
+                sinks = index.sink_transfers(HOT, pool)
+                assert len(sources) == len(sinks) == k
+                assert all(len(c.claims) == 4 and not c.shortfall for c in sources)
+                assert all(len(c.claims) == 1 and not c.shortfall for c in sinks)
+            return run
+
+        small = self.position_calls(monkeypatch, covers(500))
+        large = self.position_calls(monkeypatch, covers(1000))
+        assert 0 < large <= 2.2 * small, (small, large)
+
+    def test_synthetic_flows(self, tmp_path, monkeypatch):
+        def flows(users: int):
+            data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
+            assert main(["synth", "--profile", "mixed", "--seed", "5",
+                         "--users", str(users), "--blocks", str(12 * users),
+                         "--out", str(data)]) == 0
+
+            def run():
+                assert main(["flows", "--distance", "2", "--data", str(data),
+                             "--out", str(out)]) == 0
+            return run
+
+        small = self.position_calls(monkeypatch, flows(300))
+        large = self.position_calls(monkeypatch, flows(600))
+        assert 0 < large <= 2.2 * small, (small, large)

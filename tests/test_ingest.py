@@ -885,7 +885,17 @@ class TestFastPathCounts:
             return normalize_address(value)
 
         monkeypatch.setattr(dataset_module, "normalize_address", counted)
+        # the line patterns check their addresses, so a hot file sends none
         dataset = ingest(tmp_path / "respelled")
+        hot = {a for e in dataset.events for a in (e.actor, e.tx_sender, e.relayer) if a}
+        hot.update(a for t in dataset.transfers + dataset.token_transfers
+                   for a in (t.sender, t.recipient))
+        assert hot and hot.isdisjoint(map(normalize_address, calls))
+        # the checked parser reaches the regex once per distinct address
+        calls.clear()
+        with monkeypatch.context() as patch:
+            _checked_only(patch)
+            dataset = ingest(tmp_path / "respelled")
         per_address = Counter(map(normalize_address, calls))
         assert len(set(address_occurrences(dataset))) <= len(per_address)
         assert max(per_address.values()) == 1

@@ -452,6 +452,40 @@ class TestReducedSet:
         assert got == reduced_set(state, links, frozenset(depositors))
         assert len(got) == sum(1 for b in _merged(state, links).values() if b > 0)
 
+    @pytest.mark.parametrize("shape", ["chain", "pairs"])
+    def test_state_reads_grow_linearly_with_links(self, shape):
+        """A guard that needs no clock: the balance reads of the one
+        reduction grow by at most 2.2 times when the links double, whether
+        they form one long chain or many disjoint pairs."""
+
+        class Counted(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                Counted.reads += 1
+                return super().get(key, default)
+
+            def items(self):
+                for item in super().items():
+                    Counted.reads += 1
+                    yield item
+
+        def reads(n: int) -> int:
+            members = [f"0x{i:040x}" for i in range(2 * n if shape == "pairs" else n + 1)]
+            if shape == "chain":
+                links = [LinkPair(a, b) for a, b in zip(members, members[1:])]
+            else:
+                links = [LinkPair(a, b) for a, b in zip(members[::2], members[1::2])]
+            # every cluster holds a positive balance, so each keeps a member
+            state = Counted({a: 2 if i % 2 == 0 else -1 for i, a in enumerate(members)})
+            Counted.reads = 0
+            got = reduced_set(state, links, frozenset(members))
+            assert len(got) == (1 if shape == "chain" else n)
+            return Counted.reads
+
+        small, large = reads(1_000), reads(2_000)
+        assert 0 < large <= 2.2 * small, (small, large)
+
 
 class TestConnectedComponents:
     def test_transitive_closure(self):
