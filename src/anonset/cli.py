@@ -38,8 +38,6 @@ from .errors import (
 from .ledger import DEPOSIT, LinkPair, connected_components, crosses, reduced_set
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from . import synth
 
 DEFAULT_AIRDROP_WINDOW = 50_000
@@ -227,18 +225,8 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # commands
 
 
-def _reduced_set_entry(observed: int, size: int) -> tuple[dict, Fraction | None]:
-    """A reduced set's report entry and reduction.  An idle pool, or a set a
-    heuristic empties, has none, and is left out of the averages."""
-    from fractions import Fraction
-    from .metrics import render_percent
-    if not size:
-        return {"size": size, "reduction": None}, None
-    reduction = Fraction(observed - size, observed)
-    return {"size": size, "reduction": render_percent(reduction)}, reduction
-
-
 def _cmd_anonymity(args) -> int:
+    from fractions import Fraction
     from . import metrics
     from .metrics import render_percent
     dataset = _load(args)
@@ -250,37 +238,42 @@ def _cmd_anonymity(args) -> int:
         raise ModeError("--tas needs a synthetic dataset with ground truth")
     _, views, results = _run_heuristics(dataset, tags, t)
 
-    pools_payload = []
-    rows = []
-    reductions: dict[str, list[Fraction]] = {tag: [] for tag in tags}
-    combined_reductions: list[Fraction] = []
+    # ``combined`` is one more named link set; only its cell and its
+    # advantage fields differ from a heuristic's
+    names = [*tags, "combined"] if args.combine else list(tags)
+    reductions: dict[str, list[Fraction]] = {name: [] for name in names}
+    pools_payload, rows = [], []
     for pool in pools:
         view = views[pool.pool_id]
         observed = len(view.depositors)
-        per = [results[(pool.pool_id, tag)].link_pairs for tag in tags]
+        links = {tag: results[(pool.pool_id, tag)].link_pairs for tag in tags}
+        if args.combine:
+            links["combined"] = frozenset().union(*links.values())
         entry = {"pool_id": pool.pool_id, "at": t, "observed": observed, "heuristics": {},
                  "adv_observed": str(metrics.adversary_advantage(observed)) if observed else None}
         row = [pool.pool_id, str(observed)]
-        for tag, links in zip(tags, per):
-            size = len(reduced_set(view.state, links, view.depositors))
-            entry["heuristics"][tag], reduction = _reduced_set_entry(observed, size)
-            if reduction is None:
-                row.append(f"{size} (-)")
+        for name in names:
+            size = len(reduced_set(view.state, links[name], view.depositors))
+            # an idle pool, or a set a heuristic empties, has no reduction
+            # and is left out of the averages
+            reduced = {"size": size, "reduction": None}
+            cell = f"{size} (-)"
+            if size:
+                reduction = Fraction(observed - size, observed)
+                reductions[name].append(reduction)
+                reduced["reduction"] = render_percent(reduction)
+                cell = f"{size} (-{reduced['reduction']})"
+            if name != "combined":
+                entry["heuristics"][name] = reduced
             else:
-                reductions[tag].append(reduction)
-                row.append(f"{size} (-{render_percent(reduction)})")
-        if args.combine:
-            size = len(reduced_set(view.state, frozenset().union(*per), view.depositors))
-            entry["combined"], reduction = _reduced_set_entry(observed, size)
-            if reduction is None:
+                entry["combined"] = reduced
                 entry["adv_reduced"] = entry["r_adv"] = None
-                row.append(f"{size} (-)")
-            else:
-                combined_reductions.append(reduction)
-                r_adv = render_percent(metrics.relative_advantage_increase(observed, size))
-                entry["adv_reduced"] = str(metrics.adversary_advantage(size))
-                entry["r_adv"] = r_adv
-                row.append(f"{size} (+{r_adv} adv)")
+                if size:
+                    entry["adv_reduced"] = str(metrics.adversary_advantage(size))
+                    entry["r_adv"] = render_percent(
+                        metrics.relative_advantage_increase(observed, size))
+                    cell = f"{size} (+{entry['r_adv']} adv)"
+            row.append(cell)
         if args.tas:
             active = active_depositors.get(pool.pool_id, frozenset())
             entry["true_set"] = len(active)
@@ -288,26 +281,19 @@ def _cmd_anonymity(args) -> int:
         pools_payload.append(entry)
         rows.append(row)
 
-    headers = ["pool", "observed"] + list(tags)
-    if args.combine:
-        headers.append("combined")
-    if args.tas:
-        headers.append("true")
-    payload = {"command": "anonymity", "at": t, "heuristics": list(tags),
-               "pools": pools_payload}
+    headers = ["pool", "observed", *names] + (["true"] if args.tas else [])
+    table = _table(headers, rows)
     # unweighted means across pools; the implied gain applies the
     # advantage formula to the mean combined reduction
-    averages = {tag: render_percent(sum(vals) / len(vals))
-                for tag, vals in reductions.items() if vals}
-    table = _table(headers, rows)
-    if combined_reductions:
-        mean = sum(combined_reductions) / len(combined_reductions)
-        averages["combined"] = render_percent(mean)
+    means = {name: sum(vals) / len(vals) for name, vals in reductions.items() if vals}
+    averages = {name: render_percent(mean) for name, mean in means.items()}
+    if "combined" in means:
         averages["implied_advantage_gain"] = render_percent(
-            metrics.advantage_increase_from_reduction(mean))
+            metrics.advantage_increase_from_reduction(means["combined"]))
         table += (f"\nmean combined reduction {averages['combined']}"
                   f" -> advantage gain {averages['implied_advantage_gain']}\n")
-    payload["average_reduction"] = averages
+    payload = {"command": "anonymity", "at": t, "heuristics": list(tags),
+               "pools": pools_payload, "average_reduction": averages}
     _write_report(args, "anonymity", payload, table)
     return EXIT_OK
 
@@ -321,17 +307,15 @@ def _cmd_clusters(args) -> int:
     _, _, results = _run_heuristics(dataset, tags, t)
     links = frozenset().union(*(r.link_pairs for r in results.values()))
     clusters = connected_components(links)
-    histogram = cluster_size_histogram(clusters)
-    shares = {size: render_percent(Fraction(count, len(clusters)))
-              for size, count in histogram.items()}
+    histogram = {str(size): {"count": count,
+                             "fraction": render_percent(Fraction(count, len(clusters)))}
+                 for size, count in cluster_size_histogram(clusters).items()}
     payload = {
         "command": "clusters", "at": t, "heuristics": list(tags),
-        "linked_pairs": len(links), "clusters": len(clusters),
-        "histogram": {str(size): {"count": count, "fraction": shares[size]}
-                      for size, count in histogram.items()},
+        "linked_pairs": len(links), "clusters": len(clusters), "histogram": histogram,
         "members": [list(members) for members in clusters],
     }
-    rows = [[str(size), str(count), shares[size]] for size, count in histogram.items()]
+    rows = [[size, str(h["count"]), h["fraction"]] for size, h in histogram.items()]
     _write_report(args, "clusters", payload,
                   _table(["cluster size", "count", "share"], rows))
     return EXIT_OK
@@ -343,7 +327,7 @@ def _cmd_relayers(args) -> int:
     events_by_pool: dict[str, list] = {}
     for e in dataset.events:
         events_by_pool.setdefault(e.pool_id, []).append(e)
-    rows, payload_rows = [], []
+    payload_rows = []
     for pool in dataset.pools:
         usage = relayer_usage(pool, events_by_pool.get(pool.pool_id, ()))
         payload_rows.append({
@@ -354,9 +338,10 @@ def _cmd_relayers(args) -> int:
             "withdrawers": usage.withdrawers,
             "relayed_withdrawers": usage.relayed_withdrawers,
             "relayed_withdrawer_share": render_percent(usage.relayed_withdrawer_share)})
-        rows.append([usage.pool_id, str(usage.relayers),
-                     f"{usage.relayed_withdrawals} ({render_percent(usage.relayed_withdrawal_share)})",
-                     f"{usage.relayed_withdrawers} ({render_percent(usage.relayed_withdrawer_share)})"])
+    rows = [[r["pool_id"], str(r["relayers"]),
+             f"{r['relayed_withdrawals']} ({r['relayed_withdrawal_share']})",
+             f"{r['relayed_withdrawers']} ({r['relayed_withdrawer_share']})"]
+            for r in payload_rows]
     payload = {"command": "relayers", "pools": payload_rows}
     _write_report(args, "relayers", payload,
                   _table(["pool", "relayers", "relayed withdrawals",
@@ -369,45 +354,37 @@ def _cmd_flows(args) -> int:
     t = _cut(args, dataset)
     index = dataset.build_index(t)
     distances = range(1, args.distance + 1)
+    # per direction: the payload key of its distance sets, their query, the
+    # cover query, the claim's far end, and the keys of the flows it ranks
+    directions = (
+        ("depositors", index.depositors_at_distance, index.source_transfers, "sender",
+         "inflow_sources", "uncovered_inflow"),
+        ("withdrawers", index.withdrawers_at_distance, index.sink_transfers, "recipient",
+         "outflow_sinks", "uncovered_outflow"),
+    )
     pools_payload, rows = [], []
     for pool in dataset.pools:
-        depositors = [index.depositors_at_distance(pool, n) for n in distances]
-        withdrawers = [index.withdrawers_at_distance(pool, n) for n in distances]
-        entry = {"pool_id": pool.pool_id,
-                 "depositors": {str(n): len(s) for n, s in zip(distances, depositors)},
-                 "withdrawers": {str(n): len(s) for n, s in zip(distances, withdrawers)}}
-
-        sources: dict[str, int] = {}
-        uncovered_in = 0
-        for depositor in sorted(depositors[0]):
-            for cover in index.source_transfers(depositor, pool):
-                uncovered_in += cover.shortfall
-                for claim in cover.claims:
-                    sources[claim.sender] = sources.get(claim.sender, 0) + claim.amount
-        sinks: dict[str, int] = {}
-        uncovered_out = 0
-        for withdrawer in sorted(withdrawers[0]):
-            for cover in index.sink_transfers(withdrawer, pool):
-                uncovered_out += cover.shortfall
-                for claim in cover.claims:
-                    sinks[claim.recipient] = sinks.get(claim.recipient, 0) + claim.amount
-
-        def ranked(table: dict[str, int]):
-            return sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
-
-        entry["inflow_sources"] = [{"address": a, "value": str(v)}
-                                   for a, v in ranked(sources)]
-        entry["outflow_sinks"] = [{"address": a, "value": str(v)}
-                                  for a, v in ranked(sinks)]
-        entry["uncovered_inflow"] = str(uncovered_in)
-        entry["uncovered_outflow"] = str(uncovered_out)
+        entry = {"pool_id": pool.pool_id}
+        sizes, tops = [], []
+        for side, at_distance, covers, far_end, ranked_key, uncovered_key in directions:
+            sets = [at_distance(pool, n) for n in distances]
+            totals: dict[str, int] = {}
+            uncovered = 0
+            for actor in sets[0]:
+                for cover in covers(actor, pool):
+                    uncovered += cover.shortfall
+                    for claim in cover.claims:
+                        end = getattr(claim, far_end)
+                        totals[end] = totals.get(end, 0) + claim.amount
+            ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+            entry[side] = {str(n): len(s) for n, s in zip(distances, sets)}
+            entry[ranked_key] = [{"address": a, "value": str(v)} for a, v in ranked]
+            entry[uncovered_key] = str(uncovered)
+            sizes.append(" ".join(str(len(s)) for s in sets))
+            top, value = ranked[0] if ranked else ("-", 0)
+            tops.append(f"{top}:{value}")
         pools_payload.append(entry)
-        top_in = ranked(sources)[0] if sources else ("-", 0)
-        top_out = ranked(sinks)[0] if sinks else ("-", 0)
-        rows.append([pool.pool_id,
-                     " ".join(str(len(s)) for s in depositors),
-                     " ".join(str(len(s)) for s in withdrawers),
-                     f"{top_in[0]}:{top_in[1]}", f"{top_out[0]}:{top_out[1]}"])
+        rows.append([pool.pool_id, *sizes, *tops])
     payload = {"command": "flows", "at": t, "distance": args.distance,
                "pools": pools_payload}
     _write_report(args, "flows", payload,
@@ -423,16 +400,14 @@ def _cmd_flags(args) -> int:
     dataset = _load(args)
     flags = metrics.fund_then_deposit_flags(dataset.pools, dataset.events,
                                             dataset.labels, args.threshold)
-    payload = {"command": "flags", "threshold": str(args.threshold),
-               "flagged": [{
-                   "address": f.address,
-                   "first_withdrawal_block": f.first_withdrawal.height,
-                   "first_deposit_block": f.first_deposit.height,
-                   "total_deposited": str(f.total_deposited),
-                   "labels": sorted(f.labels)} for f in flags]}
-    rows = [[f.address, str(f.first_withdrawal.height),
-             str(f.first_deposit.height), str(f.total_deposited),
-             ",".join(sorted(f.labels))] for f in flags]
+    flagged = [{"address": f.address,
+                "first_withdrawal_block": f.first_withdrawal.height,
+                "first_deposit_block": f.first_deposit.height,
+                "total_deposited": str(f.total_deposited),
+                "labels": sorted(f.labels)} for f in flags]
+    payload = {"command": "flags", "threshold": str(args.threshold), "flagged": flagged}
+    rows = [[r["address"], str(r["first_withdrawal_block"]), str(r["first_deposit_block"]),
+             r["total_deposited"], ",".join(r["labels"])] for r in flagged]
     _write_report(args, "flags", payload,
                   _table(["address", "first withdrawal", "first deposit",
                           "deposited", "labels"], rows))
@@ -526,62 +501,47 @@ def _cmd_validate(args) -> int:
     withdrawers = frozenset().union(*(v.withdrawers for v in views.values()))
     negatives = gt_mod.debank_negative_pairs(dataset.follow_edges)
 
-    def found_for(tag: str) -> frozenset[LinkPair]:
-        return frozenset().union(
-            *(results[(pool.pool_id, tag)].link_pairs for pool in dataset.pools))
-
-    def sides_of(tag: str) -> tuple[frozenset, frozenset]:
-        """The two address sides ``tag``'s pairs join."""
-        if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
-            # funder links join distance-2 funders to distance-1 depositors
-            return frozenset().union(
-                *(index.depositors_at_distance(p, 2) for p in dataset.pools)), depositors
-        return depositors, withdrawers
-
-    rows, payload_rows = [], []
+    # debank evidence only contradicts pairs; every other source scores them
+    payload = {"command": "validate", "gt": args.gt, "at": t, "heuristics": []}
     if args.gt == "debank":
-        for tag in tags:
-            found = found_for(tag)
-            hits = found & negatives
-            side_a, side_b = sides_of(tag)
-            tested = sum(1 for p in negatives if crosses(*p, side_a, side_b))
-            payload_rows.append({"heuristic": tag, "pairs": len(found),
-                                 "negative_pairs": tested,
-                                 "contradicted": len(hits),
-                                 "contradicted_pairs": sorted(
-                                     [list(p) for p in hits])})
-            rows.append([tag, str(len(found)), str(tested), str(len(hits))])
-        payload = {"command": "validate", "gt": "debank", "at": t,
-                   "heuristics": payload_rows}
-        _write_report(args, "validate", payload,
-                      _table(["heuristic", "pairs", "negative pairs",
-                              "contradicted"], rows))
-        return EXIT_OK
-
-    positives = _gt_positive_pairs(dataset, args.gt)
-    gt_addresses = frozenset(a for p in positives for a in p)
+        columns = ("heuristic", "pairs", "negative_pairs", "contradicted")
+    else:
+        columns = ("heuristic", "universe", "tp", "tn", "fp", "fn",
+                   "precision", "recall", "f1")
+        positives = _gt_positive_pairs(dataset, args.gt)
+        gt_addresses = frozenset(a for p in positives for a in p)
+        payload["positive_pairs"] = len(positives)
     for tag in tags:
-        side_a, side_b = sides_of(tag)
-        report = gt_mod.score_links(found_for(tag), positives, negatives,
-                                    side_a & gt_addresses, side_b & gt_addresses)
-        payload_rows.append({
-            "heuristic": tag, "universe": report.universe_size,
-            "tp": report.tp, "tn": report.tn, "fp": report.fp, "fn": report.fn,
-            "precision": render_ratio(report.precision),
-            "recall": render_ratio(report.recall),
-            "f1": render_ratio(report.f1),
-            "negative_signal_fps": len(report.negative_signal_fps)})
-        rows.append([tag, str(report.universe_size), str(report.tp), str(report.tn),
-                     str(report.fp), str(report.fn), render_ratio(report.precision),
-                     render_ratio(report.recall), render_ratio(report.f1)])
-    payload = {"command": "validate", "gt": args.gt, "at": t,
-               "positive_pairs": len(positives), "heuristics": payload_rows}
+        found = frozenset().union(
+            *(results[(pool.pool_id, tag)].link_pairs for pool in dataset.pools))
+        # the two address sides the pairs join: funder links join
+        # distance-2 funders to distance-1 depositors
+        side_a, side_b = depositors, withdrawers
+        if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
+            side_a, side_b = frozenset().union(
+                *(index.depositors_at_distance(p, 2) for p in dataset.pools)), depositors
+        if args.gt == "debank":
+            hits = found & negatives
+            record = {"pairs": len(found),
+                      "negative_pairs": sum(1 for p in negatives if crosses(*p, side_a, side_b)),
+                      "contradicted": len(hits),
+                      "contradicted_pairs": sorted([list(p) for p in hits])}
+        else:
+            report = gt_mod.score_links(found, positives, negatives,
+                                        side_a & gt_addresses, side_b & gt_addresses)
+            record = {"universe": report.universe_size,
+                      "tp": report.tp, "tn": report.tn, "fp": report.fp, "fn": report.fn,
+                      "precision": render_ratio(report.precision),
+                      "recall": render_ratio(report.recall),
+                      "f1": render_ratio(report.f1),
+                      "negative_signal_fps": len(report.negative_signal_fps)}
+        payload["heuristics"].append({"heuristic": tag, **record})
     if args.gt == "intersection":
         payload["note"] = ("intersection of airdrop and name-service evidence is "
                            "typically tiny; treat these scores as statistically weak")
+    rows = [[str(record[c]) for c in columns] for record in payload["heuristics"]]
     _write_report(args, "validate", payload,
-                  _table(["heuristic", "universe", "tp", "tn", "fp", "fn",
-                          "precision", "recall", "f1"], rows))
+                  _table([c.replace("_", " ") for c in columns], rows))
     return EXIT_OK
 
 

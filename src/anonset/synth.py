@@ -282,12 +282,6 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     attackers: set[Address] = set()
     am_truth: list[AmRecord] = []
 
-    def rel() -> Address:
-        return relayers[prng.randint(0, len(relayers) - 1)]
-
-    def one_pool() -> PoolConfig:
-        return config.pools[prng.randint(0, len(config.pools) - 1)]
-
     h5_index = 0
     for behavior in BEHAVIORS:
         for u in range(counts.get(behavior, 0)):
@@ -295,17 +289,17 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
             w = _addr(behavior, u, 0xA2)
 
             if behavior == DISCIPLINED:
-                pool = one_pool()
+                pool = prng.choice(config.pools)
                 k = prng.randint(1, 2)
                 j = prng.randint(0, k)
                 build.fund(FAUCET, d, k * pool.denomination, coin)
                 for _ in range(k):
                     build.deposit(pool, d)
                 for _ in range(j):
-                    build.withdraw(pool, w, relayer=rel())
+                    build.withdraw(pool, w, relayer=prng.choice(relayers))
 
             elif behavior == H1_REUSER:
-                pool = one_pool()
+                pool = prng.choice(config.pools)
                 k = prng.randint(1, 2)
                 j = prng.randint(0, k)
                 build.fund(FAUCET, d, k * pool.denomination, coin)
@@ -317,7 +311,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     fully_withdrawn.add(d)
 
             elif behavior == H2_IMPROPER:
-                pool = one_pool()
+                pool = prng.choice(config.pools)
                 k = prng.randint(1, 2)
                 build.fund(FAUCET, d, k * pool.denomination, coin)
                 for _ in range(k):
@@ -326,10 +320,10 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 planted["h2"].add(LinkPair(d, w))
 
             elif behavior == H3_RELATED:
-                pool = one_pool()
+                pool = prng.choice(config.pools)
                 build.fund(FAUCET, d, pool.denomination, coin)
                 build.deposit(pool, d)
-                build.withdraw(pool, w, relayer=rel())
+                build.withdraw(pool, w, relayer=prng.choice(relayers))
                 amount = prng.randint(1, pool.denomination)
                 direction = prng.randint(0, 3)
                 if direction == 0:
@@ -343,7 +337,7 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                 planted["h3"].add(LinkPair(d, w))
 
             elif behavior == H4_INTERMEDIARY:
-                pool = one_pool()
+                pool = prng.choice(config.pools)
                 funder = _addr(behavior, u, 0xF3)
                 k = prng.randint(1, 2)
                 build.fund(funder, d, k * pool.denomination, coin)
@@ -361,15 +355,15 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                         build.deposit(pool, d)
                 for count, pool in zip(vector, config.pools):
                     for _ in range(count):
-                        build.withdraw(pool, w, relayer=rel())
+                        build.withdraw(pool, w, relayer=prng.choice(relayers))
                 planted["h5"].add(LinkPair(d, w))
 
             elif behavior == AM_SPECULATOR:
-                pool = one_pool()
+                pool = prng.choice(config.pools)
                 n = prng.randint(1, SPECULATOR_MAX_DEPOSITS)
                 build.fund(FAUCET, d, n * pool.denomination, coin)
                 dep_blocks = [build.deposit(pool, d).height for _ in range(n)]
-                wd_blocks = [build.withdraw(pool, w, relayer=rel()).height
+                wd_blocks = [build.withdraw(pool, w, relayer=prng.choice(relayers)).height
                              for _ in range(n)]
                 ap = anonymity_points({pool.pool_id: dep_blocks}, {pool.pool_id: wd_blocks},
                                       {pool.pool_id: pool.am_weight})
@@ -381,8 +375,8 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
                     ap=ap, claim_block=claim.block))
 
             elif behavior == ATTACKER:
-                pool = one_pool()
-                build.withdraw(pool, d, relayer=rel())
+                pool = prng.choice(config.pools)
+                build.withdraw(pool, d, relayer=prng.choice(relayers))
                 n = -(-ATTACKER_MIN_VOLUME // pool.denomination)
                 build.fund(FAUCET, d, n * pool.denomination, coin)
                 for _ in range(n):

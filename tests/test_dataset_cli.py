@@ -825,6 +825,17 @@ class TestCliCommands:
         assert exc.value.code == 2
         assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
 
+    def test_cross_pool_heuristic_needs_two_pools(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        cfg = GeneratorConfig(profile=BehaviorProfile.pure(DISCIPLINED),
+                              pools=standard_pools()[:1], user_count=10, block_span=100)
+        write_dataset(generate_trace(cfg, 1), data)
+        assert self.run("anonymity", "--data", str(data), "--out", str(out),
+                        "--heuristics", "h5") == 2
+        err = capsys.readouterr().err
+        assert "error: h5 needs at least two pools" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert self.run("anonymity", "--data", str(tmp_path / "nope"),
                         "--out", str(tmp_path / "out")) == 2

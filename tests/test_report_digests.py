@@ -10,13 +10,14 @@ that moves means a report changed and needs a reason.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import shutil
 
 import pytest
 
-from anonset import heuristics
+from anonset import cli, heuristics
 from anonset.cli import main
 from anonset.dataset import ingest
 
@@ -24,6 +25,11 @@ RUNS = {
     "anonymity-combine-tas": ["anonymity", "--combine", "--tas"],
     # at block 2500 every pool already has a depositor
     "anonymity-h2-h3-at": ["anonymity", "--heuristics", "h2,h3", "--at", "2500"],
+    # at block 1010 P0.1 and P1 are idle, so the means cover P10 and P100 alone
+    "anonymity-combine-at-idle": ["anonymity", "--combine", "--at", "1010"],
+    # the one selected pool is idle: no average, no trailer, null advantages
+    "anonymity-combine-tas-idle-pool": ["anonymity", "--combine", "--tas",
+                                        "--pool", "P10", "--at", "1000"],
     "clusters": ["clusters"],
     "relayers": ["relayers"],
     "flows": ["flows", "--distance", "2"],
@@ -31,6 +37,8 @@ RUNS = {
     "am-link": ["am-link"],
     "validate-airdrop": ["validate", "--gt", "airdrop"],
     "validate-debank": ["validate", "--gt", "debank"],
+    # the dataset holds no name-service evidence, so the universe is empty
+    "validate-intersection": ["validate", "--gt", "intersection"],
 }
 
 # run on a copy of the dataset with name-handover and follow evidence
@@ -50,6 +58,14 @@ DIGESTS = {
         "6d84e7202d937006bcc13b6d25bd25de6604e4cc7f68f54d77b0dc1f2e17ac53",
     "anonymity-combine-tas/anonymity.txt":
         "60dd40556e214bbd1ea0597d11c44c1c06697cac6d532a7abe352f90b6bb4780",
+    "anonymity-combine-at-idle/anonymity.json":
+        "933d4292c34bc3229d1eb7534b38f2933f546aab2b846d2c9678bdf37dc1a9c6",
+    "anonymity-combine-at-idle/anonymity.txt":
+        "9be2c45e9cfd320492e89b77f03541ed957163ec947a3101f9bd0ab5dbf7f603",
+    "anonymity-combine-tas-idle-pool/anonymity.json":
+        "39b9cd95cd0c7f3ce267b991daf3f912ac0ce92155c1ac83904deffe9935ad25",
+    "anonymity-combine-tas-idle-pool/anonymity.txt":
+        "4637429567f78cb36eeab8dcd0d98d0cd6acec9a3225c5cb4cfd40fcccfd0198",
     "anonymity-h2-h3-at/anonymity.json":
         "5c3ec9ba6b8b6dc70b75ab65a0d5f24457fe419b33870aac67f0eeed0141c3da",
     "anonymity-h2-h3-at/anonymity.txt":
@@ -90,6 +106,10 @@ DIGESTS = {
         "f1cb1cea7e9a1865d1eef1d8027113ed012f2808c8401813b0a07fe55db6621e",
     "validate-ens-h4-at/validate.txt":
         "f88788988f8e4916104ca7ea36ce51446e2bb7131c6b75f49c51f68c8aabd779",
+    "validate-intersection/validate.json":
+        "f379fd7201a0e6437629b5e323928bb12fdd15fb4551287f64721d32e6f535be",
+    "validate-intersection/validate.txt":
+        "4675e92d6da412ad8bf8374b5b6fc84506ce0f9e8ba8a79fedeb5a07412b475d",
 }
 
 
@@ -160,3 +180,15 @@ def test_report_digests(run, dataset, tmp_path):
 @pytest.mark.parametrize("run", sorted(EVIDENCE_RUNS))
 def test_evidence_report_digests(run, evidence_dataset, tmp_path):
     _digests(run, EVIDENCE_RUNS[run], evidence_dataset, tmp_path)
+
+
+def test_every_command_and_evidence_source_is_pinned():
+    """A new subcommand or ``--gt`` source fails here until a run pins it."""
+    pinned = [*RUNS.values(), *EVIDENCE_RUNS.values()]
+    (commands,) = [a.choices for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    # synth's dataset is pinned by tests/test_synth_digests.py
+    assert set(commands) - {"synth"} - {argv[0] for argv in pinned} == set()
+    (gt,) = [a for a in commands["validate"]._actions if a.dest == "gt"]
+    assert set(gt.choices) - {argv[argv.index("--gt") + 1]
+                              for argv in pinned if "--gt" in argv} == set()
