@@ -200,6 +200,15 @@ def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
     return index, views, heuristics.run_heuristics(tags, list(views.values()))
 
 
+def _true_set_sizes(data) -> dict[str, int]:
+    """Each pool's true anonymity-set size; the report counts the sets, so
+    the address sets are dropped as soon as they are read."""
+    active_depositors = read_active_depositors(data)
+    if active_depositors is None:
+        raise ModeError("--tas needs a synthetic dataset with ground truth")
+    return {pool_id: len(active) for pool_id, active in active_depositors.items()}
+
+
 def _write_report(args, name: str, payload: dict, table: str) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,9 +242,7 @@ def _cmd_anonymity(args) -> int:
     t = _cut(args, dataset)
     pools = _selected_pools(args, dataset)
     tags = _heuristic_tags(args, dataset)
-    active_depositors = read_active_depositors(args.data) if args.tas else None
-    if args.tas and active_depositors is None:
-        raise ModeError("--tas needs a synthetic dataset with ground truth")
+    true_sizes = _true_set_sizes(args.data) if args.tas else None
     _, views, results = _run_heuristics(dataset, tags, t)
 
     # ``combined`` is one more named link set; only its cell and its
@@ -275,9 +282,8 @@ def _cmd_anonymity(args) -> int:
                     cell = f"{size} (+{entry['r_adv']} adv)"
             row.append(cell)
         if args.tas:
-            active = active_depositors.get(pool.pool_id, frozenset())
-            entry["true_set"] = len(active)
-            row.append(str(len(active)))
+            entry["true_set"] = true_sizes.get(pool.pool_id, 0)
+            row.append(str(entry["true_set"]))
         pools_payload.append(entry)
         rows.append(row)
 
@@ -353,7 +359,6 @@ def _cmd_flows(args) -> int:
     dataset = _load(args)
     t = _cut(args, dataset)
     index = dataset.build_index(t)
-    distances = range(1, args.distance + 1)
     # per direction: the payload key of its distance sets, their query, the
     # cover query, the claim's far end, and the keys of the flows it ranks
     directions = (
@@ -367,7 +372,7 @@ def _cmd_flows(args) -> int:
         entry = {"pool_id": pool.pool_id}
         sizes, tops = [], []
         for side, at_distance, covers, far_end, ranked_key, uncovered_key in directions:
-            sets = [at_distance(pool, n) for n in distances]
+            sets = at_distance(pool, args.distance)
             totals: dict[str, int] = {}
             uncovered = 0
             for actor in sets[0]:
@@ -377,7 +382,7 @@ def _cmd_flows(args) -> int:
                         end = getattr(claim, far_end)
                         totals[end] = totals.get(end, 0) + claim.amount
             ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-            entry[side] = {str(n): len(s) for n, s in zip(distances, sets)}
+            entry[side] = {str(n): len(s) for n, s in enumerate(sets, 1)}
             entry[ranked_key] = [{"address": a, "value": str(v)} for a, v in ranked]
             entry[uncovered_key] = str(uncovered)
             sizes.append(" ".join(str(len(s)) for s in sets))
@@ -519,7 +524,7 @@ def _cmd_validate(args) -> int:
         side_a, side_b = depositors, withdrawers
         if heuristics.HEURISTICS[tag].joins == heuristics.FUNDER:
             side_a, side_b = frozenset().union(
-                *(index.depositors_at_distance(p, 2) for p in dataset.pools)), depositors
+                *(index.depositors_at_distance(p, 2)[-1] for p in dataset.pools)), depositors
         if args.gt == "debank":
             hits = found & negatives
             record = {"pairs": len(found),

@@ -15,6 +15,7 @@ run concurrently.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -166,31 +167,39 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     if any(v.index is not view_list[0].index for v in view_list):
         raise InputError("cross-pool matching needs every view from one index")
 
-    def signature(per_pool: dict[str, Sequence[PoolEvent]]) -> tuple:
-        return tuple(sorted((pid, len(events)) for pid, events in per_pool.items()))
-
+    index = view_list[0].index
     coin_of = {v.pool.pool_id: v.pool.coin for v in view_list}
+    pools_of_coin: dict[str, list[str]] = {}
+    for pid, coin in coin_of.items():
+        pools_of_coin.setdefault(coin, []).append(pid)
     pairs_by_pool: dict[str, set[LinkPair]] = {pid: set() for pid in coin_of}
-    # each address's events per pool of one coin: the index's own
-    # per-actor lists, which come in index order, so each is already in
-    # position order
+    # each address's events per pool of one coin, for the addresses with
+    # events of one kind in at least two of its pools (all others have a
+    # one-pool signature): the index's own per-actor lists, which come in
+    # index order, so each is already in position order.  Pairwise key
+    # intersections find those addresses without a table for every actor
     dep_events: dict[tuple[str, Address], dict[str, Sequence[PoolEvent]]] = {}
     wd_events: dict[tuple[str, Address], dict[str, Sequence[PoolEvent]]] = {}
-    for (pid, kind, actor), events in view_list[0].index.actor_events().items():
-        coin = coin_of.get(pid)
-        if coin is not None:
-            table = dep_events if kind == DEPOSIT else wd_events
-            table.setdefault((coin, actor), {})[pid] = events
+    for coin, pids in pools_of_coin.items():
+        for kind, table in ((DEPOSIT, dep_events), (WITHDRAWAL, wd_events)):
+            by_pool = [(pid, index.actor_events(pid, kind)) for pid in pids]
+            cross: set[Address] = set()
+            for (_, actors), (_, others) in combinations(by_pool, 2):
+                cross |= actors.keys() & others.keys()
+            for actor in cross:
+                table[(coin, actor)] = {pid: events for pid, actors in by_pool
+                                        if (events := actors.get(actor))}
 
     # a signature names its pools, so equal signatures share one coin
+    def signature(per_pool: dict[str, Sequence[PoolEvent]]) -> tuple:
+        return tuple((pid, len(events)) for pid, events in per_pool.items())
+
     by_sig_d: dict[tuple, list[tuple[str, Address]]] = {}
     for d, per_pool in dep_events.items():
-        if len(per_pool) > 1:
-            by_sig_d.setdefault(signature(per_pool), []).append(d)
+        by_sig_d.setdefault(signature(per_pool), []).append(d)
     by_sig_w: dict[tuple, list[tuple[str, Address]]] = {}
     for w, per_pool in wd_events.items():
-        if len(per_pool) > 1:
-            by_sig_w.setdefault(signature(per_pool), []).append(w)
+        by_sig_w.setdefault(signature(per_pool), []).append(w)
 
     for sig, ds in by_sig_d.items():
         for w in by_sig_w.get(sig, []):

@@ -11,7 +11,8 @@ rejected by ``dataset.ingest``, not here.
 Two families of queries live here:
 
 * distance-``n`` depositor/withdrawer extensions, which walk native-coin
-  transfers one hop at a time away from the pool, and
+  transfers one hop at a time away from the pool and keep every frontier
+  of the one walk, and
 * most-recent-transfer covers, which attribute each deposit (withdrawal)
   to the latest incoming (earliest outgoing) transfers that add up to the
   pool denomination.  A deposit pops them off a stack of the unclaimed
@@ -45,6 +46,7 @@ from .ledger import (
 
 USER_ACCOUNT = "user-account"
 KNOWN_LABELS = frozenset({"contract", "exchange", "relayer", "malicious", USER_ACCOUNT})
+_NOT_USER_ACCOUNT = frozenset({"contract", "exchange"})
 
 
 class LabelBook:
@@ -69,7 +71,7 @@ class LabelBook:
 
     def is_user_account(self, address: Address) -> bool:
         """An externally owned account that is not a labeled exchange."""
-        return not ({"contract", "exchange"} & self._labels.get(address, frozenset()))
+        return _NOT_USER_ACCOUNT.isdisjoint(self._labels.get(address, ()))
 
 
 class TransferCover(NamedTuple):
@@ -105,12 +107,26 @@ class LedgerIndex:
             self._outgoing.setdefault(t.sender, []).append(t)
 
         # each pool's events, and each actor's own events of one kind in
-        # one pool, both in chronological order
+        # one pool, both in chronological order; a list is made only for a
+        # new key, and a ``(pool_id, kind)`` key only once per pool
         self._by_pool: dict[str, list[PoolEvent]] = {}
-        self._by_actor: dict[tuple[str, str, Address], list[PoolEvent]] = {}
         for e in self.pool_events:
-            self._by_pool.setdefault(e.pool_id, []).append(e)
-            self._by_actor.setdefault((e.pool_id, e.kind, e.actor), []).append(e)
+            events = self._by_pool.get(e.pool_id)
+            if events is None:
+                self._by_pool[e.pool_id] = [e]
+            else:
+                events.append(e)
+        self._by_actor: dict[tuple[str, str], dict[Address, list[PoolEvent]]] = {}
+        for pool_id, events in self._by_pool.items():
+            by_kind: dict[str, dict[Address, list[PoolEvent]]] = {DEPOSIT: {}, WITHDRAWAL: {}}
+            for e in events:
+                actors = by_kind[e.kind]
+                own = actors.get(e.actor)
+                if own is None:
+                    actors[e.actor] = [e]
+                else:
+                    own.append(e)
+            self._by_actor.update(((pool_id, kind), actors) for kind, actors in by_kind.items())
 
     # -- plain accessors ----------------------------------------------------
 
@@ -120,16 +136,16 @@ class LedgerIndex:
     def events_for(self, pool_id: str) -> Sequence[PoolEvent]:
         return self._by_pool.get(pool_id, [])
 
-    def actor_events(self) -> Mapping[tuple[str, str, Address], Sequence[PoolEvent]]:
-        """Each actor's own events of one kind in one pool, keyed
-        ``(pool_id, kind, actor)``, in index order; a read-only view."""
-        return MappingProxyType(self._by_actor)
+    def actor_events(self, pool_id: str, kind: str) -> Mapping[Address, Sequence[PoolEvent]]:
+        """Each actor's own events of ``kind`` in one pool, keyed by actor,
+        in index order; a read-only view, empty for an idle pool."""
+        return MappingProxyType(self._by_actor.get((pool_id, kind), {}))
 
     @cached_property
     def actor_transfer_pairs(self) -> frozenset[tuple[Address, Address]]:
         """The distinct ``(sender, recipient)`` pairs of native and token
         transfers between two pool actors; built once, on first use."""
-        actors = {actor for _pool, _kind, actor in self._by_actor}
+        actors = set().union(*self._by_actor.values())
         return frozenset((t.sender, t.recipient)
                          for t in self.native_transfers + self.token_transfers
                          if t.sender != t.recipient
@@ -137,29 +153,34 @@ class LedgerIndex:
 
     # -- distance extensions --------------------------------------------------
 
-    def depositors_at_distance(self, pool: PoolConfig, n: int) -> frozenset[Address]:
-        """Addresses ``n`` native-coin hops upstream of the pool's deposits.
+    def depositors_at_distance(self, pool: PoolConfig,
+                               n: int) -> tuple[frozenset[Address], ...]:
+        """The address sets 1..``n`` native-coin hops upstream of the
+        pool's deposits, from one walk.
 
         Distance 1 is the deposit-actor set itself; each further hop picks
         up the senders of native transfers into the previous frontier.
         """
         return self._at_distance(DEPOSIT, pool, n)
 
-    def withdrawers_at_distance(self, pool: PoolConfig, n: int) -> frozenset[Address]:
+    def withdrawers_at_distance(self, pool: PoolConfig,
+                                n: int) -> tuple[frozenset[Address], ...]:
         """Mirror of :meth:`depositors_at_distance` downstream of withdrawals."""
         return self._at_distance(WITHDRAWAL, pool, n)
 
-    def _at_distance(self, kind: str, pool: PoolConfig, n: int) -> frozenset[Address]:
+    def _at_distance(self, kind: str, pool: PoolConfig,
+                     n: int) -> tuple[frozenset[Address], ...]:
         if n < 1:
             raise InputError("distance must be at least 1")
         upstream = kind == DEPOSIT
         actors = deposit_actors if upstream else withdrawal_actors
         hops = self._incoming if upstream else self._outgoing
         far_end = operator.attrgetter("sender" if upstream else "recipient")
-        frontier = actors(self.events_for(pool.pool_id))
+        frontiers = [actors(self.events_for(pool.pool_id))]
         for _ in range(n - 1):
-            frontier = frozenset(far_end(tr) for a in frontier for tr in hops.get(a, ()))
-        return frontier
+            frontiers.append(frozenset(far_end(tr) for a in frontiers[-1]
+                                       for tr in hops.get(a, ())))
+        return tuple(frontiers)
 
     # -- most-recent-transfer covers ------------------------------------------
 
@@ -187,7 +208,7 @@ class LedgerIndex:
 
     def _covers(self, kind: str, actor: Address,
                 pool: PoolConfig) -> tuple[TransferCover, ...]:
-        anchors = self._by_actor.get((pool.pool_id, kind, actor))
+        anchors = self._by_actor.get((pool.pool_id, kind), {}).get(actor)
         if not anchors:
             raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
         # a deposit looks back through incoming value, nearest first; a

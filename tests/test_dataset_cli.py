@@ -263,6 +263,36 @@ class TestIngestValidation:
         assert peak / held < 1.5
 
 
+class TestAnonymityMemory:
+    @pytest.mark.parametrize("users", [300, 900])
+    def test_heuristics_peak_memory_is_near_what_they_keep(self, tmp_path, monkeypatch,
+                                                           users):
+        # h5 builds per-address tables only for addresses that use two
+        # pools of one coin, so running the heuristics adds little above
+        # what they return; ``--tas`` keeps only the true-set sizes
+        data = tmp_path / "data"
+        write_dataset(mixed_trace(users=users), data)
+        readings = []
+        run_heuristics = cli._run_heuristics
+
+        def measured(*args):
+            result = run_heuristics(*args)
+            readings.append(tracemalloc.get_traced_memory())
+            return result
+
+        argv = ["anonymity", "--combine", "--tas", "--data", str(data),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # so the modules the command imports are not counted
+        monkeypatch.setattr(cli, "_run_heuristics", measured)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        ((held, peak),) = readings
+        assert peak / held < 1.1
+
+
 _ADDRESS = re.compile(r"(0x)?[0-9a-f]{40}\Z", re.IGNORECASE)
 
 

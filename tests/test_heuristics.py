@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 
 import pytest
@@ -14,12 +15,15 @@ from anonset.heuristics import (
     h5_cross_pool,
     pool_view,
 )
-from anonset.indexing import LabelBook, build_index
+from anonset.indexing import LabelBook, LedgerIndex, build_index
 from anonset.ledger import (
+    DEPOSIT,
+    WITHDRAWAL,
     LinkPair,
     PoolConfig,
     deposit_actors,
     pool_state,
+    position,
     reduced_set,
     up_to,
     withdrawal_actors,
@@ -279,6 +283,135 @@ class TestH5ReadsTheIndex:
         assert [c.events.reads for c in counted] == [0] * len(counted)
         assert got == h5_cross_pool(views)
         assert any(r.link_pairs for r in got.values())
+
+
+def h5_every_actor(views) -> dict[str, frozenset[LinkPair]]:
+    """h5 as it was before the cross-pool prefilter: a per-pool event table
+    for every actor of the index, of which only those in two or more pools
+    of one coin are kept.  Slow in memory, and plainly the rule."""
+    view_list = sorted(views, key=lambda v: v.pool.pool_id)
+    index = view_list[0].index
+
+    def signature(per_pool):
+        return tuple(sorted((pid, len(events)) for pid, events in per_pool.items()))
+
+    coin_of = {v.pool.pool_id: v.pool.coin for v in view_list}
+    pairs_by_pool = {pid: set() for pid in coin_of}
+    dep_events, wd_events = {}, {}
+    for pid, coin in coin_of.items():
+        for kind, table in ((DEPOSIT, dep_events), (WITHDRAWAL, wd_events)):
+            for actor, events in index.actor_events(pid, kind).items():
+                table.setdefault((coin, actor), {})[pid] = events
+    by_sig_d, by_sig_w = {}, {}
+    for d, per_pool in dep_events.items():
+        if len(per_pool) > 1:
+            by_sig_d.setdefault(signature(per_pool), []).append(d)
+    for w, per_pool in wd_events.items():
+        if len(per_pool) > 1:
+            by_sig_w.setdefault(signature(per_pool), []).append(w)
+    for sig, ds in by_sig_d.items():
+        for w in by_sig_w.get(sig, []):
+            for d in ds:
+                if d == w:
+                    continue
+                if all(all(position(dep) < position(wd)
+                           for dep, wd in zip(dep_events[d][pid], wd_events[w][pid]))
+                       for pid, _count in sig):
+                    for pid, _count in sig:
+                        pairs_by_pool[pid].add(LinkPair(d[1], w[1]))
+    return {pid: frozenset(pairs) for pid, pairs in pairs_by_pool.items()}
+
+
+# four ETH pools, three BNB pools and one pool alone in its coin
+CROSS_POOLS = tuple(PoolConfig(pool_id=pid, coin=coin, denomination=1) for pid, coin in (
+    ("E1", "ETH"), ("E2", "ETH"), ("E3", "ETH"), ("E4", "ETH"),
+    ("B1", "BNB"), ("B2", "BNB"), ("B3", "BNB"), ("X1", "XDAI")))
+
+
+def cross_pool_events(rng: random.Random, owners: int = 8, rounds: int = 12) -> list:
+    """Seeded events of few owners, each round a depositor and a withdrawer
+    (the same address at times) using one to all pools of one coin with
+    one or two events per pool, at few heights and transaction indexes,
+    so counts collide, positions tie and addresses span both coins."""
+    people = [addr(f"x5{i}") for i in range(owners)]
+    events = []
+    for _ in range(rounds):
+        coin = rng.choice(("ETH", "BNB", "XDAI"))
+        pools = [p.pool_id for p in CROSS_POOLS if p.coin == coin]
+        d, w = rng.choice(people), rng.choice(people)
+        for pid in rng.sample(pools, rng.randint(1, len(pools))):
+            for _ in range(rng.randint(1, 2)):
+                events.append(deposit(pid, d, rng.randrange(1, 12), tx=rng.randrange(2)))
+                events.append(withdrawal(pid, w, rng.randrange(1, 12), tx=rng.randrange(2)))
+    return list(dict.fromkeys(events))
+
+
+class TestH5MatchesEveryActorOracle:
+    def test_random_traces(self):
+        linked = self_matched = tied = across_coins = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            events = cross_pool_events(rng)
+            index = build_index([], [], events)
+            pools = CROSS_POOLS if seed % 3 else rng.sample(CROSS_POOLS, rng.randint(2, 5))
+            views = [pool_view(index, p) for p in pools]
+            got = {pid: r.link_pairs for pid, r in h5_cross_pool(views).items()}
+            assert got == h5_every_actor(views), seed
+            linked += any(got.values())
+            positions = [position(e) for e in events]
+            tied += len(set(positions)) < len(positions)
+            # per address, coin (a pool id's first letter) and kind: events per pool
+            counts: dict[tuple, Counter] = {}
+            for e in events:
+                counts.setdefault((e.actor, e.pool_id[0], e.kind), Counter())[e.pool_id] += 1
+            self_matched += any(len(c) > 1 and c == counts.get((a, coin, DEPOSIT))
+                                for (a, coin, kind), c in counts.items() if kind == WITHDRAWAL)
+            across_coins += len({(a, coin) for a, coin, _ in counts}) > len(
+                {a for a, _, _ in counts})
+        # links, an address matching itself (d == w), tied positions and
+        # addresses in two coins all occur
+        assert linked > 30 and self_matched > 30 and tied > 250 and across_coins > 250
+
+
+class _CountedActors(dict):
+    """One pool and kind's per-actor events that count every lookup."""
+
+    lookups = 0
+
+    def __getitem__(self, actor):
+        _CountedActors.lookups += 1
+        return dict.__getitem__(self, actor)
+
+    def get(self, actor, default=None):
+        _CountedActors.lookups += 1
+        return dict.get(self, actor, default)
+
+
+class TestH5LookupCost:
+    """A guard that needs no clock: h5 looks up per-actor events only for
+    addresses that use two pools of one coin, so addresses that use one
+    pool add no lookup."""
+
+    def lookups(self, monkeypatch, events):
+        index = build_index([], [], events)
+        original = LedgerIndex.actor_events
+        monkeypatch.setattr(LedgerIndex, "actor_events",
+                            lambda self, pid, kind: _CountedActors(original(self, pid, kind)))
+        _CountedActors.lookups = 0
+        got = h5_cross_pool([pool_view(index, p) for p in CROSS_POOLS])
+        monkeypatch.undo()
+        return _CountedActors.lookups, got
+
+    def test_single_pool_actors_add_no_lookup(self, monkeypatch):
+        events = cross_pool_events(random.Random(1))
+        loners = [event(p.pool_id, addr(f"x6{i}"), 20 + i)
+                  for i in range(200) for p in CROSS_POOLS[i % 8:i % 8 + 1]
+                  for event in (deposit, withdrawal)]
+        base, base_links = self.lookups(monkeypatch, events)
+        more, more_links = self.lookups(monkeypatch, events + loners)
+        assert base > 0
+        assert more == base
+        assert more_links == base_links
 
 
 class TestCombine:

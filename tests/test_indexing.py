@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import operator
 import random
 
@@ -136,16 +137,16 @@ class TestFlatSortKeys:
 
 class TestDistanceExtensions:
     def test_distance_one_is_deposit_actor_set(self, fixture_index, p100, p100_events):
-        got = fixture_index.depositors_at_distance(p100, 1)
+        got = fixture_index.depositors_at_distance(p100, 1)[-1]
         assert got == {D1, D2}
         assert got == deposit_actors(p100_events)
 
     def test_distance_two_includes_funder(self, fixture_index, p100):
-        assert X in fixture_index.depositors_at_distance(p100, 2)
+        assert X in fixture_index.depositors_at_distance(p100, 2)[-1]
 
     def test_transfer_after_cut_excluded(self, p100, p100_events):
         index = index_at(40, [transfer(X, D1, 100, 50)], p100_events)
-        assert X not in index.depositors_at_distance(p100, 2)
+        assert X not in index.depositors_at_distance(p100, 2)[-1]
 
     def test_distance_zero_rejected(self, fixture_index, p100):
         with pytest.raises(InputError):
@@ -154,19 +155,19 @@ class TestDistanceExtensions:
             fixture_index.withdrawers_at_distance(p100, 0)
 
     def test_withdrawers_distance_one_and_two(self, fixture_index, p100):
-        assert fixture_index.withdrawers_at_distance(p100, 1) == {W1}
-        assert Y in fixture_index.withdrawers_at_distance(p100, 2)
+        assert fixture_index.withdrawers_at_distance(p100, 1) == ({W1},)
+        assert Y in fixture_index.withdrawers_at_distance(p100, 2)[-1]
 
     def test_no_outgoing_means_empty_distance_two(self, p100, p100_events):
         index = build_index([], [], p100_events, None)
-        assert index.withdrawers_at_distance(p100, 2) == frozenset()
+        assert index.withdrawers_at_distance(p100, 2) == ({W1}, frozenset())
 
     def test_monotone_in_cut(self, p100, p100_events):
         transfers = [transfer(addr(f"f{i}"), D1, 10, h) for i, h in enumerate((2, 4, 6, 8))]
         for n in (1, 2):
             previous: frozenset = frozenset()
             for t in range(0, 120, 10):
-                current = index_at(t, transfers, p100_events).depositors_at_distance(p100, n)
+                current = index_at(t, transfers, p100_events).depositors_at_distance(p100, n)[-1]
                 assert previous <= current
                 previous = current
 
@@ -378,11 +379,60 @@ class TestCoverLookupCost:
         assert large == small
 
 
+class TestDistanceWalkCost:
+    """A complexity guard that needs no clock: ``flows --distance N`` walks
+    each pool's transfers once per direction and keeps every frontier, so
+    doubling N about doubles the hops, where a walk restarted from
+    distance 1 for every n makes them grow with N squared."""
+
+    def hop_lookups(self, data, out, monkeypatch, distance: int) -> int:
+        lookups = []
+
+        class Counted(dict):
+            def get(self, address, default=None):
+                lookups.append(address)
+                return dict.get(self, address, default)
+
+        build = LedgerIndex.__init__
+
+        def counted(self, *args):
+            build(self, *args)
+            self._incoming, self._outgoing = Counted(self._incoming), Counted(self._outgoing)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LedgerIndex, "__init__", counted)
+            assert main(["flows", "--distance", str(distance), "--data", str(data),
+                         "--out", str(out / str(distance))]) == 0
+        return len(lookups)
+
+    def test_hops_grow_linearly_in_distance(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--profile", "mixed", "--seed", "5", "--users", "40",
+                     "--blocks", "480", "--out", str(data)]) == 0
+        # 60 funders of the first depositor, each in a two-cycle with an
+        # address of its own, so every frontier past distance 1 holds 60
+        # addresses however far the walk goes
+        first = json.loads((data / "pool_events.jsonl").read_text().splitlines()[0])
+        funders = [f"0x{i:040x}" for i in range(1, 61)]
+        partners = [f"0x{i:040x}" for i in range(61, 121)]
+        hops = [*((a, first["actor"]) for a in funders), *zip(funders, partners),
+                *zip(partners, funders)]
+        with (data / "transfers.jsonl").open("a") as f:
+            for i, (sender, recipient) in enumerate(hops):
+                f.write(json.dumps({"amount": "1", "block": first["block"], "coin": "ETH",
+                                    "log_index": 0, "recipient": recipient,
+                                    "sender": sender, "tx_index": 900 + i}) + "\n")
+        at_n = self.hop_lookups(data, tmp_path, monkeypatch, 8)
+        at_2n = self.hop_lookups(data, tmp_path, monkeypatch, 16)
+        assert at_n > 0
+        assert at_2n <= 2.2 * at_n
+
+
 def rescan_covers(index, kind, actor, pool):
     """The cover scan as it was before the stack and the pointer: every
     anchor walks the address's whole transfer list again, skipping what an
     earlier anchor claimed.  Quadratic per address, and plainly the rule."""
-    anchors = index.actor_events().get((pool.pool_id, kind, actor))
+    anchors = index.actor_events(pool.pool_id, kind).get(actor)
     if not anchors:
         raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
     backward = kind == DEPOSIT

@@ -33,6 +33,8 @@ RUNS = {
     "clusters": ["clusters"],
     "relayers": ["relayers"],
     "flows": ["flows", "--distance", "2"],
+    # every frontier of one walk: the third is empty in every pool
+    "flows-distance-3": ["flows", "--distance", "3"],
     "flags": ["flags"],
     "am-link": ["am-link"],
     "validate-airdrop": ["validate", "--gt", "airdrop"],
@@ -82,6 +84,10 @@ DIGESTS = {
         "2e465e1999833f01c73ce63e4aeac34566a036724101d78a4d4ccb8eb86bd0d4",
     "flows/flows.txt":
         "3088d1ad159422f2a8dd7de31daac2f2bd27266f303a5afda86a51cd053d6638",
+    "flows-distance-3/flows.json":
+        "586f527e2472166aa0a812ac688e2a1077282c73dfcba41a1ab2a3f7e8dcb88f",
+    "flows-distance-3/flows.txt":
+        "a54215fab0d1c75ddac469410245187f91c549cd318ba1d1cc6b0ad26685813e",
     "relayers/relayers.json":
         "c0148ad010adaf9f0e6e2f783e73a35e447b33535f27c7a66e193ab4dc9caa01",
     "relayers/relayers.txt":
