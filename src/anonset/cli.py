@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .dataset import Dataset, ingest, read_active_depositors, write_dataset
+from .dataset import Dataset, ingest, read_true_set_sizes, write_dataset
 from .errors import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -202,11 +202,11 @@ def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
 
 def _true_set_sizes(data) -> dict[str, int]:
     """Each pool's true anonymity-set size; the report counts the sets, so
-    the address sets are dropped as soon as they are read."""
-    active_depositors = read_active_depositors(data)
-    if active_depositors is None:
+    the sidecar is read as sizes."""
+    sizes = read_true_set_sizes(data)
+    if sizes is None:
         raise ModeError("--tas needs a synthetic dataset with ground truth")
-    return {pool_id: len(active) for pool_id, active in active_depositors.items()}
+    return sizes
 
 
 def _write_report(args, name: str, payload: dict, table: str) -> None:

@@ -13,19 +13,22 @@ The synthetic generator emits exactly this layout (plus a
 ingestion losslessly.  The sidecar holds two keys of planted truth:
 ``active_depositors``, the true set per pool, and ``am_truth``, each
 speculator's blocks and claim.  ``ingest`` never opens it; only
-:func:`read_active_depositors` reads it, for ``anonymity --tas``, and it
-reads and validates ``active_depositors`` alone.
+:func:`read_true_set_sizes` reads it, for ``anonymity --tas``, and it
+reads and validates ``active_depositors`` alone, keeping each pool's size.
 
-Ingestion mirrors emission, reading small batches of whole lines.  In a
-batch of pool event or transfer lines all in exactly the emitted layout,
-nearly every batch, one pattern scan finds every line's fields, undecoded.
-Any other batch is decoded line by line and read by ``_Row``'s checked
-accessors, which report the first fault, so a row's error is the same
-whichever path met it.  An address the line pattern has matched is
-canonical once lower-cased behind ``0x``, so it never meets the regular
-expression of :func:`~anonset.ledger.normalize_address`; every other
-address field follows :func:`_address`, which reaches it once per
-distinct address.
+Ingestion mirrors emission, reading small batches of whole lines.  Five
+files have a line pattern: pool events, native and token transfers,
+labels and reward claims.  In a batch of their lines all in exactly the
+emitted layout, nearly every batch, one pattern scan finds every line's
+fields, undecoded, and one comprehension builds the batch's records with
+no Python call per record; what their constructors check is checked once
+per batch.  Any other batch, or one that fails a check, is decoded line
+by line and read by ``_Row``'s checked accessors, which report the first
+fault, so a row's error is the same whichever path met it.  An address
+the line pattern has matched is canonical once lower-cased behind
+``0x``, so it never meets the regular expression of
+:func:`~anonset.ledger.normalize_address`; every other address field
+follows :func:`_address`, which reaches it once per distinct address.
 
 Emission streams each record file line by line, with no whole file held
 in memory; pool events and transfers go in ``ledger``'s record order, the
@@ -39,12 +42,15 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain, starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import IngestError, InputError
 from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex, build_index
 from .ledger import (
+    DEPOSIT,
+    WITHDRAWAL,
     Address,
     APClaim,
     FollowEdge,
@@ -133,15 +139,16 @@ class _Row:
 
     This is the reference parser and the only error reporter: each accessor
     checks one field and raises an error that names the file, line and
-    field.  A batch of hot-file lines (pool events and transfers) all in
-    the emitted layout is read by one scan of :data:`_LINE_PATTERNS` in
-    ``ingest``, which take only values these accessors would return
-    unchanged; every other line is decoded and read here.  ``canon`` interns
-    addresses for one ``ingest`` call, through :func:`_address`, so every
-    occurrence of an address is the same object.  ``words`` does the same
-    for ``text`` values, a few of which (pool ids, event kinds, coins)
-    recur on nearly every row.  It is a dict of its own, because a text
-    value found among the addresses would pass ``address`` unchecked.
+    field.  A batch of patterned-file lines all in the emitted layout is
+    read by one scan of :data:`_LINE_PATTERNS` in ``ingest``, which take
+    only values these accessors would return unchanged; every other line,
+    and every line of a batch that fails a check, is decoded and read
+    here.  ``canon`` interns addresses for one ``ingest`` call, through
+    :func:`_address`, so every occurrence of an address is the same
+    object.  ``words`` does the same for ``text`` values, a few of which
+    (pool ids, event kinds, coins) recur on nearly every row.  It is a
+    dict of its own, because a text value found among the addresses would
+    pass ``address`` unchecked.
     """
 
     __slots__ = ("file", "line", "record", "canon", "words")
@@ -259,7 +266,7 @@ def _loads(text: str, file: str, line: int | None = None) -> Any:
     raise IngestError(f"invalid JSON: {message}", file=file, line=line)
 
 
-# Pieces of the hot lines' patterns, each matching only text that json.loads
+# Pieces of the line patterns, each matching only text that json.loads
 # decodes to its group and ``_Row`` reads unchanged: an int below 10**18 with
 # no sign, leading zero, fraction or exponent; printable ASCII with no quote
 # or backslash (so no escape); an address in any case, with or without a
@@ -277,14 +284,29 @@ def _line_pattern(**fields: str) -> re.Pattern:
     return re.compile(rf"^\{{{body}\}}$", re.M)
 
 
-_LINE_PATTERNS = {  # the emitted layout of each hot file
+_LINE_PATTERNS = {  # the emitted layout of each patterned file
     "pool_events": _line_pattern(
         actor=_ADDRESS, block=_INT, kind=_TEXT, log_index=_INT, pool_id=_TEXT,
         relayer=f"(?:null|{_ADDRESS})", tx_index=_INT, tx_sender=_ADDRESS),
     "transfers": _line_pattern(
         amount=_AMOUNT, block=_INT, coin=_TEXT, log_index=_INT, recipient=_ADDRESS,
-        sender=_ADDRESS, tx_index=_INT)}
+        sender=_ADDRESS, tx_index=_INT),
+    "labels": _line_pattern(address=_ADDRESS, label=_TEXT),
+    "ap_claims": _line_pattern(ap=_INT, block=_INT, recipient=_ADDRESS)}
 _LINE_PATTERNS["token_transfers"] = _LINE_PATTERNS["transfers"]
+# the patterned files whose records have a position
+_POSITIONED = frozenset({"pool_events", "transfers", "token_transfers"})
+
+_new = tuple.__new__  # a record's tuple, past its class's checks
+
+
+def _matched(text: str, canon: dict[str, Address]) -> Address:
+    """The interned canonical form of an address text a line pattern has
+    matched (40 hex digits after an optional ``0x``/``0X``) and ``canon``
+    does not hold as spelled: its last 40 characters, lower-cased, behind
+    ``0x``."""
+    address = "0x" + text[-40:].lower()
+    return canon.setdefault(address, address)
 
 
 def ingest(path: str | Path) -> Dataset:
@@ -323,15 +345,17 @@ def ingest(path: str | Path) -> Dataset:
         """The records of ``<name>.jsonl`` in file order, one per row, read a
         batch of lines at a time; sets ``counts[name]``.
 
-        ``build``, given for a hot file, makes a line's record from the groups
-        of its :data:`_LINE_PATTERNS` match, or None for a value that fails a
-        check.  No match spans a line end and the anchors allow one per line,
-        so a batch with as many matches as lines is all in the emitted layout.
-        Any other batch, or one where ``build`` gives None or an
-        ``InputError``, is read line by line by ``_Row`` and ``parse``, which
-        report its first fault.  A hot file in strictly increasing position
-        holds no repeat, which would share its twin's position; any other is
-        checked by a set of its records for one (the one duplicate rule).
+        ``build``, given for a patterned file, makes a batch's records from
+        the first line's number and the groups of every line's
+        :data:`_LINE_PATTERNS` match, in one comprehension, or gives None
+        or a ``KeyError`` where a value fails a check.  No match spans a
+        line end and the anchors allow one per line, so a batch with as
+        many matches as lines is all in the emitted layout.  Any other
+        batch, or one ``build`` declines, is read line by line by ``_Row``
+        and ``parse``, which report its first fault.  A positioned file in
+        strictly increasing position holds no repeat, which would share its
+        twin's position; any other is checked by a set of its records for
+        one (the one duplicate rule).
         """
         file = f"{name}.jsonl"
 
@@ -347,18 +371,20 @@ def ingest(path: str | Path) -> Dataset:
                     yield line, record
 
         def batch(first: int, lines: list[str]) -> list:
-            found = _LINE_PATTERNS[name].findall("".join(lines)) if build else ()
-            if len(found) == len(lines):
-                try:
-                    records = [build(*groups) for groups in found]
-                    if None not in records:
+            if build:
+                found = _LINE_PATTERNS[name].findall("".join(lines))
+                if len(found) == len(lines):
+                    try:
+                        records = build(first, found)
+                    except KeyError:  # an unknown pool, kind or label
+                        records = None
+                    if records is not None:
                         return records
-                except InputError:  # the checked parser reports it
-                    pass
             return [record for _line, record in checked(first, lines)]
 
         records = tuple(chain.from_iterable(starmap(batch, _batches(path, file))))
-        if not (build and in_position_order(records)) and len(set(records)) < len(records):
+        if not (name in _POSITIONED and in_position_order(records)) \
+                and len(set(records)) < len(records):
             # a repeat: the file is read again to name the lines of the first
             seen: dict[Any, int] = {}
             for first, lines in _batches(path, file):
@@ -368,6 +394,11 @@ def ingest(path: str | Path) -> Dataset:
                                           file=file, line=line)
         counts[name] = len(records)
         return records
+
+    def in_range(records: list, block=attrgetter("height")) -> bool:
+        """Whether every record's ``block`` lies in the manifest's range."""
+        return first_block <= min(map(block, records)) \
+            and max(map(block, records)) <= last_block
 
     pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
@@ -392,43 +423,49 @@ def ingest(path: str | Path) -> Dataset:
                         recipient=r.address("recipient"), amount=r.amount("amount"),
                         coin=r.text("coin"))
 
-    # The line builders check what their pattern leaves open and return
-    # None where ``pool_event`` or ``transfer`` would fail, which then read
-    # the batch again and report it.  A record built from positional fields
-    # costs about 1 us, 0.8 us less than over keywords.  A null relayer is ''.
+    # The batch builders make each record with ``tuple.__new__``, past the
+    # checks of its class, and make them once per batch instead: the block
+    # range by the batch's least and greatest height, a pool id, kind or
+    # label by a dict lookup, and the relayer rule on the relayed rows.
+    # Positions, amounts and points cannot be negative: the patterns take
+    # no sign.  An address ``canon`` holds as spelled costs one lookup.
+    # A null relayer is ''.
+    known = canon.get
+    kinds = {kind: words.setdefault(kind, kind) for kind in (DEPOSIT, WITHDRAWAL)}
+    withdrawal = kinds[WITHDRAWAL]
 
-    def matched(text: str) -> Address:  # 40 hex digits after an optional 0x/0X
-        known = canon.get(text)
-        if known is None:
-            known = "0x" + text[-40:].lower()
-            known = canon.setdefault(known, known)
-        return known
+    def event_batch(first: int, found: list[tuple]) -> list | None:
+        records = [_new(PoolEvent, (
+            known_pools[pool_id], kinds[kind], int(block),
+            known(actor) or _matched(actor, canon),
+            known(tx_sender) or _matched(tx_sender, canon),
+            (known(relayer) or _matched(relayer, canon)) if relayer else None,
+            int(tx_index), int(log_index)))
+            for actor, block, kind, log_index, pool_id, relayer, tx_index, tx_sender in found]
+        relayed = all([e.kind == withdrawal and e.tx_sender == e.relayer
+                       for e in records if e.relayer is not None])
+        return records if relayed and in_range(records) else None
 
-    def event_line(actor, block, kind, log_index, pool_id, relayer, tx_index,
-                   tx_sender) -> PoolEvent | None:
-        block = int(block)
-        if pool_id not in known_pools or not first_block <= block <= last_block:
-            return None
-        return PoolEvent(known_pools[pool_id], words.setdefault(kind, kind), block,
-                         matched(actor), matched(tx_sender),
-                         matched(relayer) if relayer else None,
-                         int(tx_index), int(log_index))
-
-    def transfer_line(amount, block, coin, log_index, recipient, sender,
-                      tx_index) -> Transfer | None:
-        block = int(block)
-        if not first_block <= block <= last_block:
-            return None
-        return Transfer(block, matched(sender), matched(recipient),
-                        int(amount), words.setdefault(coin, coin), int(tx_index),
-                        int(log_index))
+    def transfer_batch(first: int, found: list[tuple]) -> list | None:
+        records = [_new(Transfer, (
+            int(block), known(sender) or _matched(sender, canon),
+            known(recipient) or _matched(recipient, canon), int(amount),
+            words.setdefault(coin, coin), int(tx_index), int(log_index)))
+            for amount, block, coin, log_index, recipient, sender, tx_index in found]
+        return records if in_range(records) else None
 
     def ap_claim(r: _Row) -> APClaim:
         return APClaim(recipient=r.address("recipient"), block=height(r), ap=r.uint("ap"))
 
-    events = read("pool_events", pool_event, event_line)
-    transfers = read("transfers", transfer, transfer_line)
-    token_transfers = read("token_transfers", transfer, transfer_line)
+    def ap_claim_batch(first: int, found: list[tuple]) -> list | None:
+        records = [_new(APClaim, (known(recipient) or _matched(recipient, canon),
+                                  int(block), int(ap)))
+                   for ap, block, recipient in found]
+        return records if in_range(records, attrgetter("block")) else None
+
+    events = read("pool_events", pool_event, event_batch)
+    transfers = read("transfers", transfer, transfer_batch)
+    token_transfers = read("token_transfers", transfer, transfer_batch)
 
     def label(r: _Row) -> tuple[str, Address, int]:
         tag = r.text("label")
@@ -438,14 +475,20 @@ def ingest(path: str | Path) -> Dataset:
         # its line number keeps its record apart from the first
         return tag, r.address("address"), r.line
 
+    tags = {tag: words.setdefault(tag, tag) for tag in KNOWN_LABELS}
+
+    def label_batch(first: int, found: list[tuple]) -> list:
+        return [(tags[tag], known(address) or _matched(address, canon), line)
+                for line, (address, tag) in enumerate(found, start=first)]
+
     label_map: dict[Address, set[str]] = {}
-    for tag, address, _line in read("labels", label):
+    for tag, address, _line in read("labels", label, label_batch):
         label_map.setdefault(address, set()).add(tag)
 
     for addr in read("relayers", lambda r: r.address("address")):
         label_map.setdefault(addr, set()).add("relayer")
 
-    claims = read("ap_claims", ap_claim)
+    claims = read("ap_claims", ap_claim, ap_claim_batch)
     ens_transfers = read("ens_transfers", lambda r: NameTransfer(
         name=r.text("name"), sender=r.address("sender"),
         recipient=r.address("recipient"), block=r.uint("block"),
@@ -469,9 +512,11 @@ def ingest(path: str | Path) -> Dataset:
         airdrop_claims=airdrops, follow_edges=edges, counts=counts)
 
 
-def read_active_depositors(path: str | Path) -> dict[str, frozenset[Address]] | None:
-    """Pool id -> true active depositors, from a dataset's ``ground_truth.json``
-    sidecar, or None when it has none.  No other sidecar key is read."""
+def read_true_set_sizes(path: str | Path) -> dict[str, int] | None:
+    """Pool id -> size of its true active-depositor set, from a dataset's
+    ``ground_truth.json`` sidecar, or None when it has none.  Each size
+    counts a pool's distinct addresses, one set alive at a time; no other
+    sidecar key is read."""
     file = Path(path) / GROUND_TRUTH_FILE
     if not file.exists():
         return None
@@ -484,7 +529,7 @@ def read_active_depositors(path: str | Path) -> dict[str, frozenset[Address]] | 
     if not isinstance(raw[key], dict) or not all(
             isinstance(a, list) and set(map(type, a)) <= {str} for a in raw[key].values()):
         raise IngestError("expected an object of address lists", file=GROUND_TRUTH_FILE, field=key)
-    return {pool: frozenset(addrs) for pool, addrs in raw[key].items()}
+    return {pool: len(set(addrs)) for pool, addrs in raw[key].items()}
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,9 @@ from .ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
+    balances,
     crosses,
-    deposit_actors,
-    pool_state,
     position,
-    withdrawal_actors,
 )
 
 H1 = "h1"
@@ -49,10 +47,12 @@ class PoolView(NamedTuple):
     """One pool of an index, computed once and shared by every heuristic
     and by the report.
 
-    ``events`` are the pool's indexed events, in index order; ``state``,
-    ``depositors`` and ``withdrawers`` are derived from them.  ``index``
-    answers the transfer and label queries of h2-h4; as a field it hides
-    ``tuple.index``, which no caller uses.
+    ``events`` are the pool's indexed events, in index order.
+    ``depositors`` and ``withdrawers`` are the keys of the index's actor
+    maps (:meth:`LedgerIndex.actor_events`), and ``state`` is
+    :func:`ledger.balances` of the lengths of their lists, so no event is
+    walked again.  ``index`` answers the transfer and label queries of
+    h2-h4; as a field it hides ``tuple.index``, which no caller uses.
     """
 
     pool: PoolConfig
@@ -64,12 +64,13 @@ class PoolView(NamedTuple):
 
 
 def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
-    """Replay ``pool``'s indexed history once."""
-    events = index.events_for(pool.pool_id)
-    return PoolView(pool=pool, events=events,
-                    state=pool_state(pool, events),
-                    depositors=deposit_actors(events),
-                    withdrawers=withdrawal_actors(events),
+    """``pool``'s view, read from the index's per-actor event lists."""
+    deposits = index.actor_events(pool.pool_id, DEPOSIT)
+    withdrawals = index.actor_events(pool.pool_id, WITHDRAWAL)
+    return PoolView(pool=pool, events=index.events_for(pool.pool_id),
+                    state=balances(pool, dict(zip(deposits, map(len, deposits.values()))),
+                                   dict(zip(withdrawals, map(len, withdrawals.values())))),
+                    depositors=frozenset(deposits), withdrawers=frozenset(withdrawals),
                     index=index)
 
 

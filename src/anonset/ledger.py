@@ -30,13 +30,16 @@ Conventions used throughout the package:
   :func:`in_position_order` finds its input in strictly increasing
   position, which is that order already.  A repeated record is rejected
   once, by ``dataset.ingest``; nothing below it checks again.
-* A pool state is a plain ``dict`` of signed balances by address.  The
-  algebra never mutates a state it is given; it returns a fresh one.
+* A pool state is a plain ``dict`` of signed balances by address, made
+  by the one formula :func:`balances` from per-address deposit and
+  withdrawal counts.  The algebra never mutates a state it is given; it
+  returns a fresh one.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import pairwise, starmap
 from operator import attrgetter, lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -282,19 +285,27 @@ def _check_pool(events: Iterable[PoolEvent], pool: PoolConfig) -> None:
                 f"event for pool {e.pool_id!r} passed to pool {pool.pool_id!r}")
 
 
-def pool_state(pool: PoolConfig, events: Sequence[PoolEvent]) -> dict[Address, int]:
-    """The pool state after ``events``: the signed balance of every address
-    with at least one of them, in base units.
+def balances(pool: PoolConfig, deposits: Mapping[Address, int],
+             withdrawals: Mapping[Address, int]) -> dict[Address, int]:
+    """The one balance formula: each address's ``(deposits - withdrawals) *
+    denomination``, from its counts of each, for every address with one.
 
     The sum of all balances always equals
     ``(total deposits - total withdrawals) * denomination``.
     """
+    denomination = pool.denomination
+    state = {a: n * denomination for a, n in deposits.items()}
+    for a, n in withdrawals.items():
+        state[a] = state.get(a, 0) - n * denomination
+    return state
+
+
+def pool_state(pool: PoolConfig, events: Sequence[PoolEvent]) -> dict[Address, int]:
+    """The pool state after ``events``: the signed balance of every address
+    with at least one of them, in base units (:func:`balances`)."""
     _check_pool(events, pool)
-    net: dict[Address, int] = {}
-    for e in events:
-        delta = 1 if e.kind == DEPOSIT else -1
-        net[e.actor] = net.get(e.actor, 0) + delta
-    return {a: n * pool.denomination for a, n in net.items()}
+    return balances(pool, Counter(e.actor for e in events if e.kind == DEPOSIT),
+                    Counter(e.actor for e in events if e.kind == WITHDRAWAL))
 
 
 def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...], ...]:

@@ -16,7 +16,7 @@ from anonset.dataset import (
     Dataset,
     Manifest,
     ingest,
-    read_active_depositors,
+    read_true_set_sizes,
     write_dataset,
 )
 from anonset.errors import IngestError
@@ -99,7 +99,8 @@ class TestRoundTrip:
         assert set(dataset.transfers) == set(trace.transfers)
         assert set(dataset.token_transfers) == set(trace.token_transfers)
         assert {c for c in dataset.ap_claims} == set(trace.ap_claims)
-        assert read_active_depositors(dataset_dir) == trace.ground_truth.active_depositors
+        assert read_true_set_sizes(dataset_dir) == {
+            pool: len(active) for pool, active in trace.ground_truth.active_depositors.items()}
         assert dataset.manifest == Manifest(trace.first_block, trace.last_block)
         assert dataset.counts["pool_events"] == len(trace.events)
         assert dataset.counts["transfers"] == len(trace.transfers)
@@ -393,7 +394,7 @@ AM_RECORD = {"recipient": A1, "pool_id": "P1", "deposit_blocks": [1],
 
 
 class TestGroundTruthSidecar:
-    """``read_active_depositors`` reads and checks ``active_depositors``
+    """``read_true_set_sizes`` reads and checks ``active_depositors``
     alone; ``am_truth`` is written but never read, and any other key is
     ignored."""
 
@@ -418,7 +419,7 @@ class TestGroundTruthSidecar:
     def test_missing_key_names_the_field(self, dataset_dir, key):
         self.edit(dataset_dir, lambda raw: raw.pop(key))
         with pytest.raises(IngestError, match=rf"missing field \[file=ground_truth.json, field={key}\]"):
-            read_active_depositors(dataset_dir)
+            read_true_set_sizes(dataset_dir)
 
     @pytest.mark.parametrize("key, value", [
         ("active_depositors", {"P1": A1}),
@@ -429,18 +430,18 @@ class TestGroundTruthSidecar:
     def test_wrong_type_names_the_field(self, dataset_dir, key, value):
         self.edit(dataset_dir, lambda raw: raw.__setitem__(key, value))
         with pytest.raises(IngestError, match=rf"expected .*\[file=ground_truth.json, field={key}\]"):
-            read_active_depositors(dataset_dir)
+            read_true_set_sizes(dataset_dir)
 
     @pytest.mark.parametrize("key", UNREAD_KEYS + LEGACY_KEYS)
     def test_missing_unread_key_is_ignored(self, dataset_dir, key):
-        expected = read_active_depositors(dataset_dir)
+        expected = read_true_set_sizes(dataset_dir)
 
         def older_layout_without_key(raw):
             raw.update(dict.fromkeys(LEGACY_KEYS, []))
             del raw[key]
 
         self.edit(dataset_dir, older_layout_without_key)
-        assert read_active_depositors(dataset_dir) == expected
+        assert read_true_set_sizes(dataset_dir) == expected
 
     # malformed values of the key no command reads, and of the keys older
     # sidecars held
@@ -463,14 +464,19 @@ class TestGroundTruthSidecar:
         ("behaviors", {A1: 1}),
     ])
     def test_malformed_unread_key_is_ignored(self, dataset_dir, key, value):
-        expected = read_active_depositors(dataset_dir)
+        expected = read_true_set_sizes(dataset_dir)
         self.edit(dataset_dir, lambda raw: raw.__setitem__(key, value))
-        assert read_active_depositors(dataset_dir) == expected
+        assert read_true_set_sizes(dataset_dir) == expected
+
+    def test_repeated_address_counts_once(self, dataset_dir):
+        self.edit(dataset_dir, lambda raw: raw.__setitem__(
+            "active_depositors", {"P1": [A1, A2, A1], "P2": [A2, A2], "P3": []}))
+        assert read_true_set_sizes(dataset_dir) == {"P1": 2, "P2": 1, "P3": 0}
 
     def test_sidecar_not_an_object(self, dataset_dir):
         (dataset_dir / "ground_truth.json").write_text("[]")
         with pytest.raises(IngestError, match="file=ground_truth.json"):
-            read_active_depositors(dataset_dir)
+            read_true_set_sizes(dataset_dir)
 
     def test_cli_exits_2_without_traceback(self, dataset_dir, tmp_path, capsys):
         self.edit(dataset_dir, lambda raw: raw.pop("active_depositors"))
@@ -624,7 +630,7 @@ class TestEncoding:
         # the sidecar is one line
         self.corrupt(dataset_dir / "ground_truth.json", 1)
         with pytest.raises(IngestError, match=r"\[file=ground_truth.json, line=1\]"):
-            read_active_depositors(dataset_dir)
+            read_true_set_sizes(dataset_dir)
 
     def test_utf8_text_is_read_as_utf8(self, dataset_dir):
         # a non-ASCII coin name round-trips whatever the locale's encoding

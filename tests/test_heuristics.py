@@ -22,6 +22,7 @@ from anonset.ledger import (
     LinkPair,
     PoolConfig,
     deposit_actors,
+    event_order,
     pool_state,
     position,
     reduced_set,
@@ -40,6 +41,40 @@ from anonset.synth import (
 from .conftest import addr, deposit, reduced, transfer, view, withdrawal
 
 D, W, R, F = addr("hd"), addr("hw"), addr("hr"), addr("hf")
+
+
+class TestPoolViewMatchesReplay:
+    """``pool_view`` reads the index's per-actor lists; a replay of the
+    pool's events by ``pool_state`` and the actor-set functions is its
+    oracle, on seeded traces cut at every tenth of their block span."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_mixed_trace_at_every_tenth(self, seed):
+        cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
+                              pools=standard_pools(), user_count=48, block_span=2400)
+        trace = generate_trace(cfg, seed)
+        first, last = trace.first_block, trace.last_block
+        # a pool nobody uses, and an address that only withdraws
+        idle = PoolConfig(pool_id="P-idle", coin="ETH", denomination=3)
+        pool, loner = trace.pools[0], addr("withdraws-only")
+        events = [*trace.events, withdrawal(pool.pool_id, loner, first + (last - first) // 2)]
+        negative = 0
+        for step in range(11):
+            t = first + (last - first) * step // 10
+            history = up_to(events, t)
+            index = build_index(up_to(trace.transfers, t), up_to(trace.token_transfers, t),
+                                history)
+            for p in (*trace.pools, idle):
+                v = pool_view(index, p)
+                own = [e for e in history if e.pool_id == p.pool_id]
+                assert v.state == pool_state(p, own), (seed, t, p.pool_id)
+                assert v.depositors == deposit_actors(own)
+                assert v.withdrawers == withdrawal_actors(own)
+                assert tuple(v.events) == tuple(sorted(own, key=event_order))
+            idle_view = pool_view(index, idle)
+            assert idle_view.state == {} and not idle_view.depositors | idle_view.withdrawers
+            negative += pool_view(index, pool).state.get(loner, 0) < 0
+        assert negative == 6  # the cuts from the middle on
 
 
 class TestH1Reuse:

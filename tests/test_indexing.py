@@ -8,6 +8,7 @@ import pytest
 
 import anonset.indexing as indexing_module
 from anonset.cli import main
+from anonset.dataset import RECORD_FILES
 from anonset.errors import InputError
 from anonset.indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from anonset.ledger import (
@@ -170,6 +171,53 @@ class TestDistanceExtensions:
                 current = index_at(t, transfers, p100_events).depositors_at_distance(p100, n)[-1]
                 assert previous <= current
                 previous = current
+
+
+class TestDistanceThree:
+    """A native transfer chain three hops into and out of one pool, so the
+    third frontier of each direction is not empty: two depositors funded by
+    one address each, one of which was funded by two more, and one
+    withdrawer whose coins go out and then split."""
+
+    POOL = PoolConfig(pool_id="P100", coin="ETH", denomination=100)
+    F1, F2, G1, G2 = addr("f1"), addr("f2"), addr("g1"), addr("g2")
+    S1, S2, S3 = addr("s1"), addr("s2"), addr("s3")
+    TRANSFERS = [transfer(G1, F1, 60, 1), transfer(G2, F1, 60, 2),
+                 transfer(F1, D1, 100, 3), transfer(F2, D2, 100, 4),
+                 transfer(W1, S1, 100, 30), transfer(S1, S2, 50, 31),
+                 transfer(S1, S3, 50, 32)]
+    EVENTS = [deposit("P100", D1, 10), deposit("P100", D2, 11), withdrawal("P100", W1, 20)]
+
+    def test_at_distance(self):
+        index = build_index(self.TRANSFERS, [], self.EVENTS, None)
+        assert index.depositors_at_distance(self.POOL, 3) == (
+            {D1, D2}, {self.F1, self.F2}, {self.G1, self.G2})
+        assert index.withdrawers_at_distance(self.POOL, 3) == (
+            {W1}, {self.S1}, {self.S2, self.S3})
+
+    def test_flows_report(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        (data / "manifest.json").write_text('{"first_block": 0, "last_block": 40}')
+
+        def write(name, rows):
+            (data / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+        for name in RECORD_FILES:
+            write(name, [])
+        write("pools", [{"pool_id": "P100", "coin": "ETH", "denomination": "100"}])
+        write("pool_events", [e._asdict() | {"block": e.height} for e in self.EVENTS])
+        write("transfers", [t._asdict() | {"block": t.height, "amount": str(t.amount)}
+                            for t in self.TRANSFERS])
+        assert main(["flows", "--distance", "3", "--data", str(data),
+                     "--out", str(out)]) == 0
+        (pool,) = json.loads((out / "flows.json").read_text())["pools"]
+        assert pool["depositors"] == {"1": 2, "2": 2, "3": 2}
+        assert pool["withdrawers"] == {"1": 1, "2": 1, "3": 2}
+        assert pool["uncovered_inflow"] == pool["uncovered_outflow"] == "0"
+        assert pool["inflow_sources"] == [{"address": a, "value": "100"}
+                                          for a in sorted((self.F1, self.F2))]
+        assert pool["outflow_sinks"] == [{"address": self.S1, "value": "100"}]
 
 
 class TestSourceTransfers:

@@ -18,7 +18,7 @@ import anonset.indexing as indexing_module
 from anonset.cli import main
 from anonset.dataset import Dataset, _Row, ingest, write_dataset
 from anonset.errors import IngestError, InputError
-from anonset.indexing import build_index
+from anonset.indexing import KNOWN_LABELS, build_index
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from anonset.ledger import (
     LinkPair,
@@ -517,12 +517,14 @@ def _checked_only(patch) -> None:
 
 
 def _outcome(data: Path):
-    """What ingest makes of ``data``: its hot records, or its error."""
+    """What ingest makes of ``data``: the records of its patterned files, or
+    its error."""
     try:
         dataset = ingest(data)
     except IngestError as exc:
         return str(exc)
-    return dataset.events, dataset.transfers, dataset.token_transfers, dataset.counts
+    return (dataset.events, dataset.transfers, dataset.token_transfers,
+            dataset.labels._labels, dataset.ap_claims, dataset.counts)
 
 
 # values a seeded edit may put in a field; ``...`` drops the field
@@ -543,6 +545,8 @@ DEPOSIT_LINE = _compact({
 TRANSFER_LINE = _compact({
     "amount": "100000", "block": 1001, "coin": "ETH", "log_index": 0, "recipient": A2,
     "sender": A1, "tx_index": 0})
+LABEL_LINE = _compact({"address": A1, "label": "exchange"})
+CLAIM_LINE = _compact({"ap": 40, "block": 1001, "recipient": A2})
 
 # (name, file, line text in place of the file's first line, the error it
 # gives or None): one case per kind of line a pattern must decline, or
@@ -600,6 +604,15 @@ DECLINE_CASES = [
      "height outside the manifest block range"),
     ("relayed-deposit", "pool_events", DEPOSIT_LINE.replace('null', f'"{A1}"'),
      "deposits cannot carry a relayer"),
+    ("unknown-label", "labels", LABEL_LINE.replace('"exchange"', '"wizard"'),
+     "unknown label 'wizard'"),
+    ("label-case", "labels", LABEL_LINE.replace('"exchange"', '"Exchange"'),
+     "unknown label 'Exchange'"),
+    ("label-no-prefix", "labels", LABEL_LINE.replace(f'"{A1}"', f'"{A1[2:].upper()}"'), None),
+    ("claim-out-of-range", "ap_claims", CLAIM_LINE.replace(':1001,', f':{OUT_OF_RANGE},'),
+     "height outside the manifest block range"),
+    ("claim-0X-prefix", "ap_claims", CLAIM_LINE.replace(f'"{A2}"', f'"0X{A2[2:]}"'), None),
+    ("claim-negative-ap", "ap_claims", CLAIM_LINE.replace('"ap":40', '"ap":-40'), UINT),
 ]
 
 
@@ -610,7 +623,9 @@ class TestFusedParsersMatchCheckedParser:
     line and field with both."""
 
     @pytest.mark.parametrize("name, line", [("pool_events", DEPOSIT_LINE),
-                                            ("transfers", TRANSFER_LINE)])
+                                            ("transfers", TRANSFER_LINE),
+                                            ("labels", LABEL_LINE),
+                                            ("ap_claims", CLAIM_LINE)])
     def test_unedited_lines_meet_the_pattern(self, synth_dir, name, line):
         # else every decline case below would pass without reaching it
         assert dataset_module._LINE_PATTERNS[name].match(line)
@@ -622,7 +637,7 @@ class TestFusedParsersMatchCheckedParser:
     def test_decline_class(self, synth_dir, monkeypatch, name, text, error):
         path = synth_dir / f"{name}.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert text not in (DEPOSIT_LINE, TRANSFER_LINE)
+        assert text not in (DEPOSIT_LINE, TRANSFER_LINE, LABEL_LINE, CLAIM_LINE)
         path.write_text("\n".join([text] + lines[1:]) + "\n", encoding="utf-8")
         outcome = _outcome(synth_dir)
         with monkeypatch.context() as patch:
@@ -644,19 +659,22 @@ class TestFusedParsersMatchCheckedParser:
             assert fast.events == checked.events and fast.counts == checked.counts
             assert fast.transfers == checked.transfers
             assert fast.token_transfers == checked.token_transfers
+            assert fast.labels._labels == checked.labels._labels
+            assert fast.ap_claims == checked.ap_claims
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_edits(self, synth_dir, monkeypatch, seed):
         rng = random.Random(seed)
         outcomes = Counter()
         for _ in range(12):
-            name = rng.choice(["pool_events", "transfers", "token_transfers"])
+            name = rng.choice(["pool_events", "transfers", "token_transfers", "labels",
+                               "ap_claims"])
             path = synth_dir / f"{name}.jsonl"
             original = path.read_text()
             lines = original.splitlines()
             line = rng.randrange(len(lines)) + 1
             record = json.loads(lines[line - 1])
-            for field in rng.sample(sorted(record), rng.randint(1, 3)):
+            for field in rng.sample(sorted(record), rng.randint(1, min(3, len(record)))):
                 value = rng.choice(EDIT_VALUES)
                 if value is ...:
                     del record[field]
@@ -702,6 +720,26 @@ def _spaced(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _unknown_label(record: dict) -> str:
+    return _compact({**record, "label": "wizard"})
+
+
+def _lengthen(data: Path, name: str, batches: int = 4) -> None:
+    """Append distinct valid rows in the emitted layout to ``labels`` or
+    ``ap_claims`` until the file spans ``batches`` batches."""
+    path = data / f"{name}.jsonl"
+    block = json.loads((data / "manifest.json").read_text())["first_block"]
+    tags = sorted(KNOWN_LABELS)
+    rows, i = path.read_text(encoding="utf-8").splitlines(), 0
+    while len("\n".join(rows)) < batches * dataset_module._BATCH:
+        address = f"0x{0xfeed0000 + i:040x}"
+        rows.append(_compact({"address": address, "label": tags[i % len(tags)]})
+                    if name == "labels" else
+                    _compact({"ap": i, "block": block + i, "recipient": address}))
+        i += 1
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 # (name, file, edit of a line's record into the line's new text, the error
 # it gives and its field, or None): a builder's None, a record
 # constructor's InputError, and a valid line outside the emitted layout
@@ -713,6 +751,11 @@ EDGE_CASES = [
     ("block-out-of-range", "transfers", _out_of_range,
      "height outside the manifest block range", "block"),
     ("spaced-transfer", "transfers", _spaced, None, None),
+    ("unknown-label", "labels", _unknown_label, "unknown label 'wizard'", "label"),
+    ("spaced-label", "labels", _spaced, None, None),
+    ("claim-out-of-range", "ap_claims", _out_of_range,
+     "height outside the manifest block range", "block"),
+    ("spaced-claim", "ap_claims", _spaced, None, None),
 ]
 
 
@@ -744,6 +787,8 @@ class TestBatchBoundaries:
     def test_line_on_a_batch_edge(self, synth_dir, monkeypatch, name, edit, error, field,
                                   batch, edge):
         path = synth_dir / f"{name}.jsonl"
+        if name in ("labels", "ap_claims"):  # a few lines at this size
+            _lengthen(synth_dir, name)
         spans = _batch_spans(path)
         assert len(spans) > 2 and spans[batch][0] < spans[batch][1]
         line = spans[batch][edge]
@@ -789,11 +834,39 @@ class TestBatchBoundaries:
             f"invalid UTF-8 byte at column {column} [file=pool_events.jsonl, line={line}]")
 
 
+class TestRelayerRule:
+    """A relayed withdrawal must be signed by its relayer.  A batch checks
+    the rule on canonical addresses, so two spellings of one address pass
+    and two addresses fail, as they do in the checked parser."""
+
+    @pytest.mark.parametrize("spelling, error", [
+        (lambda a: "0X" + a[2:].upper(), None),
+        (lambda a: a[2:].upper(), None),
+        (lambda a: A1 if a != A1 else A2,
+         "relayed withdrawal must be signed by its relayer"),
+    ], ids=["0X-upper", "no-prefix-upper", "other-address"])
+    def test_relayer_spelled_apart_from_its_sender(self, synth_dir, monkeypatch, spelling,
+                                                    error):
+        path = synth_dir / "pool_events.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line = 1 + next(i for i, text in enumerate(lines) if json.loads(text)["relayer"])
+        before = _outcome(synth_dir)
+        record = json.loads(lines[line - 1])
+        lines[line - 1] = _compact({**record, "relayer": spelling(record["relayer"])})
+        assert dataset_module._LINE_PATTERNS["pool_events"].match(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outcome = TestBatchBoundaries.both(synth_dir, monkeypatch)
+        if error is None:
+            assert outcome == before
+        else:
+            assert outcome == f"{error} [file=pool_events.jsonl, line={line}, field=tx_sender]"
+
+
 class TestFastPathCounts:
     """Guards that need no clock: the cost of ingesting valid rows, counted."""
 
-    CHECKED_FILES = ("pools", "labels", "relayers", "ap_claims", "ens_transfers",
-                     "ens_subdomains", "airdrop_claims", "follow_edges")
+    CHECKED_FILES = ("pools", "relayers", "ens_transfers", "ens_subdomains",
+                     "airdrop_claims", "follow_edges")
 
     def test_valid_hot_rows_build_no_row_object(self, synth_dir, tmp_path, monkeypatch):
         # nor decode a hot line: its pattern takes every emitted line, also
@@ -845,7 +918,7 @@ class TestFastPathCounts:
         monkeypatch.setattr(dataset_module, "_Row", Counted)
         _checked_only(monkeypatch)
         dataset = ingest(synth_dir)
-        for name in ("pool_events", "transfers", "token_transfers"):
+        for name in ("pool_events", "transfers", "token_transfers", "labels", "ap_claims"):
             rows = len((synth_dir / f"{name}.jsonl").read_text().splitlines())
             assert built[f"{name}.jsonl"] == rows == dataset.counts[name] > 0
 
@@ -874,6 +947,23 @@ class TestFastPathCounts:
         assert shuffled.pool_events == index.pool_events
         assert shuffled.native_transfers == index.native_transfers
         assert shuffled.token_transfers == index.token_transfers
+
+    def test_address_slow_path_runs_once_per_address(self, synth_dir, monkeypatch):
+        # on canonical text, every later occurrence is found as spelled
+        calls = []
+        matched = dataset_module._matched
+
+        def counted(text, canon):
+            calls.append(text)
+            return matched(text, canon)
+
+        monkeypatch.setattr(dataset_module, "_matched", counted)
+        dataset = ingest(synth_dir)
+        occurrences = address_occurrences(dataset)
+        labelled = (synth_dir / "labels.jsonl").read_text().splitlines()
+        addresses = set(occurrences) | {json.loads(line)["address"] for line in labelled}
+        assert len(calls) == len(set(calls)) == len(addresses) < len(occurrences)
+        assert set(calls) == addresses
 
     def test_normalize_address_runs_once_per_address(self, synth_dir, tmp_path, monkeypatch):
         # a copy re-spelled only by case and prefix, as chain exports spell it
