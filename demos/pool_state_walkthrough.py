@@ -12,7 +12,6 @@ from anonset.ledger import (
     PoolConfig,
     PoolEvent,
     connected_components,
-    deposit_actors,
     pool_state,
     reduced_set,
 )
@@ -47,7 +46,8 @@ links = [LinkPair(D1, W1)]
 for members in connected_components(links):
     names = " + ".join(a[:10] + "…" for a in members)
     print(f"  cluster {names}  {sum(state.get(a, 0) for a in members):+d}")
-reduced = reduced_set(state, links, deposit_actors(events))
+depositors = frozenset(e.actor for e in events if e.kind == "deposit")
+reduced = reduced_set(state, links, depositors)
 print("\nreduced set:", sorted(a[:10] + "…" for a in reduced))
 print("only d2 still plausibly holds a note; the withdrawal hides behind one")
 print(f"address, and the adversary advantage is now {adversary_advantage(len(reduced))}")

@@ -424,6 +424,7 @@ def _cmd_am_link(args) -> int:
     if args.search_cap is None:
         args.search_cap = mining.DEFAULT_SEARCH_CAP
     dataset = _load(args)
+    # the events are in record order, so each pool's heights come sorted
     deposits_by_actor: dict[str, list] = {}
     withdrawal_blocks: dict[str, list[int]] = {p.pool_id: [] for p in dataset.pools}
     for e in dataset.events:
@@ -431,8 +432,6 @@ def _cmd_am_link(args) -> int:
             deposits_by_actor.setdefault(e.actor, []).append(e)
         else:
             withdrawal_blocks[e.pool_id].append(e.height)
-    for blocks in withdrawal_blocks.values():
-        blocks.sort()
     claimants: dict[str, list] = {}
     for claim in dataset.ap_claims:
         claimants.setdefault(claim.recipient, []).append(claim)
@@ -534,17 +533,18 @@ def _cmd_validate(args) -> int:
         else:
             report = gt_mod.score_links(found, positives, negatives,
                                         side_a & gt_addresses, side_b & gt_addresses)
+            # an undefined ratio stays None: null in the report, "-" in the table
+            ratios = {"precision": report.precision, "recall": report.recall, "f1": report.f1}
             record = {"universe": report.universe_size,
                       "tp": report.tp, "tn": report.tn, "fp": report.fp, "fn": report.fn,
-                      "precision": render_ratio(report.precision),
-                      "recall": render_ratio(report.recall),
-                      "f1": render_ratio(report.f1),
+                      **{k: v if v is None else render_ratio(v) for k, v in ratios.items()},
                       "negative_signal_fps": len(report.negative_signal_fps)}
         payload["heuristics"].append({"heuristic": tag, **record})
     if args.gt == "intersection":
         payload["note"] = ("intersection of airdrop and name-service evidence is "
                            "typically tiny; treat these scores as statistically weak")
-    rows = [[str(record[c]) for c in columns] for record in payload["heuristics"]]
+    rows = [["-" if record[c] is None else str(record[c]) for c in columns]
+            for record in payload["heuristics"]]
     _write_report(args, "validate", payload,
                   _table([c.replace("_", " ") for c in columns], rows))
     return EXIT_OK

@@ -108,7 +108,8 @@ class _ValidationReportFields(NamedTuple):
 
 class ValidationReport(Validated, _ValidationReportFields):
     """Confusion counts of heuristic pairs against ground truth over a
-    test-pair universe, plus the derived exact ratios."""
+    test-pair universe, plus the derived exact ratios, each None where
+    its denominator is 0: undefined, not a measured zero."""
 
     __slots__ = ()
 
@@ -119,19 +120,18 @@ class ValidationReport(Validated, _ValidationReportFields):
         return tuple.__new__(cls, (universe_size, tp, tn, fp, fn, negative_signal_fps))
 
     @property
-    def precision(self) -> Fraction:
-        return Fraction(self.tp, self.tp + self.fp) if self.tp + self.fp else Fraction(0)
+    def precision(self) -> Fraction | None:
+        return Fraction(self.tp, self.tp + self.fp) if self.tp + self.fp else None
 
     @property
-    def recall(self) -> Fraction:
-        return Fraction(self.tp, self.tp + self.fn) if self.tp + self.fn else Fraction(0)
+    def recall(self) -> Fraction | None:
+        return Fraction(self.tp, self.tp + self.fn) if self.tp + self.fn else None
 
     @property
-    def f1(self) -> Fraction:
-        p, r = self.precision, self.recall
-        if p + r == 0:
-            return Fraction(0)
-        return 2 * p * r / (p + r)
+    def f1(self) -> Fraction | None:
+        """``2tp / (2tp + fp + fn)``, the harmonic mean of the two where both exist."""
+        scored = 2 * self.tp + self.fp + self.fn
+        return Fraction(2 * self.tp, scored) if scored else None
 
 
 def score_links(found: Iterable[LinkPair], positives: Iterable[LinkPair],

@@ -3,10 +3,9 @@
 The index is built once (single writer) and then only read, so a built
 :class:`LedgerIndex` is safe to share between concurrent analyses.  It
 holds the history at one cut (:func:`ledger.up_to`); no query takes one.
-Records are kept in ``ledger``'s record order: input in strictly
-increasing position (:func:`ledger.in_position_order`), as every emitted
-file is, is kept as it comes, and other input is sorted.  A repeat is
-rejected by ``dataset.ingest``, not here.
+:class:`LedgerIndex` takes records already in ``ledger``'s record order,
+as ``dataset.ingest`` hands them over, and checks neither their order nor
+their repeats; :func:`build_index` puts records of any order in it.
 
 Two families of queries live here:
 
@@ -36,12 +35,10 @@ from .ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
-    deposit_actors,
     event_order,
     in_position_order,
     position,
     transfer_order,
-    withdrawal_actors,
 )
 
 USER_ACCOUNT = "user-account"
@@ -89,16 +86,16 @@ class TransferCover(NamedTuple):
 
 
 class LedgerIndex:
-    """Immutable per-address / per-pool views over a transfer universe."""
+    """Immutable per-address / per-pool views over records in record order."""
 
     def __init__(self, transfers: Sequence[Transfer],
                  token_transfers: Sequence[Transfer],
                  events: Sequence[PoolEvent],
                  labels: LabelBook):
         self.labels = labels
-        self.native_transfers = _in_record_order(transfers, transfer_order)
-        self.token_transfers = _in_record_order(token_transfers, transfer_order)
-        self.pool_events = _in_record_order(events, event_order)
+        self.native_transfers = tuple(transfers)
+        self.token_transfers = tuple(token_transfers)
+        self.pool_events = tuple(events)
 
         self._incoming: dict[Address, list[Transfer]] = {}
         self._outgoing: dict[Address, list[Transfer]] = {}
@@ -173,10 +170,9 @@ class LedgerIndex:
         if n < 1:
             raise InputError("distance must be at least 1")
         upstream = kind == DEPOSIT
-        actors = deposit_actors if upstream else withdrawal_actors
         hops = self._incoming if upstream else self._outgoing
         far_end = operator.attrgetter("sender" if upstream else "recipient")
-        frontiers = [actors(self.events_for(pool.pool_id))]
+        frontiers = [frozenset(self.actor_events(pool.pool_id, kind))]
         for _ in range(n - 1):
             frontiers.append(frozenset(far_end(tr) for a in frontiers[-1]
                                        for tr in hops.get(a, ())))
@@ -262,4 +258,6 @@ def build_index(transfers: Sequence[Transfer],
     """
     if not isinstance(labels, LabelBook):
         labels = LabelBook(labels)
-    return LedgerIndex(transfers, token_transfers, events, labels)
+    return LedgerIndex(_in_record_order(transfers, transfer_order),
+                       _in_record_order(token_transfers, transfer_order),
+                       _in_record_order(events, event_order), labels)

@@ -26,10 +26,12 @@ Conventions used throughout the package:
   a height.
 * Each record type has one total order, :func:`transfer_order` or
   :func:`event_order`: its position, then every other field.  The emitted
-  record files are sorted by it, and so is the index, unless
-  :func:`in_position_order` finds its input in strictly increasing
-  position, which is that order already.  A repeated record is rejected
-  once, by ``dataset.ingest``; nothing below it checks again.
+  record files are sorted by it.  ``dataset.ingest`` sets it up once: a
+  file :func:`in_position_order` finds in strictly increasing position is
+  in that order already, and any other is sorted by it, so the index a
+  dataset builds keeps its records as they come.  A repeated
+  record is rejected once, also by ``dataset.ingest``; nothing below it
+  checks again.
 * A pool state is a plain ``dict`` of signed balances by address, made
   by the one formula :func:`balances` from per-address deposit and
   withdrawal counts.  The algebra never mutates a state it is given; it
@@ -268,14 +270,6 @@ def up_to(records: Iterable, t: int) -> tuple:
     """The pool events or transfers in the history at the cut ``t``, in order.
     The cut is inclusive: a record in block ``t`` belongs to it."""
     return tuple(r for r in records if r.height <= t)
-
-
-def deposit_actors(events: Iterable[PoolEvent]) -> frozenset[Address]:
-    return frozenset(e.actor for e in events if e.kind == DEPOSIT)
-
-
-def withdrawal_actors(events: Iterable[PoolEvent]) -> frozenset[Address]:
-    return frozenset(e.actor for e in events if e.kind == WITHDRAWAL)
 
 
 def _check_pool(events: Iterable[PoolEvent], pool: PoolConfig) -> None:

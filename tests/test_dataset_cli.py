@@ -892,10 +892,8 @@ class TestValidateCommand:
     def _write_side_channels(self, data: Path):
         """Craft side-channel files over known depositor/withdrawer addresses."""
         dataset = ingest(data)
-        from anonset.ledger import deposit_actors, withdrawal_actors
-
-        deps = sorted(deposit_actors(dataset.events))
-        wds = sorted(withdrawal_actors(dataset.events))
+        deps = sorted({e.actor for e in dataset.events if e.kind == ledger.DEPOSIT})
+        wds = sorted({e.actor for e in dataset.events if e.kind == ledger.WITHDRAWAL})
         gt_d, gt_w = deps[:3], wds[:3]
         first = dataset.manifest.first_block
         receipts = [{"block": first, "tx_index": 0, "log_index": i,
@@ -927,6 +925,19 @@ class TestValidateCommand:
         (h3_row,) = payload["heuristics"]
         assert h3_row["tp"] + h3_row["tn"] + h3_row["fp"] + h3_row["fn"] == \
             h3_row["universe"]
+
+    def test_validate_without_evidence_reports_undefined_scores(self, tmp_path):
+        # no airdrop claim: no positive pair, so no ratio has a denominator
+        data, out = tmp_path / "data", tmp_path / "out"
+        main(["synth", "--profile", "h3-related-transfer:1,disciplined:1",
+              "--seed", "9", "--users", "30", "--out", str(data)])
+        assert main(["validate", "--data", str(data), "--out", str(out),
+                     "--gt", "airdrop", "--heuristics", "h3"]) == 0
+        (h3_row,) = json.loads((out / "validate.json").read_text())["heuristics"]
+        assert h3_row["tp"] == h3_row["fp"] == h3_row["fn"] == 0
+        assert h3_row["precision"] is h3_row["recall"] is h3_row["f1"] is None
+        last = (out / "validate.txt").read_text().splitlines()[-1].split()
+        assert last[0] == "h3" and last[-3:] == ["-", "-", "-"]
 
     @staticmethod
     def _ens_row(tmp_path, behavior: str, tag: str):

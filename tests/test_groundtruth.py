@@ -146,6 +146,28 @@ class TestScoreLinks:
         assert report.tp == 0
         assert report.f1 == 0
 
+    def test_a_ratio_over_nothing_is_undefined(self):
+        # no found pair: precision is undefined, recall and f1 measure zero
+        _, positives, sides = synthetic_confusion(0, 0, 5, 6)
+        report = score_links([], positives, [], *sides)
+        assert report.precision is None and report.recall == report.f1 == 0
+        # no positive pair: recall is undefined, precision and f1 measure zero
+        found, _, sides = synthetic_confusion(0, 4, 0, 6)
+        report = score_links(found, [], [], *sides)
+        assert report.recall is None and report.precision == report.f1 == 0
+        # nothing found and nothing to find: no ratio is defined
+        report = score_links([], [], [], *sides)
+        assert report.precision is report.recall is report.f1 is None
+
+    @pytest.mark.parametrize("counts", [(1, 0, 0), (0, 1, 1), (3, 4, 5), (7, 0, 2),
+                                        (2, 9, 0)])
+    def test_f1_is_the_harmonic_mean_where_both_are_defined(self, counts):
+        tp, fp, fn = counts
+        found, positives, sides = synthetic_confusion(tp, fp, fn, 3)
+        report = score_links(found, positives, [], *sides)
+        p, r = report.precision, report.recall
+        assert report.f1 == (2 * p * r / (p + r) if p + r else 0)
+
     def test_negative_signal_reported_not_vetoed(self):
         found, positives, sides = synthetic_confusion(2, 2, 0, 4)
         negatives = [LinkPair(found[-1].a1, found[-1].a2)]

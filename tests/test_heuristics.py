@@ -21,13 +21,11 @@ from anonset.ledger import (
     WITHDRAWAL,
     LinkPair,
     PoolConfig,
-    deposit_actors,
     event_order,
     pool_state,
     position,
     reduced_set,
     up_to,
-    withdrawal_actors,
 )
 
 from anonset.synth import (
@@ -45,7 +43,7 @@ D, W, R, F = addr("hd"), addr("hw"), addr("hr"), addr("hf")
 
 class TestPoolViewMatchesReplay:
     """``pool_view`` reads the index's per-actor lists; a replay of the
-    pool's events by ``pool_state`` and the actor-set functions is its
+    pool's events by ``pool_state`` and two actor-set comprehensions is its
     oracle, on seeded traces cut at every tenth of their block span."""
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -68,8 +66,8 @@ class TestPoolViewMatchesReplay:
                 v = pool_view(index, p)
                 own = [e for e in history if e.pool_id == p.pool_id]
                 assert v.state == pool_state(p, own), (seed, t, p.pool_id)
-                assert v.depositors == deposit_actors(own)
-                assert v.withdrawers == withdrawal_actors(own)
+                assert v.depositors == {e.actor for e in own if e.kind == DEPOSIT}
+                assert v.withdrawers == {e.actor for e in own if e.kind == WITHDRAWAL}
                 assert tuple(v.events) == tuple(sorted(own, key=event_order))
             idle_view = pool_view(index, idle)
             assert idle_view.state == {} and not idle_view.depositors | idle_view.withdrawers
@@ -170,8 +168,8 @@ class TestH3RelatedPair:
             (transfers if rec.coin == "ETH" else tokens).append(rec)
         t = 22
         got = h3_related_pair(view(p100, events, t, transfers, tokens)).link_pairs
-        deps = deposit_actors(up_to(events, t))
-        wds = withdrawal_actors(up_to(events, t))
+        deps = {e.actor for e in up_to(events, t) if e.kind == DEPOSIT}
+        wds = {e.actor for e in up_to(events, t) if e.kind == WITHDRAWAL}
         expected = set()
         for d in deps:
             for w in wds:
@@ -483,7 +481,7 @@ class TestContainmentInvariants:
                   withdrawal("P100", W, 5, sender=D),
                   withdrawal("P100", D, 6)]
         v = view(p100, events, 10, transfers=[transfer(F, W, 3, 7)])
-        observed = deposit_actors(events)
+        observed = {e.actor for e in events if e.kind == DEPOSIT}
         results = [h1_reuse(v), h2_improper_sender(v), h3_related_pair(v), h4_intermediary(v)]
         for r in results:
             assert reduced(v, r.link_pairs) <= observed

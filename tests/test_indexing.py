@@ -17,7 +17,6 @@ from anonset.ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
-    deposit_actors,
     position,
     up_to,
 )
@@ -140,7 +139,7 @@ class TestDistanceExtensions:
     def test_distance_one_is_deposit_actor_set(self, fixture_index, p100, p100_events):
         got = fixture_index.depositors_at_distance(p100, 1)[-1]
         assert got == {D1, D2}
-        assert got == deposit_actors(p100_events)
+        assert got == {e.actor for e in p100_events if e.kind == DEPOSIT}
 
     def test_distance_two_includes_funder(self, fixture_index, p100):
         assert X in fixture_index.depositors_at_distance(p100, 2)[-1]
@@ -399,30 +398,30 @@ class TestCoversMatchTheFullScanOracle:
 
 class TestCoverLookupCost:
     """A complexity guard that needs no clock: ``flows`` reads each pool's
-    full event list a number of times set by the pools and the distance,
-    not by how many addresses use the pools."""
+    actor maps a number of times set by the pools and the directions, not
+    by how many addresses use the pools."""
 
-    def events_for_calls(self, tmp_path, monkeypatch, users: int) -> int:
+    def actor_events_calls(self, tmp_path, monkeypatch, users: int) -> int:
         data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
         assert main(["synth", "--profile", "mixed", "--seed", "5",
                      "--users", str(users), "--blocks", str(12 * users),
                      "--out", str(data)]) == 0
         calls = []
-        original = LedgerIndex.events_for
+        original = LedgerIndex.actor_events
 
-        def counted(self, pool_id):
-            calls.append(pool_id)
-            return original(self, pool_id)
+        def counted(self, pool_id, kind):
+            calls.append((pool_id, kind))
+            return original(self, pool_id, kind)
 
         with monkeypatch.context() as patch:
-            patch.setattr(LedgerIndex, "events_for", counted)
+            patch.setattr(LedgerIndex, "actor_events", counted)
             assert main(["flows", "--distance", "2", "--data", str(data),
                          "--out", str(out)]) == 0
         return len(calls)
 
     def test_calls_do_not_grow_with_actors(self, tmp_path, monkeypatch):
-        small = self.events_for_calls(tmp_path, monkeypatch, users=40)
-        large = self.events_for_calls(tmp_path, monkeypatch, users=120)
+        small = self.actor_events_calls(tmp_path, monkeypatch, users=40)
+        large = self.actor_events_calls(tmp_path, monkeypatch, users=120)
         assert small > 0
         assert large == small
 

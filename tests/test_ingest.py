@@ -1,13 +1,14 @@
 """Ingest fast paths: interned addresses, the one address rule, the line
 patterns of the hot files and the batches they scan, the in-order read
-without a duplicate set and slotted records, each checked against the
-behaviour they must keep."""
+without a duplicate set, record order set up once and slotted records,
+each checked against the behaviour they must keep."""
 
 from __future__ import annotations
 
 import json
 import random
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -989,6 +990,64 @@ class TestFastPathCounts:
         per_address = Counter(map(normalize_address, calls))
         assert len(set(address_occurrences(dataset))) <= len(per_address)
         assert max(per_address.values()) == 1
+
+
+DATA_COMMANDS = {
+    "anonymity": ["anonymity", "--combine"], "clusters": ["clusters"],
+    "relayers": ["relayers"], "flows": ["flows"], "flags": ["flags"],
+    "am-link": ["am-link"], "validate": ["validate", "--gt", "ens"]}
+
+
+class TestRecordOrderSetOnce:
+    """``ingest`` proves or sets up each positioned file's record order, and
+    no later step proves it again."""
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS.values(), ids=DATA_COMMANDS)
+    def test_each_positioned_file_is_proved_once(self, synth_dir, tmp_path,
+                                                 monkeypatch, command):
+        calls = Counter()
+
+        def counted(module):
+            original = module.in_position_order
+
+            def in_position_order(records):
+                calls[module.__name__] += 1
+                return original(records)
+            monkeypatch.setattr(module, "in_position_order", in_position_order)
+
+        counted(dataset_module)
+        counted(indexing_module)
+        assert main([*command, "--data", str(synth_dir), "--out", str(tmp_path / "out")]) == 0
+        # pool_events, transfers and token_transfers
+        assert calls == {"anonset.dataset": 3}
+
+    def test_shuffled_files_read_in_record_order(self, synth_dir, tmp_path):
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(synth_dir, shuffled)
+        rng = random.Random(53)
+        for name in ("pool_events.jsonl", "transfers.jsonl"):
+            text = (synth_dir / name).read_text()
+            lines = text.splitlines(keepends=True)
+            rng.shuffle(lines)
+            (shuffled / name).write_text("".join(lines))
+            assert "".join(lines) != text
+        ordered, dataset = ingest(synth_dir), ingest(shuffled)
+        assert dataset.events == tuple(sorted(ordered.events, key=event_order)) == ordered.events
+        assert dataset.transfers == tuple(sorted(ordered.transfers, key=transfer_order))
+        assert dataset.transfers == ordered.transfers
+        assert dataset.counts == ordered.counts
+
+        solved = False
+        for command in (["anonymity", "--combine", "--tas"], ["flows"], ["am-link"]):
+            reports = []
+            for data in (synth_dir, shuffled):
+                out = tmp_path / f"{command[0]}-{data.name}"
+                assert main([*command, "--data", str(data), "--out", str(out)]) == 0
+                reports.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert len(reports[0]) == 2 and reports[0] == reports[1], command
+            if command[0] == "am-link":
+                solved = b'"exact"' in reports[0]["am-link.json"]
+        assert solved  # the withdrawal heights are read, not only classified
 
 
 RECORD_CLASSES = (Transfer, PoolConfig, PoolEvent, LinkPair,

@@ -18,7 +18,6 @@ from anonset.ledger import (
     connected_components,
     crosses,
     normalize_address,
-    deposit_actors,
     pool_state,
     position,
     reduced_set,
@@ -392,7 +391,7 @@ class TestReducedSet:
             t = rng.randrange(0, 45)
             history = up_to(events, t)
             state = pool_state(pool, history)
-            depositors = deposit_actors(history)
+            depositors = {e.actor for e in history if e.kind == DEPOSIT}
             links = [LinkPair(*rng.sample(actors + ghosts, 2))
                      for _ in range(rng.randrange(0, 8))]
             checked_links += len(links)

@@ -93,9 +93,9 @@ DIGESTS = {
     "relayers/relayers.txt":
         "59c14455a9a658fefc6857029c2bcd4aff9496218916868b70f5e3ca7123a39e",
     "validate-airdrop/validate.json":
-        "abb465f23312767fd0d4af36c808039d51e103f6e7daf08cb311372bbd368cbb",
+        "7f31a69346f77cfea7c5a74a2b47ce4f9c1c38330293b340f9e0f17669cb4fb7",
     "validate-airdrop/validate.txt":
-        "4675e92d6da412ad8bf8374b5b6fc84506ce0f9e8ba8a79fedeb5a07412b475d",
+        "29f0282438c2d7ae1e69cd62f3c76aa28d33a649a20e36853d0291516042d0c3",
     "validate-debank/validate.json":
         "ba83bcbec82d8f06f5e477adbe0f44025807c99437f037cad8adb50a006d2330",
     "validate-debank/validate.txt":
@@ -113,9 +113,9 @@ DIGESTS = {
     "validate-ens-h4-at/validate.txt":
         "f88788988f8e4916104ca7ea36ce51446e2bb7131c6b75f49c51f68c8aabd779",
     "validate-intersection/validate.json":
-        "f379fd7201a0e6437629b5e323928bb12fdd15fb4551287f64721d32e6f535be",
+        "8ac55e4520b6991026c092ec82168c6706e0685feba4b4d8ccf0bbcb88f34974",
     "validate-intersection/validate.txt":
-        "4675e92d6da412ad8bf8374b5b6fc84506ce0f9e8ba8a79fedeb5a07412b475d",
+        "29f0282438c2d7ae1e69cd62f3c76aa28d33a649a20e36853d0291516042d0c3",
 }
 
 
