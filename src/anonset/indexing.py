@@ -35,8 +35,8 @@ from .ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
+    _in_record_order,
     event_order,
-    in_position_order,
     position,
     transfer_order,
 )
@@ -243,10 +243,6 @@ class LedgerIndex:
         return tuple(covers)
 
 
-def _in_record_order(records: Sequence, order) -> tuple:
-    return tuple(records if in_position_order(records) else sorted(records, key=order))
-
-
 def build_index(transfers: Sequence[Transfer],
                 token_transfers: Sequence[Transfer],
                 events: Sequence[PoolEvent],
@@ -258,6 +254,6 @@ def build_index(transfers: Sequence[Transfer],
     """
     if not isinstance(labels, LabelBook):
         labels = LabelBook(labels)
-    return LedgerIndex(_in_record_order(transfers, transfer_order),
-                       _in_record_order(token_transfers, transfer_order),
-                       _in_record_order(events, event_order), labels)
+    return LedgerIndex(_in_record_order(transfers, transfer_order)[0],
+                       _in_record_order(token_transfers, transfer_order)[0],
+                       _in_record_order(events, event_order)[0], labels)

@@ -26,10 +26,11 @@ Conventions used throughout the package:
   a height.
 * Each record type has one total order, :func:`transfer_order` or
   :func:`event_order`: its position, then every other field.  The emitted
-  record files are sorted by it.  ``dataset.ingest`` sets it up once: a
-  file :func:`in_position_order` finds in strictly increasing position is
-  in that order already, and any other is sorted by it, so the index a
-  dataset builds keeps its records as they come.  A repeated
+  record files are sorted by it.  ``dataset.ingest`` sets it up once, by
+  :func:`_in_record_order`: a file :func:`in_position_order` finds in
+  strictly increasing position is in that order already, and any other
+  is sorted by it, so the index a dataset builds keeps its records as
+  they come.  A repeated
   record is rejected once, also by ``dataset.ingest``; nothing below it
   checks again.
 * A pool state is a plain ``dict`` of signed balances by address, made
@@ -88,6 +89,12 @@ def in_position_order(records: Sequence) -> bool:
     """Whether each record's position is strictly after the one before it:
     then they hold no tie and no repeat, and are in their record order."""
     return all(starmap(lt, pairwise(map(position, records))))
+
+
+def _in_record_order(records: Sequence, order) -> tuple[tuple, bool]:
+    """``records`` in their record ``order``, and whether they came in it."""
+    in_order = in_position_order(records)
+    return tuple(records if in_order else sorted(records, key=order)), in_order
 
 
 def _check_position(height: int, tx_index: int, log_index: int) -> None:

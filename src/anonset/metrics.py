@@ -110,13 +110,14 @@ def fund_then_deposit_flags(pools: Iterable[PoolConfig],
     ``min_deposit`` (base units of two coins do not add up).
 
     The pattern matches actors who used the pools as a source of clean
-    starting funds and came back to bury a much larger profit.
+    starting funds and came back to bury a much larger profit.  ``events``
+    must be in record order, as ``Dataset.events`` holds them.
     """
     pool_by_id = {p.pool_id: p for p in pools}
     first_wd: dict[Address, PoolEvent] = {}
     first_dep: dict[Address, PoolEvent] = {}
     volume: dict[Address, Counter] = {}  # per address, per coin
-    for e in sorted(events, key=position):
+    for e in events:
         pool = pool_by_id.get(e.pool_id)
         if pool is None:
             raise InputError(f"event for unknown pool {e.pool_id!r}")

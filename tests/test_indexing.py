@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+from collections import Counter
 
 import pytest
 
@@ -398,31 +399,35 @@ class TestCoversMatchTheFullScanOracle:
 
 class TestCoverLookupCost:
     """A complexity guard that needs no clock: ``flows`` reads each pool's
-    actor maps a number of times set by the pools and the directions, not
-    by how many addresses use the pools."""
+    actor maps, and its full event list, a number of times set by the pools
+    and the directions, not by how many addresses use the pools."""
 
-    def actor_events_calls(self, tmp_path, monkeypatch, users: int) -> int:
+    def pool_reads(self, tmp_path, monkeypatch, users: int) -> Counter:
         data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
         assert main(["synth", "--profile", "mixed", "--seed", "5",
                      "--users", str(users), "--blocks", str(12 * users),
                      "--out", str(data)]) == 0
-        calls = []
-        original = LedgerIndex.actor_events
+        calls = Counter({"actor_events": 0, "events_for": 0})
 
-        def counted(self, pool_id, kind):
-            calls.append((pool_id, kind))
-            return original(self, pool_id, kind)
+        def counted(name):
+            original = getattr(LedgerIndex, name)
+
+            def read(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return read
 
         with monkeypatch.context() as patch:
-            patch.setattr(LedgerIndex, "actor_events", counted)
+            for name in calls:
+                patch.setattr(LedgerIndex, name, counted(name))
             assert main(["flows", "--distance", "2", "--data", str(data),
                          "--out", str(out)]) == 0
-        return len(calls)
+        return calls
 
     def test_calls_do_not_grow_with_actors(self, tmp_path, monkeypatch):
-        small = self.actor_events_calls(tmp_path, monkeypatch, users=40)
-        large = self.actor_events_calls(tmp_path, monkeypatch, users=120)
-        assert small > 0
+        small = self.pool_reads(tmp_path, monkeypatch, users=40)
+        large = self.pool_reads(tmp_path, monkeypatch, users=120)
+        assert small["actor_events"] > 0
         assert large == small
 
 

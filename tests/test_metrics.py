@@ -140,11 +140,11 @@ class TestFundThenDeposit:
         a = addr("atk")
         deposit_later = deposit("P5855", a, 10, tx=1)
         withdrawal_first = withdrawal("P10", a, 10, tx=0)
-        (flag,) = fund_then_deposit_flags(self._pools(), [deposit_later, withdrawal_first],
+        (flag,) = fund_then_deposit_flags(self._pools(), [withdrawal_first, deposit_later],
                                           NO_LABELS, min_deposit=1000)
         assert flag.first_withdrawal == withdrawal_first
         assert flag.first_deposit == deposit_later
-        events = [withdrawal("P10", a, 10, tx=1), deposit("P5855", a, 10, tx=0)]
+        events = [deposit("P5855", a, 10, tx=0), withdrawal("P10", a, 10, tx=1)]
         assert fund_then_deposit_flags(self._pools(), events, NO_LABELS,
                                        min_deposit=1000) == ()
 
