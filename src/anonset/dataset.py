@@ -32,9 +32,12 @@ follows :func:`_address`, which reaches it once per distinct address.
 
 Emission streams each record file line by line, with no whole file held
 in memory; pool events and transfers go in ``ledger``'s record order, the
-index's.  They are nearly every line, and go through hand-written encoders
-that yield exactly what ``json.dumps`` with sorted keys gives; the small
-files, the manifest and the sidecar go through ``json.dumps`` itself.
+index's, by the one rule ``_in_record_order``: a generated trace, one
+record per block, is proved in that order and written with no sort, and
+only a trace in another order is sorted.  They are nearly every line, and
+go through hand-written encoders that yield exactly what ``json.dumps``
+with sorted keys gives; the small files, the manifest and the sidecar go
+through ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -578,9 +581,9 @@ def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
                                 "denomination": str(p.denomination),
                                 "am_weight": p.am_weight})
                     for p in sorted(trace.pools, key=lambda p: p.pool_id)))
-    write("pool_events", map(_event_line, sorted(trace.events, key=event_order)))
+    write("pool_events", map(_event_line, _in_record_order(trace.events, event_order)[0]))
     for name in ("transfers", "token_transfers"):
-        write(name, map(_transfer_line, sorted(getattr(trace, name), key=transfer_order)))
+        write(name, map(_transfer_line, _in_record_order(getattr(trace, name), transfer_order)[0]))
     write("labels", (_dump_line({"address": a, "label": label})
                      for a in sorted(trace.labels)
                      for label in sorted(trace.labels[a])))

@@ -25,8 +25,8 @@ Conventions used throughout the package:
   :func:`up_to` through ``Dataset.build_index``; no query below it takes
   a height.
 * Each record type has one total order, :func:`transfer_order` or
-  :func:`event_order`: its position, then every other field.  The emitted
-  record files are sorted by it.  ``dataset.ingest`` sets it up once, by
+  :func:`event_order`: its position, then every other field.  Emission
+  and ``dataset.ingest`` each set it up once, by
   :func:`_in_record_order`: a file :func:`in_position_order` finds in
   strictly increasing position is in that order already, and any other
   is sorted by it, so the index a dataset builds keeps its records as

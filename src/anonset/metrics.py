@@ -61,6 +61,8 @@ def cluster_size_histogram(clusters: Iterable[Sequence[Address]]) -> dict[int, i
 
 
 class RelayerUsage(NamedTuple):
+    """One pool's relayer counts; a share over no withdrawal is None, not 0."""
+
     pool_id: str
     relayers: int
     withdrawals: int
@@ -69,12 +71,12 @@ class RelayerUsage(NamedTuple):
     relayed_withdrawers: int
 
     @property
-    def relayed_withdrawal_share(self) -> Fraction:
-        return Fraction(self.relayed_withdrawals, self.withdrawals) if self.withdrawals else Fraction(0)
+    def relayed_withdrawal_share(self) -> Fraction | None:
+        return Fraction(self.relayed_withdrawals, self.withdrawals) if self.withdrawals else None
 
     @property
-    def relayed_withdrawer_share(self) -> Fraction:
-        return Fraction(self.relayed_withdrawers, self.withdrawers) if self.withdrawers else Fraction(0)
+    def relayed_withdrawer_share(self) -> Fraction | None:
+        return Fraction(self.relayed_withdrawers, self.withdrawers) if self.withdrawers else None
 
 
 def relayer_usage(pool: PoolConfig, events: Sequence[PoolEvent]) -> RelayerUsage:

@@ -198,52 +198,52 @@ class SynthTrace(NamedTuple):
 
 
 class _Builder:
-    def __init__(self):
+    """Appends a trace one record per block: each record takes the next
+    height, so every list comes out in record order, with no tie."""
+
+    def __init__(self, coin: str):
+        self.coin = coin
         self.cursor = FIRST_BLOCK - 1
         self.events: list[PoolEvent] = []
         self.transfers: list[Transfer] = []
         self.token_transfers: list[Transfer] = []
         self.claims: list[APClaim] = []
 
-    def tick(self) -> int:
+    def transfer(self, sender: Address, recipient: Address, amount: int,
+                 token: str | None = None) -> None:
+        """A native transfer, or one of ``token`` into ``token_transfers``."""
         self.cursor += 1
-        return self.cursor
+        (self.token_transfers if token else self.transfers).append(Transfer(
+            height=self.cursor, sender=sender, recipient=recipient, amount=amount,
+            coin=token or self.coin))
 
-    def fund(self, sender: Address, recipient: Address, amount: int,
-             coin: str) -> Transfer:
-        tr = Transfer(height=self.tick(), sender=sender,
-                      recipient=recipient, amount=amount, coin=coin)
-        self.transfers.append(tr)
-        return tr
+    def deposit(self, pool: PoolConfig, actor: Address, k: int) -> range:
+        """``actor`` deposits k notes, one block each; their heights."""
+        heights = range(self.cursor + 1, self.cursor + k + 1)
+        for height in heights:
+            self.events.append(PoolEvent(pool_id=pool.pool_id, kind=DEPOSIT, height=height,
+                                         actor=actor, tx_sender=actor))
+        self.cursor += k
+        return heights
 
-    def token(self, sender: Address, recipient: Address, amount: int,
-              coin: str) -> Transfer:
-        tr = Transfer(height=self.tick(), sender=sender,
-                      recipient=recipient, amount=amount, coin=coin)
-        self.token_transfers.append(tr)
-        return tr
+    def deposits(self, pool: PoolConfig, actor: Address, k: int,
+                 funder: Address = FAUCET) -> range:
+        """``funder`` pays ``actor`` k notes, then ``actor`` deposits them."""
+        self.transfer(funder, actor, k * pool.denomination)
+        return self.deposit(pool, actor, k)
 
-    def deposit(self, pool: PoolConfig, actor: Address) -> PoolEvent:
-        e = PoolEvent(pool_id=pool.pool_id, kind=DEPOSIT,
-                      height=self.tick(),
-                      actor=actor, tx_sender=actor)
-        self.events.append(e)
-        return e
+    def withdraw(self, pool: PoolConfig, actor: Address, tx_sender: Address | None = None,
+                 relayer: Address | None = None) -> int:
+        self.cursor = height = self.cursor + 1
+        self.events.append(PoolEvent(pool_id=pool.pool_id, kind=WITHDRAWAL, height=height,
+                                     actor=actor, tx_sender=relayer or tx_sender or actor,
+                                     relayer=relayer))
+        return height
 
-    def withdraw(self, pool: PoolConfig, actor: Address,
-                 tx_sender: Address | None = None,
-                 relayer: Address | None = None) -> PoolEvent:
-        e = PoolEvent(pool_id=pool.pool_id, kind=WITHDRAWAL,
-                      height=self.tick(),
-                      actor=actor, tx_sender=relayer or tx_sender or actor,
-                      relayer=relayer)
-        self.events.append(e)
-        return e
-
-    def claim(self, recipient: Address, ap: int) -> APClaim:
-        c = APClaim(recipient=recipient, block=self.tick(), ap=ap)
-        self.claims.append(c)
-        return c
+    def claim(self, recipient: Address, ap: int) -> int:
+        self.cursor = height = self.cursor + 1
+        self.claims.append(APClaim(recipient=recipient, block=height, ap=ap))
+        return height
 
 
 def _count_vector(index: int, n_users: int, n_pools: int) -> list[int]:
@@ -275,112 +275,83 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     (coin,) = coins
 
     prng = Prng(seed)
-    build = _Builder()
+    build = _Builder(coin)
     relayers = tuple(_relayer_addr(i) for i in range(RELAYER_COUNT))
-    planted: dict[str, set[LinkPair]] = {h: set() for h in ("h1", "h2", "h3", "h4", "h5")}
+    planted: dict[str, set[LinkPair]] = {h: set() for h in ("h2", "h3", "h4", "h5")}
     fully_withdrawn: set[Address] = set()
     attackers: set[Address] = set()
     am_truth: list[AmRecord] = []
 
-    h5_index = 0
+    def relayed(pool: PoolConfig, actor: Address) -> int:
+        return build.withdraw(pool, actor, relayer=prng.choice(relayers))
+
     for behavior in BEHAVIORS:
         for u in range(counts.get(behavior, 0)):
             d = _addr(behavior, u, 0xD1)
             w = _addr(behavior, u, 0xA2)
+            if behavior != H5_CROSS:
+                pool = prng.choice(config.pools)
 
             if behavior == DISCIPLINED:
-                pool = prng.choice(config.pools)
                 k = prng.randint(1, 2)
                 j = prng.randint(0, k)
-                build.fund(FAUCET, d, k * pool.denomination, coin)
-                for _ in range(k):
-                    build.deposit(pool, d)
+                build.deposits(pool, d, k)
                 for _ in range(j):
-                    build.withdraw(pool, w, relayer=prng.choice(relayers))
+                    relayed(pool, w)
 
             elif behavior == H1_REUSER:
-                pool = prng.choice(config.pools)
                 k = prng.randint(1, 2)
                 j = prng.randint(0, k)
-                build.fund(FAUCET, d, k * pool.denomination, coin)
-                for _ in range(k):
-                    build.deposit(pool, d)
+                build.deposits(pool, d, k)
                 for _ in range(j):
                     build.withdraw(pool, d)
                 if j == k:
                     fully_withdrawn.add(d)
 
             elif behavior == H2_IMPROPER:
-                pool = prng.choice(config.pools)
-                k = prng.randint(1, 2)
-                build.fund(FAUCET, d, k * pool.denomination, coin)
-                for _ in range(k):
-                    build.deposit(pool, d)
+                build.deposits(pool, d, prng.randint(1, 2))
                 build.withdraw(pool, w, tx_sender=d)
                 planted["h2"].add(LinkPair(d, w))
 
             elif behavior == H3_RELATED:
-                pool = prng.choice(config.pools)
-                build.fund(FAUCET, d, pool.denomination, coin)
-                build.deposit(pool, d)
-                build.withdraw(pool, w, relayer=prng.choice(relayers))
+                build.deposits(pool, d, 1)
+                relayed(pool, w)
                 amount = prng.randint(1, pool.denomination)
                 direction = prng.randint(0, 3)
-                if direction == 0:
-                    build.fund(d, w, amount, coin)
-                elif direction == 1:
-                    build.fund(w, d, amount, coin)
-                elif direction == 2:
-                    build.token(d, w, amount, "TOK")
-                else:
-                    build.token(w, d, amount, "TOK")
+                sender, recipient = (w, d) if direction % 2 else (d, w)
+                build.transfer(sender, recipient, amount, "TOK" if direction > 1 else None)
                 planted["h3"].add(LinkPair(d, w))
 
             elif behavior == H4_INTERMEDIARY:
-                pool = prng.choice(config.pools)
                 funder = _addr(behavior, u, 0xF3)
-                k = prng.randint(1, 2)
-                build.fund(funder, d, k * pool.denomination, coin)
-                for _ in range(k):
-                    build.deposit(pool, d)
+                build.deposits(pool, d, prng.randint(1, 2), funder)
                 planted["h4"].add(LinkPair(d, funder))
 
             elif behavior == H5_CROSS:
-                vector = _count_vector(h5_index, counts[H5_CROSS], len(config.pools))
-                h5_index += 1
-                total = sum(c * p.denomination for c, p in zip(vector, config.pools))
-                build.fund(FAUCET, d, total, coin)
+                vector = _count_vector(u, counts[H5_CROSS], len(config.pools))
+                build.transfer(FAUCET, d, sum(c * p.denomination
+                                              for c, p in zip(vector, config.pools)))
+                for count, pool in zip(vector, config.pools):
+                    build.deposit(pool, d, count)
                 for count, pool in zip(vector, config.pools):
                     for _ in range(count):
-                        build.deposit(pool, d)
-                for count, pool in zip(vector, config.pools):
-                    for _ in range(count):
-                        build.withdraw(pool, w, relayer=prng.choice(relayers))
+                        relayed(pool, w)
                 planted["h5"].add(LinkPair(d, w))
 
             elif behavior == AM_SPECULATOR:
-                pool = prng.choice(config.pools)
-                n = prng.randint(1, SPECULATOR_MAX_DEPOSITS)
-                build.fund(FAUCET, d, n * pool.denomination, coin)
-                dep_blocks = [build.deposit(pool, d).height for _ in range(n)]
-                wd_blocks = [build.withdraw(pool, w, relayer=prng.choice(relayers)).height
-                             for _ in range(n)]
+                dep_blocks = build.deposits(pool, d, prng.randint(1, SPECULATOR_MAX_DEPOSITS))
+                wd_blocks = [relayed(pool, w) for _ in dep_blocks]
                 ap = anonymity_points({pool.pool_id: dep_blocks}, {pool.pool_id: wd_blocks},
                                       {pool.pool_id: pool.am_weight})
-                claim = build.claim(d, ap)
                 am_truth.append(AmRecord(
                     recipient=d, pool_id=pool.pool_id,
                     deposit_blocks=tuple(dep_blocks),
                     withdrawal_blocks=tuple(wd_blocks),
-                    ap=ap, claim_block=claim.block))
+                    ap=ap, claim_block=build.claim(d, ap)))
 
             elif behavior == ATTACKER:
-                pool = prng.choice(config.pools)
-                build.withdraw(pool, d, relayer=prng.choice(relayers))
-                n = -(-ATTACKER_MIN_VOLUME // pool.denomination)
-                build.fund(FAUCET, d, n * pool.denomination, coin)
-                for _ in range(n):
-                    build.deposit(pool, d)
+                relayed(pool, d)
+                build.deposits(pool, d, -(-ATTACKER_MIN_VOLUME // pool.denomination))
                 attackers.add(d)
 
     last_block = FIRST_BLOCK + config.block_span

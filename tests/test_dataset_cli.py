@@ -1046,6 +1046,22 @@ class TestIdlePools:
         assert [e for e in after["pools"] if e["pool_id"] != "PX"] == before["pools"]
         assert after["average_reduction"] == before["average_reduction"]
 
+    def test_relayers_without_a_withdrawal(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--profile", "disciplined", "--seed", "3", "--users", "2",
+                     "--blocks", "100", "--out", str(data)]) == 0
+        assert main(["relayers", "--data", str(data), "--out", str(out)]) == 0
+        by_pool = {r["pool_id"]: r for r in json.loads((out / "relayers.json").read_text())["pools"]}
+        idle = [r for r in by_pool.values() if not r["withdrawals"]]
+        assert {r["pool_id"] for r in idle} == {"P0.1", "P1", "P10"}
+        for row in idle:
+            assert row["relayed_withdrawal_share"] is None
+            assert row["relayed_withdrawer_share"] is None
+        assert by_pool["P100"]["relayed_withdrawal_share"] == "100.00%"
+        table = (out / "relayers.txt").read_text()
+        assert "P0.1  0         0 (-)                0 (-)" in table
+        assert "(0.00%)" not in table
+
 
 class TestTwoCoins:
     def test_pool_alone_in_its_coin_gets_no_h5_links(self, dataset_dir, tmp_path):

@@ -10,7 +10,9 @@ characters, non-ASCII text and a lone surrogate.
 Each hot file is written in ``ledger``'s one record order, so ``ingest``
 reads it back in exactly the order the index keeps.  Whether records are
 in that order as they stand is decided by ``ledger.in_position_order``,
-checked here against sorting by position.
+checked here against sorting by position.  A generated trace is proved
+in that order and written with no sort key computed; the same trace
+handed over shuffled is sorted into the same bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 
 import pytest
 
+import anonset.dataset
 from anonset.dataset import _event_line, _transfer_line, ingest, write_dataset
 from anonset.errors import IngestError
 from anonset.ledger import (
@@ -96,6 +99,35 @@ def assert_read_back_in_index_order(trace, path):
 @pytest.mark.parametrize("seed", range(4))
 def test_seeded_traces_read_back_in_index_order(tmp_path, seed):
     assert_read_back_in_index_order(seeded_trace(Prng(seed)), tmp_path)
+
+
+def test_generated_trace_is_proved_in_order_not_sorted(tmp_path, monkeypatch):
+    calls = {"event_order": 0, "transfer_order": 0}
+
+    def counted(name):
+        key = getattr(anonset.dataset, name)
+
+        def wrapper(record):
+            calls[name] += 1
+            return key(record)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(anonset.dataset, name, counted(name))
+    trace = seeded_trace(Prng(3))
+    assert trace.events and trace.transfers and trace.token_transfers
+    write_dataset(trace, tmp_path / "in_order")
+    assert calls == {"event_order": 0, "transfer_order": 0}
+
+    prng = Prng(4)
+    mixed = trace._replace(events=tuple(shuffled(trace.events, prng)),
+                           transfers=tuple(shuffled(trace.transfers, prng)),
+                           token_transfers=tuple(shuffled(trace.token_transfers, prng)))
+    write_dataset(mixed, tmp_path / "shuffled")
+    assert calls["event_order"] == len(trace.events)
+    assert calls["transfer_order"] == len(trace.transfers) + len(trace.token_transfers)
+    for file in sorted((tmp_path / "in_order").iterdir()):
+        assert (tmp_path / "shuffled" / file.name).read_bytes() == file.read_bytes(), file.name
 
 
 def shared_position_trace():

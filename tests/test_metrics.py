@@ -101,6 +101,12 @@ class TestRelayerUsage:
         assert usage.relayers == 0
         assert usage.relayed_withdrawal_share == 0
 
+    def test_no_withdrawal_has_no_share(self, p100, p100_events):
+        usage = relayer_usage(p100, [e for e in p100_events if e.kind == "deposit"])
+        assert (usage.withdrawals, usage.withdrawers) == (0, 0)
+        assert usage.relayed_withdrawal_share is None
+        assert usage.relayed_withdrawer_share is None
+
     def test_mixed_counts(self, p100):
         r = addr("rr")
         events = [withdrawal("P100", W1, 5, relayer=r),
