@@ -26,13 +26,11 @@ Conventions used throughout the package:
   a height.
 * Each record type has one total order, :func:`transfer_order` or
   :func:`event_order`: its position, then every other field.  Emission
-  and ``dataset.ingest`` each set it up once, by
-  :func:`_in_record_order`: a file :func:`in_position_order` finds in
-  strictly increasing position is in that order already, and any other
-  is sorted by it, so the index a dataset builds keeps its records as
-  they come.  A repeated
-  record is rejected once, also by ``dataset.ingest``; nothing below it
-  checks again.
+  and ``dataset.ingest`` each set it up once, by :func:`_in_record_order`:
+  a file :func:`in_position_order` finds in strictly increasing position
+  is in that order already, and any other is sorted by it, so the index
+  a dataset builds keeps its records as they come.  A repeated record is
+  rejected once, also by ``dataset.ingest``; nothing below it checks again.
 * A pool state is a plain ``dict`` of signed balances by address, made
   by the one formula :func:`balances` from per-address deposit and
   withdrawal counts.  The algebra never mutates a state it is given; it
@@ -309,33 +307,32 @@ def pool_state(pool: PoolConfig, events: Sequence[PoolEvent]) -> dict[Address, i
                     Counter(e.actor for e in events if e.kind == WITHDRAWAL))
 
 
+def _root(parent: dict[Address, Address], a: Address) -> Address:
+    while (up := parent[a]) != a:
+        parent[a] = a = parent[up]  # a now points to its grandparent, and steps there
+    return a
+
+
+def cluster_roots(pairs: Iterable[LinkPair]) -> dict[Address, Address]:
+    """Each linked address mapped to its cluster's root, its smallest member.
+    Unions anchor on the smaller root, and every find, the last of each
+    address too, compresses the path it walks by halving it (each address
+    passed points to its grandparent): a chain would be quadratic without."""
+    parent: dict[Address, Address] = {}
+    for a, b in pairs:  # a new address joins as its own root
+        ra = _root(parent, a) if a in parent else parent.setdefault(a, a)
+        rb = _root(parent, b) if b in parent else parent.setdefault(b, b)
+        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+        parent[hi] = lo
+    return {a: up if parent[up] == up else _root(parent, a) for a, up in parent.items()}
+
+
 def connected_components(pairs: Iterable[LinkPair]) -> tuple[tuple[Address, ...], ...]:
     """Connected components of the undirected link graph, each a sorted
     member tuple, ordered by their smallest member."""
-    parent: dict[Address, Address] = {}
-
-    def find(a: Address) -> Address:
-        # a new address joins as its own root
-        root = parent.setdefault(a, a)
-        if root == a:
-            return a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for p in pairs:
-        ra, rb = find(p.a1), find(p.a2)
-        if ra != rb:
-            # anchor on the smaller root so representatives are canonical
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-
     groups: dict[Address, list[Address]] = {}
-    for a in parent:
-        groups.setdefault(find(a), []).append(a)
-    # a root is its component's smallest member
+    for a, root in cluster_roots(pairs).items():
+        groups.setdefault(root, []).append(a)
     return tuple(tuple(sorted(groups[root])) for root in sorted(groups))
 
 
@@ -348,22 +345,24 @@ def reduced_set(state: Mapping[Address, int], links: Iterable[LinkPair],
     A linked address absent from the state contributes zero, and the
     result is independent of the order of the pairs.  Every pair given
     merges: distinct-owner evidence is never passed here.  A positive
-    cluster always contains a depositor of the state's history, since a
-    positive balance needs more deposits than withdrawals somewhere in
-    it, so the set stays inside the observed deposit-address set.
-    Merging more links can only shrink it.  A ``depositors`` set that
-    misses a positive cluster raises :class:`InputError`.
+    balance needs more deposits than withdrawals somewhere in it, so a
+    positive cluster holds a depositor and the set stays inside the
+    observed deposit-address set; a ``depositors`` set that misses one
+    raises :class:`InputError`.  Merging more links can only shrink it.
 
-    Cost: O(linked addresses) plus one pass over the state; an unlinked
-    address costs no cluster tuple and no depositor lookup of its own.
+    Cost: one pass over the state plus near-linear work in the linked
+    addresses, as long as :func:`cluster_roots` compresses every path it
+    walks; an unlinked address costs no depositor lookup.
     """
-    kept = {a for a, b in state.items() if b > 0}
-    for members in connected_components(links):
-        kept.difference_update(members)
-        if sum(state.get(a, 0) for a in members) > 0:
-            # a cluster without a depositor adds a non-depositor, which the
-            # check below rejects
-            kept.add(next((a for a in members if a in depositors), members[0]))
+    roots = cluster_roots(links)
+    kept = {a for a, b in state.items() if b > 0 and a not in roots}
+    totals, keepers = {}, {}
+    for a, root in roots.items():
+        totals[root] = totals.get(root, 0) + state.get(a, 0)
+        if a in depositors and (root not in keepers or a < keepers[root]):
+            keepers[root] = a
+    # a positive cluster without a depositor keeps its root: the check fails
+    kept.update(keepers.get(root, root) for root, total in totals.items() if total > 0)
     if not kept <= depositors:
         raise InputError(f"positive cluster without a depositor: {min(kept - depositors)}")
     return frozenset(kept)

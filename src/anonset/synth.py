@@ -366,10 +366,11 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
     for a in sorted(attackers):
         labels[a] = ("malicious",)
 
-    active = {}
-    for pool in config.pools:
-        state = pool_state(pool, [e for e in build.events if e.pool_id == pool.pool_id])
-        active[pool.pool_id] = frozenset(a for a, b in state.items() if b > 0)
+    by_pool: dict[str, list[PoolEvent]] = {pool.pool_id: [] for pool in config.pools}
+    for e in build.events:
+        by_pool[e.pool_id].append(e)
+    active = {pool.pool_id: frozenset(a for a, b in pool_state(pool, by_pool[pool.pool_id]).items()
+                                      if b > 0) for pool in config.pools}
 
     return SynthTrace(
         pools=tuple(config.pools),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from anonset.ledger import (
     PoolConfig,
     PoolEvent,
     Transfer,
+    cluster_roots,
     connected_components,
     crosses,
     normalize_address,
@@ -375,6 +377,29 @@ class TestMergeAndSimplify:
             assert reduced_set(merged, pairs, depositors) == baseline
 
 
+def _bfs_components(nodes, links) -> list[set]:
+    """The naive oracle of the link graph: the BFS components over ``nodes``
+    and every linked address, each found from its smallest member, in
+    order of it."""
+    adjacency = {a: set() for a in set(nodes) | {x for p in links for x in p}}
+    for p in links:
+        adjacency[p.a1].add(p.a2)
+        adjacency[p.a2].add(p.a1)
+    components, seen = [], set()
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        component, queue = set(), [start]
+        while queue:
+            node = queue.pop()
+            if node not in component:
+                component.add(node)
+                queue.extend(adjacency[node])
+        seen |= component
+        components.append(component)
+    return components
+
+
 class TestReducedSet:
     def test_matches_naive_oracle_on_random_histories(self):
         rng = random.Random(4242)
@@ -396,26 +421,10 @@ class TestReducedSet:
                      for _ in range(rng.randrange(0, 8))]
             checked_links += len(links)
 
-            # naive oracle: BFS components over every address, summed
-            # balances, positive clusters, smallest depositor member
-            adjacency = {a: set() for a in set(state) | {x for p in links
-                                                         for x in p}}
-            for p in links:
-                adjacency[p.a1].add(p.a2)
-                adjacency[p.a2].add(p.a1)
-            expected, seen = set(), set()
-            for start in sorted(adjacency):
-                if start in seen:
-                    continue
-                component, queue = set(), [start]
-                while queue:
-                    node = queue.pop()
-                    if node not in component:
-                        component.add(node)
-                        queue.extend(adjacency[node])
-                seen |= component
-                if sum(state.get(a, 0) for a in component) > 0:
-                    expected.add(min(component & depositors))
+            # naive oracle: summed balances, positive clusters, smallest
+            # depositor member
+            expected = {min(component & depositors) for component in _bfs_components(state, links)
+                        if sum(state.get(a, 0) for a in component) > 0}
 
             got = reduced_set(state, links, depositors)
             assert got == expected
@@ -484,6 +493,74 @@ class TestReducedSet:
 
         small, large = reads(1_000), reads(2_000)
         assert 0 < large <= 2.2 * small, (small, large)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "middle-out"])
+    def test_ledger_lines_grow_linearly_on_a_chain_in_any_order(self, order):
+        """A guard that needs no clock: the lines run in ``anonset.ledger``
+        for one reduction of a chain grow by at most 2.2 times when the
+        chain doubles, whatever the order of its links.  A root pass that
+        walked to each root without compressing the path would be
+        quadratic on a chain given in descending order."""
+
+        def lines(n: int) -> int:
+            members = [f"0x{i:040x}" for i in range(n + 1)]
+            links = [LinkPair(a, b) for a, b in zip(members, members[1:])]
+            if order == "descending":
+                links.reverse()
+            elif order == "shuffled":
+                random.Random(n).shuffle(links)
+            elif order == "middle-out":
+                links = [links[i] for i in sorted(range(n), key=lambda i: abs(i - n // 2))]
+            state = {a: 2 if i % 2 == 0 else -1 for i, a in enumerate(members)}
+            count = 0
+
+            def in_ledger(frame, event, arg):
+                nonlocal count
+                if event == "line":
+                    count += 1
+                return in_ledger
+
+            def calls(frame, event, arg):
+                return in_ledger if frame.f_globals.get("__name__") == "anonset.ledger" else None
+
+            previous = sys.gettrace()
+            sys.settrace(calls)
+            try:
+                got = reduced_set(state, links, frozenset(members))
+            finally:
+                sys.settrace(previous)
+            assert got == {members[0]}
+            return count
+
+        small, large = lines(1_000), lines(2_000)
+        assert 0 < large <= 2.2 * small, (small, large)
+
+
+class TestClusterRoots:
+    def test_matches_bfs_oracle_on_random_graphs(self):
+        """Every linked address maps to the smallest member of its BFS
+        component, ghosts (linked, never in the state) included, with
+        repeated pairs and both spellings of a pair among the links; an
+        unlinked address is not in the map, and the components group it."""
+        rng = random.Random(9090)
+        actors = [addr(f"g{i}") for i in range(16)]
+        ghosts = [addr(f"y{i}") for i in range(4)]
+        repeated = 0
+        for _ in range(300):
+            state = dict.fromkeys(rng.sample(actors, 10), 10)
+            pairs = [rng.sample(actors + ghosts, 2) for _ in range(rng.randrange(0, 24))]
+            if pairs:
+                a, b = rng.choice(pairs)
+                pairs += [[b, a], [a, b]]
+                repeated += 1
+            links = [LinkPair(a, b) for a, b in pairs]
+            linked = {x for p in links for x in p}
+            components = _bfs_components(state, links)
+            assert cluster_roots(links) == {a: min(c) for c in components for a in c
+                                            if a in linked}
+            assert connected_components(links) == tuple(tuple(sorted(c)) for c in components
+                                                         if len(c) > 1)
+        assert repeated > 250
 
 
 class TestConnectedComponents:
