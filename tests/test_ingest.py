@@ -89,6 +89,15 @@ def synth_dir(tmp_path):
     return data
 
 
+@pytest.fixture
+def large_dir(tmp_path):
+    """A dataset whose ``pool_events`` file, about 300 KB, is read in
+    batches above the 2 KB floor."""
+    data = tmp_path / "large"
+    write_dataset(mixed_trace(seed=5, users=300), data)
+    return data
+
+
 class TestInterning:
     def test_respelled_input_ingests_to_the_same_dataset(self, synth_dir, tmp_path):
         respell(synth_dir, tmp_path / "respelled", seed=17)
@@ -697,15 +706,39 @@ class TestFusedParsersMatchCheckedParser:
         assert outcomes[True] > 0
 
 
+class TestAddressPiece:
+    """The address piece of the line patterns takes its prefix as a branch,
+    ``(?:0[xX]|)``, which ``sre`` runs faster than an optional group.  With
+    the optional group it replaced as oracle, it matches the same spellings
+    and gives the same group."""
+
+    OPTIONAL = '"((?:0[xX])?[0-9a-fA-F]{40})"'
+
+    def test_same_matches_as_the_optional_prefix(self):
+        digits = ("a1b2c3d4e5f6" * 4)[:42]
+        bodies = []
+        for n in (39, 40, 41, 42):
+            body = digits[:n]
+            mixed = "".join(c.upper() if i % 2 else c for i, c in enumerate(body))
+            bodies += [body, body.upper(), mixed]
+        bodies += ["0a" + digits[:38], "00" + digits[:38], "0x0x" + digits[:38]]
+        old, new = re.compile(self.OPTIONAL), re.compile(dataset_module._ADDRESS)
+        matched = Counter()
+        for body in bodies:
+            for prefix in ("0x", "0X", ""):
+                text = f'"{prefix}{body}"'
+                want, got = old.fullmatch(text), new.fullmatch(text)
+                assert (got and got.groups()) == (want and want.groups()), text
+                matched[want is not None] += 1
+        # the five 40-digit bodies match under each of the three prefixes
+        assert matched[True] == 5 * 3 and matched[False] > 0
+
+
 def _batch_spans(path: Path) -> list[tuple[int, int]]:
     """The first and last line number of each batch of lines ingest reads
     from ``path``."""
-    spans, first = [], 1
-    with path.open(encoding="utf-8") as handle:
-        while lines := handle.readlines(dataset_module._BATCH):
-            spans.append((first, first + len(lines) - 1))
-            first += len(lines)
-    return spans
+    return [(first, first + len(lines) - 1)
+            for first, lines in dataset_module._batches(path.parent, path.name)]
 
 
 def _unknown_pool(record: dict) -> str:
@@ -763,6 +796,12 @@ EDGE_CASES = [
 ]
 
 
+# (batch, edge) of a line on a batch's edge: first and last line of the
+# first batch and of a later one
+EDGES = [(0, 0), (0, 1), (2, 0), (2, 1)]
+EDGE_IDS = ["first-of-first", "last-of-first", "first-of-later", "last-of-later"]
+
+
 class TestBatchBoundaries:
     """The batch reader against the checked parser as oracle: a line that
     leaves the fast path, on either edge of a batch and in a later batch,
@@ -783,26 +822,39 @@ class TestBatchBoundaries:
         lines[line - 1] = edit(json.loads(lines[line - 1]))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    @pytest.mark.parametrize("batch, edge", [(0, 0), (0, 1), (2, 0), (2, 1)],
-                             ids=["first-of-first", "last-of-first", "first-of-later",
-                                  "last-of-later"])
-    @pytest.mark.parametrize("name, edit, error, field", [case[1:] for case in EDGE_CASES],
-                             ids=[case[0] for case in EDGE_CASES])
-    def test_line_on_a_batch_edge(self, synth_dir, monkeypatch, name, edit, error, field,
-                                  batch, edge):
-        path = synth_dir / f"{name}.jsonl"
-        if name in ("labels", "ap_claims"):  # a few lines at this size
-            _lengthen(synth_dir, name)
+    def edit_on_an_edge(self, data: Path, monkeypatch, name, edit, error, field, batch,
+                        edge) -> None:
+        path = data / f"{name}.jsonl"
         spans = _batch_spans(path)
         assert len(spans) > 2 and spans[batch][0] < spans[batch][1]
         line = spans[batch][edge]
-        before = _outcome(synth_dir)
+        before = _outcome(data)
         self.edit(path, line, edit)
-        outcome = self.both(synth_dir, monkeypatch)
+        assert _batch_spans(path)[batch][edge] == line  # the edit kept it on the edge
+        outcome = self.both(data, monkeypatch)
         if error is None:
             assert outcome == before
         else:
             assert outcome == f"{error} [file={name}.jsonl, line={line}, field={field}]"
+
+    @pytest.mark.parametrize("batch, edge", EDGES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("name, edit, error, field", [case[1:] for case in EDGE_CASES],
+                             ids=[case[0] for case in EDGE_CASES])
+    def test_line_on_a_batch_edge(self, synth_dir, monkeypatch, name, edit, error, field,
+                                  batch, edge):
+        if name in ("labels", "ap_claims"):  # a few lines at this size
+            _lengthen(synth_dir, name)
+        self.edit_on_an_edge(synth_dir, monkeypatch, name, edit, error, field, batch, edge)
+
+    @pytest.mark.parametrize("batch, edge", EDGES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("name, edit, error, field",
+                             [case[1:] for case in EDGE_CASES if case[1] == "pool_events"],
+                             ids=[case[0] for case in EDGE_CASES if case[1] == "pool_events"])
+    def test_line_on_the_edge_of_a_batch_above_the_floor(self, large_dir, monkeypatch, name,
+                                                         edit, error, field, batch, edge):
+        _first, lines = next(dataset_module._batches(large_dir, f"{name}.jsonl"))
+        assert len("".join(lines[:-1])) > dataset_module._BATCH
+        self.edit_on_an_edge(large_dir, monkeypatch, name, edit, error, field, batch, edge)
 
     @pytest.mark.parametrize("fault", [False, True], ids=["valid", "fault-after"])
     @pytest.mark.parametrize("layout", ["no-final-newline", "blank-and-padded", "crlf"])
@@ -871,6 +923,23 @@ class TestFastPathCounts:
 
     CHECKED_FILES = ("pools", "relayers", "ens_transfers", "ens_subdomains",
                      "airdrop_claims", "follow_edges")
+
+    def test_a_large_file_is_read_in_at_most_65_batches(self, large_dir):
+        # each batch has a fixed cost; 2 KB batches read this file in over 130
+        path = large_dir / "pool_events.jsonl"
+        assert path.stat().st_size > 64 * 2048
+        batches = list(dataset_module._batches(large_dir, path.name))
+        assert len(batches) <= 65
+        assert sum(len(lines) for _first, lines in batches) == \
+            len(path.read_text(encoding="utf-8").splitlines())
+
+    def test_a_file_under_128_kb_is_read_in_2_kb_batches(self, synth_dir):
+        path = synth_dir / "pool_events.jsonl"
+        assert path.stat().st_size < 64 * 2048
+        with path.open(encoding="utf-8") as handle:
+            fixed = list(iter(lambda: handle.readlines(2048), []))
+        assert len(fixed) > 2
+        assert [lines for _first, lines in dataset_module._batches(synth_dir, path.name)] == fixed
 
     def test_valid_hot_rows_build_no_row_object(self, synth_dir, tmp_path, monkeypatch):
         # nor decode a hot line: its pattern takes every emitted line, also
