@@ -211,6 +211,10 @@ class _Row:
         value = self._get(field)
         if not isinstance(value, str) or not value:
             raise self.fail(field, "expected a non-empty string")
+        try:  # a lone surrogate escape decodes, but no report could write it
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise self.fail(field, "text is not encodable as UTF-8") from None
         return self.words.setdefault(value, value)
 
 

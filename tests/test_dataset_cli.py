@@ -650,6 +650,21 @@ class TestEncoding:
         assert code == 2
         assert "file=pool_events.jsonl, line=1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["anonymity", "relayers", "flows"])
+    def test_lone_surrogate_text_exits_2(self, tmp_path, capsys, command):
+        # valid JSON that decodes to a string no report file could encode
+        data = tmp_path / "data"
+        assert main(["synth", "--profile", "disciplined", "--seed", "3", "--users", "4",
+                     "--blocks", "200", "--out", str(data)]) == 0
+        for name in ("pools.jsonl", "pool_events.jsonl"):
+            path = data / name
+            path.write_text(path.read_text().replace('"P1"', '"P\\ud800"'))
+        capsys.readouterr()
+        code = main([command, "--data", str(data), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "file=pools.jsonl, line=2, field=pool_id" in err and "Traceback" not in err
+
 
 class TestCliCommands:
     def run(self, *argv) -> int:
