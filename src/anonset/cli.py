@@ -212,7 +212,10 @@ def _true_set_sizes(data) -> dict[str, int]:
 def _write_report(args, name: str, payload: dict, table: str) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.json").write_text(_dumps(payload) + "\n")
+    # pieces go straight into the file's buffer: no whole copy is ever held
+    with open(out / f"{name}.json", "w", encoding="utf-8") as report:
+        _encode(payload, "\n", report.write)
+        report.write("\n")
     (out / f"{name}.txt").write_text(table, encoding="utf-8")
     print(f"wrote {out / (name + '.json')} and {out / (name + '.txt')}")
 
@@ -220,19 +223,12 @@ def _write_report(args, name: str, payload: dict, table: str) -> None:
 _string = json.encoder.encode_basestring_ascii  # the escaping json.dumps applies
 
 
-def _dumps(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` byte for byte, at
-    about half its cost: with ``indent`` set, json encodes in pure Python.
-    Keys must be strings, as in every report.  ``_encode`` is a module
-    function, as a closure calling itself is a reference cycle, and while
-    ``main`` pauses the collector that would keep every chunk alive."""
-    chunks: list[str] = []
-    _encode(payload, "\n", chunks.append)
-    return "".join(chunks)
-
-
 def _encode(value, pad: str, emit) -> None:
-    """Pass ``value``'s text to ``emit`` in pieces, its lines indented by ``pad``."""
+    """Pass ``value``'s text to ``emit`` in pieces, its lines indented by ``pad``.
+    From ``pad="\\n"`` they join to ``json.dumps(value, sort_keys=True, indent=2)``
+    byte for byte, at about half its cost (with ``indent``, json encodes in pure
+    Python).  Keys must be strings.  Not a closure: one calling itself is a
+    reference cycle, which keeps ``emit`` alive while ``main`` pauses the collector."""
     if type(value) is str:
         emit(_string(value))
     elif type(value) is int:

@@ -272,8 +272,11 @@ def crosses(a: Address, b: Address, side_a: frozenset[Address],
 
 
 def up_to(records: Iterable, t: int) -> tuple:
-    """The pool events or transfers in the history at the cut ``t``, in order.
-    The cut is inclusive: a record in block ``t`` belongs to it."""
+    """The pool events or transfers in the history at the inclusive cut ``t``,
+    in order: the input tuple itself, uncopied, when none lies past ``t``."""
+    records = tuple(records)
+    if max(map(attrgetter("height"), records), default=t) <= t:
+        return records
     return tuple(r for r in records if r.height <= t)
 
 

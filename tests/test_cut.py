@@ -96,3 +96,12 @@ def test_index_holds_each_core_file_up_to_the_cut(full):
                        (index.token_transfers, "token_transfers")):
         blocks = _blocks(full / f"{name}.jsonl")
         assert 0 < len(held) == sum(1 for b in blocks if b <= t) < len(blocks), name
+
+
+def test_the_default_cut_shares_the_records(full):
+    # nothing lies past the last block, so the index holds no copy of a file
+    dataset = ingest(full)
+    index = dataset.build_index(dataset.manifest.last_block)
+    assert index.pool_events is dataset.events
+    assert index.native_transfers is dataset.transfers
+    assert index.token_transfers is dataset.token_transfers
