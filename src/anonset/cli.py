@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .dataset import Dataset, ingest, read_true_set_sizes, write_dataset
 from .errors import (
@@ -59,6 +60,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+def run() -> NoReturn:
+    """The process entry: run :func:`main`, flush stdout and stderr, and end
+    the process with no interpreter teardown, as every report is closed by
+    then and no command leaves an ``atexit`` handler or a thread.  A stream
+    that cannot be flushed exits 2; ``SystemExit`` (usage errors, ``--help``)
+    and any uncaught exception leave the normal way."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError as exc:
+        code = EXIT_INPUT
+        if sys.stderr is not None:
+            try:
+                print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
+            except OSError:  # stderr is gone too; the exit code still tells
+                pass
+    os._exit(code)
 
 
 def _at_least(low: int):
@@ -619,4 +640,4 @@ def _cmd_synth(args) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

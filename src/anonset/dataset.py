@@ -5,8 +5,8 @@ Every file is validated line by line before any analysis runs; failures
 name the file, line, and field.  Amounts travel as decimal strings in
 base units so no reader ever needs floating point; block numbers are
 plain unsigned integers.  Ingest needs only ``ledger``, which defines
-every record type a file decodes into, and ``indexing``; no analysis
-module is loaded to read a dataset.
+every record type a file decodes into; no analysis module, and not the
+index, is loaded to read a dataset.
 
 The synthetic generator emits exactly this layout (plus a
 ``ground_truth.json`` sidecar), so generated traces round-trip through
@@ -50,13 +50,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 from .errors import IngestError, InputError
-from .indexing import KNOWN_LABELS, LabelBook, LedgerIndex
 from .ledger import (
     DEPOSIT,
+    KNOWN_LABELS,
     WITHDRAWAL,
     Address,
     APClaim,
     FollowEdge,
+    LabelBook,
     NameTransfer,
     PoolConfig,
     PoolEvent,
@@ -70,6 +71,7 @@ from .ledger import (
 )
 
 if TYPE_CHECKING:
+    from .indexing import LedgerIndex
     from .synth import SynthTrace
 
 MANIFEST_FILE = "manifest.json"
@@ -109,6 +111,7 @@ class Dataset(NamedTuple):
 
     def build_index(self, t: int) -> LedgerIndex:
         """The index of the core records up to ``t``; side-channel files are not cut."""
+        from .indexing import LedgerIndex
         return LedgerIndex(up_to(self.transfers, t), up_to(self.token_transfers, t),
                            up_to(self.events, t), self.labels)
 

@@ -32,6 +32,7 @@ from .ledger import (
     WITHDRAWAL,
     Address,
     Amount,
+    LabelBook,
     PoolConfig,
     PoolEvent,
     Transfer,
@@ -40,36 +41,6 @@ from .ledger import (
     position,
     transfer_order,
 )
-
-USER_ACCOUNT = "user-account"
-KNOWN_LABELS = frozenset({"contract", "exchange", "relayer", "malicious", USER_ACCOUNT})
-_NOT_USER_ACCOUNT = frozenset({"contract", "exchange"})
-
-
-class LabelBook:
-    """Address labels; anything unlabeled defaults to ``user-account``."""
-
-    def __init__(self, labels: Mapping[Address, Iterable[str]] | None = None):
-        self._labels: dict[Address, frozenset[str]] = {}
-        if labels:
-            for addr, tags in labels.items():
-                tagset = frozenset(tags)
-                unknown = tagset - KNOWN_LABELS
-                if unknown:
-                    raise InputError(f"unknown labels for {addr}: {sorted(unknown)}")
-                if tagset:
-                    self._labels[addr] = tagset
-
-    def labels_for(self, address: Address) -> frozenset[str]:
-        return self._labels.get(address, frozenset({USER_ACCOUNT}))
-
-    def is_relayer(self, address: Address) -> bool:
-        return "relayer" in self._labels.get(address, frozenset())
-
-    def is_user_account(self, address: Address) -> bool:
-        """An externally owned account that is not a labeled exchange."""
-        return _NOT_USER_ACCOUNT.isdisjoint(self._labels.get(address, ()))
-
 
 class TransferCover(NamedTuple):
     """The most-recent-transfer cover of one deposit or withdrawal.

@@ -261,6 +261,36 @@ class FollowEdge(NamedTuple):
     followed: Address
 
 
+USER_ACCOUNT = "user-account"
+KNOWN_LABELS = frozenset({"contract", "exchange", "relayer", "malicious", USER_ACCOUNT})
+_NOT_USER_ACCOUNT = frozenset({"contract", "exchange"})
+
+
+class LabelBook:
+    """Address labels; anything unlabeled defaults to ``user-account``."""
+
+    def __init__(self, labels: Mapping[Address, Iterable[str]] | None = None):
+        self._labels: dict[Address, frozenset[str]] = {}
+        if labels:
+            for addr, tags in labels.items():
+                tagset = frozenset(tags)
+                unknown = tagset - KNOWN_LABELS
+                if unknown:
+                    raise InputError(f"unknown labels for {addr}: {sorted(unknown)}")
+                if tagset:
+                    self._labels[addr] = tagset
+
+    def labels_for(self, address: Address) -> frozenset[str]:
+        return self._labels.get(address, frozenset({USER_ACCOUNT}))
+
+    def is_relayer(self, address: Address) -> bool:
+        return "relayer" in self._labels.get(address, frozenset())
+
+    def is_user_account(self, address: Address) -> bool:
+        """An externally owned account that is not a labeled exchange."""
+        return _NOT_USER_ACCOUNT.isdisjoint(self._labels.get(address, ()))
+
+
 def crosses(a: Address, b: Address, side_a: frozenset[Address],
             side_b: frozenset[Address]) -> bool:
     """Whether ``a`` and ``b`` join the two sides: one in each, either way."""

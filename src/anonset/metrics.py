@@ -12,11 +12,11 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InputError
-from .indexing import LabelBook
 from .ledger import (
     WITHDRAWAL,
     Address,
     Amount,
+    LabelBook,
     PoolConfig,
     PoolEvent,
     _check_pool,

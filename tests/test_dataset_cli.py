@@ -83,6 +83,22 @@ def write_trace(data: Path, profile: BehaviorProfile, seed: int, users: int):
     return trace
 
 
+def write_multi_deposit_claimants(data: Path) -> None:
+    """Write a speculator dataset whose reward claims are only those of
+    multi-deposit claimants, so the solver searches for every one; with
+    ``--search-cap 1`` each run is inconclusive."""
+    main(["synth", "--profile", "am-speculator", "--seed", "8",
+          "--users", "10", "--out", str(data)])
+    multi = {r["recipient"] for r in read_sidecar(data)["am_truth"]
+             if len(r["deposit_blocks"]) > 1}
+    if not multi:
+        pytest.skip("seed produced no multi-deposit speculators")
+    path = data / "ap_claims.jsonl"
+    keep = [line for line in path.read_text().splitlines()
+            if json.loads(line)["recipient"] in multi]
+    path.write_text("\n".join(keep) + "\n")
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     out = tmp_path / "data"
@@ -783,17 +799,7 @@ class TestCliCommands:
     def test_am_link_strict_inconclusive_exit_code(self, tmp_path):
         data = tmp_path / "data"
         out = tmp_path / "out"
-        self.run("synth", "--profile", "am-speculator", "--seed", "8",
-                 "--users", "10", "--out", str(data))
-        # keep only multi-deposit claimants so the solver actually searches
-        multi = {r["recipient"] for r in read_sidecar(data)["am_truth"]
-                 if len(r["deposit_blocks"]) > 1}
-        if not multi:
-            pytest.skip("seed produced no multi-deposit speculators")
-        path = data / "ap_claims.jsonl"
-        keep = [line for line in path.read_text().splitlines()
-                if json.loads(line)["recipient"] in multi]
-        path.write_text("\n".join(keep) + "\n")
+        write_multi_deposit_claimants(data)
         code = self.run("am-link", "--data", str(data), "--out", str(out),
                         "--search-cap", "1", "--strict")
         assert code == 4

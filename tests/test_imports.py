@@ -1,9 +1,9 @@
 """Import guards: the runtime is pure standard library, no module imports a
 name it never uses, the mining model stays free of the heuristic, index
 and metrics layers, the metrics stay free of the heuristics, ingest and
-the CLI's start-up load no analysis module, the CLI starts without
-``dataclasses``, ``inspect`` or ``fractions``, and each command loads
-only the modules it runs."""
+the CLI's start-up load no analysis module and no index, the CLI starts
+without ``dataclasses``, ``inspect`` or ``fractions``, and each command
+loads only the modules it runs."""
 
 from __future__ import annotations
 
@@ -70,15 +70,14 @@ def test_unused_import_is_found():
 
 ANALYSIS = ("anonset.heuristics", "anonset.metrics", "anonset.mining",
             "anonset.groundtruth", "anonset.synth")
-CORE = ["anonset.cli", "anonset.dataset", "anonset.errors", "anonset.indexing",
-        "anonset.ledger"]
+CORE = ["anonset.cli", "anonset.dataset", "anonset.errors", "anonset.ledger"]
 
 
 @pytest.mark.parametrize("module,layers", [
     ("anonset.mining", ("anonset.heuristics", "anonset.indexing", "anonset.metrics")),
     ("anonset.metrics", ("anonset.heuristics",)),
-    ("anonset.dataset", ANALYSIS),
-    ("anonset.cli", ANALYSIS),
+    ("anonset.dataset", (*ANALYSIS, "anonset.indexing")),
+    ("anonset.cli", (*ANALYSIS, "anonset.indexing")),
 ], ids=["mining", "metrics", "dataset", "cli"])
 def test_module_loads_no_analysis_layer(module, layers):
     loaded = loaded_after(f"import {module}")
@@ -114,8 +113,13 @@ def test_each_command_loads_only_its_modules(tmp_path):
             f"    assert cli.main({list(argv)!r}) == 0\n"
             "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
 
-    assert not {"anonset.heuristics", "anonset.metrics"} & set(
+    assert not {"anonset.heuristics", "anonset.indexing", "anonset.metrics"} & set(
         run("synth", "--out", data, "--profile", "mixed", "--users", "20",
             "--blocks", "600"))
-    assert run("flows", "--data", data, "--out", out) == CORE
+    assert run("flows", "--data", data, "--out", out) == sorted(CORE + ["anonset.indexing"])
     assert run("am-link", "--data", data, "--out", out) == sorted(CORE + ["anonset.mining"])
+    # each reads labels, which ledger holds, and builds no index
+    for command in ("relayers", "flags"):
+        loaded = run(command, "--data", data, "--out", out)
+        assert [m for m in loaded if m.startswith("anonset.")] == sorted(
+            CORE + ["anonset.metrics"])

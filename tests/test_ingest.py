@@ -22,9 +22,10 @@ import anonset.indexing as indexing_module
 from anonset.cli import main
 from anonset.dataset import Dataset, _Row, ingest, write_dataset
 from anonset.errors import IngestError, InputError
-from anonset.indexing import KNOWN_LABELS, build_index
+from anonset.indexing import build_index
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
 from anonset.ledger import (
+    KNOWN_LABELS,
     LinkPair,
     PoolConfig,
     PoolEvent,
