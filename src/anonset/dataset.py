@@ -1,24 +1,21 @@
-"""Line-delimited dataset format: validation, ingestion, emission.
+"""Line-delimited dataset format: validation and ingestion.
 
 A dataset is a directory of JSON-lines record files plus a manifest.
 Every file is validated line by line before any analysis runs; failures
 name the file, line, and field.  Amounts travel as decimal strings in
 base units so no reader ever needs floating point; block numbers are
 plain unsigned integers.  Ingest needs only ``ledger``, which defines
-every record type a file decodes into; no analysis module, and not the
-index, is loaded to read a dataset.
+every record type a file decodes into, and ``rows``, the checked reader
+of one record; no analysis module, and not the index, is loaded to read
+a dataset.
 
-The synthetic generator emits exactly this layout (plus a
-``ground_truth.json`` sidecar), so generated traces round-trip through
-ingestion losslessly.  The sidecar holds two keys of planted truth:
-``active_depositors``, the true set per pool, and ``am_truth``, each
-speculator's blocks and claim.  ``ingest`` never opens it; only
-:func:`read_true_set_sizes` reads it, for ``anonymity --tas``, and it
-reads and validates ``active_depositors`` alone, keeping each pool's size.
+``synth`` writes exactly this layout (plus a ``ground_truth.json``
+sidecar), so generated traces round-trip through ingestion losslessly.
+``ingest`` never opens the sidecar; only ``anonymity --tas`` reads it.
 
-Ingestion mirrors emission, in batches of whole lines: 1/64 of a file,
-at least 2 KB.  Five files have a line pattern: pool events, native and
-token transfers, labels and reward claims.  In a batch of their lines
+Ingestion mirrors ``synth``'s emission, in batches of whole lines: 1/64
+of a file, at least 2 KB.  Five files have a line pattern: pool events,
+native and token transfers, labels and reward claims.  In a batch of their lines
 all in exactly the emitted layout, nearly every batch, one pattern scan
 finds every line's fields, undecoded, and one comprehension builds the
 batch's records with no Python call per record; what their constructors
@@ -28,26 +25,18 @@ which report the first fault, so a row's error is the same whichever
 path met it.  An address the line pattern has matched is canonical once
 lower-cased behind ``0x``, so it never meets the regular expression of
 :func:`~anonset.ledger.normalize_address`; every other address field
-follows :func:`_address`, which reaches it once per distinct address.
-
-Emission streams each record file line by line, with no whole file held
-in memory; pool events and transfers go in ``ledger``'s record order, the
-index's, by the one rule ``_in_record_order``: a generated trace, one
-record per block, is proved in that order and written with no sort, and
-only a trace in another order is sorted.  They are nearly every line, and
-go through hand-written encoders that yield exactly what ``json.dumps``
-with sorted keys gives; the small files, the manifest and the sidecar go
-through ``json.dumps`` itself.
+follows :func:`~anonset.rows._address`, which reaches it once per
+distinct address.  Pool events and transfers come out in ``ledger``'s
+record order, the index's, by the one rule ``_in_record_order``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import chain, starmap
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from .errors import IngestError, InputError
 from .ledger import (
@@ -65,14 +54,13 @@ from .ledger import (
     Transfer,
     _in_record_order,
     event_order,
-    normalize_address,
     transfer_order,
     up_to,
 )
+from .rows import _loads, _read_text, _Row, _utf8_error
 
 if TYPE_CHECKING:
     from .indexing import LedgerIndex
-    from .synth import SynthTrace
 
 MANIFEST_FILE = "manifest.json"
 GROUND_TRUTH_FILE = "ground_truth.json"
@@ -116,136 +104,6 @@ class Dataset(NamedTuple):
                            up_to(self.events, t), self.labels)
 
 
-# ---------------------------------------------------------------------------
-# field validation helpers
-
-
-def _address(value: str, canon: dict[str, Address]) -> Address:
-    """The canonical form of the address text ``value``, interned in ``canon``.
-
-    The address rule of ``_Row``, for each address no line pattern has
-    checked: an exact hit in ``canon``; else, for ASCII text, its lower-case
-    form (with ``0x`` put in front when absent) in ``canon``; else
-    :func:`normalize_address`, once, whose result is interned.  The lookups
-    only find what ``normalize_address`` would return, since ``canon`` holds
-    canonical addresses alone; padded text and look-alike characters miss
-    them and meet the regex.  Raises its ``InputError`` for a malformed value.
-    """
-    known = canon.get(value)
-    if known is not None:
-        return known
-    if value.isascii():
-        lower = value.lower()
-        known = canon.get(lower if lower[:2] == "0x" else "0x" + lower)
-        if known is not None:
-            return known
-    address = normalize_address(value)
-    return canon.setdefault(address, address)
-
-
-class _Row:
-    """One record of a dataset file, with checked field accessors.
-
-    This is the reference parser and the only error reporter: each accessor
-    checks one field and raises an error that names the file, line and
-    field.  A batch of patterned-file lines all in the emitted layout is
-    read by one scan of :data:`_LINE_PATTERNS` in ``ingest``, which take
-    only values these accessors would return unchanged; every other line,
-    and every line of a batch that fails a check, is decoded and read
-    here.  ``canon`` interns addresses for one ``ingest`` call, through
-    :func:`_address`, so every occurrence of an address is the same
-    object.  ``words`` does the same for ``text`` values, a few of which
-    (pool ids, event kinds, coins) recur on nearly every row.  It is a
-    dict of its own, because a text value found among the addresses would
-    pass ``address`` unchecked.
-    """
-
-    __slots__ = ("file", "line", "record", "canon", "words")
-
-    def __init__(self, file: str, line: int, record: Any, canon: dict[str, Address],
-                 words: dict[str, str]):
-        self.file = file
-        self.line = line
-        if not isinstance(record, dict):
-            raise IngestError("record is not an object", file=file, line=line)
-        self.record = record
-        self.canon = canon
-        self.words = words
-
-    def fail(self, field: str, message: str) -> IngestError:
-        return IngestError(message, file=self.file, line=self.line, field=field)
-
-    def _get(self, field: str):
-        if field not in self.record:
-            raise self.fail(field, "missing field")
-        return self.record[field]
-
-    def address(self, field: str) -> Address:
-        value = self._get(field)
-        if not isinstance(value, str):
-            raise self.fail(field, "address must be a string")
-        try:
-            return _address(value, self.canon)
-        except InputError:
-            raise self.fail(field, f"malformed address: {value!r}") from None
-
-    def optional_address(self, field: str) -> Address | None:
-        if self.record.get(field) is None:
-            return None
-        return self.address(field)
-
-    def uint(self, field: str, default: int | None = None) -> int:
-        value = self._get(field) if default is None else self.record.get(field, default)
-        # JSON gives exact ints; a bool is not one
-        if type(value) is not int or value < 0:
-            raise self.fail(field, "expected a non-negative integer")
-        return value
-
-    def amount(self, field: str) -> int:
-        value = self._get(field)
-        if not isinstance(value, str) or not (value.isascii() and value.isdigit()):
-            raise self.fail(field, "amounts are decimal strings of base units")
-        try:
-            return int(value)
-        except ValueError:  # longer than int()'s digit limit
-            raise self.fail(field, "amount has too many digits") from None
-
-    def text(self, field: str) -> str:
-        value = self._get(field)
-        if not isinstance(value, str) or not value:
-            raise self.fail(field, "expected a non-empty string")
-        try:  # a lone surrogate escape decodes, but no report could write it
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise self.fail(field, "text is not encodable as UTF-8") from None
-        return self.words.setdefault(value, value)
-
-
-def _utf8_error(file: Path, name: str) -> IngestError:
-    """Name the first line of ``file`` that is not valid UTF-8.
-
-    Text-mode reads decode whole chunks, so the error they raise does not
-    say which line the bad byte is on; this rereads the bytes line by line.
-    A newline byte never occurs inside a UTF-8 sequence, so decoding each
-    line on its own finds the same fault.
-    """
-    with file.open("rb") as handle:
-        for i, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return IngestError(f"invalid UTF-8 byte at column {exc.start + 1}",
-                                   file=name, line=i)
-    return IngestError("invalid UTF-8", file=name)
-
-
-def _read_text(file: Path, name: str) -> str:
-    try:
-        return file.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _utf8_error(file, name) from None
-
-
 _BATCH = 2048  # the fewest characters a batch asks for; past 128 KB, 1/64 of the file
 
 
@@ -265,20 +123,6 @@ def _batches(path: Path, file: str):
         raise _utf8_error(source, file) from None
 
 
-def _loads(text: str, file: str, line: int | None = None) -> Any:
-    """``json.loads``, with its error named by file and line.  An integer past
-    int()'s digit limit, or nesting past the recursion limit, is invalid JSON."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        message = exc.msg
-    except ValueError:  # an integer past int()'s digit limit
-        message = "integer has too many digits"
-    except RecursionError:
-        message = "nested too deeply"
-    raise IngestError(f"invalid JSON: {message}", file=file, line=line)
-
-
 # Pieces of the line patterns, each matching only text that json.loads
 # decodes to its group and ``_Row`` reads unchanged: an int below 10**18 with
 # no sign, leading zero, fraction or exponent; printable ASCII with no quote
@@ -292,7 +136,7 @@ _AMOUNT = '"([0-9]{1,78})"'
 
 
 def _line_pattern(**fields: str) -> re.Pattern:
-    """A whole ``_dump_line`` line of exactly these fields; groups in key order."""
+    """A whole line of exactly these fields, as ``synth`` writes it; groups in key order."""
     body = ",".join(f'"{key}":{fields[key]}' for key in sorted(fields))
     return re.compile(rf"^\{{{body}\}}$", re.M)
 
@@ -521,97 +365,3 @@ def ingest(path: str | Path) -> Dataset:
         labels=LabelBook({a: frozenset(tags) for a, tags in label_map.items()}),
         ap_claims=claims, ens_transfers=ens_transfers, ens_subdomains=subdomains,
         airdrop_claims=airdrops, follow_edges=edges, counts=counts)
-
-
-def read_true_set_sizes(path: str | Path) -> dict[str, int] | None:
-    """Pool id -> size of its true active-depositor set, from a dataset's
-    ``ground_truth.json`` sidecar, or None when it has none.  Each size
-    counts a pool's distinct addresses, one set alive at a time; no other
-    sidecar key is read."""
-    file = Path(path) / GROUND_TRUTH_FILE
-    if not file.exists():
-        return None
-    raw = _loads(_read_text(file, GROUND_TRUTH_FILE), GROUND_TRUTH_FILE)
-    if not isinstance(raw, dict):
-        raise IngestError("ground truth is not an object", file=GROUND_TRUTH_FILE)
-    key = "active_depositors"
-    if key not in raw:
-        raise IngestError("missing field", file=GROUND_TRUTH_FILE, field=key)
-    if not isinstance(raw[key], dict) or not all(
-            isinstance(a, list) and set(map(type, a)) <= {str} for a in raw[key].values()):
-        raise IngestError("expected an object of address lists", file=GROUND_TRUTH_FILE, field=key)
-    return {pool: len(set(addrs)) for pool, addrs in raw[key].items()}
-
-
-# ---------------------------------------------------------------------------
-# emission
-
-
-def _dump_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-# json.dumps's own string escaper (``ensure_ascii`` is its default)
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _event_line(e: PoolEvent) -> str:
-    """``_dump_line`` of a pool event's record, keys in sorted order."""
-    relayer = "null" if e.relayer is None else _quote(e.relayer)
-    return (f'{{"actor":{_quote(e.actor)},"block":{e.height},"kind":{_quote(e.kind)},'
-            f'"log_index":{e.log_index},"pool_id":{_quote(e.pool_id)},'
-            f'"relayer":{relayer},"tx_index":{e.tx_index},'
-            f'"tx_sender":{_quote(e.tx_sender)}}}\n')
-
-
-def _transfer_line(t: Transfer) -> str:
-    """``_dump_line`` of a native or token transfer's record, keys in
-    sorted order; the amount is a quoted decimal."""
-    return (f'{{"amount":"{t.amount}","block":{t.height},"coin":{_quote(t.coin)},'
-            f'"log_index":{t.log_index},"recipient":{_quote(t.recipient)},'
-            f'"sender":{_quote(t.sender)},"tx_index":{t.tx_index}}}\n')
-
-
-def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
-    """Emit a synthetic trace in the ingestion layout, plus its sidecar."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-
-    manifest = {"first_block": trace.first_block, "last_block": trace.last_block}
-    (path / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-    def write(name: str, lines: Iterable[str]) -> None:
-        with (path / f"{name}.jsonl").open("w", encoding="utf-8") as handle:
-            handle.writelines(lines)
-
-    write("pools", (_dump_line({"pool_id": p.pool_id, "coin": p.coin,
-                                "denomination": str(p.denomination),
-                                "am_weight": p.am_weight})
-                    for p in sorted(trace.pools, key=lambda p: p.pool_id)))
-    write("pool_events", map(_event_line, _in_record_order(trace.events, event_order)[0]))
-    for name in ("transfers", "token_transfers"):
-        write(name, map(_transfer_line, _in_record_order(getattr(trace, name), transfer_order)[0]))
-    write("labels", (_dump_line({"address": a, "label": label})
-                     for a in sorted(trace.labels)
-                     for label in sorted(trace.labels[a])))
-    write("relayers", (_dump_line({"address": a}) for a in sorted(trace.relayers)))
-    write("ap_claims", (_dump_line({"recipient": c.recipient, "block": c.block,
-                                    "ap": c.ap})
-                        for c in sorted(trace.ap_claims,
-                                        key=lambda c: (c.block, c.recipient))))
-    for name in ("ens_transfers", "ens_subdomains", "airdrop_claims", "follow_edges"):
-        write(name, ())
-
-    gt = trace.ground_truth
-    payload = {
-        "am_truth": [{"recipient": r.recipient, "pool_id": r.pool_id,
-                      "deposit_blocks": list(r.deposit_blocks),
-                      "withdrawal_blocks": list(r.withdrawal_blocks),
-                      "ap": r.ap, "claim_block": r.claim_block}
-                     for r in sorted(gt.am_truth, key=lambda r: (r.claim_block, r.recipient))],
-        "active_depositors": {pool: sorted(addrs)
-                              for pool, addrs in sorted(gt.active_depositors.items())},
-    }
-    (path / GROUND_TRUTH_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    return path
-

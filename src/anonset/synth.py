@@ -19,14 +19,29 @@ Isolation between behavior classes rests on three construction rules:
 
 Randomness comes from a splitmix64 stream seeded by the caller: identical
 (config, seed) inputs reproduce the trace bit for bit on any platform.
+
+:func:`write_dataset` emits a trace in ``dataset``'s layout, streaming
+each record file line by line with no whole file held in memory.  Pool
+events and transfers go in ``ledger``'s record order, the index's, by
+the one rule ``_in_record_order``: a generated trace, one record per
+block, is proved in that order and written with no sort, and only a trace
+in another order is sorted.  They are nearly every line, and go through
+hand-written encoders that yield exactly what ``json.dumps`` with sorted
+keys gives; the small files, the manifest and the sidecar go through
+``json.dumps`` itself.  The sidecar holds two keys of planted truth:
+``active_depositors``, the true set per pool, and ``am_truth``, each
+speculator's blocks and claim.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .dataset import GROUND_TRUTH_FILE, MANIFEST_FILE
 from .errors import ConfigError, InputError
 from .ledger import (
     DEPOSIT,
@@ -38,7 +53,10 @@ from .ledger import (
     PoolEvent,
     Transfer,
     Validated,
+    _in_record_order,
+    event_order,
     pool_state,
+    transfer_order,
 )
 from .mining import DEFAULT_AM_WEIGHTS, anonymity_points
 
@@ -388,4 +406,77 @@ def generate_trace(config: GeneratorConfig, seed: int) -> SynthTrace:
             attackers=frozenset(attackers),
             am_truth=tuple(am_truth),
             active_depositors=active))
+
+
+# ---------------------------------------------------------------------------
+# emission
+
+
+def _dump_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# json.dumps's own string escaper (``ensure_ascii`` is its default)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _event_line(e: PoolEvent) -> str:
+    """``_dump_line`` of a pool event's record, keys in sorted order."""
+    relayer = "null" if e.relayer is None else _quote(e.relayer)
+    return (f'{{"actor":{_quote(e.actor)},"block":{e.height},"kind":{_quote(e.kind)},'
+            f'"log_index":{e.log_index},"pool_id":{_quote(e.pool_id)},'
+            f'"relayer":{relayer},"tx_index":{e.tx_index},'
+            f'"tx_sender":{_quote(e.tx_sender)}}}\n')
+
+
+def _transfer_line(t: Transfer) -> str:
+    """``_dump_line`` of a native or token transfer's record, keys in
+    sorted order; the amount is a quoted decimal."""
+    return (f'{{"amount":"{t.amount}","block":{t.height},"coin":{_quote(t.coin)},'
+            f'"log_index":{t.log_index},"recipient":{_quote(t.recipient)},'
+            f'"sender":{_quote(t.sender)},"tx_index":{t.tx_index}}}\n')
+
+
+def write_dataset(trace: SynthTrace, path: str | Path) -> Path:
+    """Emit a synthetic trace in the ingestion layout, plus its sidecar."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+
+    manifest = {"first_block": trace.first_block, "last_block": trace.last_block}
+    (path / MANIFEST_FILE).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+    def write(name: str, lines: Iterable[str]) -> None:
+        with (path / f"{name}.jsonl").open("w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+
+    write("pools", (_dump_line({"pool_id": p.pool_id, "coin": p.coin,
+                                "denomination": str(p.denomination),
+                                "am_weight": p.am_weight})
+                    for p in sorted(trace.pools, key=lambda p: p.pool_id)))
+    write("pool_events", map(_event_line, _in_record_order(trace.events, event_order)[0]))
+    for name in ("transfers", "token_transfers"):
+        write(name, map(_transfer_line, _in_record_order(getattr(trace, name), transfer_order)[0]))
+    write("labels", (_dump_line({"address": a, "label": label})
+                     for a in sorted(trace.labels)
+                     for label in sorted(trace.labels[a])))
+    write("relayers", (_dump_line({"address": a}) for a in sorted(trace.relayers)))
+    write("ap_claims", (_dump_line({"recipient": c.recipient, "block": c.block,
+                                    "ap": c.ap})
+                        for c in sorted(trace.ap_claims,
+                                        key=lambda c: (c.block, c.recipient))))
+    for name in ("ens_transfers", "ens_subdomains", "airdrop_claims", "follow_edges"):
+        write(name, ())
+
+    gt = trace.ground_truth
+    payload = {
+        "am_truth": [{"recipient": r.recipient, "pool_id": r.pool_id,
+                      "deposit_blocks": list(r.deposit_blocks),
+                      "withdrawal_blocks": list(r.withdrawal_blocks),
+                      "ap": r.ap, "claim_block": r.claim_block}
+                     for r in sorted(gt.am_truth, key=lambda r: (r.claim_block, r.recipient))],
+        "active_depositors": {pool: sorted(addrs)
+                              for pool, addrs in sorted(gt.active_depositors.items())},
+    }
+    (path / GROUND_TRUTH_FILE).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    return path
 

@@ -9,16 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from anonset import cli, heuristics, ledger
+from anonset import heuristics, ledger
 from anonset.cli import main
-from anonset.dataset import (
-    RECORD_FILES,
-    Dataset,
-    Manifest,
-    ingest,
-    read_true_set_sizes,
-    write_dataset,
-)
+from anonset.commands import anonymity as anonymity_command
+from anonset.commands.anonymity import read_true_set_sizes
+from anonset.dataset import RECORD_FILES, Dataset, Manifest, ingest
 from anonset.errors import IngestError
 from anonset.heuristics import (
     h1_reuse,
@@ -38,6 +33,7 @@ from anonset.synth import (
     Prng,
     generate_trace,
     standard_pools,
+    write_dataset,
 )
 
 from .conftest import reduced
@@ -290,7 +286,7 @@ class TestAnonymityMemory:
         data = tmp_path / "data"
         write_dataset(mixed_trace(users=users), data)
         readings = []
-        run_heuristics = cli._run_heuristics
+        run_heuristics = anonymity_command._run_heuristics
 
         def measured(*args):
             result = run_heuristics(*args)
@@ -300,7 +296,7 @@ class TestAnonymityMemory:
         argv = ["anonymity", "--combine", "--tas", "--data", str(data),
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 0  # so the modules the command imports are not counted
-        monkeypatch.setattr(cli, "_run_heuristics", measured)
+        monkeypatch.setattr(anonymity_command, "_run_heuristics", measured)
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -1208,7 +1204,7 @@ class TestReductionCalls:
             return reduced_set(state, links, depositors)
 
         # wherever a module binds the name, so no path around the counter
-        for module in (ledger, heuristics, cli):
+        for module in (ledger, heuristics, anonymity_command):
             monkeypatch.setattr(module, "reduced_set", counted, raising=False)
         pools = len(ingest(data).pools)
         tags = heuristics.default_tags(pools)

@@ -22,8 +22,8 @@ import re
 
 import pytest
 
-import anonset.dataset
-from anonset.dataset import _event_line, _transfer_line, ingest, write_dataset
+import anonset.synth
+from anonset.dataset import ingest
 from anonset.errors import IngestError
 from anonset.ledger import (
     DEPOSIT,
@@ -35,7 +35,7 @@ from anonset.ledger import (
     transfer_order,
 )
 from anonset.ledger import position as record_position
-from anonset.synth import Prng
+from anonset.synth import Prng, _event_line, _transfer_line, write_dataset
 
 from .conftest import addr, deposit, transfer, withdrawal
 from .test_properties import seeded_trace, shuffled
@@ -105,7 +105,7 @@ def test_generated_trace_is_proved_in_order_not_sorted(tmp_path, monkeypatch):
     calls = {"event_order": 0, "transfer_order": 0}
 
     def counted(name):
-        key = getattr(anonset.dataset, name)
+        key = getattr(anonset.synth, name)
 
         def wrapper(record):
             calls[name] += 1
@@ -113,7 +113,7 @@ def test_generated_trace_is_proved_in_order_not_sorted(tmp_path, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(anonset.dataset, name, counted(name))
+        monkeypatch.setattr(anonset.synth, name, counted(name))
     trace = seeded_trace(Prng(3))
     assert trace.events and trace.transfers and trace.token_transfers
     write_dataset(trace, tmp_path / "in_order")

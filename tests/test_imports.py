@@ -2,11 +2,12 @@
 name it never uses, the mining model stays free of the heuristic, index
 and metrics layers, the metrics stay free of the heuristics, ingest and
 the CLI's start-up load no analysis module and no index, the CLI starts
-without ``dataclasses``, ``inspect`` or ``fractions``, and each command
-loads only the modules it runs."""
+without ``dataclasses``, ``inspect`` or ``fractions``, no module imports
+the CLI, and each command loads only the modules it runs."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import subprocess
 import sys
@@ -15,9 +16,11 @@ from pathlib import Path
 import pytest
 
 import anonset
+from anonset import cli
 
 PACKAGE = Path(anonset.__path__[0])
-MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = sorted(PACKAGE.rglob("*.py"))
+NAMES = [str(m.relative_to(PACKAGE)) for m in MODULES]
 
 
 def imported_roots(source: str) -> set[str]:
@@ -51,13 +54,13 @@ def loaded_after(statement: str) -> list[str]:
                           capture_output=True, text=True).stdout.split()
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+@pytest.mark.parametrize("module", MODULES, ids=NAMES)
 def test_module_imports_only_stdlib_or_relative(module):
     foreign = imported_roots(module.read_text()) - sys.stdlib_module_names
     assert not foreign, f"{module.name} imports {sorted(foreign)}"
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+@pytest.mark.parametrize("module", MODULES, ids=NAMES)
 def test_module_uses_every_import(module):
     unused = unused_imports(module.read_text())
     assert not unused, f"{module.name} never uses {sorted(unused)}"
@@ -70,7 +73,39 @@ def test_unused_import_is_found():
 
 ANALYSIS = ("anonset.heuristics", "anonset.metrics", "anonset.mining",
             "anonset.groundtruth", "anonset.synth")
-CORE = ["anonset.cli", "anonset.dataset", "anonset.errors", "anonset.ledger"]
+
+
+def imported_modules(module: Path) -> set[str]:
+    """Every module ``module``'s imports name, made absolute: each
+    ``from X import y`` names both ``X`` and ``X.y``, which may be a module."""
+    package = ".".join(module.relative_to(PACKAGE.parent).with_suffix("").parts)
+    if module.name != "__init__.py":
+        package = package.rpartition(".")[0]
+    names = set()
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_are_made_absolute():
+    assert imported_modules(PACKAGE / "commands" / "am_link.py") >= {
+        "anonset", "anonset.mining", "anonset.errors", "anonset.ledger.DEPOSIT",
+        "anonset.commands", "anonset.commands._write_report"}
+
+
+def test_no_module_imports_the_cli():
+    # under ``python -m anonset.cli`` the CLI runs as ``__main__``, so an
+    # import of ``anonset.cli`` would compile and run it a second time
+    for module in MODULES:
+        assert "anonset.cli" not in imported_modules(module), module.name
 
 
 @pytest.mark.parametrize("module,layers", [
@@ -101,6 +136,20 @@ def test_cli_start_up_generates_no_code():
     assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(added)
 
 
+# each command's modules besides its own module and the ones every command loads
+COMMON = ["cli", "commands", "dataset", "errors", "ledger", "rows"]
+COMMAND_MODULES = {
+    "synth": ["mining", "synth"],
+    "anonymity": ["heuristics", "indexing", "metrics"],
+    "clusters": ["heuristics", "indexing", "metrics"],
+    "relayers": ["metrics"],
+    "flows": ["indexing"],
+    "flags": ["metrics"],
+    "am-link": ["mining"],
+    "validate": ["groundtruth", "heuristics", "indexing", "metrics"],
+}
+
+
 def test_each_command_loads_only_its_modules(tmp_path):
     data, out = str(tmp_path / "data"), str(tmp_path / "out")
 
@@ -113,13 +162,22 @@ def test_each_command_loads_only_its_modules(tmp_path):
             f"    assert cli.main({list(argv)!r}) == 0\n"
             "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
 
-    assert not {"anonset.heuristics", "anonset.indexing", "anonset.metrics"} & set(
-        run("synth", "--out", data, "--profile", "mixed", "--users", "20",
-            "--blocks", "600"))
-    assert run("flows", "--data", data, "--out", out) == sorted(CORE + ["anonset.indexing"])
-    assert run("am-link", "--data", data, "--out", out) == sorted(CORE + ["anonset.mining"])
-    # each reads labels, which ledger holds, and builds no index
-    for command in ("relayers", "flags"):
-        loaded = run(command, "--data", data, "--out", out)
+    (commands,) = [a.choices for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(COMMAND_MODULES)
+    extra = {"anonymity": ["--tas"], "validate": ["--gt", "airdrop"]}
+    for command, modules in COMMAND_MODULES.items():
+        if command == "synth":
+            argv = ["synth", "--out", data, "--profile", "mixed", "--users", "20",
+                    "--blocks", "600"]
+        else:
+            argv = [command, *extra.get(command, []), "--data", data, "--out", out]
+        loaded = run(*argv)
+        own = f"commands.{command.replace('-', '_')}"
         assert [m for m in loaded if m.startswith("anonset.")] == sorted(
-            CORE + ["anonset.metrics"])
+            f"anonset.{m}" for m in COMMON + modules + [own]), command
+        # one command's module, and no other's
+        assert [m for m in loaded if m.startswith("anonset.commands.")] == [f"anonset.{own}"]
+        # the two commands that take no ratio load neither fractions nor decimal
+        if command in ("flows", "am-link"):
+            assert all(m.startswith("anonset.") for m in loaded), loaded

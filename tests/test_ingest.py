@@ -19,8 +19,9 @@ import pytest
 import anonset
 import anonset.dataset as dataset_module
 import anonset.indexing as indexing_module
+import anonset.rows as rows_module
 from anonset.cli import main
-from anonset.dataset import Dataset, _Row, ingest, write_dataset
+from anonset.dataset import Dataset, _Row, ingest
 from anonset.errors import IngestError, InputError
 from anonset.indexing import build_index
 from anonset.groundtruth import FollowEdge, NameTransfer, SubdomainGrant
@@ -36,6 +37,7 @@ from anonset.ledger import (
     transfer_order,
 )
 from anonset.mining import APClaim
+from anonset.synth import write_dataset
 
 from .test_dataset_cli import A1, A2, mixed_trace, write_side_channels
 
@@ -1048,7 +1050,7 @@ class TestFastPathCounts:
             calls.append(value)
             return normalize_address(value)
 
-        monkeypatch.setattr(dataset_module, "normalize_address", counted)
+        monkeypatch.setattr(rows_module, "normalize_address", counted)
         # the line patterns check their addresses, so a hot file sends none
         dataset = ingest(tmp_path / "respelled")
         hot = {a for e in dataset.events for a in (e.actor, e.tx_sender, e.relayer) if a}

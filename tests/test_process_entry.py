@@ -155,6 +155,23 @@ def test_a_stdout_that_cannot_be_flushed_exits_2(datasets, tmp_path):
     assert sorted(files(out)) == ["am-link.json", "am-link.txt"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["no-such-command"]], ids=["help", "usage-error"])
+def test_an_argparse_exit_whose_stdout_cannot_be_flushed_exits_2(argv):
+    # argparse leaves through SystemExit; ``run`` ends it as a command's
+    # own exit, so the help that cannot be flushed is not the interpreter's 120
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "anonset.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=process_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if argv == ["--help"]:
+        assert proc.stderr.startswith("error: cannot write output: ")
+    else:
+        assert "invalid choice: 'no-such-command'" in proc.stderr
+
+
 def test_the_console_script_is_the_process_entry():
     pyproject = (SRC.parent / "pyproject.toml").read_text()
     assert 'anonset = "anonset.cli:run"' in pyproject

@@ -1,5 +1,5 @@
-"""The report writer: ``cli._encode``, ``cli._write_report`` and
-``cli._table`` against oracles.
+"""The report writer: ``commands._encode``, ``commands._write_report`` and
+``commands._table`` against oracles.
 
 The pieces ``_encode`` emits must join to the bytes ``json.dumps(payload,
 sort_keys=True, indent=2)`` gives, on random payloads and on the payload of
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import pytest
 
-from anonset import cli
+from anonset import cli, commands
 
 
 def oracle(payload) -> str:
@@ -30,7 +31,7 @@ def oracle(payload) -> str:
 
 def encoded(payload) -> str:
     sink = io.StringIO()
-    cli._encode(payload, "\n", sink.write)
+    commands._encode(payload, "\n", sink.write)
     return sink.getvalue()
 
 
@@ -114,8 +115,9 @@ def test_runs_cover_every_report_command():
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
 def test_written_report_matches_json(argv, dataset, tmp_path, monkeypatch):
     payloads = []
-    write = cli._write_report
-    monkeypatch.setattr(cli, "_write_report",
+    command = importlib.import_module(f"anonset.commands.{argv[0].replace('-', '_')}")
+    write = command._write_report
+    monkeypatch.setattr(command, "_write_report",
                         lambda args, name, payload, table: (payloads.append(payload),
                                                             write(args, name, payload, table)))
     assert cli.main(argv + ["--data", str(dataset), "--out", str(tmp_path)]) == 0
@@ -149,7 +151,7 @@ def test_writer_leaves_no_reference_cycle(tmp_path):
     gc.disable()
     try:
         gc.collect()
-        cli._write_report(args, "am-link", payload, "table\n")
+        commands._write_report(args, "am-link", payload, "table\n")
         assert gc.collect() == 0
     finally:
         if collecting:
@@ -157,17 +159,25 @@ def test_writer_leaves_no_reference_cycle(tmp_path):
     assert (tmp_path / "am-link.json").read_text(encoding="utf-8") == oracle(payload) + "\n"
 
 
-def write_peak_rise(tmp_path, payload: dict) -> int:
-    """The rise of the traced peak while ``_write_report`` writes ``payload``,
-    after one warm-up write, with the collector paused as ``cli.main`` does."""
+def am_link_table(payload: dict) -> str:
+    """The table ``am-link`` writes beside ``payload``: one row per claimant."""
+    return commands._table(["address", "category", "status", "solutions"],
+                           [[o["address"], o["category"], o["status"], str(len(o["solutions"]))]
+                            for o in payload["claimants"]])
+
+
+def write_peak_rise(tmp_path, payload: dict, table: str = "table\n") -> int:
+    """The rise of the traced peak while ``_write_report`` writes ``payload``
+    and ``table``, after one warm-up write, with the collector paused as
+    ``cli.main`` does."""
     args = argparse.Namespace(out=str(tmp_path))
-    cli._write_report(args, "am-link", payload, "table\n")
+    commands._write_report(args, "am-link", payload, table)
     collecting = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cli._write_report(args, "am-link", payload, "table\n")
+        commands._write_report(args, "am-link", payload, table)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -180,11 +190,21 @@ def test_writer_holds_no_copy_of_the_report(tmp_path):
     about the file's buffers, whatever its size.  Streamed, the 1 000-claimant
     payload (a 301 KB report) rises about 61 KiB at either size; joined into
     one string before it was written, it rose 2 060 KiB, and 4 128 KiB at
-    2 000 claimants."""
+    2 000 claimants.  The table goes into its file in pieces too, and its
+    write rises no more with it; written whole, its encoded copy rose 63 KiB
+    more at 2 000 rows than at 1 000."""
     small = write_peak_rise(tmp_path, am_link_payload(1000))
     large = write_peak_rise(tmp_path, am_link_payload(2000))
     assert small < 256 * 1024
     assert abs(large - small) <= 16 * 1024, (small, large)
+    small, large = (am_link_payload(n) for n in (1000, 2000))
+    small_table, large_table = map(am_link_table, (small, large))
+    assert len(large_table) - len(small_table) > 48 * 1024  # past the bound below
+    small = write_peak_rise(tmp_path, small, small_table)
+    large = write_peak_rise(tmp_path, large, large_table)
+    assert small < 256 * 1024
+    assert abs(large - small) <= 16 * 1024, (small, large)
+    assert (tmp_path / "am-link.txt").read_text(encoding="utf-8") == large_table
 
 
 def loop_table(headers, rows) -> str:
@@ -209,7 +229,7 @@ def loop_table(headers, rows) -> str:
     (["h"], []),
 ])
 def test_table_matches_the_loop(headers, rows):
-    assert cli._table(headers, rows) == loop_table(headers, rows)
+    assert commands._table(headers, rows) == loop_table(headers, rows)
 
 
 def test_table_matches_the_loop_on_random_rows():
@@ -219,4 +239,4 @@ def test_table_matches_the_loop_on_random_rows():
         width = rng.randrange(1, 6)
         headers = [rng.choice(cells) + "h" for _ in range(width)]
         rows = [[rng.choice(cells) for _ in range(width)] for _ in range(rng.randrange(5))]
-        assert cli._table(headers, rows) == loop_table(headers, rows)
+        assert commands._table(headers, rows) == loop_table(headers, rows)
