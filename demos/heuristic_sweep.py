@@ -6,14 +6,11 @@ can be checked against ground truth.  Watch the combined column: it is
 never larger than the best single heuristic.
 """
 
-from fractions import Fraction
-
 from anonset.heuristics import HEURISTICS, pool_view, run_heuristics
 from anonset.indexing import build_index
-from anonset.ledger import reduced_set
 from anonset.metrics import (
     advantage_increase_from_reduction,
-    relative_advantage_increase,
+    anonymity_sets,
     render_percent,
 )
 from anonset.synth import (
@@ -44,25 +41,23 @@ print(f"{'pool':<6} {'observed':>8} {'h1':>6} {'h2':>6} {'h3':>6} {'h4':>6} "
 # trace, shared by every heuristic
 tags = tuple(HEURISTICS)
 views = [pool_view(index, pool) for pool in trace.pools]
-by_pool_tag = run_heuristics(tags, views)
-combined_reductions = []
-for view in views:
-    links = [by_pool_tag[(view.pool.pool_id, tag)].link_pairs for tag in tags]
-    # combining is reducing once under the union of every heuristic's links
-    merged = len(reduced_set(view.state, frozenset().union(*links), view.depositors))
-    observed = len(view.depositors)
-    sizes = " ".join(f"{len(reduced_set(view.state, pairs, view.depositors)):>6}"
-                     for pairs in links)
-    gain = relative_advantage_increase(observed, merged)
-    print(f"{view.pool.pool_id:<6} {observed:>8} {sizes} "
+links = run_heuristics(tags, views)
+found = frozenset().union(*(pairs for mine in links.values() for pairs in mine.values()))
+# combining is reducing once under the union of every heuristic's links
+for mine in links.values():
+    mine["combined"] = frozenset().union(*mine.values())
+sets, means = anonymity_sets(views, links)
+for pool_id, (observed, reduced) in sets.items():
+    sizes = " ".join(f"{reduced[tag][0]:>6}" for tag in tags)
+    merged, reduction = reduced["combined"]
+    gain = advantage_increase_from_reduction(reduction)
+    print(f"{pool_id:<6} {observed:>8} {sizes} "
           f"{merged:>9} {render_percent(gain):>9}")
-    combined_reductions.append(Fraction(observed - merged, observed))
 
-mean = sum(combined_reductions, Fraction(0)) / len(combined_reductions)
+mean = means["combined"]
 print(f"\nmean combined reduction: {render_percent(mean)}")
 print(f"implied linkability gain: "
       f"{render_percent(advantage_increase_from_reduction(mean))}")
 
-found = frozenset().union(*(r.link_pairs for r in by_pool_tag.values()))
 print(f"\nplanted links recovered: {len(found & planted)}/{len(planted)}, "
       f"spurious: {len(found - planted)}")

@@ -43,8 +43,8 @@ def _heuristic_tags(args, dataset: Dataset, linking_only: bool = False) -> tuple
 def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
     """Build the index at ``t`` and one view per pool, then run ``tags`` on them.
 
-    Returns the index, the views keyed by pool id, and the results keyed
-    ``(pool_id, tag)``.
+    Returns the index, the views keyed by pool id, and the link sets as
+    ``{pool_id: {tag: pairs}}``.
     """
     from .. import heuristics
     index = dataset.build_index(t)

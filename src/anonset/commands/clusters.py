@@ -14,8 +14,9 @@ def run(args, load) -> int:
     dataset = load(args)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
-    _, _, results = _run_heuristics(dataset, tags, t)
-    links = frozenset().union(*(r.link_pairs for r in results.values()))
+    _, _, links_by_pool = _run_heuristics(dataset, tags, t)
+    links = frozenset().union(*(pairs for mine in links_by_pool.values()
+                                for pairs in mine.values()))
     clusters = connected_components(links)
     histogram = {str(size): {"count": count,
                              "fraction": render_percent(Fraction(count, len(clusters)))}

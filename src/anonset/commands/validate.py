@@ -20,7 +20,7 @@ def run(args, load) -> int:
     dataset = load(args)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
-    index, views, results = _run_heuristics(dataset, tags, t)
+    index, views, links = _run_heuristics(dataset, tags, t)
     depositors = frozenset().union(*(v.depositors for v in views.values()))
     withdrawers = frozenset().union(*(v.withdrawers for v in views.values()))
     negatives = gt_mod.debank_negative_pairs(dataset.follow_edges)
@@ -36,8 +36,7 @@ def run(args, load) -> int:
         gt_addresses = frozenset(a for p in positives for a in p)
         payload["positive_pairs"] = len(positives)
     for tag in tags:
-        found = frozenset().union(
-            *(results[(pool.pool_id, tag)].link_pairs for pool in dataset.pools))
+        found = frozenset().union(*(mine[tag] for mine in links.values()))
         # the two address sides the pairs join: funder links join
         # distance-2 funders to distance-1 depositors
         side_a, side_b = depositors, withdrawers

@@ -3,7 +3,7 @@
 Each heuristic inspects on-chain behavior and asserts same-owner address
 pairs; it reports no anonymity set.  The one reduction of links to a
 pool's *simplified anonymity set* is :func:`ledger.reduced_set`, which
-the ``anonymity`` command runs once per set it reports.
+:func:`metrics.anonymity_sets` runs once per reported set.
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
 events, state and actor sets in one index of the history at a cut, built
@@ -255,12 +255,14 @@ def default_tags(pool_count: int, linking_only: bool = False) -> tuple[str, ...]
 
 
 def run_heuristics(tags: Iterable[str], views: Sequence[PoolView],
-                   ) -> dict[tuple[str, str], HeuristicResult]:
-    """Every tagged heuristic on every view, keyed ``(pool_id, tag)``."""
-    results = {}
+                   ) -> dict[str, dict[str, frozenset[LinkPair]]]:
+    """Every tagged heuristic's link pairs on every view, as
+    ``{pool_id: {tag: pairs}}`` in the order of ``views`` and ``tags``."""
+    links = {v.pool.pool_id: {} for v in views}
     for tag in tags:
         h = HEURISTICS[tag]
         per_pool = h.run(views) if h.cross_pool else {v.pool.pool_id: h.run(v) for v in views}
-        results.update(((pool_id, tag), r) for pool_id, r in per_pool.items())
-    return results
+        for pool_id, result in per_pool.items():
+            links[pool_id][tag] = result.link_pairs
+    return links
 

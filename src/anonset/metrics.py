@@ -1,15 +1,17 @@
-"""Adversary odds over set sizes, cluster-size counts, usage statistics.
+"""The anonymity engine over named link sets, adversary odds, cluster-size
+counts, usage statistics.
 
 Every ratio here is an exact :class:`fractions.Fraction`; rounding happens
 only when a report is rendered, so repeated computation and comparison of
-metrics never drifts.  Nothing here reads a heuristic result.
+metrics never drifts.  The engine reads plain link sets by name, never a
+heuristic result.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, InputError
 from .ledger import (
@@ -17,10 +19,12 @@ from .ledger import (
     Address,
     Amount,
     LabelBook,
+    LinkPair,
     PoolConfig,
     PoolEvent,
     _check_pool,
     position,
+    reduced_set,
 )
 
 # Average deposit volume of the labeled attacker addresses; kept
@@ -35,24 +39,38 @@ def adversary_advantage(set_size: int) -> Fraction:
     return Fraction(1, set_size)
 
 
-def relative_advantage_increase(oas_size: int, sas_size: int) -> Fraction:
-    """How much likelier the correct guess becomes after reduction.
-
-    Equals ``oas/sas - 1``; in terms of the fractional reduction ``r`` it
-    is ``1/(1-r) - 1``.
-    """
-    if sas_size < 1:
-        raise DomainError("reduced anonymity set is empty")
-    if oas_size < sas_size:
-        raise InputError("reduced set cannot exceed the observed set")
-    return Fraction(oas_size, sas_size) - 1
-
-
 def advantage_increase_from_reduction(reduction: Fraction) -> Fraction:
-    """Same metric expressed from a fractional set-size reduction."""
+    """How much likelier the correct guess becomes after a set-size
+    reduction ``r``: ``1/(1-r) - 1``, exactly ``o/s - 1`` for ``o`` -> ``s``."""
     if not 0 <= reduction < 1:
         raise DomainError(f"reduction must lie in [0, 1): {reduction}")
     return 1 / (1 - Fraction(reduction)) - 1
+
+
+def anonymity_sets(views: Iterable, links: Mapping[str, Mapping[str, Iterable[LinkPair]]],
+                   ) -> tuple[dict[str, tuple[int, dict[str, tuple[int, Fraction | None]]]],
+                              dict[str, Fraction]]:
+    """``({pool_id: (observed, {name: (size, reduction)})}, {name: mean})``:
+    each view's pool reduced by :func:`ledger.reduced_set` once per name of
+    ``links[pool_id]``, in the order of ``views`` and of the names.
+
+    A reduction is the exact share of the observed set that is removed.
+    An idle pool, or a set that its link set empties, has none, and is
+    left out of that name's unweighted mean across pools.  No name is
+    treated apart from another.  A view needs ``pool.pool_id``, ``state``
+    and ``depositors``.
+    """
+    pools, reductions = {}, {}
+    for view in views:
+        observed, sets = len(view.depositors), {}
+        for name, pairs in links[view.pool.pool_id].items():
+            size = len(reduced_set(view.state, pairs, view.depositors))
+            reduction = Fraction(observed - size, observed) if size else None
+            sets[name] = size, reduction
+            reductions.setdefault(name, []).append(reduction)
+        pools[view.pool.pool_id] = observed, sets
+    defined = {name: [r for r in values if r is not None] for name, values in reductions.items()}
+    return pools, {name: sum(values) / len(values) for name, values in defined.items() if values}
 
 
 def cluster_size_histogram(clusters: Iterable[Sequence[Address]]) -> dict[int, int]:

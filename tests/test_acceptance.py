@@ -134,8 +134,8 @@ def _views(trace):
 
 
 def _run_tagged(tag, views):
-    results = heuristics.run_heuristics([tag], list(views.values()))
-    return {pool_id: result for (pool_id, _), result in results.items()}
+    links = heuristics.run_heuristics([tag], list(views.values()))
+    return {pool_id: mine[tag] for pool_id, mine in links.items()}
 
 
 def _isolated_trace(behavior: str, seed: int, users: int = 210):
@@ -155,8 +155,8 @@ def test_criterion_5_planted_recovery():
             planted = trace.ground_truth.links_by_heuristic[tag]
             assert len(planted) >= 200
             found = frozenset()
-            for result in _run_tagged(tag, _views(trace)).values():
-                found |= result.link_pairs
+            for links in _run_tagged(tag, _views(trace)).values():
+                found |= links
             tp = len(found & planted)
             assert tp == len(found) == len(planted), \
                 f"{tag} seed {seed}: precision/recall not 1.0"
@@ -164,17 +164,17 @@ def test_criterion_5_planted_recovery():
         trace = _isolated_trace("h1-reuser", seed)
         gt = trace.ground_truth
         views = _views(trace)
-        for pool_id, result in _run_tagged("h1", views).items():
+        for pool_id, links in _run_tagged("h1", views).items():
             depositors = {e.actor for e in trace.events
                           if e.pool_id == pool_id and e.kind == DEPOSIT}
-            assert result.link_pairs == frozenset()
-            assert reduced(views[pool_id], result.link_pairs) == \
+            assert links == frozenset()
+            assert reduced(views[pool_id], links) == \
                 depositors - gt.fully_withdrawn_reusers
     for seed in seeds:
         trace = _isolated_trace(DISCIPLINED, seed)
         for tag in ("h1", "h2", "h3", "h4", "h5"):
-            for result in _run_tagged(tag, _views(trace)).values():
-                assert result.link_pairs == frozenset()
+            for links in _run_tagged(tag, _views(trace)).values():
+                assert links == frozenset()
     _ok(5, "h2-h5 recover planted links at precision 1.0 / recall 1.0 over 3 seeds; "
            "reuse filtering and the disciplined negative control hold")
 
@@ -197,8 +197,7 @@ def test_criterion_6_reduced_set_containment():
             if not observed:
                 continue
             view = views[pool.pool_id]
-            per = {tag: results[pool.pool_id].link_pairs
-                   for tag, results in results_by_tag.items()}
+            per = {tag: links[pool.pool_id] for tag, links in results_by_tag.items()}
             sizes = []
             for tag, links in per.items():
                 own = reduced(view, links)

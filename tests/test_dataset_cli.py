@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from anonset import heuristics, ledger
+from anonset import heuristics, ledger, metrics
 from anonset.cli import main
 from anonset.commands import anonymity as anonymity_command
 from anonset.commands.anonymity import read_true_set_sizes
@@ -1204,7 +1204,7 @@ class TestReductionCalls:
             return reduced_set(state, links, depositors)
 
         # wherever a module binds the name, so no path around the counter
-        for module in (ledger, heuristics, anonymity_command):
+        for module in (ledger, heuristics, metrics, anonymity_command):
             monkeypatch.setattr(module, "reduced_set", counted, raising=False)
         pools = len(ingest(data).pools)
         tags = heuristics.default_tags(pools)

@@ -7,13 +7,13 @@ import pytest
 from anonset.errors import DomainError, InputError
 from anonset.heuristics import h1_reuse
 from anonset.indexing import LabelBook
-from anonset.ledger import PoolConfig, pool_state
+from anonset.ledger import LinkPair, PoolConfig, pool_state
 from anonset.metrics import (
     adversary_advantage,
     advantage_increase_from_reduction,
+    anonymity_sets,
     cluster_size_histogram,
     fund_then_deposit_flags,
-    relative_advantage_increase,
     relayer_usage,
     render_percent,
     render_ratio,
@@ -50,15 +50,19 @@ class TestAdvantage:
         with pytest.raises(DomainError):
             adversary_advantage(0)
 
-    def test_relative_increase_is_exact_ratio(self):
-        assert relative_advantage_increase(4108, 3476) == Fraction(4108, 3476) - 1
-        assert relative_advantage_increase(10, 10) == 0
+    def test_increase_from_reduction_is_the_exact_size_ratio(self):
+        # 1/(1 - (o-s)/o) - 1 == o/s - 1 exactly, so a report renders the
+        # same gain from the sizes or from the reduction
+        for o in range(1, 61):
+            for s in range(1, o + 1):
+                assert advantage_increase_from_reduction(Fraction(o - s, o)) == Fraction(o, s) - 1
+        assert advantage_increase_from_reduction(Fraction(4108 - 3476, 4108)) == \
+            Fraction(4108, 3476) - 1
 
-    def test_reduced_set_larger_than_observed_rejected(self):
-        with pytest.raises(InputError):
-            relative_advantage_increase(5, 6)
-        with pytest.raises(DomainError):
-            relative_advantage_increase(5, 0)
+    def test_reduced_set_larger_than_observed_or_empty_rejected(self):
+        for o, s in ((5, 6), (5, 0)):
+            with pytest.raises(DomainError):
+                advantage_increase_from_reduction(Fraction(o - s, o))
 
     def test_headline_arithmetic(self):
         # 34.18% reduction -> 51.94% advantage gain; 52.07% -> 108.63%
@@ -71,6 +75,56 @@ class TestAdvantage:
         gains = [advantage_increase_from_reduction(Fraction(k, 100)) for k in range(0, 90, 7)]
         assert gains == sorted(gains)
         assert gains[0] == 0
+
+
+class TestAnonymityEngine:
+    """``anonymity_sets``: per pool its observed size and, per name, the
+    reduced size and its exact reduction; per name, the mean of the
+    reductions that are defined."""
+
+    P10 = PoolConfig(pool_id="P10", coin="ETH", denomination=100)
+    LINK = frozenset({LinkPair(D1, W1)})
+
+    def test_idle_pool_has_no_reduction(self, p100):
+        idle = view(p100, [deposit("P100", D1, 50)], t=10)
+        sets, means = anonymity_sets([idle], {"P100": {"h2": self.LINK, "h3": frozenset()}})
+        assert sets == {"P100": (0, {"h2": (0, None), "h3": (0, None)})}
+        assert means == {}
+
+    def test_emptied_set_is_left_out_of_its_own_mean_only(self, p100, p100_events):
+        drained = view(self.P10, [deposit("P10", D1, 1), withdrawal("P10", W1, 2)], t=10)
+        names = {"h2": self.LINK, "h3": frozenset()}
+        sets, means = anonymity_sets([drained, view(p100, p100_events, 100)],
+                                     {"P10": names, "P100": names})
+        assert sets["P10"] == (1, {"h2": (0, None), "h3": (1, 0)})
+        assert sets["P100"] == (2, {"h2": (1, Fraction(1, 2)), "h3": (2, 0)})
+        assert list(sets) == ["P10", "P100"]
+        assert means == {"h2": Fraction(1, 2), "h3": 0}
+
+    def test_mean_is_the_exact_fraction_mean(self, p100, p100_events):
+        events = [deposit("P10", D1, 1), deposit("P10", D2, 2), deposit("P10", addr("d3"), 3),
+                  withdrawal("P10", W1, 4)]
+        views = [view(p100, p100_events, 100), view(self.P10, events, 10)]
+        sets, means = anonymity_sets(views, {v.pool.pool_id: {"h3": self.LINK} for v in views})
+        assert [reduced["h3"] for _, reduced in sets.values()] == \
+            [(1, Fraction(1, 2)), (2, Fraction(1, 3))]
+        assert type(means["h3"]) is Fraction and means["h3"] == Fraction(5, 12)
+
+    def test_combined_is_one_more_name(self, p100, p100_events):
+        names = {"h1": frozenset(), "h2": self.LINK, "combined": self.LINK}
+        sets, means = anonymity_sets([view(p100, p100_events, 100)], {"P100": names})
+        _, reduced = sets["P100"]
+        assert list(reduced) == list(means) == list(names)
+        assert reduced["combined"] == reduced["h2"] == (1, Fraction(1, 2))
+        assert means["combined"] == means["h2"]
+
+    def test_means_keep_the_order_of_the_names(self, p100, p100_events):
+        # the first pool's h2 set is emptied, so h3 has a reduction first
+        drained = view(self.P10, [deposit("P10", D1, 1), withdrawal("P10", W1, 2)], t=10)
+        names = {"h2": self.LINK, "h3": frozenset()}
+        _, means = anonymity_sets([drained, view(p100, p100_events, 100)],
+                                  {"P10": names, "P100": names})
+        assert list(means) == ["h2", "h3"]
 
 
 class TestHistogram:
@@ -179,7 +233,8 @@ class TestReport:
         observed, size = len(v.depositors), len(reduced(v, h1_reuse(v).link_pairs))
         assert observed == 2
         assert adversary_advantage(observed) == Fraction(1, 2)
-        assert relative_advantage_increase(observed, size) == Fraction(observed, size) - 1
+        assert advantage_increase_from_reduction(Fraction(observed - size, observed)) == \
+            Fraction(observed, size) - 1
 
     def test_drained_pool_raises(self, p100):
         events = [deposit("P100", D1, 1), withdrawal("P100", D1, 2)]

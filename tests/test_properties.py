@@ -75,8 +75,7 @@ def test_index_order_changes_no_result(seed):
         for v, v2 in zip(views, views_2):
             assert (v2.events, v2.state, v2.depositors, v2.withdrawers) == \
                 (v.events, v.state, v.depositors, v.withdrawers)
-            mine = [r.link_pairs for (pool_id, _), r in results.items()
-                    if pool_id == v.pool.pool_id]
+            mine = list(results[v.pool.pool_id].values())
             assert reduced(v2, *mine) == reduced(v, *mine)
 
 
@@ -89,8 +88,7 @@ def test_combined_and_reduced_sets_are_bounded(seed):
         views, results = all_results(trace, t, trace.transfers,
                                      trace.token_transfers, trace.events)
         for v in views:
-            mine = [r.link_pairs for (pool_id, _), r in results.items()
-                    if pool_id == v.pool.pool_id]
+            mine = list(results[v.pool.pool_id].values())
             assert all(reduced(v, links) <= v.depositors for links in mine)
             # every non-empty subset of the pool's link sets, drawn at random
             for _ in range(4):

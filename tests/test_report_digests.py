@@ -151,11 +151,10 @@ def evidence_dataset(dataset, tmp_path_factory):
     index = ds.build_index(ds.manifest.last_block)
     views = [heuristics.pool_view(index, p) for p in ds.pools]
     tags = heuristics.default_tags(len(ds.pools), linking_only=True)
-    results = heuristics.run_heuristics(tags, views)
+    links = heuristics.run_heuristics(tags, views)
     handovers, follows = [], []
     for tag in tags:
-        found = sorted(frozenset().union(
-            *(results[(p.pool_id, tag)].link_pairs for p in ds.pools)))
+        found = sorted(frozenset().union(*(links[p.pool_id][tag] for p in ds.pools)))
         (a, b), (c, d) = found[3], found[4]
         handovers += [*found[:3], (a, d), (c, b)]
         follows.append((a, b))

@@ -45,8 +45,8 @@ def views_of(trace) -> dict:
 
 def run_heuristic(tag: str, trace):
     found = set()
-    for result in heuristics.run_heuristics([tag], list(views_of(trace).values())).values():
-        found |= result.link_pairs
+    for links in heuristics.run_heuristics([tag], list(views_of(trace).values())).values():
+        found |= links[tag]
     return found
 
 
