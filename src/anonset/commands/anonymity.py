@@ -18,7 +18,7 @@ def run(args, load) -> int:
     pools = _selected_pools(args, dataset)
     tags = _heuristic_tags(args, dataset)
     true_sizes = read_true_set_sizes(args.data) if args.tas else None
-    _, views, links = _run_heuristics(dataset, tags, t)
+    _, views, links = _run_heuristics(dataset, tags, t, pools)
     if args.combine:
         # ``combined`` is one more named link set; only its cell and its
         # advantage fields differ from a heuristic's

@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
+from .. import metrics
 from ..errors import EXIT_OK
-from ..metrics import relayer_usage, render_percent
+from ..metrics import render_percent
 from . import _table, _write_report
 
 
 def run(args, load) -> int:
     dataset = load(args)
-    events_by_pool: dict[str, list] = {}
-    for e in dataset.events:
-        events_by_pool.setdefault(e.pool_id, []).append(e)
 
     def percent(share):  # an undefined share stays None: null in the report, "-" in the table
         return share if share is None else render_percent(share)
 
     payload_rows = []
-    for pool in dataset.pools:
-        usage = relayer_usage(pool, events_by_pool.get(pool.pool_id, ()))
+    # through the module, so a wrapper installed on its attribute sees the call
+    for usage in metrics.relayer_usage(dataset.pools, dataset.events):
         payload_rows.append({
             "pool_id": usage.pool_id, "relayers": usage.relayers,
             "withdrawals": usage.withdrawals,

@@ -22,7 +22,6 @@ from .ledger import (
     LinkPair,
     PoolConfig,
     PoolEvent,
-    _check_pool,
     position,
     reduced_set,
 )
@@ -97,17 +96,31 @@ class RelayerUsage(NamedTuple):
         return Fraction(self.relayed_withdrawers, self.withdrawers) if self.withdrawers else None
 
 
-def relayer_usage(pool: PoolConfig, events: Sequence[PoolEvent]) -> RelayerUsage:
-    """Counts of relayed withdrawals and of withdrawers ever using one, over
-    ``events`` of ``pool`` alone (another pool's raises :class:`InputError`)."""
-    _check_pool(events, pool)
-    withdrawals = [e for e in events if e.kind == WITHDRAWAL]
-    relayed = [e for e in withdrawals if e.relayer is not None]
-    return RelayerUsage(
-        pool_id=pool.pool_id, relayers=len({e.relayer for e in relayed}),
-        withdrawals=len(withdrawals), relayed_withdrawals=len(relayed),
-        withdrawers=len({e.actor for e in withdrawals}),
-        relayed_withdrawers=len({e.actor for e in relayed}))
+def relayer_usage(pools: Iterable[PoolConfig], events: Iterable[PoolEvent],
+                  ) -> tuple[RelayerUsage, ...]:
+    """Each of ``pools``' counts of relayed withdrawals and of withdrawers
+    ever using one, in the order of ``pools``, from one pass over ``events``
+    that keeps only the withdrawals; an event of any other pool raises
+    :class:`InputError`.  One pool's sets are built at a time."""
+    withdrawals: dict[str, list[PoolEvent]] = {pool.pool_id: [] for pool in pools}
+    try:
+        for e in events:
+            if e.kind == WITHDRAWAL:
+                withdrawals[e.pool_id].append(e)
+            elif e.pool_id not in withdrawals:
+                raise KeyError(e.pool_id)
+    except KeyError as exc:
+        raise InputError(f"event for pool {exc.args[0]!r} passed to pool "
+                         f"{', '.join(map(repr, withdrawals))}") from None
+    usage = []
+    for pool_id, pool_withdrawals in withdrawals.items():
+        relayed = [e for e in pool_withdrawals if e.relayer is not None]
+        usage.append(RelayerUsage(
+            pool_id=pool_id, relayers=len({e.relayer for e in relayed}),
+            withdrawals=len(pool_withdrawals), relayed_withdrawals=len(relayed),
+            withdrawers=len({e.actor for e in pool_withdrawals}),
+            relayed_withdrawers=len({e.actor for e in relayed})))
+    return tuple(usage)
 
 
 class FundThenDepositFlag(NamedTuple):

@@ -11,6 +11,7 @@ import pkgutil
 import random
 import re
 import shutil
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -82,6 +83,38 @@ def address_occurrences(dataset: Dataset) -> list[str]:
         found += [t.sender, t.recipient]
     found += [c.recipient for c in dataset.ap_claims]
     return found
+
+
+def _distinct_addresses(data: Path) -> set[str]:
+    """The canonical form of every address-valued field of every record file."""
+    found = set()
+    for file in data.glob("*.jsonl"):
+        for line in file.read_text(encoding="utf-8").splitlines():
+            found.update(normalize_address(value) for value in json.loads(line).values()
+                         if isinstance(value, str) and re.fullmatch(r"(0[xX])?[0-9a-fA-F]{40}",
+                                                                    value.strip()))
+    return found
+
+
+def _profiled_ingest(data: Path) -> tuple[Dataset, dict[str, str], Counter]:
+    """``ingest(data)``, its interning table as it returned and the Python
+    calls it made by code name, both seen by a profile function."""
+    calls, tables = Counter(), []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+        elif event == "return" and frame.f_code is ingest.__code__:
+            tables.append(dict(frame.f_locals["canon"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        dataset = ingest(data)
+    finally:
+        sys.setprofile(previous)
+    (canon,) = tables
+    return dataset, canon, calls
 
 
 @pytest.fixture
@@ -765,17 +798,25 @@ def _unknown_label(record: dict) -> str:
 
 
 def _lengthen(data: Path, name: str, batches: int = 4) -> None:
-    """Append distinct valid rows in the emitted layout to ``labels`` or
-    ``ap_claims`` until the file spans ``batches`` batches."""
+    """Append distinct valid rows in the emitted layout to ``labels``,
+    ``ap_claims`` or ``token_transfers`` until the file spans ``batches``
+    batches; token transfers stay in record order."""
     path = data / f"{name}.jsonl"
-    block = json.loads((data / "manifest.json").read_text())["first_block"]
+    manifest = json.loads((data / "manifest.json").read_text())
+    block, last = manifest["first_block"], manifest["last_block"]
     tags = sorted(KNOWN_LABELS)
     rows, i = path.read_text(encoding="utf-8").splitlines(), 0
+    coin = json.loads(rows[0])["coin"] if name == "token_transfers" else None
     while len("\n".join(rows)) < batches * dataset_module._BATCH:
         address = f"0x{0xfeed0000 + i:040x}"
-        rows.append(_compact({"address": address, "label": tags[i % len(tags)]})
-                    if name == "labels" else
-                    _compact({"ap": i, "block": block + i, "recipient": address}))
+        if name == "labels":
+            rows.append(_compact({"address": address, "label": tags[i % len(tags)]}))
+        elif name == "ap_claims":
+            rows.append(_compact({"ap": i, "block": block + i, "recipient": address}))
+        else:
+            rows.append(_compact({"amount": "1", "block": last, "coin": coin, "log_index": 0,
+                                  "recipient": address, "sender": A1,
+                                  "tx_index": 10 ** 6 + i}))
         i += 1
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
@@ -788,9 +829,13 @@ EDGE_CASES = [
     ("relayed-deposit", "pool_events", _relayed_deposit, "deposits cannot carry a relayer",
      "relayer"),
     ("spaced-event", "pool_events", _spaced, None, None),
+    ("event-block-out-of-range", "pool_events", _out_of_range,
+     "height outside the manifest block range", "block"),
     ("block-out-of-range", "transfers", _out_of_range,
      "height outside the manifest block range", "block"),
     ("spaced-transfer", "transfers", _spaced, None, None),
+    ("token-block-out-of-range", "token_transfers", _out_of_range,
+     "height outside the manifest block range", "block"),
     ("unknown-label", "labels", _unknown_label, "unknown label 'wizard'", "label"),
     ("spaced-label", "labels", _spaced, None, None),
     ("claim-out-of-range", "ap_claims", _out_of_range,
@@ -845,7 +890,7 @@ class TestBatchBoundaries:
                              ids=[case[0] for case in EDGE_CASES])
     def test_line_on_a_batch_edge(self, synth_dir, monkeypatch, name, edit, error, field,
                                   batch, edge):
-        if name in ("labels", "ap_claims"):  # a few lines at this size
+        if name in ("labels", "ap_claims", "token_transfers"):  # a few lines at this size
             _lengthen(synth_dir, name)
         self.edit_on_an_edge(synth_dir, monkeypatch, name, edit, error, field, batch, edge)
 
@@ -891,6 +936,60 @@ class TestBatchBoundaries:
         path.write_bytes(b"\n".join(rows))
         assert self.both(synth_dir, monkeypatch) == (
             f"invalid UTF-8 byte at column {column} [file=pool_events.jsonl, line={line}]")
+
+
+class TestBlockRangeOncePerFile:
+    """A positioned file's block range is checked once, over the whole file.
+    With the checked parser as oracle, a height out of range gives the same
+    error, file, line and field wherever its line lies, in a file in record
+    order or shuffled, and also ahead of a later fault in another batch."""
+
+    @staticmethod
+    def rows(data: Path, name: str, shuffled: bool = False) -> list[str]:
+        """The lines of ``name``'s file, spanning more than two batches, in
+        file order or shuffled."""
+        if name == "token_transfers":  # one batch at this size
+            _lengthen(data, name)
+        rows = (data / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+        if shuffled:
+            random.Random(59).shuffle(rows)
+        return rows
+
+    @staticmethod
+    def write(data: Path, name: str, rows: list[str]) -> Path:
+        path = data / f"{name}.jsonl"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert len(_batch_spans(path)) > 2
+        return path
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("name", ["pool_events", "transfers", "token_transfers"])
+    def test_height_out_of_range(self, synth_dir, monkeypatch, name, side, place, shuffled):
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        block = OUT_OF_RANGE if side == "above" else manifest["first_block"] - 1
+        rows = self.rows(synth_dir, name, shuffled)
+        line = {"first": 1, "middle": len(rows) // 2, "last": len(rows)}[place]
+        rows[line - 1] = _compact({**json.loads(rows[line - 1]), "block": block})
+        self.write(synth_dir, name, rows)
+        assert TestBatchBoundaries.both(synth_dir, monkeypatch) == (
+            f"height outside the manifest block range [file={name}.jsonl, line={line}, "
+            f"field=block]")
+
+    @pytest.mark.parametrize("later", ["invalid-json", "duplicate"])
+    @pytest.mark.parametrize("name", ["pool_events", "transfers", "token_transfers"])
+    def test_height_out_of_range_before_a_later_fault(self, synth_dir, monkeypatch, name,
+                                                      later):
+        # the later line fails its batch, or repeats the first record
+        rows = self.rows(synth_dir, name)
+        rows[-1] = "{" if later == "invalid-json" else rows[0]
+        rows[1] = _compact({**json.loads(rows[1]), "block": OUT_OF_RANGE})
+        path = self.write(synth_dir, name, rows)
+        assert _batch_spans(path)[0][1] > 2  # the two faults lie in different batches
+        assert TestBatchBoundaries.both(synth_dir, monkeypatch) == (
+            f"height outside the manifest block range [file={name}.jsonl, line=2, "
+            f"field=block]")
 
 
 class TestRelayerRule:
@@ -1024,22 +1123,37 @@ class TestFastPathCounts:
         assert shuffled.native_transfers == index.native_transfers
         assert shuffled.token_transfers == index.token_transfers
 
-    def test_address_slow_path_runs_once_per_address(self, synth_dir, monkeypatch):
-        # on canonical text, every later occurrence is found as spelled
-        calls = []
-        matched = dataset_module._matched
+    def test_each_address_is_interned_once_by_its_canonical_form(self, synth_dir, tmp_path):
+        # on canonical text and on a copy re-spelled by case and prefix, the
+        # interning table ends with one canonical key per distinct address
+        # of every file, mapped to itself, and every record holds that object
+        respelled = tmp_path / "respelled"
+        respell(synth_dir, respelled, seed=29, pad=False)
+        for data in (synth_dir, respelled):
+            dataset, canon, _calls = _profiled_ingest(data)
+            assert all(CANONICAL.match(key) and canon[key] is key for key in canon)
+            assert set(canon) == _distinct_addresses(data)
+            occurrences = address_occurrences(dataset) + list(dataset.labels._labels)
+            assert all(address is canon[address] for address in occurrences)
+            assert len(canon) < len(occurrences)
 
-        def counted(text, canon):
-            calls.append(text)
-            return matched(text, canon)
+    def test_no_python_call_per_address_occurrence(self, synth_dir, tmp_path):
+        # a copy re-spelled by case and prefix, where nearly no occurrence
+        # is found as spelled, makes no more Python calls than the canonical
+        # original but for the fixed ones of each batch its line lengths add
+        respelled = tmp_path / "respelled"
+        respell(synth_dir, respelled, seed=29, pad=False)
+        dataset, _canon, canonical = _profiled_ingest(synth_dir)
+        _dataset, _canon, mixed = _profiled_ingest(respelled)
 
-        monkeypatch.setattr(dataset_module, "_matched", counted)
-        dataset = ingest(synth_dir)
-        occurrences = address_occurrences(dataset)
-        labelled = (synth_dir / "labels.jsonl").read_text().splitlines()
-        addresses = set(occurrences) | {json.loads(line)["address"] for line in labelled}
-        assert len(calls) == len(set(calls)) == len(addresses) < len(occurrences)
-        assert set(calls) == addresses
+        def batches(data: Path) -> int:
+            return sum(1 for name in dataset_module._LINE_PATTERNS
+                       for _batch in dataset_module._batches(data, f"{name}.jsonl"))
+
+        occurrences = len(address_occurrences(dataset))
+        assert occurrences > 500
+        extra = max(0, batches(respelled) - batches(synth_dir))
+        assert sum(mixed.values()) - sum(canonical.values()) <= 8 * extra
 
     def test_normalize_address_runs_once_per_address(self, synth_dir, tmp_path, monkeypatch):
         # a copy re-spelled only by case and prefix, as chain exports spell it

@@ -145,18 +145,18 @@ class TestRelayerUsage:
         r = addr("rr")
         events = [withdrawal("P100", W1, 5, relayer=r),
                   withdrawal("P100", D2, 6, relayer=r)]
-        usage = relayer_usage(p100, events)
+        (usage,) = relayer_usage([p100], events)
         assert usage.relayers == 1
         assert usage.relayed_withdrawal_share == 1
         assert usage.relayed_withdrawer_share == 1
 
     def test_no_relayers(self, p100, p100_events):
-        usage = relayer_usage(p100, p100_events)
+        (usage,) = relayer_usage([p100], p100_events)
         assert usage.relayers == 0
         assert usage.relayed_withdrawal_share == 0
 
     def test_no_withdrawal_has_no_share(self, p100, p100_events):
-        usage = relayer_usage(p100, [e for e in p100_events if e.kind == "deposit"])
+        (usage,) = relayer_usage([p100], [e for e in p100_events if e.kind == "deposit"])
         assert (usage.withdrawals, usage.withdrawers) == (0, 0)
         assert usage.relayed_withdrawal_share is None
         assert usage.relayed_withdrawer_share is None
@@ -166,14 +166,29 @@ class TestRelayerUsage:
         events = [withdrawal("P100", W1, 5, relayer=r),
                   withdrawal("P100", W1, 6, relayer=r),
                   withdrawal("P100", D2, 7)]
-        usage = relayer_usage(p100, events)
+        (usage,) = relayer_usage([p100], events)
         assert usage.relayed_withdrawal_share == Fraction(2, 3)
         assert usage.relayed_withdrawer_share == Fraction(1, 2)
 
-    def test_event_of_another_pool_is_rejected(self, p100):
-        events = [withdrawal("P100", W1, 5), withdrawal("P10", D2, 6)]
+    @pytest.mark.parametrize("kind", ["withdrawal", "deposit"])
+    def test_event_of_another_pool_is_rejected(self, p100, kind):
+        other = withdrawal("P10", D2, 6) if kind == "withdrawal" else deposit("P10", D2, 6)
+        events = [withdrawal("P100", W1, 5), other]
         with pytest.raises(InputError, match="event for pool 'P10' passed to pool 'P100'"):
-            relayer_usage(p100, events)
+            relayer_usage([p100], events)
+
+    def test_each_pool_counted_apart_in_the_order_given(self, p100):
+        p10 = PoolConfig(pool_id="P10", coin="ETH", denomination=10)
+        idle = PoolConfig(pool_id="P1", coin="ETH", denomination=1)
+        r = addr("rr")
+        events = [deposit("P10", D1, 4), withdrawal("P100", W1, 5, relayer=r),
+                  withdrawal("P10", D2, 6), withdrawal("P100", D2, 7)]
+        usage = relayer_usage([p10, idle, p100], events)
+        assert [u.pool_id for u in usage] == ["P10", "P1", "P100"]
+        assert [(u.relayers, u.withdrawals, u.relayed_withdrawals, u.withdrawers,
+                 u.relayed_withdrawers) for u in usage] == [
+            (0, 1, 0, 1, 0), (0, 0, 0, 0, 0), (1, 2, 1, 2, 1)]
+        assert relayer_usage([], []) == ()
 
 
 class TestFundThenDeposit:
