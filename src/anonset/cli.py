@@ -159,6 +159,9 @@ def _load(args) -> Dataset:
     dataset = ingest(args.data)
     for name in sorted(dataset.counts):
         print(f"loaded {dataset.counts[name]:>7} records from {name}")
+    # a stdout that cannot be written stops every command here, before any
+    # analysis, whether or not it is buffered
+    sys.stdout.flush()
     return dataset
 
 

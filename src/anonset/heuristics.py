@@ -6,17 +6,19 @@ pool's *simplified anonymity set* is :func:`ledger.reduced_set`, which
 :func:`metrics.anonymity_sets` runs once per reported set.
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
-events, state and actor sets in one index of the history at a cut, built
-once and shared (h5 takes the views of all pools, and reads each
-address's per-pool events from their index); per-pool evaluations can
-run concurrently.
+state and actor sets in one index of the history at a cut, built once
+and shared (h5 takes the views of all pools); each reads the events and
+transfers it needs from the index's per-actor event lists and per-index
+tables, never a pool's full event list.  Per-pool evaluations can run
+concurrently.
 :data:`HEURISTICS` maps each tag to its heuristic.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain, combinations
+from operator import lt
+from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .indexing import LedgerIndex
@@ -47,19 +49,18 @@ class PoolView(NamedTuple):
     """One pool of an index, computed once and shared by every heuristic
     and by the report.
 
-    ``events`` are the pool's indexed events, in index order.
-    ``depositors`` and ``withdrawers`` are the keys of the index's actor
-    maps (:meth:`LedgerIndex.actor_events`), and ``state`` is
+    ``depositors`` and ``withdrawers`` are the key views (not copies) of
+    the index's actor maps (:meth:`LedgerIndex.actor_events`), set-like for
+    ``in``, ``len``, ``==``, ``<=`` and ``&``; ``state`` is
     :func:`ledger.balances` of the lengths of their lists, so no event is
-    walked again.  ``index`` answers the transfer and label queries of
-    h2-h4; as a field it hides ``tuple.index``, which no caller uses.
+    walked again.  ``index`` answers the event, transfer and label queries
+    of h2-h5; as a field it hides ``tuple.index``, which no caller uses.
     """
 
     pool: PoolConfig
-    events: Sequence[PoolEvent]
     state: dict[Address, int]
-    depositors: frozenset[Address]
-    withdrawers: frozenset[Address]
+    depositors: AbstractSet[Address]
+    withdrawers: AbstractSet[Address]
     index: LedgerIndex
 
 
@@ -67,11 +68,10 @@ def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
     """``pool``'s view, read from the index's per-actor event lists."""
     deposits = index.actor_events(pool.pool_id, DEPOSIT)
     withdrawals = index.actor_events(pool.pool_id, WITHDRAWAL)
-    return PoolView(pool=pool, events=index.events_for(pool.pool_id),
+    return PoolView(pool=pool,
                     state=balances(pool, dict(zip(deposits, map(len, deposits.values()))),
                                    dict(zip(withdrawals, map(len, withdrawals.values())))),
-                    depositors=frozenset(deposits), withdrawers=frozenset(withdrawals),
-                    index=index)
+                    depositors=deposits.keys(), withdrawers=withdrawals.keys(), index=index)
 
 
 class HeuristicResult(NamedTuple):
@@ -101,12 +101,14 @@ def h2_improper_sender(view: PoolView) -> HeuristicResult:
     A withdrawal signed by one of the pool's own depositors, naming a
     different recipient, betrays that sender and recipient share an owner.
     Registered relayers are exempt: signing withdrawals for strangers is
-    their whole job.
+    their whole job.  The withdrawals come from the index's per-actor
+    lists (:meth:`LedgerIndex.actor_events`).
     """
     labels = view.index.labels
+    withdrawals = view.index.actor_events(view.pool.pool_id, WITHDRAWAL)
     pairs = {LinkPair(e.tx_sender, e.actor)
-             for e in view.events
-             if e.kind == WITHDRAWAL and e.tx_sender != e.actor
+             for e in chain.from_iterable(withdrawals.values())
+             if e.tx_sender != e.actor
              and e.tx_sender in view.depositors
              and e.relayer is None and not labels.is_relayer(e.tx_sender)}
     return HeuristicResult(frozenset(pairs))
@@ -133,20 +135,13 @@ def h4_intermediary(view: PoolView) -> HeuristicResult:
     A depositor whose entire incoming native-coin value arrives from a
     single user account one hop out is treated as a throwaway of that
     funder.  Contract and exchange funders are excluded; receiving from an
-    exchange says nothing about ownership.  Self transfers are ignored on
-    both sides of the rule.
+    exchange says nothing about ownership.  Self transfers and zero
+    amounts are ignored.  The funders come from one per-index map
+    (:attr:`LedgerIndex.sole_funders`), not from a scan per pool.
     """
-    index = view.index
-    pairs = set()
-    for d1 in view.depositors:
-        funders = {tr.sender for tr in index.incoming_native(d1)
-                   if tr.amount > 0 and tr.sender != d1}
-        if len(funders) != 1:
-            continue
-        (d2,) = funders
-        if index.labels.is_user_account(d2):
-            pairs.add(LinkPair(d1, d2))
-    return HeuristicResult(frozenset(pairs))
+    sole = view.index.sole_funders
+    return HeuristicResult(frozenset(LinkPair(d1, sole[d1])
+                                     for d1 in view.depositors & sole.keys()))
 
 
 def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
@@ -208,8 +203,8 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
                 if d == w:
                     continue
                 if all(
-                    all(position(dep) < position(wd)
-                        for dep, wd in zip(dep_events[d][pid], wd_events[w][pid]))
+                    all(map(lt, map(position, dep_events[d][pid]),
+                            map(position, wd_events[w][pid])))
                     for pid, _count in sig
                 ):
                     pair = LinkPair(d[1], w[1])

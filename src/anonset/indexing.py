@@ -1,7 +1,8 @@
 """Queryable indexes over transfers and pool events.
 
 The index is built once (single writer) and then only read, so a built
-:class:`LedgerIndex` is safe to share between concurrent analyses.  It
+:class:`LedgerIndex` is safe to share between concurrent analyses: the
+tables built on first use are caches of its immutable records.  It
 holds the history at one cut (:func:`ledger.up_to`); no query takes one.
 :class:`LedgerIndex` takes records already in ``ledger``'s record order,
 as ``dataset.ingest`` hands them over, and checks neither their order nor
@@ -68,46 +69,60 @@ class LedgerIndex:
         self.token_transfers = tuple(token_transfers)
         self.pool_events = tuple(events)
 
-        self._incoming: dict[Address, list[Transfer]] = {}
-        self._outgoing: dict[Address, list[Transfer]] = {}
-        for t in self.native_transfers:
-            self._incoming.setdefault(t.recipient, []).append(t)
-            self._outgoing.setdefault(t.sender, []).append(t)
-
-        # each pool's events, and each actor's own events of one kind in
-        # one pool, both in chronological order; a list is made only for a
-        # new key, and a ``(pool_id, kind)`` key only once per pool
-        self._by_pool: dict[str, list[PoolEvent]] = {}
+        # each actor's own events of one kind in one pool, in chronological
+        # order, from one pass with no key tuple per event
+        by_pool: dict[str, dict[str, dict[Address, list[PoolEvent]]]] = {}
         for e in self.pool_events:
-            events = self._by_pool.get(e.pool_id)
-            if events is None:
-                self._by_pool[e.pool_id] = [e]
+            by_kind = by_pool.get(e.pool_id)
+            if by_kind is None:
+                by_pool[e.pool_id] = by_kind = {DEPOSIT: {}, WITHDRAWAL: {}}
+            actors = by_kind[e.kind]
+            own = actors.get(e.actor)
+            if own is None:
+                actors[e.actor] = [e]
             else:
-                events.append(e)
-        self._by_actor: dict[tuple[str, str], dict[Address, list[PoolEvent]]] = {}
-        for pool_id, events in self._by_pool.items():
-            by_kind: dict[str, dict[Address, list[PoolEvent]]] = {DEPOSIT: {}, WITHDRAWAL: {}}
-            for e in events:
-                actors = by_kind[e.kind]
-                own = actors.get(e.actor)
-                if own is None:
-                    actors[e.actor] = [e]
-                else:
-                    own.append(e)
-            self._by_actor.update(((pool_id, kind), actors) for kind, actors in by_kind.items())
+                own.append(e)
+        self._by_actor: dict[tuple[str, str], dict[Address, list[PoolEvent]]] = {
+            (pool_id, kind): actors
+            for pool_id, by_kind in by_pool.items() for kind, actors in by_kind.items()}
 
     # -- plain accessors ----------------------------------------------------
-
-    def incoming_native(self, address: Address) -> Sequence[Transfer]:
-        return self._incoming.get(address, [])
-
-    def events_for(self, pool_id: str) -> Sequence[PoolEvent]:
-        return self._by_pool.get(pool_id, [])
 
     def actor_events(self, pool_id: str, kind: str) -> Mapping[Address, Sequence[PoolEvent]]:
         """Each actor's own events of ``kind`` in one pool, keyed by actor,
         in index order; a read-only view, empty for an idle pool."""
         return MappingProxyType(self._by_actor.get((pool_id, kind), {}))
+
+    @cached_property
+    def _incoming(self) -> dict[Address, list[Transfer]]:
+        """Each address's incoming native transfers, in index order;
+        built on first use, like the tables below."""
+        incoming: dict[Address, list[Transfer]] = {}
+        for t in self.native_transfers:
+            incoming.setdefault(t.recipient, []).append(t)
+        return incoming
+
+    @cached_property
+    def _outgoing(self) -> dict[Address, list[Transfer]]:
+        """Each address's outgoing native transfers, in index order."""
+        outgoing: dict[Address, list[Transfer]] = {}
+        for t in self.native_transfers:
+            outgoing.setdefault(t.sender, []).append(t)
+        return outgoing
+
+    @cached_property
+    def sole_funders(self) -> Mapping[Address, Address]:
+        """Each address whose positive, non-self incoming native value all
+        comes from one sender, mapped to that sender when it is a user
+        account; from one pass over the native transfers."""
+        sole: dict[Address, Address | None] = {}
+        for t in self.native_transfers:
+            if t.amount > 0 and t.sender != t.recipient:
+                # the first funder stays; a second one marks the address None
+                funder = sole.get(t.recipient, t.sender)
+                sole[t.recipient] = funder if funder == t.sender else None
+        is_user = self.labels.is_user_account
+        return {a: f for a, f in sole.items() if f is not None and is_user(f)}
 
     @cached_property
     def actor_transfer_pairs(self) -> frozenset[tuple[Address, Address]]:

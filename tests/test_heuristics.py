@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Sequence
+from itertools import chain
 
 import pytest
 
@@ -44,7 +45,8 @@ D, W, R, F = addr("hd"), addr("hw"), addr("hr"), addr("hf")
 class TestPoolViewMatchesReplay:
     """``pool_view`` reads the index's per-actor lists; a replay of the
     pool's events by ``pool_state`` and two actor-set comprehensions is its
-    oracle, on seeded traces cut at every tenth of their block span."""
+    oracle, on seeded traces cut at every tenth of their block span.  The
+    per-actor lists, merged, are the pool's events in index order."""
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_mixed_trace_at_every_tenth(self, seed):
@@ -68,7 +70,11 @@ class TestPoolViewMatchesReplay:
                 assert v.state == pool_state(p, own), (seed, t, p.pool_id)
                 assert v.depositors == {e.actor for e in own if e.kind == DEPOSIT}
                 assert v.withdrawers == {e.actor for e in own if e.kind == WITHDRAWAL}
-                assert tuple(v.events) == tuple(sorted(own, key=event_order))
+                lists = [*index.actor_events(p.pool_id, DEPOSIT).values(),
+                         *index.actor_events(p.pool_id, WITHDRAWAL).values()]
+                assert all(events == sorted(events, key=event_order) for events in lists)
+                assert sorted(chain.from_iterable(lists), key=event_order) == \
+                    sorted(own, key=event_order)
             idle_view = pool_view(index, idle)
             assert idle_view.state == {} and not idle_view.depositors | idle_view.withdrawers
             negative += pool_view(index, pool).state.get(loner, 0) < 0
@@ -216,6 +222,82 @@ class TestH4Intermediary:
         assert h4_intermediary(v).link_pairs == frozenset()
 
 
+def oracle_sole_funder(index: LedgerIndex, address: str) -> str | None:
+    """The per-depositor rule h4 ran before its per-index map: the positive,
+    non-self native funders of ``address`` are one user account."""
+    funders = {tr.sender for tr in index.native_transfers
+               if tr.recipient == address and tr.amount > 0 and tr.sender != address}
+    if len(funders) != 1:
+        return None
+    (funder,) = funders
+    return funder if index.labels.is_user_account(funder) else None
+
+
+def assert_sole_funders_match(index: LedgerIndex, pools) -> int:
+    """Check ``index.sole_funders`` and h4 on every pool against the
+    oracle; returns how many h4 links the pools get."""
+    addresses = {a for t in index.native_transfers for a in (t.sender, t.recipient)}
+    addresses |= {e.actor for e in index.pool_events}
+    expected = {a: f for a in addresses if (f := oracle_sole_funder(index, a))}
+    assert dict(index.sole_funders) == expected
+    links = 0
+    for pool in pools:
+        v = pool_view(index, pool)
+        pairs = {LinkPair(d, f) for d in v.depositors
+                 if (f := oracle_sole_funder(index, d))}
+        assert h4_intermediary(v).link_pairs == pairs, pool.pool_id
+        links += len(pairs)
+    return links
+
+
+class TestSoleFundersMatchThePerDepositorRule:
+    """``LedgerIndex.sole_funders``, one pass per index, against the rule h4
+    applied to each depositor, on seeded traces and on the edge cases."""
+
+    @pytest.mark.parametrize("seed", [4, 17])
+    def test_mixed_trace_at_every_tenth(self, seed):
+        cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
+                              pools=standard_pools(), user_count=60, block_span=2400)
+        trace = generate_trace(cfg, seed)
+        first, last = trace.first_block, trace.last_block
+        links = []
+        for step in range(11):
+            t = first + (last - first) * step // 10
+            index = build_index(up_to(trace.transfers, t), up_to(trace.token_transfers, t),
+                                up_to(trace.events, t), dict(trace.labels))
+            links.append(assert_sole_funders_match(index, trace.pools))
+        assert links[-1] > 0
+
+    def test_edge_cases(self, p100):
+        d_late, d_self, d_zero, d_exch, d_contract, funder = (
+            addr(f"e{i}") for i in range(6))
+        f1, f2, exchange, contract = addr("f1"), addr("f2"), addr("ex"), addr("ct")
+        labels = LabelBook({exchange: ["exchange"], contract: ["contract"]})
+        events = [deposit("P100", d, 10 + i) for i, d in enumerate(
+            (d_late, d_self, d_zero, d_exch, d_contract, funder))]
+        transfers = [
+            transfer(f1, d_late, 100, 2), transfer(f2, d_late, 5, 30),  # a later second funder
+            transfer(d_self, d_self, 50, 1), transfer(f1, d_self, 100, 3),  # a self-transfer
+            transfer(f2, d_zero, 0, 1), transfer(f1, d_zero, 100, 4),  # a zero amount
+            transfer(exchange, d_exch, 100, 5),  # an exchange funder
+            transfer(contract, d_contract, 100, 6),  # a contract funder
+            transfer(funder, d_contract, 1, 7),  # ... and a user account beside it
+            transfer(f2, funder, 100, 1), transfer(funder, d_exch, 0, 8),
+        ]
+        # a funder that is itself a depositor
+        transfers.append(transfer(funder, addr("e6"), 100, 9))
+        events.append(deposit("P100", addr("e6"), 20))
+        before, after = (build_index(up_to(transfers, t), [], up_to(events, t), labels)
+                         for t in (25, 40))
+        assert assert_sole_funders_match(before, [p100]) == 5
+        assert assert_sole_funders_match(after, [p100]) == 4
+        sole = after.sole_funders
+        assert (sole[d_self], sole[d_zero], sole[funder], sole[addr("e6")]) == (
+            f1, f1, f2, funder)
+        assert d_late not in sole and d_exch not in sole and d_contract not in sole
+        assert before.sole_funders[d_late] == f1
+
+
 def _two_pools():
     return (PoolConfig(pool_id="PA", coin="ETH", denomination=100),
             PoolConfig(pool_id="PB", coin="ETH", denomination=7))
@@ -282,7 +364,7 @@ class TestH5CrossPool:
 
 
 class _CountedEvents(Sequence):
-    """A view's event list that counts every read of it."""
+    """An index's event list that counts every read of it."""
 
     def __init__(self, events):
         self.events, self.reads = events, 0
@@ -301,20 +383,24 @@ class _CountedEvents(Sequence):
 
 
 class TestH5ReadsTheIndex:
-    """A guard that needs no clock: h5 takes each address's per-pool events
-    from the index, and never walks a pool's event list again."""
+    """A guard that needs no clock: h5 (and h2) take each address's per-pool
+    events from the index's per-actor lists, and never walk the index's
+    full event list."""
 
-    def test_views_events_are_never_read(self):
+    def test_index_events_are_never_read(self):
         cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
                               pools=standard_pools(), user_count=150, block_span=3000)
         trace = generate_trace(cfg, 11)
         index = build_index(trace.transfers, trace.token_transfers, trace.events,
                             dict(trace.labels))
         views = [pool_view(index, p) for p in trace.pools]
-        counted = [v._replace(events=_CountedEvents(v.events)) for v in views]
-        got = h5_cross_pool(counted)
-        assert [c.events.reads for c in counted] == [0] * len(counted)
-        assert got == h5_cross_pool(views)
+        expected = h5_cross_pool(views), [h2_improper_sender(v) for v in views]
+        index.pool_events = counted = _CountedEvents(index.pool_events)
+        got = h5_cross_pool(views)
+        assert counted.reads == 0
+        assert [h2_improper_sender(v) for v in views] == expected[1]
+        assert counted.reads == 0
+        assert got == expected[0]
         assert any(r.link_pairs for r in got.values())
 
 

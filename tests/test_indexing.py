@@ -9,7 +9,7 @@ import pytest
 
 import anonset.indexing as indexing_module
 from anonset.cli import main
-from anonset.dataset import RECORD_FILES
+from anonset.dataset import RECORD_FILES, Dataset
 from anonset.errors import InputError
 from anonset.indexing import LabelBook, LedgerIndex, TransferCover, build_index
 from anonset.ledger import (
@@ -64,14 +64,14 @@ class TestBuildIndex:
         index = build_index([], [], [], None)
         assert index.native_transfers == ()
         assert index.pool_events == ()
-        assert index.events_for("P") == []
+        assert index.actor_events("P", DEPOSIT) == {}
 
     def test_multiset_round_trip(self):
         a, b = addr("ra"), addr("rb")
         records = [transfer(a, b, 1, 3), transfer(b, a, 2, 1), transfer(a, b, 3, 2)]
         index = build_index(records, [], [], None)
         flattened = sorted(
-            (t for addr_ in (a, b) for t in index.incoming_native(addr_)),
+            (t for addr_ in (a, b) for t in index._incoming.get(addr_, ())),
             key=position)
         assert flattened == sorted(records, key=position)
 
@@ -79,7 +79,8 @@ class TestBuildIndex:
         e1 = deposit("P", D1, 5, tx=2)
         e2 = deposit("P", D2, 5, tx=1)
         index = build_index([], [], [e1, e2], None)
-        assert list(index.events_for("P")) == [e2, e1]
+        assert index.pool_events == (e2, e1)
+        assert list(index.actor_events("P", DEPOSIT)) == [D2, D1]
 
     def test_determinism_under_permutation(self):
         rng = random.Random(3)
@@ -93,7 +94,8 @@ class TestBuildIndex:
             rng.shuffle(shuffled_e)
             other = build_index(shuffled_t, [], shuffled_e, None)
             assert other.native_transfers == base.native_transfers
-            assert list(other.events_for("P")) == list(base.events_for("P"))
+            assert other.pool_events == base.pool_events
+            assert other.actor_events("P", DEPOSIT) == base.actor_events("P", DEPOSIT)
 
 
 class TestFlatSortKeys:
@@ -114,7 +116,7 @@ class TestFlatSortKeys:
         assert [position(tr) for tr in expected] == sorted(self.POSITIONS)
         assert index.native_transfers == expected
         assert index.token_transfers == expected
-        assert tuple(index.incoming_native(D1)) == expected
+        assert tuple(index._incoming[D1]) == expected
 
     def test_events(self):
         records = [PoolEvent(pool_id="P", kind=DEPOSIT, height=h, tx_index=tx,
@@ -123,7 +125,7 @@ class TestFlatSortKeys:
         index = build_index([], [], records, None)
         expected = tuple(sorted(records, key=position))
         assert index.pool_events == expected
-        assert tuple(index.events_for("P")) == expected
+        assert tuple(index.actor_events("P", DEPOSIT)) == tuple(e.actor for e in expected)
 
     def test_position_fields_distinguish_records(self):
         base = transfer(D1, D2, 5, 3)
@@ -326,8 +328,8 @@ class TestSinkTransfers:
 def oracle_covers(index, kind, actor, pool, t):
     """The cover scan written over full-pool and full-ledger filters, or
     ``None`` when ``actor`` has no ``kind`` event in the pool by ``t``."""
-    anchors = [e for e in index.events_for(pool.pool_id)
-               if e.kind == kind and e.actor == actor and e.height <= t]
+    anchors = [e for e in index.pool_events
+               if e.pool_id == pool.pool_id and e.kind == kind and e.actor == actor and e.height <= t]
     if not anchors:
         return None
     backward = kind == DEPOSIT
@@ -379,7 +381,7 @@ class TestCoversMatchTheFullScanOracle:
             cut_index = build_index(up_to(trace.transfers, t), up_to(trace.token_transfers, t),
                                     up_to(trace.events, t), dict(trace.labels))
             for pool in trace.pools:
-                actors = {e.actor for e in index.events_for(pool.pool_id)}
+                actors = {e.actor for e in index.pool_events if e.pool_id == pool.pool_id}
                 for actor in sorted(actors):
                     for kind, scan in ((DEPOSIT, cut_index.source_transfers),
                                        (WITHDRAWAL, cut_index.sink_transfers)):
@@ -397,17 +399,62 @@ class TestCoversMatchTheFullScanOracle:
         assert claimed and shortfall and refused
 
 
+class TestAnonymityBuildsOnlyWhatItReads:
+    """A guard that needs no clock: ``anonymity`` and ``clusters`` leave
+    their index with no per-address transfer map and no per-pool event
+    list, while ``flows`` builds the transfer maps on first use and gets
+    the covers of the full-scan oracle from them."""
+
+    def built(self, tmp_path, monkeypatch, argv) -> list[tuple[Dataset, int, LedgerIndex]]:
+        indexes = []
+        build = Dataset.build_index
+
+        def captured(dataset, t):
+            index = build(dataset, t)
+            indexes.append((dataset, t, index))
+            return index
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Dataset, "build_index", captured)
+            assert main([*argv, "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "out")]) == 0
+        return indexes
+
+    def test_anonymity_and_clusters_build_no_unread_table(self, tmp_path, monkeypatch):
+        assert main(["synth", "--profile", "mixed", "--seed", "5", "--users", "60",
+                     "--blocks", "720", "--out", str(tmp_path / "data")]) == 0
+        for argv in (["anonymity", "--combine", "--tas"], ["clusters"]):
+            ((dataset, _, index),) = self.built(tmp_path, monkeypatch, argv)
+            held = vars(index)
+            assert "_incoming" not in held and "_outgoing" not in held, argv
+            pool_ids = {p.pool_id for p in dataset.pools}
+            assert not any(isinstance(table, dict) and table and set(table) <= pool_ids
+                           for table in held.values()), argv
+            assert "sole_funders" in held  # h4 ran, from its one map
+
+        ((dataset, t, index),) = self.built(tmp_path, monkeypatch, ["flows"])
+        assert "_incoming" in vars(index) and "_outgoing" in vars(index)
+        checked = 0
+        for pool in dataset.pools:
+            for kind, covers in ((DEPOSIT, index.source_transfers),
+                                 (WITHDRAWAL, index.sink_transfers)):
+                for actor in index.actor_events(pool.pool_id, kind):
+                    assert covers(actor, pool) == oracle_covers(index, kind, actor, pool, t)
+                    checked += 1
+        assert checked > 0
+
+
 class TestCoverLookupCost:
     """A complexity guard that needs no clock: ``flows`` reads each pool's
-    actor maps, and its full event list, a number of times set by the pools
-    and the directions, not by how many addresses use the pools."""
+    actor maps a number of times set by the pools and the directions, not
+    by how many addresses use the pools."""
 
     def pool_reads(self, tmp_path, monkeypatch, users: int) -> Counter:
         data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
         assert main(["synth", "--profile", "mixed", "--seed", "5",
                      "--users", str(users), "--blocks", str(12 * users),
                      "--out", str(data)]) == 0
-        calls = Counter({"actor_events": 0, "events_for": 0})
+        calls = Counter({"actor_events": 0})
 
         def counted(name):
             original = getattr(LedgerIndex, name)

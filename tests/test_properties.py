@@ -61,6 +61,11 @@ def all_results(trace, t: int, transfers, tokens, events):
     return views, results
 
 
+def pool_events(v):
+    """``v``'s pool's events in the order of its index."""
+    return [e for e in v.index.pool_events if e.pool_id == v.pool.pool_id]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_index_order_changes_no_result(seed):
     prng = Prng(seed)
@@ -73,8 +78,8 @@ def test_index_order_changes_no_result(seed):
                                          shuffled(trace.events, prng))
         assert results_2 == results
         for v, v2 in zip(views, views_2):
-            assert (v2.events, v2.state, v2.depositors, v2.withdrawers) == \
-                (v.events, v.state, v.depositors, v.withdrawers)
+            assert (pool_events(v2), v2.state, v2.depositors, v2.withdrawers) == \
+                (pool_events(v), v.state, v.depositors, v.withdrawers)
             mine = list(results[v.pool.pool_id].values())
             assert reduced(v2, *mine) == reduced(v, *mine)
 
