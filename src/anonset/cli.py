@@ -39,12 +39,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         command = import_module(f".commands.{args.command.replace('-', '_')}", __package__)
         return command.run(args, _load)
-    except ModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODE
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_MODE if isinstance(exc, ModeError) else EXIT_INPUT
     finally:
         if collecting:
             gc.enable()
@@ -55,8 +52,9 @@ def run() -> NoReturn:
     the process with no interpreter teardown, as every report is closed by
     then and no command leaves an ``atexit`` handler or a thread.  The
     ``SystemExit`` of a usage error or ``--help`` ends the same way, with
-    argparse's code.  A stream that cannot be flushed exits 2; an uncaught
-    exception leaves the normal way."""
+    argparse's code.  A stream that cannot be flushed exits 2, unless the
+    command failed already: its code and its one error line stand.  An
+    uncaught exception leaves the normal way."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's, whose code is an int
@@ -65,12 +63,14 @@ def run() -> NoReturn:
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()
     except OSError as exc:
-        code = EXIT_INPUT
-        if sys.stderr is not None:
+        # a command that failed has printed its one error line; ``_load``'s
+        # names a stdout that cannot be written
+        if not code and sys.stderr is not None:
             try:
                 print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
             except OSError:  # stderr is gone too; the exit code still tells
                 pass
+        code = code or EXIT_INPUT
     os._exit(code)
 
 
@@ -157,11 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Dataset:
     dataset = ingest(args.data)
-    for name in sorted(dataset.counts):
-        print(f"loaded {dataset.counts[name]:>7} records from {name}")
     # a stdout that cannot be written stops every command here, before any
     # analysis, whether or not it is buffered
-    sys.stdout.flush()
+    try:
+        print("\n".join(f"loaded {dataset.counts[name]:>7} records from {name}"
+                        for name in sorted(dataset.counts)), flush=True)
+    except OSError as exc:
+        raise OSError(f"cannot write output: {exc}")
     return dataset
 
 

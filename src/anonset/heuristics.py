@@ -7,17 +7,17 @@ pool's *simplified anonymity set* is :func:`ledger.reduced_set`, which
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
 state and actor sets in one index of the history at a cut, built once
-and shared (h5 takes the views of all pools); each reads the events and
-transfers it needs from the index's per-actor event lists and per-index
-tables, never a pool's full event list.  Per-pool evaluations can run
-concurrently.
+and shared (h5 takes the views of all pools); each reads what it needs
+from the index's per-actor event counts and per-index tables, built on
+first use, and none builds a list of events per actor.  Per-pool
+evaluations can run concurrently.
 :data:`HEURISTICS` maps each tag to its heuristic.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from operator import lt
+from itertools import combinations, repeat
+from operator import attrgetter, lt
 from typing import AbstractSet, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InputError
@@ -40,6 +40,8 @@ H3 = "h3"
 H4 = "h4"
 H5 = "h5"
 
+_pool_id = attrgetter("pool_id")
+
 # what a heuristic's link pairs join a depositor to
 WITHDRAWER = "withdrawer"
 FUNDER = "funder"  # an address one native-coin hop upstream
@@ -50,11 +52,11 @@ class PoolView(NamedTuple):
     and by the report.
 
     ``depositors`` and ``withdrawers`` are the key views (not copies) of
-    the index's actor maps (:meth:`LedgerIndex.actor_events`), set-like for
-    ``in``, ``len``, ``==``, ``<=`` and ``&``; ``state`` is
-    :func:`ledger.balances` of the lengths of their lists, so no event is
-    walked again.  ``index`` answers the event, transfer and label queries
-    of h2-h5; as a field it hides ``tuple.index``, which no caller uses.
+    the index's count maps (:meth:`LedgerIndex.actor_counts`), set-like
+    for ``in``, ``len``, ``==``, ``<=`` and ``&``; ``state`` is
+    :func:`ledger.balances` of those counts, so no event is walked again.
+    ``index`` answers the event, transfer and label queries of h2-h5; as a
+    field it hides ``tuple.index``, which no caller uses.
     """
 
     pool: PoolConfig
@@ -65,12 +67,10 @@ class PoolView(NamedTuple):
 
 
 def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
-    """``pool``'s view, read from the index's per-actor event lists."""
-    deposits = index.actor_events(pool.pool_id, DEPOSIT)
-    withdrawals = index.actor_events(pool.pool_id, WITHDRAWAL)
-    return PoolView(pool=pool,
-                    state=balances(pool, dict(zip(deposits, map(len, deposits.values()))),
-                                   dict(zip(withdrawals, map(len, withdrawals.values())))),
+    """``pool``'s view, read from the index's per-actor event counts."""
+    deposits = index.actor_counts(pool.pool_id, DEPOSIT)
+    withdrawals = index.actor_counts(pool.pool_id, WITHDRAWAL)
+    return PoolView(pool=pool, state=balances(pool, deposits, withdrawals),
                     depositors=deposits.keys(), withdrawers=withdrawals.keys(), index=index)
 
 
@@ -101,16 +101,15 @@ def h2_improper_sender(view: PoolView) -> HeuristicResult:
     A withdrawal signed by one of the pool's own depositors, naming a
     different recipient, betrays that sender and recipient share an owner.
     Registered relayers are exempt: signing withdrawals for strangers is
-    their whole job.  The withdrawals come from the index's per-actor
-    lists (:meth:`LedgerIndex.actor_events`).
+    their whole job.  The withdrawals come from one per-index list
+    (:attr:`LedgerIndex.foreign_signed_withdrawals`), filtered per pool.
     """
     labels = view.index.labels
-    withdrawals = view.index.actor_events(view.pool.pool_id, WITHDRAWAL)
+    pool_id, depositors = view.pool.pool_id, view.depositors
     pairs = {LinkPair(e.tx_sender, e.actor)
-             for e in chain.from_iterable(withdrawals.values())
-             if e.tx_sender != e.actor
-             and e.tx_sender in view.depositors
-             and e.relayer is None and not labels.is_relayer(e.tx_sender)}
+             for e in view.index.foreign_signed_withdrawals
+             if e.pool_id == pool_id and e.tx_sender in depositors
+             and not labels.is_relayer(e.tx_sender)}
     return HeuristicResult(frozenset(pairs))
 
 
@@ -154,8 +153,12 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
     precedes its same-rank withdrawal).  Pools are matched within each
     coin, so a pool that is the only one of its coin gets no links.  Each
     pool gets the pairs that involve it.
-    The per-address event lists come from the index
-    (:meth:`LedgerIndex.actor_events`); no pool's event list is walked.
+
+    The signatures come from the index's count maps
+    (:func:`_signature_groups`); only the addresses of a signature both a
+    depositor and a withdrawer have get their events, from one walk of the
+    index's events.  A pair whose last deposit precedes its first
+    withdrawal needs no ranking.
     """
     view_list = sorted(views, key=lambda v: v.pool.pool_id)
     if len(view_list) < 2:
@@ -164,55 +167,88 @@ def h5_cross_pool(views: Iterable[PoolView]) -> dict[str, HeuristicResult]:
         raise InputError("cross-pool matching needs every view from one index")
 
     index = view_list[0].index
-    coin_of = {v.pool.pool_id: v.pool.coin for v in view_list}
     pools_of_coin: dict[str, list[str]] = {}
-    for pid, coin in coin_of.items():
-        pools_of_coin.setdefault(coin, []).append(pid)
-    pairs_by_pool: dict[str, set[LinkPair]] = {pid: set() for pid in coin_of}
-    # each address's events per pool of one coin, for the addresses with
-    # events of one kind in at least two of its pools (all others have a
-    # one-pool signature): the index's own per-actor lists, which come in
-    # index order, so each is already in position order.  Pairwise key
-    # intersections find those addresses without a table for every actor
-    dep_events: dict[tuple[str, Address], dict[str, Sequence[PoolEvent]]] = {}
-    wd_events: dict[tuple[str, Address], dict[str, Sequence[PoolEvent]]] = {}
-    for coin, pids in pools_of_coin.items():
-        for kind, table in ((DEPOSIT, dep_events), (WITHDRAWAL, wd_events)):
-            by_pool = [(pid, index.actor_events(pid, kind)) for pid in pids]
-            cross: set[Address] = set()
-            for (_, actors), (_, others) in combinations(by_pool, 2):
-                cross |= actors.keys() & others.keys()
-            for actor in cross:
-                table[(coin, actor)] = {pid: events for pid, actors in by_pool
-                                        if (events := actors.get(actor))}
+    for v in view_list:
+        pools_of_coin.setdefault(v.pool.coin, []).append(v.pool.pool_id)
+    groups = _signature_groups(index, pools_of_coin)
 
-    # a signature names its pools, so equal signatures share one coin
-    def signature(per_pool: dict[str, Sequence[PoolEvent]]) -> tuple:
-        return tuple((pid, len(events)) for pid, events in per_pool.items())
+    # the events of each address of a group with both sides
+    own = {DEPOSIT: {d: [] for ds, ws in groups.values() if ws for d in ds},
+           WITHDRAWAL: {w: [] for _, ws in groups.values() for w in ws}}
+    if own[DEPOSIT]:
+        for e in index.pool_events:
+            mine = own[e.kind].get(e.actor)
+            if mine is not None:
+                mine.append(e)
 
-    by_sig_d: dict[tuple, list[tuple[str, Address]]] = {}
-    for d, per_pool in dep_events.items():
-        by_sig_d.setdefault(signature(per_pool), []).append(d)
-    by_sig_w: dict[tuple, list[tuple[str, Address]]] = {}
-    for w, per_pool in wd_events.items():
-        by_sig_w.setdefault(signature(per_pool), []).append(w)
-
-    for sig, ds in by_sig_d.items():
-        for w in by_sig_w.get(sig, []):
-            for d in ds:
-                if d == w:
-                    continue
-                if all(
-                    all(map(lt, map(position, dep_events[d][pid]),
-                            map(position, wd_events[w][pid])))
-                    for pid, _count in sig
-                ):
-                    pair = LinkPair(d[1], w[1])
-                    for pid, _count in sig:
+    pairs_by_pool: dict[str, set[LinkPair]] = {v.pool.pool_id: set() for v in view_list}
+    while groups:  # popped, and their events taken, so each is freed once matched
+        (coin, *ns), (ds, ws) = groups.popitem()
+        if not ws:
+            continue
+        pids = {pid for pid, n in zip(pools_of_coin[coin], ns) if n}
+        count = sum(ns)
+        before_of = [(d, _take(own[DEPOSIT], d, pids, count)) for d in ds]
+        for w in ws:
+            after = _take(own[WITHDRAWAL], w, pids, count)
+            for d, before in before_of:
+                if d != w and _ranked_before(before, after):
+                    pair = LinkPair(d, w)
+                    for pid in pids:
                         pairs_by_pool[pid].add(pair)
 
-    return {v.pool.pool_id: HeuristicResult(frozenset(pairs_by_pool[v.pool.pool_id]))
-            for v in view_list}
+    return {pid: HeuristicResult(frozenset(pairs_by_pool.pop(pid)))
+            for pid in [v.pool.pool_id for v in view_list]}
+
+
+def _signature_groups(index: LedgerIndex, pools_of_coin: dict[str, list[str]],
+                      ) -> dict[tuple, tuple[list[Address], list[Address]]]:
+    """h5's depositors and withdrawers grouped by their signature ``(coin,
+    n_1, ..., n_k)``, their event counts in the coin's pools.
+
+    Only the addresses with events of one kind in at least two pools of a
+    coin are read (all others have a one-pool signature), found by
+    pairwise key intersections of the count maps; a withdrawer whose
+    signature no depositor has is dropped at once.
+    """
+    groups: dict[tuple, tuple[list[Address], list[Address]]] = {}
+    for coin, pids in pools_of_coin.items():
+        for side, kind in enumerate((DEPOSIT, WITHDRAWAL)):
+            counts = [index.actor_counts(pid, kind) for pid in pids]
+            cross: set[Address] = set()
+            for actors, others in combinations(counts, 2):
+                cross |= actors.keys() & others.keys()
+            sigs = zip(repeat(coin), *[map(n.get, cross, repeat(0)) for n in counts])
+            for actor, sig in zip(cross, sigs):
+                group = groups.get(sig)
+                if group is None:
+                    if side:
+                        continue
+                    groups[sig] = group = ([], [])
+                group[side].append(actor)
+    return groups
+
+
+def _take(table: dict[Address, list[PoolEvent]], actor: Address,
+          pids: AbstractSet[str], count: int) -> list[PoolEvent]:
+    """``actor``'s ``count`` events in the pools ``pids``, in index order,
+    taken out of ``table``; its events in other pools stay for the group
+    of another coin."""
+    events = table.pop(actor)
+    if len(events) != count:
+        table[actor] = [e for e in events if e.pool_id not in pids]
+        events = [e for e in events if e.pool_id in pids]
+    return events
+
+
+def _ranked_before(deposits: list[PoolEvent], withdrawals: list[PoolEvent]) -> bool:
+    """Whether in each pool every deposit comes strictly before the
+    withdrawal of the same rank, of two lists in index order with equal
+    counts per pool."""
+    if position(deposits[-1]) < position(withdrawals[0]):  # all before all
+        return True
+    return all(map(lt, map(position, sorted(deposits, key=_pool_id)),
+                   map(position, sorted(withdrawals, key=_pool_id))))
 
 
 class Heuristic(NamedTuple):

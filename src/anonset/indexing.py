@@ -8,6 +8,13 @@ holds the history at one cut (:func:`ledger.up_to`); no query takes one.
 as ``dataset.ingest`` hands them over, and checks neither their order nor
 their repeats; :func:`build_index` puts records of any order in it.
 
+Each pool's actors come in two tables, each built on first use by one
+walk of the events, and the constructor walks nothing: their event
+counts (:meth:`LedgerIndex.actor_counts`), which the pool views and the
+heuristics read, and their event lists (:meth:`LedgerIndex.actor_events`),
+which only the covers need.  So ``anonymity``, ``clusters`` and
+``validate`` build no list per actor, and ``flows`` no count map.
+
 Two families of queries live here:
 
 * distance-``n`` depositor/withdrawer extensions, which walk native-coin
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError
@@ -58,7 +64,13 @@ class TransferCover(NamedTuple):
 
 
 class LedgerIndex:
-    """Immutable per-address / per-pool views over records in record order."""
+    """Immutable per-address / per-pool views over records in record order.
+
+    Every table past the records is built on first use and kept: the
+    actor counts and lists, the transfer maps, and the per-index tables
+    of h2-h4 (:attr:`foreign_signed_withdrawals`, :attr:`sole_funders`,
+    :attr:`actor_transfer_pairs`).
+    """
 
     def __init__(self, transfers: Sequence[Transfer],
                  token_transfers: Sequence[Transfer],
@@ -69,29 +81,46 @@ class LedgerIndex:
         self.token_transfers = tuple(token_transfers)
         self.pool_events = tuple(events)
 
-        # each actor's own events of one kind in one pool, in chronological
-        # order, from one pass with no key tuple per event
-        by_pool: dict[str, dict[str, dict[Address, list[PoolEvent]]]] = {}
+    def _by_actor(self, counting: bool) -> dict[tuple[str, str], dict[Address, object]]:
+        """Each actor's own events of one kind in one pool, or their count,
+        keyed by ``(pool_id, kind)``: from one pass over the events in
+        chronological order, grouping by pool then kind, so no key tuple
+        and no list is made per event."""
+        by_pool: dict[str, dict[str, dict[Address, object]]] = {}
         for e in self.pool_events:
             by_kind = by_pool.get(e.pool_id)
             if by_kind is None:
                 by_pool[e.pool_id] = by_kind = {DEPOSIT: {}, WITHDRAWAL: {}}
             actors = by_kind[e.kind]
-            own = actors.get(e.actor)
-            if own is None:
+            if counting:
+                actors[e.actor] = actors.get(e.actor, 0) + 1
+            elif (own := actors.get(e.actor)) is None:
                 actors[e.actor] = [e]
             else:
                 own.append(e)
-        self._by_actor: dict[tuple[str, str], dict[Address, list[PoolEvent]]] = {
-            (pool_id, kind): actors
-            for pool_id, by_kind in by_pool.items() for kind, actors in by_kind.items()}
+        return {(pool_id, kind): actors
+                for pool_id, by_kind in by_pool.items() for kind, actors in by_kind.items()}
+
+    @cached_property
+    def _counts(self) -> dict[tuple[str, str], dict[Address, int]]:
+        return self._by_actor(counting=True)
+
+    @cached_property
+    def _lists(self) -> dict[tuple[str, str], dict[Address, list[PoolEvent]]]:
+        return self._by_actor(counting=False)
 
     # -- plain accessors ----------------------------------------------------
 
+    def actor_counts(self, pool_id: str, kind: str) -> Mapping[Address, int]:
+        """Each actor's number of events of ``kind`` in one pool, keyed by
+        actor in index order; the index's own map, to be read only, and
+        empty for an idle pool."""
+        return self._counts.get((pool_id, kind), {})
+
     def actor_events(self, pool_id: str, kind: str) -> Mapping[Address, Sequence[PoolEvent]]:
         """Each actor's own events of ``kind`` in one pool, keyed by actor,
-        in index order; a read-only view, empty for an idle pool."""
-        return MappingProxyType(self._by_actor.get((pool_id, kind), {}))
+        in index order; like :meth:`actor_counts`, the index's own map."""
+        return self._lists.get((pool_id, kind), {})
 
     @cached_property
     def _incoming(self) -> dict[Address, list[Transfer]]:
@@ -125,10 +154,17 @@ class LedgerIndex:
         return {a: f for a, f in sole.items() if f is not None and is_user(f)}
 
     @cached_property
+    def foreign_signed_withdrawals(self) -> Sequence[PoolEvent]:
+        """The withdrawals through no relayer whose signer is not their
+        actor, in index order; from one walk of the events, for h2."""
+        return [e for e in self.pool_events
+                if e.tx_sender != e.actor and e.relayer is None and e.kind == WITHDRAWAL]
+
+    @cached_property
     def actor_transfer_pairs(self) -> frozenset[tuple[Address, Address]]:
         """The distinct ``(sender, recipient)`` pairs of native and token
         transfers between two pool actors; built once, on first use."""
-        actors = set().union(*self._by_actor.values())
+        actors = set().union(*self._counts.values())
         return frozenset((t.sender, t.recipient)
                          for t in self.native_transfers + self.token_transfers
                          if t.sender != t.recipient
@@ -158,7 +194,10 @@ class LedgerIndex:
         upstream = kind == DEPOSIT
         hops = self._incoming if upstream else self._outgoing
         far_end = operator.attrgetter("sender" if upstream else "recipient")
-        frontiers = [frozenset(self.actor_events(pool.pool_id, kind))]
+        # the count maps when built (views came first), else the lists the
+        # covers read next
+        first = self.actor_counts if "_counts" in vars(self) else self.actor_events
+        frontiers = [frozenset(first(pool.pool_id, kind))]
         for _ in range(n - 1):
             frontiers.append(frozenset(far_end(tr) for a in frontiers[-1]
                                        for tr in hops.get(a, ())))
@@ -190,7 +229,7 @@ class LedgerIndex:
 
     def _covers(self, kind: str, actor: Address,
                 pool: PoolConfig) -> tuple[TransferCover, ...]:
-        anchors = self._by_actor.get((pool.pool_id, kind), {}).get(actor)
+        anchors = self._lists.get((pool.pool_id, kind), {}).get(actor)
         if not anchors:
             raise InputError(f"{actor} has no {kind} in pool {pool.pool_id} before the cut")
         # a deposit looks back through incoming value, nearest first; a

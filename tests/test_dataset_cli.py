@@ -4,6 +4,7 @@ import io
 import json
 import re
 import shutil
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -304,6 +305,43 @@ class TestAnonymityMemory:
             tracemalloc.stop()
         ((held, peak),) = readings
         assert peak / held < 1.1
+
+
+class TestAnonymityLineGrowth:
+    """A guard that needs no clock: the Python lines ``anonymity --combine
+    --tas`` runs in ``anonset`` grow linearly in the records, so twice the
+    users run at most 2.2 times the lines."""
+
+    @staticmethod
+    def lines(tmp_path, users: int) -> int:
+        data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
+        assert main(["synth", "--profile", "mixed", "--seed", "5", "--users", str(users),
+                     "--blocks", str(12 * users), "--out", str(data)]) == 0
+        count = 0
+
+        def in_anonset(frame, event, arg):
+            nonlocal count
+            if event == "line":
+                count += 1
+            return in_anonset
+
+        def calls(frame, event, arg):
+            name = frame.f_globals.get("__name__") or ""
+            return in_anonset if name.startswith("anonset.") else None
+
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            code = main(["anonymity", "--combine", "--tas", "--data", str(data),
+                         "--out", str(out)])
+        finally:
+            sys.settrace(previous)
+        assert code == 0
+        return count
+
+    def test_lines_grow_linearly_in_users(self, tmp_path):
+        small, large = self.lines(tmp_path, 150), self.lines(tmp_path, 300)
+        assert 0 < large <= 2.2 * small, (small, large)
 
 
 _ADDRESS = re.compile(r"(0x)?[0-9a-f]{40}\Z", re.IGNORECASE)

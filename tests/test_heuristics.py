@@ -43,7 +43,7 @@ D, W, R, F = addr("hd"), addr("hw"), addr("hr"), addr("hf")
 
 
 class TestPoolViewMatchesReplay:
-    """``pool_view`` reads the index's per-actor lists; a replay of the
+    """``pool_view`` reads the index's per-actor counts; a replay of the
     pool's events by ``pool_state`` and two actor-set comprehensions is its
     oracle, on seeded traces cut at every tenth of their block span.  The
     per-actor lists, merged, are the pool's events in index order."""
@@ -383,25 +383,35 @@ class _CountedEvents(Sequence):
 
 
 class TestH5ReadsTheIndex:
-    """A guard that needs no clock: h5 (and h2) take each address's per-pool
-    events from the index's per-actor lists, and never walk the index's
-    full event list."""
+    """A guard that needs no clock: h2 and h5 build no per-actor event list,
+    and each walks the index's full event list at most once per index: h2
+    for its one list of the withdrawals signed for another address, shared
+    by every pool, and h5 for the events of the addresses its signatures
+    match."""
 
-    def test_index_events_are_never_read(self):
+    def test_each_walks_the_events_at_most_once(self):
         cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
                               pools=standard_pools(), user_count=150, block_span=3000)
         trace = generate_trace(cfg, 11)
-        index = build_index(trace.transfers, trace.token_transfers, trace.events,
-                            dict(trace.labels))
-        views = [pool_view(index, p) for p in trace.pools]
+
+        def views_of_a_new_index():
+            index = build_index(trace.transfers, trace.token_transfers, trace.events,
+                                dict(trace.labels))
+            return index, [pool_view(index, p) for p in trace.pools]
+
+        _, views = views_of_a_new_index()
         expected = h5_cross_pool(views), [h2_improper_sender(v) for v in views]
+        index, views = views_of_a_new_index()
         index.pool_events = counted = _CountedEvents(index.pool_events)
-        got = h5_cross_pool(views)
-        assert counted.reads == 0
         assert [h2_improper_sender(v) for v in views] == expected[1]
-        assert counted.reads == 0
+        assert [h2_improper_sender(v) for v in views] == expected[1]
+        assert counted.reads == 1
+        got = h5_cross_pool(views)
+        assert counted.reads == 2
         assert got == expected[0]
         assert any(r.link_pairs for r in got.values())
+        assert any(r.link_pairs for r in expected[1])
+        assert "_lists" not in vars(index)
 
 
 def h5_every_actor(views) -> dict[str, frozenset[LinkPair]]:
@@ -491,9 +501,67 @@ class TestH5MatchesEveryActorOracle:
         # addresses in two coins all occur
         assert linked > 30 and self_matched > 30 and tied > 250 and across_coins > 250
 
+    @staticmethod
+    def linked(events) -> dict[str, frozenset[LinkPair]]:
+        """h5's links on every pool with any, checked against the oracle."""
+        index = build_index([], [], events)
+        views = [pool_view(index, p) for p in CROSS_POOLS]
+        got = {pid: r.link_pairs for pid, r in h5_cross_pool(views).items()}
+        assert got == h5_every_actor(views)
+        return {pid: pairs for pid, pairs in got.items() if pairs}
+
+    def test_a_withdrawal_at_its_deposits_position_does_not_link(self):
+        d, w = addr("t5d"), addr("t5w")
+        # the tie in the first pool ranked, then at the last deposit and
+        # the first withdrawal, where all deposits come first but for it
+        for events in ([deposit("E1", d, 5), deposit("E2", d, 6),
+                        withdrawal("E1", w, 5), withdrawal("E2", w, 7)],
+                       [deposit("E1", d, 3), deposit("E2", d, 5, tx=1),
+                        withdrawal("E2", w, 5, tx=1), withdrawal("E1", w, 8)]):
+            assert self.linked(events) == {}
+            later = [e._replace(tx_index=e.tx_index + 1) if e.kind == WITHDRAWAL else e
+                     for e in events]
+            assert self.linked(later) == {"E1": {LinkPair(d, w)}, "E2": {LinkPair(d, w)}}
+
+    def test_two_coins(self):
+        d, w, v = addr("c5d"), addr("c5w"), addr("c5v")
+        # d's events span both coins, so each group reads its own pools' only
+        events = [deposit("E1", d, 1), deposit("E2", d, 2), deposit("B1", d, 3),
+                  deposit("B2", d, 4), deposit("B2", d, 5),
+                  withdrawal("E1", w, 6), withdrawal("E2", w, 7),
+                  withdrawal("B1", v, 8), withdrawal("B2", v, 9), withdrawal("B2", v, 10),
+                  # w in the BNB pools with other counts than d: no link there
+                  withdrawal("B1", w, 11), withdrawal("B2", w, 12)]
+        assert self.linked(events) == {"E1": {LinkPair(d, w)}, "E2": {LinkPair(d, w)},
+                                       "B1": {LinkPair(d, v)}, "B2": {LinkPair(d, v)}}
+
+    def test_an_address_that_deposits_and_withdraws_across_pools(self):
+        a, b, c = addr("s5a"), addr("s5b"), addr("s5c")
+        # a withdraws what it deposited (not a link), b withdraws after a's
+        # deposits, and c's deposits come before a's withdrawals
+        events = [deposit("E1", c, 1), deposit("E3", c, 2),
+                  deposit("E1", a, 3), deposit("E3", a, 4),
+                  withdrawal("E1", a, 5), withdrawal("E3", a, 6),
+                  withdrawal("E1", b, 7), withdrawal("E3", b, 8)]
+        pairs = {LinkPair(a, b), LinkPair(c, a), LinkPair(c, b)}
+        assert self.linked(events) == {"E1": pairs, "E3": pairs}
+
+    def test_five_depositors_and_five_withdrawers_of_one_signature(self):
+        ds = [addr(f"g5d{i}") for i in range(5)]
+        ws = [addr(f"g5w{i}") for i in range(5)]
+        # depositor i deposits at heights 10i+1 and 10i+2; withdrawer j
+        # withdraws at 10j+5 and 10j+6, so i links j exactly when i <= j
+        events = [*(deposit(pid, d, 10 * i + k) for i, d in enumerate(ds)
+                    for k, pid in ((1, "B1"), (2, "B3"))),
+                  *(withdrawal(pid, w, 10 * j + k) for j, w in enumerate(ws)
+                    for k, pid in ((5, "B3"), (6, "B1")))]
+        pairs = {LinkPair(d, w) for i, d in enumerate(ds) for j, w in enumerate(ws) if i <= j}
+        assert len(pairs) == 15
+        assert self.linked(events) == {"B1": pairs, "B3": pairs}
+
 
 class _CountedActors(dict):
-    """One pool and kind's per-actor events that count every lookup."""
+    """One pool and kind's per-actor event counts that count every lookup."""
 
     lookups = 0
 
@@ -507,18 +575,19 @@ class _CountedActors(dict):
 
 
 class TestH5LookupCost:
-    """A guard that needs no clock: h5 looks up per-actor events only for
-    addresses that use two pools of one coin, so addresses that use one
+    """A guard that needs no clock: h5 looks up per-actor event counts only
+    for addresses that use two pools of one coin, so addresses that use one
     pool add no lookup."""
 
     def lookups(self, monkeypatch, events):
         index = build_index([], [], events)
-        original = LedgerIndex.actor_events
-        monkeypatch.setattr(LedgerIndex, "actor_events",
+        original = LedgerIndex.actor_counts
+        monkeypatch.setattr(LedgerIndex, "actor_counts",
                             lambda self, pid, kind: _CountedActors(original(self, pid, kind)))
         _CountedActors.lookups = 0
         got = h5_cross_pool([pool_view(index, p) for p in CROSS_POOLS])
         monkeypatch.undo()
+        assert "_lists" not in vars(index)
         return _CountedActors.lookups, got
 
     def test_single_pool_actors_add_no_lookup(self, monkeypatch):

@@ -98,6 +98,45 @@ class TestBuildIndex:
             assert other.actor_events("P", DEPOSIT) == base.actor_events("P", DEPOSIT)
 
 
+class TestActorCountsMatchACounter:
+    """The count maps equal a ``Counter`` of the index's events per pool,
+    kind and actor, keyed in index order, at every tenth of seeded traces'
+    block span, for an idle pool, and at a cut before a pool's first event;
+    wherever the per-actor lists are built too, their lengths are the
+    counts, whichever table was built first."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_seeded_traces(self, seed):
+        cfg = GeneratorConfig(profile=BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
+                              pools=standard_pools(), user_count=48, block_span=2400)
+        trace = generate_trace(cfg, seed)
+        first, last = trace.first_block, trace.last_block
+        starts = {p.pool_id: min(e.height for e in trace.events if e.pool_id == p.pool_id)
+                  for p in trace.pools}
+        late = max(starts, key=starts.get)
+        assert starts[late] > first
+        pool_ids = [*starts, "P-idle"]
+        cuts = [first + (last - first) * step // 10 for step in range(11)]
+        for i, t in enumerate([*cuts, starts[late] - 1]):
+            index = build_index(up_to(trace.transfers, t), [], up_to(trace.events, t), None)
+            if i % 2:
+                index.actor_events(late, DEPOSIT)  # the lists first, then the counts
+            expected = Counter((e.pool_id, e.kind, e.actor) for e in index.pool_events)
+            for pool_id in pool_ids:
+                for kind in (DEPOSIT, WITHDRAWAL):
+                    counts = index.actor_counts(pool_id, kind)
+                    assert list(counts.items()) == [
+                        (actor, n) for (p, k, actor), n in expected.items()
+                        if (p, k) == (pool_id, kind)], (seed, t, pool_id, kind)
+                    if i % 2:
+                        lists = index.actor_events(pool_id, kind)
+                        assert {a: len(events) for a, events in lists.items()} == counts
+            assert ("_lists" in vars(index)) == bool(i % 2)
+        # the last cut: the late pool is idle, the others are not
+        assert not index.actor_counts(late, DEPOSIT) and not index.actor_counts(late, WITHDRAWAL)
+        assert any(index.actor_counts(p, DEPOSIT) for p in starts)
+
+
 class TestFlatSortKeys:
     """Records order by ``position``, (height, tx_index, log_index), before
     any other field."""
@@ -400,10 +439,12 @@ class TestCoversMatchTheFullScanOracle:
 
 
 class TestAnonymityBuildsOnlyWhatItReads:
-    """A guard that needs no clock: ``anonymity`` and ``clusters`` leave
-    their index with no per-address transfer map and no per-pool event
-    list, while ``flows`` builds the transfer maps on first use and gets
-    the covers of the full-scan oracle from them."""
+    """A guard that needs no clock: ``anonymity``, ``clusters`` and
+    ``validate`` leave their index with no per-actor event list and no
+    per-pool event list, and (but for ``validate``, whose funder side
+    walks transfers) no per-address transfer map, while ``flows`` builds
+    the transfer maps and the per-actor lists on first use, no count map,
+    and gets the covers of the full-scan oracle from them."""
 
     def built(self, tmp_path, monkeypatch, argv) -> list[tuple[Dataset, int, LedgerIndex]]:
         indexes = []
@@ -423,17 +464,22 @@ class TestAnonymityBuildsOnlyWhatItReads:
     def test_anonymity_and_clusters_build_no_unread_table(self, tmp_path, monkeypatch):
         assert main(["synth", "--profile", "mixed", "--seed", "5", "--users", "60",
                      "--blocks", "720", "--out", str(tmp_path / "data")]) == 0
-        for argv in (["anonymity", "--combine", "--tas"], ["clusters"]):
+        for argv in (["anonymity", "--combine", "--tas"], ["clusters"],
+                     ["validate", "--gt", "debank"]):
             ((dataset, _, index),) = self.built(tmp_path, monkeypatch, argv)
             held = vars(index)
-            assert "_incoming" not in held and "_outgoing" not in held, argv
+            assert "_counts" in held and "_lists" not in held, argv
+            if argv[0] != "validate":
+                assert "_incoming" not in held and "_outgoing" not in held, argv
             pool_ids = {p.pool_id for p in dataset.pools}
             assert not any(isinstance(table, dict) and table and set(table) <= pool_ids
                            for table in held.values()), argv
             assert "sole_funders" in held  # h4 ran, from its one map
 
         ((dataset, t, index),) = self.built(tmp_path, monkeypatch, ["flows"])
-        assert "_incoming" in vars(index) and "_outgoing" in vars(index)
+        held = vars(index)
+        assert "_incoming" in held and "_outgoing" in held and "_lists" in held
+        assert "_counts" not in held
         checked = 0
         for pool in dataset.pools:
             for kind, covers in ((DEPOSIT, index.source_transfers),
@@ -445,27 +491,28 @@ class TestAnonymityBuildsOnlyWhatItReads:
 
 
 class TestCoverLookupCost:
-    """A complexity guard that needs no clock: ``flows`` reads each pool's
-    actor maps a number of times set by the pools and the directions, not
-    by how many addresses use the pools."""
+    """A complexity guard that needs no clock: ``flows`` builds the
+    per-actor list table once and reads each pool's maps of it a number of
+    times set by the pools and the directions, not by how many addresses
+    use the pools; it reads no count map."""
 
     def pool_reads(self, tmp_path, monkeypatch, users: int) -> Counter:
         data, out = tmp_path / f"data{users}", tmp_path / f"out{users}"
         assert main(["synth", "--profile", "mixed", "--seed", "5",
                      "--users", str(users), "--blocks", str(12 * users),
                      "--out", str(data)]) == 0
-        calls = Counter({"actor_events": 0})
+        calls = Counter({"actor_events": 0, "actor_counts": 0, "_by_actor": 0})
 
         def counted(name):
             original = getattr(LedgerIndex, name)
 
-            def read(self, *args):
+            def read(self, *args, **kwargs):
                 calls[name] += 1
-                return original(self, *args)
+                return original(self, *args, **kwargs)
             return read
 
         with monkeypatch.context() as patch:
-            for name in calls:
+            for name in list(calls):
                 patch.setattr(LedgerIndex, name, counted(name))
             assert main(["flows", "--distance", "2", "--data", str(data),
                          "--out", str(out)]) == 0
@@ -475,6 +522,7 @@ class TestCoverLookupCost:
         small = self.pool_reads(tmp_path, monkeypatch, users=40)
         large = self.pool_reads(tmp_path, monkeypatch, users=120)
         assert small["actor_events"] > 0
+        assert small["_by_actor"] == 1 and small["actor_counts"] == 0
         assert large == small
 
 
