@@ -14,8 +14,9 @@ solver run came back inconclusive.
 
 Each command's body is a module of ``anonset.commands``, and ``main``
 imports only the one it runs, with the analysis modules that one
-imports, so a process compiles no other command's code.  A command reads
-its dataset through :func:`_load`, which ``main`` hands it.
+imports, so a process compiles no other command's code.  A data command
+reads its dataset through :func:`ingest`, which ``main`` hands it; only a
+data command loads ``dataset``, so ``synth`` compiles no ingest code.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import gc
 import os
 import sys
 from importlib import import_module
+from types import MethodType
 from typing import NoReturn, Sequence
 
-from .dataset import Dataset, ingest
-from .errors import EXIT_INPUT, EXIT_MODE, AnalysisError, ModeError
+from .errors import EXIT_INPUT, EXIT_MODE, AnalysisError, ModeError, _at_least, _say
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -37,8 +38,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
+        if "data" in args:
+            # ingest's modules first, the largest a data command compiles:
+            # the smaller ones after it reuse their compile memory
+            import_module(".dataset", __package__)
         command = import_module(f".commands.{args.command.replace('-', '_')}", __package__)
-        return command.run(args, _load)
+        return command.run(args, ingest)
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODE if isinstance(exc, ModeError) else EXIT_INPUT
@@ -63,8 +68,8 @@ def run() -> NoReturn:
         for stream in filter(None, (sys.stdout, sys.stderr)):
             stream.flush()
     except OSError as exc:
-        # a command that failed has printed its one error line; ``_load``'s
-        # names a stdout that cannot be written
+        # a command that failed has printed its one error line, which names
+        # a stdout that cannot be written
         if not code and sys.stderr is not None:
             try:
                 print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
@@ -72,18 +77,6 @@ def run() -> NoReturn:
                 pass
         code = code or EXIT_INPUT
     os._exit(code)
-
-
-def _at_least(low: int):
-    """An ``int`` argument type that refuses values below ``low``, so a bad
-    value fails at parse time, before any dataset is read."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
-    return parse
 
 
 def _heuristic_list(text: str) -> tuple[str, ...]:
@@ -96,6 +89,15 @@ def _heuristic_list(text: str) -> tuple[str, ...]:
     if not tags:
         raise argparse.ArgumentTypeError("names no heuristic")
     return tags
+
+
+def _print_message(self, message, file=None):
+    # argparse's drops a failed write, so a help that cannot reach an
+    # unbuffered stdout would exit 0
+    if file is sys.stdout:
+        _say(message)
+    else:
+        argparse.ArgumentParser._print_message(self, message, file)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,19 +154,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=120)
     p.add_argument("--blocks", type=int, default=8_000)
 
+    for p in (parser, *sub.choices.values()):
+        p._print_message = MethodType(_print_message, p)
     return parser
 
 
-def _load(args) -> Dataset:
-    dataset = ingest(args.data)
-    # a stdout that cannot be written stops every command here, before any
-    # analysis, whether or not it is buffered
-    try:
-        print("\n".join(f"loaded {dataset.counts[name]:>7} records from {name}"
-                        for name in sorted(dataset.counts)), flush=True)
-    except OSError as exc:
-        raise OSError(f"cannot write output: {exc}")
-    return dataset
+def ingest(path, hold):
+    """:func:`anonset.dataset.ingest`, imported on first use; ``main``
+    hands this name to a command, so a wrapper installed on it sees the call."""
+    from .dataset import ingest
+    return ingest(path, hold)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,31 @@
-"""One module per command, each with ``run(args, load)`` returning the exit
-code, and here what several share.  ``load(args)`` is the CLI's dataset
-loader, handed in so that no command imports ``cli``; the CLI imports only
-the command it runs, so a process compiles no other command's code."""
+"""One module per command, each with ``run(args, ingest)`` returning the
+exit code, and here what several share.  ``ingest`` is the CLI's
+``dataset.ingest``, handed in so that no command imports ``cli``; the CLI
+imports only the command it runs, so a process compiles no other
+command's code.  A data command names the record files its report reads
+in ``FILES`` and loads its dataset by :func:`_load`, which holds those
+alone."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from ..dataset import Dataset
-from ..errors import InputError
+from ..errors import InputError, _say
+
+if TYPE_CHECKING:
+    from ..dataset import Dataset
+
+
+def _load(args, ingest, files) -> Dataset:
+    """Ingest ``args.data`` holding ``files``, and say how many records each
+    file has; a stdout that cannot be written stops here, before any
+    analysis."""
+    dataset = ingest(args.data, files)
+    _say("".join(f"loaded {dataset.counts[name]:>7} records from {name}\n"
+                 for name in sorted(dataset.counts)))
+    return dataset
 
 
 def _cut(args, dataset: Dataset) -> int:

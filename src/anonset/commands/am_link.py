@@ -7,13 +7,15 @@ import sys
 from .. import mining
 from ..errors import EXIT_INCONCLUSIVE, EXIT_OK
 from ..ledger import DEPOSIT
-from . import _table, _write_report
+from . import _load, _table, _write_report
+
+FILES = ("pools", "pool_events", "ap_claims")
 
 
-def run(args, load) -> int:
+def run(args, ingest) -> int:
     if args.search_cap is None:
         args.search_cap = mining.DEFAULT_SEARCH_CAP
-    dataset = load(args)
+    dataset = _load(args, ingest, FILES)
     # the events are in record order, so each pool's heights come sorted
     deposits_by_actor: dict[str, list] = {}
     withdrawal_blocks: dict[str, list[int]] = {p.pool_id: [] for p in dataset.pools}

@@ -5,15 +5,25 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import metrics
-from ..dataset import GROUND_TRUTH_FILE
 from ..errors import EXIT_OK, IngestError, ModeError
+from ..ledger import GROUND_TRUTH_FILE
 from ..metrics import render_percent
 from ..rows import _loads, _read_text
-from . import _cut, _heuristic_tags, _run_heuristics, _selected_pools, _table, _write_report
+from . import (
+    _cut,
+    _heuristic_tags,
+    _load,
+    _run_heuristics,
+    _selected_pools,
+    _table,
+    _write_report,
+)
+
+FILES = ("pools", "pool_events", "transfers", "token_transfers", "labels", "relayers")
 
 
-def run(args, load) -> int:
-    dataset = load(args)
+def run(args, ingest) -> int:
+    dataset = _load(args, ingest, FILES)
     t = _cut(args, dataset)
     pools = _selected_pools(args, dataset)
     tags = _heuristic_tags(args, dataset)

@@ -7,11 +7,13 @@ from fractions import Fraction
 from ..errors import EXIT_OK
 from ..ledger import connected_components
 from ..metrics import cluster_size_histogram, render_percent
-from . import _cut, _heuristic_tags, _run_heuristics, _table, _write_report
+from . import _cut, _heuristic_tags, _load, _run_heuristics, _table, _write_report
+
+FILES = ("pools", "pool_events", "transfers", "token_transfers", "labels", "relayers")
 
 
-def run(args, load) -> int:
-    dataset = load(args)
+def run(args, ingest) -> int:
+    dataset = _load(args, ingest, FILES)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
     _, _, links_by_pool = _run_heuristics(dataset, tags, t)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from .. import metrics
 from ..errors import EXIT_OK
-from . import _table, _write_report
+from . import _load, _table, _write_report
+
+FILES = ("pools", "pool_events", "labels", "relayers")
 
 
-def run(args, load) -> int:
+def run(args, ingest) -> int:
     if args.threshold is None:
         args.threshold = metrics.DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD
-    dataset = load(args)
+    dataset = _load(args, ingest, FILES)
     flags = metrics.fund_then_deposit_flags(dataset.pools, dataset.events,
                                             dataset.labels, args.threshold)
     flagged = [{"address": f.address,

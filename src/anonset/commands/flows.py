@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from ..errors import EXIT_OK
-from . import _cut, _table, _write_report
+from . import _cut, _load, _table, _write_report
+
+FILES = ("pools", "pool_events", "transfers", "token_transfers")
 
 
-def run(args, load) -> int:
-    dataset = load(args)
+def run(args, ingest) -> int:
+    dataset = _load(args, ingest, FILES)
     t = _cut(args, dataset)
     index = dataset.build_index(t)
     # per direction: the payload key of its distance sets, their query, the

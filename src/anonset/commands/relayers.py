@@ -5,11 +5,13 @@ from __future__ import annotations
 from .. import metrics
 from ..errors import EXIT_OK
 from ..metrics import render_percent
-from . import _table, _write_report
+from . import _load, _table, _write_report
+
+FILES = ("pools", "pool_events")
 
 
-def run(args, load) -> int:
-    dataset = load(args)
+def run(args, ingest) -> int:
+    dataset = _load(args, ingest, FILES)
 
     def percent(share):  # an undefined share stays None: null in the report, "-" in the table
         return share if share is None else render_percent(share)

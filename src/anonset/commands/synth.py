@@ -6,7 +6,7 @@ from .. import synth
 from ..errors import EXIT_OK, InputError
 
 
-def run(args, load) -> int:
+def run(args, ingest) -> int:
     config = synth.GeneratorConfig(
         profile=_parse_profile(args.profile), pools=synth.standard_pools(),
         user_count=args.users, block_span=args.blocks)

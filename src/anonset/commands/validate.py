@@ -8,16 +8,18 @@ from ..dataset import Dataset
 from ..errors import EXIT_OK, InputError
 from ..ledger import LinkPair, crosses
 from ..metrics import render_ratio
-from . import _cut, _heuristic_tags, _run_heuristics, _table, _write_report
+from . import _cut, _heuristic_tags, _load, _run_heuristics, _table, _write_report
 
 DEFAULT_AIRDROP_WINDOW = 50_000
+FILES = ("pools", "pool_events", "transfers", "token_transfers", "labels", "relayers",
+         "ens_transfers", "ens_subdomains", "airdrop_claims", "follow_edges")
 
 
-def run(args, load) -> int:
+def run(args, ingest) -> int:
     for tag in args.heuristics or ():
         if heuristics.HEURISTICS[tag].joins is None:
             raise InputError(f"{tag} links no address pairs and cannot be validated")
-    dataset = load(args)
+    dataset = _load(args, ingest, FILES)
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
     index, views, links = _run_heuristics(dataset, tags, t)

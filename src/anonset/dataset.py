@@ -5,9 +5,10 @@ Every file is validated line by line before any analysis runs; failures
 name the file, line, and field.  Amounts travel as decimal strings in
 base units so no reader ever needs floating point; block numbers are
 plain unsigned integers.  Ingest needs only ``ledger``, which defines
-every record type a file decodes into, and ``rows``, the checked reader
-of one record; no analysis module, and not the index, is loaded to read
-a dataset.
+every record type a file decodes into, ``lines``, which reads a file in
+batches of lines and holds their patterns, and ``rows``, the checked
+reader of one record; no analysis module, and not the index, is loaded
+to read a dataset.
 
 ``synth`` writes exactly this layout (plus a ``ground_truth.json``
 sidecar), so generated traces round-trip through ingestion losslessly.
@@ -31,20 +32,26 @@ follows :func:`~anonset.rows._address`, which reaches it once per
 distinct address.  Either way the one interning table holds canonical
 addresses only.  Pool events and transfers come out in ``ledger``'s
 record order, the index's, by the one rule ``_in_record_order``.
+
+Every file is read, checked and counted, but only the files a command
+holds keep their records.  An unheld transfer file in the emitted layout
+is proved by its positions alone (:func:`~anonset.lines.proved`), with
+no record built; any other goes through the full read, so a count or an
+error is the same either way.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from itertools import chain, starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, NoReturn
 
 from .errors import IngestError, InputError
 from .ledger import (
     DEPOSIT,
     KNOWN_LABELS,
+    MANIFEST_FILE,
     WITHDRAWAL,
     Address,
     APClaim,
@@ -60,13 +67,12 @@ from .ledger import (
     transfer_order,
     up_to,
 )
-from .rows import _loads, _read_text, _Row, _utf8_error
+from .lines import _LINE_PATTERNS, _batches, proved
+from .rows import _loads, _read_text, _Row
 
 if TYPE_CHECKING:
     from .indexing import LedgerIndex
 
-MANIFEST_FILE = "manifest.json"
-GROUND_TRUTH_FILE = "ground_truth.json"
 RECORD_FILES = ("pools", "pool_events", "transfers", "token_transfers",
                 "labels", "relayers", "ap_claims", "ens_transfers",
                 "ens_subdomains", "airdrop_claims", "follow_edges")
@@ -79,7 +85,8 @@ class Manifest(NamedTuple):
 
 class Dataset(NamedTuple):
     """A validated dataset: ``events``, ``transfers`` and ``token_transfers``
-    in ``ledger``'s record order, every other file's records in file order."""
+    in ``ledger``'s record order, every other file's records in file order.
+    A field whose files ``ingest`` was not asked to hold is None."""
 
     manifest: Manifest
     pools: tuple[PoolConfig, ...]
@@ -107,66 +114,20 @@ class Dataset(NamedTuple):
                            up_to(self.events, t), self.labels)
 
 
-_BATCH = 2048  # the fewest characters a batch asks for; past 128 KB, 1/64 of the file
-
-
-def _batches(path: Path, file: str):
-    """Yield ``(first line number, lines)`` for each batch of whole lines of
-    ``file``, line ends kept: at most 65 batches, as each has a fixed cost."""
-    source = path / file
-    if not source.exists():
-        raise IngestError("required file is missing", file=file)
-    try:
-        with source.open(encoding="utf-8") as handle:
-            size, first = max(_BATCH, source.stat().st_size // 64), 1
-            while lines := handle.readlines(size):
-                yield first, lines
-                first += len(lines)
-    except UnicodeDecodeError:
-        raise _utf8_error(source, file) from None
-
-
-# Pieces of the line patterns, each matching only text that json.loads
-# decodes to its group and ``_Row`` reads unchanged: an int below 10**18 with
-# no sign, leading zero, fraction or exponent; printable ASCII with no quote
-# or backslash (so no escape); an address in any case, with or without a
-# prefix, which ``ingest`` only slices; an amount well inside int()'s digit
-# limit.  No piece matches a line end.
-_INT = "(0|[1-9][0-9]{0,17})"
-_TEXT = r'"([ !#-\[\]-~]+)"'
-_ADDRESS = '"((?:0[xX]|)[0-9a-fA-F]{40})"'  # a branch: sre runs it faster than ``?``
-_AMOUNT = '"([0-9]{1,78})"'
-
-
-def _line_pattern(**fields: str) -> re.Pattern:
-    """A whole line of exactly these fields, as ``synth`` writes it; groups in key order."""
-    body = ",".join(f'"{key}":{fields[key]}' for key in sorted(fields))
-    return re.compile(rf"^\{{{body}\}}$", re.M)
-
-
-_LINE_PATTERNS = {  # the emitted layout of each patterned file
-    "pool_events": _line_pattern(
-        actor=_ADDRESS, block=_INT, kind=_TEXT, log_index=_INT, pool_id=_TEXT,
-        relayer=f"(?:null|{_ADDRESS})", tx_index=_INT, tx_sender=_ADDRESS),
-    "transfers": _line_pattern(
-        amount=_AMOUNT, block=_INT, coin=_TEXT, log_index=_INT, recipient=_ADDRESS,
-        sender=_ADDRESS, tx_index=_INT),
-    "labels": _line_pattern(address=_ADDRESS, label=_TEXT),
-    "ap_claims": _line_pattern(ap=_INT, block=_INT, recipient=_ADDRESS)}
-_LINE_PATTERNS["token_transfers"] = _LINE_PATTERNS["transfers"]
-
 _new = tuple.__new__  # a record's tuple, past its class's checks
 
 
-def ingest(path: str | Path) -> Dataset:
-    """Validate and load a dataset directory.
+def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
+    """Validate and load a dataset directory, holding the records of the
+    files named in ``hold`` (and ``pools``, which pool events are checked
+    against); the label book is held when ``labels`` and ``relayers`` are.
 
-    Every record file must be present (empty is fine).  Core-chain records
-    must fall inside the manifest's block range; side-channel files are
-    not range-checked since their events may predate the observation
-    window.
+    Every record file must be present (empty is fine), and every one is
+    read, checked and counted, held or not.  Core-chain records must fall
+    inside the manifest's block range; side-channel files are not
+    range-checked since their events may predate the observation window.
     """
-    path = Path(path)
+    path, hold = Path(path), {"pools", *hold}
     manifest_path = path / MANIFEST_FILE
     if not manifest_path.exists():
         raise IngestError("manifest is missing", file=MANIFEST_FILE)
@@ -265,7 +226,7 @@ def ingest(path: str | Path) -> Dataset:
                         raise IngestError(f"duplicate record (first seen on line {seen[record]})",
                                           file=file, line=line)
         counts[name] = len(records)
-        return records
+        return records if name in hold else None
 
     pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
@@ -343,8 +304,10 @@ def ingest(path: str | Path) -> Dataset:
         return records if first_block <= min(blocks) and max(blocks) <= last_block else None
 
     events = read("pool_events", pool_event, event_batch, event_order)
-    transfers = read("transfers", transfer, transfer_batch, transfer_order)
-    token_transfers = read("token_transfers", transfer, transfer_batch, transfer_order)
+    transfers, token_transfers = (
+        None if name not in hold and proved(path, name, first_block, last_block, counts)
+        else read(name, transfer, transfer_batch, transfer_order)
+        for name in ("transfers", "token_transfers"))
 
     def label(r: _Row) -> tuple[str, Address, int]:
         tag = r.text("label")
@@ -364,10 +327,10 @@ def ingest(path: str | Path) -> Dataset:
                 for line, (address, tag) in enumerate(found, start=first)]
 
     label_map: dict[Address, set[str]] = {}
-    for tag, address, _line in read("labels", label, label_batch):
+    for tag, address, _line in read("labels", label, label_batch) or ():
         label_map.setdefault(address, set()).add(tag)
 
-    for addr in read("relayers", lambda r: r.address("address")):
+    for addr in read("relayers", lambda r: r.address("address")) or ():
         label_map.setdefault(addr, set()).add("relayer")
 
     claims = read("ap_claims", ap_claim, ap_claim_batch)
@@ -389,6 +352,7 @@ def ingest(path: str | Path) -> Dataset:
     return Dataset(
         manifest=manifest, pools=tuple(sorted(pools, key=lambda p: p.pool_id)),
         events=events, transfers=transfers, token_transfers=token_transfers,
-        labels=LabelBook({a: frozenset(tags) for a, tags in label_map.items()}),
+        labels=LabelBook({a: frozenset(tags) for a, tags in label_map.items()})
+        if {"labels", "relayers"} <= hold else None,
         ap_claims=claims, ens_transfers=ens_transfers, ens_subdomains=subdomains,
         airdrop_claims=airdrops, follow_edges=edges, counts=counts)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the two checks the CLI
+makes before any analysis: a stdout that cannot be written and an integer
+argument below its floor.
 
 The CLI maps these onto process exit codes, so new error conditions should
 reuse one of the existing classes rather than invent another branch.
@@ -60,3 +62,26 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODE = 3
 EXIT_INCONCLUSIVE = 4
+
+
+def _say(text: str) -> None:
+    """Print ``text`` and flush it: a stdout that cannot be written fails
+    the run here, buffered or not, with an error that names it (exit 2)."""
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        raise OSError(f"cannot write output: {exc}") from None
+
+
+def _at_least(low: int):
+    """An ``int`` argument type of the CLI's parser that refuses values
+    below ``low``, so a bad value fails at parse time, before any dataset
+    is read."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse

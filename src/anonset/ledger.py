@@ -50,6 +50,12 @@ from .errors import InputError
 Address = str
 Amount = int
 
+# a dataset directory's two JSON files beside its record files: ``dataset``
+# reads the manifest, ``synth`` writes both, and ``anonymity --tas`` reads
+# the sidecar
+MANIFEST_FILE = "manifest.json"
+GROUND_TRUTH_FILE = "ground_truth.json"
+
 DEPOSIT = "deposit"
 WITHDRAWAL = "withdrawal"
 

@@ -41,10 +41,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .dataset import GROUND_TRUTH_FILE, MANIFEST_FILE
 from .errors import ConfigError, InputError
 from .ledger import (
     DEPOSIT,
+    GROUND_TRUTH_FILE,
+    MANIFEST_FILE,
     WITHDRAWAL,
     Address,
     APClaim,

@@ -20,6 +20,7 @@ import pytest
 import anonset
 import anonset.dataset as dataset_module
 import anonset.indexing as indexing_module
+import anonset.lines as lines_module
 import anonset.rows as rows_module
 from anonset.cli import main
 from anonset.dataset import Dataset, _Row, ingest
@@ -559,10 +560,10 @@ class TestLineWhitespace:
 
 def _checked_only(patch) -> None:
     """Switch the line patterns off, so that every line of the hot files is
-    decoded and read by the checked parser."""
-    never = re.compile("(?!)")
-    patch.setattr(dataset_module, "_LINE_PATTERNS",
-                  dict.fromkeys(dataset_module._LINE_PATTERNS, never))
+    decoded and read by the checked parser, an unheld transfer file's too."""
+    never = dict.fromkeys(lines_module._LINE_PATTERNS, re.compile("(?!)"))
+    for module in (dataset_module, lines_module):
+        patch.setattr(module, "_LINE_PATTERNS", never)
 
 
 def _outcome(data: Path):
@@ -758,7 +759,7 @@ class TestAddressPiece:
             mixed = "".join(c.upper() if i % 2 else c for i, c in enumerate(body))
             bodies += [body, body.upper(), mixed]
         bodies += ["0a" + digits[:38], "00" + digits[:38], "0x0x" + digits[:38]]
-        old, new = re.compile(self.OPTIONAL), re.compile(dataset_module._ADDRESS)
+        old, new = re.compile(self.OPTIONAL), re.compile(lines_module._ADDRESS)
         matched = Counter()
         for body in bodies:
             for prefix in ("0x", "0X", ""):
@@ -807,7 +808,7 @@ def _lengthen(data: Path, name: str, batches: int = 4) -> None:
     tags = sorted(KNOWN_LABELS)
     rows, i = path.read_text(encoding="utf-8").splitlines(), 0
     coin = json.loads(rows[0])["coin"] if name == "token_transfers" else None
-    while len("\n".join(rows)) < batches * dataset_module._BATCH:
+    while len("\n".join(rows)) < batches * lines_module._BATCH:
         address = f"0x{0xfeed0000 + i:040x}"
         if name == "labels":
             rows.append(_compact({"address": address, "label": tags[i % len(tags)]}))
@@ -901,7 +902,7 @@ class TestBatchBoundaries:
     def test_line_on_the_edge_of_a_batch_above_the_floor(self, large_dir, monkeypatch, name,
                                                          edit, error, field, batch, edge):
         _first, lines = next(dataset_module._batches(large_dir, f"{name}.jsonl"))
-        assert len("".join(lines[:-1])) > dataset_module._BATCH
+        assert len("".join(lines[:-1])) > lines_module._BATCH
         self.edit_on_an_edge(large_dir, monkeypatch, name, edit, error, field, batch, edge)
 
     @pytest.mark.parametrize("fault", [False, True], ids=["valid", "fault-after"])
@@ -1207,8 +1208,12 @@ class TestRecordOrderSetOnce:
                     return original(records)
                 monkeypatch.setattr(module, "in_position_order", in_position_order)
         assert main([*command, "--data", str(synth_dir), "--out", str(tmp_path / "out")]) == 0
-        # pool_events, transfers and token_transfers, through the one rule
-        assert calls == {"anonset.ledger": 3}
+        # each positioned file the command holds, through the one rule; an
+        # unheld transfer file is proved by its positions alone
+        files = importlib.import_module(f"anonset.commands.{command[0].replace('-', '_')}").FILES
+        held = {"pool_events", "transfers", "token_transfers"} & set(files)
+        assert "pool_events" in held
+        assert calls == {"anonset.ledger": len(held)}
 
     def test_shuffled_files_read_in_record_order(self, synth_dir, tmp_path):
         shuffled = tmp_path / "shuffled"

@@ -162,18 +162,27 @@ def test_a_stdout_that_cannot_be_flushed_exits_2(datasets, tmp_path, unbuffered)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["--help"], ["no-such-command"]], ids=["help", "usage-error"])
-def test_an_argparse_exit_whose_stdout_cannot_be_flushed_exits_2(argv):
-    # argparse leaves through SystemExit; ``run`` ends it as a command's
-    # own exit, so the help that cannot be flushed is not the interpreter's 120
+@pytest.mark.parametrize("argv,unbuffered", [
+    pytest.param(argv, unbuffered, id=name + ("-unbuffered" if unbuffered else ""))
+    for name, argv in [("help", ["--help"]), ("command-help", ["relayers", "--help"]),
+                       ("usage-error", ["no-such-command"])]
+    for unbuffered in (False, True)])
+def test_an_argparse_exit_whose_stdout_cannot_be_flushed_exits_2(argv, unbuffered):
+    # block-buffered, argparse leaves through SystemExit and ``run``'s flush
+    # fails; unbuffered, the help's own write fails, which argparse alone
+    # would drop and exit 0.  Either way the help that cannot be written is
+    # one error line and exit 2, not the interpreter's 120
+    env = process_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "anonset.cli", *argv],
-                              stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=process_env())
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
-    if argv == ["--help"]:
-        assert proc.stderr.startswith("error: cannot write output: ")
+    if argv[-1] == "--help":
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
     else:
         assert "invalid choice: 'no-such-command'" in proc.stderr
 
