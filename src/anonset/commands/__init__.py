@@ -55,20 +55,17 @@ def _heuristic_tags(args, dataset: Dataset, linking_only: bool = False) -> tuple
     return tags
 
 
-def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int, pools=None):
+def _run_heuristics(dataset: Dataset, tags: Sequence[str], t: int):
     """Build the index at ``t`` and one view per pool, then run ``tags`` on
-    the views of ``pools`` (every pool when not given); a cross-pool
-    heuristic still reads every view.
+    every view.
 
-    Returns the index, the views keyed by pool id, and the link sets of
-    ``pools`` as ``{pool_id: {tag: pairs}}``.
+    Returns the index, the views keyed by pool id, and the link sets as
+    ``{pool_id: {tag: pairs}}``.
     """
     from .. import heuristics
     index = dataset.build_index(t)
     views = {p.pool_id: heuristics.pool_view(index, p) for p in dataset.pools}
-    every = list(views.values())
-    chosen = every if pools is None else [views[p.pool_id] for p in pools]
-    return index, views, heuristics.run_heuristics(tags, chosen, every)
+    return index, views, heuristics.run_heuristics(tags, list(views.values()))
 
 
 def _write_report(args, name: str, payload: dict, table: str) -> None:

@@ -28,7 +28,7 @@ def run(args, ingest) -> int:
     pools = _selected_pools(args, dataset)
     tags = _heuristic_tags(args, dataset)
     true_sizes = read_true_set_sizes(args.data) if args.tas else None
-    _, views, links = _run_heuristics(dataset, tags, t, pools)
+    _, views, links = _run_heuristics(dataset, tags, t)
     if args.combine:
         # ``combined`` is one more named link set; only its cell and its
         # advantage fields differ from a heuristic's

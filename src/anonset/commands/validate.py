@@ -11,15 +11,20 @@ from ..metrics import render_ratio
 from . import _cut, _heuristic_tags, _load, _run_heuristics, _table, _write_report
 
 DEFAULT_AIRDROP_WINDOW = 50_000
+# every source reads the follow edges, for the negative signal; SOURCE_FILES
+# names the files of each source's positive pairs
 FILES = ("pools", "pool_events", "transfers", "token_transfers", "labels", "relayers",
-         "ens_transfers", "ens_subdomains", "airdrop_claims", "follow_edges")
+         "follow_edges")
+SOURCE_FILES = {"debank": (), "airdrop": ("airdrop_claims",),
+                "ens": ("ens_transfers", "ens_subdomains")}
+SOURCE_FILES["intersection"] = SOURCE_FILES["airdrop"] + SOURCE_FILES["ens"]
 
 
 def run(args, ingest) -> int:
     for tag in args.heuristics or ():
         if heuristics.HEURISTICS[tag].joins is None:
             raise InputError(f"{tag} links no address pairs and cannot be validated")
-    dataset = _load(args, ingest, FILES)
+    dataset = _load(args, ingest, FILES + SOURCE_FILES[args.gt])
     t = _cut(args, dataset)
     tags = _heuristic_tags(args, dataset, linking_only=True)
     index, views, links = _run_heuristics(dataset, tags, t)

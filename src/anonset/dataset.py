@@ -1,14 +1,14 @@
 """Line-delimited dataset format: validation and ingestion.
 
 A dataset is a directory of JSON-lines record files plus a manifest.
-Every file is validated line by line before any analysis runs; failures
-name the file, line, and field.  Amounts travel as decimal strings in
-base units so no reader ever needs floating point; block numbers are
-plain unsigned integers.  Ingest needs only ``ledger``, which defines
-every record type a file decodes into, ``lines``, which reads a file in
-batches of lines and holds their patterns, and ``rows``, the checked
-reader of one record; no analysis module, and not the index, is loaded
-to read a dataset.
+Every file a command holds is validated line by line before any
+analysis runs; failures name the file, line, and field.  Amounts travel
+as decimal strings in base units so no reader ever needs floating point;
+block numbers are plain unsigned integers.  Ingest needs only
+``ledger``, which defines every record type a file decodes into,
+``lines``, which reads a file in batches of lines and holds their
+patterns, and ``rows``, the checked reader of one record; no analysis
+module, and not the index, is loaded to read a dataset.
 
 ``synth`` writes exactly this layout (plus a ``ground_truth.json``
 sidecar), so generated traces round-trip through ingestion losslessly.
@@ -33,11 +33,10 @@ distinct address.  Either way the one interning table holds canonical
 addresses only.  Pool events and transfers come out in ``ledger``'s
 record order, the index's, by the one rule ``_in_record_order``.
 
-Every file is read, checked and counted, but only the files a command
-holds keep their records.  An unheld transfer file in the emitted layout
-is proved by its positions alone (:func:`~anonset.lines.proved`), with
-no record built; any other goes through the full read, so a count or an
-error is the same either way.
+Only the files a command holds are read and checked.  Every other file
+is counted, not parsed: its lines that hold more than JSON whitespace,
+so a malformed file a command does not hold does not fail it, while a
+missing or undecodable one still does.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .ledger import (
     transfer_order,
     up_to,
 )
-from .lines import _LINE_PATTERNS, _batches, proved
+from .lines import _LINE_PATTERNS, _batches
 from .rows import _loads, _read_text, _Row
 
 if TYPE_CHECKING:
@@ -86,7 +85,9 @@ class Manifest(NamedTuple):
 class Dataset(NamedTuple):
     """A validated dataset: ``events``, ``transfers`` and ``token_transfers``
     in ``ledger``'s record order, every other file's records in file order.
-    A field whose files ``ingest`` was not asked to hold is None."""
+    A field whose files ``ingest`` was not asked to hold is None; ``counts``
+    names every file, an unheld one by its lines that hold more than JSON
+    whitespace."""
 
     manifest: Manifest
     pools: tuple[PoolConfig, ...]
@@ -115,6 +116,7 @@ class Dataset(NamedTuple):
 
 
 _new = tuple.__new__  # a record's tuple, past its class's checks
+_SPACE = " \t\r\n"  # JSON's own whitespace, the only text stripped from a line
 
 
 def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
@@ -122,10 +124,11 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
     files named in ``hold`` (and ``pools``, which pool events are checked
     against); the label book is held when ``labels`` and ``relayers`` are.
 
-    Every record file must be present (empty is fine), and every one is
-    read, checked and counted, held or not.  Core-chain records must fall
-    inside the manifest's block range; side-channel files are not
-    range-checked since their events may predate the observation window.
+    Every record file must be present (empty is fine) and UTF-8.  A held
+    file is read and checked; any other is only counted.  Core-chain
+    records must fall inside the manifest's block range; side-channel
+    files are not range-checked since their events may predate the
+    observation window.
     """
     path, hold = Path(path), {"pools", *hold}
     manifest_path = path / MANIFEST_FILE
@@ -151,9 +154,10 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
     canon: dict[str, Address] = {}  # this call's interned addresses
     words: dict[str, str] = {}  # and its interned text values
 
-    def read(name: str, parse: Callable[[_Row], Any], build=None, order=None) -> tuple:
+    def read(name: str, parse: Callable[[_Row], Any], build=None, order=None) -> tuple | None:
         """The records of ``<name>.jsonl`` in file order, or in the record
-        ``order`` of a positioned file, read a batch of lines at a time.
+        ``order`` of a positioned file, read a batch of lines at a time;
+        None for a file not in ``hold``, whose lines are only counted.
 
         ``build``, given for a patterned file, makes a batch's records from
         the first line's number and the groups of every line's
@@ -173,11 +177,14 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
         one (the one duplicate rule).  Sets ``counts[name]``.
         """
         file = f"{name}.jsonl"
+        if name not in hold:
+            counts[name] = sum(len(lines) - sum(1 for text in lines if not text.strip(_SPACE))
+                               for _first, lines in _batches(path, file))
+            return None
 
         def checked(first: int, lines: list[str]):
-            # only JSON's own four whitespace characters are stripped
             for line, text in enumerate(lines, start=first):
-                text = text.strip(" \t\r\n")
+                text = text.strip(_SPACE)
                 if text:
                     try:
                         record = parse(_Row(file, line, _loads(text, file, line), canon, words))
@@ -226,7 +233,7 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
                         raise IngestError(f"duplicate record (first seen on line {seen[record]})",
                                           file=file, line=line)
         counts[name] = len(records)
-        return records if name in hold else None
+        return records
 
     pools = read("pools", lambda r: PoolConfig(
         pool_id=r.text("pool_id"), coin=r.text("coin"),
@@ -304,10 +311,8 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
         return records if first_block <= min(blocks) and max(blocks) <= last_block else None
 
     events = read("pool_events", pool_event, event_batch, event_order)
-    transfers, token_transfers = (
-        None if name not in hold and proved(path, name, first_block, last_block, counts)
-        else read(name, transfer, transfer_batch, transfer_order)
-        for name in ("transfers", "token_transfers"))
+    transfers = read("transfers", transfer, transfer_batch, transfer_order)
+    token_transfers = read("token_transfers", transfer, transfer_batch, transfer_order)
 
     def label(r: _Row) -> tuple[str, Address, int]:
         tag = r.text("label")

@@ -286,19 +286,13 @@ def default_tags(pool_count: int, linking_only: bool = False) -> tuple[str, ...]
 
 
 def run_heuristics(tags: Iterable[str], views: Sequence[PoolView],
-                   every: Sequence[PoolView] | None = None,
                    ) -> dict[str, dict[str, frozenset[LinkPair]]]:
     """Every tagged heuristic's link pairs on every view, as
-    ``{pool_id: {tag: pairs}}`` in the order of ``views`` and ``tags``.
-
-    A per-pool heuristic runs on ``views`` alone; a cross-pool one reads
-    ``every`` view of the index (``views`` when not given), and only its
-    pairs for ``views`` are kept."""
+    ``{pool_id: {tag: pairs}}`` in the order of ``views`` and ``tags``."""
     links = {v.pool.pool_id: {} for v in views}
     for tag in tags:
         h = HEURISTICS[tag]
-        per_pool = h.run(every or views) if h.cross_pool else \
-            {v.pool.pool_id: h.run(v) for v in views}
+        per_pool = h.run(views) if h.cross_pool else {v.pool.pool_id: h.run(v) for v in views}
         for pool_id, mine in links.items():
             mine[tag] = per_pool[pool_id].link_pairs
     return links

@@ -1,15 +1,12 @@
-"""Reading a record file: the batches of whole lines it is read in, the
-line pattern of each file ``synth`` writes in a fixed layout, and the
-proof, by positions alone, of a transfer file a command does not hold.
-``dataset.ingest`` is their one caller; they are a module of their own so
-that ``dataset``, the largest module a data command compiles when no
-bytecode cache is written, stays smaller."""
+"""Reading a record file: the batches of whole lines it is read or
+counted in, and the line pattern of each file ``synth`` writes in a fixed
+layout.  ``dataset.ingest`` is their one caller; they are a module of
+their own so that ``dataset``, the largest module a data command compiles
+when no bytecode cache is written, stays smaller."""
 
 from __future__ import annotations
 
 import re
-from itertools import chain, pairwise, starmap
-from operator import lt
 from pathlib import Path
 
 from .errors import IngestError
@@ -62,33 +59,3 @@ _LINE_PATTERNS = {  # the emitted layout of each patterned file
     "labels": _line_pattern(address=_ADDRESS, label=_TEXT),
     "ap_claims": _line_pattern(ap=_INT, block=_INT, recipient=_ADDRESS)}
 _LINE_PATTERNS["token_transfers"] = _LINE_PATTERNS["transfers"]
-
-
-def proved(path: Path, name: str, first_block: int, last_block: int,
-           counts: dict[str, int]) -> bool:
-    """Count the transfer file ``name`` into ``counts`` by its positions
-    alone, where every batch is in the emitted layout, the positions rise
-    strictly through the file, across batch boundaries too, and its first
-    and last height lie from ``first_block`` to ``last_block``: then the
-    full read of ``dataset.ingest`` would build exactly as many records,
-    in order and with no repeat, as its transfer batches check nothing
-    more.  No address is read and nothing of the file is held.  Any other
-    file, a missing or undecodable one included, is left to the full read,
-    which names its first fault.  Returns whether the file was proved."""
-    count, start, last = 0, None, (-1,)
-    try:
-        for _first, lines in _batches(path, f"{name}.jsonl"):
-            found = _LINE_PATTERNS[name].findall("".join(lines))
-            if len(found) != len(lines):
-                return False
-            here = [(int(block), int(tx_index), int(log_index))
-                    for _amount, block, _coin, log_index, _to, _from, tx_index in found]
-            if not all(starmap(lt, pairwise(chain((last,), here)))):
-                return False
-            start, last, count = start or here[0], here[-1], count + len(here)
-    except IngestError:
-        return False
-    if count and not first_block <= start[0] <= last[0] <= last_block:
-        return False
-    counts[name] = count
-    return True

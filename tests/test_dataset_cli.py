@@ -1255,35 +1255,22 @@ class TestReductionCalls:
 
 
 class TestSelectedPoolHeuristics:
-    """``anonymity --pool P`` runs the per-pool heuristics on ``P``'s view
-    alone; h5, which matches depositors across pools, still reads every
-    view.  ``P``'s entry is the one a run over every pool reports."""
+    """``anonymity --pool P`` reports ``P``'s entry exactly as a run over
+    every pool does, h5's cross-pool matches included."""
 
-    def test_per_pool_heuristics_run_on_the_selected_pool_only(self, tmp_path, monkeypatch):
+    def test_each_selected_pool_reports_its_entry_of_the_full_run(self, tmp_path):
         data = tmp_path / "data"
         write_trace(data, BehaviorProfile.from_weights({b: 1 for b in BEHAVIORS}),
                     seed=7, users=300)
-        pools = [p.pool_id for p in ingest(data).pools]
-        assert len(pools) > 2
-        calls: dict[str, list] = {}
-        # HEURISTICS calls each heuristic through the module's globals
-        for name in ("h2_improper_sender", "h4_intermediary", "h5_cross_pool"):
-            def counted(arg, name=name, original=getattr(heuristics, name)):
-                views = arg if name == "h5_cross_pool" else [arg]
-                calls.setdefault(name, []).append(sorted(v.pool.pool_id for v in views))
-                return original(arg)
-            monkeypatch.setattr(heuristics, name, counted)
 
-        reports = {}
-        for selected in ([], ["--pool", pools[1]]):
-            calls.clear()
+        def pools_of(*selected: str) -> list[dict]:
             out = tmp_path / ("out" + "".join(selected))
             assert main(["anonymity", "--combine", "--data", str(data), "--out", str(out),
                          *selected]) == 0
-            reports[bool(selected)] = json.loads((out / "anonymity.json").read_text())
-            mine = pools[1:2] if selected else pools
-            assert calls == {"h2_improper_sender": [[p] for p in mine],
-                             "h4_intermediary": [[p] for p in mine],
-                             "h5_cross_pool": [pools]}
-        (alone,) = reports[True]["pools"]
-        assert alone == reports[False]["pools"][1] and alone["heuristics"]["h5"]["size"]
+            return json.loads((out / "anonymity.json").read_text())["pools"]
+
+        every = pools_of()
+        assert len(every) > 2
+        for entry in every:
+            assert pools_of("--pool", entry["pool_id"]) == [entry]
+        assert any(entry["heuristics"]["h5"]["size"] for entry in every)

@@ -1,12 +1,14 @@
-"""Each data command holds only the record files its report reads.
+"""Each data command parses only the record files its report reads.
 
-``ingest(path, hold)`` still reads, checks and counts every file, so the
-``loaded …`` lines and every error stay as they were; it keeps records only
-for the files named in ``hold``.  An unheld transfer file is proved by its
-positions alone, with the full read as its fallback.  These tests pin that
-the proof finds what the full read finds, that each command's declared
-files are complete and each one needed, and that an unheld file's records
-are not held."""
+``ingest(path, hold)`` reads and checks the files named in ``hold`` and
+only counts every other one: its lines that hold more than JSON
+whitespace, with no record parsed.  So a malformed file a command does not
+hold leaves its exit code, its ``loaded …`` lines and its reports as they
+were, while a missing or undecodable one still fails it, and a malformed
+file it holds fails it as a full read does.  These tests pin that, that
+each command's declared files are complete and each one needed, that no
+unheld file is parsed, that the counts are the benchmark's, and that an
+unheld file's records are not held."""
 
 from __future__ import annotations
 
@@ -14,26 +16,27 @@ import contextlib
 import importlib
 import io
 import json
-import random
 import shutil
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import anonset.cli as cli_module
 import anonset.dataset as dataset_module
+import anonset.lines as lines_module
 from anonset.cli import main
 from anonset.dataset import RECORD_FILES, Dataset, ingest
 from anonset.errors import IngestError
-from anonset.ledger import transfer_order
 from anonset.synth import write_dataset
+from perfbench.oracles import DatasetFacts, check_descriptors
 
 from .test_dataset_cli import mixed_trace, write_side_channels
+from .test_ingest import respell
 
 RELAYERS = importlib.import_module("anonset.commands.relayers").FILES
-TRANSFER_FILES = ("transfers", "token_transfers")
 
 # every data command, with the argument lists that together read every file
 # it declares
@@ -46,16 +49,17 @@ COMMANDS = {
     "am-link": [["am-link"]],
     "validate": [["validate", "--gt", gt] for gt in ("airdrop", "ens", "intersection", "debank")],
 }
+RUNS = {" ".join(argv): argv for runs in COMMANDS.values() for argv in runs}
 
 
-def module_of(command: str):
-    return importlib.import_module(f"anonset.commands.{command.replace('-', '_')}")
+def _dump(row: dict) -> str:
+    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def outcome(data: Path, hold) -> dict[str, int] | str:
-    """What ``ingest`` makes of ``data`` holding ``hold``: its counts, or its error."""
+def outcome(data: Path) -> dict[str, int] | str:
+    """What ``ingest`` makes of ``data`` holding every file: its counts, or its error."""
     try:
-        return dict(ingest(data, hold).counts)
+        return dict(ingest(data).counts)
     except IngestError as exc:
         return str(exc)
 
@@ -97,130 +101,33 @@ def command_dir(tmp_path_factory) -> Path:
     return data
 
 
-# --- the position proof against the full read -------------------------------
+class Run(NamedTuple):
+    code: int
+    stdout: str
+    stderr: str
+    reports: dict[str, bytes]
+    hold: frozenset[str]  # the files ingest was asked to hold, pools included
 
 
-def _dump(row: dict) -> str:
-    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+def run_command(argv: list[str], data: Path, out: Path, drop: str | None = None) -> Run:
+    """Run ``argv`` on ``data`` in-process, with ``drop`` taken out of the
+    files its command asks ``ingest`` to hold."""
+    shutil.rmtree(out, ignore_errors=True)
+    held = []
 
+    def holding(path, hold):
+        held.append(frozenset({"pools", *hold}) - {drop})
+        return dataset_module.ingest(path, held[-1])
 
-def _mutants(lines: list[str], rng: random.Random, first: int, last: int):
-    """Seeded variants of a transfer file's lines, each with its kind."""
-    n = len(lines)
-    i, j = sorted(rng.sample(range(n), 2))
-    row = json.loads(lines[i])
-
-    def with_row(**changes) -> list[str]:
-        return lines[:i] + [_dump({**row, **changes})] + lines[i + 1:]
-
-    def spelled(text: str) -> str:
-        body = "".join(c.upper() if rng.random() < 0.5 else c for c in text[2:])
-        return rng.choice(["0x", "0X", ""]) + body
-
-    yield "swapped", lines[:i] + [lines[j]] + lines[i + 1:j] + [lines[i]] + lines[j + 1:]
-    yield "repeated", lines[:j] + [lines[i]] + lines[j:]
-    yield "repeated next", lines[:i + 1] + [lines[i]] + lines[i + 1:]
-    yield "above the range", with_row(block=last + rng.randint(1, 50))
-    yield "below the range", with_row(block=max(0, first - rng.randint(1, 50)))
-    yield "at the range's ends", (
-        [_dump({**json.loads(lines[0]), "block": first})] + lines[1:-1]
-        + [_dump({**json.loads(lines[-1]), "block": last})])
-    yield "same position", with_row(**{k: json.loads(lines[i - 1] if i else lines[i + 1])[k]
-                                       for k in ("block", "tx_index", "log_index")})
-    yield "blank line", lines[:i] + ["\n"] + lines[i:]
-    yield "respelled", [_dump({**json.loads(line), "sender": spelled(json.loads(line)["sender"]),
-                               "recipient": spelled(json.loads(line)["recipient"])})
-                        for line in lines]
-    yield "internal key", with_row(internal=True)
-    yield "malformed amount", with_row(amount=rng.choice(["1.5", "-3", "12a", ""]))
-    yield "negative position", lines[:i] + [lines[i].replace('"tx_index":', '"tx_index":-', 1)] \
-        + lines[i + 1:]
-    yield "empty", []
-
-
-@pytest.mark.parametrize("name", TRANSFER_FILES)
-@pytest.mark.parametrize("seed", range(4))
-def test_the_position_proof_finds_what_the_full_read_finds(small_dir, tmp_path, name, seed):
-    manifest = json.loads((small_dir / "manifest.json").read_text())
-    lines = (small_dir / f"{name}.jsonl").read_text().splitlines(keepends=True)
-    assert len(lines) >= 2
-    rng = random.Random(seed)
-    seen = set()
-    for kind, mutant in _mutants(lines, rng, manifest["first_block"], manifest["last_block"]):
-        data = tmp_path / kind.replace(" ", "-")
-        shutil.copytree(small_dir, data)
-        (data / f"{name}.jsonl").write_text("".join(mutant))
-        full = outcome(data, RECORD_FILES)
-        assert outcome(data, RELAYERS) == full, kind
-        seen.add(type(full))
-    # the mutants reach both a count and an error
-    assert seen == {dict, str}
-
-
-def test_positions_rise_across_batch_boundaries(small_dir, tmp_path):
-    # a repeat or a step back right at a batch boundary, with each batch in
-    # order: the proof must compare the batch's first position with the last
-    # one before it
-    name = "transfers"
-    lines = (small_dir / f"{name}.jsonl").read_text().splitlines(keepends=True)
-    sizes = [len(batch) for _first, batch in dataset_module._batches(small_dir, f"{name}.jsonl")]
-    assert len(sizes) > 1
-    boundary = sizes[0]
-    stepped_back = [_dump({**json.loads(lines[boundary]), "block": json.loads(lines[0])["block"],
-                           "tx_index": 0, "log_index": 0})]
-    for kind, mutant in {
-        "repeat": lines[:boundary] + [lines[boundary - 1]] + lines[boundary:],
-        "step back": lines[:boundary] + stepped_back + lines[boundary:],
-    }.items():
-        data = tmp_path / kind.replace(" ", "-")
-        shutil.copytree(small_dir, data)
-        (data / f"{name}.jsonl").write_text("".join(mutant))
-        assert next(dataset_module._batches(data, f"{name}.jsonl"))[1] == lines[:boundary]
-        full = outcome(data, RECORD_FILES)
-        assert outcome(data, RELAYERS) == full, kind
-        assert isinstance(full, str) if kind == "repeat" else full[name] == len(lines) + 1
-
-
-def test_a_file_in_the_emitted_layout_is_not_read_in_full(small_dir, tmp_path, monkeypatch):
-    respelled = tmp_path / "respelled"
-    shutil.copytree(small_dir, respelled)
-    for name in TRANSFER_FILES:
-        path = respelled / f"{name}.jsonl"
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        path.write_text("".join(_dump({**r, "sender": r["sender"][2:].upper()}) for r in rows))
-    orders = []
-    original = dataset_module._in_record_order
-
-    def recorded(records, order):
-        orders.append(order)
-        return original(records, order)
-
-    monkeypatch.setattr(dataset_module, "_in_record_order", recorded)
-    for data in (small_dir, respelled):
-        orders.clear()
-        assert ingest(data, RELAYERS).counts == ingest(data).counts
-        # the held read above set up the order of the pool events alone
-        assert orders.count(transfer_order) == 2
-
-
-def test_a_file_out_of_order_falls_back_to_the_full_read(small_dir, tmp_path, monkeypatch):
-    data = tmp_path / "shuffled"
-    shutil.copytree(small_dir, data)
-    path = data / "transfers.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(reversed(lines)))
-    reads = []
-    original = dataset_module._in_record_order
-
-    def recorded(records, order):
-        reads.append((order, len(records)))
-        return original(records, order)
-
-    monkeypatch.setattr(dataset_module, "_in_record_order", recorded)
-    dataset = ingest(data, RELAYERS)
-    assert (transfer_order, len(lines)) in reads
-    assert dataset.counts["transfers"] == len(lines)
-    assert dataset.transfers is None
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        patch.setattr(cli_module, "ingest", holding)
+        code = main([*argv, "--data", str(data), "--out", str(out)])
+    reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    (hold,) = held
+    return Run(code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), reports,
+               hold)
 
 
 # --- what a dataset holds ------------------------------------------------------
@@ -248,56 +155,191 @@ def test_pools_are_held_and_the_label_book_needs_both_its_files(small_dir):
     assert book._labels == ingest(small_dir).labels._labels
 
 
-def test_an_unheld_file_is_still_checked(small_dir, tmp_path):
-    for name in RECORD_FILES:
-        data = tmp_path / name
-        shutil.copytree(small_dir, data)
-        path = data / f"{name}.jsonl"
-        path.write_text(path.read_text() + "{not json\n")
-        with pytest.raises(IngestError) as full:
-            ingest(data)
-        with pytest.raises(IngestError) as held:
-            ingest(data, ())
-        assert str(held.value) == str(full.value), name
-
-
 # --- each command's declared files ----------------------------------------------
-
-
-def run_command(argv: list[str], data: Path, out: Path) -> tuple[str, dict[str, bytes]]:
-    shutil.rmtree(out, ignore_errors=True)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main([*argv, "--data", str(data), "--out", str(out)]) == 0
-    reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    return stdout.getvalue().replace(str(out), "OUT"), reports
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_command_reports_the_same_holding_only_its_files(command, command_dir, tmp_path,
                                                           monkeypatch):
-    declared = [run_command(argv, command_dir, tmp_path / "out") for argv in COMMANDS[command]]
-    monkeypatch.setattr(cli_module, "ingest", lambda path, hold: ingest(path))
-    assert [run_command(argv, command_dir, tmp_path / "out")
+    declared = [run_command(argv, command_dir, tmp_path / "out")[:4]
+                for argv in COMMANDS[command]]
+    assert all(code == 0 for code, *_ in declared)
+    monkeypatch.setattr(dataset_module, "ingest", lambda path, hold: ingest(path))
+    assert [run_command(argv, command_dir, tmp_path / "out")[:4]
             for argv in COMMANDS[command]] == declared
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_each_declared_file_is_needed(command, command_dir, tmp_path, monkeypatch):
-    module = module_of(command)
-    files = module.FILES
-    assert set(files) <= set(RECORD_FILES) and len(set(files)) == len(files)
-    declared = [run_command(argv, command_dir, tmp_path / "out") for argv in COMMANDS[command]]
-    for name in files:
-        if name == "pools":  # always held: the pool events are checked against it
-            continue
-        monkeypatch.setattr(module, "FILES", tuple(f for f in files if f != name))
-        try:
-            fewer = [run_command(argv, command_dir, tmp_path / "out")
-                     for argv in COMMANDS[command]]
-        except (TypeError, AttributeError):
-            continue
-        assert fewer != declared, f"{command} reads nothing of {name}"
+def test_each_declared_file_is_needed(command, command_dir, tmp_path):
+    # argument lists that hold the same files must need each of them
+    # together; validate holds each --gt source's files apart
+    runs: dict[frozenset[str], list] = {}
+    for argv in COMMANDS[command]:
+        run = run_command(argv, command_dir, tmp_path / "out")
+        assert run.code == 0 and run.hold <= set(RECORD_FILES)
+        runs.setdefault(run.hold, []).append((argv, run))
+    if command == "validate":
+        assert len(runs) == 4
+    for hold, declared in runs.items():
+        for name in sorted(hold - {"pools"}):  # always held: pool events are checked against it
+            try:
+                fewer = [run_command(argv, command_dir, tmp_path / "out", drop=name)
+                         for argv, _run in declared]
+            except (TypeError, AttributeError):
+                continue
+            assert [run[:4] for run in fewer] != [run[:4] for _argv, run in declared], \
+                f"{command} {sorted(hold)} reads nothing of {name}"
+
+
+# --- a corrupt file ------------------------------------------------------------------
+
+
+def _corruptions(lines: list[str], last_block: int):
+    """Variants of a record file's lines, each with its kind, made without
+    randomness: only those that change the file."""
+    i = len(lines) // 2
+    row = json.loads(lines[i])
+    address = next((key for key, value in sorted(row.items())
+                    if isinstance(value, str) and value.startswith("0x") and len(value) == 42),
+                   None)
+    yield "bad JSON line", lines[:i] + ["{not json\n"] + lines[i + 1:]
+    yield "repeated line", lines[:i + 1] + [lines[i]] + lines[i + 1:]
+    if "block" in row:
+        yield "height out of range", lines[:i] + [_dump({**row, "block": last_block + 1})] \
+            + lines[i + 1:]
+    if address:
+        yield "malformed address", lines[:i] + [_dump({**row, address: "0x12345"})] \
+            + lines[i + 1:]
+    if len(set(lines)) > 1:
+        yield "reversed lines", lines[::-1]
+
+
+def non_blank(path: Path) -> int:
+    with path.open() as handle:
+        return sum(1 for line in handle if line.strip())
+
+
+@pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS)
+def test_a_corrupt_file_fails_only_a_command_that_holds_it(argv, command_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(command_dir, data)
+    base = run_command(argv, data, tmp_path / "out")
+    assert base.code == 0
+    last_block = json.loads((data / "manifest.json").read_text())["last_block"]
+    failed = passed = 0
+    for name in RECORD_FILES:
+        path = data / f"{name}.jsonl"
+        original, before = path.read_text(), f"{non_blank(path):>7} records from {name}\n"
+        for kind, lines in _corruptions(original.splitlines(keepends=True), last_block):
+            path.write_text("".join(lines))
+            run = run_command(argv, data, tmp_path / "out")
+            where = f"{name}: {kind}"
+            if name in base.hold:
+                error = outcome(data)
+                if isinstance(error, str):
+                    assert (run.code, run.stderr, run.reports) == (2, f"error: {error}\n", {}), \
+                        where
+                    failed += 1
+                else:
+                    assert run.code == 0, where
+            else:
+                count = f"{non_blank(path):>7} records from {name}\n"
+                stdout = base.stdout.replace(before, count)
+                assert count in stdout, where
+                assert (run.code, run.stdout, run.stderr, run.reports) == \
+                    (0, stdout, "", base.reports), where
+                passed += 1
+        path.write_text(original)
+    # every command holds a file a corruption fails and leaves one unheld
+    assert failed and passed
+
+
+@pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS)
+def test_a_missing_or_undecodable_unheld_file_still_fails(argv, command_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(command_dir, data)
+    hold = run_command(argv, data, tmp_path / "out").hold
+    unheld = [name for name in RECORD_FILES if name not in hold]
+    assert unheld
+    for name in unheld:
+        path = data / f"{name}.jsonl"
+        original = path.read_bytes()
+        for kind in ("missing", "undecodable"):
+            if kind == "missing":
+                path.unlink()
+            else:
+                path.write_bytes(original + b'{"x": "\xff"}\n')
+            error = outcome(data)
+            assert isinstance(error, str) and f"file={name}.jsonl" in error, (name, kind)
+            run = run_command(argv, data, tmp_path / "out")
+            assert (run.code, run.stderr, run.reports) == (2, f"error: {error}\n", {}), \
+                (name, kind)
+            path.write_bytes(original)
+
+
+class _Seen(dict):
+    """A line-pattern table that adds each file it is asked for to ``seen``."""
+
+    def __init__(self, table: dict, seen: set[str]):
+        super().__init__(table)
+        self.seen = seen
+
+    def __getitem__(self, name):
+        self.seen.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS)
+def test_no_unheld_file_is_parsed(argv, command_dir, tmp_path, monkeypatch):
+    # clock-free: every record _Row reads, every text _loads decodes and
+    # every line-pattern scan names its file
+    parsed: set[str] = set()
+    row, loads = dataset_module._Row, dataset_module._loads
+
+    def seen_row(file, *args):
+        parsed.add(file)
+        return row(file, *args)
+
+    def seen_loads(text, file, *args):
+        parsed.add(file)
+        return loads(text, file, *args)
+
+    patterns = _Seen(lines_module._LINE_PATTERNS, parsed)
+    monkeypatch.setattr(dataset_module, "_Row", seen_row)
+    monkeypatch.setattr(dataset_module, "_loads", seen_loads)
+    for module in (dataset_module, lines_module):
+        monkeypatch.setattr(module, "_LINE_PATTERNS", patterns)
+    run = run_command(argv, command_dir, tmp_path / "out")
+    assert run.code == 0
+    files = {name.removesuffix(".jsonl") for name in parsed - {"manifest.json"}}
+    assert files - run.hold == set()
+    assert "pool_events" in files
+
+
+# --- the benchmark's count rule ----------------------------------------------------
+
+
+def test_each_loaded_count_is_the_files_non_blank_line_count(tmp_path):
+    canonical = tmp_path / "canonical"
+    write_dataset(mixed_trace(seed=13, users=80), canonical)
+    write_side_channels(canonical)
+    mixed_case = tmp_path / "mixed-case"
+    respell(canonical, mixed_case, seed=13)
+    # JSON whitespace alone on a line is skipped by both rules
+    blank = tmp_path / "blank-lines"
+    shutil.copytree(mixed_case, blank)
+    for name in RECORD_FILES:
+        path = blank / f"{name}.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line + pad for line, pad in
+                                zip(lines, ["\n", " \t\n", "\r\n", "  \n"] * len(lines))))
+    for data in (canonical, mixed_case, blank):
+        facts = DatasetFacts(data)
+        assert sorted(facts.record_counts) == sorted(RECORD_FILES)
+        for argv in (["relayers"], ["am-link"], ["flags"]):
+            run = run_command(argv, data, tmp_path / "out")
+            assert run.code == 0 and set(RECORD_FILES) - run.hold, argv
+            assert check_descriptors(facts, run.stdout) == [], (data.name, argv)
 
 
 # --- memory -----------------------------------------------------------------------

@@ -1209,7 +1209,7 @@ class TestRecordOrderSetOnce:
                 monkeypatch.setattr(module, "in_position_order", in_position_order)
         assert main([*command, "--data", str(synth_dir), "--out", str(tmp_path / "out")]) == 0
         # each positioned file the command holds, through the one rule; an
-        # unheld transfer file is proved by its positions alone
+        # unheld one is only counted
         files = importlib.import_module(f"anonset.commands.{command[0].replace('-', '_')}").FILES
         held = {"pool_events", "transfers", "token_transfers"} & set(files)
         assert "pool_events" in held
