@@ -4,7 +4,8 @@ exit code, and here what several share.  ``ingest`` is the CLI's
 imports only the command it runs, so a process compiles no other
 command's code.  A data command names the record files its report reads
 in ``FILES`` and loads its dataset by :func:`_load`, which holds those
-alone."""
+alone; ``relayers``, ``flags`` and ``am-link`` fold their pool events
+instead, as ingest reads them."""
 
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ if TYPE_CHECKING:
     from ..dataset import Dataset
 
 
-def _load(args, ingest, files) -> Dataset:
-    """Ingest ``args.data`` holding ``files``, and say how many records each
-    file has; a stdout that cannot be written stops here, before any
-    analysis."""
-    dataset = ingest(args.data, files)
+def _load(args, ingest, files, fold=None) -> Dataset:
+    """Ingest ``args.data`` holding ``files``, but the pool events that a
+    ``fold`` folds, and say how many records each file has; a stdout that
+    cannot be written stops here, before any analysis."""
+    dataset = ingest(args.data, {**dict.fromkeys(files), "pool_events": fold} if fold else files)
     _say("".join(f"loaded {dataset.counts[name]:>7} records from {name}\n"
                  for name in sorted(dataset.counts)))
     return dataset

@@ -12,18 +12,24 @@ from . import _load, _table, _write_report
 FILES = ("pools", "pool_events", "ap_claims")
 
 
-def run(args, ingest) -> int:
-    if args.search_cap is None:
-        args.search_cap = mining.DEFAULT_SEARCH_CAP
-    dataset = _load(args, ingest, FILES)
-    # the events are in record order, so each pool's heights come sorted
+def _claim_events(events) -> tuple[dict[str, list], dict[str, list[int]]]:
+    """The pool events folded as they are read: each actor's deposits, and
+    each pool's withdrawal heights, sorted, as the events are in record order."""
     deposits_by_actor: dict[str, list] = {}
-    withdrawal_blocks: dict[str, list[int]] = {p.pool_id: [] for p in dataset.pools}
-    for e in dataset.events:
+    withdrawal_blocks: dict[str, list[int]] = {}
+    for e in events:
         if e.kind == DEPOSIT:
             deposits_by_actor.setdefault(e.actor, []).append(e)
         else:
-            withdrawal_blocks[e.pool_id].append(e.height)
+            withdrawal_blocks.setdefault(e.pool_id, []).append(e.height)
+    return deposits_by_actor, withdrawal_blocks
+
+
+def run(args, ingest) -> int:
+    if args.search_cap is None:
+        args.search_cap = mining.DEFAULT_SEARCH_CAP
+    dataset = _load(args, ingest, FILES, _claim_events)
+    deposits_by_actor, withdrawal_blocks = dataset.events
     claimants: dict[str, list] = {}
     for claim in dataset.ap_claims:
         claimants.setdefault(claim.recipient, []).append(claim)
@@ -41,11 +47,11 @@ def run(args, ingest) -> int:
             if category == mining.ONE_ONE_ONE:
                 solution = mining.solve_single_claim(
                     own[0].height, claim, pool.am_weight,
-                    withdrawal_blocks[pool.pool_id])
+                    withdrawal_blocks.get(pool.pool_id, []))
             else:
                 solution = mining.solve_multi_claim(
                     [e.height for e in own], claim, pool.am_weight,
-                    withdrawal_blocks[pool.pool_id], search_cap=args.search_cap)
+                    withdrawal_blocks.get(pool.pool_id, []), search_cap=args.search_cap)
             statuses.append(solution.status)
             entry.update({
                 "pool_id": pool.pool_id,

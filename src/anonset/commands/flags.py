@@ -12,7 +12,7 @@ FILES = ("pools", "pool_events", "labels", "relayers")
 def run(args, ingest) -> int:
     if args.threshold is None:
         args.threshold = metrics.DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD
-    dataset = _load(args, ingest, FILES)
+    dataset = _load(args, ingest, FILES, metrics.withdraw_first)
     flags = metrics.fund_then_deposit_flags(dataset.pools, dataset.events,
                                             dataset.labels, args.threshold)
     flagged = [{"address": f.address,

@@ -11,7 +11,7 @@ FILES = ("pools", "pool_events")
 
 
 def run(args, ingest) -> int:
-    dataset = _load(args, ingest, FILES)
+    dataset = _load(args, ingest, FILES, metrics.count_relayers)
 
     def percent(share):  # an undefined share stays None: null in the report, "-" in the table
         return share if share is None else render_percent(share)

@@ -21,17 +21,20 @@ all in exactly the emitted layout, nearly every batch, one pattern scan
 finds every line's fields, undecoded, and one comprehension builds the
 batch's records with no Python call per record; what their constructors
 check is checked once per batch, but the block range of the pool events
-and transfers, which is checked once per file.  Any other batch, or one
-that fails a check, is decoded line by line and read by ``_Row``'s
-checked accessors, which report the first fault, so a row's error is the
-same whichever path met it.  An address the line pattern has matched is
-canonical once lower-cased behind ``0x``: the batch's comprehension does
-that inline, with no Python call, and never meets the regular expression
-of :func:`~anonset.ledger.normalize_address`; every other address field
+and transfers, which their order lets each batch's first and last record
+check.  Any other batch, or one that fails a check, is decoded line by
+line and read by ``_Row``'s checked accessors, which report the first
+fault, so a row's error is the same whichever path met it.  An address
+the line pattern has matched is canonical once lower-cased behind
+``0x``: the batch's comprehension does that inline, with no Python call,
+and never meets the regular expression of
+:func:`~anonset.ledger.normalize_address`; every other address field
 follows :func:`~anonset.rows._address`, which reaches it once per
 distinct address.  Either way the one interning table holds canonical
 addresses only.  Pool events and transfers come out in ``ledger``'s
-record order, the index's, by the one rule ``_in_record_order``.
+record order, the index's: a file whose every batch ``in_position_order``
+finds in order after the batch before it is in that order already, and
+any other is sorted once; a command may fold them, batch by batch.
 
 Only the files a command holds are read and checked.  Every other file
 is counted, not parsed: its lines that hold more than JSON whitespace,
@@ -61,12 +64,12 @@ from .ledger import (
     PoolEvent,
     SubdomainGrant,
     Transfer,
-    _in_record_order,
     event_order,
+    in_position_order,
     transfer_order,
     up_to,
 )
-from .lines import _LINE_PATTERNS, _batches
+from .lines import _LINE_PATTERNS, _SPACE, _batches, _count
 from .rows import _loads, _read_text, _Row
 
 if TYPE_CHECKING:
@@ -87,7 +90,8 @@ class Dataset(NamedTuple):
     in ``ledger``'s record order, every other file's records in file order.
     A field whose files ``ingest`` was not asked to hold is None; ``counts``
     names every file, an unheld one by its lines that hold more than JSON
-    whitespace."""
+    whitespace.  Where ``relayers``, ``flags`` or ``am-link`` folds its pool
+    events, ``events`` is what its fold made of them."""
 
     manifest: Manifest
     pools: tuple[PoolConfig, ...]
@@ -116,13 +120,15 @@ class Dataset(NamedTuple):
 
 
 _new = tuple.__new__  # a record's tuple, past its class's checks
-_SPACE = " \t\r\n"  # JSON's own whitespace, the only text stripped from a line
 
 
 def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
     """Validate and load a dataset directory, holding the records of the
     files named in ``hold`` (and ``pools``, which pool events are checked
     against); the label book is held when ``labels`` and ``relayers`` are.
+    ``hold`` may map each name to None, or a positioned file's to a fold: a
+    function of an iterable of the file's records, in record order, whose
+    return value the file's field then holds in place of the records.
 
     Every record file must be present (empty is fine) and UTF-8.  A held
     file is read and checked; any other is only counted.  Core-chain
@@ -130,7 +136,8 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
     files are not range-checked since their events may predate the
     observation window.
     """
-    path, hold = Path(path), {"pools", *hold}
+    path, folds = Path(path), hold if isinstance(hold, Mapping) else {}
+    hold = {"pools", *hold}
     manifest_path = path / MANIFEST_FILE
     if not manifest_path.exists():
         raise IngestError("manifest is missing", file=MANIFEST_FILE)
@@ -154,10 +161,11 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
     canon: dict[str, Address] = {}  # this call's interned addresses
     words: dict[str, str] = {}  # and its interned text values
 
-    def read(name: str, parse: Callable[[_Row], Any], build=None, order=None) -> tuple | None:
+    def read(name: str, parse: Callable[[_Row], Any], build=None, order=None) -> Any:
         """The records of ``<name>.jsonl`` in file order, or in the record
-        ``order`` of a positioned file, read a batch of lines at a time;
-        None for a file not in ``hold``, whose lines are only counted.
+        ``order`` of a positioned file, read a batch of lines at a time, or
+        what its fold in ``folds`` made of them; None for a file not in
+        ``hold``, whose lines are only counted.
 
         ``build``, given for a patterned file, makes a batch's records from
         the first line's number and the groups of every line's
@@ -166,20 +174,21 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
         line end and the anchors allow one per line, so a batch with as
         many matches as lines is all in the emitted layout.  Any other
         batch, or one ``build`` declines, is read line by line by ``_Row``
-        and ``parse``, which report its first fault.  A positioned file's
-        batches leave the block range to one check of the whole file, by
-        its first and last record's height once in record order; where
-        that check or a later batch fails, an earlier batch may hold a
+        and ``parse``, which report its first fault.  One loop hands the
+        batches to the file's fold, or to ``tuple``, which holds them.  A
+        positioned file's batch goes on once it is in strictly increasing
+        position after the last record passed on, so it holds no repeat,
+        and its first and last record bound its heights; else the file is
+        read again, sorted, checked, and handed to its consumer afresh.
+        Where a range check or a batch fails, an earlier batch may hold a
         height out of range, so the file is read again by ``parse`` alone,
-        which raises at its first bad line.  A positioned file in strictly
-        increasing position holds no repeat, which would share its twin's
-        position; any other file is checked by a set of its records for
-        one (the one duplicate rule).  Sets ``counts[name]``.
+        which raises at its first bad line.  Any other file is checked by
+        a set of its records for a repeat (the one duplicate rule).  Sets
+        ``counts[name]``.
         """
         file = f"{name}.jsonl"
         if name not in hold:
-            counts[name] = sum(len(lines) - sum(1 for text in lines if not text.strip(_SPACE))
-                               for _first, lines in _batches(path, file))
+            counts[name] = _count(path, file)
             return None
 
         def checked(first: int, lines: list[str]):
@@ -211,20 +220,36 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
                 deque(checked(first, lines), 0)
             raise error
 
+        def in_range(records):  # in record order, which is by height first
+            if records[0].height < first_block or records[-1].height > last_block:
+                raise IngestError("height outside the manifest block range",
+                                  file=file, field="block")
+            return records
+
+        consume, size, tail = folds.get(name) or tuple, 0, []
+
+        def stream():
+            nonlocal size, tail
+            for first, lines in _batches(path, file):
+                records = batch(first, lines)
+                if order is not None and records:
+                    if not in_position_order(chain(tail, records)):
+                        size = None  # not in record order: read again below
+                        return
+                    tail = in_range(records)[-1:]
+                size += len(records)
+                yield records
+
         try:
-            records = tuple(chain.from_iterable(starmap(batch, _batches(path, file))))
+            records = consume(chain.from_iterable(stream()))
+            if size is None:  # the whole file, sorted, for a fresh consumer
+                records = in_range(sorted(chain.from_iterable(
+                    starmap(batch, _batches(path, file))), key=order))
         except IngestError as exc:
             if order is None:
                 raise
             first_fault(exc)
-        in_order = False
-        if order is not None:
-            records, in_order = _in_record_order(records, order)
-            # record order is by height first: the ends hold the least and greatest
-            if records and (records[0].height < first_block or records[-1].height > last_block):
-                first_fault(IngestError("height outside the manifest block range",
-                                        file=file, field="block"))
-        if not in_order and len(set(records)) < len(records):
+        if (size is None or order is None) and len(set(records)) < len(records):
             # a repeat: the file is read again to name the lines of the first
             seen: dict[Any, int] = {}
             for first, lines in _batches(path, file):
@@ -232,7 +257,9 @@ def ingest(path: str | Path, hold: Iterable[str] = RECORD_FILES) -> Dataset:
                     if seen.setdefault(record, line) != line:
                         raise IngestError(f"duplicate record (first seen on line {seen[record]})",
                                           file=file, line=line)
-        counts[name] = len(records)
+        if size is None:
+            size, records = len(records), consume(records)
+        counts[name] = size
         return records
 
     pools = read("pools", lambda r: PoolConfig(

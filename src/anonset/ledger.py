@@ -26,10 +26,10 @@ Conventions used throughout the package:
   a height.
 * Each record type has one total order, :func:`transfer_order` or
   :func:`event_order`: its position, then every other field.  Emission
-  and ``dataset.ingest`` each set it up once, by :func:`_in_record_order`:
-  a file :func:`in_position_order` finds in strictly increasing position
-  is in that order already, and any other is sorted by it, so the index
-  a dataset builds keeps its records as they come.  A repeated record is
+  sets it up once, by :func:`_in_record_order`, and ``dataset.ingest`` a
+  batch at a time: a file :func:`in_position_order` finds in strictly
+  increasing position is in that order already, and any other is sorted
+  by it, so the index a dataset builds keeps its records as they come.  A repeated record is
   rejected once, also by ``dataset.ingest``; nothing below it checks again.
 * A pool state is a plain ``dict`` of signed balances by address, made
   by the one formula :func:`balances` from per-address deposit and

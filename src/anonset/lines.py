@@ -1,8 +1,9 @@
 """Reading a record file: the batches of whole lines it is read or
-counted in, and the line pattern of each file ``synth`` writes in a fixed
-layout.  ``dataset.ingest`` is their one caller; they are a module of
-their own so that ``dataset``, the largest module a data command compiles
-when no bytecode cache is written, stays smaller."""
+counted in, the count of a file that is not read, and the line pattern of
+each file ``synth`` writes in a fixed layout.  ``dataset.ingest`` is their
+one caller; they are a module of their own so that ``dataset``, the
+largest module a data command compiles when no bytecode cache is
+written, stays smaller."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from .errors import IngestError
 from .rows import _utf8_error
 
 _BATCH = 2048  # the fewest characters a batch asks for; past 128 KB, 1/64 of the file
+_SPACE = " \t\r\n"  # JSON's own whitespace, the only text stripped from a line
 
 
 def _batches(path: Path, file: str):
@@ -29,6 +31,12 @@ def _batches(path: Path, file: str):
                 first += len(lines)
     except UnicodeDecodeError:
         raise _utf8_error(source, file) from None
+
+
+def _count(path: Path, file: str) -> int:
+    """The lines of ``file`` that hold more than JSON whitespace, unparsed."""
+    return sum(len(lines) - sum(1 for text in lines if not text.strip(_SPACE))
+               for _first, lines in _batches(path, file))
 
 
 # Pieces of the line patterns, each matching only text that json.loads

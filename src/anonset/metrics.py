@@ -96,30 +96,40 @@ class RelayerUsage(NamedTuple):
         return Fraction(self.relayed_withdrawers, self.withdrawers) if self.withdrawers else None
 
 
-def relayer_usage(pools: Iterable[PoolConfig], events: Iterable[PoolEvent],
-                  ) -> tuple[RelayerUsage, ...]:
+def count_relayers(events: Iterable[PoolEvent]) -> dict[str, tuple[list, list, set]]:
+    """What :func:`relayer_usage` reads of the pool events, folded in one
+    pass over ``events``: by pool id, in the order first seen, the actor of
+    each withdrawal, the actor of each relayed one, and the relayers."""
+    tallies: dict[str, tuple[list, list, set]] = {}
+    for e in events:
+        tally = tallies.get(e.pool_id)
+        if tally is None:
+            tally = tallies[e.pool_id] = ([], [], set())
+        if e.kind == WITHDRAWAL:
+            tally[0].append(e.actor)
+            if e.relayer is not None:
+                tally[1].append(e.actor)
+                tally[2].add(e.relayer)
+    return tallies
+
+
+def relayer_usage(pools: Iterable[PoolConfig], tallies: Mapping) -> tuple[RelayerUsage, ...]:
     """Each of ``pools``' counts of relayed withdrawals and of withdrawers
-    ever using one, in the order of ``pools``, from one pass over ``events``
-    that keeps only the withdrawals; an event of any other pool raises
-    :class:`InputError`.  One pool's sets are built at a time."""
-    withdrawals: dict[str, list[PoolEvent]] = {pool.pool_id: [] for pool in pools}
-    try:
-        for e in events:
-            if e.kind == WITHDRAWAL:
-                withdrawals[e.pool_id].append(e)
-            elif e.pool_id not in withdrawals:
-                raise KeyError(e.pool_id)
-    except KeyError as exc:
-        raise InputError(f"event for pool {exc.args[0]!r} passed to pool "
-                         f"{', '.join(map(repr, withdrawals))}") from None
+    ever using one, in the order of ``pools``, from the ``tallies``
+    :func:`count_relayers` made of the pool events; an event of any other
+    pool raises :class:`InputError`.  One pool's sets are built at a time."""
+    pool_ids = dict.fromkeys(pool.pool_id for pool in pools)
+    for pool_id in tallies:
+        if pool_id not in pool_ids:
+            raise InputError(f"event for pool {pool_id!r} passed to pool "
+                             f"{', '.join(map(repr, pool_ids))}")
     usage = []
-    for pool_id, pool_withdrawals in withdrawals.items():
-        relayed = [e for e in pool_withdrawals if e.relayer is not None]
+    for pool_id in pool_ids:
+        withdrawers, relayed, relayers = tallies.get(pool_id, ((), (), ()))
         usage.append(RelayerUsage(
-            pool_id=pool_id, relayers=len({e.relayer for e in relayed}),
-            withdrawals=len(pool_withdrawals), relayed_withdrawals=len(relayed),
-            withdrawers=len({e.actor for e in pool_withdrawals}),
-            relayed_withdrawers=len({e.actor for e in relayed})))
+            pool_id=pool_id, relayers=len(relayers),
+            withdrawals=len(withdrawers), relayed_withdrawals=len(relayed),
+            withdrawers=len(set(withdrawers)), relayed_withdrawers=len(set(relayed))))
     return tuple(usage)
 
 
@@ -134,42 +144,50 @@ class FundThenDepositFlag(NamedTuple):
     labels: frozenset[str]
 
 
-def fund_then_deposit_flags(pools: Iterable[PoolConfig],
-                            events: Sequence[PoolEvent],
+def withdraw_first(events: Iterable[PoolEvent]) -> tuple[dict, dict[Address, list]]:
+    """What :func:`fund_then_deposit_flags` reads of the pool events, in
+    record order, folded in one pass over ``events``: each actor's first
+    withdrawal, None where a deposit came first, and the deposits of the
+    actors whose first event was a withdrawal.  No other event is kept."""
+    first: dict[Address, PoolEvent | None] = {}
+    deposits: dict[Address, list[PoolEvent]] = {}
+    for e in events:
+        if e.kind == WITHDRAWAL:
+            first.setdefault(e.actor, e)
+        elif first.setdefault(e.actor, None) is not None:
+            deposits.setdefault(e.actor, []).append(e)
+    return first, deposits
+
+
+def fund_then_deposit_flags(pools: Iterable[PoolConfig], folded: tuple[Mapping, Mapping],
                             labels: LabelBook,
                             min_deposit: Amount = DEFAULT_FUND_THEN_DEPOSIT_THRESHOLD,
                             ) -> tuple[FundThenDepositFlag, ...]:
     """Withdraw-first addresses whose later deposits in one coin reach
-    ``min_deposit`` (base units of two coins do not add up).
+    ``min_deposit`` (base units of two coins do not add up), from what
+    :func:`withdraw_first` ``folded`` of the pool events; a deposit of a
+    pool not in ``pools`` raises :class:`InputError`.
 
     The pattern matches actors who used the pools as a source of clean
-    starting funds and came back to bury a much larger profit.  ``events``
-    must be in record order, as ``Dataset.events`` holds them.
+    starting funds and came back to bury a much larger profit.
     """
     pool_by_id = {p.pool_id: p for p in pools}
-    first_wd: dict[Address, PoolEvent] = {}
-    first_dep: dict[Address, PoolEvent] = {}
-    volume: dict[Address, Counter] = {}  # per address, per coin
-    for e in events:
-        pool = pool_by_id.get(e.pool_id)
-        if pool is None:
-            raise InputError(f"event for unknown pool {e.pool_id!r}")
-        if e.kind == WITHDRAWAL:
-            first_wd.setdefault(e.actor, e)
-        else:
-            first_dep.setdefault(e.actor, e)
-            volume.setdefault(e.actor, Counter())[pool.coin] += pool.denomination
+    first, deposits = folded
     flags = []
-    for addr, wd in first_wd.items():
-        dep = first_dep.get(addr)
-        if dep is None or position(wd) >= position(dep):
-            continue
-        total = max(volume[addr].values())
-        if total < min_deposit:
-            continue
-        flags.append(FundThenDepositFlag(
-            address=addr, first_withdrawal=wd, first_deposit=dep,
-            total_deposited=total, labels=labels.labels_for(addr)))
+    for addr, own in deposits.items():
+        if position(first[addr]) >= position(own[0]):
+            continue  # a deposit at the first withdrawal's own position
+        volume: Counter = Counter()  # per coin
+        for e in own:
+            pool = pool_by_id.get(e.pool_id)
+            if pool is None:
+                raise InputError(f"event for unknown pool {e.pool_id!r}")
+            volume[pool.coin] += pool.denomination
+        total = max(volume.values())
+        if total >= min_deposit:
+            flags.append(FundThenDepositFlag(
+                address=addr, first_withdrawal=first[addr], first_deposit=own[0],
+                total_deposited=total, labels=labels.labels_for(addr)))
     return tuple(sorted(flags, key=lambda f: f.address))
 
 

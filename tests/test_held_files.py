@@ -111,13 +111,14 @@ class Run(NamedTuple):
 
 def run_command(argv: list[str], data: Path, out: Path, drop: str | None = None) -> Run:
     """Run ``argv`` on ``data`` in-process, with ``drop`` taken out of the
-    files its command asks ``ingest`` to hold."""
+    files its command asks ``ingest`` to hold, its fold with it."""
     shutil.rmtree(out, ignore_errors=True)
     held = []
 
     def holding(path, hold):
+        folds = hold if isinstance(hold, dict) else {}
         held.append(frozenset({"pools", *hold}) - {drop})
-        return dataset_module.ingest(path, held[-1])
+        return dataset_module.ingest(path, {name: folds.get(name) for name in held[-1]})
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout), \
@@ -164,7 +165,9 @@ def test_a_command_reports_the_same_holding_only_its_files(command, command_dir,
     declared = [run_command(argv, command_dir, tmp_path / "out")[:4]
                 for argv in COMMANDS[command]]
     assert all(code == 0 for code, *_ in declared)
-    monkeypatch.setattr(dataset_module, "ingest", lambda path, hold: ingest(path))
+    # every file held, and a command's fold kept
+    monkeypatch.setattr(dataset_module, "ingest",
+                        lambda path, hold: ingest(path, {**dict.fromkeys(RECORD_FILES), **hold}))
     assert [run_command(argv, command_dir, tmp_path / "out")[:4]
             for argv in COMMANDS[command]] == declared
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,22 @@ def test_module_uses_every_import(module):
 def test_unused_import_is_found():
     source = "import json\nfrom typing import Any, Callable\nimport os.path\nx: Any = json\n"
     assert unused_imports(source) == {"Callable", "os"}
+
+
+def source_tokens(source: str) -> int:
+    """The tokens of ``source`` but its comments and blank lines."""
+    skipped = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
+    return sum(1 for token in tokenize.tokenize(io.BytesIO(source.encode()).readline)
+               if token.type not in skipped)
+
+
+def test_cli_stays_below_the_parsers_token_step():
+    # Every command compiles cli.py when no bytecode cache is written, and
+    # CPython's parser doubles its token array as the count passes 1 024:
+    # about 0.12 MB more peak memory on every command (CHANGES.md, the
+    # FOUND line on cli.py's tokens).
+    assert source_tokens("x = f(1)  # one\n\n") == 8
+    assert source_tokens((PACKAGE / "cli.py").read_text()) < 1024
 
 
 ANALYSIS = ("anonset.heuristics", "anonset.metrics", "anonset.mining",

@@ -13,10 +13,12 @@ from anonset.metrics import (
     advantage_increase_from_reduction,
     anonymity_sets,
     cluster_size_histogram,
+    count_relayers,
     fund_then_deposit_flags,
     relayer_usage,
     render_percent,
     render_ratio,
+    withdraw_first,
 )
 
 from .conftest import D1, D2, W1, addr, deposit, reduced, view, withdrawal
@@ -145,18 +147,19 @@ class TestRelayerUsage:
         r = addr("rr")
         events = [withdrawal("P100", W1, 5, relayer=r),
                   withdrawal("P100", D2, 6, relayer=r)]
-        (usage,) = relayer_usage([p100], events)
+        (usage,) = relayer_usage([p100], count_relayers(events))
         assert usage.relayers == 1
         assert usage.relayed_withdrawal_share == 1
         assert usage.relayed_withdrawer_share == 1
 
     def test_no_relayers(self, p100, p100_events):
-        (usage,) = relayer_usage([p100], p100_events)
+        (usage,) = relayer_usage([p100], count_relayers(p100_events))
         assert usage.relayers == 0
         assert usage.relayed_withdrawal_share == 0
 
     def test_no_withdrawal_has_no_share(self, p100, p100_events):
-        (usage,) = relayer_usage([p100], [e for e in p100_events if e.kind == "deposit"])
+        deposits = [e for e in p100_events if e.kind == "deposit"]
+        (usage,) = relayer_usage([p100], count_relayers(deposits))
         assert (usage.withdrawals, usage.withdrawers) == (0, 0)
         assert usage.relayed_withdrawal_share is None
         assert usage.relayed_withdrawer_share is None
@@ -166,7 +169,7 @@ class TestRelayerUsage:
         events = [withdrawal("P100", W1, 5, relayer=r),
                   withdrawal("P100", W1, 6, relayer=r),
                   withdrawal("P100", D2, 7)]
-        (usage,) = relayer_usage([p100], events)
+        (usage,) = relayer_usage([p100], count_relayers(events))
         assert usage.relayed_withdrawal_share == Fraction(2, 3)
         assert usage.relayed_withdrawer_share == Fraction(1, 2)
 
@@ -175,7 +178,7 @@ class TestRelayerUsage:
         other = withdrawal("P10", D2, 6) if kind == "withdrawal" else deposit("P10", D2, 6)
         events = [withdrawal("P100", W1, 5), other]
         with pytest.raises(InputError, match="event for pool 'P10' passed to pool 'P100'"):
-            relayer_usage([p100], events)
+            relayer_usage([p100], count_relayers(events))
 
     def test_each_pool_counted_apart_in_the_order_given(self, p100):
         p10 = PoolConfig(pool_id="P10", coin="ETH", denomination=10)
@@ -183,12 +186,12 @@ class TestRelayerUsage:
         r = addr("rr")
         events = [deposit("P10", D1, 4), withdrawal("P100", W1, 5, relayer=r),
                   withdrawal("P10", D2, 6), withdrawal("P100", D2, 7)]
-        usage = relayer_usage([p10, idle, p100], events)
+        usage = relayer_usage([p10, idle, p100], count_relayers(events))
         assert [u.pool_id for u in usage] == ["P10", "P1", "P100"]
         assert [(u.relayers, u.withdrawals, u.relayed_withdrawals, u.withdrawers,
                  u.relayed_withdrawers) for u in usage] == [
             (0, 1, 0, 1, 0), (0, 0, 0, 0, 0), (1, 2, 1, 2, 1)]
-        assert relayer_usage([], []) == ()
+        assert relayer_usage([], count_relayers([])) == ()
 
 
 class TestFundThenDeposit:
@@ -199,7 +202,7 @@ class TestFundThenDeposit:
     def test_withdraw_first_big_deposit_flagged(self):
         a = addr("atk")
         events = [withdrawal("P10", a, 100), deposit("P5855", a, 500)]
-        (flag,) = fund_then_deposit_flags(self._pools(), events, NO_LABELS,
+        (flag,) = fund_then_deposit_flags(self._pools(), withdraw_first(events), NO_LABELS,
                                           min_deposit=1000)
         assert flag.address == a
         assert flag.total_deposited == 5855
@@ -208,26 +211,40 @@ class TestFundThenDeposit:
     def test_deposit_first_not_flagged(self):
         a = addr("atk")
         events = [deposit("P5855", a, 100), withdrawal("P10", a, 500)]
-        assert fund_then_deposit_flags(self._pools(), events, NO_LABELS,
+        assert fund_then_deposit_flags(self._pools(), withdraw_first(events), NO_LABELS,
                                        min_deposit=1000) == ()
 
     def test_same_block_order_is_the_transaction_order(self):
         a = addr("atk")
         deposit_later = deposit("P5855", a, 10, tx=1)
         withdrawal_first = withdrawal("P10", a, 10, tx=0)
-        (flag,) = fund_then_deposit_flags(self._pools(), [withdrawal_first, deposit_later],
+        (flag,) = fund_then_deposit_flags(self._pools(),
+                                          withdraw_first([withdrawal_first, deposit_later]),
                                           NO_LABELS, min_deposit=1000)
         assert flag.first_withdrawal == withdrawal_first
         assert flag.first_deposit == deposit_later
         events = [deposit("P5855", a, 10, tx=0), withdrawal("P10", a, 10, tx=1)]
-        assert fund_then_deposit_flags(self._pools(), events, NO_LABELS,
+        assert fund_then_deposit_flags(self._pools(), withdraw_first(events), NO_LABELS,
                                        min_deposit=1000) == ()
+
+    def test_a_deposit_at_the_withdrawals_own_position_does_not_follow_it(self):
+        # record order puts P10's withdrawal first, but neither is before the other
+        a = addr("atk")
+        events = [withdrawal("P10", a, 10), deposit("P5855", a, 10), deposit("P5855", a, 11)]
+        assert fund_then_deposit_flags(self._pools(), withdraw_first(events), NO_LABELS,
+                                       min_deposit=1000) == ()
+
+    def test_a_deposit_of_an_unknown_pool_is_rejected(self):
+        a = addr("atk")
+        events = [withdrawal("P10", a, 100), deposit("P7", a, 500)]
+        with pytest.raises(InputError, match="event for unknown pool 'P7'"):
+            fund_then_deposit_flags(self._pools(), withdraw_first(events), NO_LABELS)
 
     def test_below_threshold_not_flagged(self):
         a = addr("atk")
         events = [withdrawal("P10", a, 100), deposit("P10", a, 500)]
         for threshold, expect in ((11, 0), (10, 1), (9, 1)):
-            flags = fund_then_deposit_flags(self._pools(), events, NO_LABELS,
+            flags = fund_then_deposit_flags(self._pools(), withdraw_first(events), NO_LABELS,
                                             min_deposit=threshold)
             assert len(flags) == expect
 
@@ -237,8 +254,9 @@ class TestFundThenDeposit:
                  PoolConfig(pool_id="PB", coin="BNB", denomination=1000)]
         a = addr("atk")
         events = [withdrawal("PA", a, 100), deposit("PA", a, 200), deposit("PB", a, 300)]
-        assert fund_then_deposit_flags(pools, events, NO_LABELS) == ()
-        (flag,) = fund_then_deposit_flags(pools, events + [deposit("PA", a, 400)], NO_LABELS)
+        assert fund_then_deposit_flags(pools, withdraw_first(events), NO_LABELS) == ()
+        events.append(deposit("PA", a, 400))
+        (flag,) = fund_then_deposit_flags(pools, withdraw_first(events), NO_LABELS)
         assert flag.total_deposited == 3000
 
 

@@ -156,6 +156,13 @@ class TestSolveSingleClaim:
         claim = APClaim(recipient=addr("s1"), block=2_000, ap=2_000)
         assert solve_single_claim(1_000, claim, 400, [1_004, 1_006]).status == NONE
 
+    def test_zero_point_claim_is_none_with_a_withdrawal_in_the_deposit_block(self):
+        # a deposit pairs only with a withdrawal in a later block, so a zero
+        # gap links nothing, though it would reproduce the zero points
+        claim = APClaim(recipient=addr("s1"), block=2_000, ap=0)
+        assert solve_single_claim(1_000, claim, 400, [990, 1_000, 1_005]).status == NONE
+        assert anonymity_points({"p": [1_000]}, {"p": [1_000]}, {"p": 400}) == claim.ap
+
     def test_multiplicity_counts_shared_blocks(self):
         claim = APClaim(recipient=addr("s1"), block=2_000, ap=400)
         sol = solve_single_claim(1_000, claim, 400, [1_001, 1_001, 1_001])
