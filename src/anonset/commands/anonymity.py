@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 from .. import metrics
@@ -23,17 +24,18 @@ FILES = ("pools", "pool_events", "transfers", "token_transfers", "labels", "rela
 
 
 def run(args, ingest) -> int:
+    # the sidecar first: a missing one fails, and its parse is freed, before ingest
+    true_sizes = read_true_set_sizes(args.data) if args.tas else None
     dataset = _load(args, ingest, FILES)
     t = _cut(args, dataset)
     pools = _selected_pools(args, dataset)
     tags = _heuristic_tags(args, dataset)
-    true_sizes = read_true_set_sizes(args.data) if args.tas else None
     _, views, links = _run_heuristics(dataset, tags, t)
     if args.combine:
-        # ``combined`` is one more named link set; only its cell and its
-        # advantage fields differ from a heuristic's
+        # ``combined`` is one more named link set, the heuristics' pairs chained, not
+        # copied; only its cell and its advantage fields differ from a heuristic's
         for mine in (links[pool.pool_id] for pool in pools):
-            mine["combined"] = frozenset().union(*mine.values())
+            mine["combined"] = chain(*mine.values())
     sets, means = metrics.anonymity_sets([views[pool.pool_id] for pool in pools], links)
 
     pools_payload, rows = [], []

@@ -12,10 +12,11 @@ module, and not the index, is loaded to read a dataset.
 
 ``synth`` writes exactly this layout (plus a ``ground_truth.json``
 sidecar), so generated traces round-trip through ingestion losslessly.
-``ingest`` never opens the sidecar; only ``anonymity --tas`` reads it.
+``ingest`` never opens the sidecar; only ``anonymity --tas`` does, first.
 
 Ingestion mirrors ``synth``'s emission, in batches of whole lines: 1/64
-of a file, at least 2 KB.  Five files have a line pattern: pool events,
+of a file, at least 2 KB, at most 16 KB, so a fold holds one small batch
+however large its file.  Five files have a line pattern: pool events,
 native and token transfers, labels and reward claims.  In a batch of their lines
 all in exactly the emitted layout, nearly every batch, one pattern scan
 finds every line's fields, undecoded, and one comprehension builds the

@@ -6,7 +6,7 @@ pool's *simplified anonymity set* is :func:`ledger.reduced_set`, which
 :func:`metrics.anonymity_sets` runs once per reported set.
 
 Every heuristic is a pure function of a :class:`PoolView`, the pool's
-state and actor sets in one index of the history at a cut, built once
+actor sets in one index of the history at a cut, built once
 and shared (h5 takes the views of all pools); each reads what it needs
 from the index's per-actor event counts and per-index tables, built on
 first use, and none builds a list of events per actor.  Per-pool
@@ -53,25 +53,29 @@ class PoolView(NamedTuple):
 
     ``depositors`` and ``withdrawers`` are the key views (not copies) of
     the index's count maps (:meth:`LedgerIndex.actor_counts`), set-like
-    for ``in``, ``len``, ``==``, ``<=`` and ``&``; ``state`` is
-    :func:`ledger.balances` of those counts, so no event is walked again.
+    for ``in``, ``len``, ``==``, ``<=`` and ``&``; no field holds balances.
     ``index`` answers the event, transfer and label queries of h2-h5; as a
     field it hides ``tuple.index``, which no caller uses.
     """
 
     pool: PoolConfig
-    state: dict[Address, int]
     depositors: AbstractSet[Address]
     withdrawers: AbstractSet[Address]
     index: LedgerIndex
+
+    @property
+    def state(self) -> dict[Address, int]:
+        """:func:`ledger.balances` of the counts, built on each read: no event
+        is walked, and a report holds one pool's at a time."""
+        return balances(self.pool, self.depositors.mapping, self.withdrawers.mapping)
 
 
 def pool_view(index: LedgerIndex, pool: PoolConfig) -> PoolView:
     """``pool``'s view, read from the index's per-actor event counts."""
     deposits = index.actor_counts(pool.pool_id, DEPOSIT)
     withdrawals = index.actor_counts(pool.pool_id, WITHDRAWAL)
-    return PoolView(pool=pool, state=balances(pool, deposits, withdrawals),
-                    depositors=deposits.keys(), withdrawers=withdrawals.keys(), index=index)
+    return PoolView(pool=pool, depositors=deposits.keys(), withdrawers=withdrawals.keys(),
+                    index=index)
 
 
 class HeuristicResult(NamedTuple):

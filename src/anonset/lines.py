@@ -14,18 +14,19 @@ from .errors import IngestError
 from .rows import _utf8_error
 
 _BATCH = 2048  # the fewest characters a batch asks for; past 128 KB, 1/64 of the file
+_CAP = 16384  # the most 1/64 of a file asks for: past 1 MB, a batch is no larger
 _SPACE = " \t\r\n"  # JSON's own whitespace, the only text stripped from a line
 
 
 def _batches(path: Path, file: str):
     """Yield ``(first line number, lines)`` for each batch of whole lines of
-    ``file``, line ends kept: at most 65 batches, as each has a fixed cost."""
+    ``file``, line ends kept: at most 65 under 1 MB, 16 KB ones past it."""
     source = path / file
     if not source.exists():
         raise IngestError("required file is missing", file=file)
     try:
         with source.open(encoding="utf-8") as handle:
-            size, first = max(_BATCH, source.stat().st_size // 64), 1
+            size, first = max(_BATCH, min(_CAP, source.stat().st_size // 64)), 1
             while lines := handle.readlines(size):
                 yield first, lines
                 first += len(lines)

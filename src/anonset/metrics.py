@@ -56,18 +56,19 @@ def anonymity_sets(views: Iterable, links: Mapping[str, Mapping[str, Iterable[Li
     A reduction is the exact share of the observed set that is removed.
     An idle pool, or a set that its link set empties, has none, and is
     left out of that name's unweighted mean across pools.  No name is
-    treated apart from another.  A view needs ``pool.pool_id``, ``state``
-    and ``depositors``.
+    treated apart from another.  A view needs ``pool.pool_id``, ``depositors``
+    and ``state``, read once and dropped before the next view's is built.
     """
     pools, reductions = {}, {}
     for view in views:
-        observed, sets = len(view.depositors), {}
+        observed, sets, state = len(view.depositors), {}, view.state
         for name, pairs in links[view.pool.pool_id].items():
-            size = len(reduced_set(view.state, pairs, view.depositors))
+            size = len(reduced_set(state, pairs, view.depositors))
             reduction = Fraction(observed - size, observed) if size else None
             sets[name] = size, reduction
             reductions.setdefault(name, []).append(reduction)
         pools[view.pool.pool_id] = observed, sets
+        del state
     defined = {name: [r for r in values if r is not None] for name, values in reductions.items()}
     return pools, {name: sum(values) / len(values) for name, values in defined.items() if values}
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,31 @@ class TestAnonymityMemory:
         assert peak / held < 1.1
 
 
+class TestAnonymityBalances:
+    def test_one_pools_balances_at_a_time(self, dataset_dir, tmp_path, monkeypatch):
+        # no view holds its pool's balances: ``anonymity_sets`` builds each
+        # pool's once, where it reduces that pool, after the pool before
+        # it let go of its own
+        assert "state" not in heuristics.PoolView._fields
+        built, balances = [], heuristics.balances
+
+        class Balances(dict):  # a dict a weak reference can watch
+            pass
+
+        def watched(pool, deposits, withdrawals):
+            assert all(ref() is None for _pool_id, ref in built), "two pools' balances held"
+            state = Balances(balances(pool, deposits, withdrawals))
+            built.append((pool.pool_id, weakref.ref(state)))
+            return state
+
+        monkeypatch.setattr(heuristics, "balances", watched)
+        out = tmp_path / "out"
+        assert main(["anonymity", "--combine", "--tas", "--data", str(dataset_dir),
+                     "--out", str(out)]) == 0
+        pools = json.loads((out / "anonymity.json").read_text())["pools"]
+        assert [pool_id for pool_id, _ref in built] == [p["pool_id"] for p in pools]
+
+
 class TestAnonymityLineGrowth:
     """A guard that needs no clock: the Python lines ``anonymity --combine
     --tas`` runs in ``anonset`` grow linearly in the records, so twice the
@@ -578,6 +604,20 @@ class TestSidecarContract:
                      "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert ("file=ground_truth.json" in err) == (code == 2)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sidecar, code", [("deleted", 3), ("[]", 2)])
+    def test_tas_reads_the_sidecar_before_the_records(self, dataset_dir, tmp_path, capsys,
+                                                      sidecar, code):
+        # a sidecar fault wins over a record fault: the sidecar is read,
+        # and fails, before ingest opens a record file
+        self.replace_sidecar(dataset_dir, sidecar)
+        (dataset_dir / "pool_events.jsonl").write_text("{not json\n")
+        assert main(["anonymity", "--tas", "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "out")]) == code
+        out, err = capsys.readouterr()
+        assert "loaded" not in out and "pool_events.jsonl" not in err
         assert ("file=ground_truth.json" in err) == (code == 2)
         assert not (tmp_path / "out").exists()
 

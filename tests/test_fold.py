@@ -259,3 +259,43 @@ def test_a_folding_ingest_holds_no_event_record(tmp_path, monkeypatch):
     records = sys.getsizeof(held.events) + sum(map(sys.getsizeof, held.events))
     assert len(held.events) > 1000
     assert held_peak - fold_peak >= records, (held_peak, fold_peak, records)
+
+
+def test_a_folded_read_holds_one_small_batch(tmp_path, monkeypatch):
+    # past 1 MB a batch stops growing with its file, so a fold's peak above
+    # what it keeps does not grow with it either: one batch of 1/64 of this
+    # file is twice the cap
+    data = tmp_path / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(data), "--profile", "mixed", "--seed", "5",
+                     "--users", "2000", "--blocks", "24000"]) == 0
+    size = (data / "pool_events.jsonl").stat().st_size
+    assert size > 2 << 20 and size // 64 > 2 * lines_module._CAP
+    batches = []
+
+    def recorded(path, file):
+        for first, lines in lines_module._batches(path, file):
+            if file == "pool_events.jsonl":
+                batches.append(lines)
+            yield first, lines
+
+    def above_kept() -> int:
+        """``relayers``' ingest: its tracemalloc peak above what it keeps."""
+        hold = {"pools": None, "pool_events": metrics_module.count_relayers}
+        tracemalloc.start()
+        try:
+            dataset_module.ingest(data, hold)  # kept until the reading below
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - kept
+
+    monkeypatch.setattr(dataset_module, "_batches", recorded)
+    above_kept()  # so the first run's imports and caches are not counted
+    capped = above_kept()
+    cap = lines_module._CAP
+    # no batch is over the cap by more than its last line
+    assert batches and all(sum(map(len, lines)) - len(lines[-1]) < cap for lines in batches)
+    monkeypatch.setattr(lines_module, "_CAP", 1 << 30)  # 1/64 of every file, as before the cap
+    # the cap saves at least the text of a batch it leaves unread
+    assert above_kept() - capped >= size // 64 - cap
